@@ -15,20 +15,16 @@ from fractions import Fraction
 
 from .catalog import Family, families
 from .coeffs import MPoly, PolyRing
-from .gsb import dt_check, rbt_check
-from .opoly import DIFFERENTIAL, OPoly, OpIdentity, ROTA_BAXTER, to_str_opoly
+from .gsb import associativity_defect, dt_check, rbt_check
+from .opoly import DIFFERENTIAL, OPoly, OpIdentity, ROTA_BAXTER
 from .ordering import OrderConfig
 from .rewrite import NONUNIT_ONLY, NORMAL_FORM, RuleSchema, normal_form
 from .solve import SolutionComponent, find_representative, sample_points, \
     solve_components
-from .words import GeneratorSet, UNIT, Word, enumerate_words, to_str, \
-    word_sort_key
+from .words import GeneratorSet, Word, enumerate_words, to_str, word_sort_key
 
 XY = GeneratorSet(("x", "y"))
 UVW = GeneratorSet(("u", "v", "w"))
-U_WORD = Word(("u",))
-V_WORD = Word(("v",))
-W_WORD = Word(("w",))
 
 
 class ReductionBudgetExceeded(RuntimeError):
@@ -225,22 +221,6 @@ def _unit_residue(w: Word) -> bool:
     return inside(w, 0)
 
 
-def ansatz_defect(ansatz: Ansatz) -> OPoly:
-    """The associativity defect of the candidate pattern over fresh
-    generators u, v, w."""
-    pattern = ansatz.pattern
-    if ansatz.mode == DIFFERENTIAL:
-        ident = ansatz.identity()
-        return (ident.pattern_at(U_WORD * V_WORD, W_WORD)
-                - ident.pattern_at(U_WORD, V_WORD * W_WORD))
-    m_uv = pattern.subst_generators({"x": U_WORD, "y": V_WORD})
-    m_vw = pattern.subst_generators({"x": V_WORD, "y": W_WORD})
-    return (pattern.subst_generators(
-                {"x": m_uv, "y": OPoly.from_word(W_WORD, ring=ansatz.ring)})
-            - pattern.subst_generators(
-                {"x": OPoly.from_word(U_WORD, ring=ansatz.ring), "y": m_vw}))
-
-
 def extract_constraints(ansatz: Ansatz, strategy: str = "lo",
                         step_cap: int = 4000) -> ConstraintSystem:
     """Reduce the defect with the ansatz's own rules and read off one
@@ -248,7 +228,7 @@ def extract_constraints(ansatz: Ansatz, strategy: str = "lo",
     ident = ansatz.identity()
     order = OrderConfig(UVW) if ansatz.mode == DIFFERENTIAL else None
     schema = RuleSchema(ident, unit_policy=NONUNIT_ONLY, order=order)
-    defect = ansatz_defect(ansatz)
+    defect = associativity_defect(ident)
     nf, trace = normal_form(defect, schema, strategy, step_cap)
     if trace.status != NORMAL_FORM:
         raise ReductionBudgetExceeded(

@@ -251,18 +251,6 @@ class GsbReport:
         }
 
 
-def _record(report: GsbReport, comp: CompositionRecord, sys: GeneratorSystem,
-            step_cap: int, keep: int = 3):
-    verdict = is_trivial(comp, sys, step_cap)
-    report.order_violations += len(comp.order_violations)
-    if verdict == TRIVIAL:
-        report.trivial_count += 1
-        if len(report.samples) < keep:
-            report.samples.append(comp)
-    else:
-        report.nontrivial.append(comp)
-
-
 class _NFCache:
     """Per-schema memo of the leftmost-outermost normal form of each word.
 
@@ -568,6 +556,25 @@ class TypeReport:
         return out
 
 
+def associativity_defect(identity: OpIdentity) -> OPoly:
+    """The associativity defect of an identity over fresh generators u, v, w.
+
+    Differential shape: N(u v, w) - N(u, v w), the two rewrites of [u v w].
+    Rota-Baxter shape: M(M(u, v), w) - M(u, M(v, w)), the bracket contents
+    of the two rewrites of [u] [v] [w].
+    """
+    if identity.kind == DIFFERENTIAL:
+        return (identity.pattern_at(U_WORD * V_WORD, W_WORD)
+                - identity.pattern_at(U_WORD, V_WORD * W_WORD))
+    pattern, ring = identity.pattern, identity.ring
+    m_uv = pattern.subst_generators({"x": U_WORD, "y": V_WORD})
+    m_vw = pattern.subst_generators({"x": V_WORD, "y": W_WORD})
+    return (pattern.subst_generators(
+                {"x": m_uv, "y": OPoly.from_word(W_WORD, ring=ring)})
+            - pattern.subst_generators(
+                {"x": OPoly.from_word(U_WORD, ring=ring), "y": m_vw}))
+
+
 def _structure_reject(report: TypeReport, reason: str) -> TypeReport:
     report.accepted = False
     report.reason = reason
@@ -586,9 +593,8 @@ def dt_check(pattern: OPoly, constraints=(), strategy: str = "lo",
         return _structure_reject(report, "contains a bracketed product")
     ident = OpIdentity(DIFFERENTIAL, pattern, tuple(constraints))
     schema = RuleSchema(ident, order=OrderConfig(UVW, order_mode))
-    defect = (ident.pattern_at(U_WORD * V_WORD, W_WORD)
-              - ident.pattern_at(U_WORD, V_WORD * W_WORD))
-    verdict = reduces_to_zero(defect, schema, strategy, step_cap, explore_budget)
+    verdict = reduces_to_zero(associativity_defect(ident), schema, strategy,
+                              step_cap, explore_budget)
     report.verdict = verdict
     report.accepted = verdict.is_yes
     if not report.accepted:
@@ -610,14 +616,8 @@ def rbt_check(pattern: OPoly, constraints=(), strategy: str = "lo",
         return _structure_reject(report, "contains adjacent bracket factors")
     ident = OpIdentity(ROTA_BAXTER, pattern, tuple(constraints))
     schema = RuleSchema(ident, unit_policy=NONUNIT_ONLY)
-    ring = ident.ring
-    m_uv = pattern.subst_generators({"x": U_WORD, "y": V_WORD})
-    m_vw = pattern.subst_generators({"x": V_WORD, "y": W_WORD})
-    defect = (pattern.subst_generators(
-                  {"x": m_uv, "y": OPoly.from_word(W_WORD, ring=ring)})
-              - pattern.subst_generators(
-                  {"x": OPoly.from_word(U_WORD, ring=ring), "y": m_vw}))
-    verdict = reduces_to_zero(defect, schema, strategy, step_cap, explore_budget)
+    verdict = reduces_to_zero(associativity_defect(ident), schema, strategy,
+                              step_cap, explore_budget)
     report.verdict = verdict
     report.accepted = verdict.is_yes
     if not report.accepted:

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .coeffs import MPoly, PolyRing
 from .groebner import nf_mod_ideal
-from .ordering import GREATER, OrderConfig, compare, sort_words
+from .ordering import OrderConfig, max_word, sort_words
 from .words import (
     UNIT,
     GeneratorSet,
@@ -226,10 +226,7 @@ def leading_monomial(p: OPoly, cfg: OrderConfig, ideal_gb=None, strict: bool = F
                 terms[w] = c
     if not terms:
         raise ZeroPolynomial("no leading monomial: polynomial is zero")
-    best = None
-    for w in terms:
-        if best is None or compare(w, best, cfg) == GREATER:
-            best = w
+    best = max_word(terms, cfg)
     c = terms[best]
     if strict and isinstance(c, MPoly) and not _certified_nonzero(c, nonzero):
         raise AmbiguousLeadingCoefficient(

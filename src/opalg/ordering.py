@@ -16,6 +16,18 @@ comparison):
 * ``deglenlex`` — total generator degree, then breadth, then the same
   lexicographic comparison.  Context monotone and unit minimal on all inputs
   (the lex step only ever compares equal-length sequences).
+
+``compare`` decides one pair with an early exit and is the definition both
+modes are stated by.  Sorting and maximum selection go through ``order_key``
+instead: it returns a key function whose tuples compare, under Python's tuple
+order, exactly as ``compare`` orders the words, so ``sorted`` and ``max`` run
+their comparisons in C.  A generator atom's key is ``(1, 0, rank)``, a
+bracket's is ``(deg, 1, key(content))``; a ``purelex`` word key is the tuple
+of its atom keys and a ``deglenlex`` one is ``(deg, breadth, atom keys)``,
+with bracket contents keyed in the same mode.  Each key function memoises the
+keys it built in a dict that lives exactly as long as the function: build one
+per library call and drop it with the call.  A memo that outlived its call
+(on ``OrderConfig``, say) would keep every word any caller ever sorted.
 """
 
 from __future__ import annotations
@@ -46,15 +58,12 @@ class OrderConfig:
         return f"OrderConfig({', '.join(self.rank)}; {self.mode})"
 
 
-def _atom_deg(a) -> int:
-    return 1 if isinstance(a, str) else a.deg
-
-
 def compare_atoms(a, b, cfg: OrderConfig) -> int:
-    da, db = _atom_deg(a), _atom_deg(b)
+    a_is_gen, b_is_gen = isinstance(a, str), isinstance(b, str)
+    da = 1 if a_is_gen else a.deg
+    db = 1 if b_is_gen else b.deg
     if da != db:
         return GREATER if da > db else LESS
-    a_is_gen, b_is_gen = isinstance(a, str), isinstance(b, str)
     if a_is_gen and b_is_gen:
         ra, rb = cfg.rank[a], cfg.rank[b]
         return EQUAL if ra == rb else (GREATER if ra > rb else LESS)
@@ -81,19 +90,37 @@ def compare(u: Word, v: Word, cfg: OrderConfig) -> int:
     return GREATER if u.breadth > v.breadth else LESS   # proper prefix is smaller
 
 
+def order_key(cfg: OrderConfig):
+    """A fresh key function on words: key(u) < key(v) iff u < v under ``cfg``.
+
+    Keys are memoised for the lifetime of the returned function only.
+    """
+    graded = cfg.mode == "deglenlex"
+    atom_keys = {g: (1, 0, r) for g, r in cfg.rank.items()}
+    memo = {}
+
+    def key(w: Word):
+        k = memo.get(w)
+        if k is None:
+            atoms = []
+            for a in w.atoms:
+                ak = atom_keys.get(a)
+                if ak is None:
+                    ak = atom_keys[a] = (a.deg, 1, key(a))
+                atoms.append(ak)
+            k = (w.deg, len(atoms), tuple(atoms)) if graded else tuple(atoms)
+            memo[w] = k
+        return k
+
+    return key
+
+
 def max_word(words, cfg: OrderConfig) -> Word:
-    it = iter(words)
-    best = next(it)
-    for w in it:
-        if compare(w, best, cfg) == GREATER:
-            best = w
-    return best
+    return max(words, key=order_key(cfg))
 
 
 def sort_words(words, cfg: OrderConfig, reverse: bool = False) -> list:
-    import functools
-    return sorted(words, key=functools.cmp_to_key(lambda a, b: compare(a, b, cfg)),
-                  reverse=reverse)
+    return sorted(words, key=order_key(cfg), reverse=reverse)
 
 
 # -- randomized law checking -----------------------------------------------------

@@ -14,9 +14,9 @@ from collections import namedtuple
 
 from .groebner import buchberger, nf_mod_ideal
 from .opoly import DIFFERENTIAL, OPoly, OpIdentity, to_str_opoly
-from .ordering import GREATER, OrderConfig, compare
-from .words import (STAR, UNIT, Word, enumerate_words, substitute, to_str,
-                    token_len, word_sort_key)
+from .ordering import GREATER, OrderConfig, compare, order_key
+from .words import (STAR, UNIT, Word, enumerate_words, to_str, token_len,
+                    word_sort_key)
 
 NONUNIT_ONLY = "nonunit"
 ALLOW_UNITS = "allow"
@@ -237,13 +237,6 @@ class ReductionTrace:
         return "\n".join(lines)
 
 
-def _monomial_key(cfg: OrderConfig):
-    if cfg is None:
-        return word_sort_key
-    import functools
-    return functools.cmp_to_key(lambda a, b: compare(a, b, cfg))
-
-
 def redex_measure(p: OPoly, schema: RuleSchema):
     """Nested multiset of redex sizes: per monomial, the descending tuple of
     deg values of matched subterms; overall, the descending tuple of those.
@@ -274,7 +267,7 @@ def normal_form(p: OPoly, schema: RuleSchema, strategy: str = "lo",
         raise ValueError(f"unknown strategy {strategy!r}")
     inner_first = strategy == "li"
     trace = ReductionTrace()
-    key = _monomial_key(schema.order)
+    key = word_sort_key if schema.order is None else order_key(schema.order)
     p = schema.normalize(schema.lift(p))
     while True:
         target = None

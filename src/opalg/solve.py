@@ -179,7 +179,7 @@ def _split(eqs, nonzero, ring, depth, leaves) -> None:
         if new_basis == basis:
             break
         basis = new_basis
-    for v in nonzero:
+    for v in sorted(nonzero):
         if nf_mod_ideal(ring.var(v), basis).is_zero:
             return  # v is forced to 0 but assumed nonzero
     for g in basis:
@@ -212,33 +212,13 @@ def _pin_linear(eqs, ring):
     speeds up the Groebner step on large ansatz systems.
     """
     pinned = {}
-    changed = True
-    while changed:
-        changed = False
-        for g in eqs:
-            if g.is_zero:
-                continue
-            for name in g.variables():
-                if g.degree_in(name) != 1:
-                    continue
-                i = ring.index[name]
-                coeff = ring.zero()
-                rest = ring.zero()
-                for e, c in g.terms.items():
-                    if e[i]:
-                        reduced = tuple(0 if j == i else k for j, k in enumerate(e))
-                        coeff = coeff + ring.monomial(reduced, c)
-                    else:
-                        rest = rest + ring.monomial(e, c)
-                if not coeff.is_constant or coeff.is_zero:
-                    continue
-                value = rest / (-coeff.constant_value())
-                pinned[name] = value
-                eqs = [h.subs({name: value}) for h in eqs]
-                changed = True
-                break
-            if changed:
-                break
+    while True:
+        pin = next(filter(None, (_find_pin(g, ring) for g in eqs)), None)
+        if pin is None:
+            break
+        name, value = pin
+        pinned[name] = value
+        eqs = [h.subs({name: value}) for h in eqs]
     out = [g for g in eqs if not g.is_zero]
     for name, value in pinned.items():
         # re-substitute later pins so each defining equation is in solved form

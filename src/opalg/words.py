@@ -13,7 +13,7 @@ original.  Splicing the unit deletes the star.
 from __future__ import annotations
 
 import random
-from typing import Iterator, Union
+from typing import Union
 
 STAR = "⋆"      # context hole
 STAR1 = "⋆" + "1"
@@ -517,11 +517,3 @@ def sample_word(rng: random.Random, gens, max_leaves: int, max_depth: int,
 def word_sort_key(w: Word):
     """Deterministic non-semantic key for stable listings."""
     return (w.leaves, w.depth(), token_len(w), tuple(tokens(w)))
-
-
-def iter_subterms(w: Word) -> Iterator[Word]:
-    """All bracket contents occurring in w, outermost first."""
-    for a in w.atoms:
-        if isinstance(a, Word):
-            yield a
-            yield from iter_subterms(a)

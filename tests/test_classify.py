@@ -1,17 +1,21 @@
 """Ansatz construction, constraint extraction, and catalog matching."""
 
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import opalg
 from opalg.catalog import FAMILIES
-from opalg.classify import (Ansatz, ReductionBudgetExceeded, ansatz_defect,
-                            build_ansatz, classify, extract_constraints,
-                            match_catalog)
+from opalg.classify import (Ansatz, ReductionBudgetExceeded, build_ansatz,
+                            classify, extract_constraints, match_catalog)
 from opalg.coeffs import PolyRing
-from opalg.gsb import dt_check
+from opalg.gsb import associativity_defect, dt_check
 from opalg.opoly import DIFFERENTIAL, ROTA_BAXTER
 from opalg.solve import solve_components
 from opalg.words import GeneratorSet, parse, to_str
@@ -111,7 +115,7 @@ def test_three_term_constraints_match_hand_reduction():
 
 
 def test_three_term_defect_before_reduction():
-    defect = ansatz_defect(three_term())
+    defect = associativity_defect(three_term().identity())
     texts = {to_str(word): str(c) for word, c in defect.terms.items()}
     assert texts == {"u v [w]": "a", "[u v] w": "b", "u [v w]": "-a",
                      "[u] v w": "-b"}
@@ -179,6 +183,49 @@ def test_classification_is_deterministic():
     m1 = match_catalog(first, samples=4)
     m2 = match_catalog(second, samples=4)
     assert m1.describe() == m2.describe()
+
+
+# Classifies the degree-1 DT and RBT ansaetze in a fresh interpreter and prints
+# the component descriptions with the number of nf_mod_ideal calls, counted at
+# every opalg binding so calls that cross modules are seen too.
+_HASH_SEED_JOB = """
+import json, sys
+import opalg.groebner
+from opalg.classify import build_ansatz, classify
+from opalg.opoly import DIFFERENTIAL, ROTA_BAXTER
+
+original = opalg.groebner.nf_mod_ideal
+calls = [0]
+
+def counted(*args, **kwargs):
+    calls[0] += 1
+    return original(*args, **kwargs)
+
+for name, module in list(sys.modules.items()):
+    if name.startswith("opalg") and getattr(module, "nf_mod_ideal", None) is original:
+        module.nf_mod_ideal = counted
+components = [[c.describe() for c in classify(build_ansatz(mode, 1)).components]
+              for mode in (DIFFERENTIAL, ROTA_BAXTER)]
+print(json.dumps({"nf_mod_ideal": calls[0], "components": components}))
+"""
+
+
+def _run_under_hash_seed(seed: int) -> dict:
+    src = os.path.dirname(os.path.dirname(os.path.abspath(opalg.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", _HASH_SEED_JOB], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    return json.loads(done.stdout)
+
+
+def test_classification_work_does_not_depend_on_hash_seed():
+    # set iteration order follows the per-process string hash seed; the work
+    # done to solve the constraints must not (seeds 1 and 3 differed when the
+    # linear-pin search iterated a set of variable names)
+    first, second = _run_under_hash_seed(1), _run_under_hash_seed(3)
+    assert first["components"] == second["components"]
+    assert first["nf_mod_ideal"] == second["nf_mod_ideal"]
 
 
 def test_brute_force_agreement_on_small_grid():

@@ -3,9 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opalg.ordering import (EQUAL, GREATER, LESS, OrderConfig, check_monomial_order,
-                            compare, max_word, sort_words)
+                            compare, max_word, order_key, sort_words)
 from opalg.words import (GeneratorSet, STAR, UNIT, Word, enumerate_words, parse,
                          substitute, to_str)
 
@@ -52,6 +54,35 @@ def test_purelex_pairs(a, b, expect):
 def test_deglenlex_pairs(a, b, expect):
     assert compare(w(a), w(b), DLL) == expect
     assert compare(w(b), w(a), DLL) == -expect
+
+
+# atoms are generators or brackets; a bracket is a Word in atom position, so an
+# empty one is the unit bracket [1]
+_ATOMS = st.recursive(st.sampled_from(("x", "y")),
+                      lambda inner: st.lists(inner, max_size=3).map(
+                          lambda atoms: Word(tuple(atoms))),
+                      max_leaves=8)
+_WORDS = st.lists(_ATOMS, max_size=4).map(lambda atoms: Word(tuple(atoms)))
+
+
+@pytest.mark.parametrize("cfg", [PURE, DLL], ids=["purelex", "deglenlex"])
+@settings(max_examples=300, deadline=None)
+@given(u=_WORDS, v=_WORDS)
+def test_order_key_agrees_with_compare(cfg, u, v):
+    key = order_key(cfg)
+    ku, kv = key(u), key(v)
+    assert (ku > kv) - (ku < kv) == compare(u, v, cfg)
+
+
+def test_deglenlex_key_grades_bracket_contents():
+    # the top levels tie on degree and breadth, so the bracket contents
+    # decide: y x has more atoms than [x y], yet its first atom has the lower
+    # degree, so a key grading only the top level would rank it lower
+    u, v = w("[y x]"), w("[[x y]]")
+    assert compare(u, v, DLL) == GREATER
+    assert compare(u, v, PURE) == LESS
+    key = order_key(DLL)
+    assert key(u) > key(v)
 
 
 def test_equal_words_compare_equal():

@@ -1,13 +1,17 @@
 """Rewriting engine: redex enumeration, normal forms, zero tests, confluence."""
 
+import functools
 import random
 
 import pytest
 
+import opalg.rewrite
 from opalg.catalog import named_pattern
+from opalg.classify import build_ansatz
+from opalg.gsb import associativity_defect
 from opalg.opoly import (DIFFERENTIAL, OPoly, OpIdentity, parse_opoly,
                          to_str_opoly)
-from opalg.ordering import OrderConfig
+from opalg.ordering import OrderConfig, compare
 from opalg.rewrite import (ALLOW_UNITS, NONUNIT_ONLY, NotDRF, NotRBRF,
                            NotTotallyLinear, ResourceLimit, RuleSchema, Verdict,
                            count_generator, find_redexes, is_drf, is_rbrf,
@@ -160,6 +164,27 @@ def test_normal_form_step_cap():
     nf, trace = normal_form(p, der_schema(), step_cap=1)
     assert trace.status == "step_cap_exceeded"
     assert not nf.is_zero
+
+
+def test_normal_form_order_keys_match_comparator_sort(monkeypatch):
+    # the degree-1 ansatz defect (14 monomials with symbolic coefficients,
+    # 40 after 8 steps): sorting by order keys must pick the same monomial
+    # and redex at each step as sorting through the comparator
+    ident = build_ansatz(DIFFERENTIAL, 1).identity()
+    schema = RuleSchema(ident, order=OrderConfig(UVW))
+    defect = associativity_defect(ident)
+    by_key, key_trace = normal_form(defect, schema)
+    calls = []
+
+    def comparator_key(cfg):
+        calls.append(cfg)
+        return functools.cmp_to_key(lambda a, b: compare(a, b, cfg))
+
+    monkeypatch.setattr(opalg.rewrite, "order_key", comparator_key)
+    by_cmp, cmp_trace = normal_form(defect, schema)
+    assert calls == [schema.order] and key_trace.steps
+    assert by_key == by_cmp
+    assert key_trace.steps == cmp_trace.steps
 
 
 def test_normal_form_rejects_unknown_strategy():
