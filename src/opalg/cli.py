@@ -20,8 +20,7 @@ from .ordering import OrderConfig
 from .rewrite import NORMAL_FORM, NotDRF, NotRBRF, NotTotallyLinear, \
     NONUNIT_ONLY, ResourceLimit, RuleSchema, normal_form
 from .solve import SplitDepthExceeded
-from .words import GeneratorSet, ParseError, Word, generators_in, to_str, \
-    word_sort_key
+from .words import GeneratorSet, ParseError, Word, to_str, word_sort_key
 
 SCHEMA_VERSION = 1
 
@@ -116,11 +115,6 @@ def _specialized_witness(witness):
     """The witness after identifying the outer generators w and u, the
     coincidence that exposes the classical counterexample form."""
     if witness is None:
-        return None
-    used = set()
-    for word in witness.terms:
-        used |= generators_in(word)
-    if "w" not in used:
         return None
     collapsed = witness.subst_generators({"w": Word(("u",))})
     if collapsed.is_zero or collapsed == witness:

@@ -11,6 +11,22 @@ import re
 from fractions import Fraction
 
 
+def _add_scaled_into(acc: dict, terms: dict, c=None) -> None:
+    """Add ``c * terms`` (``terms`` if ``c`` is None) into ``acc`` in place:
+    the one accumulation path of ``MPoly`` and ``OPoly``.  All coefficients
+    lie in one ring; a vanishing sum is dropped, a new monomial appended."""
+    for m, cc in terms.items():
+        if c is not None:
+            cc = cc * c
+        s = acc.get(m)
+        if s is not None:
+            cc = s + cc
+        if cc:
+            acc[m] = cc
+        else:
+            acc.pop(m, None)
+
+
 class PolyRing:
     """A polynomial ring QQ[v1, ..., vn] with a fixed variable order."""
 
@@ -122,12 +138,7 @@ class MPoly:
         if other is None:
             return NotImplemented
         terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, 0) + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
+        _add_scaled_into(terms, other.terms)
         return MPoly(self.ring, terms)
 
     __radd__ = __add__
@@ -150,13 +161,8 @@ class MPoly:
             return NotImplemented
         terms: dict = {}
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, 0) + c1 * c2
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
+            _add_scaled_into(terms, {tuple(a + b for a, b in zip(e1, e2)): c2
+                                     for e2, c2 in other.terms.items()}, c1)
         return MPoly(self.ring, terms)
 
     __rmul__ = __mul__

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 import re
 
+from .coeffs import _add_scaled_into
 from .opoly import (DIFFERENTIAL, OPoly, OpIdentity, ROTA_BAXTER,
                     leading_monomial, to_str_opoly)
 from .ordering import GREATER, LESS, OrderConfig, compare, random_context
@@ -285,10 +286,10 @@ class _NFCache:
         return nf
 
     def reduce(self, p: OPoly) -> OPoly:
-        out = OPoly.zero(p.ring)
-        for w, c in p.terms.items():
-            out = out + self.nf_word(w).scale(c)
-        return self.schema.normalize(out)
+        out: dict = {}
+        for w, c in p.terms.items():  # p and nf_word share the schema's ring
+            _add_scaled_into(out, self.nf_word(w).terms, c)
+        return self.schema.normalize(OPoly._trusted(out, p.ring))
 
 
 def gsb_check_truncated(sys: GeneratorSystem, bound: TruncationBound,
@@ -326,10 +327,13 @@ def gsb_check_truncated(sys: GeneratorSystem, bound: TruncationBound,
     cache = _NFCache(sys.schema, step_cap)
     budget = [max_reductions]
 
-    def check_triple(r, s, t):
+    def spend():
         budget[0] -= 1
         if budget[0] < 0:
             raise ResourceLimit(f"reduction cap {max_reductions} exceeded")
+
+    def check_triple(r, s, t):
+        spend()
         value = ident.pattern_at(r, s * t) - ident.pattern_at(r * s, t)
         w = Word((r * s * t,))
         report.intersections_reduced += 1
@@ -337,21 +341,20 @@ def gsb_check_truncated(sys: GeneratorSystem, bound: TruncationBound,
             if compare(m, w, sys.order) != LESS:
                 report.order_violations += 1
         residue = cache.reduce(value)
-        if residue.is_zero:
-            if len(report.samples) < 3:
-                comp = CompositionRecord(INTERSECTION, sys.instance(r * s, t),
-                                         sys.instance(r, s * t), w, value,
-                                         mu=UNIT, nu=UNIT)
-                comp.verdict = TRIVIAL
-                report.samples.append(comp)
+        trivial = residue.is_zero
+        if trivial and len(report.samples) >= 3:
             return True
         comp = CompositionRecord(INTERSECTION, sys.instance(r * s, t),
                                  sys.instance(r, s * t), w, value,
                                  mu=UNIT, nu=UNIT)
-        comp.verdict = NONTRIVIAL
-        comp.residue = residue
-        report.nontrivial.append(comp)
-        return False
+        if trivial:
+            comp.verdict = TRIVIAL
+            report.samples.append(comp)
+        else:
+            comp.verdict = NONTRIVIAL
+            comp.residue = residue
+            report.nontrivial.append(comp)
+        return trivial
 
     # intersections: f = phi(r s, t), g = phi(r, s t), overlap at [r s t];
     # the bracket leading words cancel, leaving N(r, s t) - N(r s, t)
@@ -400,10 +403,7 @@ def gsb_check_truncated(sys: GeneratorSystem, bound: TruncationBound,
                 value = f - g.into_context(redex.context)
                 report.including_configs += 1
                 report.including_instances_certified += len(words)
-                budget[0] -= 1
-                if budget[0] < 0:
-                    raise ResourceLimit(
-                        f"reduction cap {max_reductions} exceeded")
+                spend()
                 for m in value.terms:
                     if compare(m, lead, spect_order) != LESS:
                         report.order_violations += 1
@@ -439,7 +439,7 @@ def irr_enumerate(sys: GeneratorSystem, bound: TruncationBound,
 
 class CdlReport:
     __slots__ = ("words_checked", "irr_size", "irr_unit_surplus", "failures",
-                 "ideal_zeros", "ideal_samples")
+                 "ideal_zeros", "ideal_samples", "oversize_hosts")
 
     def __init__(self):
         self.words_checked = 0
@@ -448,6 +448,7 @@ class CdlReport:
         self.failures = []
         self.ideal_zeros = 0
         self.ideal_samples = 0
+        self.oversize_hosts = 0  # ideal samples with no host inside the bound
 
     @property
     def ok(self) -> bool:
@@ -503,7 +504,6 @@ def cdl_direct_sum_check(sys: GeneratorSystem, bound: TruncationBound,
     max_host_leaves = bound.max_breadth + 3
     max_host_depth = bound.max_depth + 1
     for _ in range(ideal_samples):
-        host = None
         for _attempt in range(200):
             u = rng.choice(pool)
             v = rng.choice(pool)
@@ -511,6 +511,8 @@ def cdl_direct_sum_check(sys: GeneratorSystem, bound: TruncationBound,
             host = substitute(q, Word((u * v,)))
             if host.leaves <= max_host_leaves and host.depth() <= max_host_depth:
                 break
+        else:
+            report.oversize_hosts += 1  # the last host is used as it is
         elem = sys.instance(u, v).into_context(q)
         nf, trace = sys.normal_form(elem)
         report.ideal_samples += 1
@@ -653,7 +655,7 @@ def free_dt_operator_nf(u: Word, identity: OpIdentity) -> OPoly:
     if any(isinstance(a, Word) for a in u.atoms):
         raise ValueError("d acts on bracket-free words over derivative markers")
     for mono in pattern.terms:
-        for sub in _unit_brackets(mono):
+        if _contains_unit_bracket(mono):
             raise ValueError(
                 "patterns with unit-bracket terms induce no operator on "
                 f"bracket-free words (offending monomial {to_str(mono)})")
@@ -665,10 +667,10 @@ def free_dt_operator_nf(u: Word, identity: OpIdentity) -> OPoly:
         return eval_pattern(Word(atoms[:1]), Word(atoms[1:]))
 
     def d_poly(p: OPoly) -> OPoly:
-        out = OPoly.zero(ring)
+        out: dict = {}
         for w, c in p.terms.items():
-            out = out + d_word(w).scale(c)
-        return out
+            _add_scaled_into(out, d_word(w).terms, c)
+        return OPoly._trusted(out, ring)
 
     def interp(word: Word, a: Word, b: Word) -> OPoly:
         out = OPoly.from_word(UNIT, ring=ring)
@@ -683,21 +685,12 @@ def free_dt_operator_nf(u: Word, identity: OpIdentity) -> OPoly:
         return out
 
     def eval_pattern(a: Word, b: Word) -> OPoly:
-        out = OPoly.zero(ring)
+        out: dict = {}
         for mono, coeff in pattern.terms.items():
-            out = out + interp(mono, a, b).scale(coeff)
-        return out
+            _add_scaled_into(out, interp(mono, a, b).terms, coeff)
+        return OPoly._trusted(out, ring)
 
     return d_word(u)
-
-
-def _unit_brackets(w: Word):
-    for a in w.atoms:
-        if isinstance(a, Word):
-            if a.is_unit:
-                yield a
-            else:
-                yield from _unit_brackets(a)
 
 
 def delta_view(p: OPoly) -> OPoly:
@@ -713,8 +706,7 @@ def delta_view(p: OPoly) -> OPoly:
             return raise_order(inner[0])
         return Word(inner)
 
-    out = OPoly.zero(p.ring)
+    out: dict = {}
     for w, c in p.terms.items():
-        out = out + OPoly.from_word(Word(tuple(atom_view(a) for a in w.atoms)),
-                                    c, ring=p.ring)
-    return out
+        _add_scaled_into(out, {Word(tuple(atom_view(a) for a in w.atoms)): c})
+    return OPoly._trusted(out, p.ring)

@@ -3,6 +3,11 @@
 Coefficients are either plain rationals or elements of a ``PolyRing`` (for
 patterns carrying symbolic parameters).  The product is the word concatenation
 extended bilinearly; the operator extends linearly.
+
+The public constructor ``OPoly(terms, ring)`` checks every coefficient.
+Internal sums go through ``coeffs._add_scaled_into`` and are wrapped by
+``OPoly._trusted``, which checks nothing: use it only for dicts built from
+nonzero coefficients already in the ring, never for caller input.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .coeffs import MPoly, PolyRing
+from .coeffs import MPoly, PolyRing, _add_scaled_into
 from .groebner import nf_mod_ideal
 from .ordering import OrderConfig, max_word, sort_words
 from .words import (
@@ -20,6 +25,7 @@ from .words import (
     Word,
     bracket,
     parse as parse_word,
+    replace_generators,
     substitute,
     to_str,
     word_sort_key,
@@ -45,13 +51,23 @@ class OPoly:
         if terms:
             for w, c in terms.items():
                 c = self._coeff(c)
-                if not self._is_zero_coeff(c):
+                if c:
                     self.terms[w] = c
+
+    @classmethod
+    def _trusted(cls, terms: dict, ring: PolyRing) -> "OPoly":
+        """Wrap ``terms`` as is; see the module docstring for when."""
+        p = cls.__new__(cls)
+        p.ring = ring
+        p.terms = terms
+        return p
 
     # -- coefficient plumbing ------------------------------------------------
 
     def _coeff(self, c):
         if self.ring is None:
+            if type(c) is Fraction:
+                return c
             if isinstance(c, MPoly):
                 raise ValueError("symbolic coefficient in a numeric polynomial")
             return Fraction(c)
@@ -60,10 +76,6 @@ class OPoly:
                 raise ValueError("mixed coefficient rings")
             return c
         return self.ring.const(c)
-
-    @staticmethod
-    def _is_zero_coeff(c) -> bool:
-        return c.is_zero if isinstance(c, MPoly) else c == 0
 
     def _check_compatible(self, other: "OPoly"):
         if self.ring != other.ring:
@@ -98,16 +110,11 @@ class OPoly:
             return NotImplemented
         self._check_compatible(other)
         terms = dict(self.terms)
-        for w, c in other.terms.items():
-            s = terms.get(w, 0) + c
-            if self._is_zero_coeff(self._coeff(s)):
-                terms.pop(w, None)
-            else:
-                terms[w] = s
-        return OPoly(terms, ring=self.ring)
+        _add_scaled_into(terms, other.terms)
+        return OPoly._trusted(terms, self.ring)
 
     def __neg__(self):
-        return OPoly({w: -c for w, c in self.terms.items()}, ring=self.ring)
+        return OPoly._trusted({w: -c for w, c in self.terms.items()}, self.ring)
 
     def __sub__(self, other):
         if not isinstance(other, OPoly):
@@ -122,29 +129,24 @@ class OPoly:
         self._check_compatible(other)
         out: dict = {}
         for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 * w2
-                s = out.get(w, 0) + c1 * c2
-                if self._is_zero_coeff(self._coeff(s)):
-                    out.pop(w, None)
-                else:
-                    out[w] = s
-        return OPoly(out, ring=self.ring)
+            # w1 * w2 is injective in w2, so each row is a valid term dict
+            _add_scaled_into(out, {w1 * w2: c2 for w2, c2 in other.terms.items()},
+                             c1)
+        return OPoly._trusted(out, self.ring)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, MPoly)):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__  # reached only for scalars: an OPoly left operand wins
 
     def scale(self, c) -> "OPoly":
         c = self._coeff(c)
-        if self._is_zero_coeff(c):
+        if not c:
             return OPoly.zero(self.ring)
-        return OPoly({w: cc * c for w, cc in self.terms.items()}, ring=self.ring)
+        return OPoly._trusted({w: cc * c for w, cc in self.terms.items()},
+                              self.ring)
 
     def bracket(self) -> "OPoly":
         """Apply the operator linearly: sum c_w [w]."""
-        return OPoly({bracket(w): c for w, c in self.terms.items()}, ring=self.ring)
+        return OPoly._trusted({bracket(w): c for w, c in self.terms.items()},
+                              self.ring)
 
     def __eq__(self, other):
         return (isinstance(other, OPoly) and self.ring == other.ring
@@ -163,23 +165,22 @@ class OPoly:
 
     def subst_generators(self, mapping: dict) -> "OPoly":
         """Replace generators by words or polynomials, multiplying out."""
-        values = {}
-        for name, v in mapping.items():
-            if isinstance(v, Word):
-                v = OPoly.from_word(v, ring=self.ring)
-            values[name] = v
-        out = OPoly.zero(self.ring)
+        out: dict = {}
+        words_only = all(isinstance(v, Word) for v in mapping.values())
         for w, c in self.terms.items():
-            out = out + self._expand_word(w, values).scale(c)
-        return out
+            if words_only:  # a word homomorphism: the coefficient is kept
+                _add_scaled_into(out, {replace_generators(w, mapping): c})
+            else:
+                _add_scaled_into(out, self._expand_word(w, mapping).terms, c)
+        return OPoly._trusted(out, self.ring)
 
     def _expand_word(self, w: Word, values: dict) -> "OPoly":
         prod = OPoly.from_word(UNIT, ring=self.ring)
         for a in w.atoms:
             if isinstance(a, str):
-                factor = values.get(a)
-                if factor is None:
-                    factor = OPoly.from_word(Word((a,)), ring=self.ring)
+                factor = values.get(a, Word((a,)))
+                if isinstance(factor, Word):
+                    factor = OPoly.from_word(factor, ring=self.ring)
             else:
                 factor = self._expand_word(a, values).bracket()
             prod = prod * factor
@@ -189,13 +190,8 @@ class OPoly:
         """q|_p: substitute each word of p into the star of context q."""
         out: dict = {}
         for w, c in self.terms.items():
-            spliced = substitute(q, w)
-            s = out.get(spliced, 0) + c
-            if self._is_zero_coeff(self._coeff(s)):
-                out.pop(spliced, None)
-            else:
-                out[spliced] = s
-        return OPoly(out, ring=self.ring)
+            _add_scaled_into(out, {substitute(q, w): c})
+        return OPoly._trusted(out, self.ring)
 
     def map_coeffs(self, fn) -> "OPoly":
         return OPoly({w: fn(c) for w, c in self.terms.items()}, ring=self.ring)
@@ -301,7 +297,7 @@ def parse_opoly(text: str, gens: GeneratorSet, ring: PolyRing = None) -> OPoly:
     chunks = _split_terms(text)
     if not chunks:
         raise ParseError("empty polynomial", 0)
-    total = OPoly.zero(ring)
+    total: dict = {}
     for sign, chunk, at in chunks:
         coeff, word_text, word_at = _split_coeff(chunk, at, gens, ring)
         stripped = word_text.strip()
@@ -311,15 +307,14 @@ def parse_opoly(text: str, gens: GeneratorSet, ring: PolyRing = None) -> OPoly:
                 raise ParseError("unexpected text after parenthesized sum",
                                  word_at + len(stripped) - len(after))
             sub = parse_opoly(inner, gens, ring)
-            total = total + sub.scale(coeff).scale(sign)
+            _add_scaled_into(total, sub.terms, coeff * sign)
             continue
         if stripped:
             w = _parse_word_at(word_text, gens, word_at)
         else:
             w = UNIT
-        term = OPoly.from_word(w, ring=ring).scale(coeff).scale(sign)
-        total = total + term
-    return total
+        _add_scaled_into(total, {w: coeff}, sign)
+    return OPoly._trusted(total, ring)
 
 
 def _take_paren_group(text: str, at: int):

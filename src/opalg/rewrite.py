@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
+from .coeffs import _add_scaled_into
 from .groebner import buchberger, nf_mod_ideal
 from .opoly import DIFFERENTIAL, OPoly, OpIdentity, to_str_opoly
 from .ordering import GREATER, OrderConfig, compare, order_key
@@ -126,11 +127,6 @@ class RuleSchema:
         if self.kind == "pi":
             out = out.bracket()
         return out
-
-    def reduce_coeff(self, c):
-        if self.constraint_gb is None or not hasattr(c, "ring"):
-            return c
-        return nf_mod_ideal(c, self.constraint_gb)
 
     def normalize(self, p: OPoly) -> OPoly:
         if self.constraint_gb is None or p.ring is None:
@@ -268,11 +264,14 @@ def normal_form(p: OPoly, schema: RuleSchema, strategy: str = "lo",
     inner_first = strategy == "li"
     trace = ReductionTrace()
     key = word_sort_key if schema.order is None else order_key(schema.order)
+    redexes_of = {}  # word -> its redexes; lives for this call only
     p = schema.normalize(schema.lift(p))
     while True:
         target = None
         for w in sorted(p.terms, key=key, reverse=True):
-            redexes = _collect_redexes(w, schema, inner_first)
+            redexes = redexes_of.get(w)
+            if redexes is None:
+                redexes = redexes_of[w] = _collect_redexes(w, schema, inner_first)
             if redexes:
                 target = (w, redexes[0])
                 break
@@ -283,15 +282,28 @@ def normal_form(p: OPoly, schema: RuleSchema, strategy: str = "lo",
             trace.status = STEP_CAP_EXCEEDED
             return p, trace
         w, redex = target
-        c = p.terms[w]
         repl = schema.replacement(redex.a, redex.b).into_context(redex.context)
         if monitor and schema.order is not None:
             for m in repl.terms:
                 if compare(w, m, schema.order) != GREATER:
                     trace.order_violations.append((w, m))
-        delta = (repl - OPoly.from_word(w, ring=p.ring)).scale(c)
-        trace.steps.append(TraceStep(w, redex.context, redex.a, redex.b, c))
-        p = schema.normalize(p + delta)
+        trace.steps.append(TraceStep(w, redex.context, redex.a, redex.b,
+                                     p.terms[w]))
+        p = schema.normalize(_rewrite_at(p, w, repl))
+
+
+def _rewrite_at(p: OPoly, w: Word, repl: OPoly) -> OPoly:
+    """The term c w of ``p`` rewritten to c repl, with the term order of
+    ``p + (repl - w) c``, on which exploration order depends."""
+    p._check_compatible(repl)
+    c = p.terms[w]
+    terms = dict(p.terms)
+    if w in repl.terms:  # a unit-bracket split can reproduce its own redex
+        repl = repl - OPoly.from_word(w, ring=p.ring)
+    else:
+        del terms[w]
+    _add_scaled_into(terms, repl.terms, c)
+    return OPoly._trusted(terms, p.ring)
 
 
 # -- verdicts and joinability -------------------------------------------------------
@@ -325,11 +337,10 @@ def _poly_key(p: OPoly):
 def _one_step_reducts(p: OPoly, schema: RuleSchema):
     """Every polynomial reachable in exactly one rewrite step, any position."""
     seen = set()
-    for w, c in p.terms.items():
+    for w in p.terms:
         for redex in find_redexes(w, schema):
             repl = schema.replacement(redex.a, redex.b).into_context(redex.context)
-            q = schema.normalize(
-                p + (repl - OPoly.from_word(w, ring=p.ring)).scale(c))
+            q = schema.normalize(_rewrite_at(p, w, repl))
             k = _poly_key(q)
             if k not in seen:
                 seen.add(k)

@@ -11,6 +11,7 @@ solution set.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -268,7 +269,7 @@ def rational_roots(coeffs) -> list:
         return sorted(roots)
     lcm = 1
     for c in coeffs:
-        lcm = lcm * c.denominator // _gcd(lcm, c.denominator)
+        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
     ints = [int(c * lcm) for c in coeffs]
     a0, an = abs(ints[0]), abs(ints[-1])
     for p in _divisors(a0):
@@ -277,12 +278,6 @@ def rational_roots(coeffs) -> list:
                 if sum(c * cand ** i for i, c in enumerate(coeffs)) == 0:
                     roots.add(cand)
     return sorted(roots)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n):

@@ -314,14 +314,30 @@ def parse(text: str, gens: GeneratorSet) -> Word:
 # -- star contexts and substitution --------------------------------------------
 
 
-def star_count(w: Word, star: str = STAR) -> int:
-    n = 0
+def replace_generators(w: Word, mapping: dict) -> Word:
+    """``w`` with each generator named in ``mapping`` replaced by its word,
+    spliced flat; a unit value deletes the generator."""
+    return _replace(w, mapping)[0]
+
+
+def _replace(w: Word, mapping: dict):
+    """(the replaced word, whether ``w`` names a key of ``mapping``), in one
+    pass; a subword naming none is kept as it is, and a lone generator
+    becomes its value itself."""
+    if len(w.atoms) == 1 and w.atoms[0] in mapping:
+        return mapping[w.atoms[0]], True
+    atoms = []
+    hit = False
     for a in w.atoms:
         if isinstance(a, str):
-            n += a == star
+            v = mapping.get(a)
+            atoms.extend((a,) if v is None else v.atoms)
+            hit = hit or v is not None
         else:
-            n += star_count(a, star)
-    return n
+            a, inner = _replace(a, mapping)
+            atoms.append(a)
+            hit = hit or inner
+    return (Word(tuple(atoms)) if hit else w), hit
 
 
 def substitute(q: Word, u: Word, star: str = STAR) -> Word:
@@ -329,16 +345,7 @@ def substitute(q: Word, u: Word, star: str = STAR) -> Word:
 
     Splicing the unit deletes the star; a breadth-k word splices in flat.
     """
-    atoms = []
-    for a in q.atoms:
-        if isinstance(a, str):
-            if a == star:
-                atoms.extend(u.atoms)
-            else:
-                atoms.append(a)
-        else:
-            atoms.append(substitute(a, u, star) if star_count(a, star) else a)
-    return Word(tuple(atoms))
+    return _replace(q, {star: u})[0]
 
 
 def substitute2(q: Word, u1: Word, u2: Word) -> Word:

@@ -171,8 +171,29 @@ def test_cdl_direct_sum_small_bound():
                                ideal_samples=25)
     assert rep.ok
     assert rep.ideal_zeros == 25
+    assert rep.oversize_hosts == 0
     assert rep.failures == []
     assert "passes" in rep.describe()
+
+
+class _LastAndDeepest(random.Random):
+    """Always takes the last choice and always nests, so every assembled host
+    nests the deepest pool word below a bracket of the context."""
+
+    def choice(self, seq):
+        return seq[-1]
+
+    def random(self):
+        return 0.0
+
+
+def test_cdl_counts_hosts_past_the_sampling_bound():
+    bound = TruncationBound(2, 1, 2)
+    sys = GeneratorSystem(DER, OrderConfig(bound.generator_set()))
+    rep = cdl_direct_sum_check(sys, bound, rng=_LastAndDeepest(0),
+                               ideal_samples=5)
+    assert rep.oversize_hosts == rep.ideal_samples == 5
+    assert rep.ok  # the oversize ideal elements still reduce to zero
 
 
 def test_cdl_flags_non_confluent_pattern():

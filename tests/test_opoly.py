@@ -4,15 +4,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opalg.catalog import FAMILIES
-from opalg.coeffs import PolyRing
+from opalg.coeffs import MPoly, PolyRing
 from opalg.groebner import buchberger, nf_mod_ideal
 from opalg.opoly import (DIFFERENTIAL, AmbiguousLeadingCoefficient, OpIdentity,
                          OPoly, XY, ZeroPolynomial, leading_monomial, monic,
                          parse_opoly, to_str_opoly)
 from opalg.ordering import OrderConfig
-from opalg.words import STAR, Word, parse, sample_word, substitute, to_str
+from opalg.words import (STAR, UNIT, Word, bracket, parse, sample_word,
+                         substitute, to_str)
 
 PURE = OrderConfig(XY, "purelex")
 DLL = OrderConfig(XY, "deglenlex")
@@ -78,6 +81,112 @@ def test_mixed_ring_rejected():
     r1, r2 = PolyRing(["a"]), PolyRing(["b"])
     with pytest.raises(ValueError):
         p("a*x", r1) + p("b*x", r2)
+
+
+# -- the internal accumulation path against term-by-term references -----------------
+#
+# Each reference collects plain coefficient values word by word and only then
+# builds the polynomial with the validating constructor ``OPoly(terms, ring)``.
+
+AB = PolyRing(["a", "b"])
+_WORD_POOL = [w(t) for t in ("1", "x", "y", "x y", "[x]", "[1]", "y [x]")]
+
+
+def _coeff_pool(ring):
+    if ring is None:
+        return [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), 3]
+    return [ring.one(), -ring.one(), ring.var("a"), -ring.var("a"),
+            ring.parse("a - b"), ring.parse("b - a"), Fraction(1, 2), 2]
+
+
+def _random_poly(rng, ring, size):
+    """A sum over a small word pool, so that terms collide and cancel."""
+    return OPoly({rng.choice(_WORD_POOL): rng.choice(_coeff_pool(ring))
+                  for _ in range(size)}, ring=ring)
+
+
+def _collect(pairs, ring):
+    """OPoly(...) of the word-by-word sums of (word, coefficient) pairs."""
+    zero = Fraction(0) if ring is None else ring.zero()
+    sums = {}
+    for word, c in pairs:
+        sums[word] = sums.get(word, zero) + c
+    return OPoly(sums, ring=ring)
+
+
+def _ref_expand(word, values):
+    """(word, coefficient) pairs of ``word`` with generators replaced."""
+    out = [(UNIT, 1)]
+    for a in word.atoms:
+        if isinstance(a, str):
+            v = values.get(a, Word((a,)))
+            factor = ([(v, 1)] if isinstance(v, Word)
+                      else list(v.terms.items()))
+        else:
+            factor = [(bracket(u), c) for u, c in _ref_expand(a, values)]
+        out = [(u1 * u2, c1 * c2) for u1, c1 in out for u2, c2 in factor]
+    return out
+
+
+def _assert_canonical(q, ring):
+    for c in q.terms.values():
+        if ring is None:
+            assert type(c) is Fraction
+        else:
+            assert isinstance(c, MPoly) and c.ring == ring
+        assert c != 0
+
+
+@pytest.mark.parametrize("ring", [None, AB], ids=["numeric", "symbolic"])
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1))
+def test_arithmetic_matches_term_by_term_reference(ring, seed):
+    rng = random.Random(seed)
+    a = _random_poly(rng, ring, rng.randrange(0, 5))
+    b = _random_poly(rng, ring, rng.randrange(0, 5))
+    if rng.random() < 0.3:
+        b = b - a.scale(rng.choice([1, -1]))  # sums that cancel
+    ta, tb = list(a.terms.items()), list(b.terms.items())
+    results = [
+        (a + b, _collect(ta + tb, ring)),
+        (a - b, _collect(ta + [(u, -c) for u, c in tb], ring)),
+        (a * b, _collect([(u1 * u2, c1 * c2) for u1, c1 in ta
+                          for u2, c2 in tb], ring)),
+        (a.bracket(), _collect([(bracket(u), c) for u, c in ta], ring)),
+        (a + (-a), OPoly.zero(ring)),
+    ]
+    factors = [0, 1, -3, Fraction(2, 3)]
+    if ring is not None:
+        factors += [ring.var("b"), ring.parse("a - 1")]
+    for f in factors:
+        results.append((a.scale(f), _collect([(u, c * f) for u, c in ta], ring)))
+    for q in (Word(("x", STAR)), Word((Word((STAR, "y")), STAR)),
+              Word(("y", Word((Word((STAR,)),))))):
+        results.append((a.into_context(q),
+                        _collect([(substitute(q, u), c) for u, c in ta], ring)))
+    for values in ({"x": w("y"), "y": w("x")}, {"x": w("x x"), "y": UNIT},
+                   {"x": b, "y": w("[y]")}, {"x": a, "y": b}):
+        results.append((a.subst_generators(values),
+                        _collect([(u2, c * c2) for u, c in ta
+                                  for u2, c2 in _ref_expand(u, values)], ring)))
+    for got, want in results:
+        assert got == want
+        _assert_canonical(got, ring)
+
+
+def test_trusted_path_keeps_ring_checks():
+    r1, r2 = PolyRing(["a"]), PolyRing(["b"])
+    one, two, numeric = p("a*x", r1), p("b*x", r2), p("x")
+    for left, right in ((one, two), (one, numeric), (numeric, two)):
+        for op in (lambda s, t: s + t, lambda s, t: s - t, lambda s, t: s * t):
+            with pytest.raises(ValueError):
+                op(left, right)
+    with pytest.raises(ValueError):
+        one.scale(r2.var("b"))
+    with pytest.raises(ValueError):
+        numeric.scale(r1.var("a"))
+    with pytest.raises(ValueError):
+        one.subst_generators({"x": two})
 
 
 # -- substitution ------------------------------------------------------------------

@@ -299,3 +299,51 @@ def test_roundtrip_property(w):
 def test_substitution_reproduces_property(w, u):
     for q, _ in occurrence_spans(w, u):
         assert substitute(q, u) == w
+
+
+def _substitute_by_counting(q, u, star):
+    """The former two-pass definition of ``substitute``: descend only into
+    brackets whose star count is nonzero."""
+    def star_count(w):
+        return sum(star_count(a) if isinstance(a, Word) else a == star
+                   for a in w.atoms)
+
+    atoms = []
+    for a in q.atoms:
+        if isinstance(a, str):
+            atoms.extend(u.atoms if a == star else (a,))
+        else:
+            atoms.append(_substitute_by_counting(a, u, star)
+                         if star_count(a) else a)
+    return Word(tuple(atoms))
+
+
+def _insert_hole(w, rng, hole):
+    """``w`` with ``hole`` inserted at a random position and nesting level."""
+    brackets = [i for i, a in enumerate(w.atoms) if isinstance(a, Word)]
+    if brackets and rng.random() < 0.5:
+        i = rng.choice(brackets)
+        return Word(w.atoms[:i] + (_insert_hole(w.atoms[i], rng, hole),)
+                    + w.atoms[i + 1:])
+    i = rng.randint(0, w.breadth)
+    return Word(w.atoms[:i] + (hole,) + w.atoms[i:])
+
+
+def context_strategy():
+    """Words with unit brackets and zero to two holes among STAR, STAR1 and
+    STAR2."""
+    def build(s):
+        rng = random.Random(s)
+        q = sample_word(rng, G, 4, 3, include_unit_brackets=True,
+                        allow_unit=True)
+        for _ in range(rng.randint(0, 2)):
+            q = _insert_hole(q, rng, rng.choice((STAR, STAR1, STAR2)))
+        return q
+    return st.integers(min_value=0, max_value=2**31 - 1).map(build)
+
+
+@settings(max_examples=300, deadline=None)
+@given(context_strategy(), st.one_of(st.just(UNIT), word_strategy(3, 2)))
+def test_one_pass_substitute_matches_counting_definition(q, u):
+    for star in (STAR, STAR1, STAR2):
+        assert substitute(q, u, star) == _substitute_by_counting(q, u, star)
