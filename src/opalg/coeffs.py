@@ -27,6 +27,15 @@ def _add_scaled_into(acc: dict, terms: dict, c=None) -> None:
             acc.pop(m, None)
 
 
+def _mul_terms(t1: dict, t2: dict) -> dict:
+    """The term dict of the product of two ``MPoly`` term dicts."""
+    out: dict = {}
+    for e1, c1 in t1.items():
+        _add_scaled_into(out, {tuple(a + b for a, b in zip(e1, e2)): c2
+                               for e2, c2 in t2.items()}, c1)
+    return out
+
+
 class PolyRing:
     """A polynomial ring QQ[v1, ..., vn] with a fixed variable order."""
 
@@ -159,11 +168,7 @@ class MPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            _add_scaled_into(terms, {tuple(a + b for a, b in zip(e1, e2)): c2
-                                     for e2, c2 in other.terms.items()}, c1)
-        return MPoly(self.ring, terms)
+        return MPoly(self.ring, _mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -198,24 +203,37 @@ class MPoly:
     # -- substitution and evaluation --------------------------------------------
 
     def subs(self, assignment: dict) -> "MPoly":
-        """Substitute variables by Fractions or MPolys of the same ring."""
+        """Substitute variables by Fractions or MPolys of the same ring.
+
+        Each term, with its assigned exponents cleared, is multiplied by the
+        cached powers of the values and added into one term dict."""
+        ring = self.ring
         values = {}
         for name, v in assignment.items():
-            i = self.ring.index[name]
-            values[i] = v if isinstance(v, MPoly) else self.ring.const(v)
-        out = self.ring.zero()
+            if not isinstance(v, MPoly):
+                v = ring.const(v)
+            elif v.ring != ring:
+                raise ValueError("mixed polynomial rings")
+            values[ring.index[name]] = v.terms
+        powers = {(i, 1): v for i, v in values.items()}
+
+        def power(i, k):
+            if (i, k) not in powers:
+                powers[i, k] = _mul_terms(power(i, k - 1), values[i])
+            return powers[i, k]
+
+        assigned = sorted(values)
+        out: dict = {}
         for e, c in self.terms.items():
-            term = self.ring.const(c)
-            for i, k in enumerate(e):
-                if not k:
-                    continue
-                if i in values:
-                    term = term * values[i] ** k
-                else:
-                    term = term * self.ring.monomial(
-                        tuple(k if j == i else 0 for j in range(self.ring.nvars)))
-            out = out + term
-        return out
+            hit = [i for i in assigned if e[i]]
+            kept = list(e)
+            for i in hit:
+                kept[i] = 0
+            term = {tuple(kept): c}
+            for i in hit:
+                term = _mul_terms(term, power(i, e[i]))
+            _add_scaled_into(out, term)
+        return MPoly(ring, out)
 
     def evaluate(self, point: dict) -> Fraction:
         """Evaluate at a full rational point {name: value}."""
@@ -375,17 +393,3 @@ def _parse_poly(text: str, ring: PolyRing) -> MPoly:
         t, at = toks[pos]
         raise PolyParseError(f"unexpected token {t!r}", at)
     return p
-
-
-# -- monomial orders on exponent tuples -------------------------------------------------
-
-
-def lex_key(exps):
-    return exps
-
-
-def degrevlex_key(exps):
-    return (sum(exps), tuple(-e for e in reversed(exps)))
-
-
-ORDER_KEYS = {"lex": lex_key, "degrevlex": degrevlex_key}

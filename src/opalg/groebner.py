@@ -1,14 +1,18 @@
-"""Buchberger's algorithm and normal forms for commutative coefficient ideals."""
+"""Buchberger's algorithm and normal forms for commutative coefficient ideals.
+
+Every basis is taken in the lex order of exponent tuples, which is the plain
+tuple order: ``solve`` reads its components off a triangular lex basis.
+"""
 
 from __future__ import annotations
 
-from .coeffs import ORDER_KEYS, MPoly, PolyRing
+from .coeffs import MPoly, PolyRing, _add_scaled_into
 
 
-def leading_exps(p: MPoly, key) -> tuple:
+def leading_exps(p: MPoly) -> tuple:
     if p.is_zero:
         raise ValueError("zero polynomial has no leading term")
-    return max(p.terms, key=key)
+    return max(p.terms)
 
 
 def _divides(e1, e2) -> bool:
@@ -19,30 +23,32 @@ def _quotient(e2, e1):
     return tuple(b - a for a, b in zip(e1, e2))
 
 
-def nf_mod_ideal(p: MPoly, basis, order: str = "lex") -> MPoly:
+def nf_mod_ideal(p: MPoly, basis) -> MPoly:
     """Full normal form of p modulo the given basis (every term reduced)."""
-    key = ORDER_KEYS[order]
-    ring = p.ring
-    lms = [(leading_exps(g, key), g.terms[leading_exps(g, key)], g)
-           for g in basis if not g.is_zero]
-    out = ring.zero()
-    work = p
-    while work.terms:
-        t = max(work.terms, key=key)
-        c = work.terms[t]
+    lms = []
+    for g in basis:
+        if not g.is_zero:
+            lm = leading_exps(g)
+            lms.append((lm, g.terms[lm], g.terms))
+    out = {}
+    work = dict(p.terms)
+    while work:
+        t = max(work)
+        c = work[t]
         for lm, lc, g in lms:
             if _divides(lm, t):
-                work = work - g * ring.monomial(_quotient(t, lm), c / lc)
+                q = _quotient(t, lm)
+                _add_scaled_into(work, {tuple(a + b for a, b in zip(e, q)): cg
+                                        for e, cg in g.items()}, -c / lc)
                 break
         else:
-            m = ring.monomial(t, c)
-            out = out + m
-            work = work - m
-    return out
+            out[t] = c
+            del work[t]
+    return MPoly(p.ring, out)
 
 
-def s_polynomial(f: MPoly, g: MPoly, key) -> MPoly:
-    ef, eg = leading_exps(f, key), leading_exps(g, key)
+def s_polynomial(f: MPoly, g: MPoly) -> MPoly:
+    ef, eg = leading_exps(f), leading_exps(g)
     lcm = tuple(max(a, b) for a, b in zip(ef, eg))
     ring = f.ring
     mf = ring.monomial(_quotient(lcm, ef), 1 / f.terms[ef])
@@ -50,62 +56,59 @@ def s_polynomial(f: MPoly, g: MPoly, key) -> MPoly:
     return f * mf - g * mg
 
 
-def buchberger(gens, ring: PolyRing, order: str = "lex") -> tuple:
-    """Reduced, monic, deterministically sorted Groebner basis."""
-    key = ORDER_KEYS[order]
+def buchberger(gens, ring: PolyRing) -> tuple:
+    """Reduced, monic, deterministically sorted lex Groebner basis."""
     basis = []
     for g in gens:
-        g = nf_mod_ideal(g, basis, order)
+        g = nf_mod_ideal(g, basis)
         if not g.is_zero:
-            basis.append(g / g.terms[leading_exps(g, key)])
+            basis.append(g / g.terms[leading_exps(g)])
     pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
     while pairs:
         i, j = pairs.pop()
-        ei, ej = leading_exps(basis[i], key), leading_exps(basis[j], key)
+        ei, ej = leading_exps(basis[i]), leading_exps(basis[j])
         if all(a == 0 or b == 0 for a, b in zip(ei, ej)):
             continue  # coprime leading monomials: S-polynomial reduces to zero
-        r = nf_mod_ideal(s_polynomial(basis[i], basis[j], key), basis, order)
+        r = nf_mod_ideal(s_polynomial(basis[i], basis[j]), basis)
         if r.is_zero:
             continue
-        r = r / r.terms[leading_exps(r, key)]
+        r = r / r.terms[leading_exps(r)]
         pairs.extend((k, len(basis)) for k in range(len(basis)))
         basis.append(r)
-    return _interreduce(basis, order)
+    return _interreduce(basis)
 
 
-def _interreduce(basis, order: str) -> tuple:
-    key = ORDER_KEYS[order]
+def _interreduce(basis) -> tuple:
     basis = [g for g in basis if not g.is_zero]
     changed = True
     while changed:
         changed = False
         for i in range(len(basis)):
             others = basis[:i] + basis[i + 1:]
-            r = nf_mod_ideal(basis[i], others, order)
+            r = nf_mod_ideal(basis[i], others)
             if r.is_zero:
                 basis.pop(i)
                 changed = True
                 break
-            r = r / r.terms[leading_exps(r, key)]
+            r = r / r.terms[leading_exps(r)]
             if r != basis[i]:
                 basis[i] = r
                 changed = True
                 break
-    basis.sort(key=lambda g: key(leading_exps(g, key)))
+    basis.sort(key=leading_exps)
     return tuple(basis)
 
 
-def in_ideal(p: MPoly, basis, order: str = "lex") -> bool:
-    return nf_mod_ideal(p, basis, order).is_zero
+def in_ideal(p: MPoly, basis) -> bool:
+    return nf_mod_ideal(p, basis).is_zero
 
 
-def quotient_monomials(basis, ring: PolyRing, order: str = "lex", limit: int = 10000):
+def quotient_monomials(basis, ring: PolyRing, limit: int = 10000):
     """Monomials of the quotient ring (not divisible by any leading monomial).
 
     Returns None when the quotient is infinite-dimensional or exceeds the limit.
     """
-    key = ORDER_KEYS[order]
-    lms = [leading_exps(g, key) for g in basis if not g.is_zero]
+    lms = [leading_exps(g) for g in basis if not g.is_zero]
     found = []
     # quotient monomials are closed under division, so walking the staircase
     # outward from 1 and stopping at divisible monomials covers them all
@@ -123,4 +126,4 @@ def quotient_monomials(basis, ring: PolyRing, order: str = "lex", limit: int = 1
             if e2 not in seen:
                 seen.add(e2)
                 frontier.append(e2)
-    return sorted(found, key=key)
+    return sorted(found)

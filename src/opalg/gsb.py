@@ -16,9 +16,9 @@ from .coeffs import _add_scaled_into
 from .opoly import (DIFFERENTIAL, OPoly, OpIdentity, ROTA_BAXTER,
                     leading_monomial, to_str_opoly)
 from .ordering import GREATER, LESS, OrderConfig, compare, random_context
-from .rewrite import (NONUNIT_ONLY, ResourceLimit, RuleSchema, Verdict,
-                      find_redexes, is_drf, is_rbrf, is_totally_linear,
-                      normal_form, reduces_to_zero)
+from .rewrite import (NONUNIT_ONLY, NORMAL_FORM, ResourceLimit, RuleSchema,
+                      Verdict, find_redexes, is_drf, is_rbrf,
+                      is_totally_linear, normal_form, reduces_to_zero)
 from .words import (GeneratorSet, STAR, UNIT, Word, enumerate_words, occurrences,
                     substitute, to_str)
 
@@ -184,7 +184,7 @@ def is_trivial(comp: CompositionRecord, sys: GeneratorSystem,
     for step in trace.steps:
         if compare(step.monomial, comp.w, sys.order) != LESS:
             comp.order_violations.append(step.monomial)
-    if trace.status != "normal_form":
+    if trace.status != NORMAL_FORM:
         comp.verdict = NONTRIVIAL
         comp.residue = nf
         comp.note = (comp.note + " step cap exceeded").strip()
@@ -275,13 +275,16 @@ class _NFCache:
             return hit
         nf, trace = normal_form(OPoly.from_word(w, ring=self.schema.identity.ring),
                                 self.schema, "lo", self.step_cap)
-        if trace.status != "normal_form":
+        if trace.status != NORMAL_FORM:
             raise ResourceLimit(f"step cap {self.step_cap} hit at {to_str(w)}")
         order = self.schema.order
         if order is not None:
             for step in trace.steps:
                 if compare(step.monomial, w, order) == GREATER:
                     self.order_violations += 1
+        # re-pack: the last rewrite step deleted from a copied dict, whose
+        # dead slots would otherwise stay cached for the life of the check
+        nf = OPoly._trusted(dict(nf.terms), nf.ring)
         self.map[w] = nf
         return nf
 
@@ -488,7 +491,7 @@ def cdl_direct_sum_check(sys: GeneratorSystem, bound: TruncationBound,
     for w in all_words:
         report.words_checked += 1
         nf, trace = sys.normal_form(OPoly.from_word(w))
-        if trace.status != "normal_form":
+        if trace.status != NORMAL_FORM:
             report.failures.append((w, "step cap"))
             continue
         if w in irr and nf != OPoly.from_word(w, ring=nf.ring):
@@ -516,7 +519,7 @@ def cdl_direct_sum_check(sys: GeneratorSystem, bound: TruncationBound,
         elem = sys.instance(u, v).into_context(q)
         nf, trace = sys.normal_form(elem)
         report.ideal_samples += 1
-        if nf.is_zero and trace.status == "normal_form":
+        if nf.is_zero and trace.status == NORMAL_FORM:
             report.ideal_zeros += 1
         else:
             report.failures.append((host, "ideal element residue"))

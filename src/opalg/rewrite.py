@@ -16,8 +16,7 @@ from .coeffs import _add_scaled_into
 from .groebner import buchberger, nf_mod_ideal
 from .opoly import DIFFERENTIAL, OPoly, OpIdentity, to_str_opoly
 from .ordering import GREATER, OrderConfig, compare, order_key
-from .words import (STAR, UNIT, Word, enumerate_words, to_str, token_len,
-                    word_sort_key)
+from .words import STAR, UNIT, Word, enumerate_words, to_str, word_sort_key
 
 NONUNIT_ONLY = "nonunit"
 ALLOW_UNITS = "allow"
@@ -143,9 +142,9 @@ class RuleSchema:
         return f"RuleSchema({self.kind}: {self.identity!r}, {self.unit_policy})"
 
 
-# A redex: ``context`` has one star where the matched subterm sits, the match
-# is (a, b), and ``span`` is the matched subterm's token interval.
-Redex = namedtuple("Redex", ["context", "a", "b", "span"])
+# A redex: ``context`` has one star where the matched subterm sits, and the
+# match is (a, b).
+Redex = namedtuple("Redex", ["context", "a", "b"])
 
 
 def _sigma_splits(content: Word, policy: str):
@@ -165,36 +164,32 @@ def _collect_redexes(w: Word, schema: RuleSchema, inner_first: bool) -> list:
     policy = schema.unit_policy
     out = []
 
-    def visit(word: Word, wrap, offset: int):
+    def visit(word: Word, wrap):
         atoms = word.atoms
-        pos = offset
         for i, a in enumerate(atoms):
             here = []
-            a_len = 1 if isinstance(a, str) else token_len(a) + 2
             if isinstance(a, Word):
                 if sigma:
                     for left, right in _sigma_splits(a, policy):
                         q = wrap(atoms[:i] + (STAR,) + atoms[i + 1:])
-                        here.append(Redex(q, left, right, (pos, pos + a_len)))
+                        here.append(Redex(q, left, right))
                 elif i + 1 < len(atoms) and isinstance(atoms[i + 1], Word):
                     # any adjacent bracket pair is a pi redex: the rule family
                     # ranges over all words, the unit policy only selects
                     # sigma content splits
                     ca, cb = a, atoms[i + 1]
                     q = wrap(atoms[:i] + (STAR,) + atoms[i + 2:])
-                    b_len = token_len(cb) + 2
-                    here.append(Redex(q, ca, cb, (pos, pos + a_len + b_len)))
+                    here.append(Redex(q, ca, cb))
             if not inner_first:
                 out.extend(here)
             if isinstance(a, Word):
                 def wrap_inner(rep, _i=i, _atoms=atoms, _wrap=wrap):
                     return _wrap(_atoms[:_i] + (Word(rep),) + _atoms[_i + 1:])
-                visit(a, wrap_inner, pos + 1)
+                visit(a, wrap_inner)
             if inner_first:
                 out.extend(here)
-            pos += a_len
 
-    visit(w, Word, 0)
+    visit(w, Word)
     return out
 
 

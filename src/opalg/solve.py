@@ -6,6 +6,12 @@ variables assumed nonzero on that component.  Splitting happens only on
 monomial content (an equation of the form v^k * q = 0 splits into v = 0 and
 v != 0, q = 0), so the decomposition is exact and the components partition the
 solution set.
+
+``_presplit`` is the only pinning pass: it substitutes away variables that an
+equation fixes linearly, and hands ``_split`` the residual system with the pin
+equations restored.  ``_split`` pins nothing, since ``buchberger`` returns the
+reduced lex basis, which is unique for its ideal: pinning first could change
+the work done but not a component.
 """
 
 from __future__ import annotations
@@ -68,6 +74,14 @@ def solve_components(eqs, ring: PolyRing, max_depth: int = 64,
     return out
 
 
+def _divide_nonzero_content(g, nonzero, ring):
+    """g with every power of an assumed-nonzero variable that divides all of
+    its terms divided out; g itself when there is none."""
+    strip = tuple(k if ring.vars[i] in nonzero else 0
+                  for i, k in enumerate(g.monomial_content()))
+    return g.divide_monomial(strip) if any(strip) else g
+
+
 def _strip_normalize(eqs, nonzero, ring):
     """Drop zeros and duplicates, divide out assumed-nonzero variable content,
     and scale each equation monic; None when a nonzero constant appears."""
@@ -76,11 +90,7 @@ def _strip_normalize(eqs, nonzero, ring):
     for g in eqs:
         if g.is_zero:
             continue
-        content = g.monomial_content()
-        strip = tuple(k if ring.vars[i] in nonzero else 0
-                      for i, k in enumerate(content))
-        if any(strip):
-            g = g.divide_monomial(strip)
+        g = _divide_nonzero_content(g, nonzero, ring)
         if g.is_constant:
             if g.constant_value() != 0:
                 return None
@@ -94,21 +104,25 @@ def _strip_normalize(eqs, nonzero, ring):
 
 def _find_pin(g, ring):
     """A (variable, value) pair when g is linear in the variable with a
-    constant coefficient, else None."""
+    constant coefficient, else None.
+
+    The variable has degree 1, so g = coeff * v + rest splits its terms into
+    two dicts: those with v (v divided out) and those without."""
     for name in sorted(g.variables()):
-        if g.degree_in(name) != 1:
-            continue
         i = ring.index[name]
-        coeff = ring.zero()
-        rest = ring.zero()
+        coeff, rest = {}, {}
         for e, c in g.terms.items():
+            if e[i] > 1:
+                break
             if e[i]:
-                reduced = tuple(0 if j == i else k for j, k in enumerate(e))
-                coeff = coeff + ring.monomial(reduced, c)
+                coeff[e[:i] + (0,) + e[i + 1:]] = c
             else:
-                rest = rest + ring.monomial(e, c)
-        if coeff.is_constant and not coeff.is_zero:
-            return name, rest / (-coeff.constant_value())
+                rest[e] = c
+        else:
+            a = coeff.get((0,) * ring.nvars)
+            if a is not None and len(coeff) == 1:
+                inv = 1 / -a
+                return name, MPoly(ring, {e: c * inv for e, c in rest.items()})
     return None
 
 
@@ -126,18 +140,15 @@ def _presplit(eqs, assign, nonzero, ring, depth, leaves) -> None:
         eqs = _strip_normalize(eqs, nonzero, ring)
         if eqs is None:
             return
-        pin = None
-        for g in sorted(eqs, key=lambda h: (len(h.terms), str(h))):
-            pin = _find_pin(g, ring)
-            if pin:
-                break
+        eqs.sort(key=lambda h: (len(h.terms), str(h)))
+        pin = next(filter(None, (_find_pin(g, ring) for g in eqs)), None)
         if pin is None:
             break
         name, value = pin
         assign = {k: v.subs({name: value}) for k, v in assign.items()}
         assign[name] = value
         eqs = [h.subs({name: value}) for h in eqs]
-    for g in sorted(eqs, key=lambda h: (len(h.terms), str(h))):
+    for g in eqs:
         content = g.monomial_content()
         cand = sorted(ring.vars[i] for i, k in enumerate(content) if k)
         if not cand:
@@ -158,23 +169,13 @@ def _presplit(eqs, assign, nonzero, ring, depth, leaves) -> None:
 def _split(eqs, nonzero, ring, depth, leaves) -> None:
     if depth < 0:
         raise SplitDepthExceeded("component splitting exceeded the depth cap")
-    eqs = _pin_linear(list(eqs), ring)
     basis = buchberger(eqs, ring)
     # saturate: divide assumed-nonzero variable powers out of the generators
     while True:
         if any(g.is_constant and not g.is_zero for g in basis):
             return  # inconsistent: empty component
-        stripped = []
-        changed = False
-        for g in basis:
-            content = g.monomial_content()
-            strip = tuple(k if ring.vars[i] in nonzero else 0
-                          for i, k in enumerate(content))
-            if any(strip):
-                g = g.divide_monomial(strip)
-                changed = True
-            stripped.append(g)
-        if not changed:
+        stripped = [_divide_nonzero_content(g, nonzero, ring) for g in basis]
+        if all(h is g for h, g in zip(stripped, basis)):
             break
         new_basis = buchberger(stripped, ring)
         if new_basis == basis:
@@ -204,27 +205,6 @@ def _split(eqs, nonzero, ring, depth, leaves) -> None:
     live = frozenset(v for v in nonzero
                      if not nf_mod_ideal(ring.var(v), basis).is_constant)
     leaves.append((basis, live))
-
-
-def _pin_linear(eqs, ring):
-    """Eliminate variables that occur linearly with constant coefficient.
-
-    The defining equations are kept, so the ideal is unchanged; this just
-    speeds up the Groebner step on large ansatz systems.
-    """
-    pinned = {}
-    while True:
-        pin = next(filter(None, (_find_pin(g, ring) for g in eqs)), None)
-        if pin is None:
-            break
-        name, value = pin
-        pinned[name] = value
-        eqs = [h.subs({name: value}) for h in eqs]
-    out = [g for g in eqs if not g.is_zero]
-    for name, value in pinned.items():
-        # re-substitute later pins so each defining equation is in solved form
-        out.append(ring.var(name) - value.subs(pinned))
-    return out
 
 
 def _merge_leaves(leaves, ring):
@@ -358,15 +338,13 @@ def _try_point(basis, nonzero, ring, choose):
 
 
 def sample_points(basis, nonzero, ring, count: int, rng: random.Random,
-                  pool=DEFAULT_POOL, max_attempts: int = 4000,
-                  strict: bool = True):
+                  max_attempts: int = 4000, strict: bool = True):
     """Distinct exact rational points on the component.
 
     Raises when fewer than ``count`` are found, unless ``strict`` is False,
     in which case whatever was found is returned (a component with a finite
     small point set is exhausted rather than failed).
     """
-    pool = [Fraction(p) for p in pool]
     found: list = []
     seen = set()
     for _ in range(max_attempts):
@@ -376,7 +354,7 @@ def sample_points(basis, nonzero, ring, count: int, rng: random.Random,
         def choose(name, options):
             if options is not None:
                 return rng.choice(options)
-            values = [v for v in pool if not (name in nonzero and v == 0)]
+            values = [v for v in DEFAULT_POOL if not (name in nonzero and v == 0)]
             return rng.choice(values)
 
         point = _try_point(basis, nonzero, ring, choose)
@@ -392,10 +370,8 @@ def sample_points(basis, nonzero, ring, count: int, rng: random.Random,
     return found
 
 
-def find_representative(basis, nonzero, ring, pool=DEFAULT_POOL):
+def find_representative(basis, nonzero, ring):
     """Deterministic simple point on the component, or None if the grid misses."""
-    pool = [Fraction(p) for p in pool]
-
     # depth-first over pool choices at each free decision, simplest values first
     def attempt(script):
         step = iter(script)
@@ -408,13 +384,13 @@ def find_representative(basis, nonzero, ring, pool=DEFAULT_POOL):
                 idx = next(step, 0)
                 return opts[idx] if idx < len(opts) else None
             idx = next(step, 0)
-            values = [v for v in pool if not (name in nonzero and v == 0)]
+            values = [v for v in DEFAULT_POOL if not (name in nonzero and v == 0)]
             return values[idx] if idx < len(values) else None
 
         return _try_point(basis, nonzero, ring, choose)
 
     for depth in range(4):
-        for script in itertools.product(range(len(pool)), repeat=depth):
+        for script in itertools.product(range(len(DEFAULT_POOL)), repeat=depth):
             point = attempt(script)
             if point is not None:
                 return point

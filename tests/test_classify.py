@@ -228,6 +228,32 @@ def test_classification_work_does_not_depend_on_hash_seed():
     assert first["nf_mod_ideal"] == second["nf_mod_ideal"]
 
 
+# Component descriptions, nonzero assumptions and representatives of the
+# degree-1 DT and RBT classifications and of the degree-2 DT constraint
+# system, recorded before the solver's arithmetic was rewritten.
+with open(os.path.join(os.path.dirname(__file__), "frozen_components.json"),
+          encoding="utf-8") as _f:
+    FROZEN_COMPONENTS = json.load(_f)
+
+
+def _frozen_view(components):
+    return [{"describe": c.describe(), "nonzero": list(c.nonzero),
+             "representative": {k: str(v) for k, v in c.representative.items()}}
+            for c in components]
+
+
+@pytest.mark.parametrize("mode,key", [(DIFFERENTIAL, "dt1"), (ROTA_BAXTER, "rbt1")])
+def test_degree1_components_are_frozen(mode, key):
+    assert _frozen_view(classify(build_ansatz(mode, 1)).components) == \
+        FROZEN_COMPONENTS[key]
+
+
+def test_degree2_dt_components_are_frozen():
+    ans = build_ansatz(DIFFERENTIAL, 2)
+    comps = solve_components(extract_constraints(ans).polynomials(), ans.ring)
+    assert _frozen_view(comps) == FROZEN_COMPONENTS["dt2"]
+
+
 def test_brute_force_agreement_on_small_grid():
     """Exhaustive {0, 1, -1} coefficients: a point solves the extracted
     constraints exactly when the specialized pattern passes the full check."""

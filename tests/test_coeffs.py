@@ -1,8 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from opalg.coeffs import MPoly, PolyParseError, PolyRing, degrevlex_key, lex_key
+from opalg.coeffs import MPoly, PolyParseError, PolyRing
+from opalg.groebner import leading_exps
 
 R = PolyRing(["a", "b", "c"])
 a, b, c = R.var("a"), R.var("b"), R.var("c")
@@ -53,6 +57,59 @@ def test_subs_and_evaluate():
     assert q.evaluate({"a": 1, "b": 2, "c": 9}) == 27
 
 
+def _random_mpoly(rng, nterms, max_exp=3):
+    p = R.zero()
+    for _ in range(nterms):
+        e = tuple(rng.randint(0, max_exp) for _ in R.vars)
+        p = p + R.monomial(e, Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+    return p
+
+
+def _subs_reference(p, assignment):
+    """Term-by-term substitution with ring arithmetic only."""
+    out = R.zero()
+    for e, coeff in p.terms.items():
+        term = R.const(coeff)
+        for name, k in zip(R.vars, e):
+            v = assignment.get(name, R.var(name))
+            term = term * (v if isinstance(v, MPoly) else R.const(v)) ** k
+        out = out + term
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1))
+def test_subs_agrees_with_evaluate(seed):
+    rng = random.Random(seed)
+    p = _random_mpoly(rng, rng.randrange(0, 6))
+    assignment = {}
+    for name in R.vars:  # free, rational, zero or polynomial; partial if free
+        kind = rng.randrange(4)
+        if kind == 1:
+            assignment[name] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        elif kind == 2:
+            assignment[name] = rng.choice((0, Fraction(0), R.zero()))
+        elif kind == 3:
+            assignment[name] = _random_mpoly(rng, rng.randrange(0, 3), max_exp=2)
+    q = p.subs(assignment)
+    assert q == _subs_reference(p, assignment)
+    assert all(type(v) is Fraction and v != 0 for v in q.terms.values())
+    for _ in range(3):
+        point = {n: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for n in R.vars}
+        inner = {n: v.evaluate(point) if isinstance(v, MPoly) else Fraction(v)
+                 for n, v in assignment.items()}
+        assert q.evaluate(point) == p.evaluate(point | inner)
+    if len(assignment) == len(R.vars) and \
+            not any(isinstance(v, MPoly) for v in assignment.values()):
+        assert q.is_constant and q.constant_value() == p.evaluate(assignment)
+
+
+def test_subs_rejects_values_from_another_ring():
+    other = PolyRing(["a", "b"])
+    with pytest.raises(ValueError):
+        (a * b).subs({"a": other.var("b")})
+
+
 def test_monomial_content():
     p = a * a * b + a * b * b
     assert p.monomial_content() == (1, 1, 0)
@@ -97,11 +154,7 @@ def test_str_forms():
 
 def test_order_keys():
     # lex with a > b > c
-    assert lex_key((1, 0, 0)) > lex_key((0, 5, 5))
-    # degrevlex: total degree first, then reversed comparison
-    assert degrevlex_key((0, 2, 0)) > degrevlex_key((1, 0, 0))
-    assert degrevlex_key((1, 0, 0)) > degrevlex_key((0, 1, 0))
-    assert degrevlex_key((1, 0, 1)) < degrevlex_key((0, 2, 0))
+    assert leading_exps(a + b ** 5 * c ** 5) == (1, 0, 0)
 
 
 def test_extend():

@@ -1,10 +1,12 @@
 """Composition machinery, truncated basis checks, and type certificates."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from opalg import gsb
 from opalg.catalog import DT_FAMILIES, RBT_FAMILIES, named_pattern
 from opalg.gsb import (GeneratorSystem, TruncationBound, cdl_direct_sum_check,
                        compositions, delta_view, dt_check, free_dt_operator_nf,
@@ -106,6 +108,27 @@ def test_transfer_and_concrete_modes_agree_small():
     assert conc.order_violations == tran.order_violations == 0
     assert conc.intersections_reduced == 216
     assert tran.intersections_reduced < conc.intersections_reduced
+
+
+def test_nf_cache_stores_packed_dicts(monkeypatch):
+    # a rewrite step copies a dict and deletes from it; a cached normal form
+    # must not keep the deleted slots for the life of the check
+    caches = []
+
+    class Recording(gsb._NFCache):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            caches.append(self)
+
+    monkeypatch.setattr(gsb, "_NFCache", Recording)
+    bound = TruncationBound(2, 1, 3)
+    gsb_check_truncated(GeneratorSystem(DER, OrderConfig(bound.generator_set())),
+                        bound)
+    entries = [nf.terms for cache in caches for nf in cache.map.values()]
+    assert entries
+    assert all(sys.getsizeof(t) == sys.getsizeof(dict(t)) for t in entries)
 
 
 def test_gsb_report_serialization():

@@ -83,10 +83,10 @@ def test_redexes_outer_before_inner():
     assert got[1] == ("[x ⋆]", "y", "z")
 
 
-def test_redex_spans_are_token_intervals():
+def test_redex_context_and_arguments():
     w = parse("x [x y] y", XY)
     (r,) = find_redexes(w, der_schema(XY))
-    assert r.span == (1, 5)  # the bracket occupies tokens 1..4 of x [ x y ] y
+    assert (to_str(r.context), to_str(r.a), to_str(r.b)) == ("x ⋆ y", "x", "y")
 
 
 def test_unit_policy_splits():
