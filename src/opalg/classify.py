@@ -15,16 +15,14 @@ from fractions import Fraction
 
 from .catalog import Family, families
 from .coeffs import MPoly, PolyRing
-from .gsb import associativity_defect, dt_check, rbt_check
-from .opoly import DIFFERENTIAL, OPoly, OpIdentity, ROTA_BAXTER
+from .gsb import UVW, associativity_defect, dt_check, rbt_check
+from .opoly import DIFFERENTIAL, OPoly, OpIdentity, ROTA_BAXTER, XY
 from .ordering import OrderConfig
-from .rewrite import NONUNIT_ONLY, NORMAL_FORM, RuleSchema, normal_form
+from .rewrite import (NORMAL_FORM, RuleSchema, normal_form, word_is_drf,
+                      word_is_rbrf)
 from .solve import SolutionComponent, find_representative, sample_points, \
     solve_components
-from .words import GeneratorSet, Word, enumerate_words, to_str, word_sort_key
-
-XY = GeneratorSet(("x", "y"))
-UVW = GeneratorSet(("u", "v", "w"))
+from .words import Word, enumerate_words, to_str, word_sort_key
 
 
 class ReductionBudgetExceeded(RuntimeError):
@@ -126,7 +124,6 @@ def build_ansatz(mode: str, max_op_degree: int,
     """
     if max_op_degree < 0:
         raise ValueError("operator degree must be nonnegative")
-    from .rewrite import word_is_drf, word_is_rbrf
     unit_budget = max_op_degree if include_unit_terms else 0
     if mode == DIFFERENTIAL:
         shape_ok = word_is_drf
@@ -181,12 +178,11 @@ class Equation:
 
 
 class ConstraintSystem:
-    __slots__ = ("ansatz", "equations", "strategy", "step_cap")
+    __slots__ = ("ansatz", "equations", "step_cap")
 
-    def __init__(self, ansatz, equations, strategy, step_cap):
+    def __init__(self, ansatz, equations, step_cap):
         self.ansatz = ansatz
         self.equations = tuple(equations)
-        self.strategy = strategy
         self.step_cap = step_cap
 
     def polynomials(self):
@@ -202,7 +198,7 @@ class ConstraintSystem:
     def describe(self) -> str:
         lines = [f"{len(self.equations)} constraints "
                  f"({len(self.unresolved())} unresolved), "
-                 f"strategy {self.strategy}"]
+                 "strategy lo"]
         lines += ["  " + eq.describe() for eq in self.equations]
         return "\n".join(lines)
 
@@ -221,15 +217,14 @@ def _unit_residue(w: Word) -> bool:
     return inside(w, 0)
 
 
-def extract_constraints(ansatz: Ansatz, strategy: str = "lo",
-                        step_cap: int = 4000) -> ConstraintSystem:
-    """Reduce the defect with the ansatz's own rules and read off one
-    equation per surviving monomial."""
+def extract_constraints(ansatz: Ansatz, step_cap: int = 4000) -> ConstraintSystem:
+    """Reduce the defect with the ansatz's own rules, leftmost-outermost
+    first, and read off one equation per surviving monomial."""
     ident = ansatz.identity()
     order = OrderConfig(UVW) if ansatz.mode == DIFFERENTIAL else None
-    schema = RuleSchema(ident, unit_policy=NONUNIT_ONLY, order=order)
+    schema = RuleSchema(ident, order=order)
     defect = associativity_defect(ident)
-    nf, trace = normal_form(defect, schema, strategy, step_cap)
+    nf, trace = normal_form(defect, schema, "lo", step_cap)
     if trace.status != NORMAL_FORM:
         raise ReductionBudgetExceeded(
             f"defect reduction exceeded {step_cap} steps "
@@ -240,7 +235,7 @@ def extract_constraints(ansatz: Ansatz, strategy: str = "lo",
         if not isinstance(coeff, MPoly):
             coeff = ansatz.ring.const(coeff)
         equations.append(Equation(coeff, w, _unit_residue(w)))
-    return ConstraintSystem(ansatz, equations, strategy, step_cap)
+    return ConstraintSystem(ansatz, equations, step_cap)
 
 
 class ClassifyResult:
@@ -278,12 +273,11 @@ def _audit_component(ansatz: Ansatz, comp: SolutionComponent) -> bool:
     return rbt_check(pattern).accepted
 
 
-def classify(ansatz: Ansatz, budget: int = 4000,
-             strategy: str = "lo") -> ClassifyResult:
+def classify(ansatz: Ansatz, budget: int = 4000) -> ClassifyResult:
     """Extract constraints, split the solution set into components, and
     self-audit each component's representative with the matching type check.
     Components failing the audit are reported, never silently emitted."""
-    system = extract_constraints(ansatz, strategy, budget)
+    system = extract_constraints(ansatz, budget)
     components = solve_components(system.polynomials(), ansatz.ring)
     passed, failed = [], []
     for comp in components:

@@ -12,13 +12,13 @@ from .catalog import UnknownPattern, named_pattern, pattern_names
 from .classify import ReductionBudgetExceeded, build_ansatz, classify, \
     match_catalog
 from .coeffs import PolyParseError, PolyRing
-from .gsb import GeneratorSystem, TruncationBound, dt_check, \
+from .gsb import UVW, GeneratorSystem, TruncationBound, dt_check, \
     gsb_check_truncated, irr_enumerate, rbt_check
-from .opoly import DIFFERENTIAL, OpIdentity, ROTA_BAXTER, parse_opoly, \
+from .opoly import DIFFERENTIAL, OpIdentity, ROTA_BAXTER, XY, parse_opoly, \
     to_str_opoly
 from .ordering import OrderConfig
 from .rewrite import NORMAL_FORM, NotDRF, NotRBRF, NotTotallyLinear, \
-    NONUNIT_ONLY, ResourceLimit, RuleSchema, normal_form
+    ResourceLimit, RuleSchema, normal_form
 from .solve import SplitDepthExceeded
 from .words import GeneratorSet, ParseError, Word, to_str, word_sort_key
 
@@ -62,7 +62,7 @@ def _resolve_identity(spec: str, kind: str, constraint_texts=()) -> OpIdentity:
         return ident
     params = [n for n in _identifiers(spec) if n not in ("x", "y")]
     ring = PolyRing(params) if params else None
-    pattern = parse_opoly(spec, GeneratorSet(("x", "y")), ring=ring)
+    pattern = parse_opoly(spec, XY, ring=ring)
     if constraint_texts and ring is None:
         raise UsageError("--constraint given but the pattern has no parameters")
     constraints = tuple(ring.parse(t) for t in constraint_texts) if ring else ()
@@ -99,7 +99,7 @@ def cmd_nf(args) -> int:
     expr = parse_opoly(args.expr, gset)
     order = OrderConfig(gset, args.order) if ident.kind == DIFFERENTIAL \
         else None
-    schema = RuleSchema(ident, unit_policy=NONUNIT_ONLY, order=order)
+    schema = RuleSchema(ident, order=order)
     result, trace = normal_form(expr, schema, strategy=args.strategy,
                                 step_cap=args.step_cap)
     rendered = to_str_opoly(result, order)
@@ -136,7 +136,7 @@ def cmd_verify(args) -> int:
     witness = report.witness if report.witness is not None and \
         not report.witness.is_zero else None
     special = _specialized_witness(witness)
-    cfg = OrderConfig(GeneratorSet(("u", "v", "w")), args.order)
+    cfg = OrderConfig(UVW, args.order)
     label = "differential type" if kind == DIFFERENTIAL else "Rota-Baxter type"
     if report.accepted:
         lines = [f"accepted: {label}"]

@@ -16,9 +16,9 @@ from .coeffs import _add_scaled_into
 from .opoly import (DIFFERENTIAL, OPoly, OpIdentity, ROTA_BAXTER,
                     leading_monomial, to_str_opoly)
 from .ordering import GREATER, LESS, OrderConfig, compare, random_context
-from .rewrite import (NONUNIT_ONLY, NORMAL_FORM, ResourceLimit, RuleSchema,
-                      Verdict, find_redexes, is_drf, is_rbrf,
-                      is_totally_linear, normal_form, reduces_to_zero)
+from .rewrite import (NORMAL_FORM, ResourceLimit, RuleSchema, Verdict,
+                      find_redexes, is_drf, is_rbrf, is_totally_linear,
+                      normal_form, reduces_to_zero)
 from .words import (GeneratorSet, STAR, UNIT, Word, enumerate_words, occurrences,
                     substitute, to_str)
 
@@ -58,14 +58,13 @@ class GeneratorSystem:
 
     __slots__ = ("identity", "order", "schema")
 
-    def __init__(self, identity: OpIdentity, order: OrderConfig,
-                 unit_policy: str = NONUNIT_ONLY):
+    def __init__(self, identity: OpIdentity, order: OrderConfig):
         if identity.kind != DIFFERENTIAL:
             raise ValueError("generator systems need a differential-shape "
                              "identity; no order is available otherwise")
         self.identity = identity
         self.order = order
-        self.schema = RuleSchema(identity, unit_policy=unit_policy, order=order)
+        self.schema = RuleSchema(identity, order=order)
 
     def instance(self, u: Word, v: Word, validate: bool = False) -> OPoly:
         """phi(u, v) = [u v] - N(u, v), monic with leading word [u v]."""
@@ -295,9 +294,13 @@ class _NFCache:
         return self.schema.normalize(OPoly._trusted(out, p.ring))
 
 
+# triples reduced concretely on top of the transfer certificate
+TRANSFER_SAMPLES = 200
+
+
 def gsb_check_truncated(sys: GeneratorSystem, bound: TruncationBound,
                         step_cap: int = 100000, certify: str = "transfer",
-                        sample_size: int = 200, rng: random.Random = None,
+                        rng: random.Random = None,
                         max_reductions: int = 2000000) -> GsbReport:
     """Check triviality of every composition of instance pairs at the bound.
 
@@ -307,8 +310,8 @@ def gsb_check_truncated(sys: GeneratorSystem, bound: TruncationBound,
     the triple of distinct single generators is reduced once and certifies
     every other triple, because substituting r, s, t for the generators maps
     each rewrite step of the trace to a rewrite step (or a cancellation) of
-    the instance; a deterministic sample of triples is reduced concretely on
-    top of that.  In ``concrete`` mode every triple is reduced.
+    the instance; a seeded sample of ``TRANSFER_SAMPLES`` triples is reduced
+    concretely on top of that.  In ``concrete`` mode every triple is reduced.
 
     Including compositions are enumerated per structural configuration (host
     word, nested redex, side), with the host's other argument kept generic;
@@ -381,7 +384,7 @@ def gsb_check_truncated(sys: GeneratorSystem, bound: TruncationBound,
         names = gens.names
         master = (Word((names[0],)), Word((names[1],)), Word((names[2],)))
         master_ok = check_triple(*master)
-        picks = rng.sample(triples, min(sample_size, len(triples)))
+        picks = rng.sample(triples, min(TRANSFER_SAMPLES, len(triples)))
         sample_ok = all([check_triple(r, s, t) for (r, s, t) in picks])
         if master_ok and sample_ok:
             report.trivial_count = report.intersections_checked
@@ -391,8 +394,7 @@ def gsb_check_truncated(sys: GeneratorSystem, bound: TruncationBound,
     spect_gens = GeneratorSet(tuple(gens.names) + ("zspec",))
     spectator = Word(("zspec",))
     spect_order = OrderConfig(spect_gens, sys.order.mode)
-    spect_sys = GeneratorSystem(sys.identity, spect_order,
-                                unit_policy=sys.schema.unit_policy)
+    spect_sys = GeneratorSystem(sys.identity, spect_order)
     spect_cache = _NFCache(spect_sys.schema, step_cap)
     star_only = (STAR,)
     for host in words:
@@ -586,6 +588,20 @@ def _structure_reject(report: TypeReport, reason: str) -> TypeReport:
     return report
 
 
+def _certify(report: TypeReport, schema: RuleSchema, strategy: str,
+             step_cap: int, explore_budget: int) -> TypeReport:
+    """Accept when the associativity defect of the schema's identity
+    rewrites to zero; otherwise keep the verdict's detail and witness."""
+    verdict = reduces_to_zero(associativity_defect(schema.identity), schema,
+                              strategy, step_cap, explore_budget)
+    report.verdict = verdict
+    report.accepted = verdict.is_yes
+    if not report.accepted:
+        report.reason = f"defect does not rewrite to zero ({verdict.detail})"
+        report.witness = verdict.witness
+    return report
+
+
 def dt_check(pattern: OPoly, constraints=(), strategy: str = "lo",
              order_mode: str = "purelex", step_cap: int = 10000,
              explore_budget: int = 4000) -> TypeReport:
@@ -596,16 +612,9 @@ def dt_check(pattern: OPoly, constraints=(), strategy: str = "lo",
         return _structure_reject(report, "not totally linear in x, y")
     if not is_drf(pattern):
         return _structure_reject(report, "contains a bracketed product")
-    ident = OpIdentity(DIFFERENTIAL, pattern, tuple(constraints))
-    schema = RuleSchema(ident, order=OrderConfig(UVW, order_mode))
-    verdict = reduces_to_zero(associativity_defect(ident), schema, strategy,
-                              step_cap, explore_budget)
-    report.verdict = verdict
-    report.accepted = verdict.is_yes
-    if not report.accepted:
-        report.reason = f"defect does not rewrite to zero ({verdict.detail})"
-        report.witness = verdict.witness
-    return report
+    schema = RuleSchema(OpIdentity(DIFFERENTIAL, pattern, tuple(constraints)),
+                        order=OrderConfig(UVW, order_mode))
+    return _certify(report, schema, strategy, step_cap, explore_budget)
 
 
 def rbt_check(pattern: OPoly, constraints=(), strategy: str = "lo",
@@ -619,16 +628,8 @@ def rbt_check(pattern: OPoly, constraints=(), strategy: str = "lo",
         return _structure_reject(report, "not totally linear in x, y")
     if not is_rbrf(pattern):
         return _structure_reject(report, "contains adjacent bracket factors")
-    ident = OpIdentity(ROTA_BAXTER, pattern, tuple(constraints))
-    schema = RuleSchema(ident, unit_policy=NONUNIT_ONLY)
-    verdict = reduces_to_zero(associativity_defect(ident), schema, strategy,
-                              step_cap, explore_budget)
-    report.verdict = verdict
-    report.accepted = verdict.is_yes
-    if not report.accepted:
-        report.reason = f"defect does not rewrite to zero ({verdict.detail})"
-        report.witness = verdict.witness
-    return report
+    schema = RuleSchema(OpIdentity(ROTA_BAXTER, pattern, tuple(constraints)))
+    return _certify(report, schema, strategy, step_cap, explore_budget)
 
 
 # -- the free operator on differential words ----------------------------------------

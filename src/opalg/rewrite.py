@@ -3,9 +3,11 @@
 Two rule shapes exist.  A sigma rule replaces a bracketed product,
 ``[a b] -> N(a, b)``; a pi rule fuses adjacent operator factors,
 ``[a] [b] -> [M(a, b)]``.  Reduction acts on one monomial occurrence per
-step, keeps a full trace, and never assumes global termination: every
-loop is guarded by a step cap, and sigma termination is monitored by an
-explicit multiset measure rather than taken on faith.
+step, keeps a full trace, and never assumes global termination: strategy
+reduction stops at ``step_cap`` steps, the exhaustive search at
+``explore_budget`` polynomials and the confluence check at ``peak_cap``
+peaks, and ``normal_form(monitor=True)`` records every step that does not
+descend in the configured order.  No engine loop consults ``redex_measure``.
 """
 
 from __future__ import annotations
@@ -93,11 +95,10 @@ def is_rbrf(p: OPoly) -> bool:
 class RuleSchema:
     """A sigma or pi rule family derived from one operator identity."""
 
-    __slots__ = ("kind", "identity", "unit_policy", "order", "constraint_gb",
-                 "certified_confluent")
+    __slots__ = ("kind", "identity", "unit_policy", "order", "constraint_gb")
 
     def __init__(self, identity: OpIdentity, unit_policy: str = NONUNIT_ONLY,
-                 order: OrderConfig = None, certified_confluent: bool = False):
+                 order: OrderConfig = None):
         if unit_policy not in UNIT_POLICIES:
             raise ValueError(f"unknown unit policy {unit_policy!r}")
         self.kind = "sigma" if identity.kind == DIFFERENTIAL else "pi"
@@ -114,18 +115,18 @@ class RuleSchema:
         self.identity = identity
         self.unit_policy = unit_policy
         self.order = order
-        self.certified_confluent = certified_confluent
         if identity.constraints:
             self.constraint_gb = buchberger(list(identity.constraints),
                                             identity.ring)
         else:
             self.constraint_gb = None
 
-    def replacement(self, a: Word, b: Word) -> OPoly:
-        out = self.identity.pattern_at(a, b)
+    def replacement(self, redex: Redex) -> OPoly:
+        """The rule's right-hand side at ``redex``, placed in its context."""
+        out = self.identity.pattern_at(redex.a, redex.b)
         if self.kind == "pi":
             out = out.bracket()
-        return out
+        return out.into_context(redex.context)
 
     def normalize(self, p: OPoly) -> OPoly:
         if self.constraint_gb is None or p.ring is None:
@@ -277,7 +278,7 @@ def normal_form(p: OPoly, schema: RuleSchema, strategy: str = "lo",
             trace.status = STEP_CAP_EXCEEDED
             return p, trace
         w, redex = target
-        repl = schema.replacement(redex.a, redex.b).into_context(redex.context)
+        repl = schema.replacement(redex)
         if monitor and schema.order is not None:
             for m in repl.terms:
                 if compare(w, m, schema.order) != GREATER:
@@ -330,26 +331,44 @@ def _poly_key(p: OPoly):
 
 
 def _one_step_reducts(p: OPoly, schema: RuleSchema):
-    """Every polynomial reachable in exactly one rewrite step, any position."""
-    seen = set()
+    """Every polynomial reachable in exactly one rewrite step, any position;
+    repeats are left to the caller."""
     for w in p.terms:
         for redex in find_redexes(w, schema):
-            repl = schema.replacement(redex.a, redex.b).into_context(redex.context)
-            q = schema.normalize(_rewrite_at(p, w, repl))
-            k = _poly_key(q)
-            if k not in seen:
-                seen.add(k)
-                yield q
+            yield schema.normalize(_rewrite_at(p, w, schema.replacement(redex)))
+
+
+def _explore(p: OPoly, schema: RuleSchema, budget: int, stop=None):
+    """Depth-first search over the distinct reducts of ``p``.
+
+    Returns ``(visited_keys, complete, hit)``: the keys of the polynomials
+    reached, whether the search ended with nothing left to expand before
+    more than ``budget`` polynomials were reached, and whether a reduct
+    satisfied ``stop``, which ends the search at once.
+    """
+    visited = {_poly_key(p)}
+    frontier = [p]
+    while frontier:
+        if len(visited) > budget:
+            return visited, False, False
+        for r in _one_step_reducts(frontier.pop(), schema):
+            if stop is not None and stop(r):
+                return visited, False, True
+            k = _poly_key(r)
+            if k not in visited:
+                visited.add(k)
+                frontier.append(r)
+    return visited, True, False
 
 
 def reduces_to_zero(p: OPoly, schema: RuleSchema, strategy: str = "lo",
                     step_cap: int = 10000, explore_budget: int = 2000) -> Verdict:
     """Does some reduction of ``p`` reach zero?
 
-    Strategy reduction first; a nonzero normal form is final when the schema
-    is certified confluent, and otherwise triggers exhaustive exploration of
-    rewrite choices up to ``explore_budget`` distinct polynomials.  Symbolic
-    coefficients count as zero when they lie in the constraint ideal.
+    Strategy reduction first; a nonzero normal form triggers exhaustive
+    exploration of rewrite choices up to ``explore_budget`` distinct
+    polynomials.  Symbolic coefficients count as zero when they lie in the
+    constraint ideal.
     """
     p = schema.normalize(schema.lift(p))
     if p.is_zero:
@@ -360,23 +379,13 @@ def reduces_to_zero(p: OPoly, schema: RuleSchema, strategy: str = "lo",
     if trace.status == STEP_CAP_EXCEEDED:
         return Verdict(Verdict.INCONCLUSIVE, witness=nf,
                        detail=f"step cap {step_cap} exceeded")
-    if schema.certified_confluent:
-        return Verdict(Verdict.NO, witness=nf,
-                       detail="nonzero normal form under a confluent system")
-    frontier = [p]
-    visited = {_poly_key(p)}
-    while frontier:
-        if len(visited) > explore_budget:
-            return Verdict(Verdict.INCONCLUSIVE, witness=nf,
-                           detail=f"exploration budget {explore_budget} exceeded")
-        q = frontier.pop()
-        for r in _one_step_reducts(q, schema):
-            if r.is_zero:
-                return Verdict(Verdict.YES, detail="zero on an explored branch")
-            k = _poly_key(r)
-            if k not in visited:
-                visited.add(k)
-                frontier.append(r)
+    visited, complete, hit = _explore(p, schema, explore_budget,
+                                      stop=lambda r: r.is_zero)
+    if hit:
+        return Verdict(Verdict.YES, detail="zero on an explored branch")
+    if not complete:
+        return Verdict(Verdict.INCONCLUSIVE, witness=nf,
+                       detail=f"exploration budget {explore_budget} exceeded")
     return Verdict(Verdict.NO, witness=nf,
                    detail=f"all {len(visited)} reachable polynomials nonzero")
 
@@ -396,26 +405,11 @@ def joinable(f: OPoly, g: OPoly, schema: RuleSchema, strategy: str = "lo",
     diff = reduces_to_zero(f - g, schema, strategy, step_cap, explore_budget)
     if diff.is_yes:
         return Verdict(Verdict.YES, detail=f"difference vanishes ({diff.detail})")
-
-    def reduct_set(p):
-        out = {_poly_key(p): p}
-        frontier = [p]
-        while frontier and len(out) <= explore_budget:
-            q = frontier.pop()
-            for r in _one_step_reducts(q, schema):
-                k = _poly_key(r)
-                if k not in out:
-                    out[k] = r
-                    frontier.append(r)
-        complete = not frontier
-        return out, complete
-
-    rf, cf = reduct_set(f)
-    rg, cg = reduct_set(g)
-    common = set(rf) & set(rg)
-    if common:
+    reach_f, complete_f, _ = _explore(f, schema, explore_budget)
+    reach_g, complete_g, _ = _explore(g, schema, explore_budget)
+    if reach_f & reach_g:
         return Verdict(Verdict.YES, detail="common reduct found by search")
-    if cf and cg:
+    if complete_f and complete_g:
         return Verdict(Verdict.NO, witness=f - g, detail="reduct sets disjoint")
     return Verdict(Verdict.INCONCLUSIVE, witness=f - g,
                    detail="exploration budget exhausted")
@@ -465,10 +459,7 @@ def local_confluence_check(schema: RuleSchema, gens, max_leaves: int = 3,
         redexes = find_redexes(w, schema)
         if len(redexes) < 2:
             continue
-        reducts = []
-        for redex in redexes:
-            repl = schema.replacement(redex.a, redex.b).into_context(redex.context)
-            reducts.append(schema.normalize(repl))
+        reducts = [schema.normalize(schema.replacement(r)) for r in redexes]
         for i in range(len(reducts)):
             for j in range(i + 1, len(reducts)):
                 report.peaks_checked += 1

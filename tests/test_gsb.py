@@ -253,6 +253,31 @@ def test_dt_check_rejects_right_twist_with_witness():
     assert got == "w v [u] - v w [u]"
 
 
+# the strategy normal form is the witness of an exhausted search
+BUDGET_WITNESS = {
+    "[y] x - x [y] + y [x]":
+        "[w] u v - [w] v u + u [w] v - 2*u v [w] + u w [v] + v [w] u - v w [u]"
+        " - w u [v] + w v [u]",
+    "2*[y x] + 2*x [y] + 2*y [x]":
+        "-8*[[u w v]] - 4*[[w v] u] + 8*[[w v u]] - 8*[u [w v]] - 4*[v [w] u]"
+        " + 8*[v u [w]] - 4*[w [v] u] + 12*[w [v u]] + 4*[w u [v]]"
+        " - 4*[w v [u]] + 4*u [[w v]] + 4*u [v [w]] + 4*u [w [v]]"
+        " - 8*v [[u w]] + 8*v [[w u]] - 8*w [[u v]] + 4*w [[v u]]"
+        " - 4*w [u [v]] - 4*w [v [u]]",
+}
+
+
+@pytest.mark.parametrize("check,text", [(dt_check, "[y] x - x [y] + y [x]"),
+                                        (rbt_check, "2*[y x] + 2*x [y] + 2*y [x]")])
+def test_type_checks_report_exhausted_search(check, text):
+    rep = check(parse_opoly(text, XY), explore_budget=5)
+    assert not rep.accepted and rep.inconclusive
+    assert rep.verdict.detail == "exploration budget 5 exceeded"
+    assert rep.reason == ("defect does not rewrite to zero "
+                          "(exploration budget 5 exceeded)")
+    assert to_str_opoly(rep.witness) == BUDGET_WITNESS[text]
+
+
 def test_dt_check_structural_rejections():
     assert "totally linear" in dt_check(parse_opoly("x [y] + x x", XY)).reason
     assert "bracketed product" in dt_check(parse_opoly("[x y]", XY)).reason

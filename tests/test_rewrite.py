@@ -1,6 +1,8 @@
 """Rewriting engine: redex enumeration, normal forms, zero tests, confluence."""
 
 import functools
+import json
+import os
 import random
 
 import pytest
@@ -18,7 +20,7 @@ from opalg.rewrite import (ALLOW_UNITS, NONUNIT_ONLY, NotDRF, NotRBRF,
                            is_totally_linear, joinable, local_confluence_check,
                            normal_form, redex_measure, reduces_to_zero,
                            word_is_drf, word_is_rbrf)
-from opalg.words import GeneratorSet, UNIT, Word, parse, to_str
+from opalg.words import GeneratorSet, UNIT, Word, enumerate_words, parse, to_str
 
 XY = GeneratorSet(("x", "y"))
 XYZ = GeneratorSet(("x", "y", "z"))
@@ -28,8 +30,8 @@ DER = named_pattern("derivation")
 AVG = named_pattern("average")
 
 
-def der_schema(gens=XYZ, policy=NONUNIT_ONLY, **kw):
-    return RuleSchema(DER, unit_policy=policy, order=OrderConfig(gens), **kw)
+def der_schema(gens=XYZ, policy=NONUNIT_ONLY):
+    return RuleSchema(DER, unit_policy=policy, order=OrderConfig(gens))
 
 
 # -- structural predicates -----------------------------------------------------------
@@ -258,12 +260,18 @@ def test_step_cap_gives_inconclusive():
     assert verdict.kind == Verdict.INCONCLUSIVE
 
 
-def test_certified_confluent_skips_search():
-    schema = RuleSchema(DER, order=OrderConfig(UVW), certified_confluent=True)
-    p = OPoly.from_word(parse("[u] v", UVW))
-    verdict = reduces_to_zero(p, schema)
-    assert verdict.kind == Verdict.NO
-    assert verdict.witness == p
+def test_explore_budget_bounds_distinct_polynomials():
+    # the defect reaches exactly 8 distinct polynomials, none of them zero
+    ident = OpIdentity(DIFFERENTIAL, parse_opoly("[y] x - x [y] + y [x]", XY))
+    schema = RuleSchema(ident, order=OrderConfig(UVW))
+    defect = associativity_defect(ident)
+    full = reduces_to_zero(defect, schema, explore_budget=8)
+    assert (full.kind, full.detail) == (
+        Verdict.NO, "all 8 reachable polynomials nonzero")
+    short = reduces_to_zero(defect, schema, explore_budget=7)
+    assert (short.kind, short.detail) == (
+        Verdict.INCONCLUSIVE, "exploration budget 7 exceeded")
+    assert short.witness == full.witness
 
 
 def test_joinable_by_difference():
@@ -281,6 +289,39 @@ def test_joinable_no_for_distinct_normal_forms():
     g = OPoly.from_word(parse("y", XYZ))
     verdict = joinable(f, g, schema)
     assert verdict.kind == Verdict.NO
+
+
+# Kind, detail and witness of ``joinable(..., explore_budget=50)`` on every
+# pair of one-step reducts of every word with at most 3 leaves and depth at
+# most 2 over u, v, w (no unit brackets), for two differential-shape
+# schemas; recorded before the exhaustive search was rewritten.  The second
+# schema reaches every outcome of ``joinable``, a zero found by search
+# included.
+with open(os.path.join(os.path.dirname(__file__), "frozen_peaks.json"),
+          encoding="utf-8") as _f:
+    FROZEN_PEAKS = json.load(_f)
+
+
+def _peak_verdicts(schema):
+    rows = []
+    for w in enumerate_words(UVW, 3, 2, include_unit_brackets=False,
+                             include_unit=False):
+        reducts = [schema.identity.pattern_at(r.a, r.b).into_context(r.context)
+                   for r in find_redexes(w, schema)]
+        for i in range(len(reducts)):
+            for j in range(i + 1, len(reducts)):
+                v = joinable(reducts[i], reducts[j], schema, explore_budget=50)
+                witness = None if v.witness is None else to_str_opoly(v.witness)
+                rows.append([to_str(w), i, j, v.kind, v.detail, witness])
+    return rows
+
+
+@pytest.mark.parametrize("text", ["y [x]", "[y] x - x [y] + y [x]"])
+def test_peak_verdicts_are_frozen(text):
+    ident = OpIdentity(DIFFERENTIAL, parse_opoly(text, XY))
+    rows = _peak_verdicts(RuleSchema(ident, order=OrderConfig(UVW)))
+    assert len(rows) == 351
+    assert rows == FROZEN_PEAKS[text]
 
 
 # -- local confluence ----------------------------------------------------------------

@@ -1,0 +1,46 @@
+"""The benchmark's per-layer tracer patches opalg bindings by name; every name
+it lists must exist, so renaming or deleting a traced function fails here
+rather than in a traced benchmark run."""
+
+import json
+import os
+import subprocess
+import sys
+
+import opalg
+
+TRACER = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                      "perfbench", "tracer.py")
+
+# run in a fresh interpreter: the tracer looks modules up in sys.modules, so
+# each traced module must be loaded by ``import opalg`` alone
+_RESOLVE_JOB = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("opalg_tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+import opalg
+
+def missing(module, attr):
+    mod = sys.modules.get(module)
+    return mod is None or not hasattr(mod, attr)
+
+out = [f"{m}.{a}" for _, m, a in tracer.FUNCTIONS if missing(m, a)]
+out += [f"{m}.{c}" for _, m, c, _ in tracer.METHODS if missing(m, c)]
+if missing(*tracer.EXPLORE_COUNTER):
+    out.append(".".join(tracer.EXPLORE_COUNTER))
+print(json.dumps({"missing": out, "functions": len(tracer.FUNCTIONS),
+                  "methods": len(tracer.METHODS)}))
+"""
+
+
+def test_traced_bindings_resolve_on_fresh_import():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(opalg.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _RESOLVE_JOB, TRACER],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    result = json.loads(done.stdout)
+    assert result["functions"] > 0 and result["methods"] > 0
+    assert result["missing"] == []
