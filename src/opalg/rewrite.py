@@ -7,12 +7,16 @@ step, keeps a full trace, and never assumes global termination: strategy
 reduction stops at ``step_cap`` steps, the exhaustive search at
 ``explore_budget`` polynomials and the confluence check at ``peak_cap``
 peaks, and ``normal_form(monitor=True)`` records every step that does not
-descend in the configured order.  No engine loop consults ``redex_measure``.
+descend in the configured order.  Memos of redexes, replacements and sort
+keys live for one library call and die when it returns: ``normal_form``
+keeps its own, and one ``reduces_to_zero`` or ``joinable`` call shares one
+word -> replacements memo across all of its searches.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cache
 
 from .coeffs import _add_scaled_into
 from .groebner import buchberger, nf_mod_ideal
@@ -218,32 +222,6 @@ class ReductionTrace:
     def __len__(self):
         return len(self.steps)
 
-    def render(self) -> str:
-        lines = []
-        for n, s in enumerate(self.steps, 1):
-            lines.append(f"{n}. {to_str(s.monomial)}  at  {to_str(s.context)}"
-                         f"  with  ({to_str(s.a)}, {to_str(s.b)})")
-        lines.append(f"status: {self.status}")
-        if self.order_violations:
-            lines.append(f"order violations: {len(self.order_violations)}")
-        return "\n".join(lines)
-
-
-def redex_measure(p: OPoly, schema: RuleSchema):
-    """Nested multiset of redex sizes: per monomial, the descending tuple of
-    deg values of matched subterms; overall, the descending tuple of those.
-
-    Tuples of naturals sorted descending compare under Python's tuple order
-    exactly as the multiset order, so strict decrease is a plain ``<``.
-    """
-    per = []
-    for w in p.terms:
-        sizes = sorted((r.a.deg + r.b.deg for r in find_redexes(w, schema)),
-                       reverse=True)
-        if sizes:
-            per.append(tuple(sizes))
-    return tuple(sorted(per, reverse=True))
-
 
 def normal_form(p: OPoly, schema: RuleSchema, strategy: str = "lo",
                 step_cap: int = 100000, monitor: bool = False):
@@ -259,7 +237,9 @@ def normal_form(p: OPoly, schema: RuleSchema, strategy: str = "lo",
         raise ValueError(f"unknown strategy {strategy!r}")
     inner_first = strategy == "li"
     trace = ReductionTrace()
-    key = word_sort_key if schema.order is None else order_key(schema.order)
+    # sort keys are memoised for this call only
+    key = (cache(word_sort_key) if schema.order is None
+           else order_key(schema.order))
     redexes_of = {}  # word -> its redexes; lives for this call only
     p = schema.normalize(schema.lift(p))
     while True:
@@ -330,15 +310,25 @@ def _poly_key(p: OPoly):
     return frozenset(p.terms.items())
 
 
-def _one_step_reducts(p: OPoly, schema: RuleSchema):
+def _one_step_reducts(p: OPoly, schema: RuleSchema, replacements_of: dict):
     """Every polynomial reachable in exactly one rewrite step, any position;
-    repeats are left to the caller."""
+    repeats are left to the caller.
+
+    ``replacements_of`` maps a word to the replacements of its redexes in
+    ``find_redexes`` order; missing words are filled in.  The replacements
+    are only read, never mutated.
+    """
     for w in p.terms:
-        for redex in find_redexes(w, schema):
-            yield schema.normalize(_rewrite_at(p, w, schema.replacement(redex)))
+        replacements = replacements_of.get(w)
+        if replacements is None:
+            replacements = replacements_of[w] = [
+                schema.replacement(r) for r in find_redexes(w, schema)]
+        for repl in replacements:
+            yield schema.normalize(_rewrite_at(p, w, repl))
 
 
-def _explore(p: OPoly, schema: RuleSchema, budget: int, stop=None):
+def _explore(p: OPoly, schema: RuleSchema, budget: int, replacements_of: dict,
+             stop=None):
     """Depth-first search over the distinct reducts of ``p``.
 
     Returns ``(visited_keys, complete, hit)``: the keys of the polynomials
@@ -351,7 +341,7 @@ def _explore(p: OPoly, schema: RuleSchema, budget: int, stop=None):
     while frontier:
         if len(visited) > budget:
             return visited, False, False
-        for r in _one_step_reducts(frontier.pop(), schema):
+        for r in _one_step_reducts(frontier.pop(), schema, replacements_of):
             if stop is not None and stop(r):
                 return visited, False, True
             k = _poly_key(r)
@@ -370,6 +360,12 @@ def reduces_to_zero(p: OPoly, schema: RuleSchema, strategy: str = "lo",
     polynomials.  Symbolic coefficients count as zero when they lie in the
     constraint ideal.
     """
+    return _zero_search(p, schema, strategy, step_cap, explore_budget, {})
+
+
+def _zero_search(p: OPoly, schema: RuleSchema, strategy: str, step_cap: int,
+                 explore_budget: int, replacements_of: dict) -> Verdict:
+    """``reduces_to_zero`` with the caller's search memo."""
     p = schema.normalize(schema.lift(p))
     if p.is_zero:
         return Verdict(Verdict.YES, detail="zero in 0 steps")
@@ -380,7 +376,7 @@ def reduces_to_zero(p: OPoly, schema: RuleSchema, strategy: str = "lo",
         return Verdict(Verdict.INCONCLUSIVE, witness=nf,
                        detail=f"step cap {step_cap} exceeded")
     visited, complete, hit = _explore(p, schema, explore_budget,
-                                      stop=lambda r: r.is_zero)
+                                      replacements_of, stop=lambda r: r.is_zero)
     if hit:
         return Verdict(Verdict.YES, detail="zero on an explored branch")
     if not complete:
@@ -402,11 +398,13 @@ def joinable(f: OPoly, g: OPoly, schema: RuleSchema, strategy: str = "lo",
     g = schema.normalize(schema.lift(g))
     if f == g:
         return Verdict(Verdict.YES, detail="equal in 0 steps")
-    diff = reduces_to_zero(f - g, schema, strategy, step_cap, explore_budget)
+    replacements_of = {}  # shared by the three searches of this call
+    diff = _zero_search(f - g, schema, strategy, step_cap, explore_budget,
+                        replacements_of)
     if diff.is_yes:
         return Verdict(Verdict.YES, detail=f"difference vanishes ({diff.detail})")
-    reach_f, complete_f, _ = _explore(f, schema, explore_budget)
-    reach_g, complete_g, _ = _explore(g, schema, explore_budget)
+    reach_f, complete_f, _ = _explore(f, schema, explore_budget, replacements_of)
+    reach_g, complete_g, _ = _explore(g, schema, explore_budget, replacements_of)
     if reach_f & reach_g:
         return Verdict(Verdict.YES, detail="common reduct found by search")
     if complete_f and complete_g:

@@ -1,24 +1,27 @@
 """Rewriting engine: redex enumeration, normal forms, zero tests, confluence."""
 
 import functools
+import itertools
 import json
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 import opalg.rewrite
 from opalg.catalog import named_pattern
 from opalg.classify import build_ansatz
-from opalg.gsb import associativity_defect
-from opalg.opoly import (DIFFERENTIAL, OPoly, OpIdentity, parse_opoly,
-                         to_str_opoly)
+from opalg.gsb import associativity_defect, dt_check, rbt_check
+from opalg.opoly import (DIFFERENTIAL, ROTA_BAXTER, OPoly, OpIdentity,
+                         parse_opoly, to_str_opoly)
 from opalg.ordering import OrderConfig, compare
 from opalg.rewrite import (ALLOW_UNITS, NONUNIT_ONLY, NotDRF, NotRBRF,
                            NotTotallyLinear, ResourceLimit, RuleSchema, Verdict,
                            count_generator, find_redexes, is_drf, is_rbrf,
                            is_totally_linear, joinable, local_confluence_check,
-                           normal_form, redex_measure, reduces_to_zero,
+                           normal_form, reduces_to_zero,
                            word_is_drf, word_is_rbrf)
 from opalg.words import GeneratorSet, UNIT, Word, enumerate_words, parse, to_str
 
@@ -194,10 +197,38 @@ def test_normal_form_rejects_unknown_strategy():
         normal_form(OPoly.from_word(parse("x", XY)), der_schema(XY), "magic")
 
 
+def render(trace) -> str:
+    """One line per step of a reduction trace, then its status."""
+    lines = []
+    for n, s in enumerate(trace.steps, 1):
+        lines.append(f"{n}. {to_str(s.monomial)}  at  {to_str(s.context)}"
+                     f"  with  ({to_str(s.a)}, {to_str(s.b)})")
+    lines.append(f"status: {trace.status}")
+    if trace.order_violations:
+        lines.append(f"order violations: {len(trace.order_violations)}")
+    return "\n".join(lines)
+
+
+def redex_measure(p: OPoly, schema: RuleSchema):
+    """Nested multiset of redex sizes: per monomial, the descending tuple of
+    deg values of matched subterms; overall, the descending tuple of those.
+
+    Tuples of naturals sorted descending compare under Python's tuple order
+    exactly as the multiset order, so strict decrease is a plain ``<``.
+    """
+    per = []
+    for w in p.terms:
+        sizes = sorted((r.a.deg + r.b.deg for r in find_redexes(w, schema)),
+                       reverse=True)
+        if sizes:
+            per.append(tuple(sizes))
+    return tuple(sorted(per, reverse=True))
+
+
 def test_trace_render_mentions_rule_arguments():
     p = OPoly.from_word(parse("[x y]", XY))
     _, trace = normal_form(p, der_schema(XY))
-    text = trace.render()
+    text = render(trace)
     assert "[x y]" in text and "⋆" in text
 
 
@@ -322,6 +353,153 @@ def test_peak_verdicts_are_frozen(text):
     rows = _peak_verdicts(RuleSchema(ident, order=OrderConfig(UVW)))
     assert len(rows) == 351
     assert rows == FROZEN_PEAKS[text]
+
+
+# Kind, detail and witness (terms in the witness's own order) of
+# ``dt_check`` / ``rbt_check`` on every 1-, 2- and 3-term support of the
+# degree-1 ansatz of each shape with all coefficients 1, and of
+# ``reduces_to_zero`` on unit-split schemas whose search meets the same word
+# again after rewriting it to a replacement that contains it; recorded
+# before the search memoised replacements.  A "no" detail states how many
+# polynomials the search reached.
+with open(os.path.join(os.path.dirname(__file__), "frozen_searches.json"),
+          encoding="utf-8") as _f:
+    FROZEN_SEARCHES = json.load(_f)
+
+UNIT_SPLIT_PATTERNS = ("x y + x [y]", "x y - y x + [x] y",
+                       "-x y + y x + x [y]", "y x + [x] y + x [y]")
+
+
+def _verdict_row(verdict):
+    witness = None if verdict.witness is None else [
+        [to_str(w), str(c)] for w, c in verdict.witness.terms.items()]
+    return [verdict.kind, verdict.detail, witness]
+
+
+def _check_verdicts(mode):
+    check = dt_check if mode == DIFFERENTIAL else rbt_check
+    words = [w for _, w in build_ansatz(mode, 1).terms]
+    rows = []
+    for k in (1, 2, 3):
+        for support in itertools.combinations(words, k):
+            pattern = OPoly({w: 1 for w in support})
+            rows.append([to_str_opoly(pattern)]
+                        + _verdict_row(check(pattern).verdict))
+    return rows
+
+
+def _unit_split_verdicts():
+    rows = []
+    for text in UNIT_SPLIT_PATTERNS:
+        ident = OpIdentity(DIFFERENTIAL, parse_opoly(text, XY))
+        schema = RuleSchema(ident, unit_policy=ALLOW_UNITS,
+                            order=OrderConfig(UVW))
+        verdict = reduces_to_zero(associativity_defect(ident), schema,
+                                  step_cap=200, explore_budget=50)
+        rows.append([text] + _verdict_row(verdict))
+    return rows
+
+
+@pytest.mark.parametrize("mode", [DIFFERENTIAL, ROTA_BAXTER])
+def test_check_verdicts_are_frozen(mode):
+    rows = _check_verdicts(mode)
+    assert len(rows) == 8 + 28 + 56
+    assert rows == FROZEN_SEARCHES[mode]
+
+
+def test_unit_split_search_verdicts_are_frozen():
+    assert _unit_split_verdicts() == FROZEN_SEARCHES["unit_splits"]
+
+
+def test_search_memo_dies_with_its_call(monkeypatch):
+    ident = OpIdentity(DIFFERENTIAL, parse_opoly("y [x]", XY))
+    schema = RuleSchema(ident, order=OrderConfig(UVW))
+    defect = associativity_defect(ident)
+    calls = [0]
+    original = opalg.rewrite.find_redexes
+
+    def counted(w, schema):
+        calls[0] += 1
+        return original(w, schema)
+
+    monkeypatch.setattr(opalg.rewrite, "find_redexes", counted)
+    counts = []
+    for _ in range(2):
+        calls[0] = 0
+        assert reduces_to_zero(defect, schema).kind == Verdict.NO
+        counts.append(calls[0])
+    assert counts[0] > 0 and counts[0] == counts[1]
+
+
+# rejecting certifications that run the exhaustive search
+SEARCHED_REJECTIONS = (
+    ("dt_check", "[x] y + [x] [y] + [y] [x]"),
+    ("dt_check", "x [y] + [x] [y] + [y] [x]"),
+    ("rbt_check", "[x y] + x [y] + y [x]"),
+    ("rbt_check", "[x] y + [y] x + [y x]"),
+)
+
+_HASH_SEED_JOB = """
+import json, sys
+import opalg.rewrite as rewrite
+from opalg.gsb import dt_check, rbt_check
+from opalg.opoly import DIFFERENTIAL, OpIdentity, parse_opoly
+from opalg.ordering import OrderConfig
+from opalg.words import GeneratorSet
+
+work = {"find_redexes": 0, "explored_polys": 0}
+
+def counting(fn, name):
+    def wrapper(*args, **kwargs):
+        work[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+for attr, name in (("find_redexes", "find_redexes"),
+                   ("_one_step_reducts", "explored_polys")):
+    original = getattr(rewrite, attr)
+    wrapped = counting(original, name)
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.startswith("opalg") and getattr(module, attr, None) is original:
+            setattr(module, attr, wrapped)
+
+XY = GeneratorSet(("x", "y"))
+UVW = GeneratorSet(("u", "v", "w"))
+checks = {"dt_check": dt_check, "rbt_check": rbt_check}
+details = []
+for check, text in json.loads(sys.argv[1]):
+    report = checks[check](parse_opoly(text, XY))
+    details.append([report.accepted, report.verdict.detail])
+ident = OpIdentity(DIFFERENTIAL, parse_opoly("y [x]", XY))
+conf = rewrite.local_confluence_check(
+    rewrite.RuleSchema(ident, order=OrderConfig(UVW)), UVW,
+    max_leaves=3, max_depth=1)
+print(json.dumps({"details": details, "summary": conf.summary(),
+                  "counts": [conf.words_checked, conf.peaks_checked,
+                             len(conf.nonjoinable), len(conf.inconclusive)],
+                  "work": work}))
+"""
+
+
+def _search_work_under_hash_seed(seed: int) -> dict:
+    src = os.path.dirname(os.path.dirname(os.path.abspath(opalg.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", _HASH_SEED_JOB,
+                           json.dumps(SEARCHED_REJECTIONS)], env=env,
+                          capture_output=True, text=True, timeout=300,
+                          check=True)
+    return json.loads(done.stdout)
+
+
+def test_search_work_does_not_depend_on_hash_seed():
+    first, second = _search_work_under_hash_seed(1), _search_work_under_hash_seed(3)
+    assert all(not accepted and detail.startswith("all ")
+               for accepted, detail in first["details"])
+    assert first["details"] == second["details"]
+    assert first["counts"] == second["counts"] == [562, 27, 18, 0]
+    assert first["work"] == second["work"]
+    assert first["work"]["explored_polys"] > 0
 
 
 # -- local confluence ----------------------------------------------------------------
