@@ -9,8 +9,9 @@ reduction stops at ``step_cap`` steps, the exhaustive search at
 peaks, and ``normal_form(monitor=True)`` records every step that does not
 descend in the configured order.  Memos of redexes, replacements and sort
 keys live for one library call and die when it returns: ``normal_form``
-keeps its own, and one ``reduces_to_zero`` or ``joinable`` call shares one
-word -> replacements memo across all of its searches.
+keeps its own, each ``reduces_to_zero`` call has one word -> replacements
+memo for its search, and ``joinable`` shares one between its two reach-set
+searches.
 """
 
 from __future__ import annotations
@@ -360,12 +361,6 @@ def reduces_to_zero(p: OPoly, schema: RuleSchema, strategy: str = "lo",
     polynomials.  Symbolic coefficients count as zero when they lie in the
     constraint ideal.
     """
-    return _zero_search(p, schema, strategy, step_cap, explore_budget, {})
-
-
-def _zero_search(p: OPoly, schema: RuleSchema, strategy: str, step_cap: int,
-                 explore_budget: int, replacements_of: dict) -> Verdict:
-    """``reduces_to_zero`` with the caller's search memo."""
     p = schema.normalize(schema.lift(p))
     if p.is_zero:
         return Verdict(Verdict.YES, detail="zero in 0 steps")
@@ -375,8 +370,8 @@ def _zero_search(p: OPoly, schema: RuleSchema, strategy: str, step_cap: int,
     if trace.status == STEP_CAP_EXCEEDED:
         return Verdict(Verdict.INCONCLUSIVE, witness=nf,
                        detail=f"step cap {step_cap} exceeded")
-    visited, complete, hit = _explore(p, schema, explore_budget,
-                                      replacements_of, stop=lambda r: r.is_zero)
+    visited, complete, hit = _explore(p, schema, explore_budget, {},
+                                      stop=lambda r: r.is_zero)
     if hit:
         return Verdict(Verdict.YES, detail="zero on an explored branch")
     if not complete:
@@ -398,11 +393,10 @@ def joinable(f: OPoly, g: OPoly, schema: RuleSchema, strategy: str = "lo",
     g = schema.normalize(schema.lift(g))
     if f == g:
         return Verdict(Verdict.YES, detail="equal in 0 steps")
-    replacements_of = {}  # shared by the three searches of this call
-    diff = _zero_search(f - g, schema, strategy, step_cap, explore_budget,
-                        replacements_of)
+    diff = reduces_to_zero(f - g, schema, strategy, step_cap, explore_budget)
     if diff.is_yes:
         return Verdict(Verdict.YES, detail=f"difference vanishes ({diff.detail})")
+    replacements_of = {}  # shared by the two reach-set searches of this call
     reach_f, complete_f, _ = _explore(f, schema, explore_budget, replacements_of)
     reach_g, complete_g, _ = _explore(g, schema, explore_budget, replacements_of)
     if reach_f & reach_g:
