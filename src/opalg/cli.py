@@ -216,8 +216,8 @@ def cmd_gsb(args) -> int:
         raise UsageError("gsb requires a differential-type identity")
     count = len(args.gens.split(",")) if args.gens else 3
     bound = _parse_bound(args.bound, count)
-    gset = GeneratorSet(bound.generator_set())
-    system = GeneratorSystem(ident, OrderConfig(gset, args.order))
+    system = GeneratorSystem(ident,
+                             OrderConfig(bound.generator_set(), args.order))
     report = gsb_check_truncated(system, bound, step_cap=args.step_cap)
     payload = report.to_dict()
     payload["command"] = "gsb"

@@ -4,13 +4,10 @@ import itertools
 import json
 import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
 
-import opalg
 from opalg.catalog import FAMILIES
 from opalg.classify import (Ansatz, ReductionBudgetExceeded, build_ansatz,
                             classify, extract_constraints, match_catalog)
@@ -210,20 +207,12 @@ print(json.dumps({"nf_mod_ideal": calls[0], "components": components}))
 """
 
 
-def _run_under_hash_seed(seed: int) -> dict:
-    src = os.path.dirname(os.path.dirname(os.path.abspath(opalg.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path)
-    done = subprocess.run([sys.executable, "-c", _HASH_SEED_JOB], env=env,
-                          capture_output=True, text=True, timeout=300, check=True)
-    return json.loads(done.stdout)
-
-
-def test_classification_work_does_not_depend_on_hash_seed():
+def test_classification_work_does_not_depend_on_hash_seed(run_job):
     # set iteration order follows the per-process string hash seed; the work
     # done to solve the constraints must not (seeds 1 and 3 differed when the
     # linear-pin search iterated a set of variable names)
-    first, second = _run_under_hash_seed(1), _run_under_hash_seed(3)
+    first, second = (run_job(_HASH_SEED_JOB, hash_seed=1),
+                     run_job(_HASH_SEED_JOB, hash_seed=3))
     assert first["components"] == second["components"]
     assert first["nf_mod_ideal"] == second["nf_mod_ideal"]
 

@@ -1,5 +1,7 @@
 """Composition machinery, truncated basis checks, and type certificates."""
 
+import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -12,8 +14,8 @@ from opalg.gsb import (GeneratorSystem, TruncationBound, cdl_direct_sum_check,
                        compositions, delta_view, dt_check, free_dt_operator_nf,
                        gsb_check_truncated, INCLUDING, INTERSECTION, irr_enumerate,
                        is_trivial, raise_order, rbt_check)
-from opalg.opoly import (DIFFERENTIAL, OPoly, OpIdentity, parse_opoly,
-                         to_str_opoly)
+from opalg.opoly import (DIFFERENTIAL, OPoly, OpIdentity, leading_monomial,
+                         parse_opoly, to_str_opoly)
 from opalg.ordering import OrderConfig
 from opalg.rewrite import ResourceLimit, Verdict
 from opalg.words import GeneratorSet, Word, parse, to_str, word_sort_key
@@ -77,7 +79,9 @@ def test_generator_system_instance():
     sys = GeneratorSystem(DER, OrderConfig(bound.generator_set()))
     u = parse("u", bound.generator_set())
     v = parse("[v] w", bound.generator_set())
-    inst = sys.instance(u, v, validate=True)
+    inst = sys.instance(u, v)
+    lead = leading_monomial(inst, sys.order, ideal_gb=sys.schema.constraint_gb)
+    assert lead == (Word((u * v,)), 1)
     assert to_str_opoly(inst, sys.order) == "[u [v] w] - [u] [v] w - u [[v] w]"
 
 
@@ -160,17 +164,60 @@ def test_gsb_reduction_cap():
         gsb_check_truncated(sys, bound, certify="concrete", max_reductions=5)
 
 
-def test_is_trivial_marks_records():
+def _derivation_overlap():
     ordc = OrderConfig(XY)
     sys = GeneratorSystem(DER, ordc)
     f = sys.instance(parse("x", XY), parse("y x", XY))
     g = sys.instance(parse("x y", XY), parse("x", XY))
-    comps = compositions(f, g, ordc)
+    return sys, compositions(f, g, ordc)
+
+
+def test_is_trivial_marks_records():
+    sys, comps = _derivation_overlap()
     assert comps, "equal leading words must give the split-pair composition"
     for comp in comps:
-        assert is_trivial(comp, sys) == "trivial"
+        assert is_trivial(comp, gsb._NFCache(sys.schema, 100000)) == "trivial"
         assert comp.residue is None
         assert "trivial" in comp.describe()
+
+
+def test_is_trivial_step_cap_gives_no_verdict():
+    # the cap bounds each word's normal form: at 0 no word of the value can
+    # be rewritten, so the reduction is undecided and must raise rather than
+    # call the composition nontrivial; one step per word decides it
+    sys, comps = _derivation_overlap()
+    for comp in comps:
+        with pytest.raises(ResourceLimit):
+            is_trivial(comp, gsb._NFCache(sys.schema, 0))
+        assert comp.verdict is None and comp.residue is None
+        assert is_trivial(comp, gsb._NFCache(sys.schema, 1)) == "trivial"
+
+
+# ``opalg gsb --format json`` output of five checks, recorded before the
+# composition checks were routed through ``is_trivial``: nontrivial records,
+# order-violation counts and both certification modes
+with open(os.path.join(os.path.dirname(__file__), "frozen_gsb.json"),
+          encoding="utf-8") as _f:
+    FROZEN_GSB = json.load(_f)
+
+_GSB_CLI_JOB = """
+import contextlib, io, json, sys
+from opalg.cli import main
+
+out = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    out.append({"argv": argv, "exit": code, "stdout": buf.getvalue()})
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_gsb_cli_output_is_frozen(run_job, seed):
+    argvs = json.dumps([case["argv"] for case in FROZEN_GSB])
+    assert run_job(_GSB_CLI_JOB, argvs, hash_seed=seed) == FROZEN_GSB
 
 
 # -- irreducible words and the direct-sum check --------------------------------------

@@ -5,8 +5,6 @@ import itertools
 import json
 import os
 import random
-import subprocess
-import sys
 
 import pytest
 
@@ -481,19 +479,9 @@ print(json.dumps({"details": details, "summary": conf.summary(),
 """
 
 
-def _search_work_under_hash_seed(seed: int) -> dict:
-    src = os.path.dirname(os.path.dirname(os.path.abspath(opalg.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path)
-    done = subprocess.run([sys.executable, "-c", _HASH_SEED_JOB,
-                           json.dumps(SEARCHED_REJECTIONS)], env=env,
-                          capture_output=True, text=True, timeout=300,
-                          check=True)
-    return json.loads(done.stdout)
-
-
-def test_search_work_does_not_depend_on_hash_seed():
-    first, second = _search_work_under_hash_seed(1), _search_work_under_hash_seed(3)
+def test_search_work_does_not_depend_on_hash_seed(run_job):
+    first, second = (run_job(_HASH_SEED_JOB, json.dumps(SEARCHED_REJECTIONS),
+                             hash_seed=seed) for seed in (1, 3))
     assert all(not accepted and detail.startswith("all ")
                for accepted, detail in first["details"])
     assert first["details"] == second["details"]

@@ -2,12 +2,7 @@
 it lists must exist, so renaming or deleting a traced function fails here
 rather than in a traced benchmark run."""
 
-import json
 import os
-import subprocess
-import sys
-
-import opalg
 
 TRACER = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                       "perfbench", "tracer.py")
@@ -34,13 +29,7 @@ print(json.dumps({"missing": out, "functions": len(tracer.FUNCTIONS),
 """
 
 
-def test_traced_bindings_resolve_on_fresh_import():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(opalg.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", _RESOLVE_JOB, TRACER],
-                          env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, timeout=120,
-                          check=True)
-    result = json.loads(done.stdout)
+def test_traced_bindings_resolve_on_fresh_import(run_job):
+    result = run_job(_RESOLVE_JOB, TRACER)
     assert result["functions"] > 0 and result["methods"] > 0
     assert result["missing"] == []
