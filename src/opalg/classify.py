@@ -203,18 +203,16 @@ class ConstraintSystem:
         return "\n".join(lines)
 
 
-def _unit_residue(w: Word) -> bool:
+def _unit_residue(w: Word, depth: int = 0) -> bool:
     """A unit bracket nested inside another bracket, the shape the reduction
-    cannot interpret canonically."""
-    def inside(word, depth):
-        for a in word.atoms:
-            if isinstance(a, Word):
-                if a.is_unit and depth > 0:
-                    return True
-                if inside(a, depth + 1):
-                    return True
-        return False
-    return inside(w, 0)
+    cannot interpret canonically; ``depth`` counts the brackets around ``w``."""
+    for a in w.atoms:
+        if isinstance(a, Word):
+            if a.is_unit and depth > 0:
+                return True
+            if _unit_residue(a, depth + 1):
+                return True
+    return False
 
 
 def extract_constraints(ansatz: Ansatz, step_cap: int = 4000) -> ConstraintSystem:

@@ -206,7 +206,9 @@ class MPoly:
         """Substitute variables by Fractions or MPolys of the same ring.
 
         Each term, with its assigned exponents cleared, is multiplied by the
-        cached powers of the values and added into one term dict."""
+        cached powers of the values and added into one term dict.  When no
+        assigned variable occurs, ``self`` is returned: an ``MPoly`` is never
+        changed in place."""
         ring = self.ring
         values = {}
         for name, v in assignment.items():
@@ -215,14 +217,12 @@ class MPoly:
             elif v.ring != ring:
                 raise ValueError("mixed polynomial rings")
             values[ring.index[name]] = v.terms
-        powers = {(i, 1): v for i, v in values.items()}
-
-        def power(i, k):
-            if (i, k) not in powers:
-                powers[i, k] = _mul_terms(power(i, k - 1), values[i])
-            return powers[i, k]
-
         assigned = sorted(values)
+        if not any(e[i] for e in self.terms for i in assigned):
+            return self
+        # powers[i][k - 1] is the term dict of value_i ** k; a plain dict of
+        # lists, not a recursive closure, so a call leaves no reference cycle
+        powers = {i: [v] for i, v in values.items()}
         out: dict = {}
         for e, c in self.terms.items():
             hit = [i for i in assigned if e[i]]
@@ -231,7 +231,10 @@ class MPoly:
                 kept[i] = 0
             term = {tuple(kept): c}
             for i in hit:
-                term = _mul_terms(term, power(i, e[i]))
+                pw = powers[i]
+                while len(pw) < e[i]:
+                    pw.append(_mul_terms(pw[-1], values[i]))
+                term = _mul_terms(term, pw[e[i] - 1])
             _add_scaled_into(out, term)
         return MPoly(ring, out)
 

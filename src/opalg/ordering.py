@@ -101,18 +101,26 @@ def order_key(cfg: OrderConfig):
 
     def key(w: Word):
         k = memo.get(w)
-        if k is None:
-            atoms = []
-            for a in w.atoms:
-                ak = atom_keys.get(a)
-                if ak is None:
-                    ak = atom_keys[a] = (a.deg, 1, key(a))
-                atoms.append(ak)
-            k = (w.deg, len(atoms), tuple(atoms)) if graded else tuple(atoms)
-            memo[w] = k
-        return k
+        return k if k is not None else _word_key(w, memo, atom_keys, graded)
 
     return key
+
+
+def _word_key(w: Word, memo: dict, atom_keys: dict, graded: bool):
+    """The key of a word missing from ``memo``, stored there.  A module-level
+    recursion: a recursive closure would make its memo cyclic garbage."""
+    atoms = []
+    for a in w.atoms:
+        ak = atom_keys.get(a)
+        if ak is None:
+            inner = memo.get(a)
+            if inner is None:
+                inner = _word_key(a, memo, atom_keys, graded)
+            ak = atom_keys[a] = (a.deg, 1, inner)
+        atoms.append(ak)
+    k = (w.deg, len(atoms), tuple(atoms)) if graded else tuple(atoms)
+    memo[w] = k
+    return k
 
 
 def max_word(words, cfg: OrderConfig) -> Word:

@@ -166,37 +166,38 @@ def _sigma_splits(content: Word, policy: str):
 
 
 def _collect_redexes(w: Word, schema: RuleSchema, inner_first: bool) -> list:
-    sigma = schema.kind == "sigma"
-    policy = schema.unit_policy
     out = []
-
-    def visit(word: Word, wrap):
-        atoms = word.atoms
-        for i, a in enumerate(atoms):
-            here = []
-            if isinstance(a, Word):
-                if sigma:
-                    for left, right in _sigma_splits(a, policy):
-                        q = wrap(atoms[:i] + (STAR,) + atoms[i + 1:])
-                        here.append(Redex(q, left, right))
-                elif i + 1 < len(atoms) and isinstance(atoms[i + 1], Word):
-                    # any adjacent bracket pair is a pi redex: the rule family
-                    # ranges over all words, the unit policy only selects
-                    # sigma content splits
-                    ca, cb = a, atoms[i + 1]
-                    q = wrap(atoms[:i] + (STAR,) + atoms[i + 2:])
-                    here.append(Redex(q, ca, cb))
-            if not inner_first:
-                out.extend(here)
-            if isinstance(a, Word):
-                def wrap_inner(rep, _i=i, _atoms=atoms, _wrap=wrap):
-                    return _wrap(_atoms[:_i] + (Word(rep),) + _atoms[_i + 1:])
-                visit(a, wrap_inner)
-            if inner_first:
-                out.extend(here)
-
-    visit(w, Word)
+    _visit(w, Word, schema.kind == "sigma", schema.unit_policy, inner_first, out)
     return out
+
+
+def _visit(word: Word, wrap, sigma, policy, inner_first, out) -> None:
+    """Append the redexes inside ``word``, placed in context by ``wrap``, to
+    ``out``.  A module-level recursion: a recursive closure would leave a
+    reference cycle per call for the cyclic collector."""
+    atoms = word.atoms
+    for i, a in enumerate(atoms):
+        here = []
+        if isinstance(a, Word):
+            if sigma:
+                for left, right in _sigma_splits(a, policy):
+                    q = wrap(atoms[:i] + (STAR,) + atoms[i + 1:])
+                    here.append(Redex(q, left, right))
+            elif i + 1 < len(atoms) and isinstance(atoms[i + 1], Word):
+                # any adjacent bracket pair is a pi redex: the rule family
+                # ranges over all words, the unit policy only selects
+                # sigma content splits
+                ca, cb = a, atoms[i + 1]
+                q = wrap(atoms[:i] + (STAR,) + atoms[i + 2:])
+                here.append(Redex(q, ca, cb))
+        if not inner_first:
+            out.extend(here)
+        if isinstance(a, Word):
+            def wrap_inner(rep, _i=i, _atoms=atoms, _wrap=wrap):
+                return _wrap(_atoms[:_i] + (Word(rep),) + _atoms[_i + 1:])
+            _visit(a, wrap_inner, sigma, policy, inner_first, out)
+        if inner_first:
+            out.extend(here)
 
 
 def find_redexes(w: Word, schema: RuleSchema) -> list:

@@ -43,10 +43,6 @@ class SolutionComponent:
             return False
         return all(Fraction(point[v]) != 0 for v in self.nonzero)
 
-    def is_member(self, p: MPoly) -> bool:
-        """Whether p vanishes identically on the component's closure."""
-        return nf_mod_ideal(p, self.basis).is_zero
-
     def describe(self) -> str:
         eqs = ", ".join(f"{g} = 0" for g in self.basis) or "no equations"
         if self.nonzero:
@@ -337,33 +333,85 @@ def _try_point(basis, nonzero, ring, choose):
     return point
 
 
+def enumerate_points(basis, nonzero, ring):
+    """Every rational point of the component, or None when it may be infinite.
+
+    Runs ``_try_point``'s propagation depth-first over every rational root
+    (sorted) at each forced decision; each run follows one branch of that
+    tree.  A free choice means no equation fixes the next variable, and the
+    enumeration gives up with None.  When no branch meets one, every rational
+    point was reached: its coordinates are roots at each forced decision.  A
+    zero-dimensional lex basis never meets a free choice: the lex-smallest
+    unfixed variable has a basis element with a pure power of it as leading
+    term, and every other variable in that element is lex-smaller, so already
+    fixed (Cox, Little and O'Shea, *Ideals, Varieties, and Algorithms*, ch. 3
+    sections 1-2).
+    """
+    points: list = []
+    script: list = []   # [index, number of roots] per forced decision
+    while True:
+        depth, free = 0, False
+
+        def choose(name, options):
+            nonlocal depth, free
+            if options is None:
+                free = True
+                return None
+            if depth == len(script):
+                script.append([0, len(options)])
+            idx = script[depth][0]
+            depth += 1
+            return options[idx]
+
+        point = _try_point(basis, nonzero, ring, choose)
+        if free:
+            return None
+        if point is not None:
+            points.append(point)
+        while script and script[-1][0] + 1 == script[-1][1]:
+            script.pop()
+        if not script:
+            return points
+        script[-1][0] += 1
+
+
 def sample_points(basis, nonzero, ring, count: int, rng: random.Random,
                   max_attempts: int = 4000, strict: bool = True):
     """Distinct exact rational points on the component.
 
+    A component whose rational points ``enumerate_points`` lists (every
+    zero-dimensional one) gives the first ``count`` of them in that fixed
+    order, and ``rng`` is not drawn from.  Otherwise up to ``max_attempts``
+    seeded propagations each draw their free values from ``DEFAULT_POOL``
+    and their forced values from the rational roots.
+
     Raises when fewer than ``count`` are found, unless ``strict`` is False,
-    in which case whatever was found is returned (a component with a finite
-    small point set is exhausted rather than failed).
+    in which case whatever was found is returned.
     """
-    found: list = []
-    seen = set()
-    for _ in range(max_attempts):
-        if len(found) >= count:
-            break
+    found = enumerate_points(basis, nonzero, ring)
+    if found is not None:
+        found = found[:count]
+    else:
+        found = []
+        seen = set()
+        for _ in range(max_attempts):
+            if len(found) >= count:
+                break
 
-        def choose(name, options):
-            if options is not None:
-                return rng.choice(options)
-            values = [v for v in DEFAULT_POOL if not (name in nonzero and v == 0)]
-            return rng.choice(values)
+            def choose(name, options):
+                if options is not None:
+                    return rng.choice(options)
+                values = [v for v in DEFAULT_POOL
+                          if not (name in nonzero and v == 0)]
+                return rng.choice(values)
 
-        point = _try_point(basis, nonzero, ring, choose)
-        if point is None:
-            continue
-        key = tuple(sorted(point.items()))
-        if key not in seen:
-            seen.add(key)
-            found.append(point)
+            point = _try_point(basis, nonzero, ring, choose)
+            if point is None:
+                continue
+            key = tuple(sorted(point.items()))
+            if key not in seen:
+                seen.add(key)
+                found.append(point)
     if strict and len(found) < count:
         raise RuntimeError(
             f"found only {len(found)} of {count} requested rational points")

@@ -477,48 +477,55 @@ def _atom_pool(names, max_leaves, max_depth, include_unit_brackets):
 def _sequences(atom_pool, max_leaves):
     """All nonempty atom sequences with total leaf count <= max_leaves."""
     results = []
-
-    def extend(prefix, budget):
-        for k in range(1, budget + 1):
-            for a in atom_pool[k]:
-                seq = prefix + (a,)
-                results.append(Word(seq))
-                extend(seq, budget - k)
-
-    extend((), max_leaves)
+    _extend_sequences((), max_leaves, atom_pool, results)
     return results
+
+
+def _extend_sequences(prefix, budget, atom_pool, results) -> None:
+    """Append ``prefix`` extended by every atom sequence of at most
+    ``budget`` leaves to ``results``, depth-first."""
+    for k in range(1, budget + 1):
+        for a in atom_pool[k]:
+            seq = prefix + (a,)
+            results.append(Word(seq))
+            _extend_sequences(seq, budget - k, atom_pool, results)
 
 
 def sample_word(rng: random.Random, gens, max_leaves: int, max_depth: int,
                 include_unit_brackets: bool = False, allow_unit: bool = False) -> Word:
     """One random word within the bounds (not uniform; biased toward small)."""
     names = tuple(gens.names if isinstance(gens, GeneratorSet) else gens)
-
-    def atom(depth_left, budget):
-        if depth_left > 0 and rng.random() < 0.35:
-            inner = build(depth_left - 1, budget, allow_empty=include_unit_brackets)
-            if inner.is_unit and not include_unit_brackets:
-                return rng.choice(names)
-            return inner
-        return rng.choice(names)
-
-    def build(depth_left, budget, allow_empty):
-        lo = 0 if allow_empty else 1
-        n = rng.randint(lo, max(lo, budget))
-        atoms = []
-        left = budget
-        for _ in range(n):
-            if left <= 0:
-                break
-            a = atom(depth_left, left)
-            atoms.append(a)
-            left -= 1 if isinstance(a, str) else max(1, a.leaves)
-        return Word(tuple(atoms))
-
-    w = build(max_depth, max_leaves, allow_empty=allow_unit)
+    w = _sample_build(rng, names, include_unit_brackets, max_depth, max_leaves,
+                      allow_unit)
     if w.is_unit and not allow_unit:
         return gen_word(rng.choice(names))
     return w
+
+
+# sample_word's two mutually recursive steps, at module level so that a call
+# leaves no reference cycle between closures
+
+def _sample_atom(rng, names, units, depth_left, budget):
+    if depth_left > 0 and rng.random() < 0.35:
+        inner = _sample_build(rng, names, units, depth_left - 1, budget, units)
+        if inner.is_unit and not units:
+            return rng.choice(names)
+        return inner
+    return rng.choice(names)
+
+
+def _sample_build(rng, names, units, depth_left, budget, allow_empty):
+    lo = 0 if allow_empty else 1
+    n = rng.randint(lo, max(lo, budget))
+    atoms = []
+    left = budget
+    for _ in range(n):
+        if left <= 0:
+            break
+        a = _sample_atom(rng, names, units, depth_left, left)
+        atoms.append(a)
+        left -= 1 if isinstance(a, str) else max(1, a.leaves)
+    return Word(tuple(atoms))
 
 
 def word_sort_key(w: Word):

@@ -183,13 +183,15 @@ def test_classification_is_deterministic():
 
 
 # Classifies the degree-1 DT and RBT ansaetze in a fresh interpreter and prints
-# the component descriptions with the number of nf_mod_ideal calls, counted at
-# every opalg binding so calls that cross modules are seen too.
+# the component descriptions, the enumerated points of every finite component,
+# and the number of nf_mod_ideal calls, counted at every opalg binding so calls
+# that cross modules are seen too.
 _HASH_SEED_JOB = """
 import json, sys
 import opalg.groebner
 from opalg.classify import build_ansatz, classify
 from opalg.opoly import DIFFERENTIAL, ROTA_BAXTER
+from opalg.solve import enumerate_points
 
 original = opalg.groebner.nf_mod_ideal
 calls = [0]
@@ -201,9 +203,15 @@ def counted(*args, **kwargs):
 for name, module in list(sys.modules.items()):
     if name.startswith("opalg") and getattr(module, "nf_mod_ideal", None) is original:
         module.nf_mod_ideal = counted
-components = [[c.describe() for c in classify(build_ansatz(mode, 1)).components]
-              for mode in (DIFFERENTIAL, ROTA_BAXTER)]
-print(json.dumps({"nf_mod_ideal": calls[0], "components": components}))
+results = [classify(build_ansatz(mode, 1)).components
+           for mode in (DIFFERENTIAL, ROTA_BAXTER)]
+components = [[c.describe() for c in comps] for comps in results]
+points = [[[[[k, str(v)] for k, v in p.items()] for p in found]
+           for c in comps
+           if (found := enumerate_points(c.basis, c.nonzero, c.ring)) is not None]
+          for comps in results]
+print(json.dumps({"nf_mod_ideal": calls[0], "components": components,
+                  "points": points}))
 """
 
 
@@ -215,6 +223,9 @@ def test_classification_work_does_not_depend_on_hash_seed(run_job):
                      run_job(_HASH_SEED_JOB, hash_seed=3))
     assert first["components"] == second["components"]
     assert first["nf_mod_ideal"] == second["nf_mod_ideal"]
+    # the points, their order, and the order their coordinates were fixed in
+    assert [len(found) for found in first["points"]] == [2, 5]
+    assert first["points"] == second["points"]
 
 
 # Component descriptions, nonzero assumptions and representatives of the

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -102,6 +103,26 @@ def test_subs_agrees_with_evaluate(seed):
     if len(assignment) == len(R.vars) and \
             not any(isinstance(v, MPoly) for v in assignment.values()):
         assert q.is_constant and q.constant_value() == p.evaluate(assignment)
+
+
+def test_subs_without_an_occurring_variable_returns_the_polynomial():
+    p = a * a - b
+    assert p.subs({"c": 3}) is p
+    assert p.subs({}) is p
+    assert p.subs({"a": a}) is not p
+
+
+def test_subs_leaves_no_reference_cycle():
+    # each call's powers used to live in a self-referencing closure, which only
+    # the cyclic collector could free
+    p = (a + b) ** 3 - c * a * a
+    gc.collect()
+    gc.disable()
+    try:
+        p.subs({"a": b + 1, "c": Fraction(1, 2)})
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_subs_rejects_values_from_another_ring():

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+import opalg.solve
+from opalg.classify import build_ansatz, classify
 from opalg.coeffs import PolyRing
-from opalg.groebner import buchberger
+from opalg.groebner import buchberger, nf_mod_ideal, quotient_monomials
+from opalg.opoly import DIFFERENTIAL, ROTA_BAXTER
 from opalg.solve import (
-    SolutionComponent,
-    find_representative,
+    enumerate_points,
     rational_roots,
     sample_points,
     solve_components,
@@ -15,6 +17,17 @@ from opalg.solve import (
 
 R = PolyRing(["a", "b", "e"])
 a, b, e = R.var("a"), R.var("b"), R.var("e")
+
+
+def is_member(component, p):
+    """Whether p vanishes identically on the component's closure."""
+    return nf_mod_ideal(p, component.basis).is_zero
+
+
+@pytest.fixture(scope="module")
+def degree1_components():
+    return {mode: classify(build_ansatz(mode, 1)).components
+            for mode in (DIFFERENTIAL, ROTA_BAXTER)}
 
 
 def test_idempotent_pair_with_coupling_splits_into_four():
@@ -104,9 +117,112 @@ def test_sampling_respects_nonzero():
 def test_is_member():
     comps = solve_components([a * a - a, b * b - b, e * (a - b)], R)
     for c in comps:
-        assert c.is_member(R.zero())
+        assert is_member(c, R.zero())
         # e*(a-b) vanishes on every component of its own variety
-        assert c.is_member(e * (a - b))
+        assert is_member(c, e * (a - b))
+
+
+def _count_propagations(monkeypatch):
+    """Count ``_try_point`` runs and the leaves of the tree of forced
+    decisions they walk: one leaf, plus one per extra root at each decision
+    (a decision is keyed by the choices made before it)."""
+    original = opalg.solve._try_point
+    calls, decisions = [0], {}
+
+    def counted(basis, nonzero, ring, choose):
+        calls[0] += 1
+        before = []
+
+        def watched(name, options):
+            if options is not None:
+                decisions[tuple(before)] = len(options)
+            value = choose(name, options)
+            before.append((name, value))
+            return value
+
+        return original(basis, nonzero, ring, watched)
+
+    monkeypatch.setattr(opalg.solve, "_try_point", counted)
+    return lambda: (calls[0], 1 + sum(k - 1 for k in decisions.values()))
+
+
+def test_single_point_component_is_enumerated_not_sampled(
+        monkeypatch, degree1_components):
+    # the rejection loop spent all 4000 attempts here to find its one point
+    c = degree1_components[DIFFERENTIAL][4]
+    assert quotient_monomials(c.basis, c.ring) == [(0,) * c.ring.nvars]
+    counts = _count_propagations(monkeypatch)
+    rng = random.Random(0)
+    state = rng.getstate()
+    pts = sample_points(c.basis, c.nonzero, c.ring, 2, rng,
+                        max_attempts=4000, strict=False)
+    assert len(pts) == 1 and c.contains_point(pts[0])
+    calls, branches = counts()
+    assert calls <= branches
+    assert rng.getstate() == state
+
+
+# a = 0 or 1, b = 1 or -1, e = a*b, and b != 0: four rational points
+FOUR_POINTS = buchberger([a * a - a, b * b - 1, e - a * b], R)
+
+
+def _on_four_points(p):
+    return p["a"] ** 2 == p["a"] and p["b"] ** 2 == 1 and p["e"] == p["a"] * p["b"]
+
+
+def test_finite_component_gives_every_point():
+    pts = enumerate_points(FOUR_POINTS, ("b",), R)
+    assert len(pts) == 4
+    assert len({tuple(sorted(p.items())) for p in pts}) == 4
+    assert all(_on_four_points(p) for p in pts)
+    rng = random.Random(1)
+    assert sample_points(FOUR_POINTS, ("b",), R, 10, rng, strict=False) == pts
+    assert sample_points(FOUR_POINTS, ("b",), R, 3, rng) == pts[:3]
+    with pytest.raises(RuntimeError):
+        sample_points(FOUR_POINTS, ("b",), R, 5, rng, strict=True)
+
+
+def test_enumeration_follows_sorted_roots_depth_first():
+    # the lex basis is e^3 - e, b*e - e^2, b^2 - 1, a - e^2: e is fixed
+    # first, then b (by b*e - e^2 unless e = 0), then a
+    pts = enumerate_points(FOUR_POINTS, (), R)
+    assert [(p["e"], p["b"], p["a"]) for p in pts] == \
+        [(-1, -1, 1), (0, -1, 0), (0, 1, 0), (1, 1, 1)]
+
+
+def test_enumeration_respects_nonzero():
+    pts = enumerate_points(FOUR_POINTS, ("a",), R)
+    assert [(p["e"], p["b"], p["a"]) for p in pts] == [(-1, -1, 1), (1, 1, 1)]
+
+
+def test_infinite_component_is_not_enumerated():
+    assert enumerate_points(buchberger([b * b - b - a * e], R), (), R) is None
+    assert enumerate_points((), (), R) is None
+
+
+def test_component_without_rational_points_is_empty_at_once(monkeypatch):
+    counts = _count_propagations(monkeypatch)
+    basis = buchberger([b * b + 1], R)   # a and e are free, b has no root
+    assert enumerate_points(basis, (), R) == []
+    assert sample_points(basis, (), R, 2, random.Random(0), strict=False) == []
+    assert counts()[0] == 2
+
+
+def test_enumeration_agrees_with_quotient_dimension(degree1_components):
+    """A finite quotient (Groebner staircase) means a zero-dimensional ideal,
+    which has at most as many points as the quotient has monomials."""
+    finite = {}
+    for mode, comps in degree1_components.items():
+        for c in comps:
+            quotient = quotient_monomials(c.basis, c.ring)
+            pts = enumerate_points(c.basis, c.nonzero, c.ring)
+            if quotient is None:
+                continue
+            assert pts is not None
+            assert len(pts) <= len(quotient)
+            assert all(c.contains_point(p) for p in pts)
+            finite.setdefault(mode, []).append((len(pts), len(quotient)))
+    assert finite == {DIFFERENTIAL: [(1, 1)] * 2, ROTA_BAXTER: [(1, 1)] * 5}
 
 
 @pytest.mark.parametrize("coeffs,expected", [
