@@ -23,10 +23,10 @@ from .solve import (SolutionComponent, find_representative, sample_points,
                     solve_components)
 from .catalog import (DT_FAMILIES, FAMILIES, Family, RBT_FAMILIES,
                       UnknownPattern, families, named_pattern, pattern_names)
-from .gsb import (CdlReport, GeneratorSystem, GsbReport, TruncationBound,
-                  TypeReport, cdl_direct_sum_check, compositions, delta_view,
-                  dt_check, free_dt_operator_nf, gsb_check_truncated,
-                  irr_enumerate, rbt_check)
+from .gsb import (CdlReport, GeneratorSystem, GsbReport, NFCache,
+                  TruncationBound, TypeReport, cdl_direct_sum_check,
+                  compositions, delta_view, dt_check, free_dt_operator_nf,
+                  gsb_check_truncated, irr_enumerate, rbt_check)
 from .classify import (Ansatz, ClassifyResult, ConstraintSystem, MatchReport,
                        ReductionBudgetExceeded, build_ansatz, classify,
                        extract_constraints, match_catalog)
@@ -37,9 +37,9 @@ __all__ = [
     "ALLOW_UNITS", "Ansatz", "CdlReport", "ClassifyResult",
     "ConstraintSystem", "DIFFERENTIAL", "DT_FAMILIES", "FAMILIES", "Family",
     "GeneratorSet", "GeneratorSystem", "GsbReport", "MPoly", "MatchReport",
-    "NONUNIT_ONLY", "NotDRF", "NotRBRF", "NotTotallyLinear", "OPoly",
-    "OpIdentity", "OrderConfig", "ParseError", "PolyRing", "RBT_FAMILIES",
-    "ROTA_BAXTER", "ReductionBudgetExceeded", "ReductionTrace",
+    "NFCache", "NONUNIT_ONLY", "NotDRF", "NotRBRF", "NotTotallyLinear",
+    "OPoly", "OpIdentity", "OrderConfig", "ParseError", "PolyRing",
+    "RBT_FAMILIES", "ROTA_BAXTER", "ReductionBudgetExceeded", "ReductionTrace",
     "ResourceLimit", "RuleSchema", "SolutionComponent", "TruncationBound",
     "TypeReport", "UNIT", "UnknownPattern", "Verdict", "Word", "bracket",
     "buchberger", "build_ansatz", "cdl_direct_sum_check", "classify",

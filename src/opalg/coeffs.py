@@ -313,86 +313,97 @@ class PolyParseError(ValueError):
         self.position = position
 
 
-def _parse_poly(text: str, ring: PolyRing) -> MPoly:
-    toks = []
-    for m in _POLY_TOKEN.finditer(text):
-        t = m.group()
-        if t.isspace():
-            continue
-        toks.append((t, m.start()))
-    pos = 0
+class _PolyTokens:
+    """The tokens of one polynomial text and the read position, shared by
+    the parse functions below.  They are module-level recursions: recursive
+    closures would leave a reference cycle per parse."""
 
-    def peek():
-        return toks[pos][0] if pos < len(toks) else None
+    __slots__ = ("text", "ring", "toks", "pos")
 
-    def take():
-        nonlocal pos
-        t = toks[pos]
-        pos += 1
+    def __init__(self, text: str, ring: PolyRing):
+        self.text = text
+        self.ring = ring
+        self.toks = [(m.group(), m.start()) for m in _POLY_TOKEN.finditer(text)
+                     if not m.group().isspace()]
+        self.pos = 0
+
+    def peek(self):
+        return self.toks[self.pos][0] if self.pos < len(self.toks) else None
+
+    def take(self):
+        t = self.toks[self.pos]
+        self.pos += 1
         return t
 
-    def parse_sum():
-        t = peek()
-        sign = 1
-        while t in ("+", "-"):
-            take()
-            if t == "-":
-                sign = -sign
-            t = peek()
-        p = parse_product() * sign
-        while peek() in ("+", "-"):
-            op, _ = take()
-            q = parse_product()
-            p = p + q if op == "+" else p - q
-        return p
 
-    def parse_product():
-        p = parse_power()
-        while True:
-            t = peek()
-            if t in ("*", "/"):
-                take()
-                q = parse_power()
-                p = p * q if t == "*" else p / q
-            elif t is not None and (t[0].isalnum() or t == "("):
-                p = p * parse_power()   # implicit product
-            else:
-                return p
-
-    def parse_power():
-        p = parse_atomic()
-        if peek() == "^":
-            take()
-            t, at = take() if pos < len(toks) else (None, len(text))
-            if t is None or not t.isdigit():
-                raise PolyParseError("expected integer exponent", at)
-            p = p ** int(t)
-        return p
-
-    def parse_atomic():
-        if pos >= len(toks):
-            raise PolyParseError("unexpected end of input", len(text))
-        t, at = take()
-        if t == "(":
-            p = parse_sum()
-            if peek() != ")":
-                raise PolyParseError("missing closing parenthesis", at)
-            take()
-            return p
-        if t.isdigit():
-            return ring.const(int(t))
-        if re.match(r"[A-Za-z]", t):
-            if t not in ring.index:
-                raise PolyParseError(f"unknown variable {t!r}", at)
-            return ring.var(t)
-        if t == "-":
-            return -parse_atomic()
-        raise PolyParseError(f"unexpected token {t!r}", at)
-
-    if not toks:
+def _parse_poly(text: str, ring: PolyRing) -> MPoly:
+    ts = _PolyTokens(text, ring)
+    if not ts.toks:
         raise PolyParseError("empty input", 0)
-    p = parse_sum()
-    if pos < len(toks):
-        t, at = toks[pos]
+    p = _parse_sum(ts)
+    if ts.pos < len(ts.toks):
+        t, at = ts.toks[ts.pos]
         raise PolyParseError(f"unexpected token {t!r}", at)
     return p
+
+
+def _parse_sum(ts: _PolyTokens) -> MPoly:
+    t = ts.peek()
+    sign = 1
+    while t in ("+", "-"):
+        ts.take()
+        if t == "-":
+            sign = -sign
+        t = ts.peek()
+    p = _parse_product(ts) * sign
+    while ts.peek() in ("+", "-"):
+        op, _ = ts.take()
+        q = _parse_product(ts)
+        p = p + q if op == "+" else p - q
+    return p
+
+
+def _parse_product(ts: _PolyTokens) -> MPoly:
+    p = _parse_power(ts)
+    while True:
+        t = ts.peek()
+        if t in ("*", "/"):
+            ts.take()
+            q = _parse_power(ts)
+            p = p * q if t == "*" else p / q
+        elif t is not None and (t[0].isalnum() or t == "("):
+            p = p * _parse_power(ts)   # implicit product
+        else:
+            return p
+
+
+def _parse_power(ts: _PolyTokens) -> MPoly:
+    p = _parse_atomic(ts)
+    if ts.peek() == "^":
+        ts.take()
+        t, at = ts.take() if ts.pos < len(ts.toks) else (None, len(ts.text))
+        if t is None or not t.isdigit():
+            raise PolyParseError("expected integer exponent", at)
+        p = p ** int(t)
+    return p
+
+
+def _parse_atomic(ts: _PolyTokens) -> MPoly:
+    if ts.pos >= len(ts.toks):
+        raise PolyParseError("unexpected end of input", len(ts.text))
+    t, at = ts.take()
+    if t == "(":
+        p = _parse_sum(ts)
+        if ts.peek() != ")":
+            raise PolyParseError("missing closing parenthesis", at)
+        ts.take()
+        return p
+    if t.isdigit():
+        return ts.ring.const(int(t))
+    if re.match(r"[A-Za-z]", t):
+        if t not in ts.ring.index:
+            raise PolyParseError(f"unknown variable {t!r}", at)
+        return ts.ring.var(t)
+    if t == "-":
+        return -_parse_atomic(ts)
+    raise PolyParseError(f"unexpected token {t!r}", at)

@@ -216,7 +216,7 @@ class GsbReport:
         }
 
 
-class _NFCache:
+class NFCache:
     """Per-schema memo of the leftmost-outermost normal form of each word.
 
     Rewriting acts monomial by monomial, so the strategy normal form of a
@@ -246,8 +246,9 @@ class _NFCache:
             for step in trace.steps:
                 if compare(step.monomial, w, order) == GREATER:
                     self.order_violations += 1
-        # re-pack: the last rewrite step deleted from a copied dict, whose
-        # dead slots would otherwise stay cached for the life of the check
+        # re-pack: the rewrite steps deleted from the term dict in place,
+        # whose dead slots would otherwise stay cached for the life of the
+        # check
         nf = OPoly._trusted(dict(nf.terms), nf.ring)
         self.map[w] = nf
         return nf
@@ -259,7 +260,7 @@ class _NFCache:
         return self.schema.normalize(OPoly._trusted(out, p.ring))
 
 
-def is_trivial(comp: CompositionRecord, cache: _NFCache) -> str:
+def is_trivial(comp: CompositionRecord, cache: NFCache) -> str:
     """Audit and reduce a composition value; trivial iff it reduces to zero.
 
     Every monomial of the value must lie below the ambient word ``comp.w``;
@@ -323,10 +324,10 @@ def gsb_check_truncated(sys: GeneratorSystem, bound: TruncationBound,
         by_leaves.setdefault(w.leaves, []).append(w)
     report = GsbReport(sys.identity.name or "pattern", bound, len(words), certify)
     ident = sys.identity
-    cache = _NFCache(sys.schema, step_cap)
+    cache = NFCache(sys.schema, step_cap)
     budget = [max_reductions]
 
-    def check(comp: CompositionRecord, comp_cache: _NFCache) -> bool:
+    def check(comp: CompositionRecord, comp_cache: NFCache) -> bool:
         budget[0] -= 1
         if budget[0] < 0:
             raise ResourceLimit(f"reduction cap {max_reductions} exceeded")
@@ -373,7 +374,7 @@ def gsb_check_truncated(sys: GeneratorSystem, bound: TruncationBound,
     spectator = Word(("zspec",))
     spect_order = OrderConfig(spect_gens, sys.order.mode)
     spect_sys = GeneratorSystem(sys.identity, spect_order)
-    spect_cache = _NFCache(spect_sys.schema, step_cap)
+    spect_cache = NFCache(spect_sys.schema, step_cap)
     star_only = (STAR,)
     for host in words:
         for u1, v1 in ((host, spectator), (spectator, host)):

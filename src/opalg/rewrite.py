@@ -7,17 +7,22 @@ step, keeps a full trace, and never assumes global termination: strategy
 reduction stops at ``step_cap`` steps, the exhaustive search at
 ``explore_budget`` polynomials and the confluence check at ``peak_cap``
 peaks, and ``normal_form(monitor=True)`` records every step that does not
-descend in the configured order.  Memos of redexes, replacements and sort
-keys live for one library call and die when it returns: ``normal_form``
-keeps its own, each ``reduces_to_zero`` call has one word -> replacements
-memo for its search, and ``joinable`` shares one between its two reach-set
-searches.
+descend in the configured order.
+
+``normal_form`` takes each step's monomial from a max-heap of reducible
+words instead of re-sorting the polynomial.  Every rewrite step, of the
+strategy path and the search alike, goes through ``_rewrite_into``, which
+rewrites one term dict in place and reduces only the coefficients it touched
+modulo the constraint ideal.  Memos of redexes, replacements and sort keys
+live for one library call and die when it returns: ``normal_form`` keeps
+its own, each ``reduces_to_zero`` call has one word -> replacements memo for
+its search, and ``joinable`` shares one between its two reach-set searches.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import namedtuple
-from functools import cache
 
 from .coeffs import _add_scaled_into
 from .groebner import buchberger, nf_mod_ideal
@@ -225,63 +230,105 @@ class ReductionTrace:
         return len(self.steps)
 
 
+class _Desc:
+    """A heap entry ordered by descending key, so that ``heapq``'s min-heap
+    pops the order-maximal word first."""
+
+    __slots__ = ("key", "word")
+
+    def __init__(self, key, word: Word):
+        self.key = key
+        self.word = word
+
+    def __lt__(self, other: "_Desc") -> bool:
+        return other.key < self.key
+
+
 def normal_form(p: OPoly, schema: RuleSchema, strategy: str = "lo",
                 step_cap: int = 100000, monitor: bool = False):
     """Reduce to a fixed point of the schema; returns (result, trace).
 
     The strategy-first redex of the order-maximal reducible monomial is
-    rewritten each step.  ``monitor`` additionally asserts, per step, that
-    the replaced monomial strictly dominates every replacement monomial when
-    an order is configured; violations are recorded on the trace, never
-    silently dropped.
+    rewritten each step.  That monomial comes from a max-heap of the
+    reducible words pushed so far, keyed by the schema's order (or
+    ``word_sort_key`` without one): words that left the polynomial are
+    popped and dropped, and each step pushes its reducible replacement
+    words.  One copy of the term dict is rewritten in place, and only the
+    coefficients a step touched are reduced modulo the constraint ideal.
+    ``monitor`` additionally asserts, per step, that the replaced monomial
+    strictly dominates every replacement monomial when an order is
+    configured; violations are recorded on the trace, never silently
+    dropped.
     """
     if strategy not in ("lo", "li"):
         raise ValueError(f"unknown strategy {strategy!r}")
     inner_first = strategy == "li"
     trace = ReductionTrace()
-    # sort keys are memoised for this call only
-    key = (cache(word_sort_key) if schema.order is None
-           else order_key(schema.order))
+    key = word_sort_key if schema.order is None else order_key(schema.order)
     redexes_of = {}  # word -> its redexes; lives for this call only
+
+    def reducible(w: Word) -> bool:
+        redexes = redexes_of.get(w)
+        if redexes is None:
+            redexes = redexes_of[w] = _collect_redexes(w, schema, inner_first)
+        return bool(redexes)
+
     p = schema.normalize(schema.lift(p))
+    terms = dict(p.terms)  # rewritten in place
+    heap = [_Desc(key(w), w) for w in terms if reducible(w)]
+    heapq.heapify(heap)
     while True:
-        target = None
-        for w in sorted(p.terms, key=key, reverse=True):
-            redexes = redexes_of.get(w)
-            if redexes is None:
-                redexes = redexes_of[w] = _collect_redexes(w, schema, inner_first)
-            if redexes:
-                target = (w, redexes[0])
-                break
-        if target is None:
+        while heap and heap[0].word not in terms:
+            heapq.heappop(heap)
+        if not heap:
             trace.status = NORMAL_FORM
-            return p, trace
+            break
         if len(trace.steps) >= step_cap:
             trace.status = STEP_CAP_EXCEEDED
-            return p, trace
-        w, redex = target
+            break
+        w = heapq.heappop(heap).word
+        redex = redexes_of[w][0]
         repl = schema.replacement(redex)
         if monitor and schema.order is not None:
             for m in repl.terms:
                 if compare(w, m, schema.order) != GREATER:
                     trace.order_violations.append((w, m))
         trace.steps.append(TraceStep(w, redex.context, redex.a, redex.b,
-                                     p.terms[w]))
-        p = schema.normalize(_rewrite_at(p, w, repl))
+                                     terms[w]))
+        _rewrite_into(terms, p.ring, w, repl, schema)
+        for m in repl.terms:
+            if m in terms and reducible(m):
+                heapq.heappush(heap, _Desc(key(m), m))
+    return OPoly._trusted(terms, p.ring), trace
 
 
-def _rewrite_at(p: OPoly, w: Word, repl: OPoly) -> OPoly:
-    """The term c w of ``p`` rewritten to c repl, with the term order of
-    ``p + (repl - w) c``, on which exploration order depends."""
-    p._check_compatible(repl)
-    c = p.terms[w]
-    terms = dict(p.terms)
+def _rewrite_into(terms: dict, ring, w: Word, repl: OPoly,
+                  schema: RuleSchema) -> None:
+    """Rewrite the term c w of ``terms`` to c repl in place, with the term
+    order of ``p + (repl - w) c``, on which exploration order depends.
+
+    Only the coefficients the step touched are reduced modulo the schema's
+    constraint ideal; the others already are, and reducing them again would
+    give equal values in the same order."""
+    if ring != repl.ring:
+        raise ValueError("mixed coefficient rings")
+    c = terms[w]
     if w in repl.terms:  # a unit-bracket split can reproduce its own redex
-        repl = repl - OPoly.from_word(w, ring=p.ring)
+        repl = repl - OPoly.from_word(w, ring=ring)
     else:
         del terms[w]
     _add_scaled_into(terms, repl.terms, c)
-    return OPoly._trusted(terms, p.ring)
+    gb = schema.constraint_gb
+    if gb is None or ring is None:
+        return
+    for m in repl.terms:
+        cm = terms.get(m)
+        if cm is not None:
+            cm = nf_mod_ideal(cm, gb)
+            if cm:
+                terms[m] = cm
+            else:
+                del terms[m]
 
 
 # -- verdicts and joinability -------------------------------------------------------
@@ -326,7 +373,9 @@ def _one_step_reducts(p: OPoly, schema: RuleSchema, replacements_of: dict):
             replacements = replacements_of[w] = [
                 schema.replacement(r) for r in find_redexes(w, schema)]
         for repl in replacements:
-            yield schema.normalize(_rewrite_at(p, w, repl))
+            terms = dict(p.terms)
+            _rewrite_into(terms, p.ring, w, repl, schema)
+            yield OPoly._trusted(terms, p.ring)
 
 
 def _explore(p: OPoly, schema: RuleSchema, budget: int, replacements_of: dict,

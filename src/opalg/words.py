@@ -250,65 +250,66 @@ def _lex(text: str):
 def parse(text: str, gens: GeneratorSet) -> Word:
     """Parse the word grammar: ``word := "1" | atom+``, ``atom := IDENT | "[" word "]"``."""
     toks = list(_lex(text))
-    pos = 0
-
-    def parse_word(closing: bool):
-        nonlocal pos
-        atoms = []
-        saw_unit_alone = False
-        pending_star = None
-        while pos < len(toks):
-            kind, val, at = toks[pos]
-            if kind == "]":
-                break
-            if kind == "star":
-                if not atoms or pending_star is not None or saw_unit_alone:
-                    raise ParseError("misplaced concatenation symbol '*'", at)
-                pending_star = at
-                pos += 1
-                continue
-            if kind == "unit":
-                if atoms or saw_unit_alone:
-                    raise ParseError("the unit symbol 1 must stand alone in its word", at)
-                pos += 1
-                if pos < len(toks) and toks[pos][0] not in ("]",):
-                    raise ParseError("the unit symbol 1 must stand alone in its word", toks[pos][2])
-                saw_unit_alone = True
-                continue
-            if kind == "ident":
-                if val not in gens:
-                    raise UnknownGenerator(f"unknown generator {val!r}", at)
-                atoms.append(val)
-                pending_star = None
-                pos += 1
-                continue
-            if kind == "[":
-                open_at = at
-                pos += 1
-                if pos < len(toks) and toks[pos][0] == "]":
-                    raise EmptyBracketWithoutUnit(
-                        "empty bracket: write [1] for the bracket of the unit", open_at)
-                inner = parse_word(closing=True)
-                if pos >= len(toks) or toks[pos][0] != "]":
-                    raise UnbalancedBrackets("missing closing bracket", open_at)
-                pos += 1
-                atoms.append(inner)
-                pending_star = None
-                continue
-            raise ParseError(f"unexpected token {val!r}", at)
-        if pending_star is not None:
-            raise ParseError("dangling concatenation symbol '*'", pending_star)
-        return Word(tuple(atoms))
-
     if not toks:
         raise ParseError("empty input", 0)
-    w = parse_word(closing=False)
+    w, pos = _parse_word(toks, 0, gens)
     if pos < len(toks):
         kind, val, at = toks[pos]
         if kind == "]":
             raise UnbalancedBrackets("unmatched closing bracket", at)
         raise ParseError(f"unexpected token {val!r}", at)
     return w
+
+
+def _parse_word(toks: list, pos: int, gens: GeneratorSet):
+    """The word starting at ``toks[pos]`` and the position after it.  A
+    module-level recursion: a recursive closure would leave a reference
+    cycle per parse."""
+    atoms = []
+    saw_unit_alone = False
+    pending_star = None
+    while pos < len(toks):
+        kind, val, at = toks[pos]
+        if kind == "]":
+            break
+        if kind == "star":
+            if not atoms or pending_star is not None or saw_unit_alone:
+                raise ParseError("misplaced concatenation symbol '*'", at)
+            pending_star = at
+            pos += 1
+            continue
+        if kind == "unit":
+            if atoms or saw_unit_alone:
+                raise ParseError("the unit symbol 1 must stand alone in its word", at)
+            pos += 1
+            if pos < len(toks) and toks[pos][0] not in ("]",):
+                raise ParseError("the unit symbol 1 must stand alone in its word", toks[pos][2])
+            saw_unit_alone = True
+            continue
+        if kind == "ident":
+            if val not in gens:
+                raise UnknownGenerator(f"unknown generator {val!r}", at)
+            atoms.append(val)
+            pending_star = None
+            pos += 1
+            continue
+        if kind == "[":
+            open_at = at
+            pos += 1
+            if pos < len(toks) and toks[pos][0] == "]":
+                raise EmptyBracketWithoutUnit(
+                    "empty bracket: write [1] for the bracket of the unit", open_at)
+            inner, pos = _parse_word(toks, pos, gens)
+            if pos >= len(toks) or toks[pos][0] != "]":
+                raise UnbalancedBrackets("missing closing bracket", open_at)
+            pos += 1
+            atoms.append(inner)
+            pending_star = None
+            continue
+        raise ParseError(f"unexpected token {val!r}", at)
+    if pending_star is not None:
+        raise ParseError("dangling concatenation symbol '*'", pending_star)
+    return Word(tuple(atoms)), pos
 
 
 # -- star contexts and substitution --------------------------------------------

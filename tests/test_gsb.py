@@ -10,10 +10,11 @@ import pytest
 
 from opalg import gsb
 from opalg.catalog import DT_FAMILIES, RBT_FAMILIES, named_pattern
-from opalg.gsb import (GeneratorSystem, TruncationBound, cdl_direct_sum_check,
-                       compositions, delta_view, dt_check, free_dt_operator_nf,
-                       gsb_check_truncated, INCLUDING, INTERSECTION, irr_enumerate,
-                       is_trivial, raise_order, rbt_check)
+from opalg.gsb import (GeneratorSystem, NFCache, TruncationBound,
+                       cdl_direct_sum_check, compositions, delta_view, dt_check,
+                       free_dt_operator_nf, gsb_check_truncated, INCLUDING,
+                       INTERSECTION, irr_enumerate, is_trivial, raise_order,
+                       rbt_check)
 from opalg.opoly import (DIFFERENTIAL, OPoly, OpIdentity, leading_monomial,
                          parse_opoly, to_str_opoly)
 from opalg.ordering import OrderConfig
@@ -115,18 +116,18 @@ def test_transfer_and_concrete_modes_agree_small():
 
 
 def test_nf_cache_stores_packed_dicts(monkeypatch):
-    # a rewrite step copies a dict and deletes from it; a cached normal form
-    # must not keep the deleted slots for the life of the check
+    # rewrite steps delete from the normal form's term dict; a cached normal
+    # form must not keep the deleted slots for the life of the check
     caches = []
 
-    class Recording(gsb._NFCache):
+    class Recording(NFCache):
         __slots__ = ()
 
         def __init__(self, *args):
             super().__init__(*args)
             caches.append(self)
 
-    monkeypatch.setattr(gsb, "_NFCache", Recording)
+    monkeypatch.setattr(gsb, "NFCache", Recording)
     bound = TruncationBound(2, 1, 3)
     gsb_check_truncated(GeneratorSystem(DER, OrderConfig(bound.generator_set())),
                         bound)
@@ -176,7 +177,7 @@ def test_is_trivial_marks_records():
     sys, comps = _derivation_overlap()
     assert comps, "equal leading words must give the split-pair composition"
     for comp in comps:
-        assert is_trivial(comp, gsb._NFCache(sys.schema, 100000)) == "trivial"
+        assert is_trivial(comp, NFCache(sys.schema, 100000)) == "trivial"
         assert comp.residue is None
         assert "trivial" in comp.describe()
 
@@ -188,9 +189,9 @@ def test_is_trivial_step_cap_gives_no_verdict():
     sys, comps = _derivation_overlap()
     for comp in comps:
         with pytest.raises(ResourceLimit):
-            is_trivial(comp, gsb._NFCache(sys.schema, 0))
+            is_trivial(comp, NFCache(sys.schema, 0))
         assert comp.verdict is None and comp.residue is None
-        assert is_trivial(comp, gsb._NFCache(sys.schema, 1)) == "trivial"
+        assert is_trivial(comp, NFCache(sys.schema, 1)) == "trivial"
 
 
 # ``opalg gsb --format json`` output of five checks, recorded before the

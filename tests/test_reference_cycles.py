@@ -14,14 +14,14 @@ import pytest
 
 from opalg.catalog import named_pattern
 from opalg.classify import build_ansatz, classify, match_catalog
+from opalg.coeffs import PolyRing
 from opalg.gsb import (GeneratorSystem, TruncationBound, cdl_direct_sum_check,
                        dt_check, gsb_check_truncated, rbt_check)
-from opalg.opoly import DIFFERENTIAL, ROTA_BAXTER
+from opalg.opoly import DIFFERENTIAL, ROTA_BAXTER, XY, parse_opoly
 from opalg.ordering import OrderConfig
-from opalg.words import enumerate_words, sample_word
+from opalg.words import enumerate_words, parse, sample_word
 
 
-# the inputs are parsed once here: the parsers are out of scope
 DERIVATION = named_pattern("derivation")
 AVERAGE = named_pattern("average")
 BOUND = TruncationBound(2, 1, 3)
@@ -48,6 +48,11 @@ CALLS = {
     "sample_word": lambda: [sample_word(random.Random(s), ("x", "y"), 5, 3,
                                         include_unit_brackets=True)
                             for s in range(50)],
+    "words.parse": lambda: parse("x [y [x] y] [1]", XY),
+    "parse_opoly": lambda: parse_opoly("x [y] - 2*[x] y + [[x y]]", XY),
+    "PolyRing.parse": lambda: PolyRing(("a", "b", "c")).parse(
+        "a^2 - (b + 3*c)*a/2 + -b"),
+    "named_pattern": lambda: named_pattern("derivation"),
 }
 
 

@@ -5,23 +5,27 @@ import itertools
 import json
 import os
 import random
+from fractions import Fraction
 
 import pytest
 
 import opalg.rewrite
-from opalg.catalog import named_pattern
+from opalg.catalog import FAMILIES, named_pattern
 from opalg.classify import build_ansatz
+from opalg.coeffs import _add_scaled_into
 from opalg.gsb import associativity_defect, dt_check, rbt_check
 from opalg.opoly import (DIFFERENTIAL, ROTA_BAXTER, OPoly, OpIdentity,
                          parse_opoly, to_str_opoly)
-from opalg.ordering import OrderConfig, compare
-from opalg.rewrite import (ALLOW_UNITS, NONUNIT_ONLY, NotDRF, NotRBRF,
-                           NotTotallyLinear, ResourceLimit, RuleSchema, Verdict,
-                           count_generator, find_redexes, is_drf, is_rbrf,
-                           is_totally_linear, joinable, local_confluence_check,
-                           normal_form, reduces_to_zero,
-                           word_is_drf, word_is_rbrf)
-from opalg.words import GeneratorSet, UNIT, Word, enumerate_words, parse, to_str
+from opalg.ordering import GREATER, OrderConfig, compare, order_key
+from opalg.rewrite import (ALLOW_UNITS, NONUNIT_ONLY, NORMAL_FORM,
+                           STEP_CAP_EXCEEDED, NotDRF, NotRBRF,
+                           NotTotallyLinear, ReductionTrace, ResourceLimit,
+                           RuleSchema, TraceStep, Verdict, count_generator,
+                           find_redexes, is_drf, is_rbrf, is_totally_linear,
+                           joinable, local_confluence_check, normal_form,
+                           reduces_to_zero, word_is_drf, word_is_rbrf)
+from opalg.words import (GeneratorSet, UNIT, Word, enumerate_words, parse,
+                         sample_word, to_str, word_sort_key)
 
 XY = GeneratorSet(("x", "y"))
 XYZ = GeneratorSet(("x", "y", "z"))
@@ -193,6 +197,200 @@ def test_normal_form_order_keys_match_comparator_sort(monkeypatch):
 def test_normal_form_rejects_unknown_strategy():
     with pytest.raises(ValueError):
         normal_form(OPoly.from_word(parse("x", XY)), der_schema(XY), "magic")
+
+
+# -- the heap normal form against the sort-every-step reference -------------------
+
+
+def reference_normal_form(p: OPoly, schema: RuleSchema, strategy: str = "lo",
+                          step_cap: int = 100000, monitor: bool = False):
+    """``normal_form`` as it was before its heap, kept as the oracle: every
+    step re-sorts all terms by order key to find the order-maximal reducible
+    monomial, copies the whole term dict and reduces every coefficient
+    modulo the constraint ideal."""
+    inner_first = strategy == "li"
+    trace = ReductionTrace()
+    key = (functools.cache(word_sort_key) if schema.order is None
+           else order_key(schema.order))
+    redexes_of = {}
+    p = schema.normalize(schema.lift(p))
+    while True:
+        target = None
+        for w in sorted(p.terms, key=key, reverse=True):
+            redexes = redexes_of.get(w)
+            if redexes is None:
+                redexes = redexes_of[w] = opalg.rewrite._collect_redexes(
+                    w, schema, inner_first)
+            if redexes:
+                target = (w, redexes[0])
+                break
+        if target is None:
+            trace.status = NORMAL_FORM
+            return p, trace
+        if len(trace.steps) >= step_cap:
+            trace.status = STEP_CAP_EXCEEDED
+            return p, trace
+        w, redex = target
+        repl = schema.replacement(redex)
+        if monitor and schema.order is not None:
+            for m in repl.terms:
+                if compare(w, m, schema.order) != GREATER:
+                    trace.order_violations.append((w, m))
+        trace.steps.append(TraceStep(w, redex.context, redex.a, redex.b,
+                                     p.terms[w]))
+        p = schema.normalize(_reference_rewrite_at(p, w, repl))
+
+
+def _reference_rewrite_at(p: OPoly, w: Word, repl: OPoly) -> OPoly:
+    p._check_compatible(repl)
+    c = p.terms[w]
+    terms = dict(p.terms)
+    if w in repl.terms:
+        repl = repl - OPoly.from_word(w, ring=p.ring)
+    else:
+        del terms[w]
+    _add_scaled_into(terms, repl.terms, c)
+    return OPoly._trusted(terms, p.ring)
+
+
+def assert_same_as_reference(p, schema, strategy="lo", step_cap=100000):
+    """Same terms in the same order, steps, status and order violations."""
+    got, trace = normal_form(p, schema, strategy, step_cap, monitor=True)
+    want, ref = reference_normal_form(p, schema, strategy, step_cap,
+                                      monitor=True)
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert [str(c) for c in got.terms.values()] == \
+        [str(c) for c in want.terms.values()]
+    assert trace.steps == ref.steps
+    assert trace.status == ref.status
+    assert trace.order_violations == ref.order_violations
+    return trace
+
+
+@pytest.mark.parametrize("mode, degree, step_cap, steps", [
+    (DIFFERENTIAL, 1, 4000, 8),
+    (DIFFERENTIAL, 2, 4000, 228),
+    (ROTA_BAXTER, 1, 4000, None),
+    (ROTA_BAXTER, 2, 50, 50),  # never terminates; see ROADMAP item 3
+])
+def test_normal_form_matches_reference_on_defects(mode, degree, step_cap,
+                                                  steps):
+    ident = build_ansatz(mode, degree).identity()
+    schema = RuleSchema(ident, order=OrderConfig(UVW)
+                        if mode == DIFFERENTIAL else None)
+    defect = associativity_defect(ident)
+    trace = assert_same_as_reference(defect, schema, "lo", step_cap)
+    if steps is not None:
+        assert len(trace.steps) == steps
+    for cap in (0, 1, 5):
+        assert_same_as_reference(defect, schema, "lo", cap)
+    if degree == 1:
+        assert_same_as_reference(defect, schema, "li", step_cap)
+
+
+RANDOM_SCHEMAS = {
+    "derivation": lambda: der_schema(XY),
+    "average": lambda: RuleSchema(AVG),  # pi rules, no order
+    # a split that keeps its word does not descend: the monitor records it
+    "unit splits": lambda: der_schema(XY, policy=ALLOW_UNITS),
+    # [x y] -> [x] [y] + x [y] climbs in deglenlex
+    "ascending": lambda: RuleSchema(
+        OpIdentity(DIFFERENTIAL, parse_opoly("[x] [y] + x [y]", XY)),
+        order=OrderConfig(XY, mode="deglenlex")),
+}
+
+
+@pytest.mark.parametrize("strategy", ["lo", "li"])
+@pytest.mark.parametrize("name", sorted(RANDOM_SCHEMAS))
+def test_normal_form_matches_reference_on_random_polynomials(name, strategy):
+    schema = RANDOM_SCHEMAS[name]()
+    rng = random.Random(f"{name}:{strategy}")
+    violations = 0
+    for _ in range(30):
+        p = OPoly({sample_word(rng, XY, 5, 3):
+                   rng.choice((1, -1, 2, Fraction(1, 2)))
+                   for _ in range(rng.randint(1, 4))})
+        for cap in (0, 1, 5, 40):
+            trace = assert_same_as_reference(p, schema, strategy, cap)
+        violations += len(trace.order_violations)
+    assert (violations > 0) == (name in ("ascending", "unit splits"))
+
+
+def test_normal_form_matches_reference_when_a_unit_split_keeps_its_word():
+    # the split (1, x) of [x] rewrites [x] y to [1] x y + [x] y, which
+    # contains [x] y again: the step changes its coefficient in place
+    schema = der_schema(XY, policy=ALLOW_UNITS)
+    p = parse_opoly("[x] y + [x y]", XY)
+    for strategy in ("lo", "li"):
+        for cap in (0, 1, 5, 20):
+            trace = assert_same_as_reference(p, schema, strategy, cap)
+        monomials = [to_str(s.monomial) for s in trace.steps]
+        assert trace.status == STEP_CAP_EXCEEDED
+        assert monomials.count("[x] y") > 1
+
+
+def test_normal_form_matches_reference_under_constraints():
+    ident = FAMILIES["dt1"].identity()
+    schema = RuleSchema(ident, order=OrderConfig(UVW))
+    assert schema.constraint_gb is not None
+    defect = associativity_defect(ident)
+    for strategy in ("lo", "li"):
+        for cap in (0, 1, 5, 100000):
+            trace = assert_same_as_reference(defect, schema, strategy, cap)
+        # the defect vanishes only modulo b^2 = b + c e
+        assert trace.status == NORMAL_FORM
+        assert normal_form(defect, schema, strategy)[0].is_zero
+    rng = random.Random(17)
+    ring = ident.ring
+    coeffs = [ring.parse(t) for t in ("b", "b^2", "b^2 - b", "c*e", "1")]
+    xy_schema = RuleSchema(ident, order=OrderConfig(XY))
+    for _ in range(20):
+        p = OPoly({sample_word(rng, XY, 4, 2): rng.choice(coeffs)
+                   for _ in range(rng.randint(1, 3))}, ring=ring)
+        for cap in (0, 1, 5, 100000):
+            assert_same_as_reference(p, xy_schema, "lo", cap)
+
+
+# the degree-2 differential defect reduction, the largest of the classify
+# workload: 34 defect monomials, 228 steps, 509 equations
+_DT2_JOB = """
+import hashlib, importlib, json
+from opalg.opoly import DIFFERENTIAL
+from opalg.words import to_str
+
+# the package exports a function named classify, which hides the module
+classify = importlib.import_module("opalg.classify")
+traces = []
+original = classify.normal_form
+
+def recording(*args, **kwargs):
+    result = original(*args, **kwargs)
+    traces.append(result[1])
+    return result
+
+classify.normal_form = recording
+system = classify.extract_constraints(classify.build_ansatz(DIFFERENTIAL, 2))
+(trace,) = traces
+steps = "\\n".join(f"{to_str(s.monomial)} | {to_str(s.context)} | "
+                    f"{to_str(s.a)} | {to_str(s.b)} | {s.coeff}"
+                    for s in trace.steps)
+print(json.dumps({
+    "steps": len(trace.steps), "status": trace.status,
+    "equations": len(system.equations),
+    "steps_sha256": hashlib.sha256(steps.encode()).hexdigest(),
+    "describe_sha256": hashlib.sha256(system.describe().encode()).hexdigest(),
+}))
+"""
+
+
+def test_degree2_defect_reduction_is_frozen(run_job):
+    first, second = (run_job(_DT2_JOB, hash_seed=seed) for seed in (1, 3))
+    assert first == second
+    assert first == {
+        "steps": 228, "status": NORMAL_FORM, "equations": 509,
+        "steps_sha256": "51b177cf0bbaf77ba6b66e55260deb904f6ab157fbcaf9697b21b2c2bd9db1a0",
+        "describe_sha256": "542640923c362994ca38be8e8cc0dc122f19f314651676f5b75024595663d7aa",
+    }
 
 
 def render(trace) -> str:
