@@ -7,12 +7,11 @@ constraint solving.
 """
 
 from .words import (GeneratorSet, ParseError, UNIT, Word, bracket,
-                    enumerate_words, gen_word, generators_in, parse,
-                    to_str, word_sort_key)
+                    enumerate_words, gen_word, parse, to_str, word_sort_key)
 from .coeffs import MPoly, PolyRing
 from .ordering import OrderConfig, compare
-from .opoly import (DIFFERENTIAL, OPoly, OpIdentity, ROTA_BAXTER,
-                    leading_monomial, parse_opoly, to_str_opoly)
+from .opoly import (DIFFERENTIAL, OPoly, OpIdentity, ROTA_BAXTER, parse_opoly,
+                    to_str_opoly)
 from .rewrite import (ALLOW_UNITS, NONUNIT_ONLY, NotDRF, NotRBRF,
                       NotTotallyLinear, ReductionTrace, ResourceLimit,
                       RuleSchema, Verdict, find_redexes, is_drf, is_rbrf,
@@ -25,7 +24,7 @@ from .catalog import (DT_FAMILIES, FAMILIES, Family, RBT_FAMILIES,
                       UnknownPattern, families, named_pattern, pattern_names)
 from .gsb import (CdlReport, GeneratorSystem, GsbReport, NFCache,
                   TruncationBound, TypeReport, cdl_direct_sum_check,
-                  compositions, delta_view, dt_check, free_dt_operator_nf,
+                  delta_view, dt_check, free_dt_operator_nf,
                   gsb_check_truncated, irr_enumerate, rbt_check)
 from .classify import (Ansatz, ClassifyResult, ConstraintSystem, MatchReport,
                        ReductionBudgetExceeded, build_ansatz, classify,
@@ -39,16 +38,16 @@ __all__ = [
     "GeneratorSet", "GeneratorSystem", "GsbReport", "MPoly", "MatchReport",
     "NFCache", "NONUNIT_ONLY", "NotDRF", "NotRBRF", "NotTotallyLinear",
     "OPoly", "OpIdentity", "OrderConfig", "ParseError", "PolyRing",
-    "RBT_FAMILIES", "ROTA_BAXTER", "ReductionBudgetExceeded", "ReductionTrace",
-    "ResourceLimit", "RuleSchema", "SolutionComponent", "TruncationBound",
-    "TypeReport", "UNIT", "UnknownPattern", "Verdict", "Word", "bracket",
-    "buchberger", "build_ansatz", "cdl_direct_sum_check", "classify",
-    "compare", "compositions", "delta_view", "dt_check", "enumerate_words",
+    "RBT_FAMILIES", "ROTA_BAXTER", "ReductionBudgetExceeded",
+    "ReductionTrace", "ResourceLimit", "RuleSchema", "SolutionComponent",
+    "TruncationBound", "TypeReport", "UNIT", "UnknownPattern", "Verdict",
+    "Word", "bracket", "buchberger", "build_ansatz", "cdl_direct_sum_check",
+    "classify", "compare", "delta_view", "dt_check", "enumerate_words",
     "extract_constraints", "families", "find_redexes", "find_representative",
-    "free_dt_operator_nf", "gen_word", "generators_in", "gsb_check_truncated",
-    "irr_enumerate", "is_drf", "is_rbrf", "is_totally_linear", "joinable",
-    "leading_monomial", "local_confluence_check", "match_catalog",
-    "named_pattern", "nf_mod_ideal", "normal_form", "parse", "parse_opoly",
-    "pattern_names", "rbt_check", "reduces_to_zero", "sample_points",
-    "solve_components", "to_str", "to_str_opoly", "word_sort_key",
+    "free_dt_operator_nf", "gen_word", "gsb_check_truncated", "irr_enumerate",
+    "is_drf", "is_rbrf", "is_totally_linear", "joinable",
+    "local_confluence_check", "match_catalog", "named_pattern",
+    "nf_mod_ideal", "normal_form", "parse", "parse_opoly", "pattern_names",
+    "rbt_check", "reduces_to_zero", "sample_points", "solve_components",
+    "to_str", "to_str_opoly", "word_sort_key",
 ]

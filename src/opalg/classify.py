@@ -345,6 +345,8 @@ def match_catalog(result: ClassifyResult, catalog=None, samples: int = 20,
     single catalog family; every family specialization living inside the
     ansatz space must satisfy some component.  Unmatched items are listed.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     rng = rng or random.Random(0)
     ansatz = result.ansatz
     catalog = catalog if catalog is not None else families(ansatz.mode)

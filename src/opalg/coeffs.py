@@ -113,9 +113,6 @@ class MPoly:
             raise ValueError(f"not a constant: {self}")
         return next(iter(self.terms.values()), Fraction(0))
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def degree_in(self, name: str) -> int:
         i = self.ring.index[name]
         return max((e[i] for e in self.terms), default=0)
@@ -127,9 +124,6 @@ class MPoly:
                 if k:
                     out.add(self.ring.vars[i])
         return out
-
-    def coeff_of(self, exps) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
 
     # -- arithmetic ----------------------------------------------------------
 

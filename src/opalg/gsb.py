@@ -1,10 +1,12 @@
 """Composition checks and basis certificates for operator rewriting systems.
 
 The generator system of a differential-shape identity is the infinite rule
-family phi(u, v) = [u v] - N(u, v).  This module enumerates its compositions
-at a finite truncation, decides their triviality by reduction, enumerates the
-irreducible words, runs the direct-sum (composition-diamond) consequences, and
-packages the differential-type / Rota-Baxter-type certificates.
+family phi(u, v) = [u v] - N(u, v).  This module enumerates the compositions
+of its instance pairs at a finite truncation (``gsb_check_truncated``: one
+record per intersection triple and per including configuration), decides
+their triviality by reduction, enumerates the irreducible words, runs the
+direct-sum (composition-diamond) consequences, and packages the
+differential-type / Rota-Baxter-type certificates.
 
 ``is_trivial`` is the one place a composition value is audited against the
 order and reduced: both composition kinds of ``gsb_check_truncated`` go
@@ -17,14 +19,13 @@ import random
 import re
 
 from .coeffs import _add_scaled_into
-from .opoly import (DIFFERENTIAL, OPoly, OpIdentity, ROTA_BAXTER,
-                    leading_monomial, to_str_opoly)
+from .opoly import DIFFERENTIAL, OPoly, OpIdentity, ROTA_BAXTER, to_str_opoly
 from .ordering import GREATER, LESS, OrderConfig, compare, random_context
 from .rewrite import (NORMAL_FORM, ResourceLimit, RuleSchema, Verdict,
                       find_redexes, is_drf, is_rbrf, is_totally_linear,
                       normal_form, reduces_to_zero)
-from .words import (GeneratorSet, STAR, UNIT, Word, enumerate_words, occurrences,
-                    substitute, to_str)
+from .words import (GeneratorSet, STAR, UNIT, Word, enumerate_words, substitute,
+                    to_str)
 
 BOUND_GEN_NAMES = ("u", "v", "w", "p", "q", "r", "s", "t")
 
@@ -112,53 +113,6 @@ class CompositionRecord:
         return out
 
 
-def _assert_monic(p: OPoly, ord: OrderConfig, nonzero=()):
-    lw, lc = leading_monomial(p, ord, strict=True, nonzero=nonzero)
-    one = lc == 1 or (hasattr(lc, "is_constant") and lc.is_constant
-                      and lc.constant_value() == 1)
-    if not one:
-        raise ValueError(f"polynomial is not monic: leading coefficient {lc}")
-    return lw
-
-
-def compositions(f: OPoly, g: OPoly, ord: OrderConfig, nonzero=()) -> list:
-    """All intersection and including compositions of the ordered pair.
-
-    Intersections cover proper top-level overlaps (a suffix of leading(f)
-    equals a prefix of leading(g)) and the equal-leading-word case with
-    mu = nu = 1; an occurrence of leading(g) strictly inside leading(f)
-    yields one including composition per occurrence.  Top-level containment
-    of one leading word in the other is the mirrored pair's including case,
-    so it is not duplicated here.
-    """
-    F = _assert_monic(f, ord, nonzero)
-    G = _assert_monic(g, ord, nonzero)
-    out = []
-    m, n = F.breadth, G.breadth
-    # including: leading(g) strictly inside leading(f)
-    for q in occurrences(F, G):
-        if q.atoms == (STAR,):
-            continue
-        value = f - g.into_context(q)
-        out.append(CompositionRecord(INCLUDING, F, value, context=q))
-    # intersections at top level
-    for k in range(1, min(m, n) + 1):
-        if k == m == n:
-            if F == G and not (f is g or f == g):
-                out.append(CompositionRecord(INTERSECTION, F, f - g,
-                                             mu=UNIT, nu=UNIT))
-            continue
-        if k == m or k == n:
-            continue  # top-level containment: the mirrored including case
-        if F.atoms[m - k:] == G.atoms[:k]:
-            mu = Word(G.atoms[k:])
-            nu = Word(F.atoms[:m - k])
-            w = Word(F.atoms + G.atoms[k:])
-            value = f * OPoly.from_word(mu) - OPoly.from_word(nu) * g
-            out.append(CompositionRecord(INTERSECTION, w, value, mu=mu, nu=nu))
-    return out
-
-
 # -- truncated basis check ----------------------------------------------------------
 
 
@@ -169,7 +123,7 @@ class GsbReport:
                  "trivial_count", "nontrivial", "order_violations")
 
     def __init__(self, pattern: str, bound: TruncationBound, argument_words: int,
-                 certify: str = "transfer"):
+                 certify: str):
         self.pattern = pattern
         self.bound = bound
         self.argument_words = argument_words
@@ -284,19 +238,20 @@ TRANSFER_SAMPLES = 200
 
 
 def gsb_check_truncated(sys: GeneratorSystem, bound: TruncationBound,
-                        step_cap: int = 100000, certify: str = "transfer",
-                        rng: random.Random = None,
+                        step_cap: int = 100000, rng: random.Random = None,
                         max_reductions: int = 2000000) -> GsbReport:
     """Check triviality of every composition of instance pairs at the bound.
 
     Intersection compositions are in bijection with triples (r, s, t) of
     bound words such that both split arguments stay inside the bound: the
-    pair phi(r s, t), phi(r, s t) overlaps at [r s t].  In ``transfer`` mode
-    the triple of distinct single generators is reduced once and certifies
-    every other triple, because substituting r, s, t for the generators maps
-    each rewrite step of the trace to a rewrite step (or a cancellation) of
-    the instance; a seeded sample of ``TRANSFER_SAMPLES`` triples is reduced
-    concretely on top of that.  In ``concrete`` mode every triple is reduced.
+    pair phi(r s, t), phi(r, s t) overlaps at [r s t].  With at least three
+    generators (``transfer`` mode) the triple of distinct single generators
+    is reduced once and certifies every other triple, because substituting
+    r, s, t for the generators maps each rewrite step of the trace to a
+    rewrite step (or a cancellation) of the instance; a seeded sample of
+    ``TRANSFER_SAMPLES`` triples is reduced concretely on top of that.  With
+    fewer generators there are no three independent slots, and every triple
+    is reduced (``concrete`` mode).  ``report.certify`` names the mode.
 
     Including compositions are enumerated per structural configuration (host
     word, nested redex, side), with the host's other argument kept generic;
@@ -312,8 +267,6 @@ def gsb_check_truncated(sys: GeneratorSystem, bound: TruncationBound,
     here against 1 088 non-descending steps, and ``y x`` reads 426 against
     36, so neither audit stands in for the other.
     """
-    if certify not in ("transfer", "concrete"):
-        raise ValueError(f"unknown certification mode {certify!r}")
     rng = rng or random.Random(7)
     gens = bound.generator_set()
     B = bound.max_breadth
@@ -322,6 +275,7 @@ def gsb_check_truncated(sys: GeneratorSystem, bound: TruncationBound,
     by_leaves = {}
     for w in words:
         by_leaves.setdefault(w.leaves, []).append(w)
+    certify = "transfer" if bound.max_generators >= 3 else "concrete"
     report = GsbReport(sys.identity.name or "pattern", bound, len(words), certify)
     ident = sys.identity
     cache = NFCache(sys.schema, step_cap)
@@ -354,8 +308,6 @@ def gsb_check_truncated(sys: GeneratorSystem, bound: TruncationBound,
                 for t in sides:
                     report.intersections_checked += 1
                     triples.append((r, s, t))
-    if certify == "transfer" and bound.max_generators < 3:
-        report.certify = certify = "concrete"  # need 3 independent slots
     if certify == "concrete":
         for r, s, t in triples:
             if check_triple(r, s, t):
@@ -456,11 +408,11 @@ def cdl_direct_sum_check(sys: GeneratorSystem, bound: TruncationBound,
     rng = rng or random.Random(0)
     gens = gens or bound.generator_set()
     report = CdlReport()
-    irr = irr_enumerate(sys, bound, gens)
-    report.irr_size = len(irr)
-    report.irr_unit_surplus = sum(1 for w in irr if _contains_unit_bracket(w))
     all_words = enumerate_words(gens, bound.max_breadth, bound.max_depth,
                                 include_unit_brackets=True, include_unit=True)
+    irr = {w for w in all_words if not find_redexes(w, sys.schema)}
+    report.irr_size = len(irr)
+    report.irr_unit_surplus = sum(1 for w in irr if _contains_unit_bracket(w))
     for w in all_words:
         report.words_checked += 1
         nf, trace = normal_form(OPoly.from_word(w), sys.schema)

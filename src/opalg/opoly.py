@@ -16,8 +16,7 @@ import re
 from fractions import Fraction
 
 from .coeffs import MPoly, PolyRing, _add_scaled_into
-from .groebner import nf_mod_ideal
-from .ordering import OrderConfig, max_word, sort_words
+from .ordering import OrderConfig, sort_words
 from .words import (
     UNIT,
     GeneratorSet,
@@ -30,14 +29,6 @@ from .words import (
     to_str,
     word_sort_key,
 )
-
-
-class ZeroPolynomial(ValueError):
-    pass
-
-
-class AmbiguousLeadingCoefficient(ValueError):
-    """The order-maximal word's symbolic coefficient may vanish."""
 
 
 class OPoly:
@@ -201,48 +192,6 @@ class OPoly:
         if self.ring is None:
             return self
         return OPoly({w: c.evaluate(point) for w, c in self.terms.items()}, ring=None)
-
-
-def leading_monomial(p: OPoly, cfg: OrderConfig, ideal_gb=None, strict: bool = False,
-                     nonzero=()):
-    """Order-maximal word of p with its coefficient.
-
-    With ``ideal_gb``, symbolic coefficients are first reduced modulo the
-    constraint ideal and terms whose coefficient reduces to zero are dropped.
-    ``strict`` rejects a leading coefficient that could vanish at special
-    parameter values; ``nonzero`` names ring variables assumed invertible,
-    which certifies coefficients that are monomials in those variables.
-    """
-    terms = p.terms
-    if ideal_gb is not None and p.ring is not None:
-        terms = {}
-        for w, c in p.terms.items():
-            c = nf_mod_ideal(c, ideal_gb)
-            if not c.is_zero:
-                terms[w] = c
-    if not terms:
-        raise ZeroPolynomial("no leading monomial: polynomial is zero")
-    best = max_word(terms, cfg)
-    c = terms[best]
-    if strict and isinstance(c, MPoly) and not _certified_nonzero(c, nonzero):
-        raise AmbiguousLeadingCoefficient(
-            f"leading coefficient {c} on {to_str(best)} may vanish")
-    return best, c
-
-
-def _certified_nonzero(c: MPoly, nonzero) -> bool:
-    """Nonzero constant, or a single monomial whose variables are all assumed
-    invertible."""
-    if c.is_constant:
-        return not c.is_zero
-    return len(c.terms) == 1 and c.variables() <= set(nonzero)
-
-
-def monic(p: OPoly, cfg: OrderConfig) -> "OPoly":
-    w, c = leading_monomial(p, cfg, strict=True)
-    if isinstance(c, MPoly):
-        c = c.constant_value()
-    return p.scale(Fraction(1, 1) / c)
 
 
 # -- printing ---------------------------------------------------------------------

@@ -123,10 +123,6 @@ def _word_key(w: Word, memo: dict, atom_keys: dict, graded: bool):
     return k
 
 
-def max_word(words, cfg: OrderConfig) -> Word:
-    return max(words, key=order_key(cfg))
-
-
 def sort_words(words, cfg: OrderConfig, reverse: bool = False) -> list:
     return sorted(words, key=order_key(cfg), reverse=reverse)
 

@@ -27,7 +27,7 @@ from collections import namedtuple
 from .coeffs import _add_scaled_into
 from .groebner import buchberger, nf_mod_ideal
 from .opoly import DIFFERENTIAL, OPoly, OpIdentity, to_str_opoly
-from .ordering import GREATER, OrderConfig, compare, order_key
+from .ordering import OrderConfig, order_key
 from .words import STAR, UNIT, Word, enumerate_words, to_str, word_sort_key
 
 NONUNIT_ONLY = "nonunit"
@@ -286,12 +286,13 @@ def normal_form(p: OPoly, schema: RuleSchema, strategy: str = "lo",
         if len(trace.steps) >= step_cap:
             trace.status = STEP_CAP_EXCEEDED
             break
-        w = heapq.heappop(heap).word
+        top = heapq.heappop(heap)
+        w = top.word
         redex = redexes_of[w][0]
         repl = schema.replacement(redex)
         if monitor and schema.order is not None:
             for m in repl.terms:
-                if compare(w, m, schema.order) != GREATER:
+                if not key(m) < top.key:
                     trace.order_violations.append((w, m))
         trace.steps.append(TraceStep(w, redex.context, redex.a, redex.b,
                                      terms[w]))

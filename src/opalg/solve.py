@@ -388,6 +388,8 @@ def sample_points(basis, nonzero, ring, count: int, rng: random.Random,
     Raises when fewer than ``count`` are found, unless ``strict`` is False,
     in which case whatever was found is returned.
     """
+    if count < 0:
+        raise ValueError(f"cannot sample a negative number ({count}) of points")
     found = enumerate_points(basis, nonzero, ring)
     if found is not None:
         found = found[:count]

@@ -5,9 +5,10 @@ its name string) or a bracket ``[w]`` whose content is again a word.  The empty
 sequence is the unit 1.  ``[1]`` is an ordinary atom like any other and is
 never simplified away.
 
-Each occurrence of a subword inside a word is described by a *context*: a word
-containing exactly one star atom; splicing a word into the star recovers the
-original.  Splicing the unit deletes the star.
+An occurrence of a subword inside a word is described by a *context*: a word
+containing exactly one star atom, which ``substitute`` fills to recover the
+original.  Splicing the unit deletes the star.  Rewriting places each redex
+it finds in such a context.
 """
 
 from __future__ import annotations
@@ -16,9 +17,7 @@ import random
 from typing import Union
 
 STAR = "⋆"      # context hole
-STAR1 = "⋆" + "1"
-STAR2 = "⋆" + "2"
-RESERVED = frozenset({"1", STAR, STAR1, STAR2})
+RESERVED = frozenset({"1", STAR})
 
 Atom = Union[str, "Word"]  # str: generator name; Word w in atom position: [w]
 
@@ -113,20 +112,6 @@ def gen_word(name: str) -> Word:
 def bracket(w: Word) -> Word:
     """The word [w] of breadth one."""
     return Word((w,))
-
-
-def word_of(*atoms: Atom) -> Word:
-    return Word(tuple(atoms))
-
-
-def generators_in(w: Word) -> set:
-    out: set = set()
-    for a in w.atoms:
-        if isinstance(a, str):
-            out.add(a)
-        else:
-            out |= generators_in(a)
-    return out
 
 
 # -- generator sets ----------------------------------------------------------
@@ -347,100 +332,6 @@ def substitute(q: Word, u: Word, star: str = STAR) -> Word:
     Splicing the unit deletes the star; a breadth-k word splices in flat.
     """
     return _replace(q, {star: u})[0]
-
-
-def substitute2(q: Word, u1: Word, u2: Word) -> Word:
-    """Fill a two-star context; equals either one-at-a-time route."""
-    return substitute(substitute(q, u1, STAR1), u2, STAR2)
-
-
-def compose(q1: Word, q2: Word, star: str = STAR) -> Word:
-    """The context obtained by plugging ``q2`` into ``q1``'s star."""
-    return substitute(q1, q2, star)
-
-
-def occurrences(w: Word, u: Word, star: str = STAR) -> list:
-    """All contexts q with q|_u = w, left-to-right by string position, ties outside-in."""
-    return [q for q, _ in occurrence_spans(w, u, star)]
-
-
-def occurrence_spans(w: Word, u: Word, star: str = STAR) -> list:
-    """Occurrences with their half-open token intervals [start, end)."""
-    if u.is_unit:
-        raise ValueError("occurrences of the unit are not enumerable")
-    found: list = []
-    _scan(w, u, 0, lambda rebuilt, start: found.append((rebuilt, start)), star)
-    found.sort(key=lambda qs: qs[1])
-    return [(q, (s, s + token_len(u))) for q, s in found]
-
-
-def _scan(w: Word, u: Word, base: int, emit, star: str) -> None:
-    pat = u.atoms
-    k = len(pat)
-    # token offset of each atom at this level
-    offs = []
-    off = base
-    for a in w.atoms:
-        offs.append(off)
-        off += 1 if isinstance(a, str) else 2 + token_len(a)
-    for i in range(len(w.atoms) - k + 1):
-        if w.atoms[i:i + k] == pat:
-            q = Word(w.atoms[:i] + (star,) + w.atoms[i + k:])
-            emit(q, offs[i])
-        # outside-in tie-breaking is vacuous here: a nested occurrence always
-        # starts at least one token later than its enclosing bracket atom
-    for i, a in enumerate(w.atoms):
-        if isinstance(a, Word):
-            prefix = w.atoms[:i]
-            suffix = w.atoms[i + 1:]
-
-            def emit_inner(q_inner, start, prefix=prefix, suffix=suffix):
-                emit(Word(prefix + (q_inner,) + suffix), start)
-
-            _scan(a, u, offs[i] + 1, emit_inner, star)
-
-
-SEPARATED = "separated"
-OVERLAPPING = "overlapping"
-NESTED = "nested"
-
-
-def classify_pair(w: Word, q1: Word, u1: Word, q2: Word, u2: Word) -> str:
-    """Relative position of two subword occurrences of ``w`` (Def-style trichotomy)."""
-    if substitute(q1, u1) != w or substitute(q2, u2) != w:
-        raise ValueError("contexts do not reproduce the word")
-    s1 = _star_token_offset(q1)
-    s2 = _star_token_offset(q2)
-    i1 = (s1, s1 + token_len(u1))
-    i2 = (s2, s2 + token_len(u2))
-    lo, hi = (i1, i2) if i1 <= i2 else (i2, i1)
-    if lo[1] <= hi[0]:
-        return SEPARATED
-    if (i1[0] <= i2[0] and i2[1] <= i1[1]) or (i2[0] <= i1[0] and i1[1] <= i2[1]):
-        return NESTED
-    return OVERLAPPING
-
-
-def _star_token_offset(q: Word, star: str = STAR) -> int:
-    off = _find_star(q, 0, star)
-    if off is None:
-        raise ValueError("context has no star")
-    return off
-
-
-def _find_star(q: Word, base: int, star: str):
-    off = base
-    for a in q.atoms:
-        if isinstance(a, str):
-            if a == star:
-                return off
-            off += 1
-        else:
-            inner = _find_star(a, off + 1, star)
-            if inner is not None:
-                return inner
-            off += 2 + token_len(a)
-    return None
 
 
 # -- enumeration and sampling ----------------------------------------------------

@@ -182,6 +182,13 @@ def test_classification_is_deterministic():
     assert m1.describe() == m2.describe()
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_match_catalog_rejects_sample_counts_below_one(samples):
+    # with no sampled point every component would read UNMATCHED
+    with pytest.raises(ValueError):
+        match_catalog(classify(three_term()), samples=samples)
+
+
 # Classifies the degree-1 DT and RBT ansaetze in a fresh interpreter and prints
 # the component descriptions, the enumerated points of every finite component,
 # and the number of nf_mod_ideal calls, counted at every opalg binding so calls

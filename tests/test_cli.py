@@ -165,6 +165,15 @@ def test_classify_json_is_deterministic(capsys):
     assert payload["terms"] == [["a00", "x y"], ["b00", "y x"]]
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_classify_sample_count_below_one_is_an_error(capsys, samples):
+    code, out, err = run(capsys, "classify", "--type", "dt", "--degree", "0",
+                         "--samples", samples)
+    assert code == 1
+    assert "samples must be at least 1" in err
+    assert "UNMATCHED" not in out
+
+
 # -- gsb and irr ---------------------------------------------------------------------
 
 

@@ -40,11 +40,9 @@ def test_mixed_ring_rejected():
 
 def test_views():
     p = a * a * b - 2 * c + 3
-    assert p.total_degree() == 3
     assert p.degree_in("a") == 2
     assert p.variables() == {"a", "b", "c"}
-    assert p.coeff_of((2, 1, 0)) == 1
-    assert p.coeff_of((0, 0, 1)) == -2
+    assert p.terms[(2, 1, 0)] == 1 and p.terms[(0, 0, 1)] == -2
     assert not p.is_constant
     assert R.const(5).is_constant
 

@@ -6,14 +6,39 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opalg.coeffs import PolyRing
-from opalg.groebner import (
-    buchberger,
-    in_ideal,
-    leading_exps,
-    nf_mod_ideal,
-    quotient_monomials,
-    s_polynomial,
-)
+from opalg.groebner import buchberger, leading_exps, nf_mod_ideal, s_polynomial
+
+
+
+def in_ideal(p, basis) -> bool:
+    return nf_mod_ideal(p, basis).is_zero
+
+
+def quotient_monomials(basis, ring: PolyRing, limit: int = 10000):
+    """Monomials of the quotient ring (not divisible by any leading monomial).
+
+    Returns None when the quotient is infinite-dimensional or exceeds the limit.
+    """
+    lms = [leading_exps(g) for g in basis if not g.is_zero]
+    found = []
+    # quotient monomials are closed under division, so walking the staircase
+    # outward from 1 and stopping at divisible monomials covers them all
+    frontier = [(0,) * ring.nvars]
+    seen = {frontier[0]}
+    while frontier:
+        e = frontier.pop()
+        if any(all(a <= b for a, b in zip(lm, e)) for lm in lms):
+            continue
+        found.append(e)
+        if len(found) > limit:
+            return None
+        for i in range(ring.nvars):
+            e2 = tuple(k + 1 if j == i else k for j, k in enumerate(e))
+            if e2 not in seen:
+                seen.add(e2)
+                frontier.append(e2)
+    return sorted(found)
+
 
 R = PolyRing(["x", "y"])
 x, y = R.var("x"), R.var("y")

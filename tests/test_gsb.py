@@ -1,4 +1,4 @@
-"""Composition machinery, truncated basis checks, and type certificates."""
+"""Composition checks, truncated basis checks, and type certificates."""
 
 import json
 import os
@@ -10,67 +10,20 @@ import pytest
 
 from opalg import gsb
 from opalg.catalog import DT_FAMILIES, RBT_FAMILIES, named_pattern
-from opalg.gsb import (GeneratorSystem, NFCache, TruncationBound,
-                       cdl_direct_sum_check, compositions, delta_view, dt_check,
-                       free_dt_operator_nf, gsb_check_truncated, INCLUDING,
+from opalg.gsb import (CompositionRecord, GeneratorSystem, NFCache,
+                       TruncationBound, cdl_direct_sum_check, delta_view,
+                       dt_check, free_dt_operator_nf, gsb_check_truncated,
                        INTERSECTION, irr_enumerate, is_trivial, raise_order,
                        rbt_check)
-from opalg.opoly import (DIFFERENTIAL, OPoly, OpIdentity, leading_monomial,
-                         parse_opoly, to_str_opoly)
-from opalg.ordering import OrderConfig
+from opalg.opoly import (DIFFERENTIAL, OPoly, OpIdentity, parse_opoly,
+                         to_str_opoly)
+from opalg.ordering import OrderConfig, sort_words
 from opalg.rewrite import ResourceLimit, Verdict
-from opalg.words import GeneratorSet, Word, parse, to_str, word_sort_key
+from opalg.words import (UNIT, GeneratorSet, Word, enumerate_words, parse,
+                         to_str, word_sort_key)
 
 XY = GeneratorSet(("x", "y"))
 DER = named_pattern("derivation")
-
-
-# -- compositions of ordinary polynomials --------------------------------------------
-
-def test_including_compositions():
-    ordc = OrderConfig(XY)
-    f = parse_opoly("x y x", XY)
-    g = parse_opoly("x - 1", XY)
-    comps = compositions(f, g, ordc)
-    assert [c.kind for c in comps] == [INCLUDING, INCLUDING]
-    got = {(to_str(c.context), to_str_opoly(c.value, ordc)) for c in comps}
-    assert got == {("⋆ y x", "y x"), ("x y ⋆", "x y")}
-
-
-def test_overlap_composition_value():
-    ordc = OrderConfig(XY)
-    f = parse_opoly("x y - 1", XY)
-    g = parse_opoly("y x - 1", XY)
-    (c,) = compositions(f, g, ordc)
-    assert c.kind == INTERSECTION
-    assert to_str(c.w) == "x y x"
-    assert c.value.is_zero  # (xy-1)x - x(yx-1) cancels exactly
-
-
-def test_equal_leading_word_composition():
-    ordc = OrderConfig(XY)
-    f = parse_opoly("x x - x", XY)
-    g = parse_opoly("x x - 1", XY)
-    comps = {(c.kind, to_str(c.w)): c for c in compositions(f, g, ordc)}
-    # the leading word xx overlaps itself at distance one and coincides at
-    # distance zero, giving two intersection compositions
-    assert set(comps) == {(INTERSECTION, "x x"), (INTERSECTION, "x x x")}
-    assert comps[(INTERSECTION, "x x")].value == parse_opoly("1 - x", XY)
-    assert comps[(INTERSECTION, "x x x")].value == parse_opoly("x - x x", XY)
-    # a rule never composes the equal-word case with itself, but the
-    # self-overlap at xxx remains
-    self_comps = compositions(f, f, ordc)
-    assert [(c.kind, to_str(c.w)) for c in self_comps] == [(INTERSECTION,
-                                                            "x x x")]
-    assert self_comps[0].value == parse_opoly("x x - x", XY).scale(0) + \
-        (f * OPoly.from_word(parse("x", XY)) -
-         OPoly.from_word(parse("x", XY)) * f)
-
-
-def test_compositions_require_monic():
-    ordc = OrderConfig(XY)
-    with pytest.raises(ValueError):
-        compositions(parse_opoly("2*x y", XY), parse_opoly("x", XY), ordc)
 
 
 # -- generator systems ---------------------------------------------------------------
@@ -81,8 +34,8 @@ def test_generator_system_instance():
     u = parse("u", bound.generator_set())
     v = parse("[v] w", bound.generator_set())
     inst = sys.instance(u, v)
-    lead = leading_monomial(inst, sys.order, ideal_gb=sys.schema.constraint_gb)
-    assert lead == (Word((u * v,)), 1)
+    (lead, *_) = sort_words(inst.terms, sys.order, reverse=True)
+    assert lead == Word((u * v,)) and inst.terms[lead] == 1
     assert to_str_opoly(inst, sys.order) == "[u [v] w] - [u] [v] w - u [[v] w]"
 
 
@@ -102,17 +55,30 @@ def test_truncation_bound_validation():
 # -- truncated basis check -----------------------------------------------------------
 
 def test_transfer_and_concrete_modes_agree_small():
+    # the transfer certificate reduces one generic triple and a sample; the
+    # concrete evidence for it is that every triple at the bound reduces
+    # to zero through the same is_trivial path
     bound = TruncationBound(2, 1, 3)
     sys = GeneratorSystem(DER, OrderConfig(bound.generator_set()))
-    conc = gsb_check_truncated(sys, bound, certify="concrete")
-    tran = gsb_check_truncated(sys, bound, certify="transfer")
-    assert conc.ok and tran.ok
-    assert conc.intersections_checked == tran.intersections_checked == 216
-    assert conc.including_configs == tran.including_configs == 18
-    assert conc.trivial_count == tran.trivial_count == 216 + 18 * 51
-    assert conc.order_violations == tran.order_violations == 0
-    assert conc.intersections_reduced == 216
-    assert tran.intersections_reduced < conc.intersections_reduced
+    words = enumerate_words(bound.generator_set(), 2, 1,
+                            include_unit_brackets=False, include_unit=False)
+    cache = NFCache(sys.schema, 100000)
+    triples = [(r, s, t) for s in words for r in words for t in words
+               if r.leaves + s.leaves <= 2 and s.leaves + t.leaves <= 2]
+    assert len(triples) == 216
+    for r, s, t in triples:
+        value = DER.pattern_at(r, s * t) - DER.pattern_at(r * s, t)
+        comp = CompositionRecord(INTERSECTION, Word((r * s * t,)), value,
+                                 mu=UNIT, nu=UNIT)
+        assert is_trivial(comp, cache) == "trivial", comp.describe()
+    assert cache.order_violations == 0
+    rep = gsb_check_truncated(sys, bound)
+    assert rep.ok and rep.certify == "transfer"
+    assert rep.intersections_checked == 216
+    assert rep.including_configs == 18
+    assert rep.trivial_count == 216 + 18 * 51
+    assert rep.order_violations == 0
+    assert rep.intersections_reduced < 216
 
 
 def test_nf_cache_stores_packed_dicts(monkeypatch):
@@ -153,7 +119,7 @@ def test_gsb_detects_non_basis():
     ident = OpIdentity(DIFFERENTIAL, parse_opoly("y [x]", XY))
     bound = TruncationBound(2, 1, 3)
     sys = GeneratorSystem(ident, OrderConfig(bound.generator_set()))
-    rep = gsb_check_truncated(sys, bound, certify="concrete")
+    rep = gsb_check_truncated(sys, bound)
     assert not rep.ok
     assert rep.nontrivial
 
@@ -162,20 +128,20 @@ def test_gsb_reduction_cap():
     bound = TruncationBound(2, 1, 3)
     sys = GeneratorSystem(DER, OrderConfig(bound.generator_set()))
     with pytest.raises(ResourceLimit):
-        gsb_check_truncated(sys, bound, certify="concrete", max_reductions=5)
+        gsb_check_truncated(sys, bound, max_reductions=5)
 
 
 def _derivation_overlap():
-    ordc = OrderConfig(XY)
-    sys = GeneratorSystem(DER, ordc)
+    # phi(x, y x) and phi(x y, x) share the leading word [x y x]
+    sys = GeneratorSystem(DER, OrderConfig(XY))
     f = sys.instance(parse("x", XY), parse("y x", XY))
     g = sys.instance(parse("x y", XY), parse("x", XY))
-    return sys, compositions(f, g, ordc)
+    return sys, [CompositionRecord(INTERSECTION, parse("[x y x]", XY), f - g,
+                                   mu=UNIT, nu=UNIT)]
 
 
 def test_is_trivial_marks_records():
     sys, comps = _derivation_overlap()
-    assert comps, "equal leading words must give the split-pair composition"
     for comp in comps:
         assert is_trivial(comp, NFCache(sys.schema, 100000)) == "trivial"
         assert comp.residue is None

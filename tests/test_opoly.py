@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from opalg.catalog import FAMILIES
 from opalg.coeffs import MPoly, PolyRing
 from opalg.groebner import buchberger, nf_mod_ideal
-from opalg.opoly import (DIFFERENTIAL, AmbiguousLeadingCoefficient, OpIdentity,
-                         OPoly, XY, ZeroPolynomial, leading_monomial, monic,
-                         parse_opoly, to_str_opoly)
-from opalg.ordering import OrderConfig
+from opalg.opoly import (DIFFERENTIAL, OpIdentity, OPoly, XY, parse_opoly,
+                         to_str_opoly)
+from opalg.ordering import OrderConfig, order_key
+from opalg.rewrite import RuleSchema
 from opalg.words import (STAR, UNIT, Word, bracket, parse, sample_word,
                          substitute, to_str)
 
@@ -226,16 +226,16 @@ def test_into_context_collapses_nothing():
 # -- leading terms -----------------------------------------------------------------
 
 
+def leading(poly, cfg):
+    """The order-maximal word of ``poly`` with its coefficient."""
+    lw = max(poly.terms, key=order_key(cfg))
+    return lw, poly.terms[lw]
+
+
 def test_leading_monomial_mode_contrast():
     der = p("[x y] - x [y] - [x] y")
-    assert leading_monomial(der, PURE) == (w("[x y]"), Fraction(-1) + Fraction(2))
-    lw, lc = leading_monomial(der, DLL)
-    assert lw == w("[x] y") and lc == Fraction(-1)
-
-
-def test_leading_monomial_zero_raises():
-    with pytest.raises(ZeroPolynomial):
-        leading_monomial(OPoly.zero(), PURE)
+    assert leading(der, PURE) == (w("[x y]"), 1)
+    assert leading(der, DLL) == (w("[x] y"), -1)
 
 
 def test_leading_law_under_deglenlex():
@@ -247,39 +247,22 @@ def test_leading_law_under_deglenlex():
                 rng.choice([-2, -1, 1, 2, 3]))
         s = OPoly(dict(terms))
         q = Word(("x", STAR)) if rng.random() < 0.5 else Word((Word((STAR, "y")),))
-        lw, lc = leading_monomial(s, DLL)
-        qlw, qlc = leading_monomial(s.into_context(q), DLL)
+        lw, lc = leading(s, DLL)
+        qlw, qlc = leading(s.into_context(q), DLL)
         assert qlw == substitute(q, lw)
         assert qlc == lc
 
 
-def test_leading_coefficient_certification():
-    ring = PolyRing(["b", "c", "e"])
-    fam = p("b*x [y] + b*[x] y + c*[x] [y] + e*x y", ring)
-    lw, lc = leading_monomial(fam, PURE)
-    assert lw == w("[x] [y]") and lc == ring.var("c")
-    with pytest.raises(AmbiguousLeadingCoefficient):
-        leading_monomial(fam, PURE, strict=True)
-    lw, lc = leading_monomial(fam, PURE, strict=True, nonzero=("c",))
-    assert lw == w("[x] [y]")
-
-
 def test_leading_monomial_reduces_coefficients_mod_ideal():
-    ring = PolyRing(["b", "c", "e"])
-    gb = buchberger([ring.parse("b^2 - b - c*e")], ring)
+    # a schema reduces coefficients modulo its constraint ideal and drops
+    # the terms that vanish, which can move the leading word
+    ident = FAMILIES["dt1"].identity()
+    ring = ident.ring
+    schema = RuleSchema(ident)
     q = p("(b^2 - b - c*e)*[x] [y] + b*x [y]", ring)
-    lw, lc = leading_monomial(q, PURE, ideal_gb=gb)
-    assert lw == w("x [y]") and lc == ring.var("b")
-    whole = p("(b^2 - b - c*e)*[x] [y]", ring)
-    with pytest.raises(ZeroPolynomial):
-        leading_monomial(whole, PURE, ideal_gb=gb)
-
-
-def test_monic():
-    assert monic(p("3*[x y] + x y"), PURE) == p("[x y] + 1/3*x y")
-    ring = PolyRing(["b"])
-    with pytest.raises(AmbiguousLeadingCoefficient):
-        monic(p("b*[x y]", ring), PURE)
+    assert leading(q, PURE)[0] == w("[x] [y]")
+    assert leading(schema.normalize(q), PURE) == (w("x [y]"), ring.var("b"))
+    assert schema.normalize(p("(b^2 - b - c*e)*[x] [y]", ring)).is_zero
 
 
 def test_transformed_operator_closes_in_family_one():

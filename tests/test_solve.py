@@ -6,7 +6,7 @@ import pytest
 import opalg.solve
 from opalg.classify import build_ansatz, classify
 from opalg.coeffs import PolyRing
-from opalg.groebner import buchberger, nf_mod_ideal, quotient_monomials
+from opalg.groebner import buchberger, nf_mod_ideal
 from opalg.opoly import DIFFERENTIAL, ROTA_BAXTER
 from opalg.solve import (
     enumerate_points,
@@ -14,6 +14,7 @@ from opalg.solve import (
     sample_points,
     solve_components,
 )
+from test_groebner import quotient_monomials
 
 R = PolyRing(["a", "b", "e"])
 a, b, e = R.var("a"), R.var("b"), R.var("e")
@@ -100,6 +101,14 @@ def test_sampling_on_component():
     assert len({tuple(sorted(p.items())) for p in pts}) == 25
     for p in pts:
         assert p["b"] ** 2 - p["b"] - p["a"] * p["e"] == 0
+
+
+def test_negative_sample_count_raises():
+    # an enumerated component must not be sliced from the end
+    basis = buchberger([a * a - a, b, e], R)
+    assert len(sample_points(basis, frozenset(), R, 1, random.Random(0))) == 1
+    with pytest.raises(ValueError):
+        sample_points(basis, frozenset(), R, -1, random.Random(0))
 
 
 def test_sampling_respects_nonzero():

@@ -3,13 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from opalg.ordering import random_context
 from opalg.words import (
-    NESTED,
-    OVERLAPPING,
-    SEPARATED,
     STAR,
-    STAR1,
-    STAR2,
     UNIT,
     EmptyBracketWithoutUnit,
     GeneratorSet,
@@ -18,21 +14,24 @@ from opalg.words import (
     UnknownGenerator,
     Word,
     bracket,
-    classify_pair,
-    compose,
     enumerate_words,
     gen_word,
-    occurrence_spans,
-    occurrences,
     parse,
     sample_word,
     substitute,
-    substitute2,
     to_str,
     token_len,
     tokens,
-    word_of,
 )
+
+# two more hole symbols: ``substitute`` fills whichever star atom it is given
+STAR1 = STAR + "1"
+STAR2 = STAR + "2"
+
+
+def word_of(*atoms):
+    return Word(tuple(atoms))
+
 
 G = GeneratorSet(["x", "y", "z"])
 x, y, z = gen_word("x"), gen_word("y"), gen_word("z")
@@ -148,13 +147,14 @@ def test_two_star_routes_agree():
     q = word_of(STAR1, word_of("y", STAR2), "x")
     a = substitute(substitute(q, x * y, STAR1), z, STAR2)
     b = substitute(substitute(q, z, STAR2), x * y, STAR1)
-    assert a == b == substitute2(q, x * y, z)
+    assert a == b == parse("x y [y z] x", G)
 
 
 def test_compose_contexts():
+    # a context spliced into a context's star is again a context
     q1 = word_of("x", STAR)
     q2 = word_of(word_of(STAR, "y"))
-    q = compose(q1, q2)
+    q = substitute(q1, q2)
     assert q == word_of("x", word_of(STAR, "y"))
     assert substitute(q, z) == parse("x [z y]", G)
     # composition law: (q1 ∘ q2)|_u == q1|_(q2|_u)
@@ -162,13 +162,28 @@ def test_compose_contexts():
     assert substitute(q, u) == substitute(q1, substitute(q2, u))
 
 
-# -- occurrences: brute-force token-scan oracle ------------------------------------
+# -- substitution against a token-level oracle ----------------------------------------
 
 def token_scan_starts(w, u):
     """Independent oracle: starts of tokens(u) as a contiguous sublist of tokens(w)."""
     tw, tu = tokens(w), tokens(u)
     k = len(tu)
     return [i for i in range(len(tw) - k + 1) if tw[i:i + k] == tu]
+
+
+def word_from_tokens(toks):
+    """The word of a balanced token list; the inverse of ``tokens``."""
+    stack = [[]]
+    for t in toks:
+        if t == "[":
+            stack.append([])
+        elif t == "]":
+            inner = stack.pop()
+            stack[-1].append(Word(tuple(inner)))
+        else:
+            stack[-1].append(t)
+    (atoms,) = stack
+    return Word(tuple(atoms))
 
 
 WORD_POOL = enumerate_words(G, 3, 2)
@@ -178,64 +193,14 @@ PATTERNS = [x, y, x * y, bracket(x), bracket(UNIT), bracket(x * y), x * x,
 
 @pytest.mark.parametrize("u", PATTERNS, ids=to_str)
 def test_occurrences_match_token_scan(u):
+    # cutting u out of w at a token-scan occurrence leaves a one-star
+    # context, and substitute fills it back to w
+    k = token_len(u)
     for w in WORD_POOL:
-        spans = occurrence_spans(w, u)
-        assert [s for _, (s, _) in spans] == token_scan_starts(w, u)
-        for q, _ in spans:
+        tw = tokens(w)
+        for s in token_scan_starts(w, u):
+            q = word_from_tokens(tw[:s] + [STAR] + tw[s + k:])
             assert substitute(q, u) == w
-
-
-def test_occurrences_ordered_and_distinct():
-    w = parse("x [x y] x y x", G)
-    occs = occurrence_spans(w, x)
-    starts = [s for _, (s, _) in occs]
-    assert starts == sorted(starts) == [0, 2, 5, 7]
-    w2 = parse("x y x y x y", G)
-    assert len(occurrences(w2, x * y)) == 3
-
-
-def test_occurrence_of_whole_word():
-    w = parse("[x y]", G)
-    occs = occurrences(w, w)
-    assert occs == [word_of(STAR)]
-
-
-def test_no_unit_occurrences():
-    with pytest.raises(ValueError):
-        occurrences(x, UNIT)
-
-
-# -- pair classification ------------------------------------------------------------
-
-def test_classify_separated():
-    w = parse("x y x y", G)
-    occs = occurrences(w, x * y)
-    assert classify_pair(w, occs[0], x * y, occs[1], x * y) == SEPARATED
-
-
-def test_classify_overlapping():
-    w = parse("x y x", G)
-    occs = occurrences(w, x * y) + occurrences(w, y * x)
-    assert classify_pair(w, occs[0], x * y, occs[1], y * x) == OVERLAPPING
-
-
-def test_classify_nested():
-    w = parse("x [x y] y", G)
-    (qo,) = occurrences(w, bracket(x * y))
-    (qi,) = occurrences(w, x * y)
-    assert classify_pair(w, qo, bracket(x * y), qi, x * y) == NESTED
-
-
-def test_classify_nested_equal_interval():
-    w = parse("x y", G)
-    (q,) = occurrences(w, x * y)
-    assert classify_pair(w, q, x * y, q, x * y) == NESTED
-
-
-def test_classify_rejects_bad_context():
-    w = parse("x y", G)
-    with pytest.raises(ValueError):
-        classify_pair(w, word_of(STAR), x, word_of(STAR), x * y)
 
 
 # -- enumeration ---------------------------------------------------------------------
@@ -294,11 +259,22 @@ def test_roundtrip_property(w):
     assert len(tokens(w)) == token_len(w)
 
 
+def one_star_contexts(max_leaves=4, max_depth=2):
+    seeds = st.integers(min_value=0, max_value=2**31 - 1)
+    return seeds.map(lambda s: random_context(
+        random.Random(s), G, max_leaves, max_depth))
+
+
 @settings(max_examples=150, deadline=None)
-@given(word_strategy(), word_strategy(max_leaves=2, max_depth=1))
-def test_substitution_reproduces_property(w, u):
-    for q, _ in occurrence_spans(w, u):
-        assert substitute(q, u) == w
+@given(one_star_contexts(), word_strategy(max_leaves=2, max_depth=1))
+def test_substitution_reproduces_property(q, u):
+    # substitute splices u's tokens at the star's token, and cutting them
+    # out again reproduces the context
+    tq = tokens(q)
+    i = tq.index(STAR)
+    tw = tokens(substitute(q, u))
+    assert tw == tq[:i] + tokens(u) + tq[i + 1:]
+    assert word_from_tokens(tw[:i] + [STAR] + tw[i + token_len(u):]) == q
 
 
 def _substitute_by_counting(q, u, star):
