@@ -195,13 +195,6 @@ class ConstraintSystem:
         return all(eq.poly.evaluate(point) == 0 for eq in self.equations
                    if not eq.unresolved)
 
-    def describe(self) -> str:
-        lines = [f"{len(self.equations)} constraints "
-                 f"({len(self.unresolved())} unresolved), "
-                 "strategy lo"]
-        lines += ["  " + eq.describe() for eq in self.equations]
-        return "\n".join(lines)
-
 
 def _unit_residue(w: Word, depth: int = 0) -> bool:
     """A unit bracket nested inside another bracket, the shape the reduction
@@ -244,19 +237,6 @@ class ClassifyResult:
         self.system = system
         self.components = tuple(components)
         self.audit_failures = tuple(audit_failures)
-
-    def describe(self) -> str:
-        lines = [self.ansatz.describe(),
-                 f"{len(self.system.equations)} constraints, "
-                 f"{len(self.components)} components"]
-        for n, comp in enumerate(self.components, 1):
-            lines.append(f"  component {n}: {comp.describe()}")
-        if self.system.unresolved():
-            lines.append(f"  unresolved unit constraints: "
-                         f"{len(self.system.unresolved())}")
-        if self.audit_failures:
-            lines.append(f"  AUDIT FAILURES: {len(self.audit_failures)}")
-        return "\n".join(lines)
 
 
 def _audit_component(ansatz: Ansatz, comp: SolutionComponent) -> bool:
@@ -337,7 +317,7 @@ def _family_inspace_components(fam: Family, ansatz: Ansatz):
     return solve_components(eqs, ring)
 
 
-def match_catalog(result: ClassifyResult, catalog=None, samples: int = 20,
+def match_catalog(result: ClassifyResult, samples: int = 20,
                   rng: random.Random = None) -> MatchReport:
     """Bidirectional containment between components and catalog families.
 
@@ -349,7 +329,7 @@ def match_catalog(result: ClassifyResult, catalog=None, samples: int = 20,
         raise ValueError(f"samples must be at least 1, got {samples}")
     rng = rng or random.Random(0)
     ansatz = result.ansatz
-    catalog = catalog if catalog is not None else families(ansatz.mode)
+    catalog = families(ansatz.mode)
     report = MatchReport(samples)
 
     for idx, comp in enumerate(result.components):

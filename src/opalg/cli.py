@@ -165,6 +165,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    if args.samples < 1:
+        raise ValueError(f"samples must be at least 1, got {args.samples}")
     mode = DIFFERENTIAL if args.type == "dt" else ROTA_BAXTER
     ansatz = build_ansatz(mode, args.degree,
                           include_unit_terms=args.units,

@@ -75,9 +75,6 @@ class PolyRing:
     def parse(self, text: str) -> "MPoly":
         return _parse_poly(text, self)
 
-    def extend(self, extra_names) -> "PolyRing":
-        return PolyRing(self.vars + tuple(n for n in extra_names if n not in self.index))
-
     def __eq__(self, other):
         return isinstance(other, PolyRing) and self.vars == other.vars
 

@@ -235,11 +235,13 @@ def is_trivial(comp: CompositionRecord, cache: NFCache) -> str:
 
 # triples reduced concretely on top of the transfer certificate
 TRANSFER_SAMPLES = 200
+# safety cap on the compositions one check reduces
+MAX_REDUCTIONS = 2000000
 
 
 def gsb_check_truncated(sys: GeneratorSystem, bound: TruncationBound,
-                        step_cap: int = 100000, rng: random.Random = None,
-                        max_reductions: int = 2000000) -> GsbReport:
+                        step_cap: int = 100000,
+                        rng: random.Random = None) -> GsbReport:
     """Check triviality of every composition of instance pairs at the bound.
 
     Intersection compositions are in bijection with triples (r, s, t) of
@@ -279,12 +281,11 @@ def gsb_check_truncated(sys: GeneratorSystem, bound: TruncationBound,
     report = GsbReport(sys.identity.name or "pattern", bound, len(words), certify)
     ident = sys.identity
     cache = NFCache(sys.schema, step_cap)
-    budget = [max_reductions]
 
     def check(comp: CompositionRecord, comp_cache: NFCache) -> bool:
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise ResourceLimit(f"reduction cap {max_reductions} exceeded")
+        reduced = report.intersections_reduced + report.including_configs
+        if reduced > MAX_REDUCTIONS:
+            raise ResourceLimit(f"reduction cap {MAX_REDUCTIONS} exceeded")
         if is_trivial(comp, comp_cache) == TRIVIAL:
             return True
         report.nontrivial.append(comp)
@@ -398,15 +399,15 @@ def _contains_unit_bracket(w: Word) -> bool:
 
 
 def cdl_direct_sum_check(sys: GeneratorSystem, bound: TruncationBound,
-                         rng: random.Random = None, ideal_samples: int = 100,
-                         gens: GeneratorSet = None) -> CdlReport:
+                         rng: random.Random = None,
+                         ideal_samples: int = 100) -> CdlReport:
     """Executable direct-sum consequences of the basis property.
 
     Every bound word must normalize into the irreducible span, irreducible
     words must be fixed, and random elements of the rule ideal must vanish.
     """
     rng = rng or random.Random(0)
-    gens = gens or bound.generator_set()
+    gens = bound.generator_set()
     report = CdlReport()
     all_words = enumerate_words(gens, bound.max_breadth, bound.max_depth,
                                 include_unit_brackets=True, include_unit=True)
@@ -525,9 +526,13 @@ def _certify(report: TypeReport, schema: RuleSchema, strategy: str,
     return report
 
 
+# distinct polynomials the defect search of each type check may reach
+DT_EXPLORE_BUDGET = 4000
+RBT_EXPLORE_BUDGET = 2000
+
+
 def dt_check(pattern: OPoly, constraints=(), strategy: str = "lo",
-             order_mode: str = "purelex", step_cap: int = 10000,
-             explore_budget: int = 4000) -> TypeReport:
+             order_mode: str = "purelex", step_cap: int = 10000) -> TypeReport:
     """Certificate that [x y] -> pattern defines a differential-shape identity
     whose associativity defect rewrites to zero over three fresh generators."""
     report = TypeReport(DIFFERENTIAL, pattern, constraints)
@@ -537,11 +542,11 @@ def dt_check(pattern: OPoly, constraints=(), strategy: str = "lo",
         return _structure_reject(report, "contains a bracketed product")
     schema = RuleSchema(OpIdentity(DIFFERENTIAL, pattern, tuple(constraints)),
                         order=OrderConfig(UVW, order_mode))
-    return _certify(report, schema, strategy, step_cap, explore_budget)
+    return _certify(report, schema, strategy, step_cap, DT_EXPLORE_BUDGET)
 
 
 def rbt_check(pattern: OPoly, constraints=(), strategy: str = "lo",
-              step_cap: int = 10000, explore_budget: int = 2000) -> TypeReport:
+              step_cap: int = 10000) -> TypeReport:
     """Certificate that [x][y] -> [pattern] defines a Rota-Baxter-shape
     identity: the operated associativity defect M(M(u,v),w) - M(u,M(v,w))
     rewrites to zero within budget (no termination certificate exists, so
@@ -552,7 +557,7 @@ def rbt_check(pattern: OPoly, constraints=(), strategy: str = "lo",
     if not is_rbrf(pattern):
         return _structure_reject(report, "contains adjacent bracket factors")
     schema = RuleSchema(OpIdentity(ROTA_BAXTER, pattern, tuple(constraints)))
-    return _certify(report, schema, strategy, step_cap, explore_budget)
+    return _certify(report, schema, strategy, step_cap, RBT_EXPLORE_BUDGET)
 
 
 # -- the free operator on differential words ----------------------------------------

@@ -16,7 +16,7 @@ import re
 from fractions import Fraction
 
 from .coeffs import MPoly, PolyRing, _add_scaled_into
-from .ordering import OrderConfig, sort_words
+from .ordering import OrderConfig, order_key
 from .words import (
     UNIT,
     GeneratorSet,
@@ -75,8 +75,8 @@ class OPoly:
     # -- constructors -----------------------------------------------------------
 
     @staticmethod
-    def from_word(w: Word, coeff=1, ring: PolyRing = None) -> "OPoly":
-        return OPoly({w: coeff}, ring=ring)
+    def from_word(w: Word, ring: PolyRing = None) -> "OPoly":
+        return OPoly({w: 1}, ring=ring)
 
     @staticmethod
     def zero(ring: PolyRing = None) -> "OPoly":
@@ -214,7 +214,7 @@ def to_str_opoly(p: OPoly, cfg: OrderConfig = None) -> str:
     if not p.terms:
         return "0"
     if cfg is not None:
-        words = sort_words(p.terms, cfg, reverse=True)
+        words = sorted(p.terms, key=order_key(cfg), reverse=True)
     else:
         words = sorted(p.terms, key=word_sort_key)
     parts = []

@@ -123,10 +123,6 @@ def _word_key(w: Word, memo: dict, atom_keys: dict, graded: bool):
     return k
 
 
-def sort_words(words, cfg: OrderConfig, reverse: bool = False) -> list:
-    return sorted(words, key=order_key(cfg), reverse=reverse)
-
-
 # -- randomized law checking -----------------------------------------------------
 
 
@@ -155,7 +151,7 @@ class PropertyReport:
 
 def random_context(rng: random.Random, gens, max_leaves: int, max_depth: int) -> Word:
     """A random one-star context: sample a word, insert the star somewhere."""
-    w = sample_word(rng, gens, max_leaves, max_depth, include_unit_brackets=True)
+    w = sample_word(rng, gens, max_leaves, max_depth)
     return _insert_star(w, rng, max_depth)
 
 
@@ -182,8 +178,8 @@ def check_monomial_order(cfg: OrderConfig, sample_budget: int = 10000,
     gens = cfg.gens
     report = PropertyReport()
     for _ in range(sample_budget):
-        u = sample_word(rng, gens, max_leaves, max_depth, include_unit_brackets=True)
-        v = sample_word(rng, gens, max_leaves, max_depth, include_unit_brackets=True)
+        u = sample_word(rng, gens, max_leaves, max_depth)
+        v = sample_word(rng, gens, max_leaves, max_depth)
         q = random_context(rng, gens, max_leaves, max_depth)
         report.checked += 1
         for w in (u, v):

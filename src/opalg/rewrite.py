@@ -64,9 +64,9 @@ def count_generator(w: Word, name: str) -> int:
     return n
 
 
-def is_totally_linear(p: OPoly, names=("x", "y")) -> bool:
-    """Every monomial contains each listed generator exactly once."""
-    return all(count_generator(w, g) == 1 for w in p.terms for g in names)
+def is_totally_linear(p: OPoly) -> bool:
+    """Every monomial contains each of x and y exactly once."""
+    return all(count_generator(w, g) == 1 for w in p.terms for g in ("x", "y"))
 
 
 def word_is_drf(w: Word) -> bool:
@@ -432,24 +432,29 @@ def reduces_to_zero(p: OPoly, schema: RuleSchema, strategy: str = "lo",
                    detail=f"all {len(visited)} reachable polynomials nonzero")
 
 
-def joinable(f: OPoly, g: OPoly, schema: RuleSchema, strategy: str = "lo",
-             step_cap: int = 10000, explore_budget: int = 2000) -> Verdict:
+# distinct polynomials each search of ``joinable`` may reach
+JOIN_EXPLORE_BUDGET = 2000
+
+
+def joinable(f: OPoly, g: OPoly, schema: RuleSchema) -> Verdict:
     """Do ``f`` and ``g`` reach a common reduct?
 
     Decided through their difference first (reduction of f - g to zero
     certifies joinability); otherwise the reduct sets are intersected
-    within the exploration budget.
+    within ``JOIN_EXPLORE_BUDGET``.
     """
     f = schema.normalize(schema.lift(f))
     g = schema.normalize(schema.lift(g))
     if f == g:
         return Verdict(Verdict.YES, detail="equal in 0 steps")
-    diff = reduces_to_zero(f - g, schema, strategy, step_cap, explore_budget)
+    diff = reduces_to_zero(f - g, schema, explore_budget=JOIN_EXPLORE_BUDGET)
     if diff.is_yes:
         return Verdict(Verdict.YES, detail=f"difference vanishes ({diff.detail})")
     replacements_of = {}  # shared by the two reach-set searches of this call
-    reach_f, complete_f, _ = _explore(f, schema, explore_budget, replacements_of)
-    reach_g, complete_g, _ = _explore(g, schema, explore_budget, replacements_of)
+    reach_f, complete_f, _ = _explore(f, schema, JOIN_EXPLORE_BUDGET,
+                                      replacements_of)
+    reach_g, complete_g, _ = _explore(g, schema, JOIN_EXPLORE_BUDGET,
+                                      replacements_of)
     if reach_f & reach_g:
         return Verdict(Verdict.YES, detail="common reduct found by search")
     if complete_f and complete_g:
@@ -484,8 +489,8 @@ class ConfluenceReport:
 
 
 def local_confluence_check(schema: RuleSchema, gens, max_leaves: int = 3,
-                           max_depth: int = 2, peak_cap: int = 200000,
-                           explore_budget: int = 2000) -> ConfluenceReport:
+                           max_depth: int = 2,
+                           peak_cap: int = 200000) -> ConfluenceReport:
     """Check joinability of every one-step peak on all words within the bound.
 
     Every pair of distinct redexes of every enumerated word is a peak; the
@@ -509,8 +514,7 @@ def local_confluence_check(schema: RuleSchema, gens, max_leaves: int = 3,
                 if report.peaks_checked > peak_cap:
                     raise ResourceLimit(
                         f"peak cap {peak_cap} exceeded at {to_str(w)}")
-                verdict = joinable(reducts[i], reducts[j], schema,
-                                   explore_budget=explore_budget)
+                verdict = joinable(reducts[i], reducts[j], schema)
                 if verdict.kind == Verdict.NO:
                     report.nonjoinable.append((w, reducts[i], reducts[j]))
                 elif verdict.kind == Verdict.INCONCLUSIVE:

@@ -54,12 +54,15 @@ class SplitDepthExceeded(RuntimeError):
     pass
 
 
-def solve_components(eqs, ring: PolyRing, max_depth: int = 64,
-                     with_representatives: bool = True):
+# nesting cap of the case splits of one solve
+MAX_SPLIT_DEPTH = 64
+
+
+def solve_components(eqs, ring: PolyRing, with_representatives: bool = True):
     """Decompose {all eqs = 0} into SolutionComponents (possibly empty list)."""
     leaves: list = []
     _presplit([e for e in eqs if not (isinstance(e, MPoly) and e.is_zero)],
-              {}, frozenset(), ring, max_depth, leaves)
+              {}, frozenset(), ring, MAX_SPLIT_DEPTH, leaves)
     leaves = _merge_leaves(leaves, ring)
     out = []
     for basis, nonzero in leaves:

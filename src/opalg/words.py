@@ -326,12 +326,12 @@ def _replace(w: Word, mapping: dict):
     return (Word(tuple(atoms)) if hit else w), hit
 
 
-def substitute(q: Word, u: Word, star: str = STAR) -> Word:
-    """Splice ``u`` into the unique ``star`` atom of ``q``.
+def substitute(q: Word, u: Word) -> Word:
+    """Splice ``u`` into the unique ``STAR`` atom of ``q``.
 
     Splicing the unit deletes the star; a breadth-k word splices in flat.
     """
-    return _replace(q, {star: u})[0]
+    return _replace(q, {STAR: u})[0]
 
 
 # -- enumeration and sampling ----------------------------------------------------
@@ -383,13 +383,12 @@ def _extend_sequences(prefix, budget, atom_pool, results) -> None:
             _extend_sequences(seq, budget - k, atom_pool, results)
 
 
-def sample_word(rng: random.Random, gens, max_leaves: int, max_depth: int,
-                include_unit_brackets: bool = False, allow_unit: bool = False) -> Word:
-    """One random word within the bounds (not uniform; biased toward small)."""
+def sample_word(rng: random.Random, gens, max_leaves: int, max_depth: int) -> Word:
+    """One random word other than the unit within the bounds, unit brackets
+    included (not uniform; biased toward small)."""
     names = tuple(gens.names if isinstance(gens, GeneratorSet) else gens)
-    w = _sample_build(rng, names, include_unit_brackets, max_depth, max_leaves,
-                      allow_unit)
-    if w.is_unit and not allow_unit:
+    w = _sample_build(rng, names, max_depth, max_leaves, False)
+    if w.is_unit:
         return gen_word(rng.choice(names))
     return w
 
@@ -397,16 +396,13 @@ def sample_word(rng: random.Random, gens, max_leaves: int, max_depth: int,
 # sample_word's two mutually recursive steps, at module level so that a call
 # leaves no reference cycle between closures
 
-def _sample_atom(rng, names, units, depth_left, budget):
+def _sample_atom(rng, names, depth_left, budget):
     if depth_left > 0 and rng.random() < 0.35:
-        inner = _sample_build(rng, names, units, depth_left - 1, budget, units)
-        if inner.is_unit and not units:
-            return rng.choice(names)
-        return inner
+        return _sample_build(rng, names, depth_left - 1, budget, True)
     return rng.choice(names)
 
 
-def _sample_build(rng, names, units, depth_left, budget, allow_empty):
+def _sample_build(rng, names, depth_left, budget, allow_empty):
     lo = 0 if allow_empty else 1
     n = rng.randint(lo, max(lo, budget))
     atoms = []
@@ -414,7 +410,7 @@ def _sample_build(rng, names, units, depth_left, budget, allow_empty):
     for _ in range(n):
         if left <= 0:
             break
-        a = _sample_atom(rng, names, units, depth_left, left)
+        a = _sample_atom(rng, names, depth_left, left)
         atoms.append(a)
         left -= 1 if isinstance(a, str) else max(1, a.leaves)
     return Word(tuple(atoms))

@@ -176,7 +176,8 @@ def test_classification_is_deterministic():
     second = classify(three_term())
     assert [c.describe() for c in first.components] == \
         [c.describe() for c in second.components]
-    assert first.system.describe() == second.system.describe()
+    assert [eq.describe() for eq in first.system.equations] == \
+        [eq.describe() for eq in second.system.equations]
     m1 = match_catalog(first, samples=4)
     m2 = match_catalog(second, samples=4)
     assert m1.describe() == m2.describe()

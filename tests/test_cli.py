@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import opalg.cli
 from opalg.cli import main
 
 
@@ -166,12 +167,17 @@ def test_classify_json_is_deterministic(capsys):
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])
-def test_classify_sample_count_below_one_is_an_error(capsys, samples):
-    code, out, err = run(capsys, "classify", "--type", "dt", "--degree", "0",
+def test_classify_sample_count_below_one_is_an_error(capsys, monkeypatch,
+                                                     samples):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("classified before the sample count was checked")
+
+    monkeypatch.setattr(opalg.cli, "classify", unreachable)
+    code, out, err = run(capsys, "classify", "--type", "dt", "--degree", "2",
                          "--samples", samples)
     assert code == 1
-    assert "samples must be at least 1" in err
-    assert "UNMATCHED" not in out
+    assert err == f"error: samples must be at least 1, got {samples}\n"
+    assert out == ""
 
 
 # -- gsb and irr ---------------------------------------------------------------------

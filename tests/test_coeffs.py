@@ -174,10 +174,3 @@ def test_str_forms():
 def test_order_keys():
     # lex with a > b > c
     assert leading_exps(a + b ** 5 * c ** 5) == (1, 0, 0)
-
-
-def test_extend():
-    R2 = R.extend(["e"])
-    assert R2.vars == ("a", "b", "c", "e")
-    p = R2.parse("b^2 - b - c*e")
-    assert p.degree_in("e") == 1

@@ -17,7 +17,7 @@ from opalg.gsb import (CompositionRecord, GeneratorSystem, NFCache,
                        rbt_check)
 from opalg.opoly import (DIFFERENTIAL, OPoly, OpIdentity, parse_opoly,
                          to_str_opoly)
-from opalg.ordering import OrderConfig, sort_words
+from opalg.ordering import OrderConfig, order_key
 from opalg.rewrite import ResourceLimit, Verdict
 from opalg.words import (UNIT, GeneratorSet, Word, enumerate_words, parse,
                          to_str, word_sort_key)
@@ -34,7 +34,7 @@ def test_generator_system_instance():
     u = parse("u", bound.generator_set())
     v = parse("[v] w", bound.generator_set())
     inst = sys.instance(u, v)
-    (lead, *_) = sort_words(inst.terms, sys.order, reverse=True)
+    lead = max(inst.terms, key=order_key(sys.order))
     assert lead == Word((u * v,)) and inst.terms[lead] == 1
     assert to_str_opoly(inst, sys.order) == "[u [v] w] - [u] [v] w - u [[v] w]"
 
@@ -124,11 +124,12 @@ def test_gsb_detects_non_basis():
     assert rep.nontrivial
 
 
-def test_gsb_reduction_cap():
+def test_gsb_reduction_cap(monkeypatch):
+    monkeypatch.setattr(gsb, "MAX_REDUCTIONS", 5)
     bound = TruncationBound(2, 1, 3)
     sys = GeneratorSystem(DER, OrderConfig(bound.generator_set()))
-    with pytest.raises(ResourceLimit):
-        gsb_check_truncated(sys, bound, max_reductions=5)
+    with pytest.raises(ResourceLimit, match="reduction cap 5 exceeded"):
+        gsb_check_truncated(sys, bound)
 
 
 def _derivation_overlap():
@@ -283,8 +284,10 @@ BUDGET_WITNESS = {
 
 @pytest.mark.parametrize("check,text", [(dt_check, "[y] x - x [y] + y [x]"),
                                         (rbt_check, "2*[y x] + 2*x [y] + 2*y [x]")])
-def test_type_checks_report_exhausted_search(check, text):
-    rep = check(parse_opoly(text, XY), explore_budget=5)
+def test_type_checks_report_exhausted_search(check, text, monkeypatch):
+    monkeypatch.setattr(gsb, "DT_EXPLORE_BUDGET", 5)
+    monkeypatch.setattr(gsb, "RBT_EXPLORE_BUDGET", 5)
+    rep = check(parse_opoly(text, XY))
     assert not rep.accepted and rep.inconclusive
     assert rep.verdict.detail == "exploration budget 5 exceeded"
     assert rep.reason == ("defect does not rewrite to zero "

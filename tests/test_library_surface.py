@@ -1,21 +1,39 @@
-"""Every definition of the library has a caller outside the tests.
+"""Every definition and every option of the library has a caller outside
+the tests.
 
 A module-level function or class, or a public method, that only tests reach
 is dead weight in ``src/opalg``: it belongs in the tests that use it, or
-nowhere.  A definition counts as used when its name is referenced in
-``src/opalg`` outside its own body, or anywhere in ``demos/`` or
-``perfbench/``.  References are read from the syntax trees by name: names,
-attribute accesses, and string constants (the benchmark's tracer binds
-functions by name).  Docstrings, imports and ``__all__`` are not references,
-so neither a mention nor a re-export keeps a definition alive.
+nowhere.  A definition counts as used when it is referenced in ``src/opalg``
+outside its own body, or anywhere in ``demos/`` or ``perfbench/``.
+References are read from the syntax trees: names, attribute accesses, and
+string constants (the benchmark's tracer binds functions by name).  An
+attribute or a string counts for every definition of that name.  A bare
+name counts for the module-level definition ``mod.f`` only in ``mod``
+itself, or in a file that imports ``f`` from ``mod`` or from ``opalg``, so a
+same-named function of the benchmark keeps no library function alive.
+Docstrings, imports and ``__all__`` are not references, so neither a mention
+nor a re-export keeps a definition alive.
+
+A defaulted parameter of a public function, a public method or the
+constructor of a public class is an option.  An option that every caller
+leaves at one value is a constant in disguise.  Each must be set, by keyword
+or by position, by a call in ``src/opalg`` outside its own function, in
+``demos/`` or in ``perfbench/``, with at least two distinct values in use
+among those calls.  A call that relies on the default counts as the
+default's value, a literal argument as the value it spells, and any other
+argument, such as a forwarded variable, as a value of its own.  Calls are
+matched like references.  Private functions are exempt: their defaults are
+recursion state and closure binds.
 """
 
 import ast
 import os
+from collections import defaultdict, namedtuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LIBRARY = os.path.join(ROOT, "src", "opalg")
 USERS = (os.path.join(ROOT, "demos"), os.path.join(ROOT, "perfbench"))
+PACKAGE = "opalg"
 
 # definitions kept without a caller, one reason each
 ALLOWED = {
@@ -30,7 +48,41 @@ ALLOWED = {
         "reads rewriting normal forms in free_dt_operator_nf's words",
     "rewrite.local_confluence_check":
         "the peak-joinability certificate of acceptance criterion 6",
+    "ordering.PropertyReport.summary":
+        "reads the report of the monomial-order oracle",
+    "rewrite.ConfluenceReport.summary":
+        "reads the report of acceptance criterion 6's certificate",
 }
+
+# options kept with fewer than two values in use, one reason each
+ALLOWED_PARAMETERS = {
+    "rewrite.RuleSchema(unit_policy=)":
+        "candidate policy for deciding the unit-bracket residues of unit "
+        "ansatzes",
+    "rewrite.normal_form(monitor=)":
+        "termination monitor of the order, and a test oracle",
+    "ordering.check_monomial_order(sample_budget=)":
+        "size of the monomial-order oracle's sample",
+    "ordering.check_monomial_order(rng=)":
+        "random source of the monomial-order oracle's sample",
+    "ordering.check_monomial_order(max_leaves=)":
+        "word size of the monomial-order oracle's sample",
+    "ordering.check_monomial_order(max_depth=)":
+        "word depth of the monomial-order oracle's sample",
+    "rewrite.local_confluence_check(max_leaves=)":
+        "bound of the peak-joinability certificate of acceptance criterion 6",
+    "rewrite.local_confluence_check(max_depth=)":
+        "bound of the peak-joinability certificate of acceptance criterion 6",
+    "rewrite.local_confluence_check(peak_cap=)":
+        "safety cap of the peak-joinability certificate",
+    "solve.sample_points(strict=)":
+        "every caller passes False, and the benchmark's classify workload, "
+        "one of them, keeps its call as it is",
+}
+
+# a parsed file: its library module name (None outside the library), its
+# syntax tree, and its imports of library names
+Source = namedtuple("Source", "module tree imports")
 
 
 def _python_files(top):
@@ -44,6 +96,16 @@ def _python_files(top):
 def _parse(path):
     with open(path, encoding="utf-8") as f:
         return ast.parse(f.read(), filename=path)
+
+
+def load():
+    """(library module -> syntax tree, syntax trees of the users)."""
+    library = {}
+    for path in _python_files(LIBRARY):
+        module = os.path.splitext(os.path.relpath(path, LIBRARY))[0]
+        library[module] = _parse(path)
+    users = [_parse(path) for top in USERS for path in _python_files(top)]
+    return library, users
 
 
 def _docstrings(tree):
@@ -65,8 +127,51 @@ def _is_all(node):
                     for t in node.targets))
 
 
+def imports(tree):
+    """Local name -> (module, name) of every library name that ``tree``
+    imports with ``from ... import``; the module is ``opalg`` for the
+    package itself."""
+    out = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level:
+            source = node.module or PACKAGE
+        elif node.module and node.module.partition(".")[0] == PACKAGE:
+            source = node.module.partition(".")[2] or PACKAGE
+        else:
+            continue
+        for alias in node.names:
+            out[alias.asname or alias.name] = (source, alias.name)
+    return out
+
+
+def _sources(library, users):
+    return ([Source(m, t, imports(t)) for m, t in library.items()]
+            + [Source(None, t, imports(t)) for t in users])
+
+
+def _resolve(source, kind, name):
+    """(defined name, module it is imported from or None) of a reference."""
+    if kind == "name" and name in source.imports:
+        module, name = source.imports[name]
+        return name, module
+    return name, None
+
+
+def _denotes(source, kind, origin, module, method):
+    """Does a reference of ``kind``, resolved to ``origin``, in ``source``
+    denote a definition of ``module`` with the same name?"""
+    if kind != "name":
+        return True
+    if origin is None:
+        return source.module == module
+    return not method and origin in (module, PACKAGE)
+
+
 def references(tree):
-    """(name, line) of every reference in ``tree``."""
+    """(kind, name, line) of every reference in ``tree``; the kind is
+    ``name``, ``attr`` or ``str``."""
     skip = _docstrings(tree)
     out = []
     stack = [tree]
@@ -75,51 +180,155 @@ def references(tree):
         if _is_all(node):
             continue
         if isinstance(node, ast.Name):
-            out.append((node.id, node.lineno))
+            out.append(("name", node.id, node.lineno))
         elif isinstance(node, ast.Attribute):
-            out.append((node.attr, node.lineno))
+            out.append(("attr", node.attr, node.lineno))
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and id(node) not in skip):
-            out.append((node.value, node.lineno))
+            out.append(("str", node.value, node.lineno))
         stack.extend(ast.iter_child_nodes(node))
     return out
 
 
 def definitions(module, tree):
-    """(qualified name, bare name, first line, last line) of every
-    module-level function and class and every public method."""
+    """(qualified name, bare name, first line, last line, is a method) of
+    every module-level function and class and every public method."""
     out = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             out.append((f"{module}.{node.name}", node.name, node.lineno,
-                        node.end_lineno))
+                        node.end_lineno, False))
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if (isinstance(item, ast.FunctionDef)
                         and not item.name.startswith("_")):
                     out.append((f"{module}.{node.name}.{item.name}", item.name,
-                                item.lineno, item.end_lineno))
+                                item.lineno, item.end_lineno, True))
     return out
 
 
-def unreferenced():
-    library = {}
-    for path in _python_files(LIBRARY):
-        module = os.path.splitext(os.path.relpath(path, LIBRARY))[0]
-        library[module] = _parse(path)
-    refs = {module: references(tree) for module, tree in library.items()}
-    outside = {name for top in USERS for path in _python_files(top)
-               for name, _ in references(_parse(path))}
+def unreferenced(library=None, users=None):
+    """Qualified names of the definitions nothing outside the tests
+    references."""
+    if library is None:
+        library, users = load()
+    index = defaultdict(list)
+    for source in _sources(library, users):
+        for kind, name, line in references(source.tree):
+            name, origin = _resolve(source, kind, name)
+            index[name].append((source, kind, origin, line))
     missing = []
     for module, tree in library.items():
-        for qualname, name, first, last in definitions(module, tree):
-            if name in outside:
-                continue
-            if any(n == name and (m != module or not first <= line <= last)
-                   for m, found in refs.items() for n, line in found):
-                continue
-            missing.append(qualname)
+        for qualname, name, first, last, method in definitions(module, tree):
+            if not any(_denotes(source, kind, origin, module, method)
+                       and not (source.module == module
+                                and first <= line <= last)
+                       for source, kind, origin, line in index[name]):
+                missing.append(qualname)
     return sorted(missing)
+
+
+def _value(node):
+    """A literal's source text; any other argument is a value of its own."""
+    try:
+        ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError):
+        return node
+    return ast.unparse(node)
+
+
+def _options(function, skip_first):
+    """(name, position or None, default's value) of every defaulted
+    parameter of ``function``, positions counted as its callers see them."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    if skip_first:
+        positional = positional[1:]
+    out = []
+    first_default = len(positional) - len(args.defaults)
+    for i, default in enumerate(args.defaults):
+        out.append((positional[first_default + i].arg, first_default + i,
+                    _value(default)))
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            out.append((arg.arg, None, _value(default)))
+    return out
+
+
+def callables(module, tree):
+    """(qualified name, bare name, first line, last line, is a method,
+    options) of every public function, public method and constructor of a
+    public class.  A constructor is named and called as its class."""
+    out = []
+    for node in tree.body:
+        if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                or node.name.startswith("_")):
+            continue
+        if isinstance(node, ast.FunctionDef):
+            out.append((f"{module}.{node.name}", node.name, node.lineno,
+                        node.end_lineno, False, _options(node, False)))
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef):
+                    continue
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in item.decorator_list)
+                options = _options(item, not static)
+                if item.name == "__init__":
+                    out.append((f"{module}.{node.name}", node.name,
+                                item.lineno, item.end_lineno, False, options))
+                elif not item.name.startswith("_"):
+                    out.append((f"{module}.{node.name}.{item.name}", item.name,
+                                item.lineno, item.end_lineno, True, options))
+    return out
+
+
+def _argument(call, name, position, default):
+    """The value ``call`` gives the parameter."""
+    for keyword in call.keywords:
+        if keyword.arg == name:
+            return _value(keyword.value)
+    if position is not None:
+        for i, arg in enumerate(call.args):
+            if isinstance(arg, ast.Starred):
+                return arg
+            if i == position:
+                return _value(arg)
+    for keyword in call.keywords:
+        if keyword.arg is None:
+            return keyword
+    return default
+
+
+def unset_options(library=None, users=None):
+    """``module.function(parameter=)`` of every option with fewer than two
+    distinct values among its calls."""
+    if library is None:
+        library, users = load()
+    index = defaultdict(list)
+    for source in _sources(library, users):
+        for node in ast.walk(source.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Name):
+                name, origin = _resolve(source, "name", node.func.id)
+                index[name].append((source, "name", origin, node))
+            elif isinstance(node.func, ast.Attribute):
+                index[node.func.attr].append((source, "attr", None, node))
+    unset = []
+    for module, tree in library.items():
+        for qualname, name, first, last, method, options in callables(module,
+                                                                      tree):
+            calls = [call for source, kind, origin, call in index[name]
+                     if _denotes(source, kind, origin, module, method)
+                     and not (source.module == module
+                              and first <= call.lineno <= last)]
+            for parameter, position, default in options:
+                values = {_argument(call, parameter, position, default)
+                          for call in calls}
+                if len(values) < 2:
+                    unset.append(f"{qualname}({parameter}=)")
+    return sorted(unset)
 
 
 def test_every_definition_has_a_caller_outside_the_tests():
@@ -128,3 +337,37 @@ def test_every_definition_has_a_caller_outside_the_tests():
 
 def test_every_allowed_definition_still_lacks_a_caller():
     assert sorted(ALLOWED) == [q for q in unreferenced() if q in ALLOWED]
+
+
+def test_every_option_takes_two_values_outside_the_tests():
+    assert [q for q in unset_options() if q not in ALLOWED_PARAMETERS] == []
+
+
+def test_every_allowed_option_still_takes_one_value():
+    assert sorted(ALLOWED_PARAMETERS) == [q for q in unset_options()
+                                          if q in ALLOWED_PARAMETERS]
+
+
+def test_bare_names_are_read_by_module():
+    library = {"words": ast.parse("def classify_pair(a, b):\n    pass\n"),
+               "gsb": ast.parse("def nf(w):\n    pass\n")}
+    users = [ast.parse("def classify_pair(a, b):\n    pass\n"
+                       "classify_pair(1, 2)\n"),
+             ast.parse("from opalg import nf as reduce\nreduce(1)\n")]
+    assert unreferenced(library, users) == ["words.classify_pair"]
+    users.append(ast.parse("from opalg.words import classify_pair\n"
+                           "classify_pair(1, 2)\n"))
+    assert unreferenced(library, users) == []
+
+
+def test_option_rule_on_a_synthetic_module():
+    library = {"m": ast.parse(
+        "def f(a, *, unset=1):\n    pass\n"
+        "def g(a, literal=False, positional=0):\n    pass\n"
+        "def h(a, chosen=0):\n    pass\n"
+        "def _private(a, depth=0):\n    return _private(a, depth + 1)\n"
+        "f(1)\n"
+        "g(1, True, 2)\n"
+        "g(2, True, 3)\n")}
+    users = [ast.parse("from opalg.m import h\nh(1, x)\nh(2, 0)\n")]
+    assert unset_options(library, users) == ["m.f(unset=)", "m.g(literal=)"]

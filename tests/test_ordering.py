@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opalg.ordering import (EQUAL, GREATER, LESS, OrderConfig, check_monomial_order,
-                            compare, order_key, sort_words)
+                            compare, order_key)
 from opalg.words import (GeneratorSet, STAR, UNIT, Word, enumerate_words, parse,
                          substitute, to_str)
 
@@ -94,7 +94,7 @@ def test_equal_words_compare_equal():
 def test_total_order_on_bounded_words(cfg):
     words = enumerate_words(XY, max_leaves=3, max_depth=2,
                             include_unit_brackets=True, include_unit=True)
-    ranked = sort_words(words, cfg)
+    ranked = sorted(words, key=order_key(cfg))
     assert len(ranked) == len(words)
     for a, b in zip(ranked, ranked[1:]):
         assert compare(a, b, cfg) == LESS, (to_str(a), to_str(b))
@@ -105,12 +105,13 @@ def test_total_order_on_bounded_words(cfg):
         assert compare(ranked[i], ranked[j], cfg) == LESS
 
 
-def test_sort_words_deterministic_and_reverse():
+def test_order_key_sort_deterministic_and_reverse():
     words = enumerate_words(XY, max_leaves=2, max_depth=1, include_unit=True)
     shuffled = list(words)
     random.Random(3).shuffle(shuffled)
-    assert sort_words(shuffled, PURE) == sort_words(words, PURE)
-    assert sort_words(words, PURE, reverse=True) == sort_words(words, PURE)[::-1]
+    key = order_key(PURE)
+    assert sorted(shuffled, key=key) == sorted(words, key=key)
+    assert sorted(words, key=key, reverse=True) == sorted(words, key=key)[::-1]
 
 
 def test_max_word():

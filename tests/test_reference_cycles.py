@@ -45,8 +45,7 @@ CALLS = {
     "dt_check": lambda: dt_check(DERIVATION.pattern),
     "rbt_check": lambda: rbt_check(AVERAGE.pattern),
     "enumerate_words": lambda: enumerate_words(("x", "y"), 4, 2),
-    "sample_word": lambda: [sample_word(random.Random(s), ("x", "y"), 5, 3,
-                                        include_unit_brackets=True)
+    "sample_word": lambda: [sample_word(random.Random(s), ("x", "y"), 5, 3)
                             for s in range(50)],
     "words.parse": lambda: parse("x [y [x] y] [1]", XY),
     "parse_opoly": lambda: parse_opoly("x [y] - 2*[x] y + [[x y]]", XY),

@@ -374,11 +374,15 @@ system = classify.extract_constraints(classify.build_ansatz(DIFFERENTIAL, 2))
 steps = "\\n".join(f"{to_str(s.monomial)} | {to_str(s.context)} | "
                     f"{to_str(s.a)} | {to_str(s.b)} | {s.coeff}"
                     for s in trace.steps)
+described = "\\n".join(
+    [f"{len(system.equations)} constraints "
+     f"({len(system.unresolved())} unresolved), strategy lo"]
+    + ["  " + eq.describe() for eq in system.equations])
 print(json.dumps({
     "steps": len(trace.steps), "status": trace.status,
     "equations": len(system.equations),
     "steps_sha256": hashlib.sha256(steps.encode()).hexdigest(),
-    "describe_sha256": hashlib.sha256(system.describe().encode()).hexdigest(),
+    "describe_sha256": hashlib.sha256(described.encode()).hexdigest(),
 }))
 """
 
@@ -518,9 +522,9 @@ def test_joinable_no_for_distinct_normal_forms():
     assert verdict.kind == Verdict.NO
 
 
-# Kind, detail and witness of ``joinable(..., explore_budget=50)`` on every
-# pair of one-step reducts of every word with at most 3 leaves and depth at
-# most 2 over u, v, w (no unit brackets), for two differential-shape
+# Kind, detail and witness of ``joinable`` with ``JOIN_EXPLORE_BUDGET`` at 50
+# on every pair of one-step reducts of every word with at most 3 leaves and
+# depth at most 2 over u, v, w (no unit brackets), for two differential-shape
 # schemas; recorded before the exhaustive search was rewritten.  The second
 # schema reaches every outcome of ``joinable``, a zero found by search
 # included.
@@ -537,14 +541,15 @@ def _peak_verdicts(schema):
                    for r in find_redexes(w, schema)]
         for i in range(len(reducts)):
             for j in range(i + 1, len(reducts)):
-                v = joinable(reducts[i], reducts[j], schema, explore_budget=50)
+                v = joinable(reducts[i], reducts[j], schema)
                 witness = None if v.witness is None else to_str_opoly(v.witness)
                 rows.append([to_str(w), i, j, v.kind, v.detail, witness])
     return rows
 
 
 @pytest.mark.parametrize("text", ["y [x]", "[y] x - x [y] + y [x]"])
-def test_peak_verdicts_are_frozen(text):
+def test_peak_verdicts_are_frozen(text, monkeypatch):
+    monkeypatch.setattr(opalg.rewrite, "JOIN_EXPLORE_BUDGET", 50)
     ident = OpIdentity(DIFFERENTIAL, parse_opoly(text, XY))
     rows = _peak_verdicts(RuleSchema(ident, order=OrderConfig(UVW)))
     assert len(rows) == 351

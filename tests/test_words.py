@@ -17,6 +17,7 @@ from opalg.words import (
     enumerate_words,
     gen_word,
     parse,
+    replace_generators,
     sample_word,
     substitute,
     to_str,
@@ -24,7 +25,7 @@ from opalg.words import (
     tokens,
 )
 
-# two more hole symbols: ``substitute`` fills whichever star atom it is given
+# two more hole symbols, filled through ``replace_generators``
 STAR1 = STAR + "1"
 STAR2 = STAR + "2"
 
@@ -145,8 +146,8 @@ def test_substitute_unit_deletes_star_inside_bracket():
 
 def test_two_star_routes_agree():
     q = word_of(STAR1, word_of("y", STAR2), "x")
-    a = substitute(substitute(q, x * y, STAR1), z, STAR2)
-    b = substitute(substitute(q, z, STAR2), x * y, STAR1)
+    a = replace_generators(replace_generators(q, {STAR1: x * y}), {STAR2: z})
+    b = replace_generators(replace_generators(q, {STAR2: z}), {STAR1: x * y})
     assert a == b == parse("x y [y z] x", G)
 
 
@@ -249,7 +250,7 @@ def test_sampler_respects_bounds():
 def word_strategy(max_leaves=4, max_depth=2):
     seeds = st.integers(min_value=0, max_value=2**31 - 1)
     return seeds.map(lambda s: sample_word(
-        random.Random(s), G, max_leaves, max_depth, include_unit_brackets=True))
+        random.Random(s), G, max_leaves, max_depth))
 
 
 @settings(max_examples=150, deadline=None)
@@ -310,8 +311,7 @@ def context_strategy():
     STAR2."""
     def build(s):
         rng = random.Random(s)
-        q = sample_word(rng, G, 4, 3, include_unit_brackets=True,
-                        allow_unit=True)
+        q = UNIT if rng.random() < 0.2 else sample_word(rng, G, 4, 3)
         for _ in range(rng.randint(0, 2)):
             q = _insert_hole(q, rng, rng.choice((STAR, STAR1, STAR2)))
         return q
@@ -321,5 +321,7 @@ def context_strategy():
 @settings(max_examples=300, deadline=None)
 @given(context_strategy(), st.one_of(st.just(UNIT), word_strategy(3, 2)))
 def test_one_pass_substitute_matches_counting_definition(q, u):
-    for star in (STAR, STAR1, STAR2):
-        assert substitute(q, u, star) == _substitute_by_counting(q, u, star)
+    assert substitute(q, u) == _substitute_by_counting(q, u, STAR)
+    for star in (STAR1, STAR2):
+        assert (replace_generators(q, {star: u})
+                == _substitute_by_counting(q, u, star))
