@@ -63,8 +63,7 @@ class Family:
             val = pattern.terms.get(w, Fraction(0))
             eqs.append(fam_c - ring.const(val))
         eqs.extend(ident.constraints)
-        comps = solve_components(eqs, ring, with_representatives=False)
-        for comp in comps:
+        for comp in solve_components(eqs, ring):
             rep = find_representative(comp.basis, comp.nonzero, ring)
             if rep is not None:
                 return rep

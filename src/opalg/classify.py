@@ -15,7 +15,8 @@ from fractions import Fraction
 
 from .catalog import Family, families
 from .coeffs import MPoly, PolyRing
-from .gsb import UVW, associativity_defect, dt_check, rbt_check
+from .gsb import (U_WORD, UVW, V_WORD, W_WORD, associativity_defect,
+                  dt_check, rbt_check)
 from .opoly import DIFFERENTIAL, OPoly, OpIdentity, ROTA_BAXTER, XY
 from .ordering import OrderConfig
 from .rewrite import (NORMAL_FORM, RuleSchema, normal_form, word_is_drf,
@@ -178,12 +179,11 @@ class Equation:
 
 
 class ConstraintSystem:
-    __slots__ = ("ansatz", "equations", "step_cap")
+    __slots__ = ("ansatz", "equations")
 
-    def __init__(self, ansatz, equations, step_cap):
+    def __init__(self, ansatz, equations):
         self.ansatz = ansatz
         self.equations = tuple(equations)
-        self.step_cap = step_cap
 
     def polynomials(self):
         return [eq.poly for eq in self.equations if not eq.unresolved]
@@ -214,7 +214,7 @@ def extract_constraints(ansatz: Ansatz, step_cap: int = 4000) -> ConstraintSyste
     ident = ansatz.identity()
     order = OrderConfig(UVW) if ansatz.mode == DIFFERENTIAL else None
     schema = RuleSchema(ident, order=order)
-    defect = associativity_defect(ident)
+    defect = associativity_defect(ident, U_WORD, V_WORD, W_WORD)
     nf, trace = normal_form(defect, schema, "lo", step_cap)
     if trace.status != NORMAL_FORM:
         raise ReductionBudgetExceeded(
@@ -226,7 +226,7 @@ def extract_constraints(ansatz: Ansatz, step_cap: int = 4000) -> ConstraintSyste
         if not isinstance(coeff, MPoly):
             coeff = ansatz.ring.const(coeff)
         equations.append(Equation(coeff, w, _unit_residue(w)))
-    return ConstraintSystem(ansatz, equations, step_cap)
+    return ConstraintSystem(ansatz, equations)
 
 
 class ClassifyResult:
@@ -240,9 +240,7 @@ class ClassifyResult:
 
 
 def _audit_component(ansatz: Ansatz, comp: SolutionComponent) -> bool:
-    point = comp.representative
-    if point is None:
-        point = find_representative(comp.basis, comp.nonzero, ansatz.ring)
+    point = find_representative(comp.basis, comp.nonzero, ansatz.ring)
     if point is None:
         return False
     pattern = ansatz.specialize(point)

@@ -137,13 +137,7 @@ def cmd_verify(args) -> int:
         not report.witness.is_zero else None
     special = _specialized_witness(witness)
     cfg = OrderConfig(UVW, args.order)
-    label = "differential type" if kind == DIFFERENTIAL else "Rota-Baxter type"
-    if report.accepted:
-        lines = [f"accepted: {label}"]
-    elif report.inconclusive:
-        lines = [f"inconclusive: {report.reason}"]
-    else:
-        lines = [f"rejected: not {label} ({report.reason})"]
+    lines = [report.describe()]
     if witness is not None:
         lines.append(f"witness: {to_str_opoly(witness, cfg)}")
     if special is not None:

@@ -293,7 +293,7 @@ def gsb_check_truncated(sys: GeneratorSystem, bound: TruncationBound,
 
     def check_triple(r, s, t):
         report.intersections_reduced += 1
-        value = ident.pattern_at(r, s * t) - ident.pattern_at(r * s, t)
+        value = -associativity_defect(ident, r, s, t)
         return check(CompositionRecord(INTERSECTION, Word((r * s * t,)), value,
                                        mu=UNIT, nu=UNIT), cache)
 
@@ -461,13 +461,10 @@ W_WORD = Word(("w",))
 
 
 class TypeReport:
-    __slots__ = ("kind", "accepted", "reason", "witness", "verdict", "pattern",
-                 "constraints")
+    __slots__ = ("kind", "accepted", "reason", "witness", "verdict")
 
-    def __init__(self, kind, pattern, constraints=()):
+    def __init__(self, kind):
         self.kind = kind
-        self.pattern = pattern
-        self.constraints = tuple(constraints)
         self.accepted = False
         self.reason = ""
         self.witness = None
@@ -478,32 +475,32 @@ class TypeReport:
         return self.verdict is not None and self.verdict.kind == Verdict.INCONCLUSIVE
 
     def describe(self) -> str:
+        """The one-line verdict: accepted, inconclusive or rejected."""
         label = "differential type" if self.kind == DIFFERENTIAL else "Rota-Baxter type"
         if self.accepted:
             return f"accepted: {label}"
-        out = f"rejected: not {label} ({self.reason})"
-        if self.witness is not None and not self.witness.is_zero:
-            out += f"; witness {to_str_opoly(self.witness)}"
-        return out
+        if self.inconclusive:
+            return f"inconclusive: {self.reason}"
+        return f"rejected: not {label} ({self.reason})"
 
 
-def associativity_defect(identity: OpIdentity) -> OPoly:
-    """The associativity defect of an identity over fresh generators u, v, w.
+def associativity_defect(identity: OpIdentity, u: Word, v: Word,
+                         w: Word) -> OPoly:
+    """The associativity defect of an identity at the triple (u, v, w).
 
     Differential shape: N(u v, w) - N(u, v w), the two rewrites of [u v w].
     Rota-Baxter shape: M(M(u, v), w) - M(u, M(v, w)), the bracket contents
     of the two rewrites of [u] [v] [w].
     """
     if identity.kind == DIFFERENTIAL:
-        return (identity.pattern_at(U_WORD * V_WORD, W_WORD)
-                - identity.pattern_at(U_WORD, V_WORD * W_WORD))
+        return identity.pattern_at(u * v, w) - identity.pattern_at(u, v * w)
     pattern, ring = identity.pattern, identity.ring
-    m_uv = pattern.subst_generators({"x": U_WORD, "y": V_WORD})
-    m_vw = pattern.subst_generators({"x": V_WORD, "y": W_WORD})
+    m_uv = pattern.subst_generators({"x": u, "y": v})
+    m_vw = pattern.subst_generators({"x": v, "y": w})
     return (pattern.subst_generators(
-                {"x": m_uv, "y": OPoly.from_word(W_WORD, ring=ring)})
+                {"x": m_uv, "y": OPoly.from_word(w, ring=ring)})
             - pattern.subst_generators(
-                {"x": OPoly.from_word(U_WORD, ring=ring), "y": m_vw}))
+                {"x": OPoly.from_word(u, ring=ring), "y": m_vw}))
 
 
 def _structure_reject(report: TypeReport, reason: str) -> TypeReport:
@@ -516,8 +513,9 @@ def _certify(report: TypeReport, schema: RuleSchema, strategy: str,
              step_cap: int, explore_budget: int) -> TypeReport:
     """Accept when the associativity defect of the schema's identity
     rewrites to zero; otherwise keep the verdict's detail and witness."""
-    verdict = reduces_to_zero(associativity_defect(schema.identity), schema,
-                              strategy, step_cap, explore_budget)
+    defect = associativity_defect(schema.identity, U_WORD, V_WORD, W_WORD)
+    verdict = reduces_to_zero(defect, schema, strategy, step_cap,
+                              explore_budget)
     report.verdict = verdict
     report.accepted = verdict.is_yes
     if not report.accepted:
@@ -535,7 +533,7 @@ def dt_check(pattern: OPoly, constraints=(), strategy: str = "lo",
              order_mode: str = "purelex", step_cap: int = 10000) -> TypeReport:
     """Certificate that [x y] -> pattern defines a differential-shape identity
     whose associativity defect rewrites to zero over three fresh generators."""
-    report = TypeReport(DIFFERENTIAL, pattern, constraints)
+    report = TypeReport(DIFFERENTIAL)
     if not is_totally_linear(pattern):
         return _structure_reject(report, "not totally linear in x, y")
     if not is_drf(pattern):
@@ -551,7 +549,7 @@ def rbt_check(pattern: OPoly, constraints=(), strategy: str = "lo",
     identity: the operated associativity defect M(M(u,v),w) - M(u,M(v,w))
     rewrites to zero within budget (no termination certificate exists, so
     the verdict may be inconclusive)."""
-    report = TypeReport(ROTA_BAXTER, pattern, constraints)
+    report = TypeReport(ROTA_BAXTER)
     if not is_totally_linear(pattern):
         return _structure_reject(report, "not totally linear in x, y")
     if not is_rbrf(pattern):

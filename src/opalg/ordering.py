@@ -7,8 +7,10 @@ comparison):
 * ``purelex`` — lexicographic on atom sequences, the unit and proper prefixes
   minimal.  This is the recursive order the rewriting system is stated with;
   the instance leading-word facts it needs (a bracketed product beats every
-  product-bracket-free replacement) hold because those comparisons are decided
-  strictly at the first atom by degree.  It is, however, *not* context
+  product-bracket-free replacement) hold on words without unit brackets,
+  because those comparisons are decided strictly at the first atom by degree.
+  A unit bracket has degree 0 and breaks the argument: ``[v] [[1]]`` lies
+  above ``[[1] v]``.  It is, however, *not* context
   monotone on prefix-comparable pairs, and not well-founded; both defects are
   observable through ``check_monomial_order`` and are guarded operationally in
   the rewrite engine.

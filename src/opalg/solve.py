@@ -12,6 +12,15 @@ equation fixes linearly, and hands ``_split`` the residual system with the pin
 equations restored.  ``_split`` pins nothing, since ``buchberger`` returns the
 reduced lex basis, which is unique for its ideal: pinning first could change
 the work done but not a component.
+
+Rational points on a component come from one propagation walk,
+``_try_point``.  Each decision fixes one variable, either to a rational root
+of an equation left univariate in it or, when no equation forces one, to a
+value of ``DEFAULT_POOL``; a policy picks among those options.  Three
+policies use the walk: ``enumerate_points`` visits every root depth-first and
+gives up at the first unforced decision, ``sample_points`` draws each value
+from a seeded ``random.Random``, and ``find_representative`` searches the
+simplest values first.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeffs import MPoly, PolyRing
@@ -36,7 +45,6 @@ class SolutionComponent:
     ring: PolyRing
     basis: tuple            # reduced lex Groebner basis, monic, sorted
     nonzero: tuple = ()     # variable names assumed nonzero
-    representative: dict = field(default=None, compare=False)
 
     def contains_point(self, point: dict) -> bool:
         if any(g.evaluate(point) != 0 for g in self.basis):
@@ -58,17 +66,13 @@ class SplitDepthExceeded(RuntimeError):
 MAX_SPLIT_DEPTH = 64
 
 
-def solve_components(eqs, ring: PolyRing, with_representatives: bool = True):
+def solve_components(eqs, ring: PolyRing):
     """Decompose {all eqs = 0} into SolutionComponents (possibly empty list)."""
     leaves: list = []
     _presplit([e for e in eqs if not (isinstance(e, MPoly) and e.is_zero)],
               {}, frozenset(), ring, MAX_SPLIT_DEPTH, leaves)
-    leaves = _merge_leaves(leaves, ring)
-    out = []
-    for basis, nonzero in leaves:
-        rep = find_representative(basis, nonzero, ring) if with_representatives else None
-        out.append(SolutionComponent(ring, basis, tuple(sorted(nonzero)),
-                                     representative=rep))
+    out = [SolutionComponent(ring, basis, tuple(sorted(nonzero)))
+           for basis, nonzero in _merge_leaves(leaves, ring)]
     out.sort(key=lambda c: (len(c.basis), tuple(str(g) for g in c.basis), c.nonzero))
     return out
 
@@ -272,66 +276,60 @@ def _divisors(n):
 
 
 def _univariate_coeffs(p: MPoly, name: str):
-    """Coefficient list of p as a univariate in name, or None if other vars remain."""
+    """Coefficient list of p, whose only variable is name, as a univariate."""
     i = p.ring.index[name]
     coeffs = [Fraction(0)] * (p.degree_in(name) + 1)
     for e, c in p.terms.items():
-        if any(k and j != i for j, k in enumerate(e)):
-            return None
         coeffs[e[i]] += c
     return coeffs
 
 
 def _try_point(basis, nonzero, ring, choose):
-    """Build a point by propagation, taking free choices from ``choose``.
+    """Build a point by propagation, one decision per variable.
 
-    choose(name, options) picks from explicit options (univariate roots) when
-    options is not None, otherwise a free value.  Returns None on dead ends.
+    A decision fixes ``name`` to ``choose(name, options, forced)``.  When an
+    equation is left univariate in ``name``, ``forced`` is True and
+    ``options`` are its sorted rational roots; otherwise ``name`` is the
+    first unfixed variable, ``forced`` is False and ``options`` is
+    ``DEFAULT_POOL``.  Either way zero is dropped for a variable assumed
+    nonzero.  Only the new value is substituted, since the earlier ones no
+    longer occur in the equations.  Returns None on a dead end or when
+    ``choose`` returns None.
     """
     point: dict = {}
     eqs = list(basis)
-    names = list(ring.vars)
     while True:
-        eqs = [e.subs(point) for e in eqs]
-        nonzero_live = []
+        live = []
         for e in eqs:
             if e.is_zero:
                 continue
             if e.is_constant:
                 return None
-            nonzero_live.append(e)
-        eqs = nonzero_live
-        forced = None
+            live.append(e)
+        eqs = live
+        name = None
         for e in eqs:
-            free = [n for n in e.variables() if n not in point]
+            free = e.variables()
             if len(free) == 1:
-                coeffs = _univariate_coeffs(e, free[0])
-                if coeffs is not None:
-                    forced = (free[0], coeffs)
-                    break
-        if forced is not None:
-            name, coeffs = forced
-            roots = rational_roots(coeffs)
-            if name in nonzero:
-                roots = [r for r in roots if r != 0]
-            if not roots:
-                return None
-            val = choose(name, roots)
-            if val is None:
-                return None
-            point[name] = val
-            continue
-        free_names = [n for n in names if n not in point]
-        if not free_names:
-            break
-        name = free_names[0]
-        val = choose(name, None)
+                (name,) = free
+                options = rational_roots(_univariate_coeffs(e, name))
+                break
+        forced = name is not None
+        if not forced:
+            name = next((n for n in ring.vars if n not in point), None)
+            if name is None:
+                break
+            options = DEFAULT_POOL
+        if name in nonzero:
+            options = [r for r in options if r != 0]
+        if not options:
+            return None
+        val = choose(name, options, forced)
         if val is None:
             return None
         point[name] = val
+        eqs = [e.subs({name: val}) for e in eqs]
     if any(g.evaluate(point) != 0 for g in basis):
-        return None
-    if any(point[v] == 0 for v in nonzero):
         return None
     return point
 
@@ -355,9 +353,9 @@ def enumerate_points(basis, nonzero, ring):
     while True:
         depth, free = 0, False
 
-        def choose(name, options):
+        def choose(name, options, forced):
             nonlocal depth, free
-            if options is None:
+            if not forced:
                 free = True
                 return None
             if depth == len(script):
@@ -385,8 +383,8 @@ def sample_points(basis, nonzero, ring, count: int, rng: random.Random,
     A component whose rational points ``enumerate_points`` lists (every
     zero-dimensional one) gives the first ``count`` of them in that fixed
     order, and ``rng`` is not drawn from.  Otherwise up to ``max_attempts``
-    seeded propagations each draw their free values from ``DEFAULT_POOL``
-    and their forced values from the rational roots.
+    seeded propagations each draw every value with ``rng.choice`` from the
+    options ``_try_point`` offers.
 
     Raises when fewer than ``count`` are found, unless ``strict`` is False,
     in which case whatever was found is returned.
@@ -402,15 +400,8 @@ def sample_points(basis, nonzero, ring, count: int, rng: random.Random,
         for _ in range(max_attempts):
             if len(found) >= count:
                 break
-
-            def choose(name, options):
-                if options is not None:
-                    return rng.choice(options)
-                values = [v for v in DEFAULT_POOL
-                          if not (name in nonzero and v == 0)]
-                return rng.choice(values)
-
-            point = _try_point(basis, nonzero, ring, choose)
+            point = _try_point(basis, nonzero, ring,
+                               lambda name, options, forced: rng.choice(options))
             if point is None:
                 continue
             key = tuple(sorted(point.items()))
@@ -425,26 +416,20 @@ def sample_points(basis, nonzero, ring, count: int, rng: random.Random,
 
 def find_representative(basis, nonzero, ring):
     """Deterministic simple point on the component, or None if the grid misses."""
-    # depth-first over pool choices at each free decision, simplest values first
-    def attempt(script):
-        step = iter(script)
-
-        def choose(name, options):
-            if options is not None:
-                opts = sorted(options, key=lambda r: (abs(r), r < 0))
-                if len(opts) == 1:
-                    return opts[0]  # forced: spend no search budget
-                idx = next(step, 0)
-                return opts[idx] if idx < len(opts) else None
-            idx = next(step, 0)
-            values = [v for v in DEFAULT_POOL if not (name in nonzero and v == 0)]
-            return values[idx] if idx < len(values) else None
-
-        return _try_point(basis, nonzero, ring, choose)
+    # depth-first over the options of each decision, simplest values first;
+    # a decision with a single option spends no search budget
+    def choose(name, options, forced):
+        if forced:
+            options = sorted(options, key=lambda r: (abs(r), r < 0))
+        if len(options) == 1:
+            return options[0]
+        idx = next(step, 0)
+        return options[idx] if idx < len(options) else None
 
     for depth in range(4):
         for script in itertools.product(range(len(DEFAULT_POOL)), repeat=depth):
-            point = attempt(script)
+            step = iter(script)
+            point = _try_point(basis, nonzero, ring, choose)
             if point is not None:
                 return point
     return None

@@ -12,9 +12,9 @@ from opalg.catalog import FAMILIES
 from opalg.classify import (Ansatz, ReductionBudgetExceeded, build_ansatz,
                             classify, extract_constraints, match_catalog)
 from opalg.coeffs import PolyRing
-from opalg.gsb import associativity_defect, dt_check
+from opalg.gsb import U_WORD, V_WORD, W_WORD, associativity_defect, dt_check
 from opalg.opoly import DIFFERENTIAL, ROTA_BAXTER
-from opalg.solve import solve_components
+from opalg.solve import find_representative, solve_components
 from opalg.words import GeneratorSet, parse, to_str
 
 XY = GeneratorSet(("x", "y"))
@@ -112,7 +112,8 @@ def test_three_term_constraints_match_hand_reduction():
 
 
 def test_three_term_defect_before_reduction():
-    defect = associativity_defect(three_term().identity())
+    defect = associativity_defect(three_term().identity(), U_WORD, V_WORD,
+                                  W_WORD)
     texts = {to_str(word): str(c) for word, c in defect.terms.items()}
     assert texts == {"u v [w]": "a", "[u v] w": "b", "u [v w]": "-a",
                      "[u] v w": "-b"}
@@ -246,7 +247,8 @@ with open(os.path.join(os.path.dirname(__file__), "frozen_components.json"),
 
 def _frozen_view(components):
     return [{"describe": c.describe(), "nonzero": list(c.nonzero),
-             "representative": {k: str(v) for k, v in c.representative.items()}}
+             "representative": {k: str(v) for k, v in find_representative(
+                 c.basis, c.nonzero, c.ring).items()}}
             for c in components]
 
 

@@ -266,6 +266,8 @@ def test_dt_check_rejects_right_twist_with_witness():
     assert rep.verdict.kind == Verdict.NO
     got = to_str_opoly(rep.witness, OrderConfig(GeneratorSet(("u", "v", "w"))))
     assert got == "w v [u] - v w [u]"
+    # the verdict line carries no witness: the CLI prints it on its own line
+    assert rep.describe() == f"rejected: not differential type ({rep.reason})"
 
 
 # the strategy normal form is the witness of an exhausted search
@@ -292,6 +294,7 @@ def test_type_checks_report_exhausted_search(check, text, monkeypatch):
     assert rep.verdict.detail == "exploration budget 5 exceeded"
     assert rep.reason == ("defect does not rewrite to zero "
                           "(exploration budget 5 exceeded)")
+    assert rep.describe() == f"inconclusive: {rep.reason}"
     assert to_str_opoly(rep.witness) == BUDGET_WITNESS[text]
 
 
@@ -319,7 +322,7 @@ def test_type_report_describe():
     ok = dt_check(DER.pattern)
     assert ok.describe() == "accepted: differential type"
     bad = rbt_check(parse_opoly("[x] [y]", XY))
-    assert bad.describe().startswith("rejected: not Rota-Baxter type")
+    assert bad.describe() == f"rejected: not Rota-Baxter type ({bad.reason})"
 
 
 # -- free operator on derivative markers ---------------------------------------------

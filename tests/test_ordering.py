@@ -36,6 +36,9 @@ def test_mode_validation():
     ("[x] y", "[x y]", LESS),
     ("[1]", "[1] [1]", LESS),
     ("x y", "y x", LESS),
+    # the pinned counterexample to the leading-word argument: with u = [1]
+    # the dt2 replacement monomial [v] [u] lies above the product [u v]
+    ("[y] [[1]]", "[[1] y]", GREATER),
 ])
 def test_purelex_pairs(a, b, expect):
     assert compare(w(a), w(b), PURE) == expect

@@ -13,7 +13,8 @@ import opalg.rewrite
 from opalg.catalog import FAMILIES, named_pattern
 from opalg.classify import build_ansatz
 from opalg.coeffs import _add_scaled_into
-from opalg.gsb import associativity_defect, dt_check, rbt_check
+from opalg.gsb import (U_WORD, V_WORD, W_WORD, associativity_defect,
+                       dt_check, rbt_check)
 from opalg.opoly import (DIFFERENTIAL, ROTA_BAXTER, OPoly, OpIdentity,
                          parse_opoly, to_str_opoly)
 from opalg.ordering import GREATER, OrderConfig, compare, order_key
@@ -179,7 +180,7 @@ def test_normal_form_order_keys_match_comparator_sort(monkeypatch):
     # and redex at each step as sorting through the comparator
     ident = build_ansatz(DIFFERENTIAL, 1).identity()
     schema = RuleSchema(ident, order=OrderConfig(UVW))
-    defect = associativity_defect(ident)
+    defect = associativity_defect(ident, U_WORD, V_WORD, W_WORD)
     by_key, key_trace = normal_form(defect, schema)
     calls = []
 
@@ -278,7 +279,7 @@ def test_normal_form_matches_reference_on_defects(mode, degree, step_cap,
     ident = build_ansatz(mode, degree).identity()
     schema = RuleSchema(ident, order=OrderConfig(UVW)
                         if mode == DIFFERENTIAL else None)
-    defect = associativity_defect(ident)
+    defect = associativity_defect(ident, U_WORD, V_WORD, W_WORD)
     trace = assert_same_as_reference(defect, schema, "lo", step_cap)
     if steps is not None:
         assert len(trace.steps) == steps
@@ -333,7 +334,7 @@ def test_normal_form_matches_reference_under_constraints():
     ident = FAMILIES["dt1"].identity()
     schema = RuleSchema(ident, order=OrderConfig(UVW))
     assert schema.constraint_gb is not None
-    defect = associativity_defect(ident)
+    defect = associativity_defect(ident, U_WORD, V_WORD, W_WORD)
     for strategy in ("lo", "li"):
         for cap in (0, 1, 5, 100000):
             trace = assert_same_as_reference(defect, schema, strategy, cap)
@@ -495,7 +496,7 @@ def test_explore_budget_bounds_distinct_polynomials():
     # the defect reaches exactly 8 distinct polynomials, none of them zero
     ident = OpIdentity(DIFFERENTIAL, parse_opoly("[y] x - x [y] + y [x]", XY))
     schema = RuleSchema(ident, order=OrderConfig(UVW))
-    defect = associativity_defect(ident)
+    defect = associativity_defect(ident, U_WORD, V_WORD, W_WORD)
     full = reduces_to_zero(defect, schema, explore_budget=8)
     assert (full.kind, full.detail) == (
         Verdict.NO, "all 8 reachable polynomials nonzero")
@@ -595,8 +596,9 @@ def _unit_split_verdicts():
         ident = OpIdentity(DIFFERENTIAL, parse_opoly(text, XY))
         schema = RuleSchema(ident, unit_policy=ALLOW_UNITS,
                             order=OrderConfig(UVW))
-        verdict = reduces_to_zero(associativity_defect(ident), schema,
-                                  step_cap=200, explore_budget=50)
+        defect = associativity_defect(ident, U_WORD, V_WORD, W_WORD)
+        verdict = reduces_to_zero(defect, schema, step_cap=200,
+                                  explore_budget=50)
         rows.append([text] + _verdict_row(verdict))
     return rows
 
@@ -615,7 +617,7 @@ def test_unit_split_search_verdicts_are_frozen():
 def test_search_memo_dies_with_its_call(monkeypatch):
     ident = OpIdentity(DIFFERENTIAL, parse_opoly("y [x]", XY))
     schema = RuleSchema(ident, order=OrderConfig(UVW))
-    defect = associativity_defect(ident)
+    defect = associativity_defect(ident, U_WORD, V_WORD, W_WORD)
     calls = [0]
     original = opalg.rewrite.find_redexes
 

@@ -10,6 +10,7 @@ from opalg.groebner import buchberger, nf_mod_ideal
 from opalg.opoly import DIFFERENTIAL, ROTA_BAXTER
 from opalg.solve import (
     enumerate_points,
+    find_representative,
     rational_roots,
     sample_points,
     solve_components,
@@ -84,13 +85,30 @@ def test_single_constraint_stays_whole():
 def test_representatives_lie_on_components():
     comps = solve_components([a * a - a, b * b - b, e * (a - b)], R)
     for c in comps:
-        assert c.representative is not None
-        assert c.contains_point(c.representative)
+        point = find_representative(c.basis, c.nonzero, R)
+        assert point is not None
+        assert c.contains_point(point)
 
 
 def test_representative_prefers_simple_values():
-    comps = solve_components([a - 1, b], R)
-    assert comps[0].representative == {"a": 1, "b": 0, "e": 0}
+    (c,) = solve_components([a - 1, b], R)
+    assert find_representative(c.basis, c.nonzero, R) == \
+        {"a": 1, "b": 0, "e": 0}
+
+
+def test_content_split_is_found_by_the_groebner_basis():
+    # no equation pins a variable or has a variable factor, so the presplit
+    # hands the system on whole; only the basis {x^2, y^2} shows that x and
+    # y divide a generator, and each v != 0 branch is inconsistent
+    S = PolyRing(["x", "y"])
+    x, y = S.var("x"), S.var("y")
+    comps = solve_components([x * x + y * y, x * x - y * y], S)
+    assert [c.describe() for c in comps] == ["y = 0, x = 0"]
+    vals = [Fraction(v) for v in range(-2, 3)]
+    for vx in vals:
+        for vy in vals:
+            on = vx * vx + vy * vy == 0 and vx * vx - vy * vy == 0
+            assert comps[0].contains_point({"x": vx, "y": vy}) == on
 
 
 def test_sampling_on_component():
@@ -142,10 +160,10 @@ def _count_propagations(monkeypatch):
         calls[0] += 1
         before = []
 
-        def watched(name, options):
-            if options is not None:
+        def watched(name, options, forced):
+            if forced:
                 decisions[tuple(before)] = len(options)
-            value = choose(name, options)
+            value = choose(name, options, forced)
             before.append((name, value))
             return value
 
@@ -169,6 +187,23 @@ def test_single_point_component_is_enumerated_not_sampled(
     calls, branches = counts()
     assert calls <= branches
     assert rng.getstate() == state
+
+
+def test_degree1_dt_sample_counts_are_pinned(monkeypatch, degree1_components):
+    # components 2 and 3 have one free coefficient and every other one
+    # pinned, so DEFAULT_POOL reaches only 5 and 6 of their points: every
+    # attempt after the enumeration gives up repeats a point
+    counts = _count_propagations(monkeypatch)
+    found, runs = [], []
+    for c in degree1_components[DIFFERENTIAL]:
+        before = counts()[0]
+        pts = sample_points(c.basis, c.nonzero, c.ring, 20, random.Random(0),
+                            max_attempts=300, strict=False)
+        assert all(c.contains_point(p) for p in pts)
+        found.append(len(pts))
+        runs.append(counts()[0] - before)
+    assert found == [20, 20, 5, 6, 1, 1]
+    assert runs[2:4] == [301, 301]
 
 
 # a = 0 or 1, b = 1 or -1, e = a*b, and b != 0: four rational points
