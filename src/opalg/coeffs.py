@@ -201,16 +201,15 @@ class MPoly:
         assigned variable occurs, ``self`` is returned: an ``MPoly`` is never
         changed in place."""
         ring = self.ring
-        values = {}
-        for name, v in assignment.items():
-            if not isinstance(v, MPoly):
-                v = ring.const(v)
-            elif v.ring != ring:
+        for v in assignment.values():
+            if isinstance(v, MPoly) and v.ring != ring:
                 raise ValueError("mixed polynomial rings")
-            values[ring.index[name]] = v.terms
-        assigned = sorted(values)
+        assigned = sorted(ring.index[name] for name in assignment)
         if not any(e[i] for e in self.terms for i in assigned):
             return self
+        values = {ring.index[name]: (v if isinstance(v, MPoly)
+                                     else ring.const(v)).terms
+                  for name, v in assignment.items()}
         # powers[i][k - 1] is the term dict of value_i ** k; a plain dict of
         # lists, not a recursive closure, so a call leaves no reference cycle
         powers = {i: [v] for i, v in values.items()}

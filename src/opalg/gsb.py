@@ -24,8 +24,8 @@ from .ordering import GREATER, LESS, OrderConfig, compare, random_context
 from .rewrite import (NORMAL_FORM, ResourceLimit, RuleSchema, Verdict,
                       find_redexes, is_drf, is_rbrf, is_totally_linear,
                       normal_form, reduces_to_zero)
-from .words import (GeneratorSet, STAR, UNIT, Word, enumerate_words, substitute,
-                    to_str)
+from .words import (GeneratorSet, UNIT, Word, enumerate_words,
+                    replace_generators, substitute, to_str)
 
 BOUND_GEN_NAMES = ("u", "v", "w", "p", "q", "r", "s", "t")
 
@@ -299,25 +299,26 @@ def gsb_check_truncated(sys: GeneratorSystem, bound: TruncationBound,
 
     # intersections: f = phi(r s, t), g = phi(r, s t), overlap at [r s t];
     # the bracket leading words cancel, leaving N(r, s t) - N(r s, t)
-    triples = []
+    blocks = []
     for ls in sorted(by_leaves):
         arg_max = B - ls
         sides = [w for l in sorted(by_leaves) if l <= arg_max
                  for w in by_leaves[l]]
-        for s in by_leaves[ls]:
-            for r in sides:
-                for t in sides:
-                    report.intersections_checked += 1
-                    triples.append((r, s, t))
+        blocks.append((by_leaves[ls], sides))
+        report.intersections_checked += len(by_leaves[ls]) * len(sides) ** 2
+    n = report.intersections_checked
     if certify == "concrete":
-        for r, s, t in triples:
-            if check_triple(r, s, t):
+        for j in range(n):
+            if check_triple(*_triple_at(blocks, j)):
                 report.trivial_count += 1
     else:
         names = gens.names
         master = (Word((names[0],)), Word((names[1],)), Word((names[2],)))
         master_ok = check_triple(*master)
-        picks = rng.sample(triples, min(TRANSFER_SAMPLES, len(triples)))
+        # ``sample`` only indexes its population, so sampling the indices
+        # picks the triples that sampling a list of all triples would
+        picks = [_triple_at(blocks, j)
+                 for j in rng.sample(range(n), min(TRANSFER_SAMPLES, n))]
         sample_ok = all([check_triple(r, s, t) for (r, s, t) in picks])
         if master_ok and sample_ok:
             report.trivial_count = report.intersections_checked
@@ -328,20 +329,19 @@ def gsb_check_truncated(sys: GeneratorSystem, bound: TruncationBound,
     spect_order = OrderConfig(spect_gens, sys.order.mode)
     spect_sys = GeneratorSystem(sys.identity, spect_order)
     spect_cache = NFCache(spect_sys.schema, step_cap)
-    star_only = (STAR,)
     for host in words:
         for u1, v1 in ((host, spectator), (spectator, host)):
             lead = Word((u1 * v1,))
             f = spect_sys.instance(u1, v1)
             for redex in find_redexes(lead, spect_sys.schema):
-                if redex.context.atoms == star_only:
+                if len(redex.path) == 1:
                     continue  # top-level splits are the intersection cases
+                q = redex.context
                 g = spect_sys.instance(redex.a, redex.b)
                 report.including_configs += 1
                 report.including_instances_certified += len(words)
                 comp = CompositionRecord(INCLUDING, lead,
-                                         f - g.into_context(redex.context),
-                                         context=redex.context,
+                                         f - g.into_context(q), context=q,
                                          note="spectator argument generic")
                 if check(comp, spect_cache):
                     # one trivial configuration certifies every spectator word
@@ -349,6 +349,20 @@ def gsb_check_truncated(sys: GeneratorSystem, bound: TruncationBound,
     report.order_violations = (cache.order_violations
                                + spect_cache.order_violations)
     return report
+
+
+def _triple_at(blocks, j: int):
+    """The ``j``-th intersection triple (r, s, t), without listing them: the
+    triples run block by block, and within a block s outermost, then r,
+    then t."""
+    for middles, sides in blocks:
+        n = len(sides)
+        size = len(middles) * n * n
+        if j < size:
+            rest, t = divmod(j, n)
+            s, r = divmod(rest, n)
+            return sides[r], middles[s], sides[t]
+        j -= size
 
 
 # -- irreducible words and direct-sum checks ----------------------------------------
@@ -490,17 +504,25 @@ def associativity_defect(identity: OpIdentity, u: Word, v: Word,
 
     Differential shape: N(u v, w) - N(u, v w), the two rewrites of [u v w].
     Rota-Baxter shape: M(M(u, v), w) - M(u, M(v, w)), the bracket contents
-    of the two rewrites of [u] [v] [w].
+    of the two rewrites of [u] [v] [w].  M is totally linear, so M(P, w) is
+    the double sum of c_m c_p m[x := p, y := w] over the terms c_m m of M
+    and c_p p of P, with no product to multiply out (and M(u, P) likewise).
     """
     if identity.kind == DIFFERENTIAL:
         return identity.pattern_at(u * v, w) - identity.pattern_at(u, v * w)
-    pattern, ring = identity.pattern, identity.ring
-    m_uv = pattern.subst_generators({"x": u, "y": v})
-    m_vw = pattern.subst_generators({"x": v, "y": w})
-    return (pattern.subst_generators(
-                {"x": m_uv, "y": OPoly.from_word(w, ring=ring)})
-            - pattern.subst_generators(
-                {"x": OPoly.from_word(u, ring=ring), "y": m_vw}))
+    return (_nest(identity, identity.pattern_at(u, v), "x", w)
+            - _nest(identity, identity.pattern_at(v, w), "y", u))
+
+
+def _nest(identity: OpIdentity, p: OPoly, slot: str, other: Word) -> OPoly:
+    """M with ``p`` in generator slot ``slot`` and ``other`` in the other."""
+    out: dict = {}
+    other_slot = "y" if slot == "x" else "x"
+    for m, c in identity.pattern.terms.items():
+        for word, cp in p.terms.items():
+            _add_scaled_into(out, {replace_generators(
+                m, {slot: word, other_slot: other}): cp}, c)
+    return OPoly._trusted(out, identity.ring)
 
 
 def _structure_reject(report: TypeReport, reason: str) -> TypeReport:

@@ -155,27 +155,15 @@ class OPoly:
     # -- substitution ----------------------------------------------------------------
 
     def subst_generators(self, mapping: dict) -> "OPoly":
-        """Replace generators by words or polynomials, multiplying out."""
+        """Replace generators by words: a word homomorphism, so each term
+        keeps its coefficient and only colliding images add up.  A value
+        that is not a ``Word`` raises ``ValueError``."""
+        if not all(isinstance(v, Word) for v in mapping.values()):
+            raise ValueError("generator values must be words")
         out: dict = {}
-        words_only = all(isinstance(v, Word) for v in mapping.values())
         for w, c in self.terms.items():
-            if words_only:  # a word homomorphism: the coefficient is kept
-                _add_scaled_into(out, {replace_generators(w, mapping): c})
-            else:
-                _add_scaled_into(out, self._expand_word(w, mapping).terms, c)
+            _add_scaled_into(out, {replace_generators(w, mapping): c})
         return OPoly._trusted(out, self.ring)
-
-    def _expand_word(self, w: Word, values: dict) -> "OPoly":
-        prod = OPoly.from_word(UNIT, ring=self.ring)
-        for a in w.atoms:
-            if isinstance(a, str):
-                factor = values.get(a, Word((a,)))
-                if isinstance(factor, Word):
-                    factor = OPoly.from_word(factor, ring=self.ring)
-            else:
-                factor = self._expand_word(a, values).bracket()
-            prod = prod * factor
-        return prod
 
     def into_context(self, q: Word) -> "OPoly":
         """q|_p: substitute each word of p into the star of context q."""

@@ -9,14 +9,24 @@ reduction stops at ``step_cap`` steps, the exhaustive search at
 peaks, and ``normal_form(monitor=True)`` records every step that does not
 descend in the configured order.
 
+A redex carries its *star path*: one ``(left atoms, right atoms)`` pair
+per nesting level, outermost first, around the bracket the match descends
+into and, at the last level, around the matched atoms.  One walk of a word
+yields its redexes in leftmost-outermost (``lo``) or leftmost-innermost
+(``li``) order without building any context; a replacement word is built by
+one splice of the instantiated pattern monomial along the path, flat for a
+sigma rule and bracketed for a pi rule, and ``Redex.context`` is the same
+splice of the star.
+
 ``normal_form`` takes each step's monomial from a max-heap of reducible
 words instead of re-sorting the polynomial.  Every rewrite step, of the
 strategy path and the search alike, goes through ``_rewrite_into``, which
 rewrites one term dict in place and reduces only the coefficients it touched
-modulo the constraint ideal.  Memos of redexes, replacements and sort keys
-live for one library call and die when it returns: ``normal_form`` keeps
-its own, each ``reduces_to_zero`` call has one word -> replacements memo for
-its search, and ``joinable`` shares one between its two reach-set searches.
+modulo the constraint ideal.  Memos live for one library call and die when
+it returns: ``normal_form`` keeps a word -> first redex (or ``None``) memo
+and its sort keys, each ``reduces_to_zero`` call has one word ->
+replacements memo for its search, and ``joinable`` shares one between its
+two reach-set searches.
 """
 
 from __future__ import annotations
@@ -28,7 +38,8 @@ from .coeffs import _add_scaled_into
 from .groebner import buchberger, nf_mod_ideal
 from .opoly import DIFFERENTIAL, OPoly, OpIdentity, to_str_opoly
 from .ordering import OrderConfig, order_key
-from .words import STAR, UNIT, Word, enumerate_words, to_str, word_sort_key
+from .words import (STAR, UNIT, Word, enumerate_words, replace_generators,
+                    to_str, word_sort_key)
 
 NONUNIT_ONLY = "nonunit"
 ALLOW_UNITS = "allow"
@@ -132,11 +143,19 @@ class RuleSchema:
             self.constraint_gb = None
 
     def replacement(self, redex: Redex) -> OPoly:
-        """The rule's right-hand side at ``redex``, placed in its context."""
-        out = self.identity.pattern_at(redex.a, redex.b)
-        if self.kind == "pi":
-            out = out.bracket()
-        return out.into_context(redex.context)
+        """The rule's right-hand side at ``redex``, placed in its context:
+        each pattern monomial, instantiated at (a, b), is spliced along the
+        redex's path, flat for sigma and bracketed for pi.  Splicing into a
+        fixed path is injective, so the terms merge exactly as those of
+        ``pattern_at(a, b)`` do and keep their order."""
+        mapping = {"x": redex.a, "y": redex.b}
+        path = redex.path
+        sigma = self.kind == "sigma"
+        out: dict = {}
+        for m, c in self.identity.pattern.terms.items():
+            m = replace_generators(m, mapping)
+            _add_scaled_into(out, {_splice(path, m.atoms if sigma else (m,)): c})
+        return OPoly._trusted(out, self.identity.ring)
 
     def normalize(self, p: OPoly) -> OPoly:
         if self.constraint_gb is None or p.ring is None:
@@ -153,9 +172,23 @@ class RuleSchema:
         return f"RuleSchema({self.kind}: {self.identity!r}, {self.unit_policy})"
 
 
-# A redex: ``context`` has one star where the matched subterm sits, and the
-# match is (a, b).
-Redex = namedtuple("Redex", ["context", "a", "b"])
+class Redex(namedtuple("Redex", ["path", "a", "b"])):
+    """A match (a, b) of the schema, at the end of the star path ``path``."""
+
+    __slots__ = ()
+
+    @property
+    def context(self) -> Word:
+        """The word with one star where the matched subterm sits."""
+        return _splice(self.path, (STAR,))
+
+
+def _splice(path: tuple, atoms: tuple) -> Word:
+    """The word ``path`` leads through, with ``atoms`` spliced flat into the
+    hole at its end; spliced empty, the hole is deleted."""
+    for left, right in reversed(path):
+        atoms = (Word(left + atoms + right),)
+    return atoms[0]
 
 
 def _sigma_splits(content: Word, policy: str):
@@ -170,44 +203,36 @@ def _sigma_splits(content: Word, policy: str):
             yield content, UNIT
 
 
-def _collect_redexes(w: Word, schema: RuleSchema, inner_first: bool) -> list:
-    out = []
-    _visit(w, Word, schema.kind == "sigma", schema.unit_policy, inner_first, out)
-    return out
-
-
-def _visit(word: Word, wrap, sigma, policy, inner_first, out) -> None:
-    """Append the redexes inside ``word``, placed in context by ``wrap``, to
-    ``out``.  A module-level recursion: a recursive closure would leave a
-    reference cycle per call for the cyclic collector."""
+def _redexes(word: Word, schema: RuleSchema, inner_first: bool,
+             path: tuple = ()):
+    """The redexes inside ``word``, which ``path`` leads to, leftmost-
+    outermost first, or leftmost-innermost first when ``inner_first``;
+    lazily, so a caller may stop at the first.  A module-level recursion: a
+    recursive closure would leave a reference cycle per call for the cyclic
+    collector."""
+    sigma = schema.kind == "sigma"
     atoms = word.atoms
     for i, a in enumerate(atoms):
-        here = []
-        if isinstance(a, Word):
-            if sigma:
-                for left, right in _sigma_splits(a, policy):
-                    q = wrap(atoms[:i] + (STAR,) + atoms[i + 1:])
-                    here.append(Redex(q, left, right))
-            elif i + 1 < len(atoms) and isinstance(atoms[i + 1], Word):
-                # any adjacent bracket pair is a pi redex: the rule family
-                # ranges over all words, the unit policy only selects
-                # sigma content splits
-                ca, cb = a, atoms[i + 1]
-                q = wrap(atoms[:i] + (STAR,) + atoms[i + 2:])
-                here.append(Redex(q, ca, cb))
-        if not inner_first:
-            out.extend(here)
-        if isinstance(a, Word):
-            def wrap_inner(rep, _i=i, _atoms=atoms, _wrap=wrap):
-                return _wrap(_atoms[:_i] + (Word(rep),) + _atoms[_i + 1:])
-            _visit(a, wrap_inner, sigma, policy, inner_first, out)
+        if not isinstance(a, Word):
+            continue
+        inside = path + ((atoms[:i], atoms[i + 1:]),)
         if inner_first:
-            out.extend(here)
+            yield from _redexes(a, schema, inner_first, inside)
+        if sigma:
+            for left, right in _sigma_splits(a, schema.unit_policy):
+                yield Redex(inside, left, right)
+        elif i + 1 < len(atoms) and isinstance(atoms[i + 1], Word):
+            # any adjacent bracket pair is a pi redex: the rule family
+            # ranges over all words, the unit policy only selects sigma
+            # content splits
+            yield Redex(path + ((atoms[:i], atoms[i + 2:]),), a, atoms[i + 1])
+        if not inner_first:
+            yield from _redexes(a, schema, inner_first, inside)
 
 
 def find_redexes(w: Word, schema: RuleSchema) -> list:
     """All schema matches in ``w``, leftmost-outermost first."""
-    return _collect_redexes(w, schema, inner_first=False)
+    return list(_redexes(w, schema, False))
 
 
 # -- traces -------------------------------------------------------------------------
@@ -265,13 +290,12 @@ def normal_form(p: OPoly, schema: RuleSchema, strategy: str = "lo",
     inner_first = strategy == "li"
     trace = ReductionTrace()
     key = word_sort_key if schema.order is None else order_key(schema.order)
-    redexes_of = {}  # word -> its redexes; lives for this call only
+    first_redex = {}  # word -> its first redex or None; for this call only
 
     def reducible(w: Word) -> bool:
-        redexes = redexes_of.get(w)
-        if redexes is None:
-            redexes = redexes_of[w] = _collect_redexes(w, schema, inner_first)
-        return bool(redexes)
+        if w not in first_redex:
+            first_redex[w] = next(_redexes(w, schema, inner_first), None)
+        return first_redex[w] is not None
 
     p = schema.normalize(schema.lift(p))
     terms = dict(p.terms)  # rewritten in place
@@ -288,7 +312,7 @@ def normal_form(p: OPoly, schema: RuleSchema, strategy: str = "lo",
             break
         top = heapq.heappop(heap)
         w = top.word
-        redex = redexes_of[w][0]
+        redex = first_redex[w]
         repl = schema.replacement(redex)
         if monitor and schema.order is not None:
             for m in repl.terms:

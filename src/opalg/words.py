@@ -7,8 +7,8 @@ never simplified away.
 
 An occurrence of a subword inside a word is described by a *context*: a word
 containing exactly one star atom, which ``substitute`` fills to recover the
-original.  Splicing the unit deletes the star.  Rewriting places each redex
-it finds in such a context.
+original.  Splicing the unit deletes the star.  Rewriting locates each redex
+it finds by the path to such a star, and splices its context from that path.
 """
 
 from __future__ import annotations

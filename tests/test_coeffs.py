@@ -110,6 +110,24 @@ def test_subs_without_an_occurring_variable_returns_the_polynomial():
     assert p.subs({"a": a}) is not p
 
 
+def test_subs_without_an_occurring_variable_builds_no_constant(monkeypatch):
+    p = a * a - b
+    calls = []
+    original = PolyRing.const
+
+    def counted(ring, value):
+        calls.append(value)
+        return original(ring, value)
+
+    monkeypatch.setattr(PolyRing, "const", counted)
+    assert p.subs({"c": Fraction(1, 2)}) is p
+    assert calls == []
+    assert p.subs({"b": 3, "c": 2}) == a * a - original(R, 3)
+    assert calls == [3, 2]
+    with pytest.raises(ValueError):
+        p.subs({"c": PolyRing(["c"]).var("c")})
+
+
 def test_subs_leaves_no_reference_cycle():
     # each call's powers used to live in a self-referencing closure, which only
     # the cyclic collector could free

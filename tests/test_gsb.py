@@ -81,6 +81,47 @@ def test_transfer_and_concrete_modes_agree_small():
     assert rep.intersections_reduced < 216
 
 
+def _listed_triples(bound):
+    """Every intersection triple in the order gsb_check_truncated once
+    listed them, kept as the reference for its index decoding."""
+    words = enumerate_words(bound.generator_set(), bound.max_breadth,
+                            bound.max_depth, include_unit_brackets=False,
+                            include_unit=False)
+    by_leaves = {}
+    for w in words:
+        by_leaves.setdefault(w.leaves, []).append(w)
+    triples = []
+    for ls in sorted(by_leaves):
+        sides = [w for l in sorted(by_leaves) if l <= bound.max_breadth - ls
+                 for w in by_leaves[l]]
+        triples.extend((r, s, t) for s in by_leaves[ls] for r in sides
+                       for t in sides)
+    return triples
+
+
+@pytest.mark.parametrize("bound", [(3, 1, 3), (2, 1, 2)])
+def test_checked_triples_match_the_listed_triples(bound, monkeypatch):
+    bound = TruncationBound(*bound)
+    checked = []
+    original = gsb.associativity_defect
+
+    def recording(identity, r, s, t):
+        checked.append((r, s, t))
+        return original(identity, r, s, t)
+
+    monkeypatch.setattr(gsb, "associativity_defect", recording)
+    system = GeneratorSystem(DER, OrderConfig(bound.generator_set()))
+    report = gsb_check_truncated(system, bound, rng=random.Random(5))
+    triples = _listed_triples(bound)
+    assert report.intersections_checked == len(triples)
+    if report.certify == "concrete":
+        assert checked == triples
+    else:
+        master = tuple(Word((g,)) for g in "uvw")
+        picks = random.Random(5).sample(triples, gsb.TRANSFER_SAMPLES)
+        assert checked == [master] + picks
+
+
 def test_nf_cache_stores_packed_dicts(monkeypatch):
     # rewrite steps delete from the normal form's term dict; a cached normal
     # form must not keep the deleted slots for the life of the check

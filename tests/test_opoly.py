@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from opalg.catalog import FAMILIES
 from opalg.coeffs import MPoly, PolyRing
 from opalg.groebner import buchberger, nf_mod_ideal
-from opalg.opoly import (DIFFERENTIAL, OpIdentity, OPoly, XY, parse_opoly,
-                         to_str_opoly)
+from opalg.gsb import U_WORD, V_WORD, W_WORD, associativity_defect
+from opalg.opoly import (DIFFERENTIAL, ROTA_BAXTER, OpIdentity, OPoly, XY,
+                         parse_opoly, to_str_opoly)
 from opalg.ordering import OrderConfig, order_key
 from opalg.rewrite import RuleSchema
 from opalg.words import (STAR, UNIT, Word, bracket, parse, sample_word,
@@ -170,13 +171,36 @@ def test_arithmetic_matches_term_by_term_reference(ring, seed):
               Word(("y", Word((Word((STAR,)),))))):
         results.append((a.into_context(q),
                         _collect([(substitute(q, u), c) for u, c in ta], ring)))
-    for values in ({"x": w("y"), "y": w("x")}, {"x": w("x x"), "y": UNIT},
-                   {"x": b, "y": w("[y]")}, {"x": a, "y": b}):
+    for values in ({"x": w("y"), "y": w("x")}, {"x": w("x x"), "y": UNIT}):
         results.append((a.subst_generators(values),
                         _collect([(u2, c * c2) for u, c in ta
                                   for u2, c2 in _ref_expand(u, values)], ring)))
     for got, want in results:
         assert got == want
+        _assert_canonical(got, ring)
+    for values in ({"x": b, "y": w("[y]")}, {"x": a, "y": b}):
+        with pytest.raises(ValueError):
+            a.subst_generators(values)
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, fam in FAMILIES.items() if fam.mode == ROTA_BAXTER))
+def test_rota_baxter_defect_matches_product_expansion(name):
+    # M(M(u, v), w) - M(u, M(v, w)) multiplied out as products, with the
+    # terms of each nested pattern in the order their expansion visits them
+    ident = FAMILIES[name].identity()
+    ring = ident.ring
+
+    def nested(values):
+        return _collect([(u2, c * c2) for m, c in ident.pattern.terms.items()
+                         for u2, c2 in _ref_expand(m, values)], ring)
+
+    for u, v, t in ((U_WORD, V_WORD, W_WORD),
+                    (U_WORD * V_WORD, bracket(W_WORD), bracket(UNIT))):
+        want = (nested({"x": ident.pattern_at(u, v), "y": t})
+                - nested({"x": u, "y": ident.pattern_at(v, t)}))
+        got = associativity_defect(ident, u, v, t)
+        assert list(got.terms.items()) == list(want.terms.items())
         _assert_canonical(got, ring)
 
 
@@ -205,9 +229,12 @@ def test_subst_generators_expands_products():
 
 
 def test_subst_generators_with_polynomial_values():
+    # only words are substituted; products are multiplied out by ``*``
     q = p("x y")
-    out = q.subst_generators({"x": p("x + y"), "y": p("x - y")})
-    assert out == p("x x - x y + y x - y y")
+    with pytest.raises(ValueError):
+        q.subst_generators({"x": p("x + y"), "y": p("x - y")})
+    with pytest.raises(ValueError):
+        q.subst_generators({"x": w("y"), "y": p("x")})
 
 
 def test_into_context():

@@ -17,14 +17,16 @@ from opalg.classify import build_ansatz, classify, match_catalog
 from opalg.coeffs import PolyRing
 from opalg.gsb import (GeneratorSystem, TruncationBound, cdl_direct_sum_check,
                        dt_check, gsb_check_truncated, rbt_check)
-from opalg.opoly import DIFFERENTIAL, ROTA_BAXTER, XY, parse_opoly
+from opalg.opoly import DIFFERENTIAL, ROTA_BAXTER, XY, OPoly, parse_opoly
 from opalg.ordering import OrderConfig
+from opalg.rewrite import RuleSchema, find_redexes, normal_form
 from opalg.words import enumerate_words, parse, sample_word
 
 
 DERIVATION = named_pattern("derivation")
 AVERAGE = named_pattern("average")
 BOUND = TruncationBound(2, 1, 3)
+NESTED = parse("x [y [x [y x]] [x y]] y", XY)
 
 
 def _basis_check():
@@ -45,6 +47,9 @@ CALLS = {
     "dt_check": lambda: dt_check(DERIVATION.pattern),
     "rbt_check": lambda: rbt_check(AVERAGE.pattern),
     "enumerate_words": lambda: enumerate_words(("x", "y"), 4, 2),
+    "find_redexes": lambda: find_redexes(NESTED, RuleSchema(DERIVATION)),
+    "normal_form": lambda: normal_form(OPoly.from_word(NESTED),
+                                       RuleSchema(DERIVATION), "li"),
     "sample_word": lambda: [sample_word(random.Random(s), ("x", "y"), 5, 3)
                             for s in range(50)],
     "words.parse": lambda: parse("x [y [x] y] [1]", XY),

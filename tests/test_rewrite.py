@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import random
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -25,8 +26,8 @@ from opalg.rewrite import (ALLOW_UNITS, NONUNIT_ONLY, NORMAL_FORM,
                            find_redexes, is_drf, is_rbrf, is_totally_linear,
                            joinable, local_confluence_check, normal_form,
                            reduces_to_zero, word_is_drf, word_is_rbrf)
-from opalg.words import (GeneratorSet, UNIT, Word, enumerate_words, parse,
-                         sample_word, to_str, word_sort_key)
+from opalg.words import (STAR, GeneratorSet, UNIT, Word, enumerate_words,
+                         parse, sample_word, to_str, word_sort_key)
 
 XY = GeneratorSet(("x", "y"))
 XYZ = GeneratorSet(("x", "y", "z"))
@@ -200,6 +201,113 @@ def test_normal_form_rejects_unknown_strategy():
         normal_form(OPoly.from_word(parse("x", XY)), der_schema(XY), "magic")
 
 
+# -- redexes and replacements against the context-building reference ------------
+
+RefRedex = namedtuple("RefRedex", ["context", "a", "b"])
+
+
+def reference_redexes(w: Word, schema: RuleSchema, inner_first: bool) -> list:
+    """Every redex of ``w`` with its context word, as redex enumeration was
+    before redexes carried star paths, kept as the oracle: each level wraps
+    its contexts through the closure chain of the levels above."""
+    out = []
+    _reference_visit(w, Word, schema.kind == "sigma", schema.unit_policy,
+                     inner_first, out)
+    return out
+
+
+def _reference_visit(word, wrap, sigma, policy, inner_first, out):
+    atoms = word.atoms
+    for i, a in enumerate(atoms):
+        here = []
+        if isinstance(a, Word):
+            if sigma:
+                for left, right in opalg.rewrite._sigma_splits(a, policy):
+                    q = wrap(atoms[:i] + (STAR,) + atoms[i + 1:])
+                    here.append(RefRedex(q, left, right))
+            elif i + 1 < len(atoms) and isinstance(atoms[i + 1], Word):
+                q = wrap(atoms[:i] + (STAR,) + atoms[i + 2:])
+                here.append(RefRedex(q, a, atoms[i + 1]))
+        if not inner_first:
+            out.extend(here)
+        if isinstance(a, Word):
+            def wrap_inner(rep, _i=i, _atoms=atoms, _wrap=wrap):
+                return _wrap(_atoms[:_i] + (Word(rep),) + _atoms[_i + 1:])
+            _reference_visit(a, wrap_inner, sigma, policy, inner_first, out)
+        if inner_first:
+            out.extend(here)
+
+
+def reference_replacement(schema: RuleSchema, redex) -> OPoly:
+    """The rule's right-hand side at ``redex`` by polynomial operations:
+    the pattern at (a, b), bracketed for pi, substituted into the context."""
+    out = schema.identity.pattern_at(redex.a, redex.b)
+    if schema.kind == "pi":
+        out = out.bracket()
+    return out.into_context(redex.context)
+
+
+def ordered_terms(p: OPoly) -> list:
+    """The terms of ``p`` in order, symbolic coefficients with their own
+    term order."""
+    return [(w, c if isinstance(c, Fraction) else list(c.terms.items()))
+            for w, c in p.terms.items()]
+
+
+ORACLE_SCHEMAS = {
+    "derivation": lambda policy: RuleSchema(DER, unit_policy=policy,
+                                            order=OrderConfig(UVW)),
+    "average": lambda policy: RuleSchema(AVG, unit_policy=policy),
+    # unit splits make x [y] and [y] x collide, and here cancel
+    "cancelling": lambda policy: RuleSchema(
+        OpIdentity(DIFFERENTIAL, parse_opoly("x [y] - [y] x + x y", XY)),
+        unit_policy=policy),
+    "dt ansatz": lambda policy: RuleSchema(build_ansatz(DIFFERENTIAL, 1)
+                                           .identity(), unit_policy=policy),
+    "rbt ansatz": lambda policy: RuleSchema(build_ansatz(ROTA_BAXTER, 1)
+                                            .identity(), unit_policy=policy),
+}
+ORACLE_WORDS = enumerate_words(UVW, 3, 2)
+
+
+@pytest.mark.parametrize("policy", [NONUNIT_ONLY, ALLOW_UNITS])
+@pytest.mark.parametrize("name", sorted(ORACLE_SCHEMAS))
+def test_redexes_match_reference(name, policy):
+    schema = ORACLE_SCHEMAS[name](policy)
+    found = 0
+    for w in ORACLE_WORDS:
+        lo = [RefRedex(r.context, r.a, r.b) for r in find_redexes(w, schema)]
+        assert lo == reference_redexes(w, schema, False)
+        found += len(lo)
+        for inner_first in (False, True):
+            first = next(opalg.rewrite._redexes(w, schema, inner_first), None)
+            want = reference_redexes(w, schema, inner_first)
+            if not want:
+                assert first is None
+                continue
+            assert RefRedex(first.context, first.a, first.b) == want[0]
+            if not inner_first:
+                assert first == find_redexes(w, schema)[0]
+    assert found > 0
+
+
+@pytest.mark.parametrize("policy", [NONUNIT_ONLY, ALLOW_UNITS])
+@pytest.mark.parametrize("name", sorted(ORACLE_SCHEMAS))
+def test_replacements_match_reference(name, policy):
+    schema = ORACLE_SCHEMAS[name](policy)
+    collided = 0
+    for w in ORACLE_WORDS:
+        for r in find_redexes(w, schema):
+            got = schema.replacement(r)
+            want = reference_replacement(schema, r)
+            assert ordered_terms(got) == ordered_terms(want)
+            collided += len(got) < len(schema.identity.pattern)
+    # images of pattern monomials merge (or cancel) everywhere but in the
+    # one-term average and the derivation without unit splits
+    assert (collided == 0) == (name == "average" or (
+        name == "derivation" and policy == NONUNIT_ONLY))
+
+
 # -- the heap normal form against the sort-every-step reference -------------------
 
 
@@ -207,8 +315,10 @@ def reference_normal_form(p: OPoly, schema: RuleSchema, strategy: str = "lo",
                           step_cap: int = 100000, monitor: bool = False):
     """``normal_form`` as it was before its heap, kept as the oracle: every
     step re-sorts all terms by order key to find the order-maximal reducible
-    monomial, copies the whole term dict and reduces every coefficient
-    modulo the constraint ideal."""
+    monomial, lists all its redexes and builds the replacement by
+    polynomial operations (``reference_redexes``,
+    ``reference_replacement``), copies the whole term dict and reduces
+    every coefficient modulo the constraint ideal."""
     inner_first = strategy == "li"
     trace = ReductionTrace()
     key = (functools.cache(word_sort_key) if schema.order is None
@@ -220,8 +330,8 @@ def reference_normal_form(p: OPoly, schema: RuleSchema, strategy: str = "lo",
         for w in sorted(p.terms, key=key, reverse=True):
             redexes = redexes_of.get(w)
             if redexes is None:
-                redexes = redexes_of[w] = opalg.rewrite._collect_redexes(
-                    w, schema, inner_first)
+                redexes = redexes_of[w] = reference_redexes(w, schema,
+                                                            inner_first)
             if redexes:
                 target = (w, redexes[0])
                 break
@@ -232,7 +342,7 @@ def reference_normal_form(p: OPoly, schema: RuleSchema, strategy: str = "lo",
             trace.status = STEP_CAP_EXCEEDED
             return p, trace
         w, redex = target
-        repl = schema.replacement(redex)
+        repl = reference_replacement(schema, redex)
         if monitor and schema.order is not None:
             for m in repl.terms:
                 if compare(w, m, schema.order) != GREATER:
