@@ -228,7 +228,8 @@ def cmd_irr(args) -> int:
     names = tuple(args.gens.split(",")) if args.gens else ("z",)
     bound = _parse_bound(args.bound, len(names))
     gset = GeneratorSet(names)
-    system = GeneratorSystem(ident, OrderConfig(gset, args.order))
+    # irreducibility does not depend on the order: any order will do
+    system = GeneratorSystem(ident, OrderConfig(gset))
     words = sorted(irr_enumerate(system, bound, gens=names),
                    key=word_sort_key)
     rendered = [to_str(w) for w in words]
@@ -313,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_identity_flags(irr)
     irr.add_argument("--bound", default="2,2", metavar="BREADTH,DEPTH")
     irr.add_argument("--gens", help="comma-separated generator names")
-    _add_common(irr, strategy=False)
+    _add_common(irr, order=False, strategy=False)
     irr.set_defaults(func=cmd_irr)
     return parser
 

@@ -21,11 +21,11 @@ import re
 from .coeffs import _add_scaled_into
 from .opoly import DIFFERENTIAL, OPoly, OpIdentity, ROTA_BAXTER, to_str_opoly
 from .ordering import GREATER, LESS, OrderConfig, compare, random_context
-from .rewrite import (NORMAL_FORM, ResourceLimit, RuleSchema, Verdict,
-                      find_redexes, is_drf, is_rbrf, is_totally_linear,
+from .rewrite import (NORMAL_FORM, NotDRF, NotRBRF, NotTotallyLinear, Redex,
+                      ResourceLimit, RuleSchema, Verdict, find_redexes,
                       normal_form, reduces_to_zero)
 from .words import (GeneratorSet, UNIT, Word, enumerate_words,
-                    replace_generators, substitute, to_str)
+                    replace_generators, splice, to_str)
 
 BOUND_GEN_NAMES = ("u", "v", "w", "p", "q", "r", "s", "t")
 
@@ -70,10 +70,6 @@ class GeneratorSystem:
         self.identity = identity
         self.order = order
         self.schema = RuleSchema(identity, order=order)
-
-    def instance(self, u: Word, v: Word) -> OPoly:
-        """phi(u, v) = [u v] - N(u, v), monic with leading word [u v]."""
-        return self.identity.instantiate(u, v)
 
 
 # -- compositions -------------------------------------------------------------------
@@ -327,21 +323,22 @@ def gsb_check_truncated(sys: GeneratorSystem, bound: TruncationBound,
     spect_gens = GeneratorSet(tuple(gens.names) + ("zspec",))
     spectator = Word(("zspec",))
     spect_order = OrderConfig(spect_gens, sys.order.mode)
-    spect_sys = GeneratorSystem(sys.identity, spect_order)
-    spect_cache = NFCache(spect_sys.schema, step_cap)
+    spect_schema = RuleSchema(ident, order=spect_order)
+    spect_cache = NFCache(spect_schema, step_cap)
     for host in words:
         for u1, v1 in ((host, spectator), (spectator, host)):
             lead = Word((u1 * v1,))
-            f = spect_sys.instance(u1, v1)
-            for redex in find_redexes(lead, spect_sys.schema):
+            n_lead = ident.pattern_at(u1, v1)
+            for redex in find_redexes(lead, spect_schema):
                 if len(redex.path) == 1:
                     continue  # top-level splits are the intersection cases
-                q = redex.context
-                g = spect_sys.instance(redex.a, redex.b)
                 report.including_configs += 1
                 report.including_instances_certified += len(words)
+                # phi(u1, v1) - q|phi(a, b), whose leading words, both
+                # lead, cancel
                 comp = CompositionRecord(INCLUDING, lead,
-                                         f - g.into_context(q), context=q,
+                                         spect_schema.replacement(redex)
+                                         - n_lead, context=redex.context,
                                          note="spectator argument generic")
                 if check(comp, spect_cache):
                     # one trivial configuration certifies every spectator word
@@ -441,8 +438,8 @@ def cdl_direct_sum_check(sys: GeneratorSystem, bound: TruncationBound,
             if find_redexes(m, sys.schema):
                 report.failures.append((w, f"reducible support word {to_str(m)}"))
                 break
-    # ideal elements q|phi(u, v); rejection-sample the assembled word so the
-    # reductions stay tractable a little past the bound
+    # ideal elements q|phi(u, v) = q|[u v] - q|N(u, v); rejection-sample the
+    # assembled word so the reductions stay tractable a little past the bound
     pool = [w for w in all_words if not w.is_unit]
     max_host_leaves = bound.max_breadth + 3
     max_host_depth = bound.max_depth + 1
@@ -451,12 +448,13 @@ def cdl_direct_sum_check(sys: GeneratorSystem, bound: TruncationBound,
             u = rng.choice(pool)
             v = rng.choice(pool)
             q = random_context(rng, gens, bound.max_breadth, bound.max_depth)
-            host = substitute(q, Word((u * v,)))
+            host = splice(q, (u * v,))
             if host.leaves <= max_host_leaves and host.depth() <= max_host_depth:
                 break
         else:
             report.oversize_hosts += 1  # the last host is used as it is
-        elem = sys.instance(u, v).into_context(q)
+        elem = (OPoly.from_word(host, ring=sys.identity.ring)
+                - sys.schema.replacement(Redex(q, u, v)))
         nf, trace = normal_form(elem, sys.schema)
         report.ideal_samples += 1
         if nf.is_zero and trace.status == NORMAL_FORM:
@@ -525,17 +523,24 @@ def _nest(identity: OpIdentity, p: OPoly, slot: str, other: Word) -> OPoly:
     return OPoly._trusted(out, identity.ring)
 
 
-def _structure_reject(report: TypeReport, reason: str) -> TypeReport:
-    report.accepted = False
-    report.reason = reason
-    return report
+# the rejection reason of each pattern shape ``RuleSchema`` refuses
+_SHAPE_REASONS = {NotTotallyLinear: "not totally linear in x, y",
+                  NotDRF: "contains a bracketed product",
+                  NotRBRF: "contains adjacent bracket factors"}
 
 
-def _certify(report: TypeReport, schema: RuleSchema, strategy: str,
+def _certify(identity: OpIdentity, order: OrderConfig, strategy: str,
              step_cap: int, explore_budget: int) -> TypeReport:
-    """Accept when the associativity defect of the schema's identity
-    rewrites to zero; otherwise keep the verdict's detail and witness."""
-    defect = associativity_defect(schema.identity, U_WORD, V_WORD, W_WORD)
+    """Reject a pattern of the wrong shape; otherwise accept when the
+    associativity defect of the identity rewrites to zero, and keep the
+    verdict's detail and witness when it does not."""
+    report = TypeReport(identity.kind)
+    try:
+        schema = RuleSchema(identity, order=order)
+    except (NotTotallyLinear, NotDRF, NotRBRF) as exc:
+        report.reason = _SHAPE_REASONS[type(exc)]
+        return report
+    defect = associativity_defect(identity, U_WORD, V_WORD, W_WORD)
     verdict = reduces_to_zero(defect, schema, strategy, step_cap,
                               explore_budget)
     report.verdict = verdict
@@ -555,14 +560,9 @@ def dt_check(pattern: OPoly, constraints=(), strategy: str = "lo",
              order_mode: str = "purelex", step_cap: int = 10000) -> TypeReport:
     """Certificate that [x y] -> pattern defines a differential-shape identity
     whose associativity defect rewrites to zero over three fresh generators."""
-    report = TypeReport(DIFFERENTIAL)
-    if not is_totally_linear(pattern):
-        return _structure_reject(report, "not totally linear in x, y")
-    if not is_drf(pattern):
-        return _structure_reject(report, "contains a bracketed product")
-    schema = RuleSchema(OpIdentity(DIFFERENTIAL, pattern, tuple(constraints)),
-                        order=OrderConfig(UVW, order_mode))
-    return _certify(report, schema, strategy, step_cap, DT_EXPLORE_BUDGET)
+    return _certify(OpIdentity(DIFFERENTIAL, pattern, tuple(constraints)),
+                    OrderConfig(UVW, order_mode), strategy, step_cap,
+                    DT_EXPLORE_BUDGET)
 
 
 def rbt_check(pattern: OPoly, constraints=(), strategy: str = "lo",
@@ -571,13 +571,8 @@ def rbt_check(pattern: OPoly, constraints=(), strategy: str = "lo",
     identity: the operated associativity defect M(M(u,v),w) - M(u,M(v,w))
     rewrites to zero within budget (no termination certificate exists, so
     the verdict may be inconclusive)."""
-    report = TypeReport(ROTA_BAXTER)
-    if not is_totally_linear(pattern):
-        return _structure_reject(report, "not totally linear in x, y")
-    if not is_rbrf(pattern):
-        return _structure_reject(report, "contains adjacent bracket factors")
-    schema = RuleSchema(OpIdentity(ROTA_BAXTER, pattern, tuple(constraints)))
-    return _certify(report, schema, strategy, step_cap, RBT_EXPLORE_BUDGET)
+    return _certify(OpIdentity(ROTA_BAXTER, pattern, tuple(constraints)),
+                    None, strategy, step_cap, RBT_EXPLORE_BUDGET)
 
 
 # -- the free operator on differential words ----------------------------------------

@@ -2,7 +2,7 @@
 
 Coefficients are either plain rationals or elements of a ``PolyRing`` (for
 patterns carrying symbolic parameters).  The product is the word concatenation
-extended bilinearly; the operator extends linearly.
+extended bilinearly.
 
 The public constructor ``OPoly(terms, ring)`` checks every coefficient.
 Internal sums go through ``coeffs._add_scaled_into`` and are wrapped by
@@ -22,10 +22,8 @@ from .words import (
     GeneratorSet,
     ParseError,
     Word,
-    bracket,
     parse as parse_word,
     replace_generators,
-    substitute,
     to_str,
     word_sort_key,
 )
@@ -134,11 +132,6 @@ class OPoly:
         return OPoly._trusted({w: cc * c for w, cc in self.terms.items()},
                               self.ring)
 
-    def bracket(self) -> "OPoly":
-        """Apply the operator linearly: sum c_w [w]."""
-        return OPoly._trusted({bracket(w): c for w, c in self.terms.items()},
-                              self.ring)
-
     def __eq__(self, other):
         return (isinstance(other, OPoly) and self.ring == other.ring
                 and self.terms == other.terms)
@@ -163,13 +156,6 @@ class OPoly:
         out: dict = {}
         for w, c in self.terms.items():
             _add_scaled_into(out, {replace_generators(w, mapping): c})
-        return OPoly._trusted(out, self.ring)
-
-    def into_context(self, q: Word) -> "OPoly":
-        """q|_p: substitute each word of p into the star of context q."""
-        out: dict = {}
-        for w, c in self.terms.items():
-            _add_scaled_into(out, {substitute(q, w): c})
         return OPoly._trusted(out, self.ring)
 
     def map_coeffs(self, fn) -> "OPoly":
@@ -360,8 +346,6 @@ def _parse_word_at(text: str, gens: GeneratorSet, at: int) -> Word:
 # -- operator identities --------------------------------------------------------------
 
 XY = GeneratorSet(["x", "y"])
-X_WORD = Word(("x",))
-Y_WORD = Word(("y",))
 
 DIFFERENTIAL = "differential"
 ROTA_BAXTER = "rota_baxter"
@@ -388,18 +372,6 @@ class OpIdentity:
     @property
     def ring(self):
         return self.pattern.ring
-
-    def identity(self) -> OPoly:
-        """The defining polynomial: lhs - pattern side."""
-        if self.kind == DIFFERENTIAL:
-            lhs = OPoly.from_word(bracket(X_WORD * Y_WORD), ring=self.ring)
-            return lhs - self.pattern
-        lhs = OPoly.from_word(bracket(X_WORD) * bracket(Y_WORD), ring=self.ring)
-        return lhs - self.pattern.bracket()
-
-    def instantiate(self, u: Word, v: Word) -> OPoly:
-        """The full identity polynomial evaluated at words (u, v)."""
-        return self.identity().subst_generators({"x": u, "y": v})
 
     def pattern_at(self, u: Word, v: Word) -> OPoly:
         """Just the replacement side N(u, v) (or M(u, v))."""

@@ -37,7 +37,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .words import STAR, Word, sample_word, substitute, to_str
+from .words import STAR, Word, sample_word, splice, to_str
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -151,20 +151,23 @@ class PropertyReport:
                 f"on {self.checked} sampled triples")
 
 
-def random_context(rng: random.Random, gens, max_leaves: int, max_depth: int) -> Word:
-    """A random one-star context: sample a word, insert the star somewhere."""
-    w = sample_word(rng, gens, max_leaves, max_depth)
-    return _insert_star(w, rng, max_depth)
-
-
-def _insert_star(w: Word, rng: random.Random, depth_left: int) -> Word:
-    brackets = [i for i, a in enumerate(w.atoms) if isinstance(a, Word)]
-    if brackets and depth_left > 0 and rng.random() < 0.5:
+def random_context(rng: random.Random, gens, max_leaves: int,
+                   max_depth: int) -> tuple:
+    """A random context, as a star path: sample a word, descend into one of
+    its brackets with probability 1/2 per level, at most ``max_depth``
+    levels, and cut the hole at a random position of the level reached."""
+    atoms = sample_word(rng, gens, max_leaves, max_depth).atoms
+    path = []
+    for _ in range(max_depth):
+        brackets = [i for i, a in enumerate(atoms) if isinstance(a, Word)]
+        if not brackets or rng.random() >= 0.5:
+            break
         i = rng.choice(brackets)
-        inner = _insert_star(w.atoms[i], rng, depth_left - 1)
-        return Word(w.atoms[:i] + (inner,) + w.atoms[i + 1:])
-    i = rng.randint(0, w.breadth)
-    return Word(w.atoms[:i] + (STAR,) + w.atoms[i:])
+        path.append((atoms[:i], atoms[i + 1:]))
+        atoms = atoms[i].atoms
+    i = rng.randint(0, len(atoms))
+    path.append((atoms[:i], atoms[i:]))
+    return tuple(path)
 
 
 def check_monomial_order(cfg: OrderConfig, sample_budget: int = 10000,
@@ -194,7 +197,7 @@ def check_monomial_order(cfg: OrderConfig, sample_budget: int = 10000,
         if cuv == EQUAL:
             continue
         small, big = (u, v) if cuv == LESS else (v, u)
-        if compare(substitute(q, small), substitute(q, big), cfg) != LESS:
+        if compare(splice(q, small.atoms), splice(q, big.atoms), cfg) != LESS:
             report.monotonicity_violations.append(
-                (to_str(q), to_str(small), to_str(big)))
+                (to_str(splice(q, (STAR,))), to_str(small), to_str(big)))
     return report

@@ -9,14 +9,13 @@ reduction stops at ``step_cap`` steps, the exhaustive search at
 peaks, and ``normal_form(monitor=True)`` records every step that does not
 descend in the configured order.
 
-A redex carries its *star path*: one ``(left atoms, right atoms)`` pair
-per nesting level, outermost first, around the bracket the match descends
-into and, at the last level, around the matched atoms.  One walk of a word
-yields its redexes in leftmost-outermost (``lo``) or leftmost-innermost
-(``li``) order without building any context; a replacement word is built by
-one splice of the instantiated pattern monomial along the path, flat for a
-sigma rule and bracketed for a pi rule, and ``Redex.context`` is the same
-splice of the star.
+A redex carries its context as a star path (see ``words``), whose hole the
+matched atoms fill.  One walk of a word yields its redexes in
+leftmost-outermost (``lo``) or leftmost-innermost (``li``) order without
+building any word; a replacement word is built by one ``words.splice`` of
+the instantiated pattern monomial along the path, flat for a sigma rule and
+bracketed for a pi rule, and ``Redex.context`` splices ``STAR`` there to
+print the context.
 
 ``normal_form`` takes each step's monomial from a max-heap of reducible
 words instead of re-sorting the polynomial.  Every rewrite step, of the
@@ -39,7 +38,7 @@ from .groebner import buchberger, nf_mod_ideal
 from .opoly import DIFFERENTIAL, OPoly, OpIdentity, to_str_opoly
 from .ordering import OrderConfig, order_key
 from .words import (STAR, UNIT, Word, enumerate_words, replace_generators,
-                    to_str, word_sort_key)
+                    splice, to_str, word_sort_key)
 
 NONUNIT_ONLY = "nonunit"
 ALLOW_UNITS = "allow"
@@ -154,7 +153,7 @@ class RuleSchema:
         out: dict = {}
         for m, c in self.identity.pattern.terms.items():
             m = replace_generators(m, mapping)
-            _add_scaled_into(out, {_splice(path, m.atoms if sigma else (m,)): c})
+            _add_scaled_into(out, {splice(path, m.atoms if sigma else (m,)): c})
         return OPoly._trusted(out, self.identity.ring)
 
     def normalize(self, p: OPoly) -> OPoly:
@@ -179,16 +178,9 @@ class Redex(namedtuple("Redex", ["path", "a", "b"])):
 
     @property
     def context(self) -> Word:
-        """The word with one star where the matched subterm sits."""
-        return _splice(self.path, (STAR,))
-
-
-def _splice(path: tuple, atoms: tuple) -> Word:
-    """The word ``path`` leads through, with ``atoms`` spliced flat into the
-    hole at its end; spliced empty, the hole is deleted."""
-    for left, right in reversed(path):
-        atoms = (Word(left + atoms + right),)
-    return atoms[0]
+        """The context printed as a word, with one star where the matched
+        subterm sits."""
+        return splice(self.path, (STAR,))
 
 
 def _sigma_splits(content: Word, policy: str):

@@ -5,10 +5,12 @@ its name string) or a bracket ``[w]`` whose content is again a word.  The empty
 sequence is the unit 1.  ``[1]`` is an ordinary atom like any other and is
 never simplified away.
 
-An occurrence of a subword inside a word is described by a *context*: a word
-containing exactly one star atom, which ``substitute`` fills to recover the
-original.  Splicing the unit deletes the star.  Rewriting locates each redex
-it finds by the path to such a star, and splices its context from that path.
+An occurrence inside a word is placed by its *context*, a star path: one
+``(left atoms, right atoms)`` pair per nesting level, outermost first, around
+the bracket the occurrence descends into and, at the last level, around the
+hole the occurrence fills.  ``splice`` rebuilds the word from a path and the
+atoms put into its hole; putting in none deletes the hole.  ``STAR`` marks the
+hole only where a context is printed.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import random
 from typing import Union
 
-STAR = "⋆"      # context hole
+STAR = "⋆"      # a context's hole, when it is printed
 RESERVED = frozenset({"1", STAR})
 
 Atom = Union[str, "Word"]  # str: generator name; Word w in atom position: [w]
@@ -186,13 +188,6 @@ def _tokens_into(w: Word, out: list) -> None:
             out.append("]")
 
 
-def token_len(w: Word) -> int:
-    n = 0
-    for a in w.atoms:
-        n += 1 if isinstance(a, str) else 2 + token_len(a)
-    return n
-
-
 class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
@@ -326,12 +321,12 @@ def _replace(w: Word, mapping: dict):
     return (Word(tuple(atoms)) if hit else w), hit
 
 
-def substitute(q: Word, u: Word) -> Word:
-    """Splice ``u`` into the unique ``STAR`` atom of ``q``.
-
-    Splicing the unit deletes the star; a breadth-k word splices in flat.
-    """
-    return _replace(q, {STAR: u})[0]
+def splice(path: tuple, atoms: tuple) -> Word:
+    """The word ``path`` leads through, with ``atoms`` spliced flat into the
+    hole at its end; spliced empty, the hole is deleted."""
+    for left, right in reversed(path):
+        atoms = (Word(left + atoms + right),)
+    return atoms[0]
 
 
 # -- enumeration and sampling ----------------------------------------------------
@@ -418,4 +413,5 @@ def _sample_build(rng, names, depth_left, budget, allow_empty):
 
 def word_sort_key(w: Word):
     """Deterministic non-semantic key for stable listings."""
-    return (w.leaves, w.depth(), token_len(w), tuple(tokens(w)))
+    t = tokens(w)
+    return (w.leaves, w.depth(), len(t), tuple(t))

@@ -89,6 +89,20 @@ def test_verify_rejects_right_multiplication(capsys):
     assert "witness at w = u: u v [u] - v u [u]" in lines
 
 
+@pytest.mark.parametrize("kind, pattern, line", [
+    ("dt", "[x y]",
+     "rejected: not differential type (contains a bracketed product)"),
+    ("dt", "x x [y]",
+     "rejected: not differential type (not totally linear in x, y)"),
+    ("rbt", "[x] [y]",
+     "rejected: not Rota-Baxter type (contains adjacent bracket factors)"),
+], ids=["[x y]", "x x [y]", "[x] [y]"])
+def test_verify_rejects_malformed_patterns(capsys, kind, pattern, line):
+    code, out, _ = run(capsys, "verify", "--type", kind, pattern)
+    assert code == 3
+    assert out.splitlines() == [line]
+
+
 def test_verify_family_with_constraint(capsys):
     code, out, _ = run(capsys, "verify", "--type", "dt",
                        "b*(x [y] + [x] y) + c*[x] [y] + e*x y",
@@ -230,6 +244,14 @@ def test_irr_derivation_single_generator(capsys):
     assert body[0] == "1"
     assert "z" in body and "[z]" in body and "[[z]] [[z]]" in body
     assert "[z z]" not in body  # reducible: it is the rule's own redex
+
+
+def test_irr_takes_no_order(capsys):
+    # irreducibility does not depend on the order
+    code, _, err = run(capsys, "irr", "--dt", "derivation", "--gens", "z",
+                       "--bound", "2,2", "--order", "purelex")
+    assert code == 1
+    assert "usage error" in err
 
 
 def test_irr_json_deterministic(capsys):

@@ -10,20 +10,38 @@ import pytest
 
 from opalg import gsb
 from opalg.catalog import DT_FAMILIES, RBT_FAMILIES, named_pattern
+from opalg.coeffs import _add_scaled_into
 from opalg.gsb import (CompositionRecord, GeneratorSystem, NFCache,
                        TruncationBound, cdl_direct_sum_check, delta_view,
                        dt_check, free_dt_operator_nf, gsb_check_truncated,
-                       INTERSECTION, irr_enumerate, is_trivial, raise_order,
-                       rbt_check)
+                       INCLUDING, INTERSECTION, irr_enumerate, is_trivial,
+                       raise_order, rbt_check)
 from opalg.opoly import (DIFFERENTIAL, OPoly, OpIdentity, parse_opoly,
                          to_str_opoly)
-from opalg.ordering import OrderConfig, order_key
-from opalg.rewrite import ResourceLimit, Verdict
-from opalg.words import (UNIT, GeneratorSet, Word, enumerate_words, parse,
-                         to_str, word_sort_key)
+from opalg.ordering import OrderConfig, order_key, random_context
+from opalg.rewrite import ResourceLimit, Verdict, find_redexes
+from opalg.words import (STAR, UNIT, GeneratorSet, Word, enumerate_words,
+                         parse, replace_generators, splice, to_str,
+                         word_sort_key)
 
 XY = GeneratorSet(("x", "y"))
 DER = named_pattern("derivation")
+
+
+def instance(ident: OpIdentity, u: Word, v: Word) -> OPoly:
+    """phi(u, v) = [u v] - N(u, v): the identity polynomial [x y] - N with
+    u and v put in for x and y."""
+    lhs = OPoly.from_word(parse("[x y]", XY), ring=ident.ring)
+    return (lhs - ident.pattern).subst_generators({"x": u, "y": v})
+
+
+def into_context(p: OPoly, q: Word) -> OPoly:
+    """q|p: each word of ``p`` filled into the star of the context word
+    ``q``."""
+    out = {}
+    for w, c in p.terms.items():
+        _add_scaled_into(out, {replace_generators(q, {STAR: w}): c})
+    return OPoly(out, ring=p.ring)
 
 
 # -- generator systems ---------------------------------------------------------------
@@ -33,7 +51,7 @@ def test_generator_system_instance():
     sys = GeneratorSystem(DER, OrderConfig(bound.generator_set()))
     u = parse("u", bound.generator_set())
     v = parse("[v] w", bound.generator_set())
-    inst = sys.instance(u, v)
+    inst = instance(sys.identity, u, v)
     lead = max(inst.terms, key=order_key(sys.order))
     assert lead == Word((u * v,)) and inst.terms[lead] == 1
     assert to_str_opoly(inst, sys.order) == "[u [v] w] - [u] [v] w - u [[v] w]"
@@ -176,8 +194,8 @@ def test_gsb_reduction_cap(monkeypatch):
 def _derivation_overlap():
     # phi(x, y x) and phi(x y, x) share the leading word [x y x]
     sys = GeneratorSystem(DER, OrderConfig(XY))
-    f = sys.instance(parse("x", XY), parse("y x", XY))
-    g = sys.instance(parse("x y", XY), parse("x", XY))
+    f = instance(DER, parse("x", XY), parse("y x", XY))
+    g = instance(DER, parse("x y", XY), parse("x", XY))
     return sys, [CompositionRecord(INTERSECTION, parse("[x y x]", XY), f - g,
                                    mu=UNIT, nu=UNIT)]
 
@@ -282,6 +300,85 @@ def test_cdl_flags_non_confluent_pattern():
     rep = cdl_direct_sum_check(sys, bound, rng=random.Random(1),
                                ideal_samples=40)
     assert not rep.ok
+
+
+# -- composition values against the star-word construction --------------------------
+
+ORACLE_IDENTITIES = {"derivation": DER,
+                     "y x": OpIdentity(DIFFERENTIAL, parse_opoly("y x", XY))}
+
+
+@pytest.mark.parametrize("size", [(2, 1, 3), (3, 1, 3)])
+@pytest.mark.parametrize("name", sorted(ORACLE_IDENTITIES))
+def test_including_values_match_star_word_construction(name, size,
+                                                        monkeypatch):
+    # each including value phi(u1, v1) - q|phi(a, b), in the order the
+    # check reduces them
+    ident = ORACLE_IDENTITIES[name]
+    bound = TruncationBound(*size)
+    seen = []
+    real = gsb.is_trivial
+
+    def recording(comp, cache):
+        if comp.kind == INCLUDING:
+            seen.append((comp.w, comp.context, comp.value))
+        return real(comp, cache)
+
+    monkeypatch.setattr(gsb, "is_trivial", recording)
+    gsb_check_truncated(GeneratorSystem(ident, OrderConfig(
+        bound.generator_set())), bound)
+    spectator = Word(("zspec",))
+    schema = GeneratorSystem(ident, OrderConfig(GeneratorSet(
+        bound.generator_set().names + ("zspec",)))).schema
+    want = []
+    for host in enumerate_words(bound.generator_set(), bound.max_breadth,
+                                bound.max_depth, include_unit_brackets=False,
+                                include_unit=False):
+        for u1, v1 in ((host, spectator), (spectator, host)):
+            lead = Word((u1 * v1,))
+            for r in find_redexes(lead, schema):
+                if len(r.path) > 1:
+                    want.append((lead, r.context, instance(ident, u1, v1)
+                                 - into_context(instance(ident, r.a, r.b),
+                                                r.context)))
+    assert want and seen == want
+
+
+@pytest.mark.parametrize("size", [(2, 1, 3), (3, 1, 3)])
+@pytest.mark.parametrize("name", sorted(ORACLE_IDENTITIES))
+def test_ideal_elements_match_star_word_construction(name, size,
+                                                     monkeypatch):
+    # each sampled ideal element q|phi(u, v), replayed from the same seed;
+    # the replay prints each drawn path as its star word, which
+    # test_random_context_matches_star_insertion ties to the old draw
+    ident = ORACLE_IDENTITIES[name]
+    bound = TruncationBound(*size)
+    seen = []
+    real = gsb.normal_form
+
+    def recording(p, *args, **kwargs):
+        seen.append(p)
+        return real(p, *args, **kwargs)
+
+    monkeypatch.setattr(gsb, "normal_form", recording)
+    rep = cdl_direct_sum_check(GeneratorSystem(ident, OrderConfig(
+        bound.generator_set())), bound, rng=random.Random(3), ideal_samples=40)
+    gens = bound.generator_set()
+    pool = enumerate_words(gens, bound.max_breadth, bound.max_depth,
+                           include_unit=False)
+    rng = random.Random(3)
+    want = []
+    for _ in range(40):
+        for _attempt in range(200):
+            u, v = rng.choice(pool), rng.choice(pool)
+            q = splice(random_context(rng, gens, bound.max_breadth,
+                                      bound.max_depth), (STAR,))
+            host = replace_generators(q, {STAR: Word((u * v,))})
+            if (host.leaves <= bound.max_breadth + 3
+                    and host.depth() <= bound.max_depth + 1):
+                break
+        want.append(into_context(instance(ident, u, v), q))
+    assert seen[rep.words_checked:] == want
 
 
 # -- type certificates ---------------------------------------------------------------

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opalg.ordering import (EQUAL, GREATER, LESS, OrderConfig, check_monomial_order,
-                            compare, order_key)
+                            compare, order_key, random_context)
 from opalg.words import (GeneratorSet, STAR, UNIT, Word, enumerate_words, parse,
-                         substitute, to_str)
+                         sample_word, splice, to_str)
 
 XY = GeneratorSet(("x", "y"))
 PURE = OrderConfig(XY, "purelex")
@@ -132,9 +132,9 @@ def test_deglenlex_laws_hold_on_samples():
 
 def test_purelex_context_monotonicity_fails_on_prefixes():
     # the documented defect: x < x x, yet appending y reverses the comparison
-    u, v, q = w("x"), w("x x"), Word((STAR, "y"))
+    u, v, q = w("x"), w("x x"), (((), ("y",)),)  # ⋆ y
     assert compare(u, v, PURE) == LESS
-    assert compare(substitute(q, u), substitute(q, v), PURE) == GREATER
+    assert compare(splice(q, u.atoms), splice(q, v.atoms), PURE) == GREATER
     # and the law checker reports it rather than hiding it
     report = check_monomial_order(PURE, sample_budget=4000,
                                   rng=random.Random(5), max_leaves=4, max_depth=3)
@@ -148,3 +148,28 @@ def test_report_summary_mentions_counts():
     report = check_monomial_order(DLL, sample_budget=50, rng=random.Random(0))
     text = report.summary()
     assert "50" in text
+
+
+def _insert_star(w, rng, depth_left):
+    """The star-word context ``random_context`` draws, built as a word: the
+    construction it replaced, kept as the reference."""
+    brackets = [i for i, a in enumerate(w.atoms) if isinstance(a, Word)]
+    if brackets and depth_left > 0 and rng.random() < 0.5:
+        i = rng.choice(brackets)
+        inner = _insert_star(w.atoms[i], rng, depth_left - 1)
+        return Word(w.atoms[:i] + (inner,) + w.atoms[i + 1:])
+    i = rng.randint(0, w.breadth)
+    return Word(w.atoms[:i] + (STAR,) + w.atoms[i:])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+def test_random_context_matches_star_insertion(seed):
+    # the same context from the same random calls, so that every seeded
+    # sample drawn after it stays the same too
+    for leaves, depth in ((4, 3), (3, 1), (2, 0)):
+        rng, ref = random.Random(seed), random.Random(seed)
+        path = random_context(rng, XY, leaves, depth)
+        want = _insert_star(sample_word(ref, XY, leaves, depth), ref, depth)
+        assert splice(path, (STAR,)) == want
+        assert rng.getstate() == ref.getstate()

@@ -27,7 +27,8 @@ from opalg.rewrite import (ALLOW_UNITS, NONUNIT_ONLY, NORMAL_FORM,
                            joinable, local_confluence_check, normal_form,
                            reduces_to_zero, word_is_drf, word_is_rbrf)
 from opalg.words import (STAR, GeneratorSet, UNIT, Word, enumerate_words,
-                         parse, sample_word, to_str, word_sort_key)
+                         parse, replace_generators, sample_word, to_str,
+                         word_sort_key)
 
 XY = GeneratorSet(("x", "y"))
 XYZ = GeneratorSet(("x", "y", "z"))
@@ -238,13 +239,23 @@ def _reference_visit(word, wrap, sigma, policy, inner_first, out):
             out.extend(here)
 
 
+def into_context(p: OPoly, q: Word) -> OPoly:
+    """q|p: each word of ``p`` filled into the star of the context word
+    ``q``, in term order."""
+    out = {}
+    for w, c in p.terms.items():
+        _add_scaled_into(out, {replace_generators(q, {STAR: w}): c})
+    return OPoly(out, ring=p.ring)
+
+
 def reference_replacement(schema: RuleSchema, redex) -> OPoly:
     """The rule's right-hand side at ``redex`` by polynomial operations:
     the pattern at (a, b), bracketed for pi, substituted into the context."""
     out = schema.identity.pattern_at(redex.a, redex.b)
     if schema.kind == "pi":
-        out = out.bracket()
-    return out.into_context(redex.context)
+        out = OPoly({Word((w,)): c for w, c in out.terms.items()},
+                    ring=out.ring)
+    return into_context(out, redex.context)
 
 
 def ordered_terms(p: OPoly) -> list:
@@ -648,8 +659,7 @@ def _peak_verdicts(schema):
     rows = []
     for w in enumerate_words(UVW, 3, 2, include_unit_brackets=False,
                              include_unit=False):
-        reducts = [schema.identity.pattern_at(r.a, r.b).into_context(r.context)
-                   for r in find_redexes(w, schema)]
+        reducts = [schema.replacement(r) for r in find_redexes(w, schema)]
         for i in range(len(reducts)):
             for j in range(i + 1, len(reducts)):
                 v = joinable(reducts[i], reducts[j], schema)

@@ -19,9 +19,8 @@ from opalg.words import (
     parse,
     replace_generators,
     sample_word,
-    substitute,
+    splice,
     to_str,
-    token_len,
     tokens,
 )
 
@@ -127,21 +126,23 @@ def test_generator_set_validation():
 # -- substitution ----------------------------------------------------------------
 
 def test_substitute_flat_splice():
-    q = word_of("x", STAR, "y")
-    assert substitute(q, z) == parse("x z y", G)
-    assert substitute(q, x * y) == parse("x x y y", G)
-    assert substitute(q, UNIT) == parse("x y", G)
+    q = ((("x",), ("y",)),)  # x ⋆ y
+    assert splice(q, (STAR,)) == word_of("x", STAR, "y")
+    assert splice(q, z.atoms) == parse("x z y", G)
+    assert splice(q, (x * y).atoms) == parse("x x y y", G)
+    assert splice(q, UNIT.atoms) == parse("x y", G)
 
 
 def test_substitute_inside_bracket():
-    q = word_of("x", word_of(STAR, "z"))
-    assert substitute(q, x * y) == parse("x [x y z]", G)
-    assert substitute(q, UNIT) == parse("x [z]", G)
+    q = ((("x",), ()), ((), ("z",)))  # x [⋆ z]
+    assert splice(q, (STAR,)) == word_of("x", word_of(STAR, "z"))
+    assert splice(q, (x * y).atoms) == parse("x [x y z]", G)
+    assert splice(q, UNIT.atoms) == parse("x [z]", G)
 
 
 def test_substitute_unit_deletes_star_inside_bracket():
-    q = word_of(word_of(STAR))
-    assert substitute(q, UNIT) == bracket(UNIT)
+    q = (((), ()), ((), ()))  # [⋆]
+    assert splice(q, UNIT.atoms) == bracket(UNIT)
 
 
 def test_two_star_routes_agree():
@@ -152,15 +153,16 @@ def test_two_star_routes_agree():
 
 
 def test_compose_contexts():
-    # a context spliced into a context's star is again a context
-    q1 = word_of("x", STAR)
-    q2 = word_of(word_of(STAR, "y"))
-    q = substitute(q1, q2)
-    assert q == word_of("x", word_of(STAR, "y"))
-    assert substitute(q, z) == parse("x [z y]", G)
+    # a context spliced into a context's hole is again a context: the last
+    # level of the outer path merges with the first level of the inner one
+    q1 = ((("x",), ()),)  # x ⋆
+    q2 = (((), ()), ((), ("y",)))  # [⋆ y]
+    q = ((("x",), ()), ((), ("y",)))
+    assert splice(q1, splice(q2, (STAR,)).atoms) == splice(q, (STAR,))
+    assert splice(q, z.atoms) == parse("x [z y]", G)
     # composition law: (q1 ∘ q2)|_u == q1|_(q2|_u)
     u = parse("[1] z", G)
-    assert substitute(q, u) == substitute(q1, substitute(q2, u))
+    assert splice(q, u.atoms) == splice(q1, splice(q2, u.atoms).atoms)
 
 
 # -- substitution against a token-level oracle ----------------------------------------
@@ -170,6 +172,20 @@ def token_scan_starts(w, u):
     tw, tu = tokens(w), tokens(u)
     k = len(tu)
     return [i for i in range(len(tw) - k + 1) if tw[i:i + k] == tu]
+
+
+def star_path(q):
+    """The star path of the one-star word ``q``, found by search."""
+    atoms = q.atoms
+    path = []
+    while STAR not in atoms:
+        i = next(i for i, a in enumerate(atoms)
+                 if isinstance(a, Word) and STAR in tokens(a))
+        path.append((atoms[:i], atoms[i + 1:]))
+        atoms = atoms[i].atoms
+    i = atoms.index(STAR)
+    path.append((atoms[:i], atoms[i + 1:]))
+    return tuple(path)
 
 
 def word_from_tokens(toks):
@@ -195,13 +211,13 @@ PATTERNS = [x, y, x * y, bracket(x), bracket(UNIT), bracket(x * y), x * x,
 @pytest.mark.parametrize("u", PATTERNS, ids=to_str)
 def test_occurrences_match_token_scan(u):
     # cutting u out of w at a token-scan occurrence leaves a one-star
-    # context, and substitute fills it back to w
-    k = token_len(u)
+    # context, and splicing u along its path fills it back to w
+    k = len(tokens(u))
     for w in WORD_POOL:
         tw = tokens(w)
         for s in token_scan_starts(w, u):
             q = word_from_tokens(tw[:s] + [STAR] + tw[s + k:])
-            assert substitute(q, u) == w
+            assert splice(star_path(q), u.atoms) == w
 
 
 # -- enumeration ---------------------------------------------------------------------
@@ -257,7 +273,6 @@ def word_strategy(max_leaves=4, max_depth=2):
 @given(word_strategy())
 def test_roundtrip_property(w):
     assert parse(to_str(w), G) == w
-    assert len(tokens(w)) == token_len(w)
 
 
 def one_star_contexts(max_leaves=4, max_depth=2):
@@ -268,18 +283,19 @@ def one_star_contexts(max_leaves=4, max_depth=2):
 
 @settings(max_examples=150, deadline=None)
 @given(one_star_contexts(), word_strategy(max_leaves=2, max_depth=1))
-def test_substitution_reproduces_property(q, u):
-    # substitute splices u's tokens at the star's token, and cutting them
-    # out again reproduces the context
+def test_substitution_reproduces_property(path, u):
+    # splice puts u's tokens at the star's token, and cutting them out
+    # again reproduces the context
+    q = splice(path, (STAR,))
     tq = tokens(q)
     i = tq.index(STAR)
-    tw = tokens(substitute(q, u))
+    tw = tokens(splice(path, u.atoms))
     assert tw == tq[:i] + tokens(u) + tq[i + 1:]
-    assert word_from_tokens(tw[:i] + [STAR] + tw[i + token_len(u):]) == q
+    assert word_from_tokens(tw[:i] + [STAR] + tw[i + len(tokens(u)):]) == q
 
 
 def _substitute_by_counting(q, u, star):
-    """The former two-pass definition of ``substitute``: descend only into
+    """A two-pass fill of the hole ``star`` of ``q``: descend only into
     brackets whose star count is nonzero."""
     def star_count(w):
         return sum(star_count(a) if isinstance(a, Word) else a == star
@@ -321,7 +337,28 @@ def context_strategy():
 @settings(max_examples=300, deadline=None)
 @given(context_strategy(), st.one_of(st.just(UNIT), word_strategy(3, 2)))
 def test_one_pass_substitute_matches_counting_definition(q, u):
-    assert substitute(q, u) == _substitute_by_counting(q, u, STAR)
-    for star in (STAR1, STAR2):
+    for star in (STAR, STAR1, STAR2):
         assert (replace_generators(q, {star: u})
                 == _substitute_by_counting(q, u, star))
+
+
+def star_word_strategy():
+    """Words with unit brackets and one star, built without ``splice``."""
+    def build(s):
+        rng = random.Random(s)
+        q = UNIT if rng.random() < 0.2 else sample_word(rng, G, 4, 3)
+        return _insert_hole(q, rng, STAR)
+    return st.integers(min_value=0, max_value=2**31 - 1).map(build)
+
+
+@settings(max_examples=300, deadline=None)
+@given(star_word_strategy(), st.one_of(st.just(UNIT), word_strategy(3, 2)),
+       word_strategy(3, 2))
+def test_splice_matches_star_word_fill(q, u, v):
+    # a star path places a word exactly as filling the star of the
+    # star-word context it prints as
+    path = star_path(q)
+    assert splice(path, (STAR,)) == q
+    assert splice(path, u.atoms) == replace_generators(q, {STAR: u})
+    # distinct words stay distinct in a fixed context
+    assert (splice(path, u.atoms) == splice(path, v.atoms)) == (u == v)
