@@ -19,11 +19,11 @@ from .gsb import (U_WORD, UVW, V_WORD, W_WORD, associativity_defect,
                   dt_check, rbt_check)
 from .opoly import DIFFERENTIAL, OPoly, OpIdentity, ROTA_BAXTER, XY
 from .ordering import OrderConfig
-from .rewrite import (NORMAL_FORM, RuleSchema, normal_form, word_is_drf,
-                      word_is_rbrf)
+from .rewrite import NORMAL_FORM, RuleSchema, in_reduced_form, normal_form
 from .solve import SolutionComponent, find_representative, sample_points, \
     solve_components
-from .words import Word, enumerate_words, to_str, word_sort_key
+from .words import (Word, enumerate_words, has_unit_bracket, to_str, tokens,
+                    word_sort_key)
 
 
 class ReductionBudgetExceeded(RuntimeError):
@@ -76,26 +76,6 @@ class Ansatz:
         return f"Ansatz({self.mode}, {len(self.terms)} terms)"
 
 
-def _total_brackets(w: Word) -> int:
-    n = 0
-    for a in w.atoms:
-        if isinstance(a, Word):
-            n += 1 + _total_brackets(a)
-    return n
-
-
-def _gen_positions(w: Word, out=None):
-    """Generator names in reading order, descending into brackets."""
-    if out is None:
-        out = []
-    for a in w.atoms:
-        if isinstance(a, Word):
-            _gen_positions(a, out)
-        else:
-            out.append(a)
-    return out
-
-
 def _tower_heights(w: Word):
     """For a two-atom product of iterated single brackets, the (generator,
     height) of each factor; None when the word has another shape."""
@@ -125,27 +105,23 @@ def build_ansatz(mode: str, max_op_degree: int,
     """
     if max_op_degree < 0:
         raise ValueError("operator degree must be nonnegative")
-    unit_budget = max_op_degree if include_unit_terms else 0
-    if mode == DIFFERENTIAL:
-        shape_ok = word_is_drf
-        max_depth = max_op_degree
-    elif mode == ROTA_BAXTER:
-        shape_ok = word_is_rbrf
-        max_depth = max_op_degree
-    else:
+    if mode not in (DIFFERENTIAL, ROTA_BAXTER):
         raise ValueError(f"unknown mode {mode!r}")
+    sigma = mode == DIFFERENTIAL
+    unit_budget = max_op_degree if include_unit_terms else 0
     picked = []
-    for w in enumerate_words(XY, 2 + unit_budget, max_depth,
+    for w in enumerate_words(XY, 2 + unit_budget, max_op_degree,
                              include_unit_brackets=include_unit_terms,
                              include_unit=False):
-        gens = _gen_positions(w)
+        toks = tokens(w)
+        gens = [t for t in toks if t != "[" and t != "]"]
         if sorted(gens) != ["x", "y"]:
             continue
         if not include_reversed and gens != ["x", "y"]:
             continue
-        if not shape_ok(w):
+        if not in_reduced_form(w, sigma):
             continue
-        if mode == ROTA_BAXTER and _total_brackets(w) > max_op_degree:
+        if not sigma and toks.count("[") > max_op_degree:
             continue
         picked.append(w)
     picked.sort(key=word_sort_key)
@@ -153,7 +129,7 @@ def build_ansatz(mode: str, max_op_degree: int,
     counter = itertools.count()
     for w in picked:
         name = None
-        if mode == DIFFERENTIAL and not include_unit_terms:
+        if sigma and not include_unit_terms:
             towers = _tower_heights(w)
             if towers and len(towers) == 2:
                 (g1, h1), (g2, h2) = towers
@@ -196,16 +172,10 @@ class ConstraintSystem:
                    if not eq.unresolved)
 
 
-def _unit_residue(w: Word, depth: int = 0) -> bool:
+def _unit_residue(w: Word) -> bool:
     """A unit bracket nested inside another bracket, the shape the reduction
-    cannot interpret canonically; ``depth`` counts the brackets around ``w``."""
-    for a in w.atoms:
-        if isinstance(a, Word):
-            if a.is_unit and depth > 0:
-                return True
-            if _unit_residue(a, depth + 1):
-                return True
-    return False
+    cannot interpret canonically."""
+    return any(has_unit_bracket(a) for a in w.atoms if isinstance(a, Word))
 
 
 def extract_constraints(ansatz: Ansatz, step_cap: int = 4000) -> ConstraintSystem:

@@ -25,7 +25,7 @@ from .rewrite import (NORMAL_FORM, NotDRF, NotRBRF, NotTotallyLinear, Redex,
                       ResourceLimit, RuleSchema, Verdict, find_redexes,
                       normal_form, reduces_to_zero)
 from .words import (GeneratorSet, UNIT, Word, enumerate_words,
-                    replace_generators, splice, to_str)
+                    has_unit_bracket, replace_generators, splice, to_str)
 
 BOUND_GEN_NAMES = ("u", "v", "w", "p", "q", "r", "s", "t")
 
@@ -58,18 +58,16 @@ class TruncationBound:
                 f"{self.max_generators})")
 
 
-class GeneratorSystem:
+class GeneratorSystem(RuleSchema):
     """The rule family of one differential-shape identity, with its order."""
 
-    __slots__ = ("identity", "order", "schema")
+    __slots__ = ()
 
     def __init__(self, identity: OpIdentity, order: OrderConfig):
         if identity.kind != DIFFERENTIAL:
             raise ValueError("generator systems need a differential-shape "
                              "identity; no order is available otherwise")
-        self.identity = identity
-        self.order = order
-        self.schema = RuleSchema(identity, order=order)
+        super().__init__(identity, order=order)
 
 
 # -- compositions -------------------------------------------------------------------
@@ -82,30 +80,31 @@ NONTRIVIAL = "nontrivial"
 
 
 class CompositionRecord:
-    __slots__ = ("kind", "w", "value", "mu", "nu", "context", "verdict",
-                 "residue", "note")
+    """One composition at the ambient word ``w``.  An intersection overlaps
+    two instances at w itself (mu = nu = 1); an including record places the
+    inner instance in ``context`` and keeps the spectator argument
+    generic."""
 
-    def __init__(self, kind, w, value, mu=None, nu=None, context=None, note=""):
+    __slots__ = ("kind", "w", "value", "context", "verdict", "residue")
+
+    def __init__(self, kind, w, value, context=None):
         self.kind = kind
         self.w = w
         self.value = value
-        self.mu = mu
-        self.nu = nu
         self.context = context
         self.verdict = None
         self.residue = None
-        self.note = note
 
     def describe(self) -> str:
-        place = (f"q = {to_str(self.context)}" if self.context is not None else
-                 f"mu = {to_str(self.mu)}, nu = {to_str(self.nu)}")
+        including = self.kind == INCLUDING
+        place = f"q = {to_str(self.context)}" if including else "mu = 1, nu = 1"
         out = f"{self.kind} at w = {to_str(self.w)} ({place})"
         if self.verdict:
             out += f": {self.verdict}"
             if self.verdict == NONTRIVIAL and self.residue is not None:
                 out += f", residue {to_str_opoly(self.residue)}"
-        if self.note:
-            out += f" [{self.note}]"
+        if including:
+            out += " [spectator argument generic]"
         return out
 
 
@@ -276,13 +275,18 @@ def gsb_check_truncated(sys: GeneratorSystem, bound: TruncationBound,
     certify = "transfer" if bound.max_generators >= 3 else "concrete"
     report = GsbReport(sys.identity.name or "pattern", bound, len(words), certify)
     ident = sys.identity
-    cache = NFCache(sys.schema, step_cap)
+    # one schema for both kinds: the spectator ranks last, so words without
+    # it keep their order and their reductions
+    spectator = Word(("zspec",))
+    schema = RuleSchema(ident, order=OrderConfig(
+        GeneratorSet(gens.names + ("zspec",)), sys.order.mode))
+    cache = NFCache(schema, step_cap)
 
-    def check(comp: CompositionRecord, comp_cache: NFCache) -> bool:
+    def check(comp: CompositionRecord) -> bool:
         reduced = report.intersections_reduced + report.including_configs
         if reduced > MAX_REDUCTIONS:
             raise ResourceLimit(f"reduction cap {MAX_REDUCTIONS} exceeded")
-        if is_trivial(comp, comp_cache) == TRIVIAL:
+        if is_trivial(comp, cache) == TRIVIAL:
             return True
         report.nontrivial.append(comp)
         return False
@@ -290,8 +294,7 @@ def gsb_check_truncated(sys: GeneratorSystem, bound: TruncationBound,
     def check_triple(r, s, t):
         report.intersections_reduced += 1
         value = -associativity_defect(ident, r, s, t)
-        return check(CompositionRecord(INTERSECTION, Word((r * s * t,)), value,
-                                       mu=UNIT, nu=UNIT), cache)
+        return check(CompositionRecord(INTERSECTION, Word((r * s * t,)), value))
 
     # intersections: f = phi(r s, t), g = phi(r, s t), overlap at [r s t];
     # the bracket leading words cancel, leaving N(r, s t) - N(r s, t)
@@ -320,16 +323,11 @@ def gsb_check_truncated(sys: GeneratorSystem, bound: TruncationBound,
             report.trivial_count = report.intersections_checked
 
     # including: nested redexes of [host . spectator], spectator generic
-    spect_gens = GeneratorSet(tuple(gens.names) + ("zspec",))
-    spectator = Word(("zspec",))
-    spect_order = OrderConfig(spect_gens, sys.order.mode)
-    spect_schema = RuleSchema(ident, order=spect_order)
-    spect_cache = NFCache(spect_schema, step_cap)
     for host in words:
         for u1, v1 in ((host, spectator), (spectator, host)):
             lead = Word((u1 * v1,))
             n_lead = ident.pattern_at(u1, v1)
-            for redex in find_redexes(lead, spect_schema):
+            for redex in find_redexes(lead, schema):
                 if len(redex.path) == 1:
                     continue  # top-level splits are the intersection cases
                 report.including_configs += 1
@@ -337,14 +335,12 @@ def gsb_check_truncated(sys: GeneratorSystem, bound: TruncationBound,
                 # phi(u1, v1) - q|phi(a, b), whose leading words, both
                 # lead, cancel
                 comp = CompositionRecord(INCLUDING, lead,
-                                         spect_schema.replacement(redex)
-                                         - n_lead, context=redex.context,
-                                         note="spectator argument generic")
-                if check(comp, spect_cache):
+                                         schema.replacement(redex) - n_lead,
+                                         context=redex.context)
+                if check(comp):
                     # one trivial configuration certifies every spectator word
                     report.trivial_count += len(words)
-    report.order_violations = (cache.order_violations
-                               + spect_cache.order_violations)
+    report.order_violations = cache.order_violations
     return report
 
 
@@ -372,7 +368,7 @@ def irr_enumerate(sys: GeneratorSystem, bound: TruncationBound,
     out = set()
     for w in enumerate_words(gens, bound.max_breadth, bound.max_depth,
                              include_unit_brackets=True, include_unit=True):
-        if not find_redexes(w, sys.schema):
+        if not find_redexes(w, sys):
             out.add(w)
     return out
 
@@ -402,13 +398,6 @@ class CdlReport:
                 f"{self.ideal_zeros}/{self.ideal_samples} ideal elements to zero")
 
 
-def _contains_unit_bracket(w: Word) -> bool:
-    for a in w.atoms:
-        if isinstance(a, Word) and (a.is_unit or _contains_unit_bracket(a)):
-            return True
-    return False
-
-
 def cdl_direct_sum_check(sys: GeneratorSystem, bound: TruncationBound,
                          rng: random.Random = None,
                          ideal_samples: int = 100) -> CdlReport:
@@ -416,26 +405,26 @@ def cdl_direct_sum_check(sys: GeneratorSystem, bound: TruncationBound,
 
     Every bound word must normalize into the irreducible span, irreducible
     words must be fixed, and random elements of the rule ideal must vanish.
+    A reduction stopped by the step cap raises ``ResourceLimit``.
     """
     rng = rng or random.Random(0)
     gens = bound.generator_set()
     report = CdlReport()
     all_words = enumerate_words(gens, bound.max_breadth, bound.max_depth,
                                 include_unit_brackets=True, include_unit=True)
-    irr = {w for w in all_words if not find_redexes(w, sys.schema)}
+    irr = {w for w in all_words if not find_redexes(w, sys)}
     report.irr_size = len(irr)
-    report.irr_unit_surplus = sum(1 for w in irr if _contains_unit_bracket(w))
+    report.irr_unit_surplus = sum(1 for w in irr if has_unit_bracket(w))
     for w in all_words:
         report.words_checked += 1
-        nf, trace = normal_form(OPoly.from_word(w), sys.schema)
+        nf, trace = normal_form(OPoly.from_word(w), sys)
         if trace.status != NORMAL_FORM:
-            report.failures.append((w, "step cap"))
-            continue
+            raise ResourceLimit(f"step cap hit at {to_str(w)}")
         if w in irr and nf != OPoly.from_word(w, ring=nf.ring):
             report.failures.append((w, "irreducible word moved"))
             continue
         for m in nf.terms:
-            if find_redexes(m, sys.schema):
+            if find_redexes(m, sys):
                 report.failures.append((w, f"reducible support word {to_str(m)}"))
                 break
     # ideal elements q|phi(u, v) = q|[u v] - q|N(u, v); rejection-sample the
@@ -454,10 +443,12 @@ def cdl_direct_sum_check(sys: GeneratorSystem, bound: TruncationBound,
         else:
             report.oversize_hosts += 1  # the last host is used as it is
         elem = (OPoly.from_word(host, ring=sys.identity.ring)
-                - sys.schema.replacement(Redex(q, u, v)))
-        nf, trace = normal_form(elem, sys.schema)
+                - sys.replacement(Redex(q, u, v)))
+        nf, trace = normal_form(elem, sys)
+        if trace.status != NORMAL_FORM:
+            raise ResourceLimit(f"step cap hit at {to_str(host)}")
         report.ideal_samples += 1
-        if nf.is_zero and trace.status == NORMAL_FORM:
+        if nf.is_zero:
             report.ideal_zeros += 1
         else:
             report.failures.append((host, "ideal element residue"))
@@ -602,7 +593,7 @@ def free_dt_operator_nf(u: Word, identity: OpIdentity) -> OPoly:
     if any(isinstance(a, Word) for a in u.atoms):
         raise ValueError("d acts on bracket-free words over derivative markers")
     for mono in pattern.terms:
-        if _contains_unit_bracket(mono):
+        if has_unit_bracket(mono):
             raise ValueError(
                 "patterns with unit-bracket terms induce no operator on "
                 f"bracket-free words (offending monomial {to_str(mono)})")

@@ -15,7 +15,8 @@ leftmost-outermost (``lo``) or leftmost-innermost (``li``) order without
 building any word; a replacement word is built by one ``words.splice`` of
 the instantiated pattern monomial along the path, flat for a sigma rule and
 bracketed for a pi rule, and ``Redex.context`` splices ``STAR`` there to
-print the context.
+print the context.  The same walk decides reduced form (``in_reduced_form``):
+a rule's replacement must carry no redex of its own family.
 
 ``normal_form`` takes each step's monomial from a max-heap of reducible
 words instead of re-sorting the polynomial.  Every rewrite step, of the
@@ -38,7 +39,7 @@ from .groebner import buchberger, nf_mod_ideal
 from .opoly import DIFFERENTIAL, OPoly, OpIdentity, to_str_opoly
 from .ordering import OrderConfig, order_key
 from .words import (STAR, UNIT, Word, enumerate_words, replace_generators,
-                    splice, to_str, word_sort_key)
+                    splice, to_str, tokens, word_sort_key)
 
 NONUNIT_ONLY = "nonunit"
 ALLOW_UNITS = "allow"
@@ -64,49 +65,27 @@ class ResourceLimit(RuntimeError):
 # -- pattern shape predicates -------------------------------------------------------
 
 
-def count_generator(w: Word, name: str) -> int:
-    n = 0
-    for a in w.atoms:
-        if isinstance(a, str):
-            n += a == name
-        else:
-            n += count_generator(a, name)
-    return n
+def in_reduced_form(w: Word, sigma: bool) -> bool:
+    """``w`` has no redex of the sigma (``sigma``) or pi rule family.  With
+    content splits of two or more atoms only, a sigma redex sits exactly at
+    a bracketed product and a pi redex at two adjacent brackets, so this is
+    the reduced form a replacement of the family must have."""
+    return next(_redexes(w, sigma, NONUNIT_ONLY, False), None) is None
 
 
 def is_totally_linear(p: OPoly) -> bool:
     """Every monomial contains each of x and y exactly once."""
-    return all(count_generator(w, g) == 1 for w in p.terms for g in ("x", "y"))
-
-
-def word_is_drf(w: Word) -> bool:
-    for a in w.atoms:
-        if isinstance(a, Word):
-            if a.breadth >= 2 or not word_is_drf(a):
-                return False
-    return True
-
-
-def word_is_rbrf(w: Word) -> bool:
-    prev_bracket = False
-    for a in w.atoms:
-        if isinstance(a, Word):
-            if prev_bracket or not word_is_rbrf(a):
-                return False
-            prev_bracket = True
-        else:
-            prev_bracket = False
-    return True
+    return all(tokens(w).count(g) == 1 for w in p.terms for g in ("x", "y"))
 
 
 def is_drf(p: OPoly) -> bool:
     """No monomial has a bracketed-product subterm."""
-    return all(word_is_drf(w) for w in p.terms)
+    return all(in_reduced_form(w, True) for w in p.terms)
 
 
 def is_rbrf(p: OPoly) -> bool:
     """No monomial has two adjacent bracket factors."""
-    return all(word_is_rbrf(w) for w in p.terms)
+    return all(in_reduced_form(w, False) for w in p.terms)
 
 
 # -- rule schemas -------------------------------------------------------------------
@@ -195,23 +174,23 @@ def _sigma_splits(content: Word, policy: str):
             yield content, UNIT
 
 
-def _redexes(word: Word, schema: RuleSchema, inner_first: bool,
+def _redexes(word: Word, sigma: bool, policy: str, inner_first: bool,
              path: tuple = ()):
-    """The redexes inside ``word``, which ``path`` leads to, leftmost-
+    """The redexes of the sigma (``sigma``) or pi rule family under the unit
+    policy ``policy`` inside ``word``, which ``path`` leads to, leftmost-
     outermost first, or leftmost-innermost first when ``inner_first``;
     lazily, so a caller may stop at the first.  A module-level recursion: a
     recursive closure would leave a reference cycle per call for the cyclic
     collector."""
-    sigma = schema.kind == "sigma"
     atoms = word.atoms
     for i, a in enumerate(atoms):
         if not isinstance(a, Word):
             continue
         inside = path + ((atoms[:i], atoms[i + 1:]),)
         if inner_first:
-            yield from _redexes(a, schema, inner_first, inside)
+            yield from _redexes(a, sigma, policy, inner_first, inside)
         if sigma:
-            for left, right in _sigma_splits(a, schema.unit_policy):
+            for left, right in _sigma_splits(a, policy):
                 yield Redex(inside, left, right)
         elif i + 1 < len(atoms) and isinstance(atoms[i + 1], Word):
             # any adjacent bracket pair is a pi redex: the rule family
@@ -219,12 +198,12 @@ def _redexes(word: Word, schema: RuleSchema, inner_first: bool,
             # content splits
             yield Redex(path + ((atoms[:i], atoms[i + 2:]),), a, atoms[i + 1])
         if not inner_first:
-            yield from _redexes(a, schema, inner_first, inside)
+            yield from _redexes(a, sigma, policy, inner_first, inside)
 
 
 def find_redexes(w: Word, schema: RuleSchema) -> list:
     """All schema matches in ``w``, leftmost-outermost first."""
-    return list(_redexes(w, schema, False))
+    return list(_redexes(w, schema.kind == "sigma", schema.unit_policy, False))
 
 
 # -- traces -------------------------------------------------------------------------
@@ -283,10 +262,12 @@ def normal_form(p: OPoly, schema: RuleSchema, strategy: str = "lo",
     trace = ReductionTrace()
     key = word_sort_key if schema.order is None else order_key(schema.order)
     first_redex = {}  # word -> its first redex or None; for this call only
+    sigma = schema.kind == "sigma"
 
     def reducible(w: Word) -> bool:
         if w not in first_redex:
-            first_redex[w] = next(_redexes(w, schema, inner_first), None)
+            first_redex[w] = next(_redexes(w, sigma, schema.unit_policy,
+                                           inner_first), None)
         return first_redex[w] is not None
 
     p = schema.normalize(schema.lift(p))

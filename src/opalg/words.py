@@ -116,6 +116,12 @@ def bracket(w: Word) -> Word:
     return Word((w,))
 
 
+def has_unit_bracket(w: Word) -> bool:
+    """Does some bracket of ``w``, at any depth, hold the unit?"""
+    return any(isinstance(a, Word) and (a.is_unit or has_unit_bracket(a))
+               for a in w.atoms)
+
+
 # -- generator sets ----------------------------------------------------------
 
 import re as _re

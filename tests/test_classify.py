@@ -12,9 +12,10 @@ from opalg.catalog import FAMILIES
 from opalg.classify import (Ansatz, ReductionBudgetExceeded, build_ansatz,
                             classify, extract_constraints, match_catalog)
 from opalg.coeffs import PolyRing
-from opalg.gsb import U_WORD, V_WORD, W_WORD, associativity_defect, dt_check
+from opalg.gsb import (U_WORD, V_WORD, W_WORD, associativity_defect,
+                       dt_check, rbt_check)
 from opalg.opoly import DIFFERENTIAL, ROTA_BAXTER
-from opalg.solve import find_representative, solve_components
+from opalg.solve import find_representative, sample_points, solve_components
 from opalg.words import GeneratorSet, parse, to_str
 
 XY = GeneratorSet(("x", "y"))
@@ -307,6 +308,39 @@ def test_rbt_degree1_classification_matches_catalog():
     assert report.component_matches == \
         {0: "rbt14", 1: "rbt13", 2: "rbt6", 3: "rbt2", 4: "rbt4",
          5: "rbt1", 6: "rbt5", 7: "rbt3"}
+
+
+# a known gap, pinned as it stands: with unit-bracket terms, catalog
+# matching at one sample leaves components unmatched, and the RBT audit of
+# one representative passes components holding non-operators
+UNIT_ANSATZ_STATE = {
+    # mode: (terms, equations, unresolved, passed, audit failures,
+    #        unmatched components numbered from 1, check of 3 points each)
+    DIFFERENTIAL: (32, 632, 0, 10, 0, [2, 5, 6, 9, 10], dt_check,
+                   [True, True, True]),
+    ROTA_BAXTER: (14, 330, 112, 14, 10, [3, 5, 6, 7], rbt_check,
+                  [True, False, False]),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(UNIT_ANSATZ_STATE))
+def test_unit_ansatz_classification_present_state(mode):
+    (terms, equations, unresolved, passed, failed, unmatched, check,
+     verdicts) = UNIT_ANSATZ_STATE[mode]
+    ans = build_ansatz(mode, 1, include_unit_terms=True)
+    res = classify(ans)
+    assert (len(ans.terms), len(res.system.equations),
+            len(res.system.unresolved()), len(res.components),
+            len(res.audit_failures)) == (terms, equations, unresolved,
+                                         passed, failed)
+    report = match_catalog(res, samples=1, rng=random.Random(0))
+    assert [i + 1 for i in report.unmatched_components] == unmatched
+    for i in report.unmatched_components:
+        comp = res.components[i]
+        points = sample_points(comp.basis, comp.nonzero, ans.ring, 3,
+                               random.Random(0), strict=False)[:3]
+        assert [check(ans.specialize(p)).accepted for p in points] == \
+            verdicts, i + 1
 
 
 def test_match_report_describe_mentions_defects():

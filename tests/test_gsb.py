@@ -20,7 +20,7 @@ from opalg.opoly import (DIFFERENTIAL, OPoly, OpIdentity, parse_opoly,
                          to_str_opoly)
 from opalg.ordering import OrderConfig, order_key, random_context
 from opalg.rewrite import ResourceLimit, Verdict, find_redexes
-from opalg.words import (STAR, UNIT, GeneratorSet, Word, enumerate_words,
+from opalg.words import (STAR, GeneratorSet, Word, enumerate_words,
                          parse, replace_generators, splice, to_str,
                          word_sort_key)
 
@@ -80,14 +80,13 @@ def test_transfer_and_concrete_modes_agree_small():
     sys = GeneratorSystem(DER, OrderConfig(bound.generator_set()))
     words = enumerate_words(bound.generator_set(), 2, 1,
                             include_unit_brackets=False, include_unit=False)
-    cache = NFCache(sys.schema, 100000)
+    cache = NFCache(sys, 100000)
     triples = [(r, s, t) for s in words for r in words for t in words
                if r.leaves + s.leaves <= 2 and s.leaves + t.leaves <= 2]
     assert len(triples) == 216
     for r, s, t in triples:
         value = DER.pattern_at(r, s * t) - DER.pattern_at(r * s, t)
-        comp = CompositionRecord(INTERSECTION, Word((r * s * t,)), value,
-                                 mu=UNIT, nu=UNIT)
+        comp = CompositionRecord(INTERSECTION, Word((r * s * t,)), value)
         assert is_trivial(comp, cache) == "trivial", comp.describe()
     assert cache.order_violations == 0
     rep = gsb_check_truncated(sys, bound)
@@ -196,14 +195,13 @@ def _derivation_overlap():
     sys = GeneratorSystem(DER, OrderConfig(XY))
     f = instance(DER, parse("x", XY), parse("y x", XY))
     g = instance(DER, parse("x y", XY), parse("x", XY))
-    return sys, [CompositionRecord(INTERSECTION, parse("[x y x]", XY), f - g,
-                                   mu=UNIT, nu=UNIT)]
+    return sys, [CompositionRecord(INTERSECTION, parse("[x y x]", XY), f - g)]
 
 
 def test_is_trivial_marks_records():
     sys, comps = _derivation_overlap()
     for comp in comps:
-        assert is_trivial(comp, NFCache(sys.schema, 100000)) == "trivial"
+        assert is_trivial(comp, NFCache(sys, 100000)) == "trivial"
         assert comp.residue is None
         assert "trivial" in comp.describe()
 
@@ -215,9 +213,9 @@ def test_is_trivial_step_cap_gives_no_verdict():
     sys, comps = _derivation_overlap()
     for comp in comps:
         with pytest.raises(ResourceLimit):
-            is_trivial(comp, NFCache(sys.schema, 0))
+            is_trivial(comp, NFCache(sys, 0))
         assert comp.verdict is None and comp.residue is None
-        assert is_trivial(comp, NFCache(sys.schema, 1)) == "trivial"
+        assert is_trivial(comp, NFCache(sys, 1)) == "trivial"
 
 
 # ``opalg gsb --format json`` output of five checks, recorded before the
@@ -293,6 +291,25 @@ def test_cdl_counts_hosts_past_the_sampling_bound():
     assert rep.ok  # the oversize ideal elements still reduce to zero
 
 
+@pytest.mark.parametrize("capped", ["words", "ideal elements"])
+def test_cdl_step_cap_gives_no_verdict(capped, monkeypatch):
+    # a word or an ideal element left unreduced at the cap is undecided:
+    # the check raises rather than report a failure
+    real = gsb.normal_form
+
+    def capped_normal_form(p, schema):
+        if (len(p) == 1) == (capped == "words"):
+            return real(p, schema, step_cap=0)
+        return real(p, schema)
+
+    monkeypatch.setattr(gsb, "normal_form", capped_normal_form)
+    bound = TruncationBound(2, 1, 2)
+    sys = GeneratorSystem(DER, OrderConfig(bound.generator_set()))
+    with pytest.raises(ResourceLimit, match="step cap"):
+        cdl_direct_sum_check(sys, bound, rng=random.Random(1),
+                             ideal_samples=5)
+
+
 def test_cdl_flags_non_confluent_pattern():
     ident = OpIdentity(DIFFERENTIAL, parse_opoly("y [x]", XY))
     bound = TruncationBound(2, 1, 2)
@@ -329,7 +346,7 @@ def test_including_values_match_star_word_construction(name, size,
         bound.generator_set())), bound)
     spectator = Word(("zspec",))
     schema = GeneratorSystem(ident, OrderConfig(GeneratorSet(
-        bound.generator_set().names + ("zspec",)))).schema
+        bound.generator_set().names + ("zspec",))))
     want = []
     for host in enumerate_words(bound.generator_set(), bound.max_breadth,
                                 bound.max_depth, include_unit_brackets=False,

@@ -1,11 +1,13 @@
 """Word-comparison tests: hand-checked pairs, law checking, sorting."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opalg.catalog import FAMILIES
 from opalg.ordering import (EQUAL, GREATER, LESS, OrderConfig, check_monomial_order,
                             compare, order_key, random_context)
 from opalg.words import (GeneratorSet, STAR, UNIT, Word, enumerate_words, parse,
@@ -142,6 +144,22 @@ def test_purelex_context_monotonicity_fails_on_prefixes():
     assert report.monotonicity_violations
     assert not report.unit_violations
     assert not report.totality_failures
+
+
+@pytest.mark.parametrize("mode", ["purelex", "deglenlex"])
+def test_unit_bracket_argument_lifts_a_replacement_above_its_redex(mode):
+    # a known gap, pinned as it stands: the leading-word argument covers
+    # only arguments without unit brackets.  dt2 at c = 1, e = 0 is
+    # [x y] -> [y] [x]; at u = [1] its replacement [v] [[1]] lies above the
+    # redex [u v] = [[1] v] in both orders
+    ident = FAMILIES["dt2"].specialize({"c": Fraction(1), "e": Fraction(0)})
+    u, v = Word((UNIT,)), Word(("v",))
+    replacement = ident.pattern_at(u, v)
+    redex = Word((u * v,))
+    assert [to_str(m) for m in replacement.terms] == ["[v] [[1]]"]
+    assert to_str(redex) == "[[1] v]"
+    order = OrderConfig(GeneratorSet(("v",)), mode)
+    assert all(compare(m, redex, order) == GREATER for m in replacement.terms)
 
 
 def test_report_summary_mentions_counts():

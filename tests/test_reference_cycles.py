@@ -19,8 +19,9 @@ from opalg.gsb import (GeneratorSystem, TruncationBound, cdl_direct_sum_check,
                        dt_check, gsb_check_truncated, rbt_check)
 from opalg.opoly import DIFFERENTIAL, ROTA_BAXTER, XY, OPoly, parse_opoly
 from opalg.ordering import OrderConfig
-from opalg.rewrite import RuleSchema, find_redexes, normal_form
-from opalg.words import enumerate_words, parse, sample_word
+from opalg.rewrite import (RuleSchema, find_redexes, in_reduced_form,
+                           normal_form)
+from opalg.words import enumerate_words, has_unit_bracket, parse, sample_word
 
 
 DERIVATION = named_pattern("derivation")
@@ -48,6 +49,9 @@ CALLS = {
     "rbt_check": lambda: rbt_check(AVERAGE.pattern),
     "enumerate_words": lambda: enumerate_words(("x", "y"), 4, 2),
     "find_redexes": lambda: find_redexes(NESTED, RuleSchema(DERIVATION)),
+    "in_reduced_form": lambda: [in_reduced_form(NESTED, sigma)
+                                for sigma in (True, False)],
+    "has_unit_bracket": lambda: has_unit_bracket(NESTED),
     "normal_form": lambda: normal_form(OPoly.from_word(NESTED),
                                        RuleSchema(DERIVATION), "li"),
     "sample_word": lambda: [sample_word(random.Random(s), ("x", "y"), 5, 3)

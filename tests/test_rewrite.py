@@ -12,7 +12,7 @@ import pytest
 
 import opalg.rewrite
 from opalg.catalog import FAMILIES, named_pattern
-from opalg.classify import build_ansatz
+from opalg.classify import _unit_residue, build_ansatz
 from opalg.coeffs import _add_scaled_into
 from opalg.gsb import (U_WORD, V_WORD, W_WORD, associativity_defect,
                        dt_check, rbt_check)
@@ -22,13 +22,14 @@ from opalg.ordering import GREATER, OrderConfig, compare, order_key
 from opalg.rewrite import (ALLOW_UNITS, NONUNIT_ONLY, NORMAL_FORM,
                            STEP_CAP_EXCEEDED, NotDRF, NotRBRF,
                            NotTotallyLinear, ReductionTrace, ResourceLimit,
-                           RuleSchema, TraceStep, Verdict, count_generator,
-                           find_redexes, is_drf, is_rbrf, is_totally_linear,
-                           joinable, local_confluence_check, normal_form,
-                           reduces_to_zero, word_is_drf, word_is_rbrf)
+                           RuleSchema, TraceStep, Verdict, find_redexes,
+                           in_reduced_form, is_drf, is_rbrf,
+                           is_totally_linear, joinable,
+                           local_confluence_check, normal_form,
+                           reduces_to_zero)
 from opalg.words import (STAR, GeneratorSet, UNIT, Word, enumerate_words,
-                         parse, replace_generators, sample_word, to_str,
-                         word_sort_key)
+                         has_unit_bracket, parse, replace_generators,
+                         sample_word, to_str, tokens, word_sort_key)
 
 XY = GeneratorSet(("x", "y"))
 XYZ = GeneratorSet(("x", "y", "z"))
@@ -49,20 +50,108 @@ def test_total_linearity():
     assert not is_totally_linear(parse_opoly("x [y] + x x", XY))
     assert not is_totally_linear(parse_opoly("x [x y]", XY))
     assert not is_totally_linear(parse_opoly("x", XY))
-    assert count_generator(parse("x [y x]", XY), "x") == 2
+    assert not is_totally_linear(parse_opoly("x [y x]", XY))
 
 
 def test_reduced_form_predicates():
-    assert word_is_drf(parse("x [y] [x]", XY))
-    assert not word_is_drf(parse("[x y]", XY))
-    assert word_is_drf(parse("[[x]]", XY))
-    assert word_is_rbrf(parse("[x y] x", XY))
-    assert not word_is_rbrf(parse("[x] [y]", XY))
-    assert not word_is_rbrf(parse("[x [y] [x]]", XY))
+    assert in_reduced_form(parse("x [y] [x]", XY), True)
+    assert not in_reduced_form(parse("[x y]", XY), True)
+    assert in_reduced_form(parse("[[x]] [1]", XY), True)
+    assert in_reduced_form(parse("[x y] x", XY), False)
+    assert not in_reduced_form(parse("[x] [y]", XY), False)
+    assert not in_reduced_form(parse("[x [y] [1]]", XY), False)
     assert is_drf(parse_opoly("x [y] + [x] y", XY))
     assert not is_drf(parse_opoly("x [y] + [x y]", XY))
     assert is_rbrf(parse_opoly("x [y] + [x y]", XY))
     assert not is_rbrf(parse_opoly("[x] [y]", XY))
+
+
+# the word-shape recursions that the redex walk and the token list replaced,
+# kept as references
+
+
+def ref_count_generator(w: Word, name: str) -> int:
+    n = 0
+    for a in w.atoms:
+        if isinstance(a, str):
+            n += a == name
+        else:
+            n += ref_count_generator(a, name)
+    return n
+
+
+def ref_word_is_drf(w: Word) -> bool:
+    for a in w.atoms:
+        if isinstance(a, Word):
+            if a.breadth >= 2 or not ref_word_is_drf(a):
+                return False
+    return True
+
+
+def ref_word_is_rbrf(w: Word) -> bool:
+    prev_bracket = False
+    for a in w.atoms:
+        if isinstance(a, Word):
+            if prev_bracket or not ref_word_is_rbrf(a):
+                return False
+            prev_bracket = True
+        else:
+            prev_bracket = False
+    return True
+
+
+def ref_gen_positions(w: Word, out=None) -> list:
+    if out is None:
+        out = []
+    for a in w.atoms:
+        if isinstance(a, Word):
+            ref_gen_positions(a, out)
+        else:
+            out.append(a)
+    return out
+
+
+def ref_total_brackets(w: Word) -> int:
+    n = 0
+    for a in w.atoms:
+        if isinstance(a, Word):
+            n += 1 + ref_total_brackets(a)
+    return n
+
+
+def ref_contains_unit_bracket(w: Word) -> bool:
+    for a in w.atoms:
+        if isinstance(a, Word) and (a.is_unit or ref_contains_unit_bracket(a)):
+            return True
+    return False
+
+
+def ref_unit_residue(w: Word, depth: int = 0) -> bool:
+    for a in w.atoms:
+        if isinstance(a, Word):
+            if a.is_unit and depth > 0:
+                return True
+            if ref_unit_residue(a, depth + 1):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("gens", [XY, UVW], ids=["xy", "uvw"])
+def test_word_shape_matches_reference_recursions(gens):
+    # unit brackets included; every predicate reads both ways on the set
+    seen = set()
+    for w in enumerate_words(gens, 4, 2):
+        toks = tokens(w)
+        got = (in_reduced_form(w, True), in_reduced_form(w, False),
+               has_unit_bracket(w), _unit_residue(w))
+        assert got == (ref_word_is_drf(w), ref_word_is_rbrf(w),
+                       ref_contains_unit_bracket(w), ref_unit_residue(w)), w
+        assert [t for t in toks if t != "[" and t != "]"] == \
+            ref_gen_positions(w)
+        assert toks.count("[") == ref_total_brackets(w)
+        assert all(toks.count(g) == ref_count_generator(w, g) for g in gens)
+        seen.update(enumerate(got))
+    assert len(seen) == 8
 
 
 def test_schema_validation():
@@ -291,7 +380,9 @@ def test_redexes_match_reference(name, policy):
         assert lo == reference_redexes(w, schema, False)
         found += len(lo)
         for inner_first in (False, True):
-            first = next(opalg.rewrite._redexes(w, schema, inner_first), None)
+            first = next(opalg.rewrite._redexes(
+                w, schema.kind == "sigma", schema.unit_policy, inner_first),
+                None)
             want = reference_redexes(w, schema, inner_first)
             if not want:
                 assert first is None
