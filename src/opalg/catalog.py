@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeffs import PolyRing
+from .coeffs import PolyRing, Tokens
 from .opoly import DIFFERENTIAL, ROTA_BAXTER, XY, OpIdentity, OPoly, parse_opoly
 from .solve import find_representative, solve_components
 from .words import Word
@@ -56,7 +56,10 @@ class Family:
         if not self.params:
             return {} if pattern == ident.pattern else None
         ring = ident.ring
-        support = set(ident.pattern.terms) | set(pattern.terms)
+        # the pattern's words the family lacks, then the family's words, each
+        # in term order: a fixed equation order fixes the solver's work
+        support = [w for w in pattern.terms if w not in ident.pattern.terms]
+        support.extend(ident.pattern.terms)
         eqs = []
         for w in support:
             fam_c = ident.pattern.terms.get(w, ring.zero())
@@ -129,15 +132,15 @@ def families(mode: str):
 
 _NAMED = {
     # differential shape: [x y] = N(x, y)
-    "derivation": (DIFFERENTIAL, "x [y] + [x] y", None),
-    "endomorphism": (DIFFERENTIAL, "[x] [y]", None),
-    "weight": (DIFFERENTIAL, "x [y] + [x] y + {p}*[x] [y]", "lam"),
+    "derivation": (DIFFERENTIAL, "x [y] + [x] y"),
+    "endomorphism": (DIFFERENTIAL, "[x] [y]"),
+    "weight": (DIFFERENTIAL, "x [y] + [x] y + {p}*[x] [y]"),
     # Rota-Baxter shape: [x] [y] = [M(x, y)]
-    "average": (ROTA_BAXTER, "x [y]", None),
-    "inverse-average": (ROTA_BAXTER, "[x] y", None),
-    "nijenhuis": (ROTA_BAXTER, "x [y] + [x] y - [x y]", None),
-    "rota-baxter": (ROTA_BAXTER, "x [y] + [x] y + {p}*x y", "lam"),
-    "td": (ROTA_BAXTER, "x [y] + [x] y - x [1] y", None),
+    "average": (ROTA_BAXTER, "x [y]"),
+    "inverse-average": (ROTA_BAXTER, "[x] y"),
+    "nijenhuis": (ROTA_BAXTER, "x [y] + [x] y - [x y]"),
+    "rota-baxter": (ROTA_BAXTER, "x [y] + [x] y + {p}*x y"),
+    "td": (ROTA_BAXTER, "x [y] + [x] y - x [1] y"),
 }
 
 
@@ -153,25 +156,25 @@ def named_pattern(spec: str) -> OpIdentity:
     if entry is None:
         raise UnknownPattern(
             f"unknown pattern {name!r}; available: {', '.join(sorted(_NAMED))}")
-    mode, text, default_param = entry
+    mode, text = entry
     if "{p}" not in text:
         if sep:
             raise UnknownPattern(f"pattern {name!r} takes no parameter")
         return OpIdentity(mode, parse_opoly(text, XY), name=name)
-    arg = arg or default_param
+    arg = arg or "lam"
     try:
         value = Fraction(arg)
+    except ZeroDivisionError:
+        raise UnknownPattern(f"zero denominator in {spec!r}") from None
     except ValueError:
         value = None
-    if value is not None:
-        if value < 0:
-            body = text.replace("+ {p}*", f"- {-value}*")
-        else:
-            body = text.replace("{p}", str(value))
-        return OpIdentity(mode, parse_opoly(body, XY), name=spec)
-    ring = PolyRing([arg])
-    body = text.replace("{p}", arg)
-    return OpIdentity(mode, parse_opoly(body, XY, ring=ring), name=spec)
+    if value is None and (arg in XY or Tokens(arg).toks != [("ident", arg, 0)]):
+        raise UnknownPattern(f"parameter {arg!r} of {name!r} is neither a "
+                             "number nor a name other than x, y")
+    param = arg if value is None else "lam"
+    ident = OpIdentity(mode, parse_opoly(text.replace("{p}", param), XY,
+                                         ring=PolyRing([param])), name=spec)
+    return ident if value is None else ident.specialize({param: value})
 
 
 def pattern_names():

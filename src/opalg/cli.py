@@ -5,13 +5,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 
-from .catalog import UnknownPattern, named_pattern, pattern_names
+from .catalog import named_pattern, pattern_names
 from .classify import ReductionBudgetExceeded, build_ansatz, classify, \
     match_catalog
-from .coeffs import PolyParseError, PolyRing
+from .coeffs import PolyRing, Tokens
 from .gsb import UVW, GeneratorSystem, TruncationBound, dt_check, \
     gsb_check_truncated, irr_enumerate, rbt_check
 from .opoly import DIFFERENTIAL, OpIdentity, ROTA_BAXTER, XY, parse_opoly, \
@@ -31,9 +30,6 @@ EXIT_REJECTED = 3
 EXIT_INCONCLUSIVE = 4
 EXIT_RESOURCE = 5
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-
-
 class UsageError(ValueError):
     pass
 
@@ -44,17 +40,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _identifiers(text: str):
-    return sorted(set(_IDENT.findall(text)))
+    return sorted({tok for kind, tok, _ in Tokens(text).toks
+                   if kind == "ident"})
 
 
 def _resolve_identity(spec: str, kind: str, constraint_texts=()) -> OpIdentity:
     """A named pattern, or an expression over x, y with free coefficient
     parameters; ``constraint_texts`` bind the parameters."""
-    try:
+    if spec.partition(":")[0] in pattern_names():
         ident = named_pattern(spec)
-    except UnknownPattern:
-        ident = None
-    if ident is not None:
         if ident.kind != kind:
             raise UsageError(f"pattern {spec!r} is {ident.kind}, not {kind}")
         if constraint_texts:
@@ -327,7 +321,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ParseError, PolyParseError) as exc:
+    except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (NotTotallyLinear, NotDRF, NotRBRF) as exc:

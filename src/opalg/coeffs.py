@@ -294,106 +294,126 @@ class MPoly:
 
 # -- parsing -------------------------------------------------------------------------
 
-_POLY_TOKEN = re.compile(r"\s+|\d+|[A-Za-z][A-Za-z0-9_]*|\^|\*|/|\+|-|\(|\)|.")
+_TOKEN = re.compile(r"(\d+)|([A-Za-z][A-Za-z0-9_]*)|\S")
 
 
-class PolyParseError(ValueError):
-    def __init__(self, message, position):
+class ParseError(ValueError):
+    """A rejected text; ``position`` is the offset in it where reading failed."""
+
+    def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
 
 
-class _PolyTokens:
-    """The tokens of one polynomial text and the read position, shared by
-    the parse functions below.  They are module-level recursions: recursive
+class PolyParseError(ParseError):
+    pass
+
+
+class Tokens:
+    """The tokens of one text and a read position, shared by the parsers of
+    words, coefficients and operated polynomials.  A token is a digit run
+    (kind ``"num"``), an identifier (kind ``"ident"``) or any other single
+    character (its own kind); whitespace only separates tokens.  Each token
+    is a ``(kind, text, position)`` triple, its position an offset into the
+    text.  The parsers that read it are module-level recursions: recursive
     closures would leave a reference cycle per parse."""
 
-    __slots__ = ("text", "ring", "toks", "pos")
+    __slots__ = ("text", "toks", "pos")
 
-    def __init__(self, text: str, ring: PolyRing):
+    def __init__(self, text: str):
         self.text = text
-        self.ring = ring
-        self.toks = [(m.group(), m.start()) for m in _POLY_TOKEN.finditer(text)
-                     if not m.group().isspace()]
+        self.toks = [("num" if m.group(1) else "ident" if m.group(2)
+                      else m.group(), m.group(), m.start())
+                     for m in _TOKEN.finditer(text)]
         self.pos = 0
 
-    def peek(self):
-        return self.toks[self.pos][0] if self.pos < len(self.toks) else None
+    def peek(self) -> tuple:
+        """The next token; past the end, ``(None, None, len(text))``."""
+        if self.pos < len(self.toks):
+            return self.toks[self.pos]
+        return None, None, len(self.text)
 
-    def take(self):
-        t = self.toks[self.pos]
+    def take(self) -> tuple:
+        """The next token, moving past it."""
+        t = self.peek()
         self.pos += 1
         return t
 
 
 def _parse_poly(text: str, ring: PolyRing) -> MPoly:
-    ts = _PolyTokens(text, ring)
+    ts = Tokens(text)
     if not ts.toks:
         raise PolyParseError("empty input", 0)
-    p = _parse_sum(ts)
-    if ts.pos < len(ts.toks):
-        t, at = ts.toks[ts.pos]
+    p = _parse_sum(ts, ring)
+    _, t, at = ts.peek()
+    if t is not None:
         raise PolyParseError(f"unexpected token {t!r}", at)
     return p
 
 
-def _parse_sum(ts: _PolyTokens) -> MPoly:
-    t = ts.peek()
+def _parse_sum(ts: Tokens, ring: PolyRing) -> MPoly:
     sign = 1
-    while t in ("+", "-"):
-        ts.take()
-        if t == "-":
+    while ts.peek()[0] in ("+", "-"):
+        if ts.take()[0] == "-":
             sign = -sign
-        t = ts.peek()
-    p = _parse_product(ts) * sign
-    while ts.peek() in ("+", "-"):
-        op, _ = ts.take()
-        q = _parse_product(ts)
+    p = _parse_product(ts, ring) * sign
+    while ts.peek()[0] in ("+", "-"):
+        op = ts.take()[0]
+        q = _parse_product(ts, ring)
         p = p + q if op == "+" else p - q
     return p
 
 
-def _parse_product(ts: _PolyTokens) -> MPoly:
-    p = _parse_power(ts)
+def _parse_product(ts: Tokens, ring: PolyRing) -> MPoly:
+    p = _parse_power(ts, ring)
     while True:
-        t = ts.peek()
-        if t in ("*", "/"):
+        kind, t, at = ts.peek()
+        if kind in ("*", "/"):
             ts.take()
-            q = _parse_power(ts)
-            p = p * q if t == "*" else p / q
-        elif t is not None and (t[0].isalnum() or t == "("):
-            p = p * _parse_power(ts)   # implicit product
+            q = _parse_power(ts, ring)
+            if kind == "*":
+                p = p * q
+            elif q.is_constant and q:
+                p = p / q
+            else:
+                raise PolyParseError("can only divide by a nonzero constant",
+                                     at)
+        elif kind in ("num", "ident", "("):
+            p = p * _parse_power(ts, ring)   # implicit product
         else:
             return p
 
 
-def _parse_power(ts: _PolyTokens) -> MPoly:
-    p = _parse_atomic(ts)
-    if ts.peek() == "^":
+def _parse_power(ts: Tokens, ring: PolyRing) -> MPoly:
+    p = parse_atomic(ts, ring)
+    if ts.peek()[0] == "^":
         ts.take()
-        t, at = ts.take() if ts.pos < len(ts.toks) else (None, len(ts.text))
-        if t is None or not t.isdigit():
+        kind, t, at = ts.take()
+        if kind != "num":
             raise PolyParseError("expected integer exponent", at)
         p = p ** int(t)
     return p
 
 
-def _parse_atomic(ts: _PolyTokens) -> MPoly:
-    if ts.pos >= len(ts.toks):
-        raise PolyParseError("unexpected end of input", len(ts.text))
-    t, at = ts.take()
-    if t == "(":
-        p = _parse_sum(ts)
-        if ts.peek() != ")":
+def parse_atomic(ts: Tokens, ring: PolyRing) -> MPoly:
+    """A number, a variable, ``-`` and an atomic, or a parenthesized sum."""
+    kind, t, at = ts.take()
+    if kind == "(":
+        p = _parse_sum(ts, ring)
+        if ts.peek()[0] != ")":
             raise PolyParseError("missing closing parenthesis", at)
         ts.take()
         return p
-    if t.isdigit():
-        return ts.ring.const(int(t))
-    if re.match(r"[A-Za-z]", t):
-        if t not in ts.ring.index:
-            raise PolyParseError(f"unknown variable {t!r}", at)
-        return ts.ring.var(t)
-    if t == "-":
-        return -_parse_atomic(ts)
+    if kind == "num":
+        return ring.const(int(t))
+    if kind == "ident":
+        if t not in ring.index:
+            raise PolyParseError(f"unknown variable {t!r}" if ring.vars else
+                                 "symbolic coefficient without a coefficient "
+                                 "ring", at)
+        return ring.var(t)
+    if kind == "-":
+        return -parse_atomic(ts, ring)
+    if kind is None:
+        raise PolyParseError("unexpected end of input", at)
     raise PolyParseError(f"unexpected token {t!r}", at)

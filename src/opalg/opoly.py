@@ -12,17 +12,16 @@ nonzero coefficients already in the ring, never for caller input.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 
-from .coeffs import MPoly, PolyRing, _add_scaled_into
+from .coeffs import (MPoly, ParseError, PolyRing, Tokens, _add_scaled_into,
+                     parse_atomic)
 from .ordering import OrderConfig, order_key
 from .words import (
     UNIT,
     GeneratorSet,
-    ParseError,
     Word,
-    parse as parse_word,
+    parse_word,
     replace_generators,
     to_str,
     word_sort_key,
@@ -210,137 +209,104 @@ def to_str_opoly(p: OPoly, cfg: OrderConfig = None) -> str:
 
 # -- parsing ----------------------------------------------------------------------
 
-_NUM = re.compile(r"\d+(/\d+)?\Z")
+# the tokens a term stops before; None is the end of the text
+_TERM_END = (None, "+", "-", ")")
+# reads the parenthesized coefficients of a numeric polynomial
+_NUMBERS = PolyRing(())
 
 
 def parse_opoly(text: str, gens: GeneratorSet, ring: PolyRing = None) -> OPoly:
-    """Parse ``coefficient word +/- ...``; identifiers outside the generator
-    set are coefficient variables and require ``ring``.  A coefficient may
-    multiply a parenthesized sum of terms, which must end its term."""
-    chunks = _split_terms(text)
-    if not chunks:
+    """Parse ``sum := ("+" | "-")? term (("+" | "-") term)*``.  A term is
+    coefficient factors, each optionally followed by ``*``, then a word or a
+    parenthesized sum, which must end the term.  A factor is an integer,
+    ``n/d``, a ring variable or a parenthesized coefficient expression, a
+    group holding no bracket and no generator name; identifiers outside the
+    generator set are coefficient variables and require ``ring``."""
+    ts = Tokens(text)
+    if not ts.toks:
         raise ParseError("empty polynomial", 0)
-    total: dict = {}
-    for sign, chunk, at in chunks:
-        coeff, word_text, word_at = _split_coeff(chunk, at, gens, ring)
-        stripped = word_text.strip()
-        if stripped.startswith("("):
-            inner, after = _take_paren_group(stripped, word_at)
-            if after.strip():
-                raise ParseError("unexpected text after parenthesized sum",
-                                 word_at + len(stripped) - len(after))
-            sub = parse_opoly(inner, gens, ring)
-            _add_scaled_into(total, sub.terms, coeff * sign)
-            continue
-        if stripped:
-            w = _parse_word_at(word_text, gens, word_at)
-        else:
-            w = UNIT
-        _add_scaled_into(total, {w: coeff}, sign)
+    total = _parse_sum(ts, gens, ring)
+    _, tok, at = ts.peek()
+    if tok is not None:
+        raise ParseError(f"unexpected token {tok!r}", at)
     return OPoly._trusted(total, ring)
 
 
-def _take_paren_group(text: str, at: int):
-    """Split ``(inner)rest`` at the matching close parenthesis."""
-    depth = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth == 0:
-                return text[1:i], text[i + 1:]
-    raise ParseError("unbalanced parenthesis", at)
+def _parse_sum(ts: Tokens, gens: GeneratorSet, ring: PolyRing) -> dict:
+    """The term dict of the sum at the read position of ``ts``."""
+    kind = ts.peek()[0]
+    sign = -1 if kind == "-" else 1
+    if kind in ("+", "-"):
+        ts.take()
+    total: dict = {}
+    while True:
+        _parse_term(ts, gens, ring, total, sign)
+        if ts.peek()[0] not in ("+", "-"):
+            return total
+        sign = 1 if ts.take()[0] == "+" else -1
 
 
-def _group_mentions_words(tok: str, gens: GeneratorSet) -> bool:
-    """Whether a parenthesized group contains word material (a bracket or a
-    generator name), as opposed to a pure coefficient expression."""
-    if "[" in tok:
-        return True
-    return any(name in gens for name in re.findall(r"[A-Za-z][A-Za-z0-9_]*",
-                                                   tok))
-
-
-def _split_terms(text: str):
-    """Split on top-level + and -, tracking signs and offsets."""
-    chunks = []
-    depth = 0
-    sign = 1
-    start = None
-    lead_sign_used = False
-    for i, ch in enumerate(text):
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-            if depth < 0:
-                raise ParseError("unbalanced bracket or parenthesis", i)
-        if depth == 0 and ch in "+-" and start is None:
-            # a sign may prefix only the first term; elsewhere +/- are binary
-            if chunks or lead_sign_used:
-                raise ParseError("misplaced sign", i)
-            if ch == "-":
-                sign = -sign
-            lead_sign_used = True
-            continue
-        if depth == 0 and ch in "+-":
-            chunks.append((sign, text[start:i], start))
-            sign = 1 if ch == "+" else -1
-            start = None
-            continue
-        if start is None and not ch.isspace():
-            start = i
-    if depth != 0:
-        raise ParseError("unbalanced bracket or parenthesis", len(text))
-    if start is not None:
-        chunks.append((sign, text[start:], start))
-    elif chunks or lead_sign_used or not text.strip():
-        if not text.strip():
-            raise ParseError("empty polynomial", 0)
-        raise ParseError("dangling sign", len(text) - 1)
-    return chunks
-
-
-_FACTOR = re.compile(r"\s*(\((?:[^()]|\([^()]*\))*\)|\d+(?:/\d+)?|[A-Za-z][A-Za-z0-9_]*)\s*(\*?)")
-
-
-def _split_coeff(chunk: str, at: int, gens: GeneratorSet, ring: PolyRing):
-    """Peel leading coefficient factors off a term; the rest is the word."""
+def _parse_term(ts: Tokens, gens: GeneratorSet, ring: PolyRing, total: dict,
+                sign: int) -> None:
+    """Add ``sign`` times the term at the read position of ``ts`` into
+    ``total``."""
+    kind, _, at = ts.peek()
+    if kind in _TERM_END:
+        raise ParseError("missing term", at)
     coeff = Fraction(1) if ring is None else ring.one()
-    pos = 0
-    while pos < len(chunk):
-        m = _FACTOR.match(chunk, pos)
-        if not m:
-            break
-        tok = m.group(1)
-        if tok.startswith("("):
-            if _group_mentions_words(tok, gens):
-                break  # a parenthesized sum of words, not a coefficient
-            if ring is None:
-                raise ParseError("symbolic coefficient without a coefficient ring",
-                                 at + m.start(1))
-            try:
-                coeff = coeff * ring.parse(tok[1:-1])
-            except ValueError as e:
-                raise ParseError(f"bad coefficient: {e}", at + m.start(1)) from None
-        elif _NUM.match(tok):
-            coeff = coeff * Fraction(tok)
-        elif tok not in gens and tok != "1":
+    while True:
+        kind, tok, at = ts.peek()
+        if kind == "num":
+            coeff = coeff * _parse_number(ts)
+        elif kind == "ident" and tok not in gens:
             if ring is None or tok not in ring.index:
-                raise ParseError(f"unknown identifier {tok!r}", at + m.start(1))
+                raise ParseError(f"unknown identifier {tok!r}", at)
+            ts.take()
             coeff = coeff * ring.var(tok)
+        elif kind == "(" and not _group_holds_words(ts, gens):
+            c = parse_atomic(ts, ring or _NUMBERS)
+            coeff = coeff * (c if ring else c.constant_value())
         else:
-            break  # start of the word part
-        pos = m.end()
-    return coeff, chunk[pos:], at + pos
+            break
+        if ts.peek()[0] == "*":
+            ts.take()
+    if kind != "(":
+        w = UNIT if kind in _TERM_END else parse_word(ts, gens)
+        _add_scaled_into(total, {w: coeff}, sign)
+        return
+    ts.take()
+    inner = _parse_sum(ts, gens, ring)
+    if ts.take()[0] != ")":
+        raise ParseError("missing closing parenthesis", at)
+    _add_scaled_into(total, inner, coeff * sign)
 
 
-def _parse_word_at(text: str, gens: GeneratorSet, at: int) -> Word:
-    try:
-        return parse_word(text, gens)
-    except ParseError as e:
-        raise type(e)(str(e).rsplit(" (at position", 1)[0], e.position + at) from None
+def _parse_number(ts: Tokens) -> Fraction:
+    """An integer or ``n/d``, ``d`` nonzero."""
+    num = int(ts.take()[1])
+    if ts.peek()[0] != "/":
+        return Fraction(num)
+    ts.take()
+    kind, den, at = ts.take()
+    if kind != "num":
+        raise ParseError("expected a denominator", at)
+    if not int(den):
+        raise ParseError("zero denominator", at)
+    return Fraction(num, int(den))
+
+
+def _group_holds_words(ts: Tokens, gens: GeneratorSet) -> bool:
+    """Whether the group opening at the read position of ``ts`` holds word
+    material, a bracket or a generator name, before its closing
+    parenthesis."""
+    depth = 0
+    for kind, tok, _ in ts.toks[ts.pos:]:
+        if kind == "[" or (kind == "ident" and tok in gens):
+            return True
+        depth += (kind == "(") - (kind == ")")
+        if not depth:
+            return False
+    return False
 
 
 # -- operator identities --------------------------------------------------------------

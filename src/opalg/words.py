@@ -18,6 +18,8 @@ from __future__ import annotations
 import random
 from typing import Union
 
+from .coeffs import ParseError, Tokens
+
 STAR = "⋆"      # a context's hole, when it is printed
 RESERVED = frozenset({"1", STAR})
 
@@ -194,12 +196,6 @@ def _tokens_into(w: Word, out: list) -> None:
             out.append("]")
 
 
-class ParseError(ValueError):
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
-
-
 class UnbalancedBrackets(ParseError):
     pass
 
@@ -212,90 +208,54 @@ class EmptyBracketWithoutUnit(ParseError):
     pass
 
 
-_TOKEN = _re.compile(r"\s+|\*|\[|\]|1|[A-Za-z][A-Za-z0-9_]*|.")
-
-
-def _lex(text: str):
-    """Yield (kind, value, position); '*' and whitespace are concatenation."""
-    for m in _TOKEN.finditer(text):
-        tok = m.group()
-        if tok.isspace():
-            continue
-        if tok == "*":
-            yield "star", tok, m.start()
-        elif tok == "[" or tok == "]":
-            yield tok, tok, m.start()
-        elif tok == "1":
-            yield "unit", tok, m.start()
-        elif _IDENT.match(tok):
-            yield "ident", tok, m.start()
-        else:
-            raise ParseError(f"unexpected character {tok!r}", m.start())
-
-
 def parse(text: str, gens: GeneratorSet) -> Word:
-    """Parse the word grammar: ``word := "1" | atom+``, ``atom := IDENT | "[" word "]"``."""
-    toks = list(_lex(text))
-    if not toks:
+    """Parse one word of the grammar ``parse_word`` reads."""
+    ts = Tokens(text)
+    if not ts.toks:
         raise ParseError("empty input", 0)
-    w, pos = _parse_word(toks, 0, gens)
-    if pos < len(toks):
-        kind, val, at = toks[pos]
-        if kind == "]":
-            raise UnbalancedBrackets("unmatched closing bracket", at)
-        raise ParseError(f"unexpected token {val!r}", at)
+    w = parse_word(ts, gens)
+    _, tok, at = ts.peek()
+    if tok == "]":
+        raise UnbalancedBrackets("unmatched closing bracket", at)
+    if tok is not None:
+        raise ParseError(f"unexpected token {tok!r}", at)
     return w
 
 
-def _parse_word(toks: list, pos: int, gens: GeneratorSet):
-    """The word starting at ``toks[pos]`` and the position after it.  A
-    module-level recursion: a recursive closure would leave a reference
-    cycle per parse."""
+# the tokens a word stops before; None is the end of the text
+_WORD_END = (None, "]", "+", "-", ")")
+
+
+def parse_word(ts: Tokens, gens: GeneratorSet) -> Word:
+    """The word at the read position of ``ts``, read up to the first of
+    ``]``, ``+``, ``-``, ``)`` or the end: ``word := "1" | atom ("*"? atom)*``,
+    ``atom := IDENT | "[" word "]"``; ``*`` and whitespace both concatenate."""
+    if ts.peek()[1] == "1":
+        ts.take()
+        return UNIT
     atoms = []
-    saw_unit_alone = False
-    pending_star = None
-    while pos < len(toks):
-        kind, val, at = toks[pos]
-        if kind == "]":
-            break
-        if kind == "star":
-            if not atoms or pending_star is not None or saw_unit_alone:
-                raise ParseError("misplaced concatenation symbol '*'", at)
-            pending_star = at
-            pos += 1
-            continue
-        if kind == "unit":
-            if atoms or saw_unit_alone:
-                raise ParseError("the unit symbol 1 must stand alone in its word", at)
-            pos += 1
-            if pos < len(toks) and toks[pos][0] not in ("]",):
-                raise ParseError("the unit symbol 1 must stand alone in its word", toks[pos][2])
-            saw_unit_alone = True
-            continue
-        if kind == "ident":
-            if val not in gens:
-                raise UnknownGenerator(f"unknown generator {val!r}", at)
-            atoms.append(val)
-            pending_star = None
-            pos += 1
-            continue
+    while ts.peek()[0] not in _WORD_END:
+        kind, tok, at = ts.take()
         if kind == "[":
-            open_at = at
-            pos += 1
-            if pos < len(toks) and toks[pos][0] == "]":
+            if ts.peek()[0] == "]":
                 raise EmptyBracketWithoutUnit(
-                    "empty bracket: write [1] for the bracket of the unit", open_at)
-            inner, pos = _parse_word(toks, pos, gens)
-            if pos >= len(toks) or toks[pos][0] != "]":
-                raise UnbalancedBrackets("missing closing bracket", open_at)
-            pos += 1
-            atoms.append(inner)
-            pending_star = None
-            continue
-        raise ParseError(f"unexpected token {val!r}", at)
-    if pending_star is not None:
-        raise ParseError("dangling concatenation symbol '*'", pending_star)
-    return Word(tuple(atoms)), pos
+                    "empty bracket: write [1] for the bracket of the unit", at)
+            atoms.append(parse_word(ts, gens))
+            _, close, close_at = ts.take()
+            if close is None:
+                raise UnbalancedBrackets("missing closing bracket", at)
+            if close != "]":
+                raise ParseError(f"unexpected token {close!r}", close_at)
+        elif kind == "ident":
+            if tok not in gens:
+                raise UnknownGenerator(f"unknown generator {tok!r}", at)
+            atoms.append(tok)
+        elif kind == "*":
+            if not atoms or ts.peek()[0] in _WORD_END + ("*",):
+                raise ParseError("misplaced concatenation symbol '*'", at)
+        else:
+            raise ParseError(f"unexpected token {tok!r}", at)
+    return Word(tuple(atoms))
 
 
 # -- star contexts and substitution --------------------------------------------

@@ -102,6 +102,27 @@ def test_named_pattern_unknown():
         named_pattern("derivation:3")  # takes no parameter
 
 
+@pytest.mark.parametrize("spec", ["weight:1/0", "rota-baxter:0/0",
+                                  "weight:x", "weight:1+2", "weight: lam"])
+def test_named_pattern_rejects_bad_parameters(spec):
+    # a zero denominator, a generator name, or a text that is neither a
+    # number nor a name
+    with pytest.raises(UnknownPattern):
+        named_pattern(spec)
+
+
+def test_named_pattern_numeric_parameter_specializes_the_symbolic_one():
+    # same terms in the same order as the symbolic pattern, zeros dropped
+    for name, template in (("weight", "x [y] + [x] y + {}*[x] [y]"),
+                           ("rota-baxter", "x [y] + [x] y + {}*x y")):
+        for value in ("3", "-2", "1/2", "-3/4", "0"):
+            ident = named_pattern(f"{name}:{value}")
+            expect = parse_opoly(template.format(f"({value})"), XY)
+            assert list(ident.pattern.terms.items()) == \
+                list(expect.terms.items())
+            assert ident.ring is None and ident.name == f"{name}:{value}"
+
+
 def test_pattern_names_listing():
     names = pattern_names()
     assert "derivation" in names and "rota-baxter" in names
@@ -159,3 +180,38 @@ def test_rbt_membership():
 def test_labels_present():
     assert FAMILIES["rbt1"].label == "average"
     assert FAMILIES["rbt6"].label
+
+
+# Catalog-matches the degree-1 DT and RBT classifications in a fresh
+# interpreter and prints, per mode, the number of content divisions the
+# solver makes while matching and the matches found.
+_MEMBERSHIP_JOB = """
+import json, random
+import opalg.solve
+from opalg.classify import build_ansatz, classify, match_catalog
+from opalg.opoly import DIFFERENTIAL, ROTA_BAXTER
+
+original = opalg.solve._divide_nonzero_content
+calls = [0]
+
+def counted(*args, **kwargs):
+    calls[0] += 1
+    return original(*args, **kwargs)
+
+opalg.solve._divide_nonzero_content = counted
+out = []
+for mode in (DIFFERENTIAL, ROTA_BAXTER):
+    result = classify(build_ansatz(mode, 1))
+    calls[0] = 0
+    report = match_catalog(result, samples=1, rng=random.Random(0))
+    out.append([calls[0], sorted(report.component_matches.items())])
+print(json.dumps(out))
+"""
+
+
+def test_membership_work_does_not_depend_on_hash_seed(run_job):
+    # membership equations came from a set union of words, in an order
+    # that follows the per-process string hash (seeds 0 and 1 differed)
+    first, second = (run_job(_MEMBERSHIP_JOB, hash_seed=seed)
+                     for seed in (0, 1))
+    assert first == second

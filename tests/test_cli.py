@@ -50,6 +50,16 @@ def test_nf_parse_error(capsys):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "3/0 x [y]", "--type", "dt"),
+    ("nf", "[x y]", "--dt", "weight:1/0"),
+])
+def test_zero_denominator_is_an_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and not out
+    assert len(err.splitlines()) == 1 and "zero denominator" in err
+
+
 def test_nf_requires_exactly_one_identity(capsys):
     code, _, err = run(capsys, "nf", "x y")
     assert code == 1

@@ -15,7 +15,8 @@ from opalg.opoly import (DIFFERENTIAL, ROTA_BAXTER, OpIdentity, OPoly, XY,
                          parse_opoly, to_str_opoly)
 from opalg.ordering import OrderConfig, order_key
 from opalg.rewrite import RuleSchema
-from opalg.words import UNIT, Word, bracket, parse, sample_word, splice, to_str
+from opalg.words import (UNIT, ParseError, Word, bracket, parse, sample_word,
+                         splice, to_str)
 
 PURE = OrderConfig(XY, "purelex")
 DLL = OrderConfig(XY, "deglenlex")
@@ -313,6 +314,22 @@ def test_parse_rejects_malformed(bad):
 def test_parse_unknown_coefficient_symbol_needs_ring():
     with pytest.raises(Exception):
         parse_opoly("q*x y", XY)
+    with pytest.raises(ParseError,
+                       match="symbolic coefficient without a coefficient ring"):
+        parse_opoly("(a) x", XY)
+
+
+def test_parse_coefficient_groups_at_any_depth():
+    ring = PolyRing(["a"])
+    assert p("(((a))) x", ring) == p("a*x", ring)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("(1/2) x y", "1/2*x y"),
+    ("(1) x", "x"),
+])
+def test_parse_numeric_groups_without_ring(text, expected):
+    assert p(text) == p(expected)
 
 
 # -- identity objects --------------------------------------------------------------

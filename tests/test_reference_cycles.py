@@ -57,10 +57,12 @@ CALLS = {
     "sample_word": lambda: [sample_word(random.Random(s), ("x", "y"), 5, 3)
                             for s in range(50)],
     "words.parse": lambda: parse("x [y [x] y] [1]", XY),
-    "parse_opoly": lambda: parse_opoly("x [y] - 2*[x] y + [[x y]]", XY),
+    "parse_opoly": lambda: parse_opoly(
+        "x [y] - 2*[x] y + [[x y]] + ((1/2))*(x - 3/4 y)", XY),
     "PolyRing.parse": lambda: PolyRing(("a", "b", "c")).parse(
         "a^2 - (b + 3*c)*a/2 + -b"),
-    "named_pattern": lambda: named_pattern("derivation"),
+    "named_pattern": lambda: [named_pattern(spec)
+                              for spec in ("derivation", "weight:-1/2")],
 }
 
 
