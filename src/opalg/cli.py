@@ -99,9 +99,9 @@ def cmd_nf(args) -> int:
     rendered = to_str_opoly(result, order)
     payload = {"command": "nf", "input": args.expr,
                "normal_form": rendered, "status": trace.status,
-               "steps": len(trace.steps), "strategy": args.strategy}
+               "steps": len(trace), "strategy": args.strategy}
     _emit(args, payload,
-          [rendered, f"status: {trace.status} (steps: {len(trace.steps)})"])
+          [rendered, f"status: {trace.status} (steps: {len(trace)})"])
     return EXIT_OK if trace.status == NORMAL_FORM else EXIT_STEP_CAP
 
 

@@ -8,6 +8,7 @@ tuples to nonzero ``Fraction`` values; all arithmetic is exact.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 
@@ -316,7 +317,9 @@ class Tokens:
     character (its own kind); whitespace only separates tokens.  Each token
     is a ``(kind, text, position)`` triple, its position an offset into the
     text.  The parsers that read it are module-level recursions: recursive
-    closures would leave a reference cycle per parse."""
+    closures would leave a reference cycle per parse.  A digit run longer
+    than the interpreter converts to an integer is rejected here, at its
+    offset, so no parser meets ``int``'s own error."""
 
     __slots__ = ("text", "toks", "pos")
 
@@ -326,6 +329,10 @@ class Tokens:
                       else m.group(), m.group(), m.start())
                      for m in _TOKEN.finditer(text)]
         self.pos = 0
+        limit = sys.get_int_max_str_digits()
+        for kind, t, at in self.toks:
+            if limit and kind == "num" and len(t) > limit:
+                raise ParseError(f"integer of more than {limit} digits", at)
 
     def peek(self) -> tuple:
         """The next token; past the end, ``(None, None, len(text))``."""

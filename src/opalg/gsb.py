@@ -10,7 +10,9 @@ differential-type / Rota-Baxter-type certificates.
 
 ``is_trivial`` is the one place a composition value is audited against the
 order and reduced: both composition kinds of ``gsb_check_truncated`` go
-through it, reducing through the check's memo of per-word normal forms.
+through it, reducing word by word through the check's ``NFCache``.  Each
+basis check keeps one ``RewriteMemo`` (each word's first redex and order
+key) for all its normal forms, and drops it when it returns.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from .coeffs import _add_scaled_into
 from .opoly import DIFFERENTIAL, OPoly, OpIdentity, ROTA_BAXTER, to_str_opoly
 from .ordering import GREATER, LESS, OrderConfig, compare, random_context
 from .rewrite import (NORMAL_FORM, NotDRF, NotRBRF, NotTotallyLinear, Redex,
-                      ResourceLimit, RuleSchema, Verdict, find_redexes,
-                      normal_form, reduces_to_zero)
+                      ResourceLimit, RewriteMemo, RuleSchema, Verdict,
+                      find_redexes, normal_form, reduces_to_zero)
 from .words import (GeneratorSet, UNIT, Word, enumerate_words,
                     has_unit_bracket, replace_generators, splice, to_str)
 
@@ -166,40 +168,38 @@ class GsbReport:
 
 
 class NFCache:
-    """Per-schema memo of the leftmost-outermost normal form of each word.
+    """Leftmost-outermost normal forms of words for one check.
 
     Rewriting acts monomial by monomial, so the strategy normal form of a
-    combination is the matching combination of the per-word normal forms;
-    caching those makes repeated composition checks cheap.  Each cached trace
-    is also audited: no rewritten monomial may exceed the root word.
+    combination is the matching combination of the per-word normal forms.
+    Each word is reduced by its own ``normal_form`` call, under the step cap,
+    through one ``RewriteMemo`` that keeps every word's first redex and
+    order key for the life of the check; a repeated word is reduced again
+    through it.  Each word's trace is audited once: no rewritten monomial
+    may exceed the root word.
     """
 
-    __slots__ = ("schema", "step_cap", "map", "order_violations")
+    __slots__ = ("schema", "step_cap", "memo", "audited", "order_violations")
 
     def __init__(self, schema: RuleSchema, step_cap: int):
         self.schema = schema
         self.step_cap = step_cap
-        self.map = {}
+        self.memo = RewriteMemo(schema, "lo")
+        self.audited = set()
         self.order_violations = 0
 
     def nf_word(self, w: Word) -> OPoly:
-        hit = self.map.get(w)
-        if hit is not None:
-            return hit
         nf, trace = normal_form(OPoly.from_word(w, ring=self.schema.identity.ring),
-                                self.schema, "lo", self.step_cap)
+                                self.schema, "lo", self.step_cap,
+                                memo=self.memo)
         if trace.status != NORMAL_FORM:
             raise ResourceLimit(f"step cap {self.step_cap} hit at {to_str(w)}")
         order = self.schema.order
-        if order is not None:
-            for step in trace.steps:
-                if compare(step.monomial, w, order) == GREATER:
+        if order is not None and w not in self.audited:
+            self.audited.add(w)
+            for m in trace.monomials:
+                if compare(m, w, order) == GREATER:
                     self.order_violations += 1
-        # re-pack: the rewrite steps deleted from the term dict in place,
-        # whose dead slots would otherwise stay cached for the life of the
-        # check
-        nf = OPoly._trusted(dict(nf.terms), nf.ring)
-        self.map[w] = nf
         return nf
 
     def reduce(self, p: OPoly) -> OPoly:
@@ -257,12 +257,13 @@ def gsb_check_truncated(sys: GeneratorSystem, bound: TruncationBound,
 
     Both kinds are decided by ``is_trivial``.  ``order_violations`` counts
     the composition-value monomials not below their ambient word w, plus the
-    rewrite steps of a cached per-word normal form whose rewritten monomial
-    lies above that root word.  It is not the ``normal_form(monitor=True)``
-    count of non-descending steps (a replacement monomial not below the word
-    it replaces): at (2, 1, 3) under ``deglenlex`` the derivation reads 948
-    here against 1 088 non-descending steps, and ``y x`` reads 426 against
-    36, so neither audit stands in for the other.
+    rewrite steps of a per-word normal form whose rewritten monomial lies
+    above that root word, each word counted once.  It is not the
+    ``normal_form(monitor=True)`` count of non-descending steps (a
+    replacement monomial not below the word it replaces): at (2, 1, 3)
+    under ``deglenlex`` the derivation reads 948 here against 1 088
+    non-descending steps, and ``y x`` reads 426 against 36, so neither audit
+    stands in for the other.
     """
     rng = rng or random.Random(7)
     gens = bound.generator_set()
@@ -405,26 +406,29 @@ def cdl_direct_sum_check(sys: GeneratorSystem, bound: TruncationBound,
 
     Every bound word must normalize into the irreducible span, irreducible
     words must be fixed, and random elements of the rule ideal must vanish.
-    A reduction stopped by the step cap raises ``ResourceLimit``.
+    A reduction stopped by the step cap raises ``ResourceLimit``.  One
+    ``RewriteMemo`` serves every reduction of the check and decides which
+    words are irreducible.
     """
     rng = rng or random.Random(0)
     gens = bound.generator_set()
     report = CdlReport()
     all_words = enumerate_words(gens, bound.max_breadth, bound.max_depth,
                                 include_unit_brackets=True, include_unit=True)
-    irr = {w for w in all_words if not find_redexes(w, sys)}
+    memo = RewriteMemo(sys, "lo")
+    irr = {w for w in all_words if memo.first_redex(w) is None}
     report.irr_size = len(irr)
     report.irr_unit_surplus = sum(1 for w in irr if has_unit_bracket(w))
     for w in all_words:
         report.words_checked += 1
-        nf, trace = normal_form(OPoly.from_word(w), sys)
+        nf, trace = normal_form(OPoly.from_word(w), sys, memo=memo)
         if trace.status != NORMAL_FORM:
             raise ResourceLimit(f"step cap hit at {to_str(w)}")
         if w in irr and nf != OPoly.from_word(w, ring=nf.ring):
             report.failures.append((w, "irreducible word moved"))
             continue
         for m in nf.terms:
-            if find_redexes(m, sys):
+            if memo.first_redex(m) is not None:
                 report.failures.append((w, f"reducible support word {to_str(m)}"))
                 break
     # ideal elements q|phi(u, v) = q|[u v] - q|N(u, v); rejection-sample the
@@ -444,7 +448,7 @@ def cdl_direct_sum_check(sys: GeneratorSystem, bound: TruncationBound,
             report.oversize_hosts += 1  # the last host is used as it is
         elem = (OPoly.from_word(host, ring=sys.identity.ring)
                 - sys.replacement(Redex(q, u, v)))
-        nf, trace = normal_form(elem, sys)
+        nf, trace = normal_form(elem, sys, memo=memo)
         if trace.status != NORMAL_FORM:
             raise ResourceLimit(f"step cap hit at {to_str(host)}")
         report.ideal_samples += 1

@@ -28,8 +28,9 @@ bracket's is ``(deg, 1, key(content))``; a ``purelex`` word key is the tuple
 of its atom keys and a ``deglenlex`` one is ``(deg, breadth, atom keys)``,
 with bracket contents keyed in the same mode.  Each key function memoises the
 keys it built in a dict that lives exactly as long as the function: build one
-per library call and drop it with the call.  A memo that outlived its call
-(on ``OrderConfig``, say) would keep every word any caller ever sorted.
+per library call, or per basis check through the check's ``RewriteMemo``,
+and drop it with the call.  A memo that outlived its call (on
+``OrderConfig``, say) would keep every word any caller ever sorted.
 """
 
 from __future__ import annotations

@@ -22,9 +22,15 @@ a rule's replacement must carry no redex of its own family.
 words instead of re-sorting the polynomial.  Every rewrite step, of the
 strategy path and the search alike, goes through ``_rewrite_into``, which
 rewrites one term dict in place and reduces only the coefficients it touched
-modulo the constraint ideal.  Memos live for one library call and die when
-it returns: ``normal_form`` keeps a word -> first redex (or ``None``) memo
-and its sort keys, each ``reduces_to_zero`` call has one word ->
+modulo the constraint ideal.  A trace records each step's monomial, redex
+and coefficient, and builds its ``TraceStep`` records, contexts included,
+only when ``steps`` is read.
+
+Memos live for one library call and die when it returns.  A
+``RewriteMemo`` holds a word -> first redex (or ``None``) memo and the order
+keys of one schema under one strategy; ``normal_form`` builds a fresh one
+unless its caller passes one to share across the calls of one check (the
+basis checks of ``gsb`` do).  Each ``reduces_to_zero`` call has one word ->
 replacements memo for its search, and ``joinable`` shares one between its
 two reach-set searches.
 """
@@ -215,15 +221,58 @@ TraceStep = namedtuple("TraceStep", ["monomial", "context", "a", "b", "coeff"])
 
 
 class ReductionTrace:
-    __slots__ = ("steps", "status", "order_violations")
+    """The steps of one reduction.  Each step's monomial, redex and
+    coefficient are recorded as it runs; ``steps`` builds the ``TraceStep``
+    records from them, contexts included, each time it is read."""
+
+    __slots__ = ("monomials", "_redexes", "_coeffs", "status",
+                 "order_violations")
 
     def __init__(self):
-        self.steps = []
+        self.monomials = []
+        self._redexes = []
+        self._coeffs = []
         self.status = NORMAL_FORM
         self.order_violations = []
 
+    @property
+    def steps(self) -> list:
+        return [TraceStep(w, r.context, r.a, r.b, c) for w, r, c
+                in zip(self.monomials, self._redexes, self._coeffs)]
+
     def __len__(self):
-        return len(self.steps)
+        return len(self.monomials)
+
+
+_UNSEEN = object()  # a word missing from a ``RewriteMemo``
+
+
+class RewriteMemo:
+    """Each word's strategy-first redex (or ``None``) and its order key
+    (``word_sort_key`` when the schema has no order), for one schema under
+    one strategy.  Both depend on nothing else, so one memo may serve every
+    ``normal_form`` call of a longer computation; it keeps every word those
+    calls met until it is dropped."""
+
+    __slots__ = ("schema", "strategy", "key", "first", "_walk")
+
+    def __init__(self, schema: RuleSchema, strategy: str):
+        if strategy not in ("lo", "li"):
+            raise ValueError(f"unknown strategy {strategy!r}")
+        self.schema = schema
+        self.strategy = strategy
+        self.key = (word_sort_key if schema.order is None
+                    else order_key(schema.order))
+        self.first = {}
+        self._walk = (schema.kind == "sigma", schema.unit_policy,
+                      strategy == "li")
+
+    def first_redex(self, w: Word):
+        """The strategy-first redex of ``w``, or ``None`` when it has none."""
+        r = self.first.get(w, _UNSEEN)
+        if r is _UNSEEN:
+            r = self.first[w] = next(_redexes(w, *self._walk), None)
+        return r
 
 
 class _Desc:
@@ -241,7 +290,8 @@ class _Desc:
 
 
 def normal_form(p: OPoly, schema: RuleSchema, strategy: str = "lo",
-                step_cap: int = 100000, monitor: bool = False):
+                step_cap: int = 100000, monitor: bool = False,
+                memo: RewriteMemo = None):
     """Reduce to a fixed point of the schema; returns (result, trace).
 
     The strategy-first redex of the order-maximal reducible monomial is
@@ -255,24 +305,20 @@ def normal_form(p: OPoly, schema: RuleSchema, strategy: str = "lo",
     strictly dominates every replacement monomial when an order is
     configured; violations are recorded on the trace, never silently
     dropped.
+
+    First redexes and order keys come from ``memo``, which must belong to
+    ``schema`` and ``strategy``; without one the call builds its own.
     """
-    if strategy not in ("lo", "li"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    inner_first = strategy == "li"
+    if memo is None:
+        memo = RewriteMemo(schema, strategy)
+    elif memo.schema is not schema or memo.strategy != strategy:
+        raise ValueError("the memo belongs to another schema or strategy")
     trace = ReductionTrace()
-    key = word_sort_key if schema.order is None else order_key(schema.order)
-    first_redex = {}  # word -> its first redex or None; for this call only
-    sigma = schema.kind == "sigma"
-
-    def reducible(w: Word) -> bool:
-        if w not in first_redex:
-            first_redex[w] = next(_redexes(w, sigma, schema.unit_policy,
-                                           inner_first), None)
-        return first_redex[w] is not None
-
+    key = memo.key
+    first_redex = memo.first_redex
     p = schema.normalize(schema.lift(p))
     terms = dict(p.terms)  # rewritten in place
-    heap = [_Desc(key(w), w) for w in terms if reducible(w)]
+    heap = [_Desc(key(w), w) for w in terms if first_redex(w) is not None]
     heapq.heapify(heap)
     while True:
         while heap and heap[0].word not in terms:
@@ -280,22 +326,23 @@ def normal_form(p: OPoly, schema: RuleSchema, strategy: str = "lo",
         if not heap:
             trace.status = NORMAL_FORM
             break
-        if len(trace.steps) >= step_cap:
+        if len(trace.monomials) >= step_cap:
             trace.status = STEP_CAP_EXCEEDED
             break
         top = heapq.heappop(heap)
         w = top.word
-        redex = first_redex[w]
+        redex = first_redex(w)
         repl = schema.replacement(redex)
         if monitor and schema.order is not None:
             for m in repl.terms:
                 if not key(m) < top.key:
                     trace.order_violations.append((w, m))
-        trace.steps.append(TraceStep(w, redex.context, redex.a, redex.b,
-                                     terms[w]))
+        trace.monomials.append(w)
+        trace._redexes.append(redex)
+        trace._coeffs.append(terms[w])
         _rewrite_into(terms, p.ring, w, repl, schema)
         for m in repl.terms:
-            if m in terms and reducible(m):
+            if m in terms and first_redex(m) is not None:
                 heapq.heappush(heap, _Desc(key(m), m))
     return OPoly._trusted(terms, p.ring), trace
 

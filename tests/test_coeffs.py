@@ -1,13 +1,15 @@
 import gc
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opalg.coeffs import MPoly, PolyParseError, PolyRing
+from opalg.coeffs import MPoly, ParseError, PolyParseError, PolyRing
 from opalg.groebner import leading_exps
+from opalg.opoly import XY, parse_opoly
 
 R = PolyRing(["a", "b", "c"])
 a, b, c = R.var("a"), R.var("b"), R.var("c")
@@ -173,6 +175,28 @@ def test_parse(text, expected):
             R.parse(text)
     else:
         assert R.parse(text) == expected()
+
+
+# a digit run one longer than the interpreter converts to an integer
+OVERLONG = "1" * (sys.get_int_max_str_digits() + 1)
+
+
+@pytest.mark.parametrize("parse, text, at", [
+    (R.parse, OVERLONG + "*a", 0),
+    (R.parse, "a^" + OVERLONG, 2),
+    (lambda text: parse_opoly(text, XY), "x - " + OVERLONG + " y", 4),
+], ids=["coefficient ring", "exponent", "operated polynomial"])
+def test_overlong_digit_run_is_a_parse_error(parse, text, at):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.position == at
+
+
+def test_digit_run_at_the_limit_parses():
+    n = int(OVERLONG[1:])
+    assert R.parse(OVERLONG[1:] + "*a") == n * a
+    assert parse_opoly("x - " + OVERLONG[1:] + " y", XY) == \
+        parse_opoly("x", XY) - parse_opoly("y", XY).scale(n)
 
 
 def test_parse_print_roundtrip():

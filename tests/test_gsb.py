@@ -18,8 +18,10 @@ from opalg.gsb import (CompositionRecord, GeneratorSystem, NFCache,
                        raise_order, rbt_check)
 from opalg.opoly import (DIFFERENTIAL, OPoly, OpIdentity, parse_opoly,
                          to_str_opoly)
-from opalg.ordering import OrderConfig, order_key, random_context
-from opalg.rewrite import ResourceLimit, Verdict, find_redexes
+from opalg.ordering import (GREATER, OrderConfig, compare, order_key,
+                            random_context)
+from opalg.rewrite import (NORMAL_FORM, Redex, ResourceLimit, Verdict,
+                           find_redexes, normal_form)
 from opalg.words import (STAR, GeneratorSet, Word, enumerate_words,
                          parse, replace_generators, splice, to_str,
                          word_sort_key)
@@ -140,9 +142,12 @@ def test_checked_triples_match_the_listed_triples(bound, monkeypatch):
 
 
 def test_nf_cache_stores_packed_dicts(monkeypatch):
-    # rewrite steps delete from the normal form's term dict; a cached normal
-    # form must not keep the deleted slots for the life of the check
+    # rewrite steps delete from a normal form's term dict; the check keeps
+    # no normal form, only its memo's word -> first redex dict, which only
+    # grows, and the words it audited, so nothing it keeps for the life of
+    # the check holds deleted slots
     caches = []
+    reduced = []
 
     class Recording(NFCache):
         __slots__ = ()
@@ -151,13 +156,23 @@ def test_nf_cache_stores_packed_dicts(monkeypatch):
             super().__init__(*args)
             caches.append(self)
 
+        def nf_word(self, w):
+            reduced.append(w)
+            return super().nf_word(w)
+
     monkeypatch.setattr(gsb, "NFCache", Recording)
     bound = TruncationBound(2, 1, 3)
     gsb_check_truncated(GeneratorSystem(DER, OrderConfig(bound.generator_set())),
                         bound)
-    entries = [nf.terms for cache in caches for nf in cache.map.values()]
-    assert entries
+    assert caches and reduced
+    kept = [getattr(cache, name) for cache in caches
+            for name in NFCache.__slots__]
+    assert not any(isinstance(v, (OPoly, dict)) for v in kept)
+    entries = [cache.memo.first for cache in caches]
     assert all(sys.getsizeof(t) == sys.getsizeof(dict(t)) for t in entries)
+    assert all(r is None or isinstance(r, Redex)
+               for t in entries for r in t.values())
+    assert set().union(*(cache.audited for cache in caches)) == set(reduced)
 
 
 def test_gsb_report_serialization():
@@ -216,6 +231,133 @@ def test_is_trivial_step_cap_gives_no_verdict():
             is_trivial(comp, NFCache(sys, 0))
         assert comp.verdict is None and comp.residue is None
         assert is_trivial(comp, NFCache(sys, 1)) == "trivial"
+
+
+# -- the per-check rewrite memo against the per-word reference -----------------------
+
+class ReferenceNFCache:
+    """The basis check's per-word path before its rewrite memo, kept as the
+    oracle: a fresh ``normal_form`` per new word, a word -> normal form
+    map, and the ``compare`` audit of each new word's steps."""
+
+    def __init__(self, schema, step_cap):
+        self.schema = schema
+        self.step_cap = step_cap
+        self.map = {}
+        self.order_violations = 0
+
+    def nf_word(self, w):
+        hit = self.map.get(w)
+        if hit is not None:
+            return hit
+        word = OPoly.from_word(w, ring=self.schema.identity.ring)
+        nf, trace = normal_form(word, self.schema, "lo", self.step_cap)
+        if trace.status != NORMAL_FORM:
+            raise ResourceLimit(f"step cap {self.step_cap} hit at {to_str(w)}")
+        order = self.schema.order
+        if order is not None:
+            for step in trace.steps:
+                if compare(step.monomial, w, order) == GREATER:
+                    self.order_violations += 1
+        self.map[w] = nf
+        return nf
+
+    def reduce(self, p):
+        out = {}
+        for w, c in p.terms.items():
+            _add_scaled_into(out, self.nf_word(w).terms, c)
+        return self.schema.normalize(OPoly(out, ring=p.ring))
+
+
+def _fresh_normal_form(p, schema, strategy="lo", step_cap=100000,
+                       monitor=False, memo=None):
+    """``normal_form`` with a memo of its own, as each call had before."""
+    return normal_form(p, schema, strategy, step_cap, monitor)
+
+
+def _basis_checks(ident, size, mode, monkeypatch):
+    """The report of both checks and every composition's verdict and
+    residue, terms in order with their coefficients printed."""
+    records = []
+
+    def recording(comp, cache):
+        verdict = is_trivial(comp, cache)
+        residue = comp.residue
+        records.append((comp.kind, comp.w, comp.context, verdict, None
+                        if residue is None else
+                        [(w, str(c)) for w, c in residue.terms.items()]))
+        return verdict
+
+    monkeypatch.setattr(gsb, "is_trivial", recording)
+    bound = TruncationBound(*size)
+    system = GeneratorSystem(ident, OrderConfig(bound.generator_set(), mode))
+    gsb_report = gsb_check_truncated(system, bound, rng=random.Random(4))
+    cdl = cdl_direct_sum_check(system, bound, rng=random.Random(5),
+                               ideal_samples=30)
+    cdl_report = {name: getattr(cdl, name) for name in cdl.__slots__}
+    return gsb_report.to_dict(), cdl_report, records
+
+
+MEMO_ORACLE_CASES = [(spec, size, "purelex")
+                     for spec in ("derivation", "endomorphism", "weight:lam",
+                                  "y [x]")
+                     for size in ((2, 1, 3), (2, 2, 3))]
+# a repeated word's steps are audited once: under deglenlex at (2, 2, 3)
+# repeats carry violating steps
+MEMO_ORACLE_CASES += [("derivation", size, "deglenlex")
+                      for size in ((2, 1, 3), (2, 2, 3))]
+
+
+@pytest.mark.parametrize("spec, size, mode", MEMO_ORACLE_CASES,
+                         ids=[f"{spec}@{','.join(map(str, size))}-{mode}"
+                              for spec, size, mode in MEMO_ORACLE_CASES])
+def test_basis_checks_match_the_per_word_reference(spec, size, mode,
+                                                   monkeypatch):
+    ident = (OpIdentity(DIFFERENTIAL, parse_opoly(spec, XY)) if spec == "y [x]"
+             else named_pattern(spec))
+    got = _basis_checks(ident, size, mode, monkeypatch)
+    monkeypatch.setattr(gsb, "NFCache", ReferenceNFCache)
+    monkeypatch.setattr(gsb, "normal_form", _fresh_normal_form)
+    want = _basis_checks(ident, size, mode, monkeypatch)
+    assert got == want
+    report, cdl, records = got
+    basis = spec != "y [x]"
+    assert records and (not report["nontrivial"]) == basis
+    assert (not cdl["failures"]) == basis
+    if mode == "deglenlex" and size == (2, 1, 3):
+        assert report["order_violations"] == 948
+
+
+_WORK_JOB = """
+import json, random
+from opalg import gsb
+from opalg.catalog import named_pattern
+from opalg.ordering import OrderConfig
+
+steps = []
+real = gsb.normal_form
+
+def counting(*args, **kwargs):
+    result = real(*args, **kwargs)
+    steps.append(len(result[1]))
+    return result
+
+gsb.normal_form = counting
+bound = gsb.TruncationBound(2, 1, 3)
+system = gsb.GeneratorSystem(named_pattern("derivation"),
+                             OrderConfig(bound.generator_set()))
+report = gsb.gsb_check_truncated(system, bound, rng=random.Random(1))
+cdl = gsb.cdl_direct_sum_check(system, bound, rng=random.Random(2))
+print(json.dumps({"gsb": report.to_dict(), "cdl": cdl.describe(),
+                  "failures": len(cdl.failures), "calls": len(steps),
+                  "steps": sum(steps)}))
+"""
+
+
+def test_basis_check_work_does_not_depend_on_hash_seed(run_job):
+    first, second = (run_job(_WORK_JOB, hash_seed=seed) for seed in (0, 5))
+    assert first == second
+    assert first["gsb"]["ok"] and first["failures"] == 0 and first["steps"]
 
 
 # ``opalg gsb --format json`` output of five checks, recorded before the
@@ -297,10 +439,10 @@ def test_cdl_step_cap_gives_no_verdict(capped, monkeypatch):
     # the check raises rather than report a failure
     real = gsb.normal_form
 
-    def capped_normal_form(p, schema):
+    def capped_normal_form(p, schema, memo=None):
         if (len(p) == 1) == (capped == "words"):
-            return real(p, schema, step_cap=0)
-        return real(p, schema)
+            return real(p, schema, step_cap=0, memo=memo)
+        return real(p, schema, memo=memo)
 
     monkeypatch.setattr(gsb, "normal_form", capped_normal_form)
     bound = TruncationBound(2, 1, 2)

@@ -21,7 +21,7 @@ from opalg.opoly import (DIFFERENTIAL, ROTA_BAXTER, OPoly, OpIdentity,
 from opalg.ordering import GREATER, OrderConfig, compare, order_key
 from opalg.rewrite import (ALLOW_UNITS, NONUNIT_ONLY, NORMAL_FORM,
                            STEP_CAP_EXCEEDED, NotDRF, NotRBRF,
-                           NotTotallyLinear, ReductionTrace, ResourceLimit,
+                           NotTotallyLinear, ResourceLimit, RewriteMemo,
                            RuleSchema, TraceStep, Verdict, find_redexes,
                            in_reduced_form, is_drf, is_rbrf,
                            is_totally_linear, joinable,
@@ -413,6 +413,9 @@ def test_replacements_match_reference(name, policy):
 # -- the heap normal form against the sort-every-step reference -------------------
 
 
+RefTrace = namedtuple("RefTrace", ["steps", "status", "order_violations"])
+
+
 def reference_normal_form(p: OPoly, schema: RuleSchema, strategy: str = "lo",
                           step_cap: int = 100000, monitor: bool = False):
     """``normal_form`` as it was before its heap, kept as the oracle: every
@@ -420,9 +423,10 @@ def reference_normal_form(p: OPoly, schema: RuleSchema, strategy: str = "lo",
     monomial, lists all its redexes and builds the replacement by
     polynomial operations (``reference_redexes``,
     ``reference_replacement``), copies the whole term dict and reduces
-    every coefficient modulo the constraint ideal."""
+    every coefficient modulo the constraint ideal.  Its trace builds each
+    ``TraceStep`` as the step is taken."""
     inner_first = strategy == "li"
-    trace = ReductionTrace()
+    trace = RefTrace([], NORMAL_FORM, [])
     key = (functools.cache(word_sort_key) if schema.order is None
            else order_key(schema.order))
     redexes_of = {}
@@ -438,11 +442,9 @@ def reference_normal_form(p: OPoly, schema: RuleSchema, strategy: str = "lo",
                 target = (w, redexes[0])
                 break
         if target is None:
-            trace.status = NORMAL_FORM
             return p, trace
         if len(trace.steps) >= step_cap:
-            trace.status = STEP_CAP_EXCEEDED
-            return p, trace
+            return p, trace._replace(status=STEP_CAP_EXCEEDED)
         w, redex = target
         repl = reference_replacement(schema, redex)
         if monitor and schema.order is not None:
@@ -466,15 +468,18 @@ def _reference_rewrite_at(p: OPoly, w: Word, repl: OPoly) -> OPoly:
     return OPoly._trusted(terms, p.ring)
 
 
-def assert_same_as_reference(p, schema, strategy="lo", step_cap=100000):
-    """Same terms in the same order, steps, status and order violations."""
-    got, trace = normal_form(p, schema, strategy, step_cap, monitor=True)
+def assert_same_as_reference(p, schema, strategy="lo", step_cap=100000,
+                             memo=None):
+    """Same terms in the same order, steps, status and order violations;
+    ``normal_form`` reads and fills ``memo`` when one is given."""
+    got, trace = normal_form(p, schema, strategy, step_cap, monitor=True,
+                             memo=memo)
     want, ref = reference_normal_form(p, schema, strategy, step_cap,
                                       monitor=True)
     assert list(got.terms.items()) == list(want.terms.items())
     assert [str(c) for c in got.terms.values()] == \
         [str(c) for c in want.terms.values()]
-    assert trace.steps == ref.steps
+    assert trace.steps == ref.steps and len(trace) == len(ref.steps)
     assert trace.status == ref.status
     assert trace.order_violations == ref.order_violations
     return trace
@@ -527,6 +532,34 @@ def test_normal_form_matches_reference_on_random_polynomials(name, strategy):
             trace = assert_same_as_reference(p, schema, strategy, cap)
         violations += len(trace.order_violations)
     assert (violations > 0) == (name in ("ascending", "unit splits"))
+
+
+@pytest.mark.parametrize("name", sorted(RANDOM_SCHEMAS))
+def test_shared_memo_matches_reference(name):
+    # one memo per strategy serves a whole sequence of reductions, as in a
+    # basis check; the two strategies' reductions interleave, each through
+    # its own memo, and every one must match a fresh reference reduction
+    schema = RANDOM_SCHEMAS[name]()
+    memos = {strategy: RewriteMemo(schema, strategy)
+             for strategy in ("lo", "li")}
+    rng = random.Random(f"shared:{name}")
+    differ = 0
+    for _ in range(40):
+        p = OPoly({sample_word(rng, XY, 5, 3):
+                   rng.choice((1, -1, 2, Fraction(1, 2)))
+                   for _ in range(rng.randint(1, 4))})
+        traces = [assert_same_as_reference(p, schema, strategy, cap,
+                                           memo=memos[strategy])
+                  for strategy in ("lo", "li") for cap in (5, 40)]
+        differ += traces[1].steps != traces[3].steps
+    # the strategies part on this sequence, so a memo that served both
+    # would hand one of them the other's redexes
+    assert differ > 0
+    assert memos["lo"].first and memos["li"].first
+    with pytest.raises(ValueError, match="another schema or strategy"):
+        normal_form(p, schema, "li", memo=memos["lo"])
+    with pytest.raises(ValueError, match="another schema or strategy"):
+        normal_form(p, RANDOM_SCHEMAS[name](), "lo", memo=memos["lo"])
 
 
 def test_normal_form_matches_reference_when_a_unit_split_keeps_its_word():
