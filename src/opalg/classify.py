@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from .catalog import Family, families
-from .coeffs import MPoly, PolyRing
+from .coeffs import MPoly, PolyRing, ResourceLimit
 from .gsb import (U_WORD, UVW, V_WORD, W_WORD, associativity_defect,
                   dt_check, rbt_check)
 from .opoly import DIFFERENTIAL, OPoly, OpIdentity, ROTA_BAXTER, XY
@@ -26,7 +26,7 @@ from .words import (Word, enumerate_words, has_unit_bracket, to_str, tokens,
                     word_sort_key)
 
 
-class ReductionBudgetExceeded(RuntimeError):
+class ReductionBudgetExceeded(ResourceLimit):
     """The defect reduction did not reach a fixed point within the budget."""
 
 

@@ -8,17 +8,15 @@ import json
 import sys
 
 from .catalog import named_pattern, pattern_names
-from .classify import ReductionBudgetExceeded, build_ansatz, classify, \
-    match_catalog
-from .coeffs import PolyRing, Tokens
+from .classify import build_ansatz, classify, match_catalog
+from .coeffs import PolyRing, ResourceLimit, Tokens
 from .gsb import UVW, GeneratorSystem, TruncationBound, dt_check, \
     gsb_check_truncated, irr_enumerate, rbt_check
 from .opoly import DIFFERENTIAL, OpIdentity, ROTA_BAXTER, XY, parse_opoly, \
     to_str_opoly
 from .ordering import OrderConfig
 from .rewrite import NORMAL_FORM, NotDRF, NotRBRF, NotTotallyLinear, \
-    ResourceLimit, RuleSchema, normal_form
-from .solve import SplitDepthExceeded
+    RuleSchema, normal_form
 from .words import GeneratorSet, ParseError, Word, to_str, word_sort_key
 
 SCHEMA_VERSION = 1
@@ -327,8 +325,7 @@ def main(argv=None) -> int:
     except (NotTotallyLinear, NotDRF, NotRBRF) as exc:
         print(f"pattern error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ResourceLimit, ReductionBudgetExceeded,
-            SplitDepthExceeded) as exc:
+    except ResourceLimit as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except ValueError as exc:

@@ -3,6 +3,8 @@
 Coefficient rings for operator identities: parameters such as weights or the
 entries of an ansatz live here.  Terms are stored as a dict from exponent
 tuples to nonzero ``Fraction`` values; all arithmetic is exact.
+``ResourceLimit``, the exception of every cap, is defined here because each
+module that can hit a cap imports this one.
 """
 
 from __future__ import annotations
@@ -296,6 +298,11 @@ class MPoly:
 # -- parsing -------------------------------------------------------------------------
 
 _TOKEN = re.compile(r"(\d+)|([A-Za-z][A-Za-z0-9_]*)|\S")
+
+
+class ResourceLimit(RuntimeError):
+    """A computation stopped at a cap, a budget or the recursion limit
+    before it finished."""
 
 
 class ParseError(ValueError):

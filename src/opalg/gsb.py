@@ -366,12 +366,10 @@ def irr_enumerate(sys: GeneratorSystem, bound: TruncationBound,
                   gens: GeneratorSet = None) -> set:
     """All bound words carrying no redex of the system's schema."""
     gens = gens or bound.generator_set()
-    out = set()
-    for w in enumerate_words(gens, bound.max_breadth, bound.max_depth,
-                             include_unit_brackets=True, include_unit=True):
-        if not find_redexes(w, sys):
-            out.add(w)
-    return out
+    memo = RewriteMemo(sys, "lo")
+    words = enumerate_words(gens, bound.max_breadth, bound.max_depth,
+                            include_unit_brackets=True, include_unit=True)
+    return {w for w in words if memo.first_redex(w) is None}
 
 
 class CdlReport:
@@ -590,65 +588,77 @@ def free_dt_operator_nf(u: Word, identity: OpIdentity) -> OPoly:
     replacement pattern at (u1, u2...uk) with bracket slots read as recursive
     applications of d.  The result is always bracket-free.
     """
-    pattern = identity.pattern
-    ring = identity.ring
     if u.is_unit:
         raise ValueError("the recursion does not define d at the unit")
     if any(isinstance(a, Word) for a in u.atoms):
         raise ValueError("d acts on bracket-free words over derivative markers")
-    for mono in pattern.terms:
+    for mono in identity.pattern.terms:
         if has_unit_bracket(mono):
             raise ValueError(
                 "patterns with unit-bracket terms induce no operator on "
                 f"bracket-free words (offending monomial {to_str(mono)})")
+    return _d_word(u, identity)
 
-    def d_word(w: Word) -> OPoly:
-        atoms = w.atoms
-        if len(atoms) == 1:
-            return OPoly.from_word(Word((raise_order(atoms[0]),)), ring=ring)
-        return eval_pattern(Word(atoms[:1]), Word(atoms[1:]))
 
-    def d_poly(p: OPoly) -> OPoly:
-        out: dict = {}
-        for w, c in p.terms.items():
-            _add_scaled_into(out, d_word(w).terms, c)
-        return OPoly._trusted(out, ring)
+# The recursions of ``free_dt_operator_nf`` and ``delta_view`` are
+# module-level: a recursive closure would leave a reference cycle per call.
 
-    def interp(word: Word, a: Word, b: Word) -> OPoly:
-        out = OPoly.from_word(UNIT, ring=ring)
-        for atom in word.atoms:
-            if atom == "x":
-                factor = OPoly.from_word(a, ring=ring)
-            elif atom == "y":
-                factor = OPoly.from_word(b, ring=ring)
-            else:
-                factor = d_poly(interp(atom, a, b))
-            out = out * factor
-        return out
 
-    def eval_pattern(a: Word, b: Word) -> OPoly:
-        out: dict = {}
-        for mono, coeff in pattern.terms.items():
-            _add_scaled_into(out, interp(mono, a, b).terms, coeff)
-        return OPoly._trusted(out, ring)
+def _d_word(w: Word, identity: OpIdentity) -> OPoly:
+    """d(w), with d(u1 u2...uk) the pattern at (u1, u2...uk)."""
+    atoms = w.atoms
+    if len(atoms) == 1:
+        return OPoly.from_word(Word((raise_order(atoms[0]),)),
+                               ring=identity.ring)
+    return _d_pattern(Word(atoms[:1]), Word(atoms[1:]), identity)
 
-    return d_word(u)
+
+def _d_poly(p: OPoly, identity: OpIdentity) -> OPoly:
+    """d extended linearly."""
+    out: dict = {}
+    for w, c in p.terms.items():
+        _add_scaled_into(out, _d_word(w, identity).terms, c)
+    return OPoly._trusted(out, identity.ring)
+
+
+def _d_interp(word: Word, a: Word, b: Word, identity: OpIdentity) -> OPoly:
+    """A pattern monomial at (a, b), its brackets read as d."""
+    ring = identity.ring
+    out = OPoly.from_word(UNIT, ring=ring)
+    for atom in word.atoms:
+        if atom == "x":
+            factor = OPoly.from_word(a, ring=ring)
+        elif atom == "y":
+            factor = OPoly.from_word(b, ring=ring)
+        else:
+            factor = _d_poly(_d_interp(atom, a, b, identity), identity)
+        out = out * factor
+    return out
+
+
+def _d_pattern(a: Word, b: Word, identity: OpIdentity) -> OPoly:
+    """The pattern at (a, b), its brackets read as d."""
+    out: dict = {}
+    for mono, coeff in identity.pattern.terms.items():
+        _add_scaled_into(out, _d_interp(mono, a, b, identity).terms, coeff)
+    return OPoly._trusted(out, identity.ring)
 
 
 def delta_view(p: OPoly) -> OPoly:
     """Collapse pure derivative towers: a bracket around a single generator
     becomes the raised generator, recursively.  Words in reduced form over
     derivative markers become bracket-free under this view."""
-
-    def atom_view(a):
-        if isinstance(a, str):
-            return a
-        inner = tuple(atom_view(x) for x in a.atoms)
-        if len(inner) == 1 and isinstance(inner[0], str):
-            return raise_order(inner[0])
-        return Word(inner)
-
     out: dict = {}
     for w, c in p.terms.items():
-        _add_scaled_into(out, {Word(tuple(atom_view(a) for a in w.atoms)): c})
+        _add_scaled_into(out, {Word(tuple(_atom_view(a) for a in w.atoms)): c})
     return OPoly._trusted(out, p.ring)
+
+
+def _atom_view(a):
+    """One atom under ``delta_view``."""
+    if isinstance(a, str):
+        return a
+    inner = tuple(_atom_view(x) for x in a.atoms)
+    if len(inner) == 1 and isinstance(inner[0], str):
+        return raise_order(inner[0])
+    return Word(inner)

@@ -26,13 +26,17 @@ modulo the constraint ideal.  A trace records each step's monomial, redex
 and coefficient, and builds its ``TraceStep`` records, contexts included,
 only when ``steps`` is read.
 
-Memos live for one library call and die when it returns.  A
-``RewriteMemo`` holds a word -> first redex (or ``None``) memo and the order
-keys of one schema under one strategy; ``normal_form`` builds a fresh one
-unless its caller passes one to share across the calls of one check (the
-basis checks of ``gsb`` do).  Each ``reduces_to_zero`` call has one word ->
-replacements memo for its search, and ``joinable`` shares one between its
-two reach-set searches.
+``RewriteMemo`` is the one cache of word facts: each word's first redex
+(or ``None``) and order key for the strategy path, and the replacements of
+all its redexes for the search, which alone asks for them.  One memo serves
+one rewriting job and dies when the job returns: a ``normal_form`` call
+unless its caller passes one, a ``reduces_to_zero`` call (its strategy path
+and its search), the two reach-set searches of a ``joinable`` call, the peaks
+of a ``local_confluence_check`` call, and each basis check of ``gsb``.
+
+A word nested deeper than the interpreter's recursion limit lets one walk
+or key comparison go makes ``normal_form`` and ``reduces_to_zero`` raise
+``ResourceLimit``, naming the steps taken.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from __future__ import annotations
 import heapq
 from collections import namedtuple
 
-from .coeffs import _add_scaled_into
+from .coeffs import ResourceLimit, _add_scaled_into
 from .groebner import buchberger, nf_mod_ideal
 from .opoly import DIFFERENTIAL, OPoly, OpIdentity, to_str_opoly
 from .ordering import OrderConfig, order_key
@@ -61,10 +65,6 @@ class NotDRF(ValueError):
 
 
 class NotRBRF(ValueError):
-    pass
-
-
-class ResourceLimit(RuntimeError):
     pass
 
 
@@ -248,13 +248,13 @@ _UNSEEN = object()  # a word missing from a ``RewriteMemo``
 
 
 class RewriteMemo:
-    """Each word's strategy-first redex (or ``None``) and its order key
-    (``word_sort_key`` when the schema has no order), for one schema under
-    one strategy.  Both depend on nothing else, so one memo may serve every
-    ``normal_form`` call of a longer computation; it keeps every word those
-    calls met until it is dropped."""
+    """Each word's strategy-first redex (or ``None``), order key
+    (``word_sort_key`` when the schema has no order) and, when asked, the
+    replacements of all its redexes, for one schema under one strategy.
+    They depend on nothing else, so one memo may serve a whole rewriting
+    job; it keeps every word the job met until it is dropped."""
 
-    __slots__ = ("schema", "strategy", "key", "first", "_walk")
+    __slots__ = ("schema", "strategy", "key", "first", "repl", "_walk")
 
     def __init__(self, schema: RuleSchema, strategy: str):
         if strategy not in ("lo", "li"):
@@ -264,6 +264,7 @@ class RewriteMemo:
         self.key = (word_sort_key if schema.order is None
                     else order_key(schema.order))
         self.first = {}
+        self.repl = {}
         self._walk = (schema.kind == "sigma", schema.unit_policy,
                       strategy == "li")
 
@@ -273,6 +274,15 @@ class RewriteMemo:
         if r is _UNSEEN:
             r = self.first[w] = next(_redexes(w, *self._walk), None)
         return r
+
+    def replacements(self, w: Word) -> list:
+        """The replacements of every redex of ``w``, in ``find_redexes``
+        order whatever the strategy; callers only read them."""
+        out = self.repl.get(w)
+        if out is None:
+            out = self.repl[w] = [self.schema.replacement(r)
+                                  for r in find_redexes(w, self.schema)]
+        return out
 
 
 class _Desc:
@@ -307,7 +317,8 @@ def normal_form(p: OPoly, schema: RuleSchema, strategy: str = "lo",
     dropped.
 
     First redexes and order keys come from ``memo``, which must belong to
-    ``schema`` and ``strategy``; without one the call builds its own.
+    ``schema`` and ``strategy``; without one the call builds its own.  Words
+    nested too deep for the recursion limit raise ``ResourceLimit``.
     """
     if memo is None:
         memo = RewriteMemo(schema, strategy)
@@ -318,32 +329,36 @@ def normal_form(p: OPoly, schema: RuleSchema, strategy: str = "lo",
     first_redex = memo.first_redex
     p = schema.normalize(schema.lift(p))
     terms = dict(p.terms)  # rewritten in place
-    heap = [_Desc(key(w), w) for w in terms if first_redex(w) is not None]
-    heapq.heapify(heap)
-    while True:
-        while heap and heap[0].word not in terms:
-            heapq.heappop(heap)
-        if not heap:
-            trace.status = NORMAL_FORM
-            break
-        if len(trace.monomials) >= step_cap:
-            trace.status = STEP_CAP_EXCEEDED
-            break
-        top = heapq.heappop(heap)
-        w = top.word
-        redex = first_redex(w)
-        repl = schema.replacement(redex)
-        if monitor and schema.order is not None:
+    try:
+        heap = [_Desc(key(w), w) for w in terms if first_redex(w) is not None]
+        heapq.heapify(heap)
+        while True:
+            while heap and heap[0].word not in terms:
+                heapq.heappop(heap)
+            if not heap:
+                trace.status = NORMAL_FORM
+                break
+            if len(trace.monomials) >= step_cap:
+                trace.status = STEP_CAP_EXCEEDED
+                break
+            top = heapq.heappop(heap)
+            w = top.word
+            redex = first_redex(w)
+            repl = schema.replacement(redex)
+            if monitor and schema.order is not None:
+                for m in repl.terms:
+                    if not key(m) < top.key:
+                        trace.order_violations.append((w, m))
+            trace.monomials.append(w)
+            trace._redexes.append(redex)
+            trace._coeffs.append(terms[w])
+            _rewrite_into(terms, p.ring, w, repl, schema)
             for m in repl.terms:
-                if not key(m) < top.key:
-                    trace.order_violations.append((w, m))
-        trace.monomials.append(w)
-        trace._redexes.append(redex)
-        trace._coeffs.append(terms[w])
-        _rewrite_into(terms, p.ring, w, repl, schema)
-        for m in repl.terms:
-            if m in terms and first_redex(m) is not None:
-                heapq.heappush(heap, _Desc(key(m), m))
+                if m in terms and first_redex(m) is not None:
+                    heapq.heappush(heap, _Desc(key(m), m))
+    except RecursionError:
+        raise ResourceLimit(f"words nest too deep to rewrite: recursion limit "
+                            f"reached after {len(trace)} steps") from None
     return OPoly._trusted(terms, p.ring), trace
 
 
@@ -404,27 +419,18 @@ def _poly_key(p: OPoly):
     return frozenset(p.terms.items())
 
 
-def _one_step_reducts(p: OPoly, schema: RuleSchema, replacements_of: dict):
-    """Every polynomial reachable in exactly one rewrite step, any position;
-    repeats are left to the caller.
-
-    ``replacements_of`` maps a word to the replacements of its redexes in
-    ``find_redexes`` order; missing words are filled in.  The replacements
-    are only read, never mutated.
-    """
+def _one_step_reducts(p: OPoly, memo: RewriteMemo):
+    """Every polynomial reachable in exactly one rewrite step, any position,
+    in ``find_redexes`` order; repeats are left to the caller."""
+    schema = memo.schema
     for w in p.terms:
-        replacements = replacements_of.get(w)
-        if replacements is None:
-            replacements = replacements_of[w] = [
-                schema.replacement(r) for r in find_redexes(w, schema)]
-        for repl in replacements:
+        for repl in memo.replacements(w):
             terms = dict(p.terms)
             _rewrite_into(terms, p.ring, w, repl, schema)
             yield OPoly._trusted(terms, p.ring)
 
 
-def _explore(p: OPoly, schema: RuleSchema, budget: int, replacements_of: dict,
-             stop=None):
+def _explore(p: OPoly, memo: RewriteMemo, budget: int, stop=None):
     """Depth-first search over the distinct reducts of ``p``.
 
     Returns ``(visited_keys, complete, hit)``: the keys of the polynomials
@@ -437,7 +443,7 @@ def _explore(p: OPoly, schema: RuleSchema, budget: int, replacements_of: dict,
     while frontier:
         if len(visited) > budget:
             return visited, False, False
-        for r in _one_step_reducts(frontier.pop(), schema, replacements_of):
+        for r in _one_step_reducts(frontier.pop(), memo):
             if stop is not None and stop(r):
                 return visited, False, True
             k = _poly_key(r)
@@ -454,19 +460,25 @@ def reduces_to_zero(p: OPoly, schema: RuleSchema, strategy: str = "lo",
     Strategy reduction first; a nonzero normal form triggers exhaustive
     exploration of rewrite choices up to ``explore_budget`` distinct
     polynomials.  Symbolic coefficients count as zero when they lie in the
-    constraint ideal.
+    constraint ideal.  One ``RewriteMemo`` serves both.
     """
     p = schema.normalize(schema.lift(p))
     if p.is_zero:
         return Verdict(Verdict.YES, detail="zero in 0 steps")
-    nf, trace = normal_form(p, schema, strategy, step_cap)
+    memo = RewriteMemo(schema, strategy)
+    nf, trace = normal_form(p, schema, strategy, step_cap, memo=memo)
     if nf.is_zero:
         return Verdict(Verdict.YES, detail=f"zero after {len(trace)} steps")
     if trace.status == STEP_CAP_EXCEEDED:
         return Verdict(Verdict.INCONCLUSIVE, witness=nf,
                        detail=f"step cap {step_cap} exceeded")
-    visited, complete, hit = _explore(p, schema, explore_budget, {},
-                                      stop=lambda r: r.is_zero)
+    try:
+        visited, complete, hit = _explore(p, memo, explore_budget,
+                                          stop=lambda r: r.is_zero)
+    except RecursionError:
+        raise ResourceLimit(
+            f"words nest too deep to search: recursion limit reached after "
+            f"{len(trace)} strategy steps") from None
     if hit:
         return Verdict(Verdict.YES, detail="zero on an explored branch")
     if not complete:
@@ -494,11 +506,9 @@ def joinable(f: OPoly, g: OPoly, schema: RuleSchema) -> Verdict:
     diff = reduces_to_zero(f - g, schema, explore_budget=JOIN_EXPLORE_BUDGET)
     if diff.is_yes:
         return Verdict(Verdict.YES, detail=f"difference vanishes ({diff.detail})")
-    replacements_of = {}  # shared by the two reach-set searches of this call
-    reach_f, complete_f, _ = _explore(f, schema, JOIN_EXPLORE_BUDGET,
-                                      replacements_of)
-    reach_g, complete_g, _ = _explore(g, schema, JOIN_EXPLORE_BUDGET,
-                                      replacements_of)
+    memo = RewriteMemo(schema, "lo")  # shared by the two reach-set searches
+    reach_f, complete_f, _ = _explore(f, memo, JOIN_EXPLORE_BUDGET)
+    reach_g, complete_g, _ = _explore(g, memo, JOIN_EXPLORE_BUDGET)
     if reach_f & reach_g:
         return Verdict(Verdict.YES, detail="common reduct found by search")
     if complete_f and complete_g:
@@ -546,12 +556,13 @@ def local_confluence_check(schema: RuleSchema, gens, max_leaves: int = 3,
     report.bound_note = f"leaves <= {max_leaves}, depth <= {max_depth}"
     words = enumerate_words(gens, max_leaves, max_depth,
                             include_unit_brackets=True, include_unit=True)
+    memo = RewriteMemo(schema, "lo")
     for w in words:
         report.words_checked += 1
-        redexes = find_redexes(w, schema)
-        if len(redexes) < 2:
+        replacements = memo.replacements(w)
+        if len(replacements) < 2:
             continue
-        reducts = [schema.normalize(schema.replacement(r)) for r in redexes]
+        reducts = [schema.normalize(r) for r in replacements]
         for i in range(len(reducts)):
             for j in range(i + 1, len(reducts)):
                 report.peaks_checked += 1

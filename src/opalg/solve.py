@@ -31,7 +31,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffs import MPoly, PolyRing
+from .coeffs import MPoly, PolyRing, ResourceLimit
 from .groebner import buchberger, nf_mod_ideal
 
 DEFAULT_POOL = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
@@ -58,7 +58,7 @@ class SolutionComponent:
         return eqs
 
 
-class SplitDepthExceeded(RuntimeError):
+class SplitDepthExceeded(ResourceLimit):
     pass
 
 

@@ -15,6 +15,7 @@ from opalg.coeffs import PolyRing
 from opalg.gsb import (U_WORD, V_WORD, W_WORD, associativity_defect,
                        dt_check, rbt_check)
 from opalg.opoly import DIFFERENTIAL, ROTA_BAXTER
+from opalg.rewrite import ResourceLimit
 from opalg.solve import find_representative, sample_points, solve_components
 from opalg.words import GeneratorSet, parse, to_str
 
@@ -125,6 +126,13 @@ def test_budget_exhaustion_raises():
         extract_constraints(three_term(), step_cap=1)
 
 
+def test_nesting_past_the_recursion_limit_raises():
+    # the degree-2 Rota-Baxter defect nests brackets deeper as it rewrites,
+    # past what the recursion limit lets a word comparison go, inside the cap
+    with pytest.raises(ResourceLimit, match="words nest too deep"):
+        extract_constraints(build_ansatz(ROTA_BAXTER, 2), step_cap=1000)
+
+
 def test_rbt_extraction_counts_and_unit_residues():
     plain = extract_constraints(build_ansatz(ROTA_BAXTER, 1), step_cap=6000)
     assert len(plain.equations) == 108
@@ -201,6 +209,7 @@ import json, sys
 import opalg.groebner
 from opalg.classify import build_ansatz, classify
 from opalg.opoly import DIFFERENTIAL, ROTA_BAXTER
+from opalg.rewrite import ResourceLimit
 from opalg.solve import enumerate_points
 
 original = opalg.groebner.nf_mod_ideal

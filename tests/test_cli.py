@@ -4,8 +4,13 @@ import json
 
 import pytest
 
+import opalg
 import opalg.cli
+import opalg.coeffs
+from opalg.classify import ReductionBudgetExceeded
 from opalg.cli import main
+from opalg.rewrite import ResourceLimit
+from opalg.solve import SplitDepthExceeded
 
 
 def run(capsys, *argv):
@@ -273,3 +278,23 @@ def test_irr_json_deterministic(capsys):
     payload = json.loads(out1)
     assert payload["count"] == 31
     assert len(payload["words"]) == 31
+
+
+# -- resource limits -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--type", "dt", "--degree", "2", "--budget", "10"),
+    ("gsb", "--dt", "derivation", "--bound", "2,1", "--step-cap", "0"),
+    ("nf", "[" * 600 + "x y" + "]" * 600, "--dt", "derivation"),
+], ids=["classify budget", "gsb step cap", "nf nesting"])
+def test_resource_limit_exit_code(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 5 and not out
+    assert len(err.splitlines()) == 1 and err.startswith("resource limit: ")
+
+
+def test_every_limit_is_one_exception():
+    assert issubclass(ReductionBudgetExceeded, ResourceLimit)
+    assert issubclass(SplitDepthExceeded, ResourceLimit)
+    assert opalg.coeffs.ResourceLimit is ResourceLimit is opalg.ResourceLimit

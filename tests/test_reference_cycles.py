@@ -16,18 +16,21 @@ from opalg.catalog import named_pattern
 from opalg.classify import build_ansatz, classify, match_catalog
 from opalg.coeffs import PolyRing
 from opalg.gsb import (GeneratorSystem, TruncationBound, cdl_direct_sum_check,
-                       dt_check, gsb_check_truncated, rbt_check)
+                       delta_view, dt_check, free_dt_operator_nf,
+                       gsb_check_truncated, rbt_check)
 from opalg.opoly import DIFFERENTIAL, ROTA_BAXTER, XY, OPoly, parse_opoly
 from opalg.ordering import OrderConfig
 from opalg.rewrite import (RuleSchema, find_redexes, in_reduced_form,
                            normal_form)
-from opalg.words import enumerate_words, has_unit_bracket, parse, sample_word
+from opalg.words import (GeneratorSet, enumerate_words, has_unit_bracket,
+                         parse, sample_word)
 
 
 DERIVATION = named_pattern("derivation")
 AVERAGE = named_pattern("average")
 BOUND = TruncationBound(2, 1, 3)
 NESTED = parse("x [y [x [y x]] [x y]] y", XY)
+Z = GeneratorSet(("z",))
 
 
 def _basis_check():
@@ -46,6 +49,9 @@ CALLS = {
     "basis check": _basis_check,
     "classify and match": _classify_and_match,
     "dt_check": lambda: dt_check(DERIVATION.pattern),
+    "free_dt_operator_nf": lambda: free_dt_operator_nf(
+        parse("z z z", Z), named_pattern("weight:2")),
+    "delta_view": lambda: delta_view(parse_opoly("[[z]] z + z [z [[z]]]", Z)),
     "rbt_check": lambda: rbt_check(AVERAGE.pattern),
     "enumerate_words": lambda: enumerate_words(("x", "y"), 4, 2),
     "find_redexes": lambda: find_redexes(NESTED, RuleSchema(DERIVATION)),

@@ -1,5 +1,6 @@
 """Rewriting engine: redex enumeration, normal forms, zero tests, confluence."""
 
+import collections
 import functools
 import itertools
 import json
@@ -751,6 +752,31 @@ def test_explore_budget_bounds_distinct_polynomials():
     assert short.witness == full.witness
 
 
+def _tower(depth):
+    """``[...[x y]...]``, ``depth`` brackets deep."""
+    w = Word(("x", "y"))
+    for _ in range(depth):
+        w = Word((w,))
+    return w
+
+
+# each tower nests deeper than the recursion limit lets a key comparison
+# (derivation, after its first step) or a redex walk (average) go
+@pytest.mark.parametrize("name,depth,steps", [("derivation", 500, 1),
+                                              ("average", 1500, 0)])
+def test_deep_nesting_is_a_resource_limit(name, depth, steps):
+    ident = named_pattern(name)
+    order = OrderConfig(XY) if ident.kind == DIFFERENTIAL else None
+    schema = RuleSchema(ident, order=order)
+    p = OPoly.from_word(_tower(depth))
+    message = ("^words nest too deep to rewrite: recursion limit reached "
+               f"after {steps} steps$")
+    with pytest.raises(ResourceLimit, match=message):
+        normal_form(p, schema)
+    with pytest.raises(ResourceLimit, match=message):
+        reduces_to_zero(p, schema)
+
+
 def test_joinable_by_difference():
     schema = der_schema(XYZ)
     f = OPoly.from_word(parse("[x y]", XYZ))
@@ -858,24 +884,68 @@ def test_unit_split_search_verdicts_are_frozen():
     assert _unit_split_verdicts() == FROZEN_SEARCHES["unit_splits"]
 
 
-def test_search_memo_dies_with_its_call(monkeypatch):
+def _right_twisted_schema():
     ident = OpIdentity(DIFFERENTIAL, parse_opoly("y [x]", XY))
-    schema = RuleSchema(ident, order=OrderConfig(UVW))
-    defect = associativity_defect(ident, U_WORD, V_WORD, W_WORD)
-    calls = [0]
+    return RuleSchema(ident, order=OrderConfig(UVW))
+
+
+def _search_defect(schema):
+    defect = associativity_defect(schema.identity, U_WORD, V_WORD, W_WORD)
+    return reduces_to_zero(defect, schema).kind
+
+
+def _search_pair(schema):
+    # no common reduct, so both reach sets are searched; both meet the words
+    # [u v], v [u] and u, and the difference search meets u
+    f, g = (parse_opoly(text, UVW) for text in ("[u v] + u", "[u v] + 2*u"))
+    return joinable(f, g, schema).kind
+
+
+def _search_peaks(schema):
+    return local_confluence_check(schema, UVW, max_leaves=3,
+                                  max_depth=1).summary()
+
+
+# each rewriting job, the most times it may ask for one word's redexes: one
+# memo serves a search call's strategy path and search, and the two
+# reach-set searches of a ``joinable`` call, whose difference search has a
+# memo of its own
+SEARCH_JOBS = {"reduces_to_zero": (_search_defect, 1),
+               "joinable": (_search_pair, 2),
+               "local_confluence_check": (_search_peaks, None)}
+
+
+def test_search_memo_dies_with_its_call(monkeypatch):
+    schema = _right_twisted_schema()
+    asked = []
     original = opalg.rewrite.find_redexes
 
     def counted(w, schema):
-        calls[0] += 1
+        asked.append(w)
         return original(w, schema)
 
     monkeypatch.setattr(opalg.rewrite, "find_redexes", counted)
-    counts = []
-    for _ in range(2):
-        calls[0] = 0
-        assert reduces_to_zero(defect, schema).kind == Verdict.NO
-        counts.append(calls[0])
-    assert counts[0] > 0 and counts[0] == counts[1]
+    for job, (run, most) in SEARCH_JOBS.items():
+        runs = []
+        for _ in range(2):
+            asked.clear()
+            runs.append((run(schema), list(asked)))
+        assert runs[0][1] and runs[0] == runs[1], job
+        if most is not None:
+            assert max(collections.Counter(asked).values()) == most, job
+
+
+def test_deep_nesting_is_a_resource_limit_in_the_search(monkeypatch):
+    # the strategy path of the defect ends nonzero, so the search runs and
+    # walks every redex; a word too deep for that walk stops it
+    def too_deep(w, schema):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(opalg.rewrite, "find_redexes", too_deep)
+    with pytest.raises(ResourceLimit, match=(
+            "^words nest too deep to search: recursion limit reached after "
+            "1 strategy steps$")):
+        _search_defect(_right_twisted_schema())
 
 
 # rejecting certifications that run the exhaustive search
