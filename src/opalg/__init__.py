@@ -12,11 +12,10 @@ from .coeffs import MPoly, PolyRing
 from .ordering import OrderConfig, compare
 from .opoly import (DIFFERENTIAL, OPoly, OpIdentity, ROTA_BAXTER, parse_opoly,
                     to_str_opoly)
-from .rewrite import (ALLOW_UNITS, NONUNIT_ONLY, NotDRF, NotRBRF,
-                      NotTotallyLinear, ReductionTrace, ResourceLimit,
-                      RuleSchema, Verdict, find_redexes, is_drf, is_rbrf,
-                      is_totally_linear, joinable, local_confluence_check,
-                      normal_form, reduces_to_zero)
+from .rewrite import (NotDRF, NotRBRF, NotTotallyLinear, ReductionTrace,
+                      ResourceLimit, RuleSchema, Verdict, find_redexes, is_drf,
+                      is_rbrf, is_totally_linear, joinable,
+                      local_confluence_check, normal_form, reduces_to_zero)
 from .groebner import buchberger, nf_mod_ideal
 from .solve import (SolutionComponent, find_representative, sample_points,
                     solve_components)
@@ -33,10 +32,10 @@ from .classify import (Ansatz, ClassifyResult, ConstraintSystem, MatchReport,
 __version__ = "1.0.0"
 
 __all__ = [
-    "ALLOW_UNITS", "Ansatz", "CdlReport", "ClassifyResult",
-    "ConstraintSystem", "DIFFERENTIAL", "DT_FAMILIES", "FAMILIES", "Family",
-    "GeneratorSet", "GeneratorSystem", "GsbReport", "MPoly", "MatchReport",
-    "NFCache", "NONUNIT_ONLY", "NotDRF", "NotRBRF", "NotTotallyLinear",
+    "Ansatz", "CdlReport", "ClassifyResult", "ConstraintSystem",
+    "DIFFERENTIAL", "DT_FAMILIES", "FAMILIES", "Family", "GeneratorSet",
+    "GeneratorSystem", "GsbReport", "MPoly", "MatchReport", "NFCache",
+    "NotDRF", "NotRBRF", "NotTotallyLinear",
     "OPoly", "OpIdentity", "OrderConfig", "ParseError", "PolyRing",
     "RBT_FAMILIES", "ROTA_BAXTER", "ReductionBudgetExceeded",
     "ReductionTrace", "ResourceLimit", "RuleSchema", "SolutionComponent",

@@ -328,6 +328,11 @@ def main(argv=None) -> int:
     except ResourceLimit as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except RecursionError:
+        # reading or printing words recurses once per nesting level
+        print("resource limit: words nest too deep: recursion limit reached",
+              file=sys.stderr)
+        return EXIT_RESOURCE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

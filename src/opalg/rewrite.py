@@ -1,13 +1,13 @@
 """Rewriting of operated polynomials by operator-identity rules.
 
-Two rule shapes exist.  A sigma rule replaces a bracketed product,
-``[a b] -> N(a, b)``; a pi rule fuses adjacent operator factors,
-``[a] [b] -> [M(a, b)]``.  Reduction acts on one monomial occurrence per
-step, keeps a full trace, and never assumes global termination: strategy
-reduction stops at ``step_cap`` steps, the exhaustive search at
-``explore_budget`` polynomials and the confluence check at ``peak_cap``
-peaks, and ``normal_form(monitor=True)`` records every step that does not
-descend in the configured order.
+Two rule shapes exist.  A sigma rule replaces a bracketed product at each
+split of its content into nonempty a and b, ``[a b] -> N(a, b)``; a pi rule
+fuses adjacent operator factors, ``[a] [b] -> [M(a, b)]``.  Reduction acts
+on one monomial occurrence per step, keeps a full trace, and never assumes
+global termination: strategy reduction stops at ``step_cap`` steps, the
+exhaustive search at ``explore_budget`` polynomials and the confluence check
+at ``peak_cap`` peaks, and ``normal_form(monitor=True)`` records every step
+that does not descend in the configured order.
 
 A redex carries its context as a star path (see ``words``), whose hole the
 matched atoms fill.  One walk of a word yields its redexes in
@@ -48,12 +48,8 @@ from .coeffs import ResourceLimit, _add_scaled_into
 from .groebner import buchberger, nf_mod_ideal
 from .opoly import DIFFERENTIAL, OPoly, OpIdentity, to_str_opoly
 from .ordering import OrderConfig, order_key
-from .words import (STAR, UNIT, Word, enumerate_words, replace_generators,
-                    splice, to_str, tokens, word_sort_key)
-
-NONUNIT_ONLY = "nonunit"
-ALLOW_UNITS = "allow"
-UNIT_POLICIES = (NONUNIT_ONLY, ALLOW_UNITS)
+from .words import (STAR, Word, enumerate_words, replace_generators, splice,
+                    to_str, tokens, word_sort_key)
 
 
 class NotTotallyLinear(ValueError):
@@ -72,11 +68,11 @@ class NotRBRF(ValueError):
 
 
 def in_reduced_form(w: Word, sigma: bool) -> bool:
-    """``w`` has no redex of the sigma (``sigma``) or pi rule family.  With
-    content splits of two or more atoms only, a sigma redex sits exactly at
-    a bracketed product and a pi redex at two adjacent brackets, so this is
-    the reduced form a replacement of the family must have."""
-    return next(_redexes(w, sigma, NONUNIT_ONLY, False), None) is None
+    """``w`` has no redex of the sigma (``sigma``) or pi rule family.  A
+    sigma redex sits exactly at a bracketed product and a pi redex at two
+    adjacent brackets, so this is the reduced form a replacement of the
+    family must have."""
+    return next(_redexes(w, sigma, False), None) is None
 
 
 def is_totally_linear(p: OPoly) -> bool:
@@ -100,12 +96,9 @@ def is_rbrf(p: OPoly) -> bool:
 class RuleSchema:
     """A sigma or pi rule family derived from one operator identity."""
 
-    __slots__ = ("kind", "identity", "unit_policy", "order", "constraint_gb")
+    __slots__ = ("kind", "identity", "order", "constraint_gb")
 
-    def __init__(self, identity: OpIdentity, unit_policy: str = NONUNIT_ONLY,
-                 order: OrderConfig = None):
-        if unit_policy not in UNIT_POLICIES:
-            raise ValueError(f"unknown unit policy {unit_policy!r}")
+    def __init__(self, identity: OpIdentity, order: OrderConfig = None):
         self.kind = "sigma" if identity.kind == DIFFERENTIAL else "pi"
         pattern = identity.pattern
         if not is_totally_linear(pattern):
@@ -118,7 +111,6 @@ class RuleSchema:
             raise NotRBRF(
                 f"pi replacement is not in reduced form: {to_str_opoly(pattern)}")
         self.identity = identity
-        self.unit_policy = unit_policy
         self.order = order
         if identity.constraints:
             self.constraint_gb = buchberger(list(identity.constraints),
@@ -153,7 +145,7 @@ class RuleSchema:
         return p
 
     def __repr__(self):
-        return f"RuleSchema({self.kind}: {self.identity!r}, {self.unit_policy})"
+        return f"RuleSchema({self.kind}: {self.identity!r})"
 
 
 class Redex(namedtuple("Redex", ["path", "a", "b"])):
@@ -168,48 +160,33 @@ class Redex(namedtuple("Redex", ["path", "a", "b"])):
         return splice(self.path, (STAR,))
 
 
-def _sigma_splits(content: Word, policy: str):
-    atoms = content.atoms
-    for i in range(1, len(atoms)):
-        yield Word(atoms[:i]), Word(atoms[i:])
-    if policy == ALLOW_UNITS:
-        if content.is_unit:
-            yield UNIT, UNIT
-        else:
-            yield UNIT, content
-            yield content, UNIT
-
-
-def _redexes(word: Word, sigma: bool, policy: str, inner_first: bool,
-             path: tuple = ()):
-    """The redexes of the sigma (``sigma``) or pi rule family under the unit
-    policy ``policy`` inside ``word``, which ``path`` leads to, leftmost-
-    outermost first, or leftmost-innermost first when ``inner_first``;
-    lazily, so a caller may stop at the first.  A module-level recursion: a
-    recursive closure would leave a reference cycle per call for the cyclic
-    collector."""
+def _redexes(word: Word, sigma: bool, inner_first: bool, path: tuple = ()):
+    """The redexes of the sigma (``sigma``) or pi rule family inside
+    ``word``, which ``path`` leads to, leftmost-outermost first (a bracket's
+    content splits shortest left part first), or leftmost-innermost first
+    when ``inner_first``; lazily, so a caller may stop at the first.  A
+    module-level recursion: a recursive closure would leave a reference
+    cycle per call for the cyclic collector."""
     atoms = word.atoms
     for i, a in enumerate(atoms):
         if not isinstance(a, Word):
             continue
         inside = path + ((atoms[:i], atoms[i + 1:]),)
         if inner_first:
-            yield from _redexes(a, sigma, policy, inner_first, inside)
+            yield from _redexes(a, sigma, inner_first, inside)
         if sigma:
-            for left, right in _sigma_splits(a, policy):
-                yield Redex(inside, left, right)
+            content = a.atoms
+            for j in range(1, len(content)):
+                yield Redex(inside, Word(content[:j]), Word(content[j:]))
         elif i + 1 < len(atoms) and isinstance(atoms[i + 1], Word):
-            # any adjacent bracket pair is a pi redex: the rule family
-            # ranges over all words, the unit policy only selects sigma
-            # content splits
             yield Redex(path + ((atoms[:i], atoms[i + 2:]),), a, atoms[i + 1])
         if not inner_first:
-            yield from _redexes(a, sigma, policy, inner_first, inside)
+            yield from _redexes(a, sigma, inner_first, inside)
 
 
 def find_redexes(w: Word, schema: RuleSchema) -> list:
     """All schema matches in ``w``, leftmost-outermost first."""
-    return list(_redexes(w, schema.kind == "sigma", schema.unit_policy, False))
+    return list(_redexes(w, schema.kind == "sigma", False))
 
 
 # -- traces -------------------------------------------------------------------------
@@ -265,8 +242,7 @@ class RewriteMemo:
                     else order_key(schema.order))
         self.first = {}
         self.repl = {}
-        self._walk = (schema.kind == "sigma", schema.unit_policy,
-                      strategy == "li")
+        self._walk = (schema.kind == "sigma", strategy == "li")
 
     def first_redex(self, w: Word):
         """The strategy-first redex of ``w``, or ``None`` when it has none."""
@@ -364,19 +340,15 @@ def normal_form(p: OPoly, schema: RuleSchema, strategy: str = "lo",
 
 def _rewrite_into(terms: dict, ring, w: Word, repl: OPoly,
                   schema: RuleSchema) -> None:
-    """Rewrite the term c w of ``terms`` to c repl in place, with the term
-    order of ``p + (repl - w) c``, on which exploration order depends.
+    """Rewrite c w in ``terms`` to c repl, which lacks w, in place, with the
+    term order of ``p + (repl - w) c``, on which exploration order depends.
 
     Only the coefficients the step touched are reduced modulo the schema's
     constraint ideal; the others already are, and reducing them again would
     give equal values in the same order."""
     if ring != repl.ring:
         raise ValueError("mixed coefficient rings")
-    c = terms[w]
-    if w in repl.terms:  # a unit-bracket split can reproduce its own redex
-        repl = repl - OPoly.from_word(w, ring=ring)
-    else:
-        del terms[w]
+    c = terms.pop(w)
     _add_scaled_into(terms, repl.terms, c)
     gb = schema.constraint_gb
     if gb is None or ring is None:

@@ -287,7 +287,11 @@ def test_irr_json_deterministic(capsys):
     ("classify", "--type", "dt", "--degree", "2", "--budget", "10"),
     ("gsb", "--dt", "derivation", "--bound", "2,1", "--step-cap", "0"),
     ("nf", "[" * 600 + "x y" + "]" * 600, "--dt", "derivation"),
-], ids=["classify budget", "gsb step cap", "nf nesting"])
+    ("nf", "[" * 1200 + "x y" + "]" * 1200, "--dt", "derivation"),
+    ("verify", "[" * 600 + "x y" + "]" * 600, "--type", "dt"),
+    ("verify", "x [y] + " + "[" * 300 + "x y" + "]" * 300, "--type", "dt"),
+], ids=["classify budget", "gsb step cap", "nf nesting", "nf parse nesting",
+        "verify pattern nesting", "verify term nesting"])
 def test_resource_limit_exit_code(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 5 and not out

@@ -30,6 +30,8 @@ import ast
 import os
 from collections import defaultdict, namedtuple
 
+import opalg
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LIBRARY = os.path.join(ROOT, "src", "opalg")
 USERS = (os.path.join(ROOT, "demos"), os.path.join(ROOT, "perfbench"))
@@ -56,9 +58,6 @@ ALLOWED = {
 
 # options kept with fewer than two values in use, one reason each
 ALLOWED_PARAMETERS = {
-    "rewrite.RuleSchema(unit_policy=)":
-        "candidate policy for deciding the unit-bracket residues of unit "
-        "ansatzes",
     "rewrite.normal_form(monitor=)":
         "termination monitor of the order, and a test oracle",
     "ordering.check_monomial_order(sample_budget=)":
@@ -346,6 +345,15 @@ def test_every_option_takes_two_values_outside_the_tests():
 def test_every_allowed_option_still_takes_one_value():
     assert sorted(ALLOWED_PARAMETERS) == [q for q in unset_options()
                                           if q in ALLOWED_PARAMETERS]
+
+
+def test_export_list_is_sorted_and_matches_the_package_imports():
+    # a stale entry would only show up in ``from opalg import *``
+    exported = opalg.__all__
+    assert all(hasattr(opalg, name) for name in exported)
+    assert exported == sorted(exported)
+    init = _parse(os.path.join(LIBRARY, "__init__.py"))
+    assert set(exported) == set(imports(init))
 
 
 def test_bare_names_are_read_by_module():

@@ -20,8 +20,7 @@ from opalg.gsb import (U_WORD, V_WORD, W_WORD, associativity_defect,
 from opalg.opoly import (DIFFERENTIAL, ROTA_BAXTER, OPoly, OpIdentity,
                          parse_opoly, to_str_opoly)
 from opalg.ordering import GREATER, OrderConfig, compare, order_key
-from opalg.rewrite import (ALLOW_UNITS, NONUNIT_ONLY, NORMAL_FORM,
-                           STEP_CAP_EXCEEDED, NotDRF, NotRBRF,
+from opalg.rewrite import (NORMAL_FORM, STEP_CAP_EXCEEDED, NotDRF, NotRBRF,
                            NotTotallyLinear, ResourceLimit, RewriteMemo,
                            RuleSchema, TraceStep, Verdict, find_redexes,
                            in_reduced_form, is_drf, is_rbrf,
@@ -40,8 +39,8 @@ DER = named_pattern("derivation")
 AVG = named_pattern("average")
 
 
-def der_schema(gens=XYZ, policy=NONUNIT_ONLY):
-    return RuleSchema(DER, unit_policy=policy, order=OrderConfig(gens))
+def der_schema(gens=XYZ):
+    return RuleSchema(DER, order=OrderConfig(gens))
 
 
 # -- structural predicates -----------------------------------------------------------
@@ -162,8 +161,6 @@ def test_schema_validation():
         RuleSchema(OpIdentity(DIFFERENTIAL, parse_opoly("[x y]", XY)))
     with pytest.raises(NotRBRF):
         RuleSchema(OpIdentity("rota_baxter", parse_opoly("[x] [y]", XY)))
-    with pytest.raises(ValueError):
-        RuleSchema(DER, unit_policy="sometimes")
 
 
 # -- redex enumeration ---------------------------------------------------------------
@@ -187,18 +184,6 @@ def test_redex_context_and_arguments():
     w = parse("x [x y] y", XY)
     (r,) = find_redexes(w, der_schema(XY))
     assert (to_str(r.context), to_str(r.a), to_str(r.b)) == ("x ⋆ y", "x", "y")
-
-
-def test_unit_policy_splits():
-    w = parse("[x]", XY)
-    assert find_redexes(w, der_schema(XY)) == []
-    allow = find_redexes(w, der_schema(XY, policy=ALLOW_UNITS))
-    pairs = {(to_str(r.a), to_str(r.b)) for r in allow}
-    assert pairs == {("1", "x"), ("x", "1")}
-    unit_bracket = parse("[1]", XY)
-    assert find_redexes(unit_bracket, der_schema(XY)) == []
-    allow_unit = find_redexes(unit_bracket, der_schema(XY, policy=ALLOW_UNITS))
-    assert [(to_str(r.a), to_str(r.b)) for r in allow_unit] == [("1", "1")]
 
 
 def test_pi_redexes_include_unit_contents():
@@ -302,20 +287,21 @@ def reference_redexes(w: Word, schema: RuleSchema, inner_first: bool) -> list:
     before redexes carried star paths, kept as the oracle: each level wraps
     its contexts through the closure chain of the levels above."""
     out = []
-    _reference_visit(w, Word, schema.kind == "sigma", schema.unit_policy,
-                     inner_first, out)
+    _reference_visit(w, Word, schema.kind == "sigma", inner_first, out)
     return out
 
 
-def _reference_visit(word, wrap, sigma, policy, inner_first, out):
+def _reference_visit(word, wrap, sigma, inner_first, out):
     atoms = word.atoms
     for i, a in enumerate(atoms):
         here = []
         if isinstance(a, Word):
             if sigma:
-                for left, right in opalg.rewrite._sigma_splits(a, policy):
+                # every split of the content into two nonempty words
+                for j in range(1, a.breadth):
                     q = wrap(atoms[:i] + (STAR,) + atoms[i + 1:])
-                    here.append(RefRedex(q, left, right))
+                    here.append(RefRedex(q, Word(a.atoms[:j]),
+                                         Word(a.atoms[j:])))
             elif i + 1 < len(atoms) and isinstance(atoms[i + 1], Word):
                 q = wrap(atoms[:i] + (STAR,) + atoms[i + 2:])
                 here.append(RefRedex(q, a, atoms[i + 1]))
@@ -324,7 +310,7 @@ def _reference_visit(word, wrap, sigma, policy, inner_first, out):
         if isinstance(a, Word):
             def wrap_inner(rep, _i=i, _atoms=atoms, _wrap=wrap):
                 return _wrap(_atoms[:_i] + (Word(rep),) + _atoms[_i + 1:])
-            _reference_visit(a, wrap_inner, sigma, policy, inner_first, out)
+            _reference_visit(a, wrap_inner, sigma, inner_first, out)
         if inner_first:
             out.extend(here)
 
@@ -356,25 +342,20 @@ def ordered_terms(p: OPoly) -> list:
 
 
 ORACLE_SCHEMAS = {
-    "derivation": lambda policy: RuleSchema(DER, unit_policy=policy,
-                                            order=OrderConfig(UVW)),
-    "average": lambda policy: RuleSchema(AVG, unit_policy=policy),
-    # unit splits make x [y] and [y] x collide, and here cancel
-    "cancelling": lambda policy: RuleSchema(
-        OpIdentity(DIFFERENTIAL, parse_opoly("x [y] - [y] x + x y", XY)),
-        unit_policy=policy),
-    "dt ansatz": lambda policy: RuleSchema(build_ansatz(DIFFERENTIAL, 1)
-                                           .identity(), unit_policy=policy),
-    "rbt ansatz": lambda policy: RuleSchema(build_ansatz(ROTA_BAXTER, 1)
-                                            .identity(), unit_policy=policy),
+    "derivation": lambda: RuleSchema(DER, order=OrderConfig(UVW)),
+    "average": lambda: RuleSchema(AVG),
+    # x [y] and [y] x collide, and here cancel, where x and [y] commute
+    "cancelling": lambda: RuleSchema(
+        OpIdentity(DIFFERENTIAL, parse_opoly("x [y] - [y] x + x y", XY))),
+    "dt ansatz": lambda: RuleSchema(build_ansatz(DIFFERENTIAL, 1).identity()),
+    "rbt ansatz": lambda: RuleSchema(build_ansatz(ROTA_BAXTER, 1).identity()),
 }
 ORACLE_WORDS = enumerate_words(UVW, 3, 2)
 
 
-@pytest.mark.parametrize("policy", [NONUNIT_ONLY, ALLOW_UNITS])
 @pytest.mark.parametrize("name", sorted(ORACLE_SCHEMAS))
-def test_redexes_match_reference(name, policy):
-    schema = ORACLE_SCHEMAS[name](policy)
+def test_redexes_match_reference(name):
+    schema = ORACLE_SCHEMAS[name]()
     found = 0
     for w in ORACLE_WORDS:
         lo = [RefRedex(r.context, r.a, r.b) for r in find_redexes(w, schema)]
@@ -382,8 +363,7 @@ def test_redexes_match_reference(name, policy):
         found += len(lo)
         for inner_first in (False, True):
             first = next(opalg.rewrite._redexes(
-                w, schema.kind == "sigma", schema.unit_policy, inner_first),
-                None)
+                w, schema.kind == "sigma", inner_first), None)
             want = reference_redexes(w, schema, inner_first)
             if not want:
                 assert first is None
@@ -394,10 +374,9 @@ def test_redexes_match_reference(name, policy):
     assert found > 0
 
 
-@pytest.mark.parametrize("policy", [NONUNIT_ONLY, ALLOW_UNITS])
 @pytest.mark.parametrize("name", sorted(ORACLE_SCHEMAS))
-def test_replacements_match_reference(name, policy):
-    schema = ORACLE_SCHEMAS[name](policy)
+def test_replacements_match_reference(name):
+    schema = ORACLE_SCHEMAS[name]()
     collided = 0
     for w in ORACLE_WORDS:
         for r in find_redexes(w, schema):
@@ -406,9 +385,26 @@ def test_replacements_match_reference(name, policy):
             assert ordered_terms(got) == ordered_terms(want)
             collided += len(got) < len(schema.identity.pattern)
     # images of pattern monomials merge (or cancel) everywhere but in the
-    # one-term average and the derivation without unit splits
-    assert (collided == 0) == (name == "average" or (
-        name == "derivation" and policy == NONUNIT_ONLY))
+    # one-term average and the derivation
+    assert (collided == 0) == (name in ("average", "derivation"))
+
+
+@pytest.mark.parametrize("mode", [DIFFERENTIAL, ROTA_BAXTER])
+@pytest.mark.parametrize("degree, units", [(1, False), (2, False), (1, True)],
+                         ids=["degree 1", "degree 2", "units"])
+def test_no_replacement_contains_its_word(mode, degree, units):
+    # ``_rewrite_into`` removes the rewritten word before it adds the
+    # replacement, which is only right when the replacement lacks that word
+    schema = RuleSchema(build_ansatz(mode, degree,
+                                     include_unit_terms=units).identity())
+    rng = random.Random(29)
+    words = ORACLE_WORDS + [sample_word(rng, UVW, 6, 3) for _ in range(200)]
+    checked = 0
+    for w in words:
+        for r in find_redexes(w, schema):
+            assert w not in schema.replacement(r).terms, (to_str(w), r)
+            checked += 1
+    assert checked == (2739 if mode == DIFFERENTIAL else 3114)
 
 
 # -- the heap normal form against the sort-every-step reference -------------------
@@ -510,8 +506,6 @@ def test_normal_form_matches_reference_on_defects(mode, degree, step_cap,
 RANDOM_SCHEMAS = {
     "derivation": lambda: der_schema(XY),
     "average": lambda: RuleSchema(AVG),  # pi rules, no order
-    # a split that keeps its word does not descend: the monitor records it
-    "unit splits": lambda: der_schema(XY, policy=ALLOW_UNITS),
     # [x y] -> [x] [y] + x [y] climbs in deglenlex
     "ascending": lambda: RuleSchema(
         OpIdentity(DIFFERENTIAL, parse_opoly("[x] [y] + x [y]", XY)),
@@ -532,7 +526,7 @@ def test_normal_form_matches_reference_on_random_polynomials(name, strategy):
         for cap in (0, 1, 5, 40):
             trace = assert_same_as_reference(p, schema, strategy, cap)
         violations += len(trace.order_violations)
-    assert (violations > 0) == (name in ("ascending", "unit splits"))
+    assert (violations > 0) == (name == "ascending")
 
 
 @pytest.mark.parametrize("name", sorted(RANDOM_SCHEMAS))
@@ -561,19 +555,6 @@ def test_shared_memo_matches_reference(name):
         normal_form(p, schema, "li", memo=memos["lo"])
     with pytest.raises(ValueError, match="another schema or strategy"):
         normal_form(p, RANDOM_SCHEMAS[name](), "lo", memo=memos["lo"])
-
-
-def test_normal_form_matches_reference_when_a_unit_split_keeps_its_word():
-    # the split (1, x) of [x] rewrites [x] y to [1] x y + [x] y, which
-    # contains [x] y again: the step changes its coefficient in place
-    schema = der_schema(XY, policy=ALLOW_UNITS)
-    p = parse_opoly("[x] y + [x y]", XY)
-    for strategy in ("lo", "li"):
-        for cap in (0, 1, 5, 20):
-            trace = assert_same_as_reference(p, schema, strategy, cap)
-        monomials = [to_str(s.monomial) for s in trace.steps]
-        assert trace.status == STEP_CAP_EXCEEDED
-        assert monomials.count("[x] y") > 1
 
 
 def test_normal_form_matches_reference_under_constraints():
@@ -829,17 +810,12 @@ def test_peak_verdicts_are_frozen(text, monkeypatch):
 
 # Kind, detail and witness (terms in the witness's own order) of
 # ``dt_check`` / ``rbt_check`` on every 1-, 2- and 3-term support of the
-# degree-1 ansatz of each shape with all coefficients 1, and of
-# ``reduces_to_zero`` on unit-split schemas whose search meets the same word
-# again after rewriting it to a replacement that contains it; recorded
-# before the search memoised replacements.  A "no" detail states how many
-# polynomials the search reached.
+# degree-1 ansatz of each shape with all coefficients 1; recorded before the
+# search memoised replacements.  A "no" detail states how many polynomials
+# the search reached.
 with open(os.path.join(os.path.dirname(__file__), "frozen_searches.json"),
           encoding="utf-8") as _f:
     FROZEN_SEARCHES = json.load(_f)
-
-UNIT_SPLIT_PATTERNS = ("x y + x [y]", "x y - y x + [x] y",
-                       "-x y + y x + x [y]", "y x + [x] y + x [y]")
 
 
 def _verdict_row(verdict):
@@ -860,28 +836,11 @@ def _check_verdicts(mode):
     return rows
 
 
-def _unit_split_verdicts():
-    rows = []
-    for text in UNIT_SPLIT_PATTERNS:
-        ident = OpIdentity(DIFFERENTIAL, parse_opoly(text, XY))
-        schema = RuleSchema(ident, unit_policy=ALLOW_UNITS,
-                            order=OrderConfig(UVW))
-        defect = associativity_defect(ident, U_WORD, V_WORD, W_WORD)
-        verdict = reduces_to_zero(defect, schema, step_cap=200,
-                                  explore_budget=50)
-        rows.append([text] + _verdict_row(verdict))
-    return rows
-
-
 @pytest.mark.parametrize("mode", [DIFFERENTIAL, ROTA_BAXTER])
 def test_check_verdicts_are_frozen(mode):
     rows = _check_verdicts(mode)
     assert len(rows) == 8 + 28 + 56
     assert rows == FROZEN_SEARCHES[mode]
-
-
-def test_unit_split_search_verdicts_are_frozen():
-    assert _unit_split_verdicts() == FROZEN_SEARCHES["unit_splits"]
 
 
 def _right_twisted_schema():
