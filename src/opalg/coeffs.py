@@ -305,6 +305,11 @@ class ResourceLimit(RuntimeError):
     before it finished."""
 
 
+# the limit met by a word nested past the recursion limit: reading,
+# checking and printing a word recurse once per nesting level
+TOO_DEEP = "words nest too deep: recursion limit reached"
+
+
 class ParseError(ValueError):
     """A rejected text; ``position`` is the offset in it where reading failed."""
 

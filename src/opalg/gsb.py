@@ -12,7 +12,8 @@ differential-type / Rota-Baxter-type certificates.
 order and reduced: both composition kinds of ``gsb_check_truncated`` go
 through it, reducing word by word through the check's ``NFCache``.  Each
 basis check keeps one ``RewriteMemo`` (each word's first redex and order
-key) for all its normal forms, and drops it when it returns.
+key) for all its normal forms and order audits, and drops it when it
+returns.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import re
 
 from .coeffs import _add_scaled_into
 from .opoly import DIFFERENTIAL, OPoly, OpIdentity, ROTA_BAXTER, to_str_opoly
-from .ordering import GREATER, LESS, OrderConfig, compare, random_context
+from .ordering import OrderConfig, random_context
 from .rewrite import (NORMAL_FORM, NotDRF, NotRBRF, NotTotallyLinear, Redex,
                       ResourceLimit, RewriteMemo, RuleSchema, Verdict,
                       find_redexes, normal_form, reduces_to_zero)
@@ -175,8 +176,9 @@ class NFCache:
     Each word is reduced by its own ``normal_form`` call, under the step cap,
     through one ``RewriteMemo`` that keeps every word's first redex and
     order key for the life of the check; a repeated word is reduced again
-    through it.  Each word's trace is audited once: no rewritten monomial
-    may exceed the root word.
+    through it.  Each word's trace is audited once, against the memo's
+    order keys, which the normal form's heap already built: no rewritten
+    monomial may exceed the root word.
     """
 
     __slots__ = ("schema", "step_cap", "memo", "audited", "order_violations")
@@ -194,12 +196,11 @@ class NFCache:
                                 memo=self.memo)
         if trace.status != NORMAL_FORM:
             raise ResourceLimit(f"step cap {self.step_cap} hit at {to_str(w)}")
-        order = self.schema.order
-        if order is not None and w not in self.audited:
+        if self.schema.order is not None and w not in self.audited:
             self.audited.add(w)
-            for m in trace.monomials:
-                if compare(m, w, order) == GREATER:
-                    self.order_violations += 1
+            key = self.memo.key
+            root = key(w)
+            self.order_violations += sum(key(m) > root for m in trace.monomials)
         return nf
 
     def reduce(self, p: OPoly) -> OPoly:
@@ -212,16 +213,17 @@ class NFCache:
 def is_trivial(comp: CompositionRecord, cache: NFCache) -> str:
     """Audit and reduce a composition value; trivial iff it reduces to zero.
 
-    Every monomial of the value must lie below the ambient word ``comp.w``;
-    each one that does not adds to ``cache.order_violations``, next to the
-    cache's own count of rewrite steps landing above their root word.  A
-    word needing more than the cache's step cap raises ``ResourceLimit``,
-    so an undecided composition never gets a verdict.
+    Every monomial of the value must lie below the ambient word ``comp.w``
+    by the order keys of ``cache.memo``; each one that does not adds to
+    ``cache.order_violations``, next to the cache's own count of rewrite
+    steps landing above their root word.  A word needing more than the
+    cache's step cap raises ``ResourceLimit``, so an undecided composition
+    never gets a verdict.
     """
-    order = cache.schema.order
-    for m in comp.value.terms:
-        if compare(m, comp.w, order) != LESS:
-            cache.order_violations += 1
+    key = cache.memo.key
+    ambient = key(comp.w)
+    cache.order_violations += sum(not key(m) < ambient
+                                  for m in comp.value.terms)
     residue = cache.reduce(comp.value)
     comp.verdict = TRIVIAL if residue.is_zero else NONTRIVIAL
     comp.residue = None if residue.is_zero else residue

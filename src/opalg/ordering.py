@@ -19,18 +19,18 @@ comparison):
   lexicographic comparison.  Context monotone and unit minimal on all inputs
   (the lex step only ever compares equal-length sequences).
 
-``compare`` decides one pair with an early exit and is the definition both
-modes are stated by.  Sorting and maximum selection go through ``order_key``
-instead: it returns a key function whose tuples compare, under Python's tuple
-order, exactly as ``compare`` orders the words, so ``sorted`` and ``max`` run
-their comparisons in C.  A generator atom's key is ``(1, 0, rank)``, a
-bracket's is ``(deg, 1, key(content))``; a ``purelex`` word key is the tuple
-of its atom keys and a ``deglenlex`` one is ``(deg, breadth, atom keys)``,
-with bracket contents keyed in the same mode.  Each key function memoises the
-keys it built in a dict that lives exactly as long as the function: build one
-per library call, or per basis check through the check's ``RewriteMemo``,
-and drop it with the call.  A memo that outlived its call (on
-``OrderConfig``, say) would keep every word any caller ever sorted.
+``_word_key`` is the one definition of both modes.  ``order_key`` returns a
+key function whose tuples compare, under Python's tuple order, as the words
+do, so ``sorted`` and ``max`` run their comparisons in C; ``compare``
+decides one pair by comparing two such keys.  A generator atom's key is
+``(1, 0, rank)``, a bracket's is ``(deg, 1, key(content))``; a ``purelex``
+word key is the tuple of its atom keys and a ``deglenlex`` one is
+``(deg, breadth, atom keys)``, with bracket contents keyed in the same mode.
+Each key function memoises the keys it built in a dict that lives exactly as
+long as the function: build one per library call, or per basis check
+through the check's ``RewriteMemo``, and drop it with the call.  A memo that
+outlived its call (on ``OrderConfig``, say) would keep every word any caller
+ever sorted.
 """
 
 from __future__ import annotations
@@ -61,36 +61,12 @@ class OrderConfig:
         return f"OrderConfig({', '.join(self.rank)}; {self.mode})"
 
 
-def compare_atoms(a, b, cfg: OrderConfig) -> int:
-    a_is_gen, b_is_gen = isinstance(a, str), isinstance(b, str)
-    da = 1 if a_is_gen else a.deg
-    db = 1 if b_is_gen else b.deg
-    if da != db:
-        return GREATER if da > db else LESS
-    if a_is_gen and b_is_gen:
-        ra, rb = cfg.rank[a], cfg.rank[b]
-        return EQUAL if ra == rb else (GREATER if ra > rb else LESS)
-    if a_is_gen != b_is_gen:
-        return LESS if a_is_gen else GREATER   # generators below brackets
-    return compare(a, b, cfg)                  # bracket contents, recursively
-
-
 def compare(u: Word, v: Word, cfg: OrderConfig) -> int:
-    """Three-way comparison; total on any finite set of words."""
-    if u == v:
-        return EQUAL
-    if cfg.mode == "deglenlex":
-        if u.deg != v.deg:
-            return GREATER if u.deg > v.deg else LESS
-        if u.breadth != v.breadth:
-            return GREATER if u.breadth > v.breadth else LESS
-    for a, b in zip(u.atoms, v.atoms):
-        c = compare_atoms(a, b, cfg)
-        if c != EQUAL:
-            return c
-    if u.breadth == v.breadth:
-        return EQUAL
-    return GREATER if u.breadth > v.breadth else LESS   # proper prefix is smaller
+    """``LESS``, ``EQUAL`` or ``GREATER`` as ``u`` lies below, at or above
+    ``v``: the comparison of their ``order_key`` keys."""
+    key = order_key(cfg)
+    ku, kv = key(u), key(v)
+    return (ku > kv) - (ku < kv)
 
 
 def order_key(cfg: OrderConfig):

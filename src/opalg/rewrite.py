@@ -31,8 +31,9 @@ only when ``steps`` is read.
 all its redexes for the search, which alone asks for them.  One memo serves
 one rewriting job and dies when the job returns: a ``normal_form`` call
 unless its caller passes one, a ``reduces_to_zero`` call (its strategy path
-and its search), the two reach-set searches of a ``joinable`` call, the peaks
-of a ``local_confluence_check`` call, and each basis check of ``gsb``.
+and its search), the two reach-set searches of a ``joinable`` call, and each
+basis check of ``gsb``.  ``local_confluence_check`` keeps none for its peaks:
+it meets each enumerated word once.
 
 A word nested deeper than the interpreter's recursion limit lets one walk
 or key comparison go makes ``normal_form`` and ``reduces_to_zero`` raise
@@ -44,7 +45,7 @@ from __future__ import annotations
 import heapq
 from collections import namedtuple
 
-from .coeffs import ResourceLimit, _add_scaled_into
+from .coeffs import TOO_DEEP, ResourceLimit, _add_scaled_into
 from .groebner import buchberger, nf_mod_ideal
 from .opoly import DIFFERENTIAL, OPoly, OpIdentity, to_str_opoly
 from .ordering import OrderConfig, order_key
@@ -94,22 +95,26 @@ def is_rbrf(p: OPoly) -> bool:
 
 
 class RuleSchema:
-    """A sigma or pi rule family derived from one operator identity."""
+    """A sigma or pi rule family derived from one operator identity.  A
+    pattern nested past the recursion limit raises ``ResourceLimit``."""
 
     __slots__ = ("kind", "identity", "order", "constraint_gb")
 
     def __init__(self, identity: OpIdentity, order: OrderConfig = None):
         self.kind = "sigma" if identity.kind == DIFFERENTIAL else "pi"
         pattern = identity.pattern
-        if not is_totally_linear(pattern):
-            raise NotTotallyLinear(
-                f"replacement pattern is not totally linear: {to_str_opoly(pattern)}")
-        if self.kind == "sigma" and not is_drf(pattern):
-            raise NotDRF(
-                f"sigma replacement is not in reduced form: {to_str_opoly(pattern)}")
-        if self.kind == "pi" and not is_rbrf(pattern):
-            raise NotRBRF(
-                f"pi replacement is not in reduced form: {to_str_opoly(pattern)}")
+        try:
+            if not is_totally_linear(pattern):
+                raise NotTotallyLinear("replacement pattern is not totally "
+                                       f"linear: {to_str_opoly(pattern)}")
+            if self.kind == "sigma" and not is_drf(pattern):
+                raise NotDRF("sigma replacement is not in reduced form: "
+                             f"{to_str_opoly(pattern)}")
+            if self.kind == "pi" and not is_rbrf(pattern):
+                raise NotRBRF("pi replacement is not in reduced form: "
+                              f"{to_str_opoly(pattern)}")
+        except RecursionError:
+            raise ResourceLimit(TOO_DEEP) from None
         self.identity = identity
         self.order = order
         if identity.constraints:
@@ -528,13 +533,12 @@ def local_confluence_check(schema: RuleSchema, gens, max_leaves: int = 3,
     report.bound_note = f"leaves <= {max_leaves}, depth <= {max_depth}"
     words = enumerate_words(gens, max_leaves, max_depth,
                             include_unit_brackets=True, include_unit=True)
-    memo = RewriteMemo(schema, "lo")
     for w in words:
         report.words_checked += 1
-        replacements = memo.replacements(w)
-        if len(replacements) < 2:
+        redexes = find_redexes(w, schema)
+        if len(redexes) < 2:
             continue
-        reducts = [schema.normalize(r) for r in replacements]
+        reducts = [schema.normalize(schema.replacement(r)) for r in redexes]
         for i in range(len(reducts)):
             for j in range(i + 1, len(reducts)):
                 report.peaks_checked += 1

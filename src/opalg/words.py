@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from typing import Union
 
-from .coeffs import ParseError, Tokens
+from .coeffs import TOO_DEEP, ParseError, ResourceLimit, Tokens
 
 STAR = "⋆"      # a context's hole, when it is printed
 RESERVED = frozenset({"1", STAR})
@@ -209,11 +209,15 @@ class EmptyBracketWithoutUnit(ParseError):
 
 
 def parse(text: str, gens: GeneratorSet) -> Word:
-    """Parse one word of the grammar ``parse_word`` reads."""
+    """Parse one word of the grammar ``parse_word`` reads; a word nested
+    past the recursion limit raises ``ResourceLimit``."""
     ts = Tokens(text)
     if not ts.toks:
         raise ParseError("empty input", 0)
-    w = parse_word(ts, gens)
+    try:
+        w = parse_word(ts, gens)
+    except RecursionError:
+        raise ResourceLimit(TOO_DEEP) from None
     _, tok, at = ts.peek()
     if tok == "]":
         raise UnbalancedBrackets("unmatched closing bracket", at)

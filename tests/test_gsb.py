@@ -1,10 +1,12 @@
 """Composition checks, truncated basis checks, and type certificates."""
 
+import functools
 import json
 import os
 import random
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,13 +20,13 @@ from opalg.gsb import (CompositionRecord, GeneratorSystem, NFCache,
                        raise_order, rbt_check)
 from opalg.opoly import (DIFFERENTIAL, OPoly, OpIdentity, parse_opoly,
                          to_str_opoly)
-from opalg.ordering import (GREATER, OrderConfig, compare, order_key,
-                            random_context)
+from opalg.ordering import GREATER, OrderConfig, order_key, random_context
 from opalg.rewrite import (NORMAL_FORM, Redex, ResourceLimit, Verdict,
                            find_redexes, normal_form)
 from opalg.words import (STAR, GeneratorSet, Word, enumerate_words,
                          parse, replace_generators, splice, to_str,
                          word_sort_key)
+from test_ordering import reference_compare
 
 XY = GeneratorSet(("x", "y"))
 DER = named_pattern("derivation")
@@ -238,13 +240,17 @@ def test_is_trivial_step_cap_gives_no_verdict():
 class ReferenceNFCache:
     """The basis check's per-word path before its rewrite memo, kept as the
     oracle: a fresh ``normal_form`` per new word, a word -> normal form
-    map, and the ``compare`` audit of each new word's steps."""
+    map, and audits by the recursive ``reference_compare``, which also
+    keys the composition audit of ``is_trivial`` through ``memo.key``."""
 
     def __init__(self, schema, step_cap):
         self.schema = schema
         self.step_cap = step_cap
         self.map = {}
         self.order_violations = 0
+        order = schema.order
+        self.memo = SimpleNamespace(key=functools.cmp_to_key(
+            lambda u, v: reference_compare(u, v, order)))
 
     def nf_word(self, w):
         hit = self.map.get(w)
@@ -257,7 +263,7 @@ class ReferenceNFCache:
         order = self.schema.order
         if order is not None:
             for step in trace.steps:
-                if compare(step.monomial, w, order) == GREATER:
+                if reference_compare(step.monomial, w, order) == GREATER:
                     self.order_violations += 1
         self.map[w] = nf
         return nf
@@ -329,7 +335,7 @@ def test_basis_checks_match_the_per_word_reference(spec, size, mode,
 
 
 _WORK_JOB = """
-import json, random
+import json, random, sys
 from opalg import gsb
 from opalg.catalog import named_pattern
 from opalg.ordering import OrderConfig
@@ -345,7 +351,7 @@ def counting(*args, **kwargs):
 gsb.normal_form = counting
 bound = gsb.TruncationBound(2, 1, 3)
 system = gsb.GeneratorSystem(named_pattern("derivation"),
-                             OrderConfig(bound.generator_set()))
+                             OrderConfig(bound.generator_set(), sys.argv[1]))
 report = gsb.gsb_check_truncated(system, bound, rng=random.Random(1))
 cdl = gsb.cdl_direct_sum_check(system, bound, rng=random.Random(2))
 print(json.dumps({"gsb": report.to_dict(), "cdl": cdl.describe(),
@@ -355,9 +361,14 @@ print(json.dumps({"gsb": report.to_dict(), "cdl": cdl.describe(),
 
 
 def test_basis_check_work_does_not_depend_on_hash_seed(run_job):
-    first, second = (run_job(_WORK_JOB, hash_seed=seed) for seed in (0, 5))
-    assert first == second
-    assert first["gsb"]["ok"] and first["failures"] == 0 and first["steps"]
+    # deglenlex is the mode whose order audits count anything here
+    for mode, violations in (("purelex", 0), ("deglenlex", 948)):
+        first, second = (run_job(_WORK_JOB, mode, hash_seed=seed)
+                         for seed in (0, 5))
+        assert first == second
+        assert first["gsb"]["order_violations"] == violations
+        assert not first["gsb"]["nontrivial"]
+        assert first["failures"] == 0 and first["steps"]
 
 
 # ``opalg gsb --format json`` output of five checks, recorded before the

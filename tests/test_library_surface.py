@@ -356,6 +356,26 @@ def test_export_list_is_sorted_and_matches_the_package_imports():
     assert set(exported) == set(imports(init))
 
 
+def test_only_ordering_compares_words_pairwise():
+    # every other module orders words by ``order_key`` keys: a second path
+    # through ``compare`` is how a second definition of an order would start
+    library, _ = load()
+    calls = []
+    for source in _sources(library, []):
+        if source.module == "ordering":
+            continue
+        for node in ast.walk(source.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Name):
+                name = _resolve(source, "name", node.func.id)[0]
+            else:
+                name = getattr(node.func, "attr", None)
+            if name == "compare":
+                calls.append(f"{source.module}:{node.lineno}")
+    assert calls == []
+
+
 def test_bare_names_are_read_by_module():
     library = {"words": ast.parse("def classify_pair(a, b):\n    pass\n"),
                "gsb": ast.parse("def nf(w):\n    pass\n")}

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opalg.catalog import FAMILIES
-from opalg.coeffs import MPoly, PolyRing
+from opalg.coeffs import MPoly, PolyRing, ResourceLimit
 from opalg.groebner import buchberger, nf_mod_ideal
 from opalg.gsb import U_WORD, V_WORD, W_WORD, associativity_defect
 from opalg.opoly import (DIFFERENTIAL, ROTA_BAXTER, OpIdentity, OPoly, XY,
@@ -309,6 +309,13 @@ def test_parse_rejects_malformed(bad):
     ring = PolyRing(["b"])
     with pytest.raises(Exception):
         parse_opoly(bad, XY, ring=ring)
+
+
+def test_parse_past_the_recursion_limit_is_a_resource_limit():
+    text = "2*" + "[" * 1200 + "x y" + "]" * 1200 + " + x"
+    with pytest.raises(ResourceLimit,
+                       match="^words nest too deep: recursion limit reached$"):
+        parse_opoly(text, XY)
 
 
 def test_parse_unknown_coefficient_symbol_needs_ring():

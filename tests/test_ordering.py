@@ -1,4 +1,8 @@
-"""Word-comparison tests: hand-checked pairs, law checking, sorting."""
+"""Word-comparison tests: hand-checked pairs, law checking, sorting.
+
+The library defines both orders once, by ``order_key``; ``reference_compare``
+is the recursive definition they were first stated by, kept here as the
+oracle that does not depend on the keys."""
 
 import random
 from fractions import Fraction
@@ -22,6 +26,40 @@ def w(text):
     return parse(text, XY)
 
 
+def reference_compare(u, v, cfg):
+    """Three-way comparison by recursion on atoms, with an early exit."""
+    if u == v:
+        return EQUAL
+    if cfg.mode == "deglenlex":
+        if u.deg != v.deg:
+            return GREATER if u.deg > v.deg else LESS
+        if u.breadth != v.breadth:
+            return GREATER if u.breadth > v.breadth else LESS
+    for a, b in zip(u.atoms, v.atoms):
+        c = _reference_compare_atoms(a, b, cfg)
+        if c != EQUAL:
+            return c
+    if u.breadth == v.breadth:
+        return EQUAL
+    return GREATER if u.breadth > v.breadth else LESS   # proper prefix is smaller
+
+
+def _reference_compare_atoms(a, b, cfg):
+    """Degree first, generators below brackets, generators by rank,
+    brackets by their contents."""
+    a_is_gen, b_is_gen = isinstance(a, str), isinstance(b, str)
+    da = 1 if a_is_gen else a.deg
+    db = 1 if b_is_gen else b.deg
+    if da != db:
+        return GREATER if da > db else LESS
+    if a_is_gen and b_is_gen:
+        ra, rb = cfg.rank[a], cfg.rank[b]
+        return EQUAL if ra == rb else (GREATER if ra > rb else LESS)
+    if a_is_gen != b_is_gen:
+        return LESS if a_is_gen else GREATER
+    return reference_compare(a, b, cfg)
+
+
 def test_mode_validation():
     with pytest.raises(ValueError):
         OrderConfig(XY, "shortlex")
@@ -43,8 +81,9 @@ def test_mode_validation():
     ("[y] [[1]]", "[[1] y]", GREATER),
 ])
 def test_purelex_pairs(a, b, expect):
-    assert compare(w(a), w(b), PURE) == expect
-    assert compare(w(b), w(a), PURE) == -expect
+    for cmp in (reference_compare, compare):
+        assert cmp(w(a), w(b), PURE) == expect
+        assert cmp(w(b), w(a), PURE) == -expect
 
 
 @pytest.mark.parametrize("a, b, expect", [
@@ -57,8 +96,9 @@ def test_purelex_pairs(a, b, expect):
     ("[1] [1]", "x", LESS),
 ])
 def test_deglenlex_pairs(a, b, expect):
-    assert compare(w(a), w(b), DLL) == expect
-    assert compare(w(b), w(a), DLL) == -expect
+    for cmp in (reference_compare, compare):
+        assert cmp(w(a), w(b), DLL) == expect
+        assert cmp(w(b), w(a), DLL) == -expect
 
 
 # atoms are generators or brackets; a bracket is a Word in atom position, so an
@@ -76,7 +116,8 @@ _WORDS = st.lists(_ATOMS, max_size=4).map(lambda atoms: Word(tuple(atoms)))
 def test_order_key_agrees_with_compare(cfg, u, v):
     key = order_key(cfg)
     ku, kv = key(u), key(v)
-    assert (ku > kv) - (ku < kv) == compare(u, v, cfg)
+    assert (ku > kv) - (ku < kv) == reference_compare(u, v, cfg)
+    assert compare(u, v, cfg) == reference_compare(u, v, cfg)
 
 
 def test_deglenlex_key_grades_bracket_contents():
@@ -102,12 +143,12 @@ def test_total_order_on_bounded_words(cfg):
     ranked = sorted(words, key=order_key(cfg))
     assert len(ranked) == len(words)
     for a, b in zip(ranked, ranked[1:]):
-        assert compare(a, b, cfg) == LESS, (to_str(a), to_str(b))
+        assert reference_compare(a, b, cfg) == LESS, (to_str(a), to_str(b))
     # spot-check transitivity against sorted position
     rng = random.Random(7)
     for _ in range(300):
         i, j = sorted(rng.sample(range(len(ranked)), 2))
-        assert compare(ranked[i], ranked[j], cfg) == LESS
+        assert reference_compare(ranked[i], ranked[j], cfg) == LESS
 
 
 def test_order_key_sort_deterministic_and_reverse():

@@ -19,7 +19,7 @@ from opalg.gsb import (U_WORD, V_WORD, W_WORD, associativity_defect,
                        dt_check, rbt_check)
 from opalg.opoly import (DIFFERENTIAL, ROTA_BAXTER, OPoly, OpIdentity,
                          parse_opoly, to_str_opoly)
-from opalg.ordering import GREATER, OrderConfig, compare, order_key
+from opalg.ordering import GREATER, OrderConfig, order_key
 from opalg.rewrite import (NORMAL_FORM, STEP_CAP_EXCEEDED, NotDRF, NotRBRF,
                            NotTotallyLinear, ResourceLimit, RewriteMemo,
                            RuleSchema, TraceStep, Verdict, find_redexes,
@@ -30,6 +30,7 @@ from opalg.rewrite import (NORMAL_FORM, STEP_CAP_EXCEEDED, NotDRF, NotRBRF,
 from opalg.words import (STAR, GeneratorSet, UNIT, Word, enumerate_words,
                          has_unit_bracket, parse, replace_generators,
                          sample_word, to_str, tokens, word_sort_key)
+from test_ordering import reference_compare
 
 XY = GeneratorSet(("x", "y"))
 XYZ = GeneratorSet(("x", "y", "z"))
@@ -161,6 +162,11 @@ def test_schema_validation():
         RuleSchema(OpIdentity(DIFFERENTIAL, parse_opoly("[x y]", XY)))
     with pytest.raises(NotRBRF):
         RuleSchema(OpIdentity("rota_baxter", parse_opoly("[x] [y]", XY)))
+    # not in reduced form either, and too deep to print in the message
+    # that says so
+    with pytest.raises(ResourceLimit,
+                       match="^words nest too deep: recursion limit reached$"):
+        RuleSchema(OpIdentity(DIFFERENTIAL, OPoly.from_word(_tower(600))))
 
 
 # -- redex enumeration ---------------------------------------------------------------
@@ -263,7 +269,7 @@ def test_normal_form_order_keys_match_comparator_sort(monkeypatch):
 
     def comparator_key(cfg):
         calls.append(cfg)
-        return functools.cmp_to_key(lambda a, b: compare(a, b, cfg))
+        return functools.cmp_to_key(lambda a, b: reference_compare(a, b, cfg))
 
     monkeypatch.setattr(opalg.rewrite, "order_key", comparator_key)
     by_cmp, cmp_trace = normal_form(defect, schema)
@@ -446,7 +452,7 @@ def reference_normal_form(p: OPoly, schema: RuleSchema, strategy: str = "lo",
         repl = reference_replacement(schema, redex)
         if monitor and schema.order is not None:
             for m in repl.terms:
-                if compare(w, m, schema.order) != GREATER:
+                if reference_compare(w, m, schema.order) != GREATER:
                     trace.order_violations.append((w, m))
         trace.steps.append(TraceStep(w, redex.context, redex.a, redex.b,
                                      p.terms[w]))

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from opalg.coeffs import ResourceLimit
 from opalg.ordering import random_context
 from opalg.words import (
     STAR,
@@ -112,6 +113,13 @@ def test_parse_error_position():
         assert e.position == 5
     else:
         pytest.fail("expected UnknownGenerator")
+
+
+def test_parse_past_the_recursion_limit_is_a_resource_limit():
+    text = "[" * 1200 + "x y" + "]" * 1200
+    with pytest.raises(ResourceLimit,
+                       match="^words nest too deep: recursion limit reached$"):
+        parse(text, G)
 
 
 def test_generator_set_validation():
