@@ -329,7 +329,8 @@ def main(argv=None) -> int:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except RecursionError:
-        # printing words recurses once per nesting level
+        # word walks recurse once per nesting level; words.MAX_DEPTH keeps
+        # them inside the limit unless the stack is already deep
         print(f"resource limit: {TOO_DEEP}", file=sys.stderr)
         return EXIT_RESOURCE
     except ValueError as exc:

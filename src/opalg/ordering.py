@@ -9,11 +9,13 @@ comparison):
   the instance leading-word facts it needs (a bracketed product beats every
   product-bracket-free replacement) hold on words without unit brackets,
   because those comparisons are decided strictly at the first atom by degree.
-  A unit bracket has degree 0 and breaks the argument: ``[v] [[1]]`` lies
-  above ``[[1] v]``.  Independently of unit brackets, ``purelex`` is also
-  *not* context monotone on prefix-comparable pairs, and not well-founded;
-  both defects are observable through ``check_monomial_order`` and are
-  guarded operationally in the rewrite engine.
+  A unit bracket has degree 0 and breaks the argument, which therefore
+  covers only words without unit brackets: at u = ``[1]``, dt2's
+  replacement ``[v] [[1]]`` lies above its redex ``[[1] v]``.
+  Independently of unit brackets, ``purelex`` is also *not* context
+  monotone on prefix-comparable pairs, and not well-founded; both defects
+  are observable through ``check_monomial_order`` and are guarded
+  operationally in the rewrite engine.
 
 * ``deglenlex`` — total generator degree, then breadth, then the same
   lexicographic comparison.  Context monotone and unit minimal on all inputs

@@ -35,9 +35,13 @@ and its search), the two reach-set searches of a ``joinable`` call, and each
 basis check of ``gsb``.  ``local_confluence_check`` keeps none for its peaks:
 it meets each enumerated word once.
 
-A word nested deeper than the interpreter's recursion limit lets one walk
-or key comparison go makes ``normal_form`` and ``reduces_to_zero`` raise
-``ResourceLimit``, naming the steps taken.
+While a memo lives, equal words are one object (see ``words``), so its
+dicts, the term dicts and the heap meet them by identity; the last live memo
+to die empties the word table, and a memo the caller keeps keeps it alive.
+A step that builds a word nested past ``words.MAX_DEPTH`` raises
+``ResourceLimit(words.TOO_NESTED)``; a walk that meets the recursion limit
+makes ``normal_form`` and ``reduces_to_zero`` raise ``ResourceLimit``,
+naming the steps taken.
 """
 
 from __future__ import annotations
@@ -49,8 +53,8 @@ from .coeffs import TOO_DEEP, ResourceLimit, _add_scaled_into
 from .groebner import buchberger, nf_mod_ideal
 from .opoly import DIFFERENTIAL, OPoly, OpIdentity, to_str_opoly
 from .ordering import OrderConfig, order_key
-from .words import (STAR, Word, enumerate_words, replace_generators, splice,
-                    to_str, tokens, word_sort_key)
+from .words import (STAR, Word, enumerate_words, release_words,
+                    replace_generators, splice, to_str, tokens, word_sort_key)
 
 
 class NotTotallyLinear(ValueError):
@@ -228,17 +232,22 @@ class ReductionTrace:
 
 _UNSEEN = object()  # a word missing from a ``RewriteMemo``
 
+_live_memos = 0  # the word table is emptied when this returns to 0
+
 
 class RewriteMemo:
     """Each word's strategy-first redex (or ``None``), order key
     (``word_sort_key`` when the schema has no order) and, when asked, the
     replacements of all its redexes, for one schema under one strategy.
     They depend on nothing else, so one memo may serve a whole rewriting
-    job; it keeps every word the job met until it is dropped."""
+    job; it keeps every word the job met until it is dropped, and the last
+    live memo to die empties the word table."""
 
     __slots__ = ("schema", "strategy", "key", "first", "repl", "_walk")
 
     def __init__(self, schema: RuleSchema, strategy: str):
+        global _live_memos
+        _live_memos += 1  # first: __del__ runs even if __init__ raises
         if strategy not in ("lo", "li"):
             raise ValueError(f"unknown strategy {strategy!r}")
         self.schema = schema
@@ -248,6 +257,12 @@ class RewriteMemo:
         self.first = {}
         self.repl = {}
         self._walk = (schema.kind == "sigma", strategy == "li")
+
+    def __del__(self):
+        global _live_memos
+        _live_memos -= 1
+        if not _live_memos:
+            release_words()
 
     def first_redex(self, w: Word):
         """The strategy-first redex of ``w``, or ``None`` when it has none."""

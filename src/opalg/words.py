@@ -11,6 +11,15 @@ the bracket the occurrence descends into and, at the last level, around the
 hole the occurrence fills.  ``splice`` rebuilds the word from a path and the
 atoms put into its hole; putting in none deletes the hole.  ``STAR`` marks the
 hole only where a context is printed.
+
+Words are hash-consed: ``Word(atoms)`` returns the one live word of its
+atom tuple from a module table, so a dict lookup that meets an equal word of
+the same job compares identities.  The table lives as long as the rewriting
+job: the last live ``rewrite.RewriteMemo`` to die empties it
+(``release_words``), and words built between jobs wait there for that.  A
+word kept past a clear still equals, and hashes like, its twin built after.
+Building a word nested past ``MAX_DEPTH`` raises ``ResourceLimit(TOO_NESTED)``,
+so no walk of a word meets the recursion limit by the word's depth alone.
 """
 
 from __future__ import annotations
@@ -25,17 +34,36 @@ RESERVED = frozenset({"1", STAR})
 
 Atom = Union[str, "Word"]  # str: generator name; Word w in atom position: [w]
 
+# bracket levels a word may nest; a walk of a word takes at most two frames
+# a level, well inside the default recursion limit of 1 000
+MAX_DEPTH = 200
+TOO_NESTED = f"words nest too deep: more than {MAX_DEPTH} bracket levels"
+
+_TABLE: dict = {}  # atom tuple -> its one live Word, until release_words
+
 
 class Word:
-    """An immutable bracketed word (sequence of atoms)."""
+    """An immutable bracketed word (sequence of atoms), one object per atom
+    tuple while the word table holds it."""
 
-    __slots__ = ("atoms", "_hash", "_deg", "_leaves")
+    __slots__ = ("atoms", "_hash", "_depth", "_deg", "_leaves")
 
-    def __init__(self, atoms: tuple = ()):
-        self.atoms = atoms
-        self._hash = hash(atoms)
-        self._deg = -1
-        self._leaves = -1
+    def __new__(cls, atoms: tuple = ()):
+        w = _TABLE.get(atoms)
+        if w is None:
+            depth = 0
+            for a in atoms:
+                if not isinstance(a, str) and a._depth >= depth:
+                    depth = a._depth + 1
+            if depth > MAX_DEPTH:
+                raise ResourceLimit(TOO_NESTED)
+            w = _TABLE[atoms] = object.__new__(cls)
+            w.atoms = atoms
+            w._hash = hash(atoms)
+            w._depth = depth
+            w._deg = -1
+            w._leaves = -1
+        return w
 
     # -- basic shape -------------------------------------------------------
 
@@ -59,11 +87,7 @@ class Word:
 
     def depth(self) -> int:
         """Maximal bracket nesting."""
-        d = 0
-        for a in self.atoms:
-            if isinstance(a, Word):
-                d = max(d, 1 + a.depth())
-        return d
+        return self._depth
 
     @property
     def leaves(self) -> int:
@@ -94,7 +118,9 @@ class Word:
         return Word(self.atoms + other.atoms)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Word) and self._hash == other._hash and self.atoms == other.atoms
+        return self is other or (isinstance(other, Word)
+                                 and self._hash == other._hash
+                                 and self.atoms == other.atoms)
 
     def __hash__(self) -> int:
         return self._hash
@@ -107,6 +133,11 @@ class Word:
 
 
 UNIT = Word(())
+
+
+def release_words() -> None:
+    """Empty the word table; the words built so far stay valid."""
+    _TABLE.clear()
 
 
 def gen_word(name: str) -> Word:
@@ -210,7 +241,7 @@ class EmptyBracketWithoutUnit(ParseError):
 
 def parse(text: str, gens: GeneratorSet) -> Word:
     """Parse one word of the grammar ``parse_word`` reads; a word nested
-    past the recursion limit raises ``ResourceLimit``."""
+    past ``MAX_DEPTH`` or the recursion limit raises ``ResourceLimit``."""
     ts = Tokens(text)
     if not ts.toks:
         raise ParseError("empty input", 0)
@@ -384,4 +415,4 @@ def _sample_build(rng, names, depth_left, budget, allow_empty):
 def word_sort_key(w: Word):
     """Deterministic non-semantic key for stable listings."""
     t = tokens(w)
-    return (w.leaves, w.depth(), len(t), tuple(t))
+    return (w.leaves, w._depth, len(t), tuple(t))

@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from opalg.gsb import (U_WORD, V_WORD, W_WORD, associativity_defect,
 from opalg.opoly import DIFFERENTIAL, ROTA_BAXTER
 from opalg.rewrite import ResourceLimit
 from opalg.solve import find_representative, sample_points, solve_components
-from opalg.words import GeneratorSet, parse, to_str
+from opalg.words import TOO_NESTED, GeneratorSet, parse, to_str
 
 XY = GeneratorSet(("x", "y"))
 
@@ -128,8 +129,8 @@ def test_budget_exhaustion_raises():
 
 def test_nesting_past_the_recursion_limit_raises():
     # the degree-2 Rota-Baxter defect nests brackets deeper as it rewrites,
-    # past what the recursion limit lets a word comparison go, inside the cap
-    with pytest.raises(ResourceLimit, match="words nest too deep"):
+    # past the words' depth cap, inside the step cap
+    with pytest.raises(ResourceLimit, match=f"^{re.escape(TOO_NESTED)}$"):
         extract_constraints(build_ansatz(ROTA_BAXTER, 2), step_cap=1000)
 
 

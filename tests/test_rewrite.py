@@ -6,17 +6,21 @@ import itertools
 import json
 import os
 import random
+import re
 from collections import namedtuple
 from fractions import Fraction
 
 import pytest
 
 import opalg.rewrite
+import opalg.words
 from opalg.catalog import FAMILIES, named_pattern
-from opalg.classify import _unit_residue, build_ansatz
+from opalg.classify import _unit_residue, build_ansatz, extract_constraints
 from opalg.coeffs import _add_scaled_into
-from opalg.gsb import (U_WORD, V_WORD, W_WORD, associativity_defect,
-                       dt_check, rbt_check)
+from opalg.gsb import (U_WORD, V_WORD, W_WORD, GeneratorSystem,
+                       TruncationBound, associativity_defect,
+                       cdl_direct_sum_check, dt_check, gsb_check_truncated,
+                       rbt_check)
 from opalg.opoly import (DIFFERENTIAL, ROTA_BAXTER, OPoly, OpIdentity,
                          parse_opoly, to_str_opoly)
 from opalg.ordering import GREATER, OrderConfig, order_key
@@ -27,9 +31,10 @@ from opalg.rewrite import (NORMAL_FORM, STEP_CAP_EXCEEDED, NotDRF, NotRBRF,
                            is_totally_linear, joinable,
                            local_confluence_check, normal_form,
                            reduces_to_zero)
-from opalg.words import (STAR, GeneratorSet, UNIT, Word, enumerate_words,
-                         has_unit_bracket, parse, replace_generators,
-                         sample_word, to_str, tokens, word_sort_key)
+from opalg.words import (MAX_DEPTH, STAR, TOO_NESTED, GeneratorSet, UNIT, Word,
+                         enumerate_words, has_unit_bracket, parse,
+                         replace_generators, sample_word, to_str, tokens,
+                         word_sort_key)
 from test_ordering import reference_compare
 
 XY = GeneratorSet(("x", "y"))
@@ -162,11 +167,12 @@ def test_schema_validation():
         RuleSchema(OpIdentity(DIFFERENTIAL, parse_opoly("[x y]", XY)))
     with pytest.raises(NotRBRF):
         RuleSchema(OpIdentity("rota_baxter", parse_opoly("[x] [y]", XY)))
-    # not in reduced form either, and too deep to print in the message
-    # that says so
-    with pytest.raises(ResourceLimit,
-                       match="^words nest too deep: recursion limit reached$"):
-        RuleSchema(OpIdentity(DIFFERENTIAL, OPoly.from_word(_tower(600))))
+    # the deepest word there is prints in the message that says it is not
+    # in reduced form
+    text = "[" * MAX_DEPTH + "x y" + "]" * MAX_DEPTH
+    with pytest.raises(NotDRF, match=re.escape(f": {text}") + "$"):
+        RuleSchema(OpIdentity(DIFFERENTIAL,
+                              OPoly.from_word(_tower(MAX_DEPTH))))
 
 
 # -- redex enumeration ---------------------------------------------------------------
@@ -563,6 +569,44 @@ def test_shared_memo_matches_reference(name):
         normal_form(p, RANDOM_SCHEMAS[name](), "lo", memo=memos["lo"])
 
 
+def _basis_job(check):
+    bound = TruncationBound(2, 1, 2)
+    system = GeneratorSystem(DER, OrderConfig(bound.generator_set()))
+    return lambda: check(system, bound, rng=random.Random(1))
+
+
+# jobs whose memos, the last to die, empty the word table as they return
+TABLE_JOBS = {
+    "gsb_check_truncated": _basis_job(gsb_check_truncated),
+    "cdl_direct_sum_check": _basis_job(cdl_direct_sum_check),
+    "dt_check": lambda: dt_check(DER.pattern),
+    "extract_constraints": lambda: extract_constraints(
+        build_ansatz(DIFFERENTIAL, 1)),
+}
+
+
+@pytest.mark.parametrize("job", sorted(TABLE_JOBS))
+def test_a_job_leaves_the_word_table_empty(job):
+    before = parse("[x y] [x]", XY)  # built between jobs: it waits in the table
+    assert opalg.words._TABLE
+    TABLE_JOBS[job]()
+    assert not opalg.words._TABLE
+    assert parse("[x y] [x]", XY) == before
+
+
+def test_a_memo_the_caller_keeps_keeps_the_word_table():
+    schema = der_schema(XY)
+    memo = RewriteMemo(schema, "lo")
+    nf, _ = normal_form(OPoly.from_word(parse("[x y]", XY)), schema)
+    assert opalg.words._TABLE  # normal_form's own memo died, this one lives
+    assert [parse(to_str(m), XY) is m for m in nf.terms] == [True, True]
+    del memo
+    assert not opalg.words._TABLE
+    with pytest.raises(ValueError, match="unknown strategy"):
+        RewriteMemo(schema, "ri")  # its __del__ runs all the same
+    assert opalg.rewrite._live_memos == 0
+
+
 def test_normal_form_matches_reference_under_constraints():
     ident = FAMILIES["dt1"].identity()
     schema = RuleSchema(ident, order=OrderConfig(UVW))
@@ -622,8 +666,10 @@ print(json.dumps({
 
 
 def test_degree2_defect_reduction_is_frozen(run_job):
-    first, second = (run_job(_DT2_JOB, hash_seed=seed) for seed in (1, 3))
-    assert first == second
+    # also under hash seeds 0 and 5, those of the basis checks' work test
+    first, *others = (run_job(_DT2_JOB, hash_seed=seed)
+                      for seed in (0, 1, 3, 5))
+    assert others == [first] * 3
     assert first == {
         "steps": 228, "status": NORMAL_FORM, "equations": 509,
         "steps_sha256": "51b177cf0bbaf77ba6b66e55260deb904f6ab157fbcaf9697b21b2c2bd9db1a0",
@@ -747,21 +793,40 @@ def _tower(depth):
     return w
 
 
-# each tower nests deeper than the recursion limit lets a key comparison
-# (derivation, after its first step) or a redex walk (average) go
-@pytest.mark.parametrize("name,depth,steps", [("derivation", 500, 1),
-                                              ("average", 1500, 0)])
-def test_deep_nesting_is_a_resource_limit(name, depth, steps):
-    ident = named_pattern(name)
-    order = OrderConfig(XY) if ident.kind == DIFFERENTIAL else None
-    schema = RuleSchema(ident, order=order)
-    p = OPoly.from_word(_tower(depth))
+def test_rewriting_past_the_depth_cap_is_a_resource_limit():
+    # the average rule fuses [x] [T] to [x [T]], one level deeper
+    schema = RuleSchema(named_pattern("average"))
+    w = Word((Word(("x",)), _tower(MAX_DEPTH - 1)))
+    assert w.depth() == MAX_DEPTH
+    p = OPoly.from_word(w)
+    for run in (normal_form, reduces_to_zero):
+        with pytest.raises(ResourceLimit, match=f"^{re.escape(TOO_NESTED)}$"):
+            run(p, schema)
+
+
+def test_recursion_limit_in_the_strategy_path_is_a_resource_limit(
+        monkeypatch):
+    # no word nests deep enough to meet the recursion limit by itself, but
+    # a caller's own stack can leave a walk too little of it
+    real = opalg.rewrite._redexes
+    walks = []
+
+    def too_deep(*args):
+        walks.append(args[0])
+        if len(walks) > 1:
+            raise RecursionError("maximum recursion depth exceeded")
+        return real(*args)
+
+    schema = der_schema()
+    p = OPoly.from_word(parse("[x y]", XY))
     message = ("^words nest too deep to rewrite: recursion limit reached "
-               f"after {steps} steps$")
-    with pytest.raises(ResourceLimit, match=message):
-        normal_form(p, schema)
-    with pytest.raises(ResourceLimit, match=message):
-        reduces_to_zero(p, schema)
+               "after 1 steps$")
+    for run in (normal_form, reduces_to_zero):
+        walks.clear()
+        monkeypatch.setattr(opalg.rewrite, "_redexes", too_deep)
+        with pytest.raises(ResourceLimit, match=message):
+            run(p, schema)
+        monkeypatch.undo()
 
 
 def test_joinable_by_difference():

@@ -1,12 +1,18 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from opalg.catalog import named_pattern
 from opalg.coeffs import ResourceLimit
-from opalg.ordering import random_context
+from opalg.opoly import OPoly
+from opalg.ordering import OrderConfig, random_context
+from opalg.rewrite import RewriteMemo, RuleSchema, normal_form
 from opalg.words import (
+    MAX_DEPTH,
     STAR,
+    TOO_NESTED,
     UNIT,
     EmptyBracketWithoutUnit,
     GeneratorSet,
@@ -18,6 +24,7 @@ from opalg.words import (
     enumerate_words,
     gen_word,
     parse,
+    release_words,
     replace_generators,
     sample_word,
     splice,
@@ -120,6 +127,52 @@ def test_parse_past_the_recursion_limit_is_a_resource_limit():
     with pytest.raises(ResourceLimit,
                        match="^words nest too deep: recursion limit reached$"):
         parse(text, G)
+
+
+def test_words_nest_up_to_the_depth_cap_and_no_further():
+    # a MAX_DEPTH-deep word parses, prints and reduces; building one level
+    # more is a resource limit wherever it happens, never a RecursionError
+    deep = "[" * MAX_DEPTH + "y" + "]" * MAX_DEPTH
+    w = parse(f"[x {deep[1:-1]}]", G)
+    assert w.depth() == MAX_DEPTH
+    assert to_str(w) == f"[x {deep[1:-1]}]"
+    assert tokens(w) == ["[", "x"] + tokens(parse(deep[1:-1], G)) + ["]"]
+    assert tokens(parse(deep, G)) == (["["] * MAX_DEPTH + ["y"]
+                                      + ["]"] * MAX_DEPTH)
+    schema = RuleSchema(named_pattern("derivation"), order=OrderConfig(G))
+    nf, trace = normal_form(OPoly.from_word(w), schema)
+    assert len(trace) == 1
+    assert sorted(to_str(m) for m in nf.terms) == [f"[x] {deep[1:-1]}",
+                                                   f"x {deep}"]
+    too_deep = f"[{deep}]"
+    for build in (lambda: parse(too_deep, G), lambda: bracket(parse(deep, G)),
+                  lambda: splice(((("x",), ()),), (parse(deep, G),))):
+        with pytest.raises(ResourceLimit, match=f"^{re.escape(TOO_NESTED)}$"):
+            build()
+
+
+# -- the word table ---------------------------------------------------------------
+
+def test_words_of_one_atom_tuple_are_one_object_within_a_job():
+    # a live memo: no table clear comes between the builds
+    memo = RewriteMemo(RuleSchema(named_pattern("derivation")), "lo")
+    w = parse("[x [y z]] x", G)
+    assert parse("[x [y z]] x", G) is w
+    assert word_of(x * bracket(y * z), "x") is w
+    assert splice(((("x",), ("z",)),), ("y",)) is parse("x y z", G)
+    assert memo.first_redex(w) is not None
+
+
+def test_a_word_built_before_a_table_clear_equals_its_twin_after():
+    before = parse("[x [y z]] x [1]", G)
+    release_words()
+    after = parse("[x [y z]] x [1]", G)
+    assert after is not before
+    assert after == before and before == after
+    assert hash(after) == hash(before)
+    assert {before: 1}[after] == 1
+    assert bracket(after) == bracket(before) != bracket(x)
+    assert to_str(after) == to_str(before)
 
 
 def test_generator_set_validation():
