@@ -9,7 +9,7 @@ import sys
 
 from .catalog import named_pattern, pattern_names
 from .classify import build_ansatz, classify, match_catalog
-from .coeffs import TOO_DEEP, PolyRing, ResourceLimit, Tokens
+from .coeffs import PolyRing, ResourceLimit, Tokens
 from .gsb import UVW, GeneratorSystem, TruncationBound, dt_check, \
     gsb_check_truncated, irr_enumerate, rbt_check
 from .opoly import DIFFERENTIAL, OpIdentity, ROTA_BAXTER, XY, parse_opoly, \
@@ -327,11 +327,6 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except ResourceLimit as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except RecursionError:
-        # word walks recurse once per nesting level; words.MAX_DEPTH keeps
-        # them inside the limit unless the stack is already deep
-        print(f"resource limit: {TOO_DEEP}", file=sys.stderr)
         return EXIT_RESOURCE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,8 +3,8 @@
 Coefficient rings for operator identities: parameters such as weights or the
 entries of an ansatz live here.  Terms are stored as a dict from exponent
 tuples to nonzero ``Fraction`` values; all arithmetic is exact.
-``ResourceLimit``, the exception of every cap, is defined here because each
-module that can hit a cap imports this one.
+``ResourceLimit``, the exception of every cap, and the nesting cap are
+defined here because each module that can hit a cap imports this one.
 """
 
 from __future__ import annotations
@@ -301,13 +301,19 @@ _TOKEN = re.compile(r"(\d+)|([A-Za-z][A-Za-z0-9_]*)|\S")
 
 
 class ResourceLimit(RuntimeError):
-    """A computation stopped at a cap, a budget or the recursion limit
-    before it finished."""
+    """A computation stopped at a cap or a budget before it finished."""
 
 
-# the limit met by a word nested past the recursion limit: reading,
-# checking and printing a word recurse once per nesting level
-TOO_DEEP = "words nest too deep: recursion limit reached"
+# Levels of brackets and parentheses a text (``Tokens``) or a word (``Word``)
+# may nest.  Frames a level: reading a word and walking one (``to_str``,
+# ``tokens``, ``has_unit_bracket``, ``replace_generators``, ``deg``,
+# ``leaves``, redexes, ``order_key``) 1; ``delta_view`` and parentheses
+# around words 2; ``==`` of twins built across a word-table clear 3;
+# parentheses around coefficients 4.  All stay far inside the default
+# recursion limit of 1 000.
+MAX_DEPTH = 200
+TOO_NESTED = (f"nested too deep: more than {MAX_DEPTH} levels of brackets "
+              "and parentheses")
 
 
 class ParseError(ValueError):
@@ -331,7 +337,8 @@ class Tokens:
     text.  The parsers that read it are module-level recursions: recursive
     closures would leave a reference cycle per parse.  A digit run longer
     than the interpreter converts to an integer is rejected here, at its
-    offset, so no parser meets ``int``'s own error."""
+    offset, so no parser meets ``int``'s own error, and a text nested past
+    ``MAX_DEPTH`` raises ``ResourceLimit(TOO_NESTED)``."""
 
     __slots__ = ("text", "toks", "pos")
 
@@ -342,7 +349,11 @@ class Tokens:
                      for m in _TOKEN.finditer(text)]
         self.pos = 0
         limit = sys.get_int_max_str_digits()
+        depth = 0
         for kind, t, at in self.toks:
+            depth += (kind in ("[", "(")) - (kind in ("]", ")"))
+            if depth > MAX_DEPTH:
+                raise ResourceLimit(TOO_NESTED)
             if limit and kind == "num" and len(t) > limit:
                 raise ParseError(f"integer of more than {limit} digits", at)
 
@@ -415,24 +426,28 @@ def _parse_power(ts: Tokens, ring: PolyRing) -> MPoly:
 
 
 def parse_atomic(ts: Tokens, ring: PolyRing) -> MPoly:
-    """A number, a variable, ``-`` and an atomic, or a parenthesized sum."""
+    """A number, a variable or a parenthesized sum, after any number of
+    ``-`` signs (read in a loop, so a chain of them takes no frames)."""
+    negate = False
     kind, t, at = ts.take()
+    while kind == "-":
+        negate = not negate
+        kind, t, at = ts.take()
     if kind == "(":
         p = _parse_sum(ts, ring)
         if ts.peek()[0] != ")":
             raise PolyParseError("missing closing parenthesis", at)
         ts.take()
-        return p
-    if kind == "num":
-        return ring.const(int(t))
-    if kind == "ident":
+    elif kind == "num":
+        p = ring.const(int(t))
+    elif kind == "ident":
         if t not in ring.index:
             raise PolyParseError(f"unknown variable {t!r}" if ring.vars else
                                  "symbolic coefficient without a coefficient "
                                  "ring", at)
-        return ring.var(t)
-    if kind == "-":
-        return -parse_atomic(ts, ring)
-    if kind is None:
+        p = ring.var(t)
+    elif kind is None:
         raise PolyParseError("unexpected end of input", at)
-    raise PolyParseError(f"unexpected token {t!r}", at)
+    else:
+        raise PolyParseError(f"unexpected token {t!r}", at)
+    return -p if negate else p

@@ -27,7 +27,7 @@ from .ordering import OrderConfig, random_context
 from .rewrite import (NORMAL_FORM, NotDRF, NotRBRF, NotTotallyLinear, Redex,
                       ResourceLimit, RewriteMemo, RuleSchema, Verdict,
                       find_redexes, normal_form, reduces_to_zero)
-from .words import (GeneratorSet, UNIT, Word, enumerate_words,
+from .words import (GeneratorSet, UNIT, Word, bracket, enumerate_words,
                     has_unit_bracket, replace_generators, splice, to_str)
 
 BOUND_GEN_NAMES = ("u", "v", "w", "p", "q", "r", "s", "t")
@@ -297,7 +297,7 @@ def gsb_check_truncated(sys: GeneratorSystem, bound: TruncationBound,
     def check_triple(r, s, t):
         report.intersections_reduced += 1
         value = -associativity_defect(ident, r, s, t)
-        return check(CompositionRecord(INTERSECTION, Word((r * s * t,)), value))
+        return check(CompositionRecord(INTERSECTION, bracket(r * s * t), value))
 
     # intersections: f = phi(r s, t), g = phi(r, s t), overlap at [r s t];
     # the bracket leading words cancel, leaving N(r, s t) - N(r s, t)
@@ -328,7 +328,7 @@ def gsb_check_truncated(sys: GeneratorSystem, bound: TruncationBound,
     # including: nested redexes of [host . spectator], spectator generic
     for host in words:
         for u1, v1 in ((host, spectator), (spectator, host)):
-            lead = Word((u1 * v1,))
+            lead = bracket(u1 * v1)
             n_lead = ident.pattern_at(u1, v1)
             for redex in find_redexes(lead, schema):
                 if len(redex.path) == 1:

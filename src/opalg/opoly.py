@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeffs import (TOO_DEEP, MPoly, ParseError, PolyRing, ResourceLimit,
-                     Tokens, _add_scaled_into, parse_atomic)
+from .coeffs import (MPoly, ParseError, PolyRing, Tokens, _add_scaled_into,
+                     parse_atomic)
 from .ordering import OrderConfig, order_key
 from .words import (
     UNIT,
@@ -222,14 +222,11 @@ def parse_opoly(text: str, gens: GeneratorSet, ring: PolyRing = None) -> OPoly:
     ``n/d``, a ring variable or a parenthesized coefficient expression, a
     group holding no bracket and no generator name; identifiers outside the
     generator set are coefficient variables and require ``ring``.  A text
-    nested past the recursion limit raises ``ResourceLimit``."""
+    nested past ``coeffs.MAX_DEPTH`` raises ``ResourceLimit(TOO_NESTED)``."""
     ts = Tokens(text)
     if not ts.toks:
         raise ParseError("empty polynomial", 0)
-    try:
-        total = _parse_sum(ts, gens, ring)
-    except RecursionError:
-        raise ResourceLimit(TOO_DEEP) from None
+    total = _parse_sum(ts, gens, ring)
     _, tok, at = ts.peek()
     if tok is not None:
         raise ParseError(f"unexpected token {tok!r}", at)

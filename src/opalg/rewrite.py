@@ -38,10 +38,9 @@ it meets each enumerated word once.
 While a memo lives, equal words are one object (see ``words``), so its
 dicts, the term dicts and the heap meet them by identity; the last live memo
 to die empties the word table, and a memo the caller keeps keeps it alive.
-A step that builds a word nested past ``words.MAX_DEPTH`` raises
-``ResourceLimit(words.TOO_NESTED)``; a walk that meets the recursion limit
-makes ``normal_form`` and ``reduces_to_zero`` raise ``ResourceLimit``,
-naming the steps taken.
+A step that builds a word nested past ``coeffs.MAX_DEPTH`` raises
+``ResourceLimit(TOO_NESTED)``; the redex walk takes one frame a level, so
+no rewrite meets the recursion limit.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from __future__ import annotations
 import heapq
 from collections import namedtuple
 
-from .coeffs import TOO_DEEP, ResourceLimit, _add_scaled_into
+from .coeffs import ResourceLimit, _add_scaled_into
 from .groebner import buchberger, nf_mod_ideal
 from .opoly import DIFFERENTIAL, OPoly, OpIdentity, to_str_opoly
 from .ordering import OrderConfig, order_key
@@ -99,26 +98,23 @@ def is_rbrf(p: OPoly) -> bool:
 
 
 class RuleSchema:
-    """A sigma or pi rule family derived from one operator identity.  A
-    pattern nested past the recursion limit raises ``ResourceLimit``."""
+    """A sigma or pi rule family derived from one operator identity; its
+    pattern must be totally linear and in the family's reduced form."""
 
     __slots__ = ("kind", "identity", "order", "constraint_gb")
 
     def __init__(self, identity: OpIdentity, order: OrderConfig = None):
         self.kind = "sigma" if identity.kind == DIFFERENTIAL else "pi"
         pattern = identity.pattern
-        try:
-            if not is_totally_linear(pattern):
-                raise NotTotallyLinear("replacement pattern is not totally "
-                                       f"linear: {to_str_opoly(pattern)}")
-            if self.kind == "sigma" and not is_drf(pattern):
-                raise NotDRF("sigma replacement is not in reduced form: "
-                             f"{to_str_opoly(pattern)}")
-            if self.kind == "pi" and not is_rbrf(pattern):
-                raise NotRBRF("pi replacement is not in reduced form: "
-                              f"{to_str_opoly(pattern)}")
-        except RecursionError:
-            raise ResourceLimit(TOO_DEEP) from None
+        if not is_totally_linear(pattern):
+            raise NotTotallyLinear("replacement pattern is not totally "
+                                   f"linear: {to_str_opoly(pattern)}")
+        if self.kind == "sigma" and not is_drf(pattern):
+            raise NotDRF("sigma replacement is not in reduced form: "
+                         f"{to_str_opoly(pattern)}")
+        if self.kind == "pi" and not is_rbrf(pattern):
+            raise NotRBRF("pi replacement is not in reduced form: "
+                          f"{to_str_opoly(pattern)}")
         self.identity = identity
         self.order = order
         if identity.constraints:
@@ -313,8 +309,9 @@ def normal_form(p: OPoly, schema: RuleSchema, strategy: str = "lo",
     dropped.
 
     First redexes and order keys come from ``memo``, which must belong to
-    ``schema`` and ``strategy``; without one the call builds its own.  Words
-    nested too deep for the recursion limit raise ``ResourceLimit``.
+    ``schema`` and ``strategy``; without one the call builds its own.  A
+    step that nests a word past ``coeffs.MAX_DEPTH`` raises
+    ``ResourceLimit(TOO_NESTED)``.
     """
     if memo is None:
         memo = RewriteMemo(schema, strategy)
@@ -325,36 +322,32 @@ def normal_form(p: OPoly, schema: RuleSchema, strategy: str = "lo",
     first_redex = memo.first_redex
     p = schema.normalize(schema.lift(p))
     terms = dict(p.terms)  # rewritten in place
-    try:
-        heap = [_Desc(key(w), w) for w in terms if first_redex(w) is not None]
-        heapq.heapify(heap)
-        while True:
-            while heap and heap[0].word not in terms:
-                heapq.heappop(heap)
-            if not heap:
-                trace.status = NORMAL_FORM
-                break
-            if len(trace.monomials) >= step_cap:
-                trace.status = STEP_CAP_EXCEEDED
-                break
-            top = heapq.heappop(heap)
-            w = top.word
-            redex = first_redex(w)
-            repl = schema.replacement(redex)
-            if monitor and schema.order is not None:
-                for m in repl.terms:
-                    if not key(m) < top.key:
-                        trace.order_violations.append((w, m))
-            trace.monomials.append(w)
-            trace._redexes.append(redex)
-            trace._coeffs.append(terms[w])
-            _rewrite_into(terms, p.ring, w, repl, schema)
+    heap = [_Desc(key(w), w) for w in terms if first_redex(w) is not None]
+    heapq.heapify(heap)
+    while True:
+        while heap and heap[0].word not in terms:
+            heapq.heappop(heap)
+        if not heap:
+            trace.status = NORMAL_FORM
+            break
+        if len(trace.monomials) >= step_cap:
+            trace.status = STEP_CAP_EXCEEDED
+            break
+        top = heapq.heappop(heap)
+        w = top.word
+        redex = first_redex(w)
+        repl = schema.replacement(redex)
+        if monitor and schema.order is not None:
             for m in repl.terms:
-                if m in terms and first_redex(m) is not None:
-                    heapq.heappush(heap, _Desc(key(m), m))
-    except RecursionError:
-        raise ResourceLimit(f"words nest too deep to rewrite: recursion limit "
-                            f"reached after {len(trace)} steps") from None
+                if not key(m) < top.key:
+                    trace.order_violations.append((w, m))
+        trace.monomials.append(w)
+        trace._redexes.append(redex)
+        trace._coeffs.append(terms[w])
+        _rewrite_into(terms, p.ring, w, repl, schema)
+        for m in repl.terms:
+            if m in terms and first_redex(m) is not None:
+                heapq.heappush(heap, _Desc(key(m), m))
     return OPoly._trusted(terms, p.ring), trace
 
 
@@ -464,13 +457,8 @@ def reduces_to_zero(p: OPoly, schema: RuleSchema, strategy: str = "lo",
     if trace.status == STEP_CAP_EXCEEDED:
         return Verdict(Verdict.INCONCLUSIVE, witness=nf,
                        detail=f"step cap {step_cap} exceeded")
-    try:
-        visited, complete, hit = _explore(p, memo, explore_budget,
-                                          stop=lambda r: r.is_zero)
-    except RecursionError:
-        raise ResourceLimit(
-            f"words nest too deep to search: recursion limit reached after "
-            f"{len(trace)} strategy steps") from None
+    visited, complete, hit = _explore(p, memo, explore_budget,
+                                      stop=lambda r: r.is_zero)
     if hit:
         return Verdict(Verdict.YES, detail="zero on an explored branch")
     if not complete:

@@ -18,26 +18,19 @@ the same job compares identities.  The table lives as long as the rewriting
 job: the last live ``rewrite.RewriteMemo`` to die empties it
 (``release_words``), and words built between jobs wait there for that.  A
 word kept past a clear still equals, and hashes like, its twin built after.
-Building a word nested past ``MAX_DEPTH`` raises ``ResourceLimit(TOO_NESTED)``,
-so no walk of a word meets the recursion limit by the word's depth alone.
+Building a word nested past ``MAX_DEPTH`` raises
+``ResourceLimit(TOO_NESTED)``; each walk takes one frame a level, and
+enumeration none a leaf or level.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Union
 
-from .coeffs import TOO_DEEP, ParseError, ResourceLimit, Tokens
+from .coeffs import MAX_DEPTH, TOO_NESTED, ParseError, ResourceLimit, Tokens
 
 STAR = "⋆"      # a context's hole, when it is printed
 RESERVED = frozenset({"1", STAR})
-
-Atom = Union[str, "Word"]  # str: generator name; Word w in atom position: [w]
-
-# bracket levels a word may nest; a walk of a word takes at most two frames
-# a level, well inside the default recursion limit of 1 000
-MAX_DEPTH = 200
-TOO_NESTED = f"words nest too deep: more than {MAX_DEPTH} bracket levels"
 
 _TABLE: dict = {}  # atom tuple -> its one live Word, until release_words
 
@@ -151,8 +144,10 @@ def bracket(w: Word) -> Word:
 
 def has_unit_bracket(w: Word) -> bool:
     """Does some bracket of ``w``, at any depth, hold the unit?"""
-    return any(isinstance(a, Word) and (a.is_unit or has_unit_bracket(a))
-               for a in w.atoms)
+    for a in w.atoms:
+        if isinstance(a, Word) and (a.is_unit or has_unit_bracket(a)):
+            return True
+    return False
 
 
 # -- generator sets ----------------------------------------------------------
@@ -199,15 +194,23 @@ class GeneratorSet:
 
 def to_str(w: Word) -> str:
     """Single-space-separated atom list; the unit prints as ``1``."""
-    if w.is_unit:
-        return "1"
-    return " ".join(_atom_str(a) for a in w.atoms)
+    out: list = []
+    _str_into(w, out)
+    return "".join(out)
 
 
-def _atom_str(a: Atom) -> str:
-    if isinstance(a, str):
-        return a
-    return "[" + to_str(a) + "]"
+def _str_into(w: Word, out: list) -> None:
+    if not w.atoms:
+        out.append("1")
+    for i, a in enumerate(w.atoms):
+        if i:
+            out.append(" ")
+        if isinstance(a, str):
+            out.append(a)
+        else:
+            out.append("[")
+            _str_into(a, out)
+            out.append("]")
 
 
 def tokens(w: Word) -> list:
@@ -240,15 +243,12 @@ class EmptyBracketWithoutUnit(ParseError):
 
 
 def parse(text: str, gens: GeneratorSet) -> Word:
-    """Parse one word of the grammar ``parse_word`` reads; a word nested
-    past ``MAX_DEPTH`` or the recursion limit raises ``ResourceLimit``."""
+    """Parse one word of the grammar ``parse_word`` reads; a text nested
+    past ``MAX_DEPTH`` raises ``ResourceLimit(TOO_NESTED)``."""
     ts = Tokens(text)
     if not ts.toks:
         raise ParseError("empty input", 0)
-    try:
-        w = parse_word(ts, gens)
-    except RecursionError:
-        raise ResourceLimit(TOO_DEEP) from None
+    w = parse_word(ts, gens)
     _, tok, at = ts.peek()
     if tok == "]":
         raise UnbalancedBrackets("unmatched closing bracket", at)
@@ -346,37 +346,35 @@ def enumerate_words(gens, max_leaves: int, max_depth: int,
 
 def _atom_pool(names, max_leaves, max_depth, include_unit_brackets):
     """Atoms grouped by leaf count: pool[k] lists atoms with k leaves."""
-    if max_depth <= 0 or max_leaves <= 0:
-        pool = [[] for _ in range(max_leaves + 1)]
-        if max_leaves >= 1:
-            pool[1] = list(names)
-        return pool
-    inner = _atom_pool(names, max_leaves, max_depth - 1, include_unit_brackets)
     pool = [[] for _ in range(max_leaves + 1)]
-    if max_leaves >= 1:
+    if max_leaves < 1:
+        return pool
+    pool[1] = list(names)
+    for _ in range(max_depth):  # one bracket level more each pass
+        inner = pool
+        pool = [[] for _ in range(max_leaves + 1)]
         pool[1] = list(names)
         if include_unit_brackets:
-            pool[1].append(bracket(UNIT).atoms[0])  # the unit-content atom
-    for w in _sequences(inner, max_leaves):
-        pool[w.leaves].append(w)  # the word w in atom position means [w]
+            pool[1].append(UNIT)  # the unit in atom position means [1]
+        for w in _sequences(inner, max_leaves):
+            pool[w.leaves].append(w)  # the word w in atom position means [w]
     return pool
 
 
 def _sequences(atom_pool, max_leaves):
-    """All nonempty atom sequences with total leaf count <= max_leaves."""
+    """All nonempty atom sequences with total leaf count <= max_leaves, each
+    followed at once by its extensions: a depth-first walk on a stack of
+    (prefix, leaves left) pairs, a prefix's extensions pushed in reverse."""
     results = []
-    _extend_sequences((), max_leaves, atom_pool, results)
+    stack = [((), max_leaves)]
+    while stack:
+        prefix, budget = stack.pop()
+        if prefix:
+            results.append(Word(prefix))
+        for k in range(budget, 0, -1):
+            for a in reversed(atom_pool[k]):
+                stack.append((prefix + (a,), budget - k))
     return results
-
-
-def _extend_sequences(prefix, budget, atom_pool, results) -> None:
-    """Append ``prefix`` extended by every atom sequence of at most
-    ``budget`` leaves to ``results``, depth-first."""
-    for k in range(1, budget + 1):
-        for a in atom_pool[k]:
-            seq = prefix + (a,)
-            results.append(Word(seq))
-            _extend_sequences(seq, budget - k, atom_pool, results)
 
 
 def sample_word(rng: random.Random, gens, max_leaves: int, max_depth: int) -> Word:

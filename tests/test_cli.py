@@ -298,6 +298,37 @@ def test_resource_limit_exit_code(capsys, argv):
     assert len(err.splitlines()) == 1 and err.startswith("resource limit: ")
 
 
+def test_irr_lists_flat_words_past_the_recursion_limit(capsys):
+    code, out, _ = run(capsys, "irr", "--dt", "derivation", "--bound",
+                       "1200,0")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "1201 irreducible words"
+    assert [ln.strip() for ln in lines[1:4]] == ["1", "z", "z z"]
+    assert lines[-1].strip() == " ".join(["z"] * 1200)
+
+
+def test_irr_past_the_depth_cap_is_a_resource_limit(capsys):
+    code, out, err = run(capsys, "irr", "--dt", "derivation", "--bound",
+                         "1,1200")
+    assert (code, out) == (5, "")
+    assert err == f"resource limit: {opalg.coeffs.TOO_NESTED}\n"
+
+
+def test_a_constraint_with_a_long_chain_of_minus_signs_is_read(capsys):
+    # a = 0 makes the pattern the derivation's own
+    pattern = "x [y] + [x] y + a [x] [y]"
+    argv = ("verify", "--type", "dt", pattern, "--format", "json",
+            "--constraint")
+    short = run(capsys, *argv, "a")
+    chained = run(capsys, *argv, "a*" + "- " * 3000 + "1")
+    assert short[0] == chained[0] == 0
+    short, chained = json.loads(short[1]), json.loads(chained[1])
+    assert short.pop("constraints") == ["a"]
+    assert chained.pop("constraints") == ["a*" + "- " * 3000 + "1"]
+    assert chained == short and short["accepted"]
+
+
 def test_every_limit_is_one_exception():
     assert issubclass(ReductionBudgetExceeded, ResourceLimit)
     assert issubclass(SplitDepthExceeded, ResourceLimit)

@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opalg.coeffs import MPoly, ParseError, PolyParseError, PolyRing
+from opalg.coeffs import (MAX_DEPTH, TOO_NESTED, MPoly, ParseError,
+                          PolyParseError, PolyRing, ResourceLimit)
 from opalg.groebner import leading_exps
 from opalg.opoly import XY, parse_opoly
 
@@ -197,6 +199,21 @@ def test_digit_run_at_the_limit_parses():
     assert R.parse(OVERLONG[1:] + "*a") == n * a
     assert parse_opoly("x - " + OVERLONG[1:] + " y", XY) == \
         parse_opoly("x", XY) - parse_opoly("y", XY).scale(n)
+
+
+def test_parentheses_nest_up_to_the_depth_cap_and_no_further():
+    ring = PolyRing(("a",))
+    assert ring.parse("(" * MAX_DEPTH + "a" + ")" * MAX_DEPTH) == \
+        ring.var("a")
+    for n in (MAX_DEPTH + 1, 1200):
+        with pytest.raises(ResourceLimit, match=f"^{re.escape(TOO_NESTED)}$"):
+            ring.parse("(" * n + "a" + ")" * n)
+
+
+@pytest.mark.parametrize("signs, sign", [(3000, 1), (3001, -1)])
+def test_a_chain_of_minus_signs_is_read_in_a_loop(signs, sign):
+    ring = PolyRing(("a",))
+    assert ring.parse("a*" + "- " * signs + "1") == ring.var("a") * sign
 
 
 def test_parse_print_roundtrip():

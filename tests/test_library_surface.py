@@ -376,6 +376,22 @@ def test_only_ordering_compares_words_pairwise():
     assert calls == []
 
 
+def test_no_module_handles_a_recursion_error():
+    # nesting is capped where texts are read and words are built
+    # (coeffs.MAX_DEPTH), so every recursion ends well inside the limit; a
+    # handler would hide a walk that no longer does
+    library, _ = load()
+    handlers = []
+    for module, tree in sorted(library.items()):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                named = {getattr(n, "id", getattr(n, "attr", None))
+                         for n in ast.walk(node.type)}
+                if "RecursionError" in named:
+                    handlers.append(f"{module}:{node.lineno}")
+    assert handlers == []
+
+
 def test_bare_names_are_read_by_module():
     library = {"words": ast.parse("def classify_pair(a, b):\n    pass\n"),
                "gsb": ast.parse("def nf(w):\n    pass\n")}

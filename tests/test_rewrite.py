@@ -804,31 +804,6 @@ def test_rewriting_past_the_depth_cap_is_a_resource_limit():
             run(p, schema)
 
 
-def test_recursion_limit_in_the_strategy_path_is_a_resource_limit(
-        monkeypatch):
-    # no word nests deep enough to meet the recursion limit by itself, but
-    # a caller's own stack can leave a walk too little of it
-    real = opalg.rewrite._redexes
-    walks = []
-
-    def too_deep(*args):
-        walks.append(args[0])
-        if len(walks) > 1:
-            raise RecursionError("maximum recursion depth exceeded")
-        return real(*args)
-
-    schema = der_schema()
-    p = OPoly.from_word(parse("[x y]", XY))
-    message = ("^words nest too deep to rewrite: recursion limit reached "
-               "after 1 steps$")
-    for run in (normal_form, reduces_to_zero):
-        walks.clear()
-        monkeypatch.setattr(opalg.rewrite, "_redexes", too_deep)
-        with pytest.raises(ResourceLimit, match=message):
-            run(p, schema)
-        monkeypatch.undo()
-
-
 def test_joinable_by_difference():
     schema = der_schema(XYZ)
     f = OPoly.from_word(parse("[x y]", XYZ))
@@ -963,19 +938,6 @@ def test_search_memo_dies_with_its_call(monkeypatch):
         assert runs[0][1] and runs[0] == runs[1], job
         if most is not None:
             assert max(collections.Counter(asked).values()) == most, job
-
-
-def test_deep_nesting_is_a_resource_limit_in_the_search(monkeypatch):
-    # the strategy path of the defect ends nonzero, so the search runs and
-    # walks every redex; a word too deep for that walk stops it
-    def too_deep(w, schema):
-        raise RecursionError("maximum recursion depth exceeded")
-
-    monkeypatch.setattr(opalg.rewrite, "find_redexes", too_deep)
-    with pytest.raises(ResourceLimit, match=(
-            "^words nest too deep to search: recursion limit reached after "
-            "1 strategy steps$")):
-        _search_defect(_right_twisted_schema())
 
 
 # rejecting certifications that run the exhaustive search

@@ -1,14 +1,17 @@
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from opalg.catalog import named_pattern
-from opalg.coeffs import ResourceLimit
-from opalg.opoly import OPoly
-from opalg.ordering import OrderConfig, random_context
-from opalg.rewrite import RewriteMemo, RuleSchema, normal_form
+from opalg.coeffs import PolyRing, ResourceLimit
+from opalg.gsb import delta_view
+from opalg.opoly import DIFFERENTIAL, OPoly, OpIdentity
+from opalg.ordering import OrderConfig, order_key, random_context
+from opalg.rewrite import (NotDRF, RewriteMemo, RuleSchema, find_redexes,
+                           normal_form, reduces_to_zero)
 from opalg.words import (
     MAX_DEPTH,
     STAR,
@@ -23,6 +26,7 @@ from opalg.words import (
     bracket,
     enumerate_words,
     gen_word,
+    has_unit_bracket,
     parse,
     release_words,
     replace_generators,
@@ -30,6 +34,7 @@ from opalg.words import (
     splice,
     to_str,
     tokens,
+    word_sort_key,
 )
 
 # two more hole symbols, filled through ``replace_generators``
@@ -124,8 +129,7 @@ def test_parse_error_position():
 
 def test_parse_past_the_recursion_limit_is_a_resource_limit():
     text = "[" * 1200 + "x y" + "]" * 1200
-    with pytest.raises(ResourceLimit,
-                       match="^words nest too deep: recursion limit reached$"):
+    with pytest.raises(ResourceLimit, match=f"^{re.escape(TOO_NESTED)}$"):
         parse(text, G)
 
 
@@ -149,6 +153,73 @@ def test_words_nest_up_to_the_depth_cap_and_no_further():
                   lambda: splice(((("x",), ()),), (parse(deep, G),))):
         with pytest.raises(ResourceLimit, match=f"^{re.escape(TOO_NESTED)}$"):
             build()
+
+
+def _stack_depth():
+    """The frames on the stack of the caller."""
+    frame, n = sys._getframe(1), 0
+    while frame is not None:
+        n += 1
+        frame = frame.f_back
+    return n
+
+
+def _with_headroom(frames, run):
+    """``run()`` with the recursion limit ``frames`` above the stack."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + frames)
+    try:
+        return run()
+    finally:
+        sys.setrecursionlimit(old)
+
+
+# a MAX_DEPTH-deep sigma redex, and a word that it rewrites in one step
+TOWER = "[" * MAX_DEPTH + "x y" + "]" * MAX_DEPTH
+ONE_STEP = "[x " + "[" * (MAX_DEPTH - 1) + "y" + "]" * MAX_DEPTH
+
+
+def _schema_of_deep_pattern():
+    with pytest.raises(NotDRF, match=re.escape(TOWER) + "$"):
+        RuleSchema(OpIdentity(DIFFERENTIAL, OPoly.from_word(parse(TOWER, G))))
+
+
+def _derivation():
+    return RuleSchema(named_pattern("derivation"), order=OrderConfig(G))
+
+
+ENTRY_POINTS = {
+    "parse": lambda: parse(TOWER, G),
+    "to_str": lambda: to_str(parse(TOWER, G)) == TOWER,
+    "tokens": lambda: len(tokens(parse(TOWER, G))) == 2 * MAX_DEPTH + 2,
+    "has_unit_bracket": lambda: has_unit_bracket(
+        parse("[" * (MAX_DEPTH - 1) + "x [1]" + "]" * (MAX_DEPTH - 1), G)),
+    "word_sort_key": lambda: word_sort_key(parse(TOWER, G)),
+    "order_key": lambda: order_key(OrderConfig(G))(parse(TOWER, G)),
+    "find_redexes": lambda: len(find_redexes(parse(TOWER, G),
+                                             _derivation())) == 1,
+    "RuleSchema": lambda: _schema_of_deep_pattern() is None,
+    "normal_form": lambda: len(normal_form(OPoly.from_word(parse(ONE_STEP, G)),
+                                           _derivation())[1]) == 1,
+    "reduces_to_zero": lambda: reduces_to_zero(
+        OPoly.from_word(parse(ONE_STEP, G)), _derivation()).kind == "no",
+    "delta_view": lambda: len(delta_view(OPoly.from_word(
+        parse(ONE_STEP, G))).terms) == 1,
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_a_max_depth_word_takes_at_most_two_frames_a_level(entry):
+    # each walk and reader of a word takes at most two frames a nesting
+    # level (coeffs.MAX_DEPTH), so none needs the recursion limit's help
+    assert _with_headroom(2 * MAX_DEPTH + 50, ENTRY_POINTS[entry])
+
+
+def test_the_coefficient_reader_takes_at_most_four_frames_a_level():
+    ring = PolyRing(("a",))
+    text = "(" * MAX_DEPTH + "a" + ")" * MAX_DEPTH
+    assert _with_headroom(4 * MAX_DEPTH + 50,
+                          lambda: ring.parse(text)) == ring.var("a")
 
 
 # -- the word table ---------------------------------------------------------------
@@ -305,6 +376,59 @@ def test_enumerate_leaf_and_depth_bounds():
     # every word within the bounds is present: spot-check a few
     for text in ["[x [1]]", "[[1]] [1] z", "x [y z]", "[[x y]]", "z z z"]:
         assert parse(text, G) in ws
+
+
+def reference_atom_pool(names, max_leaves, max_depth, include_unit_brackets):
+    """The recursive atom pool enumeration was first written with, one
+    frame per depth level."""
+    if max_depth <= 0 or max_leaves <= 0:
+        pool = [[] for _ in range(max_leaves + 1)]
+        if max_leaves >= 1:
+            pool[1] = list(names)
+        return pool
+    inner = reference_atom_pool(names, max_leaves, max_depth - 1,
+                                include_unit_brackets)
+    pool = [[] for _ in range(max_leaves + 1)]
+    pool[1] = list(names)
+    if include_unit_brackets:
+        pool[1].append(UNIT)
+    for w in reference_sequences(inner, max_leaves):
+        pool[w.leaves].append(w)
+    return pool
+
+
+def reference_sequences(atom_pool, max_leaves):
+    results = []
+    reference_extend_sequences((), max_leaves, atom_pool, results)
+    return results
+
+
+def reference_extend_sequences(prefix, budget, atom_pool, results):
+    """Append ``prefix`` extended by every atom sequence of at most
+    ``budget`` leaves to ``results``, depth-first: one frame per leaf."""
+    for k in range(1, budget + 1):
+        for a in atom_pool[k]:
+            seq = prefix + (a,)
+            results.append(Word(seq))
+            reference_extend_sequences(seq, budget - k, atom_pool, results)
+
+
+@pytest.mark.parametrize("names", [("x", "y", "z"), ("x", "y")])
+@pytest.mark.parametrize("leaves, depth", [(3, 2), (3, 3), (4, 2)])
+@pytest.mark.parametrize("units", [True, False])
+def test_enumeration_order_matches_the_recursive_reference(names, leaves,
+                                                           depth, units):
+    got = enumerate_words(names, leaves, depth, include_unit_brackets=units)
+    pool = reference_atom_pool(names, leaves, depth, units)
+    assert got == [UNIT] + reference_sequences(pool, leaves)
+
+
+def test_enumeration_bounds_cost_no_frames():
+    # 1 200 leaves take no frame each; 1 200 depth levels end at the cap
+    flat = _with_headroom(100, lambda: enumerate_words(("x",), 1200, 0))
+    assert [w.breadth for w in flat] == list(range(1201))
+    with pytest.raises(ResourceLimit, match=f"^{re.escape(TOO_NESTED)}$"):
+        _with_headroom(100, lambda: enumerate_words(("x",), 1, 1200))
 
 
 def test_enumerate_unit_bracket_iterates():
