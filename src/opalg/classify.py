@@ -22,8 +22,7 @@ from .ordering import OrderConfig
 from .rewrite import NORMAL_FORM, RuleSchema, in_reduced_form, normal_form
 from .solve import SolutionComponent, find_representative, sample_points, \
     solve_components
-from .words import (Word, enumerate_words, has_unit_bracket, to_str, tokens,
-                    word_sort_key)
+from .words import Word, enumerate_words, to_str, tokens, word_sort_key
 
 
 class ReductionBudgetExceeded(ResourceLimit):
@@ -175,7 +174,7 @@ class ConstraintSystem:
 def _unit_residue(w: Word) -> bool:
     """A unit bracket nested inside another bracket, the shape the reduction
     cannot interpret canonically."""
-    return any(has_unit_bracket(a) for a in w.atoms if isinstance(a, Word))
+    return any(a.has_unit_bracket for a in w.atoms if isinstance(a, Word))
 
 
 def extract_constraints(ansatz: Ansatz, step_cap: int = 4000) -> ConstraintSystem:

@@ -305,12 +305,15 @@ class ResourceLimit(RuntimeError):
 
 
 # Levels of brackets and parentheses a text (``Tokens``) or a word (``Word``)
-# may nest.  Frames a level: reading a word and walking one (``to_str``,
-# ``tokens``, ``has_unit_bracket``, ``replace_generators``, ``deg``,
-# ``leaves``, redexes, ``order_key``) 1; ``delta_view`` and parentheses
-# around words 2; ``==`` of twins built across a word-table clear 3;
-# parentheses around coefficients 4.  All stay far inside the default
-# recursion limit of 1 000.
+# may nest.  A word's depth, ``deg``, ``leaves`` and ``has_unit_bracket`` are
+# set when it is built, from those of its atoms, so reading them walks
+# nothing.  Frames a level: reading a word and walking one (``to_str``,
+# ``tokens``, ``replace_generators``, redexes, ``order_key``) 1;
+# ``delta_view`` and parentheses around words 2; ``==`` of twins built
+# across a word-table clear 3; parentheses around coefficients 4.
+# ``gsb.free_dt_operator_nf`` nests at most ``MAX_DEPTH`` applications of d,
+# one frame each, and takes one a generator on the catalog's patterns.  All
+# stay far inside the default recursion limit of 1 000.
 MAX_DEPTH = 200
 TOO_NESTED = (f"nested too deep: more than {MAX_DEPTH} levels of brackets "
               "and parentheses")

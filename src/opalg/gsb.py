@@ -21,14 +21,14 @@ from __future__ import annotations
 import random
 import re
 
-from .coeffs import _add_scaled_into
+from .coeffs import MAX_DEPTH, _add_scaled_into
 from .opoly import DIFFERENTIAL, OPoly, OpIdentity, ROTA_BAXTER, to_str_opoly
 from .ordering import OrderConfig, random_context
 from .rewrite import (NORMAL_FORM, NotDRF, NotRBRF, NotTotallyLinear, Redex,
                       ResourceLimit, RewriteMemo, RuleSchema, Verdict,
                       find_redexes, normal_form, reduces_to_zero)
 from .words import (GeneratorSet, UNIT, Word, bracket, enumerate_words,
-                    has_unit_bracket, replace_generators, splice, to_str)
+                    replace_generators, splice, to_str)
 
 BOUND_GEN_NAMES = ("u", "v", "w", "p", "q", "r", "s", "t")
 
@@ -418,7 +418,7 @@ def cdl_direct_sum_check(sys: GeneratorSystem, bound: TruncationBound,
     memo = RewriteMemo(sys, "lo")
     irr = {w for w in all_words if memo.first_redex(w) is None}
     report.irr_size = len(irr)
-    report.irr_unit_surplus = sum(1 for w in irr if has_unit_bracket(w))
+    report.irr_unit_surplus = sum(1 for w in irr if w.has_unit_bracket)
     for w in all_words:
         report.words_checked += 1
         nf, trace = normal_form(OPoly.from_word(w), sys, memo=memo)
@@ -587,63 +587,69 @@ def free_dt_operator_nf(u: Word, identity: OpIdentity) -> OPoly:
     """The induced operator d on bracket-free words over derivative markers.
 
     d(z_i) raises the marker; on longer words d(u1 u2...uk) expands the
-    replacement pattern at (u1, u2...uk) with bracket slots read as recursive
-    applications of d.  The result is always bracket-free.
+    replacement pattern at (u1, u2...uk), a tower of n brackets over x or y
+    read as n applications of d.  The result is always bracket-free.  Each
+    application of d inside another takes one frame; past ``MAX_DEPTH``
+    of them, one a generator for the catalog's patterns, it raises
+    ``ResourceLimit(D_TOO_DEEP)``.
     """
     if u.is_unit:
         raise ValueError("the recursion does not define d at the unit")
     if any(isinstance(a, Word) for a in u.atoms):
         raise ValueError("d acts on bracket-free words over derivative markers")
-    for mono in identity.pattern.terms:
-        if has_unit_bracket(mono):
+    pattern = []  # (coefficient, [(x or y as 0 or 1, tower height), ...])
+    for mono, coeff in identity.pattern.terms.items():
+        if mono.has_unit_bracket:
             raise ValueError(
                 "patterns with unit-bracket terms induce no operator on "
                 f"bracket-free words (offending monomial {to_str(mono)})")
-    return _d_word(u, identity)
+        factors = []
+        for atom in mono.atoms:
+            height = 0
+            while isinstance(atom, Word):
+                if len(atom.atoms) != 1:
+                    raise NotDRF("d is defined by patterns in reduced form "
+                                 f"only (offending monomial {to_str(mono)})")
+                atom, height = atom.atoms[0], height + 1
+            factors.append((("x", "y").index(atom), height))
+        pattern.append((coeff, factors))
+    return _d(OPoly.from_word(u, ring=identity.ring), pattern, 1)
+
+
+D_TOO_DEEP = (f"the free operator nests more than {MAX_DEPTH} applications "
+              "of d: one a generator of the word, or more where the pattern "
+              "lengthens words")
 
 
 # The recursions of ``free_dt_operator_nf`` and ``delta_view`` are
 # module-level: a recursive closure would leave a reference cycle per call.
 
 
-def _d_word(w: Word, identity: OpIdentity) -> OPoly:
-    """d(w), with d(u1 u2...uk) the pattern at (u1, u2...uk)."""
-    atoms = w.atoms
-    if len(atoms) == 1:
-        return OPoly.from_word(Word((raise_order(atoms[0]),)),
-                               ring=identity.ring)
-    return _d_pattern(Word(atoms[:1]), Word(atoms[1:]), identity)
-
-
-def _d_poly(p: OPoly, identity: OpIdentity) -> OPoly:
-    """d extended linearly."""
+def _d(p: OPoly, pattern: list, level: int) -> OPoly:
+    """d extended linearly, as the ``level``-th application inside one
+    another."""
+    if level > MAX_DEPTH:
+        raise ResourceLimit(D_TOO_DEEP)
+    ring = p.ring
     out: dict = {}
     for w, c in p.terms.items():
-        _add_scaled_into(out, _d_word(w, identity).terms, c)
-    return OPoly._trusted(out, identity.ring)
-
-
-def _d_interp(word: Word, a: Word, b: Word, identity: OpIdentity) -> OPoly:
-    """A pattern monomial at (a, b), its brackets read as d."""
-    ring = identity.ring
-    out = OPoly.from_word(UNIT, ring=ring)
-    for atom in word.atoms:
-        if atom == "x":
-            factor = OPoly.from_word(a, ring=ring)
-        elif atom == "y":
-            factor = OPoly.from_word(b, ring=ring)
-        else:
-            factor = _d_poly(_d_interp(atom, a, b, identity), identity)
-        out = out * factor
-    return out
-
-
-def _d_pattern(a: Word, b: Word, identity: OpIdentity) -> OPoly:
-    """The pattern at (a, b), its brackets read as d."""
-    out: dict = {}
-    for mono, coeff in identity.pattern.terms.items():
-        _add_scaled_into(out, _d_interp(mono, a, b, identity).terms, coeff)
-    return OPoly._trusted(out, identity.ring)
+        atoms = w.atoms
+        if len(atoms) == 1:
+            _add_scaled_into(out, {Word((raise_order(atoms[0]),)): c})
+            continue
+        ab = (OPoly.from_word(Word(atoms[:1]), ring=ring),
+              OPoly.from_word(Word(atoms[1:]), ring=ring))
+        dw: dict = {}
+        for coeff, factors in pattern:
+            term = OPoly.from_word(UNIT, ring=ring)
+            for i, height in factors:
+                factor = ab[i]
+                for _ in range(height):
+                    factor = _d(factor, pattern, level + 1)
+                term = term * factor
+            _add_scaled_into(dw, term.terms, coeff)
+        _add_scaled_into(out, dw, c)
+    return OPoly._trusted(out, ring)
 
 
 def delta_view(p: OPoly) -> OPoly:

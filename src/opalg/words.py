@@ -18,7 +18,10 @@ the same job compares identities.  The table lives as long as the rewriting
 job: the last live ``rewrite.RewriteMemo`` to die empties it
 (``release_words``), and words built between jobs wait there for that.  A
 word kept past a clear still equals, and hashes like, its twin built after.
-Building a word nested past ``MAX_DEPTH`` raises
+A word's shape (its depth, ``deg``, ``leaves`` and ``has_unit_bracket``) is
+fixed when it is built, from the shapes of its atoms, so reading it walks
+nothing; shapes that depend on a rule schema are kept by
+``rewrite.RewriteMemo``.  Building a word nested past ``MAX_DEPTH`` raises
 ``ResourceLimit(TOO_NESTED)``; each walk takes one frame a level, and
 enumeration none a leaf or level.
 """
@@ -39,24 +42,45 @@ class Word:
     """An immutable bracketed word (sequence of atoms), one object per atom
     tuple while the word table holds it."""
 
-    __slots__ = ("atoms", "_hash", "_depth", "_deg", "_leaves")
+    __slots__ = ("atoms", "_hash", "_depth", "deg", "leaves",
+                 "has_unit_bracket")
 
     def __new__(cls, atoms: tuple = ()):
         w = _TABLE.get(atoms)
         if w is None:
-            depth = 0
+            depth = deg = leaves = 0
+            unit_bracket = False
             for a in atoms:
-                if not isinstance(a, str) and a._depth >= depth:
-                    depth = a._depth + 1
+                if isinstance(a, str):
+                    deg += 1
+                    leaves += 1
+                else:
+                    if a._depth >= depth:
+                        depth = a._depth + 1
+                    deg += a.deg
+                    leaves += a.leaves or 1  # [1] is a leaf
+                    unit_bracket = (unit_bracket or not a.atoms
+                                    or a.has_unit_bracket)
             if depth > MAX_DEPTH:
                 raise ResourceLimit(TOO_NESTED)
             w = _TABLE[atoms] = object.__new__(cls)
             w.atoms = atoms
             w._hash = hash(atoms)
             w._depth = depth
-            w._deg = -1
-            w._leaves = -1
+            # generator occurrences, with multiplicity
+            w.deg = deg
+            # generator occurrences plus innermost unit brackets: this
+            # dominates the breadth of every nesting level, so bounding it
+            # bounds breadth everywhere while keeping enumeration finite
+            w.leaves = leaves
+            # does some bracket, at any depth, hold the unit?
+            w.has_unit_bracket = unit_bracket
         return w
+
+    def __reduce__(self):
+        # copies and unpickled words go back through the table; the default
+        # would call ``Word.__new__(Word)``, get the unit, and overwrite it
+        return Word, (self.atoms,)
 
     # -- basic shape -------------------------------------------------------
 
@@ -68,36 +92,9 @@ class Word:
     def is_unit(self) -> bool:
         return not self.atoms
 
-    @property
-    def deg(self) -> int:
-        """Number of generator occurrences, with multiplicity."""
-        if self._deg < 0:
-            d = 0
-            for a in self.atoms:
-                d += 1 if isinstance(a, str) else a.deg
-            self._deg = d
-        return self._deg
-
     def depth(self) -> int:
         """Maximal bracket nesting."""
         return self._depth
-
-    @property
-    def leaves(self) -> int:
-        """Generator occurrences plus innermost unit brackets.
-
-        Dominates the breadth of every nesting level, so bounding it bounds
-        breadth everywhere while keeping enumeration finite.
-        """
-        if self._leaves < 0:
-            n = 0
-            for a in self.atoms:
-                if isinstance(a, str):
-                    n += 1
-                else:
-                    n += 1 if a.is_unit else a.leaves
-            self._leaves = n
-        return self._leaves
 
     # -- monoid structure ----------------------------------------------------
 
@@ -140,14 +137,6 @@ def gen_word(name: str) -> Word:
 def bracket(w: Word) -> Word:
     """The word [w] of breadth one."""
     return Word((w,))
-
-
-def has_unit_bracket(w: Word) -> bool:
-    """Does some bracket of ``w``, at any depth, hold the unit?"""
-    for a in w.atoms:
-        if isinstance(a, Word) and (a.is_unit or has_unit_bracket(a)):
-            return True
-    return False
 
 
 # -- generator sets ----------------------------------------------------------

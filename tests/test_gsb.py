@@ -4,6 +4,7 @@ import functools
 import json
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -13,16 +14,16 @@ import pytest
 from opalg import gsb
 from opalg.catalog import DT_FAMILIES, RBT_FAMILIES, named_pattern
 from opalg.coeffs import _add_scaled_into
-from opalg.gsb import (CompositionRecord, GeneratorSystem, NFCache,
-                       TruncationBound, cdl_direct_sum_check, delta_view,
-                       dt_check, free_dt_operator_nf, gsb_check_truncated,
-                       INCLUDING, INTERSECTION, irr_enumerate, is_trivial,
-                       raise_order, rbt_check)
+from opalg.gsb import (D_TOO_DEEP, CompositionRecord, GeneratorSystem,
+                       NFCache, TruncationBound, cdl_direct_sum_check,
+                       delta_view, dt_check, free_dt_operator_nf,
+                       gsb_check_truncated, INCLUDING, INTERSECTION,
+                       irr_enumerate, is_trivial, raise_order, rbt_check)
 from opalg.opoly import (DIFFERENTIAL, OPoly, OpIdentity, parse_opoly,
                          to_str_opoly)
 from opalg.ordering import GREATER, OrderConfig, order_key, random_context
-from opalg.rewrite import (NORMAL_FORM, Redex, ResourceLimit, Verdict,
-                           find_redexes, normal_form)
+from opalg.rewrite import (NORMAL_FORM, NotDRF, Redex, ResourceLimit,
+                           Verdict, find_redexes, normal_form)
 from opalg.words import (STAR, GeneratorSet, Word, enumerate_words,
                          parse, replace_generators, splice, to_str,
                          word_sort_key)
@@ -691,3 +692,10 @@ def test_free_operator_rejections():
     td_like = OpIdentity(DIFFERENTIAL, parse_opoly("x [1] y", XY))
     with pytest.raises(ValueError):
         free_dt_operator_nf(parse("z z", Z), td_like)
+    # a bracket of two atoms reads d of a word no shorter than the argument
+    with pytest.raises(NotDRF):
+        free_dt_operator_nf(parse("z z", Z), named_pattern("nijenhuis"))
+    # in reduced form, but d(z z z) needs d of z z_1 z_1, which needs d(z z z)
+    lengthening = OpIdentity(DIFFERENTIAL, parse_opoly("[[y]] + x y y", XY))
+    with pytest.raises(ResourceLimit, match=re.escape(D_TOO_DEEP)):
+        free_dt_operator_nf(parse("z z z", Z), lengthening)

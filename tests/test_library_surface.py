@@ -392,6 +392,57 @@ def test_no_module_handles_a_recursion_error():
     assert handlers == []
 
 
+def slot_writes(library):
+    """``module:line`` of each write to an attribute named in
+    ``Word.__slots__``, by assignment, ``del`` or ``setattr``, outside
+    ``Word.__new__``."""
+    slots = set(opalg.Word.__slots__)
+    writes = []
+    for module, tree in sorted(library.items()):
+        constructor = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "Word":
+                for f in node.body:
+                    if getattr(f, "name", None) == "__new__":
+                        constructor.update(map(id, ast.walk(f)))
+        for node in ast.walk(tree):
+            if id(node) in constructor:
+                continue
+            if isinstance(node, ast.Attribute):
+                written = (isinstance(node.ctx, (ast.Store, ast.Del))
+                           and node.attr in slots)
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr",
+                                                        None))
+                written = (name in ("setattr", "__setattr__", "delattr",
+                                    "__delattr__")
+                           and any(isinstance(a, ast.Constant)
+                                   and a.value in slots for a in node.args))
+            else:
+                written = False
+            if written:
+                writes.append(f"{module}:{node.lineno}")
+    return writes
+
+
+def test_a_word_is_fixed_once_built():
+    # ``Word.__new__`` sets a word's shape from its atoms' shapes, once; a
+    # later write, such as a lazily filled cache, could leave a word whose
+    # facts disagree with its twin built across a table clear
+    library, _ = load()
+    assert slot_writes(library) == []
+
+
+def test_slot_writes_are_found_outside_the_constructor():
+    library = {"words": ast.parse(
+        "class Word:\n"
+        "    def __new__(cls):\n        w.deg = 1\n"
+        "    @property\n    def leaves(self):\n        self.leaves = 2\n"),
+        "gsb": ast.parse("setattr(w, 'atoms', ())\nw.name = 1\n"
+                         "del w._hash\n")}
+    assert slot_writes(library) == ["gsb:1", "gsb:3", "words:6"]
+
+
 def test_bare_names_are_read_by_module():
     library = {"words": ast.parse("def classify_pair(a, b):\n    pass\n"),
                "gsb": ast.parse("def nf(w):\n    pass\n")}

@@ -22,8 +22,7 @@ from opalg.opoly import DIFFERENTIAL, ROTA_BAXTER, XY, OPoly, parse_opoly
 from opalg.ordering import OrderConfig
 from opalg.rewrite import (RuleSchema, find_redexes, in_reduced_form,
                            normal_form)
-from opalg.words import (GeneratorSet, enumerate_words, has_unit_bracket,
-                         parse, sample_word)
+from opalg.words import GeneratorSet, enumerate_words, parse, sample_word
 
 
 DERIVATION = named_pattern("derivation")
@@ -57,7 +56,8 @@ CALLS = {
     "find_redexes": lambda: find_redexes(NESTED, RuleSchema(DERIVATION)),
     "in_reduced_form": lambda: [in_reduced_form(NESTED, sigma)
                                 for sigma in (True, False)],
-    "has_unit_bracket": lambda: has_unit_bracket(NESTED),
+    "has_unit_bracket": lambda: parse("x [y [1]] [[x] y]",
+                                      XY).has_unit_bracket,
     "normal_form": lambda: normal_form(OPoly.from_word(NESTED),
                                        RuleSchema(DERIVATION), "li"),
     "sample_word": lambda: [sample_word(random.Random(s), ("x", "y"), 5, 3)

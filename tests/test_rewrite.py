@@ -32,10 +32,10 @@ from opalg.rewrite import (NORMAL_FORM, STEP_CAP_EXCEEDED, NotDRF, NotRBRF,
                            local_confluence_check, normal_form,
                            reduces_to_zero)
 from opalg.words import (MAX_DEPTH, STAR, TOO_NESTED, GeneratorSet, UNIT, Word,
-                         enumerate_words, has_unit_bracket, parse,
-                         replace_generators, sample_word, to_str, tokens,
-                         word_sort_key)
+                         enumerate_words, parse, replace_generators,
+                         sample_word, to_str, tokens, word_sort_key)
 from test_ordering import reference_compare
+from test_words import reference_has_unit_bracket
 
 XY = GeneratorSet(("x", "y"))
 XYZ = GeneratorSet(("x", "y", "z"))
@@ -125,13 +125,6 @@ def ref_total_brackets(w: Word) -> int:
     return n
 
 
-def ref_contains_unit_bracket(w: Word) -> bool:
-    for a in w.atoms:
-        if isinstance(a, Word) and (a.is_unit or ref_contains_unit_bracket(a)):
-            return True
-    return False
-
-
 def ref_unit_residue(w: Word, depth: int = 0) -> bool:
     for a in w.atoms:
         if isinstance(a, Word):
@@ -149,9 +142,9 @@ def test_word_shape_matches_reference_recursions(gens):
     for w in enumerate_words(gens, 4, 2):
         toks = tokens(w)
         got = (in_reduced_form(w, True), in_reduced_form(w, False),
-               has_unit_bracket(w), _unit_residue(w))
+               w.has_unit_bracket, _unit_residue(w))
         assert got == (ref_word_is_drf(w), ref_word_is_rbrf(w),
-                       ref_contains_unit_bracket(w), ref_unit_residue(w)), w
+                       reference_has_unit_bracket(w), ref_unit_residue(w)), w
         assert [t for t in toks if t != "[" and t != "]"] == \
             ref_gen_positions(w)
         assert toks.count("[") == ref_total_brackets(w)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import re
 import sys
@@ -7,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from opalg.catalog import named_pattern
 from opalg.coeffs import PolyRing, ResourceLimit
-from opalg.gsb import delta_view
-from opalg.opoly import DIFFERENTIAL, OPoly, OpIdentity
+from opalg.gsb import D_TOO_DEEP, delta_view, free_dt_operator_nf
+from opalg.opoly import DIFFERENTIAL, XY, OPoly, OpIdentity
 from opalg.ordering import OrderConfig, order_key, random_context
 from opalg.rewrite import (NotDRF, RewriteMemo, RuleSchema, find_redexes,
                            normal_form, reduces_to_zero)
@@ -26,7 +28,6 @@ from opalg.words import (
     bracket,
     enumerate_words,
     gen_word,
-    has_unit_bracket,
     parse,
     release_words,
     replace_generators,
@@ -192,8 +193,9 @@ ENTRY_POINTS = {
     "parse": lambda: parse(TOWER, G),
     "to_str": lambda: to_str(parse(TOWER, G)) == TOWER,
     "tokens": lambda: len(tokens(parse(TOWER, G))) == 2 * MAX_DEPTH + 2,
-    "has_unit_bracket": lambda: has_unit_bracket(
-        parse("[" * (MAX_DEPTH - 1) + "x [1]" + "]" * (MAX_DEPTH - 1), G)),
+    "has_unit_bracket": lambda: parse(
+        "[" * (MAX_DEPTH - 1) + "x [1]" + "]" * (MAX_DEPTH - 1),
+        G).has_unit_bracket,
     "word_sort_key": lambda: word_sort_key(parse(TOWER, G)),
     "order_key": lambda: order_key(OrderConfig(G))(parse(TOWER, G)),
     "find_redexes": lambda: len(find_redexes(parse(TOWER, G),
@@ -213,6 +215,18 @@ def test_a_max_depth_word_takes_at_most_two_frames_a_level(entry):
     # each walk and reader of a word takes at most two frames a nesting
     # level (coeffs.MAX_DEPTH), so none needs the recursion limit's help
     assert _with_headroom(2 * MAX_DEPTH + 50, ENTRY_POINTS[entry])
+
+
+@pytest.mark.parametrize("pattern, terms", [("derivation", MAX_DEPTH),
+                                             ("endomorphism", 1)])
+def test_the_free_operator_takes_one_frame_a_generator(pattern, terms):
+    word = Word(("z",) * MAX_DEPTH)
+    got = _with_headroom(MAX_DEPTH + 50, lambda: free_dt_operator_nf(
+        word, named_pattern(pattern)))
+    assert len(got.terms) == terms
+    for n in (MAX_DEPTH + 1, 260, 1200):
+        with pytest.raises(ResourceLimit, match=f"^{re.escape(D_TOO_DEEP)}$"):
+            free_dt_operator_nf(Word(("z",) * n), named_pattern(pattern))
 
 
 def test_the_coefficient_reader_takes_at_most_four_frames_a_level():
@@ -547,3 +561,136 @@ def test_splice_matches_star_word_fill(q, u, v):
     assert splice(path, u.atoms) == replace_generators(q, {STAR: u})
     # distinct words stay distinct in a fixed context
     assert (splice(path, u.atoms) == splice(path, v.atoms)) == (u == v)
+
+
+# -- shape facts against the recursive definitions --------------------------------
+
+def reference_deg(w):
+    """The generator occurrences of ``w``, counted by a walk: one frame a
+    level."""
+    d = 0
+    for a in w.atoms:
+        d += 1 if isinstance(a, str) else reference_deg(a)
+    return d
+
+
+def reference_leaves(w):
+    """The generator occurrences and innermost unit brackets of ``w``,
+    counted by a walk."""
+    n = 0
+    for a in w.atoms:
+        if isinstance(a, str):
+            n += 1
+        else:
+            n += 1 if a.is_unit else reference_leaves(a)
+    return n
+
+
+def reference_has_unit_bracket(w):
+    """Does some bracket of ``w``, at any depth, hold the unit?  A walk."""
+    for a in w.atoms:
+        if isinstance(a, Word) and (a.is_unit
+                                    or reference_has_unit_bracket(a)):
+            return True
+    return False
+
+
+def reference_depth(w):
+    depth = 0
+    for a in w.atoms:
+        if isinstance(a, Word):
+            depth = max(depth, reference_depth(a) + 1)
+    return depth
+
+
+def facts(w):
+    return w.deg, w.leaves, w.has_unit_bracket, w.depth()
+
+
+def reference_facts(w):
+    return (reference_deg(w), reference_leaves(w),
+            reference_has_unit_bracket(w), reference_depth(w))
+
+
+def test_shape_facts_match_the_walks_on_enumerated_words():
+    # unit brackets included; every fact takes more than one value
+    seen = set()
+    for w in enumerate_words(XY, 4, 2):
+        assert facts(w) == reference_facts(w), w
+        seen.update(enumerate(facts(w)))
+    assert {(2, True), (2, False)} <= seen
+    assert len({v for i, v in seen if i == 0}) == 5
+
+
+@settings(max_examples=200, deadline=None)
+@given(word_strategy(max_leaves=6, max_depth=4))
+def test_shape_facts_match_the_walks_on_sampled_words(w):
+    assert facts(w) == reference_facts(w)
+
+
+PARSED = ["1", "[1]", "[[1]]", "x [1] y", "[x [1]] y [x y [z]]",
+          "[[x] [y [[1]]]]",
+          "[" * (MAX_DEPTH - 1) + "x [1] y" + "]" * (MAX_DEPTH - 1),
+          "[" * MAX_DEPTH + "x" + "]" * MAX_DEPTH + " y z"]
+
+
+@pytest.mark.parametrize("text", PARSED, ids=range(len(PARSED)))
+def test_shape_facts_match_the_walks_on_parsed_texts(text):
+    # the two towers are MAX_DEPTH deep
+    w = parse(text, G)
+    assert facts(w) == reference_facts(w)
+    assert all(facts(a) == reference_facts(a)
+               for a in w.atoms if isinstance(a, Word))
+
+
+def test_shape_facts_match_the_walks_on_spliced_and_rewritten_words():
+    rng = random.Random(3)
+    for _ in range(200):
+        path = random_context(rng, G, 4, 3)
+        u = sample_word(rng, G, 3, 2)
+        for w in (splice(path, u.atoms), splice(path, ()),
+                  splice(path, (STAR,))):
+            assert facts(w) == reference_facts(w), w
+    for spec in ("derivation", "weight:lam", "td"):
+        schema = RuleSchema(named_pattern(spec))
+        for text in ("[x [1] [y z]] [[1] x]", "[[x y] [1] z]"):
+            nf, trace = normal_form(OPoly.from_word(parse(text, G)), schema)
+            met = list(nf.terms) + trace.monomials
+            met += [m for s in trace.steps for m in (s.a, s.b)]
+            assert len(met) > 2
+            for w in met:
+                assert facts(w) == reference_facts(w), (spec, w)
+
+
+def test_twins_across_a_table_clear_carry_equal_facts():
+    texts = ["[x [1]] y [x y [z]]", "[[1]]", "z [[x] [y [[1]]]]"]
+    before = [parse(t, G) for t in texts]
+    release_words()
+    after = [parse(t, G) for t in texts]
+    for b, a in zip(before, after):
+        assert a is not b and a == b
+        assert facts(a) == facts(b) == reference_facts(a)
+
+
+# -- copies -----------------------------------------------------------------------
+
+@pytest.mark.parametrize("copier", [
+    copy.copy, copy.deepcopy, lambda w: pickle.loads(pickle.dumps(w))],
+    ids=["copy", "deepcopy", "pickle"])
+@pytest.mark.parametrize("text", ["x [y]", "x x", "[x [1]] y", "1"])
+def test_a_copied_word_equals_the_original_and_leaves_the_unit_alone(
+        copier, text):
+    w = parse(text, XY)
+    got = copier(w)
+    assert got == w and facts(got) == facts(w)
+    assert UNIT.atoms == () and Word(()).atoms == ()
+    assert UNIT.deg == UNIT.leaves == 0 and not UNIT.has_unit_bracket
+
+
+def test_deep_copying_a_polynomial_leaves_its_words_intact():
+    p = OPoly.from_word(parse("x [y [1]]", XY)) + OPoly.from_word(
+        parse("[x] y", XY))
+    q = copy.deepcopy(p)
+    assert q == p
+    assert [to_str(w) for w in q.terms] == ["x [y [1]]", "[x] y"]
+    assert UNIT.atoms == () and Word(()).atoms == ()
