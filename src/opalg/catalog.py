@@ -50,7 +50,8 @@ class Family:
     def membership(self, pattern: OPoly):
         """Parameter values realizing ``pattern`` in this family, else None.
 
-        ``pattern`` must be numeric (Fraction coefficients) over x, y.
+        ``pattern`` must be numeric (rational coefficients, each an ``int``
+        when integral and a ``Fraction`` otherwise) over x, y.
         """
         ident = self.identity()
         if not self.params:
@@ -63,7 +64,7 @@ class Family:
         eqs = []
         for w in support:
             fam_c = ident.pattern.terms.get(w, ring.zero())
-            val = pattern.terms.get(w, Fraction(0))
+            val = pattern.terms.get(w, 0)
             eqs.append(fam_c - ring.const(val))
         eqs.extend(ident.constraints)
         for comp in solve_components(eqs, ring):

@@ -2,7 +2,11 @@
 
 Coefficient rings for operator identities: parameters such as weights or the
 entries of an ansatz live here.  Terms are stored as a dict from exponent
-tuples to nonzero ``Fraction`` values; all arithmetic is exact.
+tuples to nonzero exact rationals; all arithmetic is exact.  A rational
+coefficient, here and in ``OPoly``, has one form (``rational``): an ``int``
+when it is integral, a ``Fraction`` otherwise.  Both compare and hash equal
+to the ``Fraction`` of the same value.  Two ints meet ``/`` only in
+``reciprocal``, the one inversion, so no coefficient becomes a float.
 ``ResourceLimit``, the exception of every cap, and the nesting cap are
 defined here because each module that can hit a cap imports this one.
 """
@@ -14,10 +18,27 @@ import sys
 from fractions import Fraction
 
 
+def rational(c):
+    """``c`` as an exact rational in its one form: an ``int`` when it is
+    integral, else a ``Fraction``."""
+    if type(c) is not int:
+        c = Fraction(c)
+        if c.denominator == 1:
+            return c.numerator
+    return c
+
+
+def reciprocal(c):
+    """``1 / c`` for a nonzero rational ``c``, in the form of ``rational``:
+    the one inversion of a coefficient."""
+    return rational(Fraction(1, c))
+
+
 def _add_scaled_into(acc: dict, terms: dict, c=None) -> None:
     """Add ``c * terms`` (``terms`` if ``c`` is None) into ``acc`` in place:
     the one accumulation path of ``MPoly`` and ``OPoly``.  All coefficients
-    lie in one ring; a vanishing sum is dropped, a new monomial appended."""
+    lie in one ring; each is stored in the form of ``rational``, a vanishing
+    sum is dropped, a new monomial appended."""
     for m, cc in terms.items():
         if c is not None:
             cc = cc * c
@@ -25,6 +46,8 @@ def _add_scaled_into(acc: dict, terms: dict, c=None) -> None:
         if s is not None:
             cc = s + cc
         if cc:
+            if type(cc) is Fraction and cc.denominator == 1:
+                cc = cc.numerator
             acc[m] = cc
         else:
             acc.pop(m, None)
@@ -62,17 +85,17 @@ class PolyRing:
         return self.const(1)
 
     def const(self, c) -> "MPoly":
-        c = Fraction(c)
+        c = rational(c)
         return MPoly(self, {} if c == 0 else {(0,) * self.nvars: c})
 
     def var(self, name: str) -> "MPoly":
         i = self.index[name]
         e = [0] * self.nvars
         e[i] = 1
-        return MPoly(self, {tuple(e): Fraction(1)})
+        return MPoly(self, {tuple(e): 1})
 
     def monomial(self, exps, coeff=1) -> "MPoly":
-        coeff = Fraction(coeff)
+        coeff = rational(coeff)
         return MPoly(self, {} if coeff == 0 else {tuple(exps): coeff})
 
     def parse(self, text: str) -> "MPoly":
@@ -89,7 +112,8 @@ class PolyRing:
 
 
 class MPoly:
-    """A polynomial: dict from exponent tuples to nonzero Fractions."""
+    """A polynomial: dict from exponent tuples to nonzero rationals, each an
+    ``int`` when integral and a ``Fraction`` otherwise (``rational``)."""
 
     __slots__ = ("ring", "terms")
 
@@ -108,10 +132,10 @@ class MPoly:
         z = (0,) * self.ring.nvars
         return all(e == z for e in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self):
         if not self.is_constant:
             raise ValueError(f"not a constant: {self}")
-        return next(iter(self.terms.values()), Fraction(0))
+        return next(iter(self.terms.values()), 0)
 
     def degree_in(self, name: str) -> int:
         i = self.ring.index[name]
@@ -180,8 +204,9 @@ class MPoly:
             return NotImplemented
         if not other.is_constant or other.is_zero:
             raise ValueError("can only divide by a nonzero constant")
-        inv = 1 / other.constant_value()
-        return MPoly(self.ring, {e: c * inv for e, c in self.terms.items()})
+        terms: dict = {}
+        _add_scaled_into(terms, self.terms, reciprocal(other.constant_value()))
+        return MPoly(self.ring, terms)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -231,16 +256,17 @@ class MPoly:
             _add_scaled_into(out, term)
         return MPoly(ring, out)
 
-    def evaluate(self, point: dict) -> Fraction:
-        """Evaluate at a full rational point {name: value}."""
-        total = Fraction(0)
+    def evaluate(self, point: dict):
+        """Evaluate at a full rational point {name: value}, in the form of
+        ``rational``."""
+        total = 0
         for e, c in self.terms.items():
             v = c
             for i, k in enumerate(e):
                 if k:
-                    v *= Fraction(point[self.ring.vars[i]]) ** k
+                    v *= rational(point[self.ring.vars[i]]) ** k
             total += v
-        return total
+        return rational(total)
 
     # -- monomial content ----------------------------------------------------------
 

@@ -6,7 +6,7 @@ tuple order: ``solve`` reads its components off a triangular lex basis.
 
 from __future__ import annotations
 
-from .coeffs import MPoly, PolyRing, _add_scaled_into
+from .coeffs import MPoly, PolyRing, _add_scaled_into, reciprocal
 
 
 def leading_exps(p: MPoly) -> tuple:
@@ -29,17 +29,17 @@ def nf_mod_ideal(p: MPoly, basis) -> MPoly:
     for g in basis:
         if not g.is_zero:
             lm = leading_exps(g)
-            lms.append((lm, g.terms[lm], g.terms))
+            lms.append((lm, reciprocal(g.terms[lm]), g.terms))
     out = {}
     work = dict(p.terms)
     while work:
         t = max(work)
         c = work[t]
-        for lm, lc, g in lms:
+        for lm, inv, g in lms:
             if _divides(lm, t):
                 q = _quotient(t, lm)
                 _add_scaled_into(work, {tuple(a + b for a, b in zip(e, q)): cg
-                                        for e, cg in g.items()}, -c / lc)
+                                        for e, cg in g.items()}, -c * inv)
                 break
         else:
             out[t] = c
@@ -51,8 +51,8 @@ def s_polynomial(f: MPoly, g: MPoly) -> MPoly:
     ef, eg = leading_exps(f), leading_exps(g)
     lcm = tuple(max(a, b) for a, b in zip(ef, eg))
     ring = f.ring
-    mf = ring.monomial(_quotient(lcm, ef), 1 / f.terms[ef])
-    mg = ring.monomial(_quotient(lcm, eg), 1 / g.terms[eg])
+    mf = ring.monomial(_quotient(lcm, ef), reciprocal(f.terms[ef]))
+    mg = ring.monomial(_quotient(lcm, eg), reciprocal(g.terms[eg]))
     return f * mf - g * mg
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .coeffs import (MPoly, ParseError, PolyRing, Tokens, _add_scaled_into,
-                     parse_atomic)
+                     parse_atomic, rational)
 from .ordering import OrderConfig, order_key
 from .words import (
     UNIT,
@@ -29,7 +29,9 @@ from .words import (
 
 
 class OPoly:
-    """dict from Word to nonzero coefficient (Fraction, or MPoly when ring set)."""
+    """dict from Word to nonzero coefficient: an exact rational when no ring
+    is set, an ``int`` when integral and a ``Fraction`` otherwise
+    (``coeffs.rational``); an ``MPoly`` of the ring when one is."""
 
     __slots__ = ("ring", "terms")
 
@@ -54,11 +56,9 @@ class OPoly:
 
     def _coeff(self, c):
         if self.ring is None:
-            if type(c) is Fraction:
-                return c
             if isinstance(c, MPoly):
                 raise ValueError("symbolic coefficient in a numeric polynomial")
-            return Fraction(c)
+            return rational(c)
         if isinstance(c, MPoly):
             if c.ring != self.ring:
                 raise ValueError("mixed coefficient rings")
@@ -128,8 +128,9 @@ class OPoly:
         c = self._coeff(c)
         if not c:
             return OPoly.zero(self.ring)
-        return OPoly._trusted({w: cc * c for w, cc in self.terms.items()},
-                              self.ring)
+        out: dict = {}
+        _add_scaled_into(out, self.terms, c)
+        return OPoly._trusted(out, self.ring)
 
     def __eq__(self, other):
         return (isinstance(other, OPoly) and self.ring == other.ring
@@ -254,7 +255,7 @@ def _parse_term(ts: Tokens, gens: GeneratorSet, ring: PolyRing, total: dict,
     kind, _, at = ts.peek()
     if kind in _TERM_END:
         raise ParseError("missing term", at)
-    coeff = Fraction(1) if ring is None else ring.one()
+    coeff = 1 if ring is None else ring.one()
     while True:
         kind, tok, at = ts.peek()
         if kind == "num":
@@ -282,18 +283,18 @@ def _parse_term(ts: Tokens, gens: GeneratorSet, ring: PolyRing, total: dict,
     _add_scaled_into(total, inner, coeff * sign)
 
 
-def _parse_number(ts: Tokens) -> Fraction:
-    """An integer or ``n/d``, ``d`` nonzero."""
+def _parse_number(ts: Tokens):
+    """An integer or ``n/d``, ``d`` nonzero, in the form of ``rational``."""
     num = int(ts.take()[1])
     if ts.peek()[0] != "/":
-        return Fraction(num)
+        return num
     ts.take()
     kind, den, at = ts.take()
     if kind != "num":
         raise ParseError("expected a denominator", at)
     if not int(den):
         raise ParseError("zero denominator", at)
-    return Fraction(num, int(den))
+    return rational(Fraction(num, int(den)))
 
 
 def _group_holds_words(ts: Tokens, gens: GeneratorSet) -> bool:

@@ -31,7 +31,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffs import MPoly, PolyRing, ResourceLimit
+from .coeffs import (MPoly, PolyRing, ResourceLimit, _add_scaled_into,
+                     reciprocal)
 from .groebner import buchberger, nf_mod_ideal
 
 DEFAULT_POOL = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
@@ -124,8 +125,9 @@ def _find_pin(g, ring):
         else:
             a = coeff.get((0,) * ring.nvars)
             if a is not None and len(coeff) == 1:
-                inv = 1 / -a
-                return name, MPoly(ring, {e: c * inv for e, c in rest.items()})
+                value: dict = {}
+                _add_scaled_into(value, rest, -reciprocal(a))
+                return name, MPoly(ring, value)
     return None
 
 

@@ -17,6 +17,12 @@ R = PolyRing(["a", "b", "c"])
 a, b, c = R.var("a"), R.var("b"), R.var("c")
 
 
+def is_rational(c) -> bool:
+    """Whether ``c`` is an exact rational in its one form: an ``int`` when
+    integral, a ``Fraction`` with denominator > 1 otherwise, never a float."""
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
 def test_ring_basics():
     assert R.zero().is_zero
     assert R.one().constant_value() == 1
@@ -96,7 +102,7 @@ def test_subs_agrees_with_evaluate(seed):
             assignment[name] = _random_mpoly(rng, rng.randrange(0, 3), max_exp=2)
     q = p.subs(assignment)
     assert q == _subs_reference(p, assignment)
-    assert all(type(v) is Fraction and v != 0 for v in q.terms.values())
+    assert all(is_rational(v) and v != 0 for v in q.terms.values())
     for _ in range(3):
         point = {n: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for n in R.vars}
         inner = {n: v.evaluate(point) if isinstance(v, MPoly) else Fraction(v)

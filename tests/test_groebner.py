@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opalg.coeffs import PolyRing
+from opalg.coeffs import MPoly, PolyRing
 from opalg.groebner import buchberger, leading_exps, nf_mod_ideal, s_polynomial
-
+from opalg.solve import _find_pin
+from test_coeffs import is_rational
 
 
 def in_ideal(p, basis) -> bool:
@@ -182,6 +183,51 @@ def test_nf_matches_division_reference(seed):
     if gb is not gens:
         elt = sum((_random_poly3(rng, 2, 1) * g for g in gens), R3.zero())
         assert nf_mod_ideal(elt, gb).is_zero
+
+
+def _int_poly(rng, nterms, vars_=(0, 1)):
+    """A nonzero polynomial of ``R`` with small ``int`` coefficients in the
+    variables of the given indices."""
+    terms = {}
+    for _ in range(nterms):
+        e = [0, 0]
+        for i in vars_:
+            e[i] = rng.randint(0, 2)
+        terms[tuple(e)] = rng.choice((1, -1, 2, -2, 3, -3))
+    return MPoly(R, terms)
+
+
+def _exact_divisions(f, g, h, d):
+    """The variable ``_find_pin`` pins in h, which is linear in x with a
+    constant coefficient, and the polynomials of every coefficient inversion
+    on f, g, h and a nonzero rational d, in order."""
+    name, value = _find_pin(h, R)
+    return name, [f / d, f / f.terms[leading_exps(f)], nf_mod_ideal(h, [f, g]),
+                  s_polynomial(f, g), *buchberger([f, g], R), value]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1))
+def test_division_is_exact_on_integer_coefficients(seed):
+    # ints as coefficients give, term for term, what the same values as
+    # Fractions give, in the one form of a rational, and neither input gives
+    # a float: the Fraction inputs are built raw, so a term no step touches
+    # keeps its integral Fraction
+    rng = random.Random(seed)
+    f, g = _int_poly(rng, rng.randint(1, 3)), _int_poly(rng, rng.randint(1, 3))
+    h = _int_poly(rng, rng.randint(0, 3), vars_=(1,)) + \
+        R.monomial((1, 0), rng.choice((2, -3, 4)))
+    d = rng.choice((2, -3, 6))
+    got = _exact_divisions(f, g, h, d)
+    want = _exact_divisions(
+        *(MPoly(R, {e: Fraction(c) for e, c in p.terms.items()})
+          for p in (f, g, h)), Fraction(d))
+    assert got[0] == want[0] == "x"
+    assert len(got[1]) == len(want[1])
+    for p, q in zip(got[1], want[1]):
+        assert list(p.terms.items()) == list(q.terms.items())
+        assert all(map(is_rational, p.terms.values()))
+        assert all(type(c) in (int, Fraction) for c in q.terms.values())
 
 
 def test_inconsistent_system():

@@ -443,6 +443,45 @@ def test_slot_writes_are_found_outside_the_constructor():
     assert slot_writes(library) == ["gsb:1", "gsb:3", "words:6"]
 
 
+def literal_divisions(library):
+    """``module:line`` of each ``/`` whose left operand is a numeric literal
+    or a unary minus: the ``1 / c`` and ``-c / lc`` shapes, in which two
+    ints make a float."""
+    found = []
+    for module, tree in sorted(library.items()):
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.BinOp)
+                    and isinstance(node.op, ast.Div)):
+                continue
+            left = node.left
+            if (isinstance(left, ast.UnaryOp) and isinstance(left.op, ast.USub)
+                    or isinstance(left, ast.Constant)
+                    and type(left.value) in (int, float)):
+                found.append((module, node.lineno))
+    return [f"{module}:{line}" for module, line in sorted(found)]
+
+
+def test_coefficients_are_inverted_only_by_reciprocal():
+    # an integral coefficient is an ``int`` (``coeffs.rational``), and
+    # ``1 / 2`` is a float: ``coeffs.reciprocal`` is the one exact inversion
+    library, _ = load()
+    assert literal_divisions(library) == []
+
+
+def test_literal_divisions_are_found():
+    library = {"groebner": ast.parse(
+        "inv = 1 / p.constant_value()\n"
+        "m = add(w, -c / lc)\n"
+        "mf = monomial(q, 1 / f.terms[ef])\n"
+        "inv = 1 / -a\n"
+        "r = r / r.terms[max(r.terms)]\n"
+        "p = p / q\n"
+        "v = Fraction(1, c)\n"
+        "share = 0.5 / n\n")}
+    assert literal_divisions(library) == [
+        "groebner:1", "groebner:2", "groebner:3", "groebner:4", "groebner:8"]
+
+
 def test_bare_names_are_read_by_module():
     library = {"words": ast.parse("def classify_pair(a, b):\n    pass\n"),
                "gsb": ast.parse("def nf(w):\n    pass\n")}

@@ -18,6 +18,7 @@ from opalg.ordering import OrderConfig, order_key
 from opalg.rewrite import RuleSchema
 from opalg.words import (UNIT, ParseError, Word, bracket, parse, sample_word,
                          splice, to_str)
+from test_coeffs import is_rational
 
 PURE = OrderConfig(XY, "purelex")
 DLL = OrderConfig(XY, "deglenlex")
@@ -133,9 +134,10 @@ def _ref_expand(word, values):
 def _assert_canonical(q, ring):
     for c in q.terms.values():
         if ring is None:
-            assert type(c) is Fraction
+            assert is_rational(c)
         else:
             assert isinstance(c, MPoly) and c.ring == ring
+            assert all(map(is_rational, c.terms.values()))
         assert c != 0
 
 

@@ -16,7 +16,7 @@ import opalg.rewrite
 import opalg.words
 from opalg.catalog import FAMILIES, named_pattern
 from opalg.classify import _unit_residue, build_ansatz, extract_constraints
-from opalg.coeffs import _add_scaled_into
+from opalg.coeffs import MPoly, _add_scaled_into
 from opalg.gsb import (U_WORD, V_WORD, W_WORD, GeneratorSystem,
                        TruncationBound, associativity_defect,
                        cdl_direct_sum_check, dt_check, gsb_check_truncated,
@@ -34,6 +34,7 @@ from opalg.rewrite import (NORMAL_FORM, STEP_CAP_EXCEEDED, NotDRF, NotRBRF,
 from opalg.words import (MAX_DEPTH, STAR, TOO_NESTED, GeneratorSet, UNIT, Word,
                          enumerate_words, parse, replace_generators,
                          sample_word, to_str, tokens, word_sort_key)
+from test_coeffs import is_rational
 from test_ordering import reference_compare
 from test_words import reference_has_unit_bracket
 
@@ -341,9 +342,14 @@ def reference_replacement(schema: RuleSchema, redex) -> OPoly:
 
 def ordered_terms(p: OPoly) -> list:
     """The terms of ``p`` in order, symbolic coefficients with their own
-    term order."""
-    return [(w, c if isinstance(c, Fraction) else list(c.terms.items()))
-            for w, c in p.terms.items()]
+    term order; a numeric coefficient ``c`` is the one term ``((), c)``.
+    Every rational must be in its one form."""
+    out = []
+    for w, c in p.terms.items():
+        terms = c.terms if isinstance(c, MPoly) else {(): c}
+        assert all(map(is_rational, terms.values()))
+        out.append((w, list(terms.items())))
+    return out
 
 
 ORACLE_SCHEMAS = {
