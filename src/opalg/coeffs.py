@@ -331,10 +331,11 @@ class ResourceLimit(RuntimeError):
 
 
 # Levels of brackets and parentheses a text (``Tokens``) or a word (``Word``)
-# may nest.  A word's depth, ``deg``, ``leaves`` and ``has_unit_bracket`` are
-# set when it is built, from those of its atoms, so reading them walks
-# nothing.  Frames a level: reading a word and walking one (``to_str``,
-# ``tokens``, ``replace_generators``, redexes, ``order_key``) 1;
+# may nest.  A word's depth, ``deg``, ``leaves``, ``has_unit_bracket`` and
+# redex flags are set when it is built, from those of its atoms, so reading
+# them walks nothing.  Frames a level: reading a word and walking one
+# (``to_str``, ``tokens``, ``replace_generators``, ``plan``, ``fill``,
+# ``find_redexes``, ``order_key``) 1; finding a first redex 0;
 # ``delta_view`` and parentheses around words 2; ``==`` of twins built
 # across a word-table clear 3; parentheses around coefficients 4.
 # ``gsb.free_dt_operator_nf`` nests at most ``MAX_DEPTH`` applications of d,

@@ -22,13 +22,14 @@ import random
 import re
 
 from .coeffs import MAX_DEPTH, _add_scaled_into
-from .opoly import DIFFERENTIAL, OPoly, OpIdentity, ROTA_BAXTER, to_str_opoly
+from .opoly import (DIFFERENTIAL, XY, OPoly, OpIdentity, ROTA_BAXTER,
+                    to_str_opoly)
 from .ordering import OrderConfig, random_context
 from .rewrite import (NORMAL_FORM, NotDRF, NotRBRF, NotTotallyLinear, Redex,
                       ResourceLimit, RewriteMemo, RuleSchema, Verdict,
                       find_redexes, normal_form, reduces_to_zero)
 from .words import (GeneratorSet, UNIT, Word, bracket, enumerate_words,
-                    replace_generators, splice, to_str)
+                    fill, plan, splice, to_str)
 
 BOUND_GEN_NAMES = ("u", "v", "w", "p", "q", "r", "s", "t")
 
@@ -510,11 +511,11 @@ def associativity_defect(identity: OpIdentity, u: Word, v: Word,
 def _nest(identity: OpIdentity, p: OPoly, slot: str, other: Word) -> OPoly:
     """M with ``p`` in generator slot ``slot`` and ``other`` in the other."""
     out: dict = {}
-    other_slot = "y" if slot == "x" else "x"
     for m, c in identity.pattern.terms.items():
+        parts = plan(m, XY.names)
         for word, cp in p.terms.items():
-            _add_scaled_into(out, {replace_generators(
-                m, {slot: word, other_slot: other}): cp}, c)
+            values = (word, other) if slot == "x" else (other, word)
+            _add_scaled_into(out, {Word(fill(parts, values)): cp}, c)
     return OPoly._trusted(out, identity.ring)
 
 

@@ -10,13 +10,17 @@ at ``peak_cap`` peaks, and ``normal_form(monitor=True)`` records every step
 that does not descend in the configured order.
 
 A redex carries its context as a star path (see ``words``), whose hole the
-matched atoms fill.  One walk of a word yields its redexes in
-leftmost-outermost (``lo``) or leftmost-innermost (``li``) order without
-building any word; a replacement word is built by one ``words.splice`` of
-the instantiated pattern monomial along the path, flat for a sigma rule and
+matched atoms fill.  Whether a word holds a redex of either family is one of
+its redex flags (see ``words``), so ``in_reduced_form`` reads it, and a
+rule's replacement must carry no redex of its own family.  The walk to a
+word's first redex, leftmost-outermost (``lo``) or leftmost-innermost
+(``li``), is a loop that descends only into flagged atoms, and the walk
+that lists every redex enters no other; neither builds a word but the
+redex's arguments.  A schema compiles each pattern monomial once
+(``words.plan``); a replacement word is its ``words.fill`` at (a, b),
+spliced along the path by one ``words.splice``, flat for a sigma rule and
 bracketed for a pi rule, and ``Redex.context`` splices ``STAR`` there to
-print the context.  The same walk decides reduced form (``in_reduced_form``):
-a rule's replacement must carry no redex of its own family.
+print the context.
 
 ``normal_form`` takes each step's monomial from a max-heap of reducible
 words instead of re-sorting the polynomial.  Every rewrite step, of the
@@ -26,8 +30,8 @@ modulo the constraint ideal.  A trace records each step's monomial, redex
 and coefficient, and builds its ``TraceStep`` records, contexts included,
 only when ``steps`` is read.
 
-``RewriteMemo`` is the one cache of word facts: each word's first redex
-(or ``None``) and order key for the strategy path, and the replacements of
+``RewriteMemo`` is the one cache of word facts: each reducible word's first
+redex and each word's order key for the strategy path, and the replacements of
 all its redexes for the search, which alone asks for them.  One memo serves
 one rewriting job and dies when the job returns: a ``normal_form`` call
 unless its caller passes one, a ``reduces_to_zero`` call (its strategy path
@@ -39,21 +43,22 @@ While a memo lives, equal words are one object (see ``words``), so its
 dicts, the term dicts and the heap meet them by identity; the last live memo
 to die empties the word table, and a memo the caller keeps keeps it alive.
 A step that builds a word nested past ``coeffs.MAX_DEPTH`` raises
-``ResourceLimit(TOO_NESTED)``; the redex walk takes one frame a level, so
-no rewrite meets the recursion limit.
+``ResourceLimit(TOO_NESTED)``; listing redexes takes one frame a level and
+finding a first redex none, so no rewrite meets the recursion limit.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import namedtuple
+from operator import attrgetter
 
 from .coeffs import ResourceLimit, _add_scaled_into
 from .groebner import buchberger, nf_mod_ideal
-from .opoly import DIFFERENTIAL, OPoly, OpIdentity, to_str_opoly
+from .opoly import DIFFERENTIAL, XY, OPoly, OpIdentity, to_str_opoly
 from .ordering import OrderConfig, order_key
-from .words import (STAR, Word, enumerate_words, release_words,
-                    replace_generators, splice, to_str, tokens, word_sort_key)
+from .words import (STAR, Word, enumerate_words, fill, plan, release_words,
+                    splice, to_str, tokens, word_sort_key)
 
 
 class NotTotallyLinear(ValueError):
@@ -70,13 +75,17 @@ class NotRBRF(ValueError):
 
 # -- pattern shape predicates -------------------------------------------------------
 
+# the redex flag of the sigma (True) and pi (False) rule family: a sigma
+# redex sits exactly at a bracketed product and a pi redex at two adjacent
+# brackets
+_HOLDS_REDEX = {True: attrgetter("has_bracketed_product"),
+                False: attrgetter("has_adjacent_brackets")}
+
 
 def in_reduced_form(w: Word, sigma: bool) -> bool:
-    """``w`` has no redex of the sigma (``sigma``) or pi rule family.  A
-    sigma redex sits exactly at a bracketed product and a pi redex at two
-    adjacent brackets, so this is the reduced form a replacement of the
-    family must have."""
-    return next(_redexes(w, sigma, False), None) is None
+    """``w`` has no redex of the sigma (``sigma``) or pi rule family: the
+    reduced form a replacement of the family must have."""
+    return not _HOLDS_REDEX[sigma](w)
 
 
 def is_totally_linear(p: OPoly) -> bool:
@@ -99,9 +108,10 @@ def is_rbrf(p: OPoly) -> bool:
 
 class RuleSchema:
     """A sigma or pi rule family derived from one operator identity; its
-    pattern must be totally linear and in the family's reduced form."""
+    pattern must be totally linear and in the family's reduced form.  Each
+    pattern monomial is compiled once, into a ``words.plan`` in x and y."""
 
-    __slots__ = ("kind", "identity", "order", "constraint_gb")
+    __slots__ = ("kind", "identity", "order", "constraint_gb", "plans")
 
     def __init__(self, identity: OpIdentity, order: OrderConfig = None):
         self.kind = "sigma" if identity.kind == DIFFERENTIAL else "pi"
@@ -117,6 +127,8 @@ class RuleSchema:
                           f"{to_str_opoly(pattern)}")
         self.identity = identity
         self.order = order
+        self.plans = tuple((plan(m, XY.names), c)
+                           for m, c in pattern.terms.items())
         if identity.constraints:
             self.constraint_gb = buchberger(list(identity.constraints),
                                             identity.ring)
@@ -125,17 +137,18 @@ class RuleSchema:
 
     def replacement(self, redex: Redex) -> OPoly:
         """The rule's right-hand side at ``redex``, placed in its context:
-        each pattern monomial, instantiated at (a, b), is spliced along the
-        redex's path, flat for sigma and bracketed for pi.  Splicing into a
-        fixed path is injective, so the terms merge exactly as those of
-        ``pattern_at(a, b)`` do and keep their order."""
-        mapping = {"x": redex.a, "y": redex.b}
+        each pattern monomial's plan, filled at (a, b), is spliced along
+        the redex's path, flat for sigma and bracketed for pi.  Splicing
+        into a fixed path is injective, so the terms merge exactly as those
+        of ``pattern_at(a, b)`` do and keep their order."""
+        values = (redex.a, redex.b)
         path = redex.path
         sigma = self.kind == "sigma"
         out: dict = {}
-        for m, c in self.identity.pattern.terms.items():
-            m = replace_generators(m, mapping)
-            _add_scaled_into(out, {splice(path, m.atoms if sigma else (m,)): c})
+        for parts, c in self.plans:
+            atoms = fill(parts, values)
+            _add_scaled_into(out, {splice(path, atoms if sigma
+                                          else (Word(atoms),)): c})
         return OPoly._trusted(out, self.identity.ring)
 
     def normalize(self, p: OPoly) -> OPoly:
@@ -165,33 +178,65 @@ class Redex(namedtuple("Redex", ["path", "a", "b"])):
         return splice(self.path, (STAR,))
 
 
-def _redexes(word: Word, sigma: bool, inner_first: bool, path: tuple = ()):
-    """The redexes of the sigma (``sigma``) or pi rule family inside
+def _redexes_into(word: Word, sigma: bool, path: tuple, out: list) -> None:
+    """Append the redexes of the sigma (``sigma``) or pi rule family inside
     ``word``, which ``path`` leads to, leftmost-outermost first (a bracket's
-    content splits shortest left part first), or leftmost-innermost first
-    when ``inner_first``; lazily, so a caller may stop at the first.  A
-    module-level recursion: a recursive closure would leave a reference
-    cycle per call for the cyclic collector."""
+    content splits shortest left part first), entering only the brackets
+    whose redex flag is set.  A module-level recursion: a recursive closure
+    would leave a reference cycle per call for the cyclic collector."""
+    holds = _HOLDS_REDEX[sigma]
     atoms = word.atoms
     for i, a in enumerate(atoms):
         if not isinstance(a, Word):
             continue
         inside = path + ((atoms[:i], atoms[i + 1:]),)
-        if inner_first:
-            yield from _redexes(a, sigma, inner_first, inside)
         if sigma:
             content = a.atoms
             for j in range(1, len(content)):
-                yield Redex(inside, Word(content[:j]), Word(content[j:]))
+                out.append(Redex(inside, Word(content[:j]), Word(content[j:])))
         elif i + 1 < len(atoms) and isinstance(atoms[i + 1], Word):
-            yield Redex(path + ((atoms[:i], atoms[i + 2:]),), a, atoms[i + 1])
-        if not inner_first:
-            yield from _redexes(a, sigma, inner_first, inside)
+            out.append(Redex(path + ((atoms[:i], atoms[i + 2:]),), a,
+                             atoms[i + 1]))
+        if holds(a):
+            _redexes_into(a, sigma, inside, out)
 
 
 def find_redexes(w: Word, schema: RuleSchema) -> list:
     """All schema matches in ``w``, leftmost-outermost first."""
-    return list(_redexes(w, schema.kind == "sigma", False))
+    out = []
+    _redexes_into(w, schema.kind == "sigma", (), out)
+    return out
+
+
+def _first_redex(w: Word, sigma: bool, inner_first: bool):
+    """The first redex of ``w`` in ``find_redexes`` order, or the
+    leftmost-innermost one when ``inner_first``; ``None`` when there is
+    none.  A loop down the path: at each level the first bracket that holds
+    a redex or forms one is where the first redex is, and the walk descends
+    into it only when it holds one, which comes first under ``li`` or when
+    it forms none."""
+    holds = _HOLDS_REDEX[sigma]
+    path = ()
+    while True:
+        atoms = w.atoms
+        for i, a in enumerate(atoms):
+            if not isinstance(a, Word):
+                continue
+            deeper = holds(a)
+            if not (deeper and inner_first):
+                if sigma:
+                    if len(a.atoms) > 1:
+                        return Redex(path + ((atoms[:i], atoms[i + 1:]),),
+                                     Word(a.atoms[:1]), Word(a.atoms[1:]))
+                elif i + 1 < len(atoms) and isinstance(atoms[i + 1], Word):
+                    return Redex(path + ((atoms[:i], atoms[i + 2:]),), a,
+                                 atoms[i + 1])
+            if deeper:
+                path += ((atoms[:i], atoms[i + 1:]),)
+                w = a
+                break
+        else:
+            return None
 
 
 # -- traces -------------------------------------------------------------------------
@@ -226,20 +271,20 @@ class ReductionTrace:
         return len(self.monomials)
 
 
-_UNSEEN = object()  # a word missing from a ``RewriteMemo``
-
 _live_memos = 0  # the word table is emptied when this returns to 0
 
 
 class RewriteMemo:
-    """Each word's strategy-first redex (or ``None``), order key
-    (``word_sort_key`` when the schema has no order) and, when asked, the
-    replacements of all its redexes, for one schema under one strategy.
-    They depend on nothing else, so one memo may serve a whole rewriting
-    job; it keeps every word the job met until it is dropped, and the last
-    live memo to die empties the word table."""
+    """Each reducible word's strategy-first redex and, when asked, the
+    replacements of all its redexes, for one schema under one strategy, and
+    the order key (``word_sort_key`` when the schema has no order) each word
+    is read by.  They depend on nothing else, so one memo may serve a whole
+    rewriting job; it keeps every reducible word the job met until it is
+    dropped, and the last live memo to die empties the word table.  An
+    irreducible word is answered by its redex flag and kept nowhere."""
 
-    __slots__ = ("schema", "strategy", "key", "first", "repl", "_walk")
+    __slots__ = ("schema", "strategy", "key", "first", "repl", "_walk",
+                 "_holds")
 
     def __init__(self, schema: RuleSchema, strategy: str):
         global _live_memos
@@ -253,6 +298,7 @@ class RewriteMemo:
         self.first = {}
         self.repl = {}
         self._walk = (schema.kind == "sigma", strategy == "li")
+        self._holds = _HOLDS_REDEX[schema.kind == "sigma"]
 
     def __del__(self):
         global _live_memos
@@ -262,14 +308,18 @@ class RewriteMemo:
 
     def first_redex(self, w: Word):
         """The strategy-first redex of ``w``, or ``None`` when it has none."""
-        r = self.first.get(w, _UNSEEN)
-        if r is _UNSEEN:
-            r = self.first[w] = next(_redexes(w, *self._walk), None)
+        if not self._holds(w):
+            return None
+        r = self.first.get(w)
+        if r is None:
+            r = self.first[w] = _first_redex(w, *self._walk)
         return r
 
     def replacements(self, w: Word) -> list:
         """The replacements of every redex of ``w``, in ``find_redexes``
         order whatever the strategy; callers only read them."""
+        if not self._holds(w):
+            return []
         out = self.repl.get(w)
         if out is None:
             out = self.repl[w] = [self.schema.replacement(r)
@@ -319,10 +369,10 @@ def normal_form(p: OPoly, schema: RuleSchema, strategy: str = "lo",
         raise ValueError("the memo belongs to another schema or strategy")
     trace = ReductionTrace()
     key = memo.key
-    first_redex = memo.first_redex
+    holds = memo._holds
     p = schema.normalize(schema.lift(p))
     terms = dict(p.terms)  # rewritten in place
-    heap = [_Desc(key(w), w) for w in terms if first_redex(w) is not None]
+    heap = [_Desc(key(w), w) for w in terms if holds(w)]
     heapq.heapify(heap)
     while True:
         while heap and heap[0].word not in terms:
@@ -335,7 +385,7 @@ def normal_form(p: OPoly, schema: RuleSchema, strategy: str = "lo",
             break
         top = heapq.heappop(heap)
         w = top.word
-        redex = first_redex(w)
+        redex = memo.first_redex(w)
         repl = schema.replacement(redex)
         if monitor and schema.order is not None:
             for m in repl.terms:
@@ -346,7 +396,7 @@ def normal_form(p: OPoly, schema: RuleSchema, strategy: str = "lo",
         trace._coeffs.append(terms[w])
         _rewrite_into(terms, p.ring, w, repl, schema)
         for m in repl.terms:
-            if m in terms and first_redex(m) is not None:
+            if m in terms and holds(m):
                 heapq.heappush(heap, _Desc(key(m), m))
     return OPoly._trusted(terms, p.ring), trace
 

@@ -18,12 +18,18 @@ the same job compares identities.  The table lives as long as the rewriting
 job: the last live ``rewrite.RewriteMemo`` to die empties it
 (``release_words``), and words built between jobs wait there for that.  A
 word kept past a clear still equals, and hashes like, its twin built after.
-A word's shape (its depth, ``deg``, ``leaves`` and ``has_unit_bracket``) is
+A word's shape (its depth, ``deg``, ``leaves``, ``has_unit_bracket`` and the
+two redex flags ``has_bracketed_product`` and ``has_adjacent_brackets``) is
 fixed when it is built, from the shapes of its atoms, so reading it walks
 nothing; shapes that depend on a rule schema are kept by
 ``rewrite.RewriteMemo``.  Building a word nested past ``MAX_DEPTH`` raises
 ``ResourceLimit(TOO_NESTED)``; each walk takes one frame a level, and
 enumeration none a leaf or level.
+
+A word with named holes is compiled once by ``plan`` and filled by ``fill``
+with one value per hole, each value spliced flat or, for a bracket that
+holds the hole alone, put in as one atom; this is how rule patterns are
+instantiated.
 """
 
 from __future__ import annotations
@@ -43,17 +49,19 @@ class Word:
     tuple while the word table holds it."""
 
     __slots__ = ("atoms", "_hash", "_depth", "deg", "leaves",
-                 "has_unit_bracket")
+                 "has_unit_bracket", "has_bracketed_product",
+                 "has_adjacent_brackets")
 
     def __new__(cls, atoms: tuple = ()):
         w = _TABLE.get(atoms)
         if w is None:
             depth = deg = leaves = 0
-            unit_bracket = False
+            unit_bracket = product = adjacent = after_bracket = False
             for a in atoms:
                 if isinstance(a, str):
                     deg += 1
                     leaves += 1
+                    after_bracket = False
                 else:
                     if a._depth >= depth:
                         depth = a._depth + 1
@@ -61,6 +69,11 @@ class Word:
                     leaves += a.leaves or 1  # [1] is a leaf
                     unit_bracket = (unit_bracket or not a.atoms
                                     or a.has_unit_bracket)
+                    product = (product or len(a.atoms) > 1
+                               or a.has_bracketed_product)
+                    adjacent = (adjacent or after_bracket
+                                or a.has_adjacent_brackets)
+                    after_bracket = True
             if depth > MAX_DEPTH:
                 raise ResourceLimit(TOO_NESTED)
             w = _TABLE[atoms] = object.__new__(cls)
@@ -75,6 +88,11 @@ class Word:
             w.leaves = leaves
             # does some bracket, at any depth, hold the unit?
             w.has_unit_bracket = unit_bracket
+            # the redex flags: does some bracket, at any depth, hold two or
+            # more atoms (a sigma redex)?  do two brackets stand side by
+            # side, at any level (a pi redex)?
+            w.has_bracketed_product = product
+            w.has_adjacent_brackets = adjacent
         return w
 
     def __reduce__(self):
@@ -309,6 +327,36 @@ def _replace(w: Word, mapping: dict):
             atoms.append(a)
             hit = hit or inner
     return (Word(tuple(atoms)) if hit else w), hit
+
+
+def plan(w: Word, names: tuple) -> tuple:
+    """``w`` compiled for ``fill``, one part per atom: ``i`` where the
+    generator ``names[i]`` stands, ``~i`` for the bracket ``[names[i]]``,
+    the plan of any other bracket, and any other generator as it is."""
+    parts = []
+    for a in w.atoms:
+        if isinstance(a, str):
+            parts.append(names.index(a) if a in names else a)
+        elif len(a.atoms) == 1 and a.atoms[0] in names:
+            parts.append(~names.index(a.atoms[0]))
+        else:
+            parts.append(plan(a, names))
+    return tuple(parts)
+
+
+def fill(parts: tuple, values: tuple) -> tuple:
+    """The atoms of the word ``parts`` was planned from, with the ``i``-th
+    name replaced by the word ``values[i]``: spliced flat, or as one atom
+    where the name stood bracketed alone."""
+    atoms = ()
+    for part in parts:
+        if isinstance(part, int):
+            atoms += values[part].atoms if part >= 0 else (values[~part],)
+        elif isinstance(part, tuple):
+            atoms += (Word(fill(part, values)),)
+        else:
+            atoms += (part,)
+    return atoms
 
 
 def splice(path: tuple, atoms: tuple) -> Word:

@@ -356,24 +356,52 @@ def test_export_list_is_sorted_and_matches_the_package_imports():
     assert set(exported) == set(imports(init))
 
 
-def test_only_ordering_compares_words_pairwise():
-    # every other module orders words by ``order_key`` keys: a second path
-    # through ``compare`` is how a second definition of an order would start
-    library, _ = load()
+def calls_of(library, name, modules):
+    """``module:line`` of each call of ``name``, by a bare name (imported
+    names resolved) or an attribute, in the library modules ``modules``."""
     calls = []
     for source in _sources(library, []):
-        if source.module == "ordering":
+        if source.module not in modules:
             continue
         for node in ast.walk(source.tree):
             if not isinstance(node, ast.Call):
                 continue
             if isinstance(node.func, ast.Name):
-                name = _resolve(source, "name", node.func.id)[0]
+                called = _resolve(source, "name", node.func.id)[0]
             else:
-                name = getattr(node.func, "attr", None)
-            if name == "compare":
+                called = getattr(node.func, "attr", None)
+            if called == name:
                 calls.append(f"{source.module}:{node.lineno}")
-    assert calls == []
+    return sorted(calls)
+
+
+def test_only_ordering_compares_words_pairwise():
+    # every other module orders words by ``order_key`` keys: a second path
+    # through ``compare`` is how a second definition of an order would start
+    library, _ = load()
+    assert calls_of(library, "compare", set(library) - {"ordering"}) == []
+
+
+def test_rules_are_instantiated_through_their_plans():
+    # a schema compiles each pattern monomial once (``words.plan``) and the
+    # kernel fills the plans; a call of the generic substitution walk would
+    # rebuild the pattern on every step
+    library, _ = load()
+    assert calls_of(library, "replace_generators", {"rewrite", "gsb"}) == []
+
+
+def test_calls_are_found_by_bare_and_attribute_name():
+    library = {
+        "rewrite": ast.parse("from .words import replace_generators as sub\n"
+                             "m = sub(m, {'x': a})\n"),
+        "gsb": ast.parse("m = words.replace_generators(m, mapping)\n"
+                         "replace_generators = fill\n"),
+        "opoly": ast.parse("from .words import replace_generators\n"
+                           "w = replace_generators(w, mapping)\n")}
+    assert calls_of(library, "replace_generators", {"rewrite", "gsb"}) == [
+        "gsb:1", "rewrite:2"]
+    assert calls_of(library, "replace_generators", set(library)) == [
+        "gsb:1", "opoly:2", "rewrite:2"]
 
 
 def test_no_module_handles_a_recursion_error():

@@ -11,6 +11,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 import opalg.rewrite
 import opalg.words
@@ -36,7 +37,8 @@ from opalg.words import (MAX_DEPTH, STAR, TOO_NESTED, GeneratorSet, UNIT, Word,
                          sample_word, to_str, tokens, word_sort_key)
 from test_coeffs import is_rational
 from test_ordering import reference_compare
-from test_words import reference_has_unit_bracket
+from test_words import (reference_has_unit_bracket, reference_redex_walk,
+                        word_strategy)
 
 XY = GeneratorSet(("x", "y"))
 XYZ = GeneratorSet(("x", "y", "z"))
@@ -373,8 +375,8 @@ def test_redexes_match_reference(name):
         assert lo == reference_redexes(w, schema, False)
         found += len(lo)
         for inner_first in (False, True):
-            first = next(opalg.rewrite._redexes(
-                w, schema.kind == "sigma", inner_first), None)
+            first = opalg.rewrite._first_redex(w, schema.kind == "sigma",
+                                               inner_first)
             want = reference_redexes(w, schema, inner_first)
             if not want:
                 assert first is None
@@ -383,6 +385,44 @@ def test_redexes_match_reference(name):
             if not inner_first:
                 assert first == find_redexes(w, schema)[0]
     assert found > 0
+
+
+# one sigma and one pi family
+FIRST_REDEX_SCHEMAS = {"sigma": lambda: RuleSchema(DER),
+                       "pi": lambda: RuleSchema(AVG)}
+
+
+def assert_first_redexes_match_the_walk(memo, words):
+    """``memo.first_redex`` against the first redex of the recursive walk;
+    the memo keeps the reducible words alone."""
+    sigma = memo.schema.kind == "sigma"
+    reducible = set()
+    for w in words:
+        want = next(reference_redex_walk(w, sigma, memo.strategy == "li"),
+                    None)
+        assert memo.first_redex(w) == want, to_str(w)
+        if want is not None:
+            reducible.add(w)
+    assert set(memo.first) == reducible
+    return reducible
+
+
+@pytest.mark.parametrize("strategy", ["lo", "li"])
+@pytest.mark.parametrize("family", sorted(FIRST_REDEX_SCHEMAS))
+def test_first_redex_matches_the_walk_on_enumerated_words(family, strategy):
+    memo = RewriteMemo(FIRST_REDEX_SCHEMAS[family](), strategy)
+    words = enumerate_words(UVW, 4, 2, include_unit_brackets=True)
+    reducible = assert_first_redexes_match_the_walk(memo, words)
+    assert 0 < len(reducible) < len(words)
+
+
+@settings(max_examples=100, deadline=None)
+@given(word_strategy(max_leaves=7, max_depth=4))
+def test_first_redex_matches_the_walk_on_sampled_words(w):
+    for make in FIRST_REDEX_SCHEMAS.values():
+        for strategy in ("lo", "li"):
+            assert_first_redexes_match_the_walk(
+                RewriteMemo(make(), strategy), [w])
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_SCHEMAS))
@@ -900,7 +940,8 @@ def _search_defect(schema):
 
 def _search_pair(schema):
     # no common reduct, so both reach sets are searched; both meet the words
-    # [u v], v [u] and u, and the difference search meets u
+    # [u v], v [u] and u, and the difference search meets u; only [u v] is
+    # reducible
     f, g = (parse_opoly(text, UVW) for text in ("[u v] + u", "[u v] + 2*u"))
     return joinable(f, g, schema).kind
 
@@ -913,9 +954,10 @@ def _search_peaks(schema):
 # each rewriting job, the most times it may ask for one word's redexes: one
 # memo serves a search call's strategy path and search, and the two
 # reach-set searches of a ``joinable`` call, whose difference search has a
-# memo of its own
+# memo of its own; a memo asks once per reducible word, and never for an
+# irreducible one, which its redex flag answers
 SEARCH_JOBS = {"reduces_to_zero": (_search_defect, 1),
-               "joinable": (_search_pair, 2),
+               "joinable": (_search_pair, 1),
                "local_confluence_check": (_search_peaks, None)}
 
 
@@ -937,6 +979,7 @@ def test_search_memo_dies_with_its_call(monkeypatch):
         assert runs[0][1] and runs[0] == runs[1], job
         if most is not None:
             assert max(collections.Counter(asked).values()) == most, job
+            assert not any(in_reduced_form(w, True) for w in asked), job
 
 
 # rejecting certifications that run the exhaustive search

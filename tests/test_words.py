@@ -7,13 +7,14 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opalg.catalog import named_pattern
+from opalg.catalog import FAMILIES, named_pattern, pattern_names
+from opalg.classify import build_ansatz
 from opalg.coeffs import PolyRing, ResourceLimit
 from opalg.gsb import D_TOO_DEEP, delta_view, free_dt_operator_nf
-from opalg.opoly import DIFFERENTIAL, XY, OPoly, OpIdentity
+from opalg.opoly import DIFFERENTIAL, ROTA_BAXTER, XY, OPoly, OpIdentity
 from opalg.ordering import OrderConfig, order_key, random_context
-from opalg.rewrite import (NotDRF, RewriteMemo, RuleSchema, find_redexes,
-                           normal_form, reduces_to_zero)
+from opalg.rewrite import (NotDRF, Redex, RewriteMemo, RuleSchema,
+                           find_redexes, normal_form, reduces_to_zero)
 from opalg.words import (
     MAX_DEPTH,
     STAR,
@@ -27,8 +28,10 @@ from opalg.words import (
     Word,
     bracket,
     enumerate_words,
+    fill,
     gen_word,
     parse,
+    plan,
     release_words,
     replace_generators,
     sample_word,
@@ -200,6 +203,8 @@ ENTRY_POINTS = {
     "order_key": lambda: order_key(OrderConfig(G))(parse(TOWER, G)),
     "find_redexes": lambda: len(find_redexes(parse(TOWER, G),
                                              _derivation())) == 1,
+    "first_redex": lambda: RewriteMemo(_derivation(), "li").first_redex(
+        parse(TOWER, G)).a == x,
     "RuleSchema": lambda: _schema_of_deep_pattern() is None,
     "normal_form": lambda: len(normal_form(OPoly.from_word(parse(ONE_STEP, G)),
                                            _derivation())[1]) == 1,
@@ -603,22 +608,49 @@ def reference_depth(w):
     return depth
 
 
+def reference_redex_walk(word, sigma, inner_first, path=()):
+    """The redexes of the sigma (``sigma``) or pi rule family inside
+    ``word``, which ``path`` leads to, leftmost-outermost first (a bracket's
+    content splits shortest left part first), or leftmost-innermost first
+    when ``inner_first``; lazily.  The recursive walk that found every
+    redex before words carried redex flags, kept as the oracle of the flags
+    and of ``RewriteMemo.first_redex``."""
+    atoms = word.atoms
+    for i, a in enumerate(atoms):
+        if not isinstance(a, Word):
+            continue
+        inside = path + ((atoms[:i], atoms[i + 1:]),)
+        if inner_first:
+            yield from reference_redex_walk(a, sigma, inner_first, inside)
+        if sigma:
+            content = a.atoms
+            for j in range(1, len(content)):
+                yield Redex(inside, Word(content[:j]), Word(content[j:]))
+        elif i + 1 < len(atoms) and isinstance(atoms[i + 1], Word):
+            yield Redex(path + ((atoms[:i], atoms[i + 2:]),), a, atoms[i + 1])
+        if not inner_first:
+            yield from reference_redex_walk(a, sigma, inner_first, inside)
+
+
 def facts(w):
-    return w.deg, w.leaves, w.has_unit_bracket, w.depth()
+    return (w.deg, w.leaves, w.has_unit_bracket, w.depth(),
+            w.has_bracketed_product, w.has_adjacent_brackets)
 
 
 def reference_facts(w):
     return (reference_deg(w), reference_leaves(w),
-            reference_has_unit_bracket(w), reference_depth(w))
+            reference_has_unit_bracket(w), reference_depth(w),
+            next(reference_redex_walk(w, True, False), None) is not None,
+            next(reference_redex_walk(w, False, False), None) is not None)
 
 
 def test_shape_facts_match_the_walks_on_enumerated_words():
     # unit brackets included; every fact takes more than one value
     seen = set()
-    for w in enumerate_words(XY, 4, 2):
+    for w in enumerate_words(XY, 4, 2, include_unit_brackets=True):
         assert facts(w) == reference_facts(w), w
         seen.update(enumerate(facts(w)))
-    assert {(2, True), (2, False)} <= seen
+    assert {(i, flag) for i in (2, 4, 5) for flag in (True, False)} <= seen
     assert len({v for i, v in seen if i == 0}) == 5
 
 
@@ -677,12 +709,16 @@ def test_twins_across_a_table_clear_carry_equal_facts():
 @pytest.mark.parametrize("copier", [
     copy.copy, copy.deepcopy, lambda w: pickle.loads(pickle.dumps(w))],
     ids=["copy", "deepcopy", "pickle"])
-@pytest.mark.parametrize("text", ["x [y]", "x x", "[x [1]] y", "1"])
+@pytest.mark.parametrize("text", ["x [y]", "x x", "[x [1]] y", "1",
+                                  "[x y] [1]", "[x [1] [y]]"])
 def test_a_copied_word_equals_the_original_and_leaves_the_unit_alone(
         copier, text):
+    # after a table clear the copy is built afresh, its shape facts and
+    # redex flags included
     w = parse(text, XY)
+    release_words()
     got = copier(w)
-    assert got == w and facts(got) == facts(w)
+    assert got == w and facts(got) == facts(w) == reference_facts(w)
     assert UNIT.atoms == () and Word(()).atoms == ()
     assert UNIT.deg == UNIT.leaves == 0 and not UNIT.has_unit_bracket
 
@@ -694,3 +730,54 @@ def test_deep_copying_a_polynomial_leaves_its_words_intact():
     assert q == p
     assert [to_str(w) for w in q.terms] == ["x [y [1]]", "[x] y"]
     assert UNIT.atoms == () and Word(()).atoms == ()
+
+
+# -- instantiation plans ------------------------------------------------------------
+
+def catalog_patterns():
+    """Every pattern of the catalog's families and named patterns, and of
+    the degree-2 ansatzes, which nest brackets two deep."""
+    named = [named_pattern(n if n not in ("weight", "rota-baxter")
+                           else f"{n}:lam") for n in pattern_names()]
+    ansatzes = [build_ansatz(mode, 2).identity() for mode in (DIFFERENTIAL,
+                                                             ROTA_BAXTER)]
+    return ([f.identity().pattern for f in FAMILIES.values()]
+            + [ident.pattern for ident in named + ansatzes])
+
+
+def plan_arguments(rng):
+    """The unit, brackets, products and sampled words, as arguments."""
+    fixed = [UNIT, x, bracket(UNIT), bracket(x * y), x * bracket(y * z),
+             bracket(bracket(x) * y)]
+    return fixed + [sample_word(rng, G, 4, 3) for _ in range(12)]
+
+
+def test_plans_fill_as_the_generators_are_replaced():
+    rng = random.Random(41)
+    args = plan_arguments(rng)
+    monomials = {m for p in catalog_patterns() for m in p.terms}
+    assert len(monomials) > 30
+    assert any(m.depth() == 2 for m in monomials)
+    for m in monomials:
+        parts = plan(m, XY.names)
+        for a in args:
+            for b in args:
+                want = replace_generators(m, {"x": a, "y": b})
+                assert Word(fill(parts, (a, b))) == want, (m, a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(word_strategy(max_leaves=5, max_depth=3),
+       st.one_of(st.just(UNIT), word_strategy(3, 2)),
+       st.one_of(st.just(UNIT), word_strategy(3, 2)))
+def test_plans_of_sampled_words_fill_as_the_generators_are_replaced(w, a, b):
+    # ``z`` is no hole: it stays, and so do brackets around it alone
+    for names in (("x", "y"), ("y", "x"), ("x",)):
+        values = (a, b)[:len(names)]
+        want = replace_generators(w, dict(zip(names, values)))
+        assert Word(fill(plan(w, names), values)) == want
+
+
+def test_a_plan_has_one_part_per_atom():
+    w = parse("z [x [y]] [[x]] [1] y [z]", G)
+    assert plan(w, ("x", "y")) == ("z", (0, ~1), (~0,), (), 1, ("z",))
