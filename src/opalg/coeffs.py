@@ -7,6 +7,9 @@ coefficient, here and in ``OPoly``, has one form (``rational``): an ``int``
 when it is integral, a ``Fraction`` otherwise.  Both compare and hash equal
 to the ``Fraction`` of the same value.  Two ints meet ``/`` only in
 ``reciprocal``, the one inversion, so no coefficient becomes a float.
+An ``MPoly`` is immutable once built: its hash and string are computed once
+and memoised, a product with a one-term factor is an exponent shift, and
+division by 1 returns the polynomial itself.
 ``ResourceLimit``, the exception of every cap, and the nesting cap are
 defined here because each module that can hit a cap imports this one.
 """
@@ -16,6 +19,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from operator import add
 
 
 def rational(c):
@@ -54,10 +58,24 @@ def _add_scaled_into(acc: dict, terms: dict, c=None) -> None:
 
 
 def _mul_terms(t1: dict, t2: dict) -> dict:
-    """The term dict of the product of two ``MPoly`` term dicts."""
+    """The term dict of the product of two ``MPoly`` term dicts.
+
+    A one-term factor, on either side, shifts the exponents of the other:
+    the shift is injective, so nothing accumulates, and the terms come in
+    the other factor's order, as the general path would give them."""
+    if len(t1) == 1 or len(t2) == 1:
+        one, many = (t1, t2) if len(t1) == 1 else (t2, t1)
+        ((e1, c1),) = one.items()
+        out = {}
+        for e2, c2 in many.items():
+            c = c2 * c1
+            if type(c) is Fraction and c.denominator == 1:
+                c = c.numerator
+            out[tuple(map(add, e1, e2))] = c
+        return out
     out: dict = {}
     for e1, c1 in t1.items():
-        _add_scaled_into(out, {tuple(a + b for a, b in zip(e1, e2)): c2
+        _add_scaled_into(out, {tuple(map(add, e1, e2)): c2
                                for e2, c2 in t2.items()}, c1)
     return out
 
@@ -113,13 +131,25 @@ class PolyRing:
 
 class MPoly:
     """A polynomial: dict from exponent tuples to nonzero rationals, each an
-    ``int`` when integral and a ``Fraction`` otherwise (``rational``)."""
+    ``int`` when integral and a ``Fraction`` otherwise (``rational``).
 
-    __slots__ = ("ring", "terms")
+    An ``MPoly`` is immutable: its ``terms`` are never changed once it is
+    built, so ``__hash__`` and ``__str__`` compute their value once and keep
+    it in a memo slot, and an operation that leaves a polynomial as it is
+    (``subs`` of an absent variable, division by 1) returns it."""
+
+    __slots__ = ("ring", "terms", "_hash_memo", "_str_memo")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self.terms = terms
+        self._hash_memo = None
+        self._str_memo = None
+
+    def __reduce__(self):
+        # copies and unpickled polynomials are built afresh: a string's hash,
+        # and so a memoised hash, differs from one process to the next
+        return MPoly, (self.ring, self.terms)
 
     # -- predicates and views ---------------------------------------------
 
@@ -204,8 +234,11 @@ class MPoly:
             return NotImplemented
         if not other.is_constant or other.is_zero:
             raise ValueError("can only divide by a nonzero constant")
+        c = other.constant_value()
+        if c == 1:
+            return self
         terms: dict = {}
-        _add_scaled_into(terms, self.terms, reciprocal(other.constant_value()))
+        _add_scaled_into(terms, self.terms, reciprocal(c))
         return MPoly(self.ring, terms)
 
     def __eq__(self, other):
@@ -214,7 +247,11 @@ class MPoly:
         return isinstance(other, MPoly) and self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
+        h = self._hash_memo
+        if h is None:
+            h = self._hash_memo = hash((self.ring,
+                                        frozenset(self.terms.items())))
+        return h
 
     def __bool__(self):
         return bool(self.terms)
@@ -298,6 +335,8 @@ class MPoly:
         return f"MPoly({self})"
 
     def __str__(self):
+        if self._str_memo is not None:
+            return self._str_memo
         if not self.terms:
             return "0"
         parts = []
@@ -318,6 +357,7 @@ class MPoly:
         out = ("-" if first_sign == "-" else "") + first_body
         for sign, body in parts[1:]:
             out += f" {sign} {body}"
+        self._str_memo = out
         return out
 
 

@@ -6,6 +6,8 @@ tuple order: ``solve`` reads its components off a triangular lex basis.
 
 from __future__ import annotations
 
+from operator import add, le, sub
+
 from .coeffs import MPoly, PolyRing, _add_scaled_into, reciprocal
 
 
@@ -16,11 +18,11 @@ def leading_exps(p: MPoly) -> tuple:
 
 
 def _divides(e1, e2) -> bool:
-    return all(a <= b for a, b in zip(e1, e2))
+    return all(map(le, e1, e2))
 
 
 def _quotient(e2, e1):
-    return tuple(b - a for a, b in zip(e1, e2))
+    return tuple(map(sub, e2, e1))
 
 
 def nf_mod_ideal(p: MPoly, basis) -> MPoly:
@@ -38,7 +40,7 @@ def nf_mod_ideal(p: MPoly, basis) -> MPoly:
         for lm, inv, g in lms:
             if _divides(lm, t):
                 q = _quotient(t, lm)
-                _add_scaled_into(work, {tuple(a + b for a, b in zip(e, q)): cg
+                _add_scaled_into(work, {tuple(map(add, e, q)): cg
                                         for e, cg in g.items()}, -c * inv)
                 break
         else:

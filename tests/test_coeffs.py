@@ -1,4 +1,6 @@
+import copy
 import gc
+import pickle
 import random
 import re
 import sys
@@ -9,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opalg.coeffs import (MAX_DEPTH, TOO_NESTED, MPoly, ParseError,
-                          PolyParseError, PolyRing, ResourceLimit)
+                          PolyParseError, PolyRing, ResourceLimit,
+                          _add_scaled_into, _mul_terms)
 from opalg.groebner import leading_exps
 from opalg.opoly import XY, parse_opoly
 
@@ -239,3 +242,77 @@ def test_str_forms():
 def test_order_keys():
     # lex with a > b > c
     assert leading_exps(a + b ** 5 * c ** 5) == (1, 0, 0)
+
+
+# -- one-term products and the hash and string memos --------------------------
+
+
+def _mul_terms_reference(t1: dict, t2: dict) -> dict:
+    """The general product, every factor alike: the term order and
+    coefficient types that ``_mul_terms`` must keep on its one-term path."""
+    out: dict = {}
+    for e1, c1 in t1.items():
+        _add_scaled_into(out, {tuple(a + b for a, b in zip(e1, e2)): c2
+                               for e2, c2 in t2.items()}, c1)
+    return out
+
+
+_exps = st.tuples(*[st.integers(0, 3)] * R.nvars)
+_coeff = st.one_of(
+    st.integers(-5, 5).filter(bool),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    .filter(lambda q: q.denominator > 1))
+_constant = st.builds(lambda c: {(0,) * R.nvars: c}, _coeff)
+_terms = st.one_of(st.dictionaries(_exps, _coeff, min_size=1, max_size=1),
+                   _constant,
+                   st.dictionaries(_exps, _coeff, max_size=6))
+
+
+def _typed_items(terms: dict) -> list:
+    return [(e, c, type(c)) for e, c in terms.items()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(t1=_terms, t2=_terms)
+def test_products_keep_the_general_paths_order_and_types(t1, t2):
+    assert _typed_items(_mul_terms(t1, t2)) == _typed_items(
+        _mul_terms_reference(t1, t2))
+
+
+def _fresh(p: MPoly) -> MPoly:
+    return MPoly(p.ring, dict(p.terms))
+
+
+@settings(max_examples=100, deadline=None)
+@given(t1=_terms, t2=_terms, value=_terms, c=_coeff)
+def test_memoised_hash_and_string_are_those_of_a_fresh_polynomial(
+        t1, t2, value, c):
+    p, q = MPoly(R, t1), MPoly(R, t2)
+    for r in (p, q):   # fill the operands' memos before they are used
+        hash(r), str(r)
+    for r in (p + q, p * q, q * p, p.subs({"a": MPoly(R, value)}),
+              p.subs({"b": c}), p / c, p / 1):
+        # the first reading fills the memos, the second reads them
+        assert (hash(r), str(r)) == (hash(_fresh(r)), str(_fresh(r)))
+        assert (hash(r), str(r)) == (hash(_fresh(r)), str(_fresh(r)))
+
+
+def test_division_by_one_returns_the_polynomial():
+    p = 3 * a * b - Fraction(1, 2) * c
+    assert p / 1 is p
+    assert p / Fraction(1) is p
+    assert p / R.one() is p
+    assert (p / 2).terms == {(1, 1, 0): Fraction(3, 2), (0, 0, 1): Fraction(-1, 4)}
+
+
+@pytest.mark.parametrize("duplicate", [
+    copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+    ids=["copy", "deepcopy", "pickle"])
+def test_a_duplicate_polynomial_computes_its_own_memos(duplicate):
+    # a memoised hash is good for one process only: a string hashes
+    # differently in the next, so a pickle must not carry it
+    p = a * b - Fraction(1, 2) * c
+    hash(p), str(p)
+    q = duplicate(p)
+    assert (q._hash_memo, q._str_memo) == (None, None)
+    assert q == p and hash(q) == hash(p) and str(q) == str(p)

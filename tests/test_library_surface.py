@@ -471,6 +471,119 @@ def test_slot_writes_are_found_outside_the_constructor():
     assert slot_writes(library) == ["gsb:1", "gsb:3", "words:6"]
 
 
+# functions that may fill a new object's ``terms``: ``OPoly._trusted`` is the
+# second constructor of ``OPoly``, which wraps a dict it is handed as is
+CONSTRUCTORS = ("__init__", "_trusted")
+# dict methods that change a dict in place
+MUTATORS = ("pop", "update", "clear", "setdefault", "popitem")
+
+
+def mpoly_writes(library):
+    """``module:line`` of each write that could change a built ``MPoly``.
+
+    A memo slot (a slot of ``MPoly`` other than ``ring`` and ``terms``) may
+    be set to ``None`` in ``MPoly.__init__`` and filled in ``MPoly.__hash__``
+    and ``MPoly.__str__``; any other assignment, ``del`` or ``setattr`` of one
+    is a write.  So is, outside a constructor, a store to, a deletion from
+    or a mutating call (``MUTATORS``) on an attribute named ``terms``."""
+    memos = set(opalg.MPoly.__slots__) - {"ring", "terms"}
+    writes = []
+    for module, tree in sorted(library.items()):
+        method = {}   # id(node) -> the MPoly method that holds it
+        constructor = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "MPoly":
+                for f in node.body:
+                    if getattr(f, "name", None) in ("__init__", "__hash__",
+                                                    "__str__"):
+                        method.update(dict.fromkeys(map(id, ast.walk(f)),
+                                                    f.name))
+            if (isinstance(node, ast.FunctionDef)
+                    and node.name in CONSTRUCTORS):
+                constructor.update(map(id, ast.walk(node)))
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and (
+                    method.get(id(node)) in ("__hash__", "__str__")
+                    or method.get(id(node)) == "__init__"
+                    and isinstance(node.value, ast.Constant)
+                    and node.value.value is None):
+                allowed.update(map(id, node.targets))
+        for node in ast.walk(tree):
+            stored = isinstance(getattr(node, "ctx", None),
+                                (ast.Store, ast.Del))
+            if isinstance(node, ast.Attribute) and stored:
+                written = (node.attr in memos and id(node) not in allowed
+                           or node.attr == "terms"
+                           and id(node) not in constructor)
+            elif isinstance(node, ast.Subscript) and stored:
+                written = (getattr(node.value, "attr", None) == "terms"
+                           and id(node) not in constructor)
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr",
+                                                        None))
+                named = {a.value for a in node.args
+                         if isinstance(a, ast.Constant)}
+                written = (
+                    name in ("setattr", "__setattr__", "delattr",
+                             "__delattr__")
+                    and (named & memos or "terms" in named
+                         and id(node) not in constructor)
+                    or name in MUTATORS
+                    and getattr(node.func.value, "attr", None) == "terms"
+                    and id(node) not in constructor)
+            else:
+                written = False
+            if written:
+                writes.append(f"{module}:{node.lineno}")
+    return writes
+
+
+def test_an_mpoly_is_fixed_once_built():
+    # ``MPoly.__hash__`` and ``MPoly.__str__`` keep their value in a memo
+    # slot, which holds only while the terms never change; a memo slot named
+    # after a word's slot would also trip the word rule above
+    library, _ = load()
+    assert not set(opalg.MPoly.__slots__) & set(opalg.Word.__slots__)
+    assert mpoly_writes(library) == []
+
+
+def test_mpoly_writes_are_found():
+    library = {
+        "coeffs": ast.parse(
+            "class MPoly:\n"
+            "    def __init__(self, terms):\n"
+            "        self.terms = terms\n"
+            "        self._hash_memo = None\n"
+            "        self._str_memo = 'x'\n"
+            "    def __hash__(self):\n"
+            "        h = self._hash_memo = 1\n"
+            "    def __neg__(self):\n"
+            "        self._hash_memo = None\n"
+            "        setattr(self, '_str_memo', None)\n"
+            "        self.terms.pop(e)\n"
+            "        return self.terms.get(e)\n"),
+        "solve": ast.parse(
+            "def pin(g):\n"
+            "    g.terms[e] = 1\n"
+            "    del g.terms[e]\n"
+            "    g.terms.update(t)\n"
+            "    g.terms = {}\n"
+            "    del g._str_memo\n"
+            "    out[e] = g.terms[e]\n"
+            "    _add_scaled_into(out, g.terms)\n"),
+        "opoly": ast.parse(
+            "def _trusted(cls, terms):\n"
+            "    p.terms = terms\n"
+            "    p.terms.clear()\n"
+            "def _coeff(p):\n"
+            "    p.terms.setdefault(w, 0)\n"
+            "    setattr(p, 'terms', {})\n")}
+    assert mpoly_writes(library) == [
+        "coeffs:5", "coeffs:9", "coeffs:10", "coeffs:11", "opoly:5",
+        "opoly:6", "solve:2", "solve:3", "solve:4", "solve:5", "solve:6"]
+
+
 def literal_divisions(library):
     """``module:line`` of each ``/`` whose left operand is a numeric literal
     or a unary minus: the ``1 / c`` and ``-c / lc`` shapes, in which two
