@@ -112,7 +112,7 @@ class PolyRing:
         e[i] = 1
         return MPoly(self, {tuple(e): 1})
 
-    def monomial(self, exps, coeff=1) -> "MPoly":
+    def monomial(self, exps, coeff) -> "MPoly":
         coeff = rational(coeff)
         return MPoly(self, {} if coeff == 0 else {tuple(exps): coeff})
 

@@ -16,7 +16,9 @@ the work done but not a component.
 Rational points on a component come from one propagation walk,
 ``_try_point``.  Each decision fixes one variable, either to a rational root
 of an equation left univariate in it or, when no equation forces one, to a
-value of ``DEFAULT_POOL``; a policy picks among those options.  Three
+value of ``DEFAULT_POOL``; a policy picks among those options.  The walk
+touches, at each decision, only the equations that hold the decided
+variable.  Three
 policies use the walk: ``enumerate_points`` visits every root depth-first and
 gives up at the first unforced decision, ``sample_points`` draws each value
 from a seeded ``random.Random``, and ``find_representative`` searches the
@@ -33,7 +35,7 @@ from fractions import Fraction
 
 from .coeffs import (MPoly, PolyRing, ResourceLimit, _add_scaled_into,
                      reciprocal)
-from .groebner import buchberger, nf_mod_ideal
+from .groebner import _normal_form, _reducers, buchberger
 
 DEFAULT_POOL = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
                 Fraction(-2), Fraction(1, 2))
@@ -186,8 +188,9 @@ def _split(eqs, nonzero, ring, depth, leaves) -> None:
         if new_basis == basis:
             break
         basis = new_basis
+    reds = _reducers(basis)
     for v in sorted(nonzero):
-        if nf_mod_ideal(ring.var(v), basis).is_zero:
+        if _normal_form(ring.var(v), reds).is_zero:
             return  # v is forced to 0 but assumed nonzero
     for g in basis:
         content = g.monomial_content()
@@ -208,7 +211,7 @@ def _split(eqs, nonzero, ring, depth, leaves) -> None:
         return
     # drop assumptions the ideal already implies (v congruent to a nonzero constant)
     live = frozenset(v for v in nonzero
-                     if not nf_mod_ideal(ring.var(v), basis).is_constant)
+                     if not _normal_form(ring.var(v), reds).is_constant)
     leaves.append((basis, live))
 
 
@@ -216,7 +219,9 @@ def _merge_leaves(leaves, ring):
     """Join complementary leaves: (I + (v), N) and (I, N + {v}) --> (I, N).
 
     The union is exact, so merging loses nothing and undoes splits that turned
-    out not to matter.
+    out not to matter.  A candidate pair's trial basis of I + (v) is built
+    only when v and the basis of I reduce to zero modulo the basis of the
+    first leaf, which a merge needs.
     """
     leaves = list(dict.fromkeys(leaves))
     merged = True
@@ -227,6 +232,9 @@ def _merge_leaves(leaves, ring):
             if len(extra) != 1 or n1 - n2:
                 continue
             v = next(iter(extra))
+            reds = _reducers(b1)
+            if any(_normal_form(g, reds) for g in (ring.var(v), *b2)):
+                continue
             if buchberger(list(b2) + [ring.var(v)], ring) == b1:
                 leaves.remove((b1, n1))
                 leaves.remove((b2, n2))
@@ -240,7 +248,13 @@ def _merge_leaves(leaves, ring):
 
 
 def rational_roots(coeffs) -> list:
-    """All rational roots of sum(coeffs[i] * t^i) with Fraction coefficients."""
+    """All rational roots of sum(coeffs[i] * t^i) with Fraction coefficients.
+
+    Degrees 1 and 2 (after the roots at zero are divided out) are solved in
+    closed form, degree 2 by the integer square root of the discriminant.
+    Higher degrees try every candidate of the rational root theorem, so they
+    cost trial division up to the square roots of the outer coefficients.
+    """
     coeffs = [Fraction(c) for c in coeffs]
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
@@ -256,12 +270,23 @@ def rational_roots(coeffs) -> list:
     for c in coeffs:
         lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
     ints = [int(c * lcm) for c in coeffs]
-    a0, an = abs(ints[0]), abs(ints[-1])
-    for p in _divisors(a0):
-        for q in _divisors(an):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if sum(c * cand ** i for i, c in enumerate(coeffs)) == 0:
-                    roots.add(cand)
+    if len(ints) == 2:
+        roots.add(Fraction(-ints[0], ints[1]))
+    elif len(ints) == 3:
+        c, b, a = ints
+        disc = b * b - 4 * a * c
+        if disc >= 0:
+            root = math.isqrt(disc)
+            if root * root == disc:
+                roots.update((Fraction(-b - root, 2 * a),
+                              Fraction(-b + root, 2 * a)))
+    else:
+        a0, an = abs(ints[0]), abs(ints[-1])
+        for p in _divisors(a0):
+            for q in _divisors(an):
+                for cand in (Fraction(p, q), Fraction(-p, q)):
+                    if sum(c * cand ** i for i, c in enumerate(coeffs)) == 0:
+                        roots.add(cand)
     return sorted(roots)
 
 
@@ -291,33 +316,30 @@ def _try_point(basis, nonzero, ring, choose):
 
     A decision fixes ``name`` to ``choose(name, options, forced)``.  When an
     equation is left univariate in ``name``, ``forced`` is True and
-    ``options`` are its sorted rational roots; otherwise ``name`` is the
-    first unfixed variable, ``forced`` is False and ``options`` is
-    ``DEFAULT_POOL``.  Either way zero is dropped for a variable assumed
-    nonzero.  Only the new value is substituted, since the earlier ones no
-    longer occur in the equations.  Returns None on a dead end or when
+    ``options`` are the sorted rational roots of the first such equation, in
+    basis order; otherwise ``name`` is the first unfixed variable, ``forced``
+    is False and ``options`` is ``DEFAULT_POOL``.  Either way zero is dropped
+    for a variable assumed nonzero.  Each live equation keeps its variable
+    set, and the new value is substituted into, and re-tested in, only the
+    equations that hold its variable.  Returns None on a dead end or when
     ``choose`` returns None.
     """
     point: dict = {}
-    eqs = list(basis)
+    eqs = [g for g in basis if not g.is_zero]
+    free = [g.variables() for g in eqs]
+    if not all(free):
+        return None     # a nonzero constant
+    holding: dict = {}      # variable -> indices of the equations holding it
+    for k, names in enumerate(free):
+        for name in names:
+            holding.setdefault(name, []).append(k)
     while True:
-        live = []
-        for e in eqs:
-            if e.is_zero:
-                continue
-            if e.is_constant:
-                return None
-            live.append(e)
-        eqs = live
-        name = None
-        for e in eqs:
-            free = e.variables()
-            if len(free) == 1:
-                (name,) = free
-                options = rational_roots(_univariate_coeffs(e, name))
-                break
-        forced = name is not None
-        if not forced:
+        k = next((k for k, names in enumerate(free) if len(names) == 1), None)
+        forced = k is not None
+        if forced:
+            (name,) = free[k]
+            options = rational_roots(_univariate_coeffs(eqs[k], name))
+        else:
             name = next((n for n in ring.vars if n not in point), None)
             if name is None:
                 break
@@ -330,7 +352,14 @@ def _try_point(basis, nonzero, ring, choose):
         if val is None:
             return None
         point[name] = val
-        eqs = [e.subs({name: val}) for e in eqs]
+        for k in holding.get(name, ()):
+            if name not in free[k]:
+                continue    # zero, or the variable cancelled out
+            e = eqs[k].subs({name: val})
+            eqs[k] = e
+            free[k] = e.variables()
+            if not free[k] and not e.is_zero:
+                return None
     if any(g.evaluate(point) != 0 for g in basis):
         return None
     return point

@@ -1,7 +1,9 @@
 """Shared test helpers."""
 
+import contextlib
 import json
 import os
+import signal
 import subprocess
 import sys
 
@@ -28,3 +30,25 @@ def _run_job(code: str, *args: str, hash_seed: int = None):
 @pytest.fixture
 def run_job():
     return _run_job
+
+
+@contextlib.contextmanager
+def _ceiling(seconds: float):
+    """Fail the test when the block runs longer than ``seconds`` of wall
+    time: an interval timer interrupts it, so a runaway computation fails
+    the test instead of stalling the suite."""
+    def expire(signum, frame):
+        pytest.fail(f"ran past its {seconds} s ceiling")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def ceiling():
+    return _ceiling

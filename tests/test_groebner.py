@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,9 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opalg.coeffs import MPoly, PolyRing
-from opalg.groebner import buchberger, leading_exps, nf_mod_ideal, s_polynomial
+from opalg.groebner import (_reducer, _s_terms, buchberger, leading_exps,
+                            nf_mod_ideal)
 from opalg.solve import _find_pin
 from test_coeffs import is_rational
+
+
+def s_polynomial(f, g):
+    """The S-polynomial that ``buchberger`` forms, from the reducer triples
+    (leading exponent, inverse leading coefficient, terms) of f and g."""
+    return MPoly(f.ring, _s_terms(_reducer(f), _reducer(g)))
 
 
 def in_ideal(p, basis) -> bool:
@@ -183,6 +191,30 @@ def test_nf_matches_division_reference(seed):
     if gb is not gens:
         elt = sum((_random_poly3(rng, 2, 1) * g for g in gens), R3.zero())
         assert nf_mod_ideal(elt, gb).is_zero
+
+
+# seeds of test_nf_matches_division_reference's generator on which
+# buchberger, when it took S-pairs last in first out, ran for seconds to
+# minutes: 418093197 climbed to degree 75 and 8 416-bit coefficients
+LIFO_HANG_SEEDS = (418093197, 1288189520, 765409059, 4348549)
+
+
+@pytest.mark.parametrize("seed", LIFO_HANG_SEEDS)
+def test_buchberger_finishes_the_lifo_hang_seeds(seed, ceiling):
+    rng = random.Random(seed)
+    gens = [_random_poly3(rng, rng.randint(1, 3), 2)
+            for _ in range(rng.randint(1, 3))]
+    with ceiling(2.0):
+        gb = buchberger(gens, R3)
+    assert all(in_ideal(g, gb) for g in gens)
+    lms = [leading_exps(g) for g in gb]
+    for g, lm in zip(gb, lms):
+        assert g.terms[lm] == 1
+        assert not any(all(a <= b for a, b in zip(other, e))
+                       for other in lms if other != lm for e in g.terms)
+    # Buchberger's criterion: the basis is a Groebner basis of its ideal
+    assert all(in_ideal(s_polynomial(f, g), gb)
+               for f, g in itertools.combinations(gb, 2))
 
 
 def _int_poly(rng, nterms, vars_=(0, 1)):

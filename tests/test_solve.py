@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 import opalg.solve
+from opalg.catalog import FAMILIES
 from opalg.classify import build_ansatz, classify
 from opalg.coeffs import PolyRing
 from opalg.groebner import buchberger, nf_mod_ideal
-from opalg.opoly import DIFFERENTIAL, ROTA_BAXTER
+from opalg.opoly import DIFFERENTIAL, ROTA_BAXTER, parse_opoly
 from opalg.solve import (
     enumerate_points,
     find_representative,
@@ -15,7 +16,10 @@ from opalg.solve import (
     sample_points,
     solve_components,
 )
+from opalg.words import GeneratorSet
 from test_groebner import quotient_monomials
+
+XY = GeneratorSet(("x", "y"))
 
 R = PolyRing(["a", "b", "e"])
 a, b, e = R.var("a"), R.var("b"), R.var("e")
@@ -280,6 +284,15 @@ def test_enumeration_agrees_with_quotient_dimension(degree1_components):
 ])
 def test_rational_roots(coeffs, expected):
     assert rational_roots(coeffs) == expected
+
+
+def test_membership_of_a_huge_weight_is_solved_in_closed_form(ceiling):
+    # the weight 2^61 - 1 is the root of a linear equation; trial division
+    # up to the square root of the constant term ran for over 10 s on it
+    weight = 2**61 - 1
+    pattern = parse_opoly(f"x [y] + [x] y + {weight}*x y", XY)
+    with ceiling(1.0):
+        assert FAMILIES["rbt6"].membership(pattern) == {"lam": weight}
 
 
 def test_rational_roots_rejects_zero_poly():
