@@ -16,13 +16,12 @@ the work done but not a component.
 Rational points on a component come from one propagation walk,
 ``_try_point``.  Each decision fixes one variable, either to a rational root
 of an equation left univariate in it or, when no equation forces one, to a
-value of ``DEFAULT_POOL``; a policy picks among those options.  The walk
-touches, at each decision, only the equations that hold the decided
-variable.  Three
-policies use the walk: ``enumerate_points`` visits every root depth-first and
-gives up at the first unforced decision, ``sample_points`` draws each value
-from a seeded ``random.Random``, and ``find_representative`` searches the
-simplest values first.
+value of ``DEFAULT_POOL``; a policy picks among those options.  At each
+decision the walk substitutes into, and re-tests, only the equations that hold
+the decided variable.  Three policies use the walk: ``enumerate_points`` visits
+every root depth-first and gives up at the first unforced decision,
+``sample_points`` draws each value from a seeded ``random.Random``, and
+``find_representative`` searches the simplest values first.
 """
 
 from __future__ import annotations
@@ -329,10 +328,6 @@ def _try_point(basis, nonzero, ring, choose):
     free = [g.variables() for g in eqs]
     if not all(free):
         return None     # a nonzero constant
-    holding: dict = {}      # variable -> indices of the equations holding it
-    for k, names in enumerate(free):
-        for name in names:
-            holding.setdefault(name, []).append(k)
     while True:
         k = next((k for k, names in enumerate(free) if len(names) == 1), None)
         forced = k is not None
@@ -352,9 +347,9 @@ def _try_point(basis, nonzero, ring, choose):
         if val is None:
             return None
         point[name] = val
-        for k in holding.get(name, ()):
-            if name not in free[k]:
-                continue    # zero, or the variable cancelled out
+        for k, names in enumerate(free):
+            if name not in names:
+                continue
             e = eqs[k].subs({name: val})
             eqs[k] = e
             free[k] = e.variables()

@@ -203,8 +203,9 @@ def test_match_catalog_rejects_sample_counts_below_one(samples):
 
 # Classifies the degree-1 DT and RBT ansaetze in a fresh interpreter and prints
 # the component descriptions, the enumerated points of every finite component,
-# and the number of nf_mod_ideal calls, counted at every opalg binding so calls
-# that cross modules are seen too.
+# and the number of reductions modulo a basis: calls to groebner._normal_form,
+# which nf_mod_ideal, buchberger and the solver all reduce through, counted at
+# every opalg binding so calls that cross modules are seen too.
 _HASH_SEED_JOB = """
 import json, sys
 import opalg.groebner
@@ -213,7 +214,7 @@ from opalg.opoly import DIFFERENTIAL, ROTA_BAXTER
 from opalg.rewrite import ResourceLimit
 from opalg.solve import enumerate_points
 
-original = opalg.groebner.nf_mod_ideal
+original = opalg.groebner._normal_form
 calls = [0]
 
 def counted(*args, **kwargs):
@@ -221,8 +222,8 @@ def counted(*args, **kwargs):
     return original(*args, **kwargs)
 
 for name, module in list(sys.modules.items()):
-    if name.startswith("opalg") and getattr(module, "nf_mod_ideal", None) is original:
-        module.nf_mod_ideal = counted
+    if name.startswith("opalg") and getattr(module, "_normal_form", None) is original:
+        module._normal_form = counted
 results = [classify(build_ansatz(mode, 1)).components
            for mode in (DIFFERENTIAL, ROTA_BAXTER)]
 components = [[c.describe() for c in comps] for comps in results]
@@ -230,7 +231,7 @@ points = [[[[[k, str(v)] for k, v in p.items()] for p in found]
            for c in comps
            if (found := enumerate_points(c.basis, c.nonzero, c.ring)) is not None]
           for comps in results]
-print(json.dumps({"nf_mod_ideal": calls[0], "components": components,
+print(json.dumps({"normal_form": calls[0], "components": components,
                   "points": points}))
 """
 
@@ -242,7 +243,9 @@ def test_classification_work_does_not_depend_on_hash_seed(run_job):
     first, second = (run_job(_HASH_SEED_JOB, hash_seed=1),
                      run_job(_HASH_SEED_JOB, hash_seed=3))
     assert first["components"] == second["components"]
-    assert first["nf_mod_ideal"] == second["nf_mod_ideal"]
+    # a count of 0 would mean the wrapper no longer sees the reductions
+    assert first["normal_form"] > 0
+    assert first["normal_form"] == second["normal_form"]
     # the points, their order, and the order their coordinates were fixed in
     assert [len(found) for found in first["points"]] == [2, 5]
     assert first["points"] == second["points"]
