@@ -22,7 +22,8 @@ from .ordering import OrderConfig
 from .rewrite import NORMAL_FORM, RuleSchema, in_reduced_form, normal_form
 from .solve import SolutionComponent, find_representative, sample_points, \
     solve_components
-from .words import Word, enumerate_words, to_str, tokens, word_sort_key
+from .words import (Word, enumerate_words, to_str, tokens, tower_heights,
+                    word_sort_key)
 
 
 class ReductionBudgetExceeded(ResourceLimit):
@@ -75,21 +76,6 @@ class Ansatz:
         return f"Ansatz({self.mode}, {len(self.terms)} terms)"
 
 
-def _tower_heights(w: Word):
-    """For a two-atom product of iterated single brackets, the (generator,
-    height) of each factor; None when the word has another shape."""
-    heights = []
-    for a in w.atoms:
-        h = 0
-        while isinstance(a, Word):
-            if len(a.atoms) != 1:
-                return None
-            h += 1
-            a = a.atoms[0]
-        heights.append((a, h))
-    return heights
-
-
 def build_ansatz(mode: str, max_op_degree: int,
                  include_unit_terms: bool = False,
                  include_reversed: bool = True) -> Ansatz:
@@ -129,7 +115,7 @@ def build_ansatz(mode: str, max_op_degree: int,
     for w in picked:
         name = None
         if sigma and not include_unit_terms:
-            towers = _tower_heights(w)
+            towers = tower_heights(w)
             if towers and len(towers) == 2:
                 (g1, h1), (g2, h2) = towers
                 name = (f"a{h1}{h2}" if (g1, g2) == ("x", "y")

@@ -14,6 +14,8 @@ through it, reducing word by word through the check's ``NFCache``.  Each
 basis check keeps one ``RewriteMemo`` (each word's first redex and order
 key) for all its normal forms and order audits, and drops it when it
 returns.
+Every composition value, ideal element and associativity defect is filled
+from the plans its identity compiles once (``OpIdentity.plans``).
 """
 
 from __future__ import annotations
@@ -22,14 +24,14 @@ import random
 import re
 
 from .coeffs import MAX_DEPTH, _add_scaled_into
-from .opoly import (DIFFERENTIAL, XY, OPoly, OpIdentity, ROTA_BAXTER,
+from .opoly import (DIFFERENTIAL, OPoly, OpIdentity, ROTA_BAXTER,
                     to_str_opoly)
 from .ordering import OrderConfig, random_context
 from .rewrite import (NORMAL_FORM, NotDRF, NotRBRF, NotTotallyLinear, Redex,
                       ResourceLimit, RewriteMemo, RuleSchema, Verdict,
                       find_redexes, normal_form, reduces_to_zero)
 from .words import (GeneratorSet, UNIT, Word, bracket, enumerate_words,
-                    fill, plan, splice, to_str)
+                    fill, splice, to_str, tower_heights)
 
 BOUND_GEN_NAMES = ("u", "v", "w", "p", "q", "r", "s", "t")
 
@@ -511,8 +513,7 @@ def associativity_defect(identity: OpIdentity, u: Word, v: Word,
 def _nest(identity: OpIdentity, p: OPoly, slot: str, other: Word) -> OPoly:
     """M with ``p`` in generator slot ``slot`` and ``other`` in the other."""
     out: dict = {}
-    for m, c in identity.pattern.terms.items():
-        parts = plan(m, XY.names)
+    for parts, c in identity.plans:
         for word, cp in p.terms.items():
             values = (word, other) if slot == "x" else (other, word)
             _add_scaled_into(out, {Word(fill(parts, values)): cp}, c)
@@ -604,16 +605,12 @@ def free_dt_operator_nf(u: Word, identity: OpIdentity) -> OPoly:
             raise ValueError(
                 "patterns with unit-bracket terms induce no operator on "
                 f"bracket-free words (offending monomial {to_str(mono)})")
-        factors = []
-        for atom in mono.atoms:
-            height = 0
-            while isinstance(atom, Word):
-                if len(atom.atoms) != 1:
-                    raise NotDRF("d is defined by patterns in reduced form "
-                                 f"only (offending monomial {to_str(mono)})")
-                atom, height = atom.atoms[0], height + 1
-            factors.append((("x", "y").index(atom), height))
-        pattern.append((coeff, factors))
+        towers = tower_heights(mono)
+        if towers is None:
+            raise NotDRF("d is defined by patterns in reduced form "
+                         f"only (offending monomial {to_str(mono)})")
+        pattern.append((coeff, [(("x", "y").index(g), height)
+                                for g, height in towers]))
     return _d(OPoly.from_word(u, ring=identity.ring), pattern, 1)
 
 

@@ -21,8 +21,9 @@ from .words import (
     UNIT,
     GeneratorSet,
     Word,
+    fill,
     parse_word,
-    replace_generators,
+    plan,
     to_str,
     word_sort_key,
 )
@@ -149,14 +150,14 @@ class OPoly:
 
     def subst_generators(self, mapping: dict) -> "OPoly":
         """Replace generators by words: a word homomorphism, so each term
-        keeps its coefficient and only colliding images add up.  A value
-        that is not a ``Word`` raises ``ValueError``."""
+        keeps its coefficient and only colliding images add up.  Each term
+        is planned in the mapping's names and filled with its values.  A
+        value that is not a ``Word`` raises ``ValueError``."""
         if not all(isinstance(v, Word) for v in mapping.values()):
             raise ValueError("generator values must be words")
-        out: dict = {}
-        for w, c in self.terms.items():
-            _add_scaled_into(out, {replace_generators(w, mapping): c})
-        return OPoly._trusted(out, self.ring)
+        names = tuple(mapping)
+        return _filled(((plan(w, names), c) for w, c in self.terms.items()),
+                       tuple(mapping.values()), self.ring)
 
     def map_coeffs(self, fn) -> "OPoly":
         return OPoly({w: fn(c) for w, c in self.terms.items()}, ring=self.ring)
@@ -166,6 +167,14 @@ class OPoly:
         if self.ring is None:
             return self
         return OPoly({w: c.evaluate(point) for w, c in self.terms.items()}, ring=None)
+
+
+def _filled(plans, values: tuple, ring: PolyRing) -> OPoly:
+    """The ``(plan, coefficient)`` terms filled with ``values``, in order."""
+    out: dict = {}
+    for parts, c in plans:
+        _add_scaled_into(out, {Word(fill(parts, values)): c})
+    return OPoly._trusted(out, ring)
 
 
 # -- printing ---------------------------------------------------------------------
@@ -324,10 +333,11 @@ class OpIdentity:
 
     differential: [x y] = N(x, y);  rota_baxter: [x] [y] = [M(x, y)].
     The replacement pattern (N or M) is an OPoly in generators x, y, possibly
-    with symbolic coefficients constrained by ``constraints``.
+    with symbolic coefficients constrained by ``constraints``.  Every
+    instance of it is filled from its compiled form, ``plans``.
     """
 
-    __slots__ = ("kind", "pattern", "constraints", "name")
+    __slots__ = ("kind", "pattern", "constraints", "name", "_plans_memo")
 
     def __init__(self, kind: str, pattern: OPoly, constraints=(), name: str = None):
         if kind not in (DIFFERENTIAL, ROTA_BAXTER):
@@ -336,14 +346,26 @@ class OpIdentity:
         self.pattern = pattern
         self.constraints = tuple(constraints)
         self.name = name
+        self._plans_memo = None
 
     @property
     def ring(self):
         return self.pattern.ring
 
+    @property
+    def plans(self) -> tuple:
+        """One ``(words.plan in x and y, coefficient)`` pair per pattern
+        term, in term order, compiled on first use, since many identities
+        never instantiate their pattern."""
+        plans = self._plans_memo
+        if plans is None:
+            plans = self._plans_memo = tuple(
+                (plan(m, XY.names), c) for m, c in self.pattern.terms.items())
+        return plans
+
     def pattern_at(self, u: Word, v: Word) -> OPoly:
         """Just the replacement side N(u, v) (or M(u, v))."""
-        return self.pattern.subst_generators({"x": u, "y": v})
+        return _filled(self.plans, (u, v), self.ring)
 
     def specialize(self, point: dict) -> "OpIdentity":
         """Numeric identity at a rational parameter point."""

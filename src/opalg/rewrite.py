@@ -16,11 +16,11 @@ rule's replacement must carry no redex of its own family.  The walk to a
 word's first redex, leftmost-outermost (``lo``) or leftmost-innermost
 (``li``), is a loop that descends only into flagged atoms, and the walk
 that lists every redex enters no other; neither builds a word but the
-redex's arguments.  A schema compiles each pattern monomial once
-(``words.plan``); a replacement word is its ``words.fill`` at (a, b),
-spliced along the path by one ``words.splice``, flat for a sigma rule and
-bracketed for a pi rule, and ``Redex.context`` splices ``STAR`` there to
-print the context.
+redex's arguments.  The identity compiles its pattern once
+(``OpIdentity.plans``); a replacement word is a plan's ``words.fill`` at
+(a, b), spliced along the path by one ``words.splice``, flat for a sigma
+rule and bracketed for a pi rule, and ``Redex.context`` splices ``STAR``
+there to print the context.
 
 ``normal_form`` takes each step's monomial from a max-heap of reducible
 words instead of re-sorting the polynomial.  Every rewrite step, of the
@@ -55,10 +55,10 @@ from operator import attrgetter
 
 from .coeffs import ResourceLimit, _add_scaled_into
 from .groebner import buchberger, nf_mod_ideal
-from .opoly import DIFFERENTIAL, XY, OPoly, OpIdentity, to_str_opoly
+from .opoly import DIFFERENTIAL, OPoly, OpIdentity, to_str_opoly
 from .ordering import OrderConfig, order_key
-from .words import (STAR, Word, enumerate_words, fill, plan, release_words,
-                    splice, to_str, tokens, word_sort_key)
+from .words import (STAR, Word, enumerate_words, fill, release_words, splice,
+                    to_str, tokens, word_sort_key)
 
 
 class NotTotallyLinear(ValueError):
@@ -108,10 +108,11 @@ def is_rbrf(p: OPoly) -> bool:
 
 class RuleSchema:
     """A sigma or pi rule family derived from one operator identity; its
-    pattern must be totally linear and in the family's reduced form.  Each
-    pattern monomial is compiled once, into a ``words.plan`` in x and y."""
+    pattern must be totally linear and in the family's reduced form.  Its
+    replacements are filled from the identity's compiled pattern,
+    ``OpIdentity.plans``."""
 
-    __slots__ = ("kind", "identity", "order", "constraint_gb", "plans")
+    __slots__ = ("kind", "identity", "order", "constraint_gb")
 
     def __init__(self, identity: OpIdentity, order: OrderConfig = None):
         self.kind = "sigma" if identity.kind == DIFFERENTIAL else "pi"
@@ -127,8 +128,6 @@ class RuleSchema:
                           f"{to_str_opoly(pattern)}")
         self.identity = identity
         self.order = order
-        self.plans = tuple((plan(m, XY.names), c)
-                           for m, c in pattern.terms.items())
         if identity.constraints:
             self.constraint_gb = buchberger(list(identity.constraints),
                                             identity.ring)
@@ -145,7 +144,7 @@ class RuleSchema:
         path = redex.path
         sigma = self.kind == "sigma"
         out: dict = {}
-        for parts, c in self.plans:
+        for parts, c in self.identity.plans:
             atoms = fill(parts, values)
             _add_scaled_into(out, {splice(path, atoms if sigma
                                           else (Word(atoms),)): c})

@@ -26,10 +26,12 @@ nothing; shapes that depend on a rule schema are kept by
 ``ResourceLimit(TOO_NESTED)``; each walk takes one frame a level, and
 enumeration none a leaf or level.
 
-A word with named holes is compiled once by ``plan`` and filled by ``fill``
+A word with named holes is compiled by ``plan`` and filled by ``fill``
 with one value per hole, each value spliced flat or, for a bracket that
-holds the hole alone, put in as one atom; this is how rule patterns are
-instantiated.
+holds the hole alone, put in as one atom.  This is the one way generators
+are replaced: ``opoly.OpIdentity`` plans its pattern once and fills every
+instance of it from there, and ``opoly.OPoly.subst_generators`` plans each
+term in the mapping's names.
 """
 
 from __future__ import annotations
@@ -300,33 +302,7 @@ def parse_word(ts: Tokens, gens: GeneratorSet) -> Word:
     return Word(tuple(atoms))
 
 
-# -- star contexts and substitution --------------------------------------------
-
-
-def replace_generators(w: Word, mapping: dict) -> Word:
-    """``w`` with each generator named in ``mapping`` replaced by its word,
-    spliced flat; a unit value deletes the generator."""
-    return _replace(w, mapping)[0]
-
-
-def _replace(w: Word, mapping: dict):
-    """(the replaced word, whether ``w`` names a key of ``mapping``), in one
-    pass; a subword naming none is kept as it is, and a lone generator
-    becomes its value itself."""
-    if len(w.atoms) == 1 and w.atoms[0] in mapping:
-        return mapping[w.atoms[0]], True
-    atoms = []
-    hit = False
-    for a in w.atoms:
-        if isinstance(a, str):
-            v = mapping.get(a)
-            atoms.extend((a,) if v is None else v.atoms)
-            hit = hit or v is not None
-        else:
-            a, inner = _replace(a, mapping)
-            atoms.append(a)
-            hit = hit or inner
-    return (Word(tuple(atoms)) if hit else w), hit
+# -- star contexts, plans and towers -------------------------------------------
 
 
 def plan(w: Word, names: tuple) -> tuple:
@@ -365,6 +341,22 @@ def splice(path: tuple, atoms: tuple) -> Word:
     for left, right in reversed(path):
         atoms = (Word(left + atoms + right),)
     return atoms[0]
+
+
+def tower_heights(w: Word):
+    """The (generator, height) of each atom of ``w`` read as a tower of
+    single brackets, ``height`` brackets around one generator; None when
+    some bracket of ``w`` holds other than one atom."""
+    heights = []
+    for a in w.atoms:
+        h = 0
+        while isinstance(a, Word):
+            if len(a.atoms) != 1:
+                return None
+            h += 1
+            a = a.atoms[0]
+        heights.append((a, h))
+    return heights
 
 
 # -- enumeration and sampling ----------------------------------------------------

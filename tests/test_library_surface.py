@@ -356,23 +356,62 @@ def test_export_list_is_sorted_and_matches_the_package_imports():
     assert set(exported) == set(imports(init))
 
 
-def calls_of(library, name, modules):
-    """``module:line`` of each call of ``name``, by a bare name (imported
-    names resolved) or an attribute, in the library modules ``modules``."""
-    calls = []
-    for source in _sources(library, []):
-        if source.module not in modules:
+def _calls(source, name):
+    """Each call of ``name`` in ``source``, by a bare name (imported names
+    resolved) or an attribute."""
+    for node in ast.walk(source.tree):
+        if not isinstance(node, ast.Call):
             continue
-        for node in ast.walk(source.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            if isinstance(node.func, ast.Name):
-                called = _resolve(source, "name", node.func.id)[0]
-            else:
-                called = getattr(node.func, "attr", None)
-            if called == name:
-                calls.append(f"{source.module}:{node.lineno}")
-    return sorted(calls)
+        if isinstance(node.func, ast.Name):
+            called = _resolve(source, "name", node.func.id)[0]
+        else:
+            called = getattr(node.func, "attr", None)
+        if called == name:
+            yield node
+
+
+def calls_of(library, name, modules):
+    """``module:line`` of each call of ``name`` in the library modules
+    ``modules``."""
+    return sorted(f"{source.module}:{node.lineno}"
+                  for source in _sources(library, [])
+                  if source.module in modules
+                  for node in _calls(source, name))
+
+
+def _owners_into(node, owner, out):
+    """Map each node below ``node`` to the qualified name of the innermost
+    function or class that holds it, ``owner`` outside any."""
+    for child in ast.iter_child_nodes(node):
+        name = owner
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            name = f"{owner}.{child.name}"
+        out[id(child)] = name
+        _owners_into(child, name, out)
+
+
+def callers_of(library, name):
+    """The library definitions that call ``name``, as ``calls_of`` finds
+    calls, each as ``module.Class.function`` (``module`` for a call at
+    module level)."""
+    callers = set()
+    for source in _sources(library, []):
+        owners = {}
+        _owners_into(source.tree, source.module, owners)
+        callers.update(owners[id(node)] for node in _calls(source, name))
+    return sorted(callers)
+
+
+def definitions_of(library, name):
+    """``module:line`` of each function or class named ``name``, at any
+    level of a library module."""
+    return sorted(f"{module}:{node.lineno}"
+                  for module, tree in library.items()
+                  for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                       ast.ClassDef))
+                  and node.name == name)
 
 
 def test_only_ordering_compares_words_pairwise():
@@ -382,12 +421,18 @@ def test_only_ordering_compares_words_pairwise():
     assert calls_of(library, "compare", set(library) - {"ordering"}) == []
 
 
-def test_rules_are_instantiated_through_their_plans():
-    # a schema compiles each pattern monomial once (``words.plan``) and the
-    # kernel fills the plans; a call of the generic substitution walk would
-    # rebuild the pattern on every step
+def test_patterns_are_compiled_only_by_their_identity():
+    # an identity compiles its pattern once (``OpIdentity.plans``) and every
+    # instance of it fills those plans; ``subst_generators`` plans each term
+    # in its mapping's names, and ``plan`` recurses into brackets.  A generic
+    # substitution walk, or a ``plan`` call anywhere else, would rebuild a
+    # pattern on every step
     library, _ = load()
-    assert calls_of(library, "replace_generators", {"rewrite", "gsb"}) == []
+    assert definitions_of(library, "replace_generators") == []
+    assert calls_of(library, "replace_generators", set(library)) == []
+    assert callers_of(library, "plan") == [
+        "opoly.OPoly.subst_generators", "opoly.OpIdentity.plans",
+        "words.plan"]
 
 
 def test_calls_are_found_by_bare_and_attribute_name():
@@ -402,6 +447,26 @@ def test_calls_are_found_by_bare_and_attribute_name():
         "gsb:1", "rewrite:2"]
     assert calls_of(library, "replace_generators", set(library)) == [
         "gsb:1", "opoly:2", "rewrite:2"]
+
+
+def test_callers_and_definitions_are_named():
+    library = {
+        "opoly": ast.parse("class OpIdentity:\n"
+                           "    def plans(self):\n"
+                           "        def inner():\n"
+                           "            return plan(m, names)\n"
+                           "        return words.plan(m, names)\n"
+                           "parts = plan(w, names)\n"),
+        "gsb": ast.parse("from .words import plan as compile\n"
+                         "def _nest(p):\n"
+                         "    return compile(p, names)\n"
+                         "def replace_generators(w, mapping):\n"
+                         "    class replace_generators:\n"
+                         "        pass\n")}
+    assert callers_of(library, "plan") == [
+        "gsb._nest", "opoly", "opoly.OpIdentity.plans",
+        "opoly.OpIdentity.plans.inner"]
+    assert definitions_of(library, "replace_generators") == ["gsb:4", "gsb:5"]
 
 
 def test_no_module_handles_a_recursion_error():

@@ -33,11 +33,12 @@ from opalg.rewrite import (NORMAL_FORM, STEP_CAP_EXCEEDED, NotDRF, NotRBRF,
                            local_confluence_check, normal_form,
                            reduces_to_zero)
 from opalg.words import (MAX_DEPTH, STAR, TOO_NESTED, GeneratorSet, UNIT, Word,
-                         enumerate_words, parse, replace_generators,
-                         sample_word, to_str, tokens, word_sort_key)
+                         enumerate_words, parse, sample_word, to_str,
+                         tokens, word_sort_key)
 from test_coeffs import is_rational
 from test_ordering import reference_compare
 from test_words import (reference_has_unit_bracket, reference_redex_walk,
+                        reference_replace_generators, reference_subst,
                         word_strategy)
 
 XY = GeneratorSet(("x", "y"))
@@ -328,14 +329,17 @@ def into_context(p: OPoly, q: Word) -> OPoly:
     ``q``, in term order."""
     out = {}
     for w, c in p.terms.items():
-        _add_scaled_into(out, {replace_generators(q, {STAR: w}): c})
+        _add_scaled_into(out, {reference_replace_generators(q, {STAR: w}): c})
     return OPoly(out, ring=p.ring)
 
 
 def reference_replacement(schema: RuleSchema, redex) -> OPoly:
     """The rule's right-hand side at ``redex`` by polynomial operations:
-    the pattern at (a, b), bracketed for pi, substituted into the context."""
-    out = schema.identity.pattern_at(redex.a, redex.b)
+    the pattern at (a, b), bracketed for pi, substituted into the context,
+    each by the reference walk."""
+    out = OPoly(dict(reference_subst(schema.identity.pattern,
+                                     {"x": redex.a, "y": redex.b})),
+                ring=schema.identity.ring)
     if schema.kind == "pi":
         out = OPoly({Word((w,)): c for w, c in out.terms.items()},
                     ring=out.ring)

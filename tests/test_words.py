@@ -5,11 +5,11 @@ import re
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from opalg.catalog import FAMILIES, named_pattern, pattern_names
 from opalg.classify import build_ansatz
-from opalg.coeffs import PolyRing, ResourceLimit
+from opalg.coeffs import PolyRing, ResourceLimit, _add_scaled_into
 from opalg.gsb import D_TOO_DEEP, delta_view, free_dt_operator_nf
 from opalg.opoly import DIFFERENTIAL, ROTA_BAXTER, XY, OPoly, OpIdentity
 from opalg.ordering import OrderConfig, order_key, random_context
@@ -33,17 +33,56 @@ from opalg.words import (
     parse,
     plan,
     release_words,
-    replace_generators,
     sample_word,
     splice,
     to_str,
     tokens,
+    tower_heights,
     word_sort_key,
 )
 
-# two more hole symbols, filled through ``replace_generators``
+# two more hole symbols, filled through ``reference_replace_generators``
 STAR1 = STAR + "1"
 STAR2 = STAR + "2"
+
+
+# -- the reference substitution -----------------------------------------------------
+
+def reference_replace_generators(w: Word, mapping: dict) -> Word:
+    """``w`` with each generator named in ``mapping`` replaced by its word,
+    spliced flat; a unit value deletes the generator.  The generic walk,
+    independent of ``plan`` and ``fill``, and the oracle of both and of
+    ``splice``."""
+    return _reference_replace(w, mapping)[0]
+
+
+def _reference_replace(w: Word, mapping: dict):
+    """(the replaced word, whether ``w`` names a key of ``mapping``), in one
+    pass; a subword naming none is kept as it is, and a lone generator
+    becomes its value itself."""
+    if len(w.atoms) == 1 and w.atoms[0] in mapping:
+        return mapping[w.atoms[0]], True
+    atoms = []
+    hit = False
+    for a in w.atoms:
+        if isinstance(a, str):
+            v = mapping.get(a)
+            atoms.extend((a,) if v is None else v.atoms)
+            hit = hit or v is not None
+        else:
+            a, inner = _reference_replace(a, mapping)
+            atoms.append(a)
+            hit = hit or inner
+    return (Word(tuple(atoms)) if hit else w), hit
+
+
+def reference_subst(p: OPoly, mapping: dict) -> list:
+    """The terms of ``p`` with its generators replaced by the reference walk,
+    colliding images added up, in term order."""
+    out: dict = {}
+    for w, c in p.terms.items():
+        _add_scaled_into(out, {reference_replace_generators(w, mapping): c})
+    return list(out.items())
 
 
 def word_of(*atoms):
@@ -298,8 +337,9 @@ def test_substitute_unit_deletes_star_inside_bracket():
 
 def test_two_star_routes_agree():
     q = word_of(STAR1, word_of("y", STAR2), "x")
-    a = replace_generators(replace_generators(q, {STAR1: x * y}), {STAR2: z})
-    b = replace_generators(replace_generators(q, {STAR2: z}), {STAR1: x * y})
+    sub = reference_replace_generators
+    a = sub(sub(q, {STAR1: x * y}), {STAR2: z})
+    b = sub(sub(q, {STAR2: z}), {STAR1: x * y})
     assert a == b == parse("x y [y z] x", G)
 
 
@@ -542,7 +582,7 @@ def context_strategy():
 @given(context_strategy(), st.one_of(st.just(UNIT), word_strategy(3, 2)))
 def test_one_pass_substitute_matches_counting_definition(q, u):
     for star in (STAR, STAR1, STAR2):
-        assert (replace_generators(q, {star: u})
+        assert (reference_replace_generators(q, {star: u})
                 == _substitute_by_counting(q, u, star))
 
 
@@ -563,7 +603,7 @@ def test_splice_matches_star_word_fill(q, u, v):
     # star-word context it prints as
     path = star_path(q)
     assert splice(path, (STAR,)) == q
-    assert splice(path, u.atoms) == replace_generators(q, {STAR: u})
+    assert splice(path, u.atoms) == reference_replace_generators(q, {STAR: u})
     # distinct words stay distinct in a fixed context
     assert (splice(path, u.atoms) == splice(path, v.atoms)) == (u == v)
 
@@ -734,15 +774,14 @@ def test_deep_copying_a_polynomial_leaves_its_words_intact():
 
 # -- instantiation plans ------------------------------------------------------------
 
-def catalog_patterns():
-    """Every pattern of the catalog's families and named patterns, and of
+def catalog_identities():
+    """Every identity of the catalog's families and named patterns, and of
     the degree-2 ansatzes, which nest brackets two deep."""
     named = [named_pattern(n if n not in ("weight", "rota-baxter")
                            else f"{n}:lam") for n in pattern_names()]
     ansatzes = [build_ansatz(mode, 2).identity() for mode in (DIFFERENTIAL,
                                                              ROTA_BAXTER)]
-    return ([f.identity().pattern for f in FAMILIES.values()]
-            + [ident.pattern for ident in named + ansatzes])
+    return [f.identity() for f in FAMILIES.values()] + named + ansatzes
 
 
 def plan_arguments(rng):
@@ -755,14 +794,15 @@ def plan_arguments(rng):
 def test_plans_fill_as_the_generators_are_replaced():
     rng = random.Random(41)
     args = plan_arguments(rng)
-    monomials = {m for p in catalog_patterns() for m in p.terms}
+    monomials = {m for ident in catalog_identities()
+                 for m in ident.pattern.terms}
     assert len(monomials) > 30
     assert any(m.depth() == 2 for m in monomials)
     for m in monomials:
         parts = plan(m, XY.names)
         for a in args:
             for b in args:
-                want = replace_generators(m, {"x": a, "y": b})
+                want = reference_replace_generators(m, {"x": a, "y": b})
                 assert Word(fill(parts, (a, b))) == want, (m, a, b)
 
 
@@ -774,10 +814,65 @@ def test_plans_of_sampled_words_fill_as_the_generators_are_replaced(w, a, b):
     # ``z`` is no hole: it stays, and so do brackets around it alone
     for names in (("x", "y"), ("y", "x"), ("x",)):
         values = (a, b)[:len(names)]
-        want = replace_generators(w, dict(zip(names, values)))
+        want = reference_replace_generators(w, dict(zip(names, values)))
         assert Word(fill(plan(w, names), values)) == want
 
 
 def test_a_plan_has_one_part_per_atom():
     w = parse("z [x [y]] [[x]] [1] y [z]", G)
     assert plan(w, ("x", "y")) == ("z", (0, ~1), (~0,), (), 1, ("z",))
+
+
+def test_patterns_are_filled_as_the_generators_are_replaced():
+    # term order matters too: the search visits an instance's terms in order
+    args = plan_arguments(random.Random(43))
+    for ident in catalog_identities():
+        for a in args:
+            for b in args:
+                assert (list(ident.pattern_at(a, b).terms.items())
+                        == reference_subst(ident.pattern, {"x": a, "y": b})), (
+                    ident, a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(word_strategy(max_leaves=5, max_depth=3),
+                          st.integers(-3, 3)), min_size=1, max_size=5),
+       st.permutations(("x", "y", "z")), word_strategy(3, 2),
+       st.sampled_from(("x", "y", "z")))
+@example(terms=[(parse("[x] [y z] x", G), 2), (parse("[1] [z] y", G), -1)],
+         names=("x", "y", "z"), w=parse("[x] y", G), g="x")
+def test_subst_generators_replaces_as_the_reference(terms, names, w, g):
+    # the unit makes a bracket around its generator alone the bracket [1]
+    p = OPoly(dict(terms))
+    mapping = dict(zip(names, (UNIT, gen_word(g), bracket(w))))
+    assert (list(p.subst_generators(mapping).terms.items())
+            == reference_subst(p, mapping))
+
+
+def test_an_identity_compiles_its_pattern_once(monkeypatch):
+    planned = []
+
+    def counting_plan(w, names):
+        planned.append(w)
+        return plan(w, names)
+
+    monkeypatch.setattr("opalg.opoly.plan", counting_plan)
+    ident = named_pattern("weight:lam")
+    assert planned == []  # nothing compiled before the first instance
+    schemas = (RuleSchema(ident),
+               RuleSchema(ident, OrderConfig(G, "deglenlex")))
+    assert schemas[0].identity.plans is schemas[1].identity.plans
+    lead = parse("[x y z]", G)
+    for schema in schemas:
+        for redex in find_redexes(lead, schema):
+            schema.replacement(redex)
+    ident.pattern_at(x, y * z)
+    assert planned == list(ident.pattern.terms)
+
+
+def test_tower_heights_read_single_bracket_towers():
+    assert tower_heights(parse("[[x]] y [z]", G)) == [("x", 2), ("y", 0),
+                                                      ("z", 1)]
+    assert tower_heights(UNIT) == []
+    for text in ("x [y z]", "[[x] y]", "[1] x", "[[1]]"):
+        assert tower_heights(parse(text, G)) is None
