@@ -22,8 +22,8 @@ from .ordering import OrderConfig
 from .rewrite import NORMAL_FORM, RuleSchema, in_reduced_form, normal_form
 from .solve import SolutionComponent, find_representative, sample_points, \
     solve_components
-from .words import (Word, enumerate_words, to_str, tokens, tower_heights,
-                    word_sort_key)
+from .words import (Word, enumerate_words, job, to_str, tokens,
+                    tower_heights, word_sort_key)
 
 
 class ReductionBudgetExceeded(ResourceLimit):
@@ -163,6 +163,7 @@ def _unit_residue(w: Word) -> bool:
     return any(a.has_unit_bracket for a in w.atoms if isinstance(a, Word))
 
 
+@job()
 def extract_constraints(ansatz: Ansatz, step_cap: int = 4000) -> ConstraintSystem:
     """Reduce the defect with the ansatz's own rules, leftmost-outermost
     first, and read off one equation per surviving monomial."""
@@ -204,6 +205,7 @@ def _audit_component(ansatz: Ansatz, comp: SolutionComponent) -> bool:
     return rbt_check(pattern).accepted
 
 
+@job()
 def classify(ansatz: Ansatz, budget: int = 4000) -> ClassifyResult:
     """Extract constraints, split the solution set into components, and
     self-audit each component's representative with the matching type check.
@@ -270,6 +272,7 @@ def _family_inspace_components(fam: Family, ansatz: Ansatz):
     return solve_components(eqs, ring)
 
 
+@job()
 def match_catalog(result: ClassifyResult, samples: int = 20,
                   rng: random.Random = None) -> MatchReport:
     """Bidirectional containment between components and catalog families.

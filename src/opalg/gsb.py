@@ -11,9 +11,10 @@ differential-type / Rota-Baxter-type certificates.
 ``is_trivial`` is the one place a composition value is audited against the
 order and reduced: both composition kinds of ``gsb_check_truncated`` go
 through it, reducing word by word through the check's ``NFCache``.  Each
-basis check keeps one ``RewriteMemo`` (each word's first redex and order
-key) for all its normal forms and order audits, and drops it when it
-returns.
+check is one job (see ``words.job``): its normal forms, order audits and
+irreducibility tests read the job's one ``RewriteMemo`` of the schema
+(each word's first redex and order key, ``rewrite.job_memo``), which is
+dropped when the check returns.
 Every composition value, ideal element and associativity defect is filled
 from the plans its identity compiles once (``OpIdentity.plans``).
 """
@@ -28,10 +29,10 @@ from .opoly import (DIFFERENTIAL, OPoly, OpIdentity, ROTA_BAXTER,
                     to_str_opoly)
 from .ordering import OrderConfig, random_context
 from .rewrite import (NORMAL_FORM, NotDRF, NotRBRF, NotTotallyLinear, Redex,
-                      ResourceLimit, RewriteMemo, RuleSchema, Verdict,
-                      find_redexes, normal_form, reduces_to_zero)
+                      ResourceLimit, RuleSchema, Verdict, find_redexes,
+                      job_memo, normal_form, reduces_to_zero)
 from .words import (GeneratorSet, UNIT, Word, bracket, enumerate_words,
-                    fill, splice, to_str, tower_heights)
+                    fill, job, splice, to_str, tower_heights)
 
 BOUND_GEN_NAMES = ("u", "v", "w", "p", "q", "r", "s", "t")
 
@@ -177,11 +178,11 @@ class NFCache:
     Rewriting acts monomial by monomial, so the strategy normal form of a
     combination is the matching combination of the per-word normal forms.
     Each word is reduced by its own ``normal_form`` call, under the step cap,
-    through one ``RewriteMemo`` that keeps every word's first redex and
-    order key for the life of the check; a repeated word is reduced again
-    through it.  Each word's trace is audited once, against the memo's
-    order keys, which the normal form's heap already built: no rewritten
-    monomial may exceed the root word.
+    through the job's ``RewriteMemo`` of the schema (``job_memo``), which
+    keeps every word's first redex and order key for the life of the job; a
+    repeated word is reduced again through it.  Each word's trace is
+    audited once, against the memo's order keys, which the normal form's
+    heap already built: no rewritten monomial may exceed the root word.
     """
 
     __slots__ = ("schema", "step_cap", "memo", "audited", "order_violations")
@@ -189,14 +190,13 @@ class NFCache:
     def __init__(self, schema: RuleSchema, step_cap: int):
         self.schema = schema
         self.step_cap = step_cap
-        self.memo = RewriteMemo(schema, "lo")
+        self.memo = job_memo(schema, "lo")
         self.audited = set()
         self.order_violations = 0
 
     def nf_word(self, w: Word) -> OPoly:
         nf, trace = normal_form(OPoly.from_word(w, ring=self.schema.identity.ring),
-                                self.schema, "lo", self.step_cap,
-                                memo=self.memo)
+                                self.schema, "lo", self.step_cap)
         if trace.status != NORMAL_FORM:
             raise ResourceLimit(f"step cap {self.step_cap} hit at {to_str(w)}")
         if self.schema.order is not None and w not in self.audited:
@@ -239,6 +239,7 @@ TRANSFER_SAMPLES = 200
 MAX_REDUCTIONS = 2000000
 
 
+@job()
 def gsb_check_truncated(sys: GeneratorSystem, bound: TruncationBound,
                         step_cap: int = 100000,
                         rng: random.Random = None) -> GsbReport:
@@ -248,12 +249,13 @@ def gsb_check_truncated(sys: GeneratorSystem, bound: TruncationBound,
     bound words such that both split arguments stay inside the bound: the
     pair phi(r s, t), phi(r, s t) overlaps at [r s t].  With at least three
     generators (``transfer`` mode) the triple of distinct single generators
-    is reduced once and certifies every other triple, because substituting
-    r, s, t for the generators maps each rewrite step of the trace to a
-    rewrite step (or a cancellation) of the instance; a seeded sample of
-    ``TRANSFER_SAMPLES`` triples is reduced concretely on top of that.  With
-    fewer generators there are no three independent slots, and every triple
-    is reduced (``concrete`` mode).  ``report.certify`` names the mode.
+    is reduced once, when the bound holds any triple, and certifies every
+    other triple, because substituting r, s, t for the generators maps each
+    rewrite step of the trace to a rewrite step (or a cancellation) of the
+    instance; a seeded sample of ``TRANSFER_SAMPLES`` triples is reduced
+    concretely on top of that.  With fewer generators there are no three
+    independent slots, and every triple is reduced (``concrete`` mode).
+    ``report.certify`` names the mode.
 
     Including compositions are enumerated per structural configuration (host
     word, nested redex, side), with the host's other argument kept generic;
@@ -316,7 +318,7 @@ def gsb_check_truncated(sys: GeneratorSystem, bound: TruncationBound,
         for j in range(n):
             if check_triple(*_triple_at(blocks, j)):
                 report.trivial_count += 1
-    else:
+    elif n:  # a bound with no triple has nothing for the master to certify
         names = gens.names
         master = (Word((names[0],)), Word((names[1],)), Word((names[2],)))
         master_ok = check_triple(*master)
@@ -367,11 +369,12 @@ def _triple_at(blocks, j: int):
 # -- irreducible words and direct-sum checks ----------------------------------------
 
 
+@job()
 def irr_enumerate(sys: GeneratorSystem, bound: TruncationBound,
                   gens: GeneratorSet = None) -> set:
     """All bound words carrying no redex of the system's schema."""
     gens = gens or bound.generator_set()
-    memo = RewriteMemo(sys, "lo")
+    memo = job_memo(sys, "lo")
     words = enumerate_words(gens, bound.max_breadth, bound.max_depth,
                             include_unit_brackets=True, include_unit=True)
     return {w for w in words if memo.first_redex(w) is None}
@@ -402,6 +405,7 @@ class CdlReport:
                 f"{self.ideal_zeros}/{self.ideal_samples} ideal elements to zero")
 
 
+@job()
 def cdl_direct_sum_check(sys: GeneratorSystem, bound: TruncationBound,
                          rng: random.Random = None,
                          ideal_samples: int = 100) -> CdlReport:
@@ -409,22 +413,22 @@ def cdl_direct_sum_check(sys: GeneratorSystem, bound: TruncationBound,
 
     Every bound word must normalize into the irreducible span, irreducible
     words must be fixed, and random elements of the rule ideal must vanish.
-    A reduction stopped by the step cap raises ``ResourceLimit``.  One
-    ``RewriteMemo`` serves every reduction of the check and decides which
-    words are irreducible.
+    A reduction stopped by the step cap raises ``ResourceLimit``.  The
+    job's ``RewriteMemo`` of the system (``job_memo``) serves every
+    reduction of the check and decides which words are irreducible.
     """
     rng = rng or random.Random(0)
     gens = bound.generator_set()
     report = CdlReport()
     all_words = enumerate_words(gens, bound.max_breadth, bound.max_depth,
                                 include_unit_brackets=True, include_unit=True)
-    memo = RewriteMemo(sys, "lo")
+    memo = job_memo(sys, "lo")
     irr = {w for w in all_words if memo.first_redex(w) is None}
     report.irr_size = len(irr)
     report.irr_unit_surplus = sum(1 for w in irr if w.has_unit_bracket)
     for w in all_words:
         report.words_checked += 1
-        nf, trace = normal_form(OPoly.from_word(w), sys, memo=memo)
+        nf, trace = normal_form(OPoly.from_word(w), sys)
         if trace.status != NORMAL_FORM:
             raise ResourceLimit(f"step cap hit at {to_str(w)}")
         if w in irr and nf != OPoly.from_word(w, ring=nf.ring):
@@ -451,7 +455,7 @@ def cdl_direct_sum_check(sys: GeneratorSystem, bound: TruncationBound,
             report.oversize_hosts += 1  # the last host is used as it is
         elem = (OPoly.from_word(host, ring=sys.identity.ring)
                 - sys.replacement(Redex(q, u, v)))
-        nf, trace = normal_form(elem, sys, memo=memo)
+        nf, trace = normal_form(elem, sys)
         if trace.status != NORMAL_FORM:
             raise ResourceLimit(f"step cap hit at {to_str(host)}")
         report.ideal_samples += 1
@@ -553,6 +557,7 @@ DT_EXPLORE_BUDGET = 4000
 RBT_EXPLORE_BUDGET = 2000
 
 
+@job()
 def dt_check(pattern: OPoly, constraints=(), strategy: str = "lo",
              order_mode: str = "purelex", step_cap: int = 10000) -> TypeReport:
     """Certificate that [x y] -> pattern defines a differential-shape identity
@@ -562,6 +567,7 @@ def dt_check(pattern: OPoly, constraints=(), strategy: str = "lo",
                     DT_EXPLORE_BUDGET)
 
 
+@job()
 def rbt_check(pattern: OPoly, constraints=(), strategy: str = "lo",
               step_cap: int = 10000) -> TypeReport:
     """Certificate that [x][y] -> [pattern] defines a Rota-Baxter-shape

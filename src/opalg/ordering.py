@@ -29,10 +29,10 @@ decides one pair by comparing two such keys.  A generator atom's key is
 word key is the tuple of its atom keys and a ``deglenlex`` one is
 ``(deg, breadth, atom keys)``, with bracket contents keyed in the same mode.
 Each key function memoises the keys it built in a dict that lives exactly as
-long as the function: build one per library call, or per basis check
-through the check's ``RewriteMemo``, and drop it with the call.  A memo that
-outlived its call (on ``OrderConfig``, say) would keep every word any caller
-ever sorted.
+long as the function: build one per library call, or read the job's
+through its ``RewriteMemo`` (see ``words.job``), and drop it with the call
+or the job.  A memo that outlived its call (on ``OrderConfig``, say) would
+keep every word any caller ever sorted.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .words import STAR, Word, sample_word, splice, to_str
+from .words import STAR, Word, job, sample_word, splice, to_str
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -149,6 +149,7 @@ def random_context(rng: random.Random, gens, max_leaves: int,
     return tuple(path)
 
 
+@job()
 def check_monomial_order(cfg: OrderConfig, sample_budget: int = 10000,
                          rng: random.Random = None, max_leaves: int = 4,
                          max_depth: int = 3) -> PropertyReport:

@@ -32,17 +32,16 @@ only when ``steps`` is read.
 
 ``RewriteMemo`` is the one cache of word facts: each reducible word's first
 redex and each word's order key for the strategy path, and the replacements of
-all its redexes for the search, which alone asks for them.  One memo serves
-one rewriting job and dies when the job returns: a ``normal_form`` call
-unless its caller passes one, a ``reduces_to_zero`` call (its strategy path
-and its search), the two reach-set searches of a ``joinable`` call, and each
-basis check of ``gsb``.  ``local_confluence_check`` keeps none for its peaks:
+all its redexes for the search, which alone asks for them.  A job keeps one
+memo per schema and strategy, which ``job_memo`` hands out to every
+``normal_form``, ``reduces_to_zero`` and ``joinable`` call and every basis
+check of ``gsb`` in it, and which the job drops when its outermost scope
+closes (see ``words.job``).  ``local_confluence_check`` keeps no peak memo:
 it meets each enumerated word once.
 
-While a memo lives, equal words are one object (see ``words``), so its
-dicts, the term dicts and the heap meet them by identity; the last live memo
-to die empties the word table, and a memo the caller keeps keeps it alive.
-A step that builds a word nested past ``coeffs.MAX_DEPTH`` raises
+Within a job, equal words are one object (see ``words``), so the memo's
+dicts, the term dicts and the heap meet them by identity.  A step that
+builds a word nested past ``coeffs.MAX_DEPTH`` raises
 ``ResourceLimit(TOO_NESTED)``; listing redexes takes one frame a level and
 finding a first redex none, so no rewrite meets the recursion limit.
 """
@@ -57,8 +56,8 @@ from .coeffs import ResourceLimit, _add_scaled_into
 from .groebner import buchberger, nf_mod_ideal
 from .opoly import DIFFERENTIAL, OPoly, OpIdentity, to_str_opoly
 from .ordering import OrderConfig, order_key
-from .words import (STAR, Word, enumerate_words, fill, release_words, splice,
-                    to_str, tokens, word_sort_key)
+from .words import (STAR, Word, enumerate_words, fill, job, splice, to_str,
+                    tokens, word_sort_key)
 
 
 class NotTotallyLinear(ValueError):
@@ -270,24 +269,19 @@ class ReductionTrace:
         return len(self.monomials)
 
 
-_live_memos = 0  # the word table is emptied when this returns to 0
-
-
 class RewriteMemo:
     """Each reducible word's strategy-first redex and, when asked, the
     replacements of all its redexes, for one schema under one strategy, and
     the order key (``word_sort_key`` when the schema has no order) each word
-    is read by.  They depend on nothing else, so one memo may serve a whole
-    rewriting job; it keeps every reducible word the job met until it is
-    dropped, and the last live memo to die empties the word table.  An
-    irreducible word is answered by its redex flag and kept nowhere."""
+    is read by.  They depend on nothing else, so one memo serves a whole
+    job: ``job_memo`` hands it out, and it keeps every reducible word the
+    job met until the job's outermost scope closes.  An irreducible word is
+    answered by its redex flag and kept nowhere."""
 
     __slots__ = ("schema", "strategy", "key", "first", "repl", "_walk",
                  "_holds")
 
     def __init__(self, schema: RuleSchema, strategy: str):
-        global _live_memos
-        _live_memos += 1  # first: __del__ runs even if __init__ raises
         if strategy not in ("lo", "li"):
             raise ValueError(f"unknown strategy {strategy!r}")
         self.schema = schema
@@ -298,12 +292,6 @@ class RewriteMemo:
         self.repl = {}
         self._walk = (schema.kind == "sigma", strategy == "li")
         self._holds = _HOLDS_REDEX[schema.kind == "sigma"]
-
-    def __del__(self):
-        global _live_memos
-        _live_memos -= 1
-        if not _live_memos:
-            release_words()
 
     def first_redex(self, w: Word):
         """The strategy-first redex of ``w``, or ``None`` when it has none."""
@@ -326,6 +314,15 @@ class RewriteMemo:
         return out
 
 
+def job_memo(schema: RuleSchema, strategy: str) -> RewriteMemo:
+    """The open job's memo of ``schema`` under ``strategy``, built on first
+    use (see ``words.job``)."""
+    memo = job.memos.get((schema, strategy))
+    if memo is None:
+        memo = job.memos[schema, strategy] = RewriteMemo(schema, strategy)
+    return memo
+
+
 class _Desc:
     """A heap entry ordered by descending key, so that ``heapq``'s min-heap
     pops the order-maximal word first."""
@@ -340,9 +337,9 @@ class _Desc:
         return other.key < self.key
 
 
+@job()
 def normal_form(p: OPoly, schema: RuleSchema, strategy: str = "lo",
-                step_cap: int = 100000, monitor: bool = False,
-                memo: RewriteMemo = None):
+                step_cap: int = 100000, monitor: bool = False):
     """Reduce to a fixed point of the schema; returns (result, trace).
 
     The strategy-first redex of the order-maximal reducible monomial is
@@ -357,15 +354,11 @@ def normal_form(p: OPoly, schema: RuleSchema, strategy: str = "lo",
     configured; violations are recorded on the trace, never silently
     dropped.
 
-    First redexes and order keys come from ``memo``, which must belong to
-    ``schema`` and ``strategy``; without one the call builds its own.  A
-    step that nests a word past ``coeffs.MAX_DEPTH`` raises
-    ``ResourceLimit(TOO_NESTED)``.
+    First redexes and order keys come from the job's memo of ``schema``
+    under ``strategy`` (``job_memo``).  A step that nests a word past
+    ``coeffs.MAX_DEPTH`` raises ``ResourceLimit(TOO_NESTED)``.
     """
-    if memo is None:
-        memo = RewriteMemo(schema, strategy)
-    elif memo.schema is not schema or memo.strategy != strategy:
-        raise ValueError("the memo belongs to another schema or strategy")
+    memo = job_memo(schema, strategy)
     trace = ReductionTrace()
     key = memo.key
     holds = memo._holds
@@ -487,6 +480,7 @@ def _explore(p: OPoly, memo: RewriteMemo, budget: int, stop=None):
     return visited, True, False
 
 
+@job()
 def reduces_to_zero(p: OPoly, schema: RuleSchema, strategy: str = "lo",
                     step_cap: int = 10000, explore_budget: int = 2000) -> Verdict:
     """Does some reduction of ``p`` reach zero?
@@ -494,20 +488,19 @@ def reduces_to_zero(p: OPoly, schema: RuleSchema, strategy: str = "lo",
     Strategy reduction first; a nonzero normal form triggers exhaustive
     exploration of rewrite choices up to ``explore_budget`` distinct
     polynomials.  Symbolic coefficients count as zero when they lie in the
-    constraint ideal.  One ``RewriteMemo`` serves both.
+    constraint ideal.  The job's memo (``job_memo``) serves both.
     """
     p = schema.normalize(schema.lift(p))
     if p.is_zero:
         return Verdict(Verdict.YES, detail="zero in 0 steps")
-    memo = RewriteMemo(schema, strategy)
-    nf, trace = normal_form(p, schema, strategy, step_cap, memo=memo)
+    nf, trace = normal_form(p, schema, strategy, step_cap)
     if nf.is_zero:
         return Verdict(Verdict.YES, detail=f"zero after {len(trace)} steps")
     if trace.status == STEP_CAP_EXCEEDED:
         return Verdict(Verdict.INCONCLUSIVE, witness=nf,
                        detail=f"step cap {step_cap} exceeded")
-    visited, complete, hit = _explore(p, memo, explore_budget,
-                                      stop=lambda r: r.is_zero)
+    visited, complete, hit = _explore(p, job_memo(schema, strategy),
+                                      explore_budget, stop=lambda r: r.is_zero)
     if hit:
         return Verdict(Verdict.YES, detail="zero on an explored branch")
     if not complete:
@@ -521,6 +514,7 @@ def reduces_to_zero(p: OPoly, schema: RuleSchema, strategy: str = "lo",
 JOIN_EXPLORE_BUDGET = 2000
 
 
+@job()
 def joinable(f: OPoly, g: OPoly, schema: RuleSchema) -> Verdict:
     """Do ``f`` and ``g`` reach a common reduct?
 
@@ -535,7 +529,7 @@ def joinable(f: OPoly, g: OPoly, schema: RuleSchema) -> Verdict:
     diff = reduces_to_zero(f - g, schema, explore_budget=JOIN_EXPLORE_BUDGET)
     if diff.is_yes:
         return Verdict(Verdict.YES, detail=f"difference vanishes ({diff.detail})")
-    memo = RewriteMemo(schema, "lo")  # shared by the two reach-set searches
+    memo = job_memo(schema, "lo")
     reach_f, complete_f, _ = _explore(f, memo, JOIN_EXPLORE_BUDGET)
     reach_g, complete_g, _ = _explore(g, memo, JOIN_EXPLORE_BUDGET)
     if reach_f & reach_g:
@@ -571,6 +565,7 @@ class ConfluenceReport:
                 f"{len(self.inconclusive)} undecided ({self.bound_note})")
 
 
+@job()
 def local_confluence_check(schema: RuleSchema, gens, max_leaves: int = 3,
                            max_depth: int = 2,
                            peak_cap: int = 200000) -> ConfluenceReport:

@@ -12,12 +12,11 @@ hole the occurrence fills.  ``splice`` rebuilds the word from a path and the
 atoms put into its hole; putting in none deletes the hole.  ``STAR`` marks the
 hole only where a context is printed.
 
-Words are hash-consed: ``Word(atoms)`` returns the one live word of its
-atom tuple from a module table, so a dict lookup that meets an equal word of
-the same job compares identities.  The table lives as long as the rewriting
-job: the last live ``rewrite.RewriteMemo`` to die empties it
-(``release_words``), and words built between jobs wait there for that.  A
-word kept past a clear still equals, and hashes like, its twin built after.
+Words are hash-consed: ``Word(atoms)`` returns the one word of its atom
+tuple in a module table, so a dict lookup that meets an equal word of the
+same job compares identities.  The table belongs to the open ``job`` scope
+and is emptied when the outermost scope closes (see ``job``).  A word kept
+past that still equals, and hashes like, its twin built after.
 A word's shape (its depth, ``deg``, ``leaves``, ``has_unit_bracket`` and the
 two redex flags ``has_bracketed_product`` and ``has_adjacent_brackets``) is
 fixed when it is built, from the shapes of its atoms, so reading it walks
@@ -37,18 +36,46 @@ term in the mapping's names.
 from __future__ import annotations
 
 import random
+from contextlib import ContextDecorator
 
 from .coeffs import MAX_DEPTH, TOO_NESTED, ParseError, ResourceLimit, Tokens
 
 STAR = "⋆"      # a context's hole, when it is printed
 RESERVED = frozenset({"1", STAR})
 
-_TABLE: dict = {}  # atom tuple -> its one live Word, until release_words
+_TABLE: dict = {}  # atom tuple -> its one Word, until the outermost job closes
+_open_jobs = 0     # job scopes open, nested ones included
+
+
+class job(ContextDecorator):
+    """The scope of one job, which owns the job's caches: the word table and
+    ``memos``, the job's one ``rewrite.RewriteMemo`` per (schema, strategy),
+    which ``rewrite.job_memo`` fills.  A scope opened inside another shares
+    it, and closing the outermost scope empties both; nothing else empties
+    them.  Each entry point of the library is decorated with ``job()``, so
+    a call made with no scope open leaves both empty when it returns; a
+    caller that opens ``with job():`` around several calls keeps one word
+    per atom tuple, and one memo per schema and strategy, across them.
+    Words and memos made with no scope open wait in the table and the dict
+    until the next outermost scope closes."""
+
+    memos: dict = {}  # (schema, strategy) -> RewriteMemo of the open job
+
+    def __enter__(self):
+        global _open_jobs
+        _open_jobs += 1
+
+    def __exit__(self, *exc):
+        global _open_jobs
+        _open_jobs -= 1
+        if not _open_jobs:
+            job.memos.clear()
+            _TABLE.clear()
 
 
 class Word:
     """An immutable bracketed word (sequence of atoms), one object per atom
-    tuple while the word table holds it."""
+    tuple while the word table holds it (see ``job``)."""
 
     __slots__ = ("atoms", "_hash", "_depth", "deg", "leaves",
                  "has_unit_bracket", "has_bracketed_product",
@@ -143,11 +170,6 @@ class Word:
 
 
 UNIT = Word(())
-
-
-def release_words() -> None:
-    """Empty the word table; the words built so far stay valid."""
-    _TABLE.clear()
 
 
 def gen_word(name: str) -> Word:
@@ -362,13 +384,14 @@ def tower_heights(w: Word):
 # -- enumeration and sampling ----------------------------------------------------
 
 
+@job()
 def enumerate_words(gens, max_leaves: int, max_depth: int,
                     include_unit_brackets: bool = True,
                     include_unit: bool = True) -> list:
     """All words with the given leaf and depth bounds, deterministically ordered."""
     names = tuple(gens.names if isinstance(gens, GeneratorSet) else gens)
     atom_pool = _atom_pool(names, max_leaves, max_depth, include_unit_brackets)
-    out = [UNIT] if include_unit else []
+    out = [Word(())] if include_unit else []  # the open job's unit
     out.extend(_sequences(atom_pool, max_leaves))
     return out
 
@@ -384,7 +407,7 @@ def _atom_pool(names, max_leaves, max_depth, include_unit_brackets):
         pool = [[] for _ in range(max_leaves + 1)]
         pool[1] = list(names)
         if include_unit_brackets:
-            pool[1].append(UNIT)  # the unit in atom position means [1]
+            pool[1].append(Word(()))  # the unit in atom position means [1]
         for w in _sequences(inner, max_leaves):
             pool[w.leaves].append(w)  # the word w in atom position means [w]
     return pool

@@ -24,7 +24,7 @@ from opalg.opoly import (DIFFERENTIAL, OPoly, OpIdentity, parse_opoly,
 from opalg.ordering import GREATER, OrderConfig, order_key, random_context
 from opalg.rewrite import (NORMAL_FORM, NotDRF, Redex, ResourceLimit,
                            Verdict, find_redexes, normal_form)
-from opalg.words import (STAR, GeneratorSet, Word, enumerate_words,
+from opalg.words import (STAR, GeneratorSet, Word, enumerate_words, job,
                          parse, splice, to_str, word_sort_key)
 from test_ordering import reference_compare
 from test_words import reference_replace_generators
@@ -200,6 +200,24 @@ def test_gsb_detects_non_basis():
     assert rep.nontrivial
 
 
+@pytest.mark.parametrize("spec", ["derivation", "y [x]"])
+def test_both_modes_agree_at_breadth_one(spec):
+    # both split arguments of an intersection [r s t] hold a leaf each, so
+    # a breadth-1 bound holds no triple, and neither mode reduces one: the
+    # transfer master certifies nothing there
+    ident = (OpIdentity(DIFFERENTIAL, parse_opoly(spec, XY))
+             if spec == "y [x]" else named_pattern(spec))
+    reports = []
+    for generators in (2, 3):
+        bound = TruncationBound(1, 1, generators)
+        system = GeneratorSystem(ident, OrderConfig(bound.generator_set()))
+        reports.append(gsb_check_truncated(system, bound).to_dict())
+    assert [r["certify"] for r in reports] == ["concrete", "transfer"]
+    for r in reports:
+        assert r["intersections_checked"] == r["intersections_reduced"] == 0
+        assert r["nontrivial"] == [] and r["ok"]
+
+
 def test_gsb_reduction_cap(monkeypatch):
     monkeypatch.setattr(gsb, "MAX_REDUCTIONS", 5)
     bound = TruncationBound(2, 1, 3)
@@ -277,8 +295,10 @@ class ReferenceNFCache:
 
 
 def _fresh_normal_form(p, schema, strategy="lo", step_cap=100000,
-                       monitor=False, memo=None):
-    """``normal_form`` with a memo of its own, as each call had before."""
+                       monitor=False):
+    """``normal_form`` with a memo of its own, as each call had before: the
+    job's memo of the schema and strategy is dropped first."""
+    job.memos.pop((schema, strategy), None)
     return normal_form(p, schema, strategy, step_cap, monitor)
 
 
@@ -451,10 +471,10 @@ def test_cdl_step_cap_gives_no_verdict(capped, monkeypatch):
     # the check raises rather than report a failure
     real = gsb.normal_form
 
-    def capped_normal_form(p, schema, memo=None):
+    def capped_normal_form(p, schema):
         if (len(p) == 1) == (capped == "words"):
-            return real(p, schema, step_cap=0, memo=memo)
-        return real(p, schema, memo=memo)
+            return real(p, schema, step_cap=0)
+        return real(p, schema)
 
     monkeypatch.setattr(gsb, "normal_form", capped_normal_form)
     bound = TruncationBound(2, 1, 2)

@@ -649,6 +649,48 @@ def test_mpoly_writes_are_found():
         "opoly:6", "solve:2", "solve:3", "solve:4", "solve:5", "solve:6"]
 
 
+def finalizers_and_globals(library):
+    """``module:line`` of each ``__del__`` definition, and of each ``global``
+    statement outside ``words``."""
+    found = []
+    for module, tree in sorted(library.items()):
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name == "__del__"
+                    or isinstance(node, ast.Global) and module != "words"):
+                found.append((module, node.lineno))
+    return [f"{module}:{line}" for module, line in sorted(found)]
+
+
+def test_only_the_job_scope_owns_module_state():
+    # the word table and the job's memos live exactly as long as the
+    # outermost ``words.job`` scope: a finalizer would tie a cache's life to
+    # garbage collection again, and a global rebound from another module
+    # would be a second owner of module state
+    library, _ = load()
+    assert finalizers_and_globals(library) == []
+
+
+def test_finalizers_and_globals_are_found():
+    library = {
+        "rewrite": ast.parse("class Memo:\n"
+                             "    def __del__(self):\n"
+                             "        global live\n"
+                             "        live -= 1\n"),
+        "words": ast.parse("def enter():\n"
+                           "    global depth\n"
+                           "    depth += 1\n"
+                           "def __del__():\n"
+                           "    pass\n"),
+        "gsb": ast.parse("global count\n"
+                         "def check():\n"
+                         "    class Cache:\n"
+                         "        def __del__(self):\n"
+                         "            pass\n")}
+    assert finalizers_and_globals(library) == [
+        "gsb:1", "gsb:4", "rewrite:2", "rewrite:3", "words:4"]
+
+
 def literal_divisions(library):
     """``module:line`` of each ``/`` whose left operand is a numeric literal
     or a unary minus: the ``1 / c`` and ``-c / lc`` shapes, in which two

@@ -16,24 +16,26 @@ from hypothesis import given, settings
 import opalg.rewrite
 import opalg.words
 from opalg.catalog import FAMILIES, named_pattern
-from opalg.classify import _unit_residue, build_ansatz, extract_constraints
+from opalg.classify import (_unit_residue, build_ansatz, classify,
+                            extract_constraints, match_catalog)
 from opalg.coeffs import MPoly, _add_scaled_into
 from opalg.gsb import (U_WORD, V_WORD, W_WORD, GeneratorSystem,
                        TruncationBound, associativity_defect,
                        cdl_direct_sum_check, dt_check, gsb_check_truncated,
-                       rbt_check)
+                       irr_enumerate, rbt_check)
 from opalg.opoly import (DIFFERENTIAL, ROTA_BAXTER, OPoly, OpIdentity,
                          parse_opoly, to_str_opoly)
-from opalg.ordering import GREATER, OrderConfig, order_key
+from opalg.ordering import (GREATER, OrderConfig, check_monomial_order,
+                            order_key)
 from opalg.rewrite import (NORMAL_FORM, STEP_CAP_EXCEEDED, NotDRF, NotRBRF,
                            NotTotallyLinear, ResourceLimit, RewriteMemo,
                            RuleSchema, TraceStep, Verdict, find_redexes,
                            in_reduced_form, is_drf, is_rbrf,
-                           is_totally_linear, joinable,
+                           is_totally_linear, job_memo, joinable,
                            local_confluence_check, normal_form,
                            reduces_to_zero)
 from opalg.words import (MAX_DEPTH, STAR, TOO_NESTED, GeneratorSet, UNIT, Word,
-                         enumerate_words, parse, sample_word, to_str,
+                         enumerate_words, job, parse, sample_word, to_str,
                          tokens, word_sort_key)
 from test_coeffs import is_rational
 from test_ordering import reference_compare
@@ -520,12 +522,10 @@ def _reference_rewrite_at(p: OPoly, w: Word, repl: OPoly) -> OPoly:
     return OPoly._trusted(terms, p.ring)
 
 
-def assert_same_as_reference(p, schema, strategy="lo", step_cap=100000,
-                             memo=None):
+def assert_same_as_reference(p, schema, strategy="lo", step_cap=100000):
     """Same terms in the same order, steps, status and order violations;
-    ``normal_form`` reads and fills ``memo`` when one is given."""
-    got, trace = normal_form(p, schema, strategy, step_cap, monitor=True,
-                             memo=memo)
+    ``normal_form`` reads and fills the open job's memo."""
+    got, trace = normal_form(p, schema, strategy, step_cap, monitor=True)
     want, ref = reference_normal_form(p, schema, strategy, step_cap,
                                       monitor=True)
     assert list(got.terms.items()) == list(want.terms.items())
@@ -586,68 +586,99 @@ def test_normal_form_matches_reference_on_random_polynomials(name, strategy):
 
 @pytest.mark.parametrize("name", sorted(RANDOM_SCHEMAS))
 def test_shared_memo_matches_reference(name):
-    # one memo per strategy serves a whole sequence of reductions, as in a
-    # basis check; the two strategies' reductions interleave, each through
-    # its own memo, and every one must match a fresh reference reduction
+    # one job's memo per strategy serves a whole sequence of reductions, as
+    # in a basis check; the two strategies' reductions interleave, each
+    # through its own memo, and every one must match a fresh reference
+    # reduction
     schema = RANDOM_SCHEMAS[name]()
-    memos = {strategy: RewriteMemo(schema, strategy)
-             for strategy in ("lo", "li")}
     rng = random.Random(f"shared:{name}")
     differ = 0
-    for _ in range(40):
-        p = OPoly({sample_word(rng, XY, 5, 3):
-                   rng.choice((1, -1, 2, Fraction(1, 2)))
-                   for _ in range(rng.randint(1, 4))})
-        traces = [assert_same_as_reference(p, schema, strategy, cap,
-                                           memo=memos[strategy])
-                  for strategy in ("lo", "li") for cap in (5, 40)]
-        differ += traces[1].steps != traces[3].steps
-    # the strategies part on this sequence, so a memo that served both
-    # would hand one of them the other's redexes
-    assert differ > 0
-    assert memos["lo"].first and memos["li"].first
-    with pytest.raises(ValueError, match="another schema or strategy"):
-        normal_form(p, schema, "li", memo=memos["lo"])
-    with pytest.raises(ValueError, match="another schema or strategy"):
-        normal_form(p, RANDOM_SCHEMAS[name](), "lo", memo=memos["lo"])
+    with job():
+        memos = {strategy: job_memo(schema, strategy)
+                 for strategy in ("lo", "li")}
+        for _ in range(40):
+            p = OPoly({sample_word(rng, XY, 5, 3):
+                       rng.choice((1, -1, 2, Fraction(1, 2)))
+                       for _ in range(rng.randint(1, 4))})
+            traces = [assert_same_as_reference(p, schema, strategy, cap)
+                      for strategy in ("lo", "li") for cap in (5, 40)]
+            differ += traces[1].steps != traces[3].steps
+        # the strategies part on this sequence, so a memo that served both
+        # would hand one of them the other's redexes
+        assert differ > 0
+        assert memos["lo"].first and memos["li"].first
+        assert [job_memo(schema, s) for s in ("lo", "li")] == [
+            memos["lo"], memos["li"]]
+        assert memos["lo"] is not memos["li"]
+        assert job_memo(RANDOM_SCHEMAS[name](), "lo") is not memos["lo"]
+
+
+BASIS_BOUND = TruncationBound(2, 1, 2)
+BASIS_SYSTEM = GeneratorSystem(DER, OrderConfig(BASIS_BOUND.generator_set()))
 
 
 def _basis_job(check):
-    bound = TruncationBound(2, 1, 2)
-    system = GeneratorSystem(DER, OrderConfig(bound.generator_set()))
-    return lambda: check(system, bound, rng=random.Random(1))
+    return lambda: check(BASIS_SYSTEM, BASIS_BOUND, rng=random.Random(1))
 
 
-# jobs whose memos, the last to die, empty the word table as they return
-TABLE_JOBS = {
+@functools.cache
+def _dt1_classification():
+    return classify(build_ansatz(DIFFERENTIAL, 1))
+
+
+# every entry point, which opens a job scope of its own; a scope closed
+# with no other open empties the word table and the job's memos
+ENTRY_POINTS = {
     "gsb_check_truncated": _basis_job(gsb_check_truncated),
     "cdl_direct_sum_check": _basis_job(cdl_direct_sum_check),
+    "irr_enumerate": lambda: irr_enumerate(BASIS_SYSTEM, BASIS_BOUND),
     "dt_check": lambda: dt_check(DER.pattern),
+    # rejected by its shape before any rewriting
+    "dt_check of y x [x]": lambda: dt_check(parse_opoly("y x [x]", XY)),
+    "rbt_check": lambda: rbt_check(AVG.pattern),
     "extract_constraints": lambda: extract_constraints(
         build_ansatz(DIFFERENTIAL, 1)),
+    "classify": lambda: classify(build_ansatz(DIFFERENTIAL, 1)),
+    "match_catalog": lambda: match_catalog(_dt1_classification(), samples=1,
+                                           rng=random.Random(0)),
+    "check_monomial_order": lambda: check_monomial_order(
+        OrderConfig(XY, "deglenlex"), 200),
+    "enumerate_words": lambda: enumerate_words(XY, 3, 2),
+    "normal_form": lambda: normal_form(
+        OPoly.from_word(parse("[x y] [x y]", XY)), der_schema(XY)),
+    "reduces_to_zero": lambda: _search_defect(der_schema(UVW)),
+    "joinable": lambda: _search_pair(_right_twisted_schema()),
+    "local_confluence_check": lambda: _search_peaks(der_schema(UVW)),
 }
 
 
-@pytest.mark.parametrize("job", sorted(TABLE_JOBS))
-def test_a_job_leaves_the_word_table_empty(job):
-    before = parse("[x y] [x]", XY)  # built between jobs: it waits in the table
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_a_job_leaves_the_word_table_empty(entry):
+    # the first call fills first-use caches (an identity's compiled plans,
+    # say); a word built with no scope open waits in the table until the
+    # next outermost scope closes
+    ENTRY_POINTS[entry]()
+    before = parse("[x y] [x]", XY)
     assert opalg.words._TABLE
-    TABLE_JOBS[job]()
-    assert not opalg.words._TABLE
+    ENTRY_POINTS[entry]()
+    assert not opalg.words._TABLE and not job.memos
     assert parse("[x y] [x]", XY) == before
 
 
-def test_a_memo_the_caller_keeps_keeps_the_word_table():
+def test_a_job_the_caller_keeps_keeps_the_word_table():
     schema = der_schema(XY)
-    memo = RewriteMemo(schema, "lo")
-    nf, _ = normal_form(OPoly.from_word(parse("[x y]", XY)), schema)
-    assert opalg.words._TABLE  # normal_form's own memo died, this one lives
-    assert [parse(to_str(m), XY) is m for m in nf.terms] == [True, True]
-    del memo
-    assert not opalg.words._TABLE
-    with pytest.raises(ValueError, match="unknown strategy"):
-        RewriteMemo(schema, "ri")  # its __del__ runs all the same
-    assert opalg.rewrite._live_memos == 0
+    with job():
+        words = enumerate_words(XY, 4, 3)
+        assert not dt_check(parse_opoly("y x [x]", XY)).accepted
+        assert dt_check(DER.pattern).accepted
+        nf, _ = normal_form(OPoly.from_word(parse("[x y]", XY)), schema)
+        assert all(Word(w.atoms) is w for w in words)
+        assert [parse(to_str(m), XY) is m for m in nf.terms] == [True, True]
+        assert job.memos[schema, "lo"] is job_memo(schema, "lo")
+        with pytest.raises(ValueError, match="unknown strategy"):
+            job_memo(schema, "ri")
+        assert (schema, "ri") not in job.memos
+    assert not opalg.words._TABLE and not job.memos
 
 
 def test_normal_form_matches_reference_under_constraints():
@@ -955,11 +986,11 @@ def _search_peaks(schema):
                                   max_depth=1).summary()
 
 
-# each rewriting job, the most times it may ask for one word's redexes: one
-# memo serves a search call's strategy path and search, and the two
-# reach-set searches of a ``joinable`` call, whose difference search has a
-# memo of its own; a memo asks once per reducible word, and never for an
-# irreducible one, which its redex flag answers
+# each rewriting job, the most times it may ask for one word's redexes: the
+# job's memo serves a search call's strategy path and search, and a
+# ``joinable`` call's difference search and two reach-set searches; a memo
+# asks once per reducible word, and never for an irreducible one, which its
+# redex flag answers
 SEARCH_JOBS = {"reduces_to_zero": (_search_defect, 1),
                "joinable": (_search_pair, 1),
                "local_confluence_check": (_search_peaks, None)}

@@ -14,7 +14,8 @@ from opalg.gsb import D_TOO_DEEP, delta_view, free_dt_operator_nf
 from opalg.opoly import DIFFERENTIAL, ROTA_BAXTER, XY, OPoly, OpIdentity
 from opalg.ordering import OrderConfig, order_key, random_context
 from opalg.rewrite import (NotDRF, Redex, RewriteMemo, RuleSchema,
-                           find_redexes, normal_form, reduces_to_zero)
+                           find_redexes, job_memo, normal_form,
+                           reduces_to_zero)
 from opalg.words import (
     MAX_DEPTH,
     STAR,
@@ -31,8 +32,8 @@ from opalg.words import (
     fill,
     gen_word,
     parse,
+    job,
     plan,
-    release_words,
     sample_word,
     splice,
     to_str,
@@ -282,19 +283,27 @@ def test_the_coefficient_reader_takes_at_most_four_frames_a_level():
 
 # -- the word table ---------------------------------------------------------------
 
+def close_a_job():
+    """Open and close a job scope; with no other open, the word table
+    empties."""
+    with job():
+        pass
+
+
 def test_words_of_one_atom_tuple_are_one_object_within_a_job():
-    # a live memo: no table clear comes between the builds
-    memo = RewriteMemo(RuleSchema(named_pattern("derivation")), "lo")
-    w = parse("[x [y z]] x", G)
-    assert parse("[x [y z]] x", G) is w
-    assert word_of(x * bracket(y * z), "x") is w
-    assert splice(((("x",), ("z",)),), ("y",)) is parse("x y z", G)
-    assert memo.first_redex(w) is not None
+    # an open job: no table clear comes between the builds
+    with job():
+        memo = job_memo(RuleSchema(named_pattern("derivation")), "lo")
+        w = parse("[x [y z]] x", G)
+        assert parse("[x [y z]] x", G) is w
+        assert word_of(x * bracket(y * z), "x") is w
+        assert splice(((("x",), ("z",)),), ("y",)) is parse("x y z", G)
+        assert memo.first_redex(w) is not None
 
 
 def test_a_word_built_before_a_table_clear_equals_its_twin_after():
     before = parse("[x [y z]] x [1]", G)
-    release_words()
+    close_a_job()
     after = parse("[x [y z]] x [1]", G)
     assert after is not before
     assert after == before and before == after
@@ -737,7 +746,7 @@ def test_shape_facts_match_the_walks_on_spliced_and_rewritten_words():
 def test_twins_across_a_table_clear_carry_equal_facts():
     texts = ["[x [1]] y [x y [z]]", "[[1]]", "z [[x] [y [[1]]]]"]
     before = [parse(t, G) for t in texts]
-    release_words()
+    close_a_job()
     after = [parse(t, G) for t in texts]
     for b, a in zip(before, after):
         assert a is not b and a == b
@@ -756,7 +765,7 @@ def test_a_copied_word_equals_the_original_and_leaves_the_unit_alone(
     # after a table clear the copy is built afresh, its shape facts and
     # redex flags included
     w = parse(text, XY)
-    release_words()
+    close_a_job()
     got = copier(w)
     assert got == w and facts(got) == facts(w) == reference_facts(w)
     assert UNIT.atoms == () and Word(()).atoms == ()
