@@ -15,8 +15,7 @@ from fractions import Fraction
 
 from .catalog import Family, families
 from .coeffs import MPoly, PolyRing, ResourceLimit
-from .gsb import (U_WORD, UVW, V_WORD, W_WORD, associativity_defect,
-                  dt_check, rbt_check)
+from .gsb import UVW, dt_check, generic_defect, rbt_check
 from .opoly import DIFFERENTIAL, OPoly, OpIdentity, ROTA_BAXTER, XY
 from .ordering import OrderConfig
 from .rewrite import NORMAL_FORM, RuleSchema, in_reduced_form, normal_form
@@ -170,7 +169,7 @@ def extract_constraints(ansatz: Ansatz, step_cap: int = 4000) -> ConstraintSyste
     ident = ansatz.identity()
     order = OrderConfig(UVW) if ansatz.mode == DIFFERENTIAL else None
     schema = RuleSchema(ident, order=order)
-    defect = associativity_defect(ident, U_WORD, V_WORD, W_WORD)
+    defect = generic_defect(ident)
     nf, trace = normal_form(defect, schema, "lo", step_cap)
     if trace.status != NORMAL_FORM:
         raise ReductionBudgetExceeded(

@@ -29,10 +29,10 @@ from .opoly import (DIFFERENTIAL, OPoly, OpIdentity, ROTA_BAXTER,
                     to_str_opoly)
 from .ordering import OrderConfig, random_context
 from .rewrite import (NORMAL_FORM, NotDRF, NotRBRF, NotTotallyLinear, Redex,
-                      ResourceLimit, RuleSchema, Verdict, find_redexes,
-                      job_memo, normal_form, reduces_to_zero)
-from .words import (GeneratorSet, UNIT, Word, bracket, enumerate_words,
-                    fill, job, splice, to_str, tower_heights)
+                      ResourceLimit, RuleSchema, Verdict, _strategy_verdict,
+                      find_redexes, job_memo, normal_form, reduces_to_zero)
+from .words import (GeneratorSet, Word, bracket, enumerate_words, fill, job,
+                    splice, to_str, tower_heights)
 
 BOUND_GEN_NAMES = ("u", "v", "w", "p", "q", "r", "s", "t")
 
@@ -469,9 +469,6 @@ def cdl_direct_sum_check(sys: GeneratorSystem, bound: TruncationBound,
 # -- operator-identity type certificates --------------------------------------------
 
 UVW = GeneratorSet(("u", "v", "w"))
-U_WORD = Word(("u",))
-V_WORD = Word(("v",))
-W_WORD = Word(("w",))
 
 
 class TypeReport:
@@ -524,6 +521,13 @@ def _nest(identity: OpIdentity, p: OPoly, slot: str, other: Word) -> OPoly:
     return OPoly._trusted(out, identity.ring)
 
 
+def generic_defect(identity: OpIdentity) -> OPoly:
+    """The associativity defect at three fresh generators u, v, w, whose
+    words are built in the open job."""
+    u, v, w = (Word((g,)) for g in UVW.names)
+    return associativity_defect(identity, u, v, w)
+
+
 # the rejection reason of each pattern shape ``RuleSchema`` refuses
 _SHAPE_REASONS = {NotTotallyLinear: "not totally linear in x, y",
                   NotDRF: "contains a bracketed product",
@@ -531,19 +535,23 @@ _SHAPE_REASONS = {NotTotallyLinear: "not totally linear in x, y",
 
 
 def _certify(identity: OpIdentity, order: OrderConfig, strategy: str,
-             step_cap: int, explore_budget: int) -> TypeReport:
+             step_cap: int) -> TypeReport:
     """Reject a pattern of the wrong shape; otherwise accept when the
     associativity defect of the identity rewrites to zero, and keep the
-    verdict's detail and witness when it does not."""
+    verdict's detail and witness when it does not.  An unconstrained
+    differential-shape defect is decided by its strategy normal form alone
+    (see ``dt_check``), any other by ``reduces_to_zero``."""
     report = TypeReport(identity.kind)
     try:
         schema = RuleSchema(identity, order=order)
     except (NotTotallyLinear, NotDRF, NotRBRF) as exc:
         report.reason = _SHAPE_REASONS[type(exc)]
         return report
-    defect = associativity_defect(identity, U_WORD, V_WORD, W_WORD)
-    verdict = reduces_to_zero(defect, schema, strategy, step_cap,
-                              explore_budget)
+    defect = generic_defect(identity)
+    if identity.kind == DIFFERENTIAL and not identity.constraints:
+        verdict = _strategy_verdict(defect, schema, strategy, step_cap)
+    else:
+        verdict = reduces_to_zero(defect, schema, strategy, step_cap)
     report.verdict = verdict
     report.accepted = verdict.is_yes
     if not report.accepted:
@@ -552,19 +560,30 @@ def _certify(identity: OpIdentity, order: OrderConfig, strategy: str,
     return report
 
 
-# distinct polynomials the defect search of each type check may reach
-DT_EXPLORE_BUDGET = 4000
-RBT_EXPLORE_BUDGET = 2000
-
-
 @job()
 def dt_check(pattern: OPoly, constraints=(), strategy: str = "lo",
              order_mode: str = "purelex", step_cap: int = 10000) -> TypeReport:
     """Certificate that [x y] -> pattern defines a differential-shape identity
-    whose associativity defect rewrites to zero over three fresh generators."""
+    whose associativity defect rewrites to zero over three fresh generators.
+
+    Without constraints the defect's strategy normal form decides, with no
+    search: zero accepts, the step cap is inconclusive, and a nonzero normal
+    form rejects.  By the source paper (Guo, Sit and Zhang), when some path
+    takes the defect of a DRF, totally linear pattern to zero, its rules form
+    a Groebner-Shirshov basis, so their ideal holds no nonzero irreducible
+    polynomial; the strategy normal form is irreducible and lies in that
+    ideal with the defect, so it is zero too.  The hypotheses: the pattern is
+    DRF and totally linear (``RuleSchema`` checks both); the strategy path
+    terminates (the step cap checks it); and the coefficients lie in a field.
+    Reduction never divides, since every rule leads with coefficient 1, so
+    Q[params] reduces as its fraction field does.  The schema's order only
+    picks the next redex: where u or v holds a unit bracket ``purelex`` does
+    not lead every rule instance (CHANGES.md), and the argument rests on the
+    paper's order there.  Modulo a constraint ideal the coefficients form
+    no domain when the ideal is not prime, so a constrained pattern keeps
+    ``reduces_to_zero``'s search."""
     return _certify(OpIdentity(DIFFERENTIAL, pattern, tuple(constraints)),
-                    OrderConfig(UVW, order_mode), strategy, step_cap,
-                    DT_EXPLORE_BUDGET)
+                    OrderConfig(UVW, order_mode), strategy, step_cap)
 
 
 @job()
@@ -575,7 +594,7 @@ def rbt_check(pattern: OPoly, constraints=(), strategy: str = "lo",
     rewrites to zero within budget (no termination certificate exists, so
     the verdict may be inconclusive)."""
     return _certify(OpIdentity(ROTA_BAXTER, pattern, tuple(constraints)),
-                    None, strategy, step_cap, RBT_EXPLORE_BUDGET)
+                    None, strategy, step_cap)
 
 
 # -- the free operator on differential words ----------------------------------------
@@ -645,7 +664,7 @@ def _d(p: OPoly, pattern: list, level: int) -> OPoly:
               OPoly.from_word(Word(atoms[1:]), ring=ring))
         dw: dict = {}
         for coeff, factors in pattern:
-            term = OPoly.from_word(UNIT, ring=ring)
+            term = OPoly.from_word(Word(()), ring=ring)
             for i, height in factors:
                 factor = ab[i]
                 for _ in range(height):

@@ -18,7 +18,6 @@ from .coeffs import (MPoly, ParseError, PolyRing, Tokens, _add_scaled_into,
                      parse_atomic, rational)
 from .ordering import OrderConfig, order_key
 from .words import (
-    UNIT,
     GeneratorSet,
     Word,
     fill,
@@ -282,7 +281,7 @@ def _parse_term(ts: Tokens, gens: GeneratorSet, ring: PolyRing, total: dict,
         if ts.peek()[0] == "*":
             ts.take()
     if kind != "(":
-        w = UNIT if kind in _TERM_END else parse_word(ts, gens)
+        w = Word(()) if kind in _TERM_END else parse_word(ts, gens)
         _add_scaled_into(total, {w: coeff}, sign)
         return
     ts.take()

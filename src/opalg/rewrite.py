@@ -4,8 +4,8 @@ Two rule shapes exist.  A sigma rule replaces a bracketed product at each
 split of its content into nonempty a and b, ``[a b] -> N(a, b)``; a pi rule
 fuses adjacent operator factors, ``[a] [b] -> [M(a, b)]``.  Reduction acts
 on one monomial occurrence per step, keeps a full trace, and never assumes
-global termination: strategy reduction stops at ``step_cap`` steps, the
-exhaustive search at ``explore_budget`` polynomials and the confluence check
+global termination: strategy reduction stops at ``step_cap`` steps, each
+exhaustive search at ``EXPLORE_BUDGET`` polynomials and the confluence check
 at ``peak_cap`` peaks, and ``normal_form(monitor=True)`` records every step
 that does not descend in the configured order.
 
@@ -480,17 +480,17 @@ def _explore(p: OPoly, memo: RewriteMemo, budget: int, stop=None):
     return visited, True, False
 
 
-@job()
-def reduces_to_zero(p: OPoly, schema: RuleSchema, strategy: str = "lo",
-                    step_cap: int = 10000, explore_budget: int = 2000) -> Verdict:
-    """Does some reduction of ``p`` reach zero?
+# distinct polynomials one exhaustive search may reach
+EXPLORE_BUDGET = 2000
 
-    Strategy reduction first; a nonzero normal form triggers exhaustive
-    exploration of rewrite choices up to ``explore_budget`` distinct
-    polynomials.  Symbolic coefficients count as zero when they lie in the
-    constraint ideal.  The job's memo (``job_memo``) serves both.
-    """
-    p = schema.normalize(schema.lift(p))
+
+def _strategy_verdict(p: OPoly, schema: RuleSchema, strategy: str,
+                     step_cap: int) -> Verdict:
+    """The strategy half of ``reduces_to_zero`` on ``p``, already reduced
+    modulo the schema's constraint ideal if it has one: YES at a zero normal
+    form, INCONCLUSIVE at the step cap, and NO otherwise, with the normal
+    form as witness.  The NO is final only where normal forms are unique
+    (see ``gsb.dt_check``)."""
     if p.is_zero:
         return Verdict(Verdict.YES, detail="zero in 0 steps")
     nf, trace = normal_form(p, schema, strategy, step_cap)
@@ -499,19 +499,35 @@ def reduces_to_zero(p: OPoly, schema: RuleSchema, strategy: str = "lo",
     if trace.status == STEP_CAP_EXCEEDED:
         return Verdict(Verdict.INCONCLUSIVE, witness=nf,
                        detail=f"step cap {step_cap} exceeded")
+    return Verdict(Verdict.NO, witness=nf,
+                   detail=f"nonzero normal form after {len(trace)} steps")
+
+
+@job()
+def reduces_to_zero(p: OPoly, schema: RuleSchema, strategy: str = "lo",
+                    step_cap: int = 10000) -> Verdict:
+    """Does some reduction of ``p`` reach zero?
+
+    Strategy reduction first (``_strategy_verdict``); a nonzero normal form
+    triggers exhaustive exploration of rewrite choices up to
+    ``EXPLORE_BUDGET`` distinct polynomials, which keeps that normal form as
+    its witness.  Symbolic coefficients count as zero when they lie in the
+    constraint ideal.  The job's memo (``job_memo``) serves both.
+    """
+    p = schema.normalize(schema.lift(p))
+    verdict = _strategy_verdict(p, schema, strategy, step_cap)
+    if verdict.kind != Verdict.NO:
+        return verdict
+    nf = verdict.witness
     visited, complete, hit = _explore(p, job_memo(schema, strategy),
-                                      explore_budget, stop=lambda r: r.is_zero)
+                                      EXPLORE_BUDGET, stop=lambda r: r.is_zero)
     if hit:
         return Verdict(Verdict.YES, detail="zero on an explored branch")
     if not complete:
         return Verdict(Verdict.INCONCLUSIVE, witness=nf,
-                       detail=f"exploration budget {explore_budget} exceeded")
+                       detail=f"exploration budget {EXPLORE_BUDGET} exceeded")
     return Verdict(Verdict.NO, witness=nf,
                    detail=f"all {len(visited)} reachable polynomials nonzero")
-
-
-# distinct polynomials each search of ``joinable`` may reach
-JOIN_EXPLORE_BUDGET = 2000
 
 
 @job()
@@ -520,18 +536,18 @@ def joinable(f: OPoly, g: OPoly, schema: RuleSchema) -> Verdict:
 
     Decided through their difference first (reduction of f - g to zero
     certifies joinability); otherwise the reduct sets are intersected
-    within ``JOIN_EXPLORE_BUDGET``.
+    within ``EXPLORE_BUDGET`` each.
     """
     f = schema.normalize(schema.lift(f))
     g = schema.normalize(schema.lift(g))
     if f == g:
         return Verdict(Verdict.YES, detail="equal in 0 steps")
-    diff = reduces_to_zero(f - g, schema, explore_budget=JOIN_EXPLORE_BUDGET)
+    diff = reduces_to_zero(f - g, schema)
     if diff.is_yes:
         return Verdict(Verdict.YES, detail=f"difference vanishes ({diff.detail})")
     memo = job_memo(schema, "lo")
-    reach_f, complete_f, _ = _explore(f, memo, JOIN_EXPLORE_BUDGET)
-    reach_g, complete_g, _ = _explore(g, memo, JOIN_EXPLORE_BUDGET)
+    reach_f, complete_f, _ = _explore(f, memo, EXPLORE_BUDGET)
+    reach_g, complete_g, _ = _explore(g, memo, EXPLORE_BUDGET)
     if reach_f & reach_g:
         return Verdict(Verdict.YES, detail="common reduct found by search")
     if complete_f and complete_g:

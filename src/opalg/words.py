@@ -169,6 +169,8 @@ class Word:
         return to_str(self)
 
 
+# the unit for callers; it leaves the table when the first job closes, so
+# the library builds ``Word(())`` in its job instead
 UNIT = Word(())
 
 
@@ -298,7 +300,7 @@ def parse_word(ts: Tokens, gens: GeneratorSet) -> Word:
     ``atom := IDENT | "[" word "]"``; ``*`` and whitespace both concatenate."""
     if ts.peek()[1] == "1":
         ts.take()
-        return UNIT
+        return Word(())
     atoms = []
     while ts.peek()[0] not in _WORD_END:
         kind, tok, at = ts.take()

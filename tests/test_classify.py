@@ -13,8 +13,7 @@ from opalg.catalog import FAMILIES
 from opalg.classify import (Ansatz, ReductionBudgetExceeded, build_ansatz,
                             classify, extract_constraints, match_catalog)
 from opalg.coeffs import PolyRing
-from opalg.gsb import (U_WORD, V_WORD, W_WORD, associativity_defect,
-                       dt_check, rbt_check)
+from opalg.gsb import dt_check, generic_defect, rbt_check
 from opalg.opoly import DIFFERENTIAL, ROTA_BAXTER
 from opalg.rewrite import ResourceLimit
 from opalg.solve import find_representative, sample_points, solve_components
@@ -115,8 +114,7 @@ def test_three_term_constraints_match_hand_reduction():
 
 
 def test_three_term_defect_before_reduction():
-    defect = associativity_defect(three_term().identity(), U_WORD, V_WORD,
-                                  W_WORD)
+    defect = generic_defect(three_term().identity())
     texts = {to_str(word): str(c) for word, c in defect.terms.items()}
     assert texts == {"u v [w]": "a", "[u v] w": "b", "u [v w]": "-a",
                      "[u] v w": "-b"}

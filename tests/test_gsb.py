@@ -11,6 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import opalg.rewrite
 from opalg import gsb
 from opalg.catalog import DT_FAMILIES, RBT_FAMILIES, named_pattern
 from opalg.coeffs import _add_scaled_into
@@ -599,7 +600,8 @@ def test_dt_check_rejects_right_twist_with_witness():
     assert rep.describe() == f"rejected: not differential type ({rep.reason})"
 
 
-# the strategy normal form is the witness of an exhausted search
+# the strategy normal form is the witness of an exhausted search, and of a
+# differential-type rejection, which runs no search
 BUDGET_WITNESS = {
     "[y] x - x [y] + y [x]":
         "[w] u v - [w] v u + u [w] v - 2*u v [w] + u w [v] + v [w] u - v w [u]"
@@ -613,17 +615,27 @@ BUDGET_WITNESS = {
 }
 
 
+# the verdict of each at a search budget of 5
+BUDGET_VERDICT = {
+    "[y] x - x [y] + y [x]": (Verdict.NO, "nonzero normal form after 3 steps"),
+    "2*[y x] + 2*x [y] + 2*y [x]": (Verdict.INCONCLUSIVE,
+                                    "exploration budget 5 exceeded"),
+}
+
+
 @pytest.mark.parametrize("check,text", [(dt_check, "[y] x - x [y] + y [x]"),
                                         (rbt_check, "2*[y x] + 2*x [y] + 2*y [x]")])
 def test_type_checks_report_exhausted_search(check, text, monkeypatch):
-    monkeypatch.setattr(gsb, "DT_EXPLORE_BUDGET", 5)
-    monkeypatch.setattr(gsb, "RBT_EXPLORE_BUDGET", 5)
+    monkeypatch.setattr(opalg.rewrite, "EXPLORE_BUDGET", 5)
     rep = check(parse_opoly(text, XY))
-    assert not rep.accepted and rep.inconclusive
-    assert rep.verdict.detail == "exploration budget 5 exceeded"
-    assert rep.reason == ("defect does not rewrite to zero "
-                          "(exploration budget 5 exceeded)")
-    assert rep.describe() == f"inconclusive: {rep.reason}"
+    kind, detail = BUDGET_VERDICT[text]
+    assert not rep.accepted
+    assert (rep.verdict.kind, rep.verdict.detail) == (kind, detail)
+    assert rep.inconclusive == (kind == Verdict.INCONCLUSIVE)
+    assert rep.reason == f"defect does not rewrite to zero ({detail})"
+    assert rep.describe() == {
+        Verdict.NO: f"rejected: not differential type ({rep.reason})",
+        Verdict.INCONCLUSIVE: f"inconclusive: {rep.reason}"}[kind]
     assert to_str_opoly(rep.witness) == BUDGET_WITNESS[text]
 
 

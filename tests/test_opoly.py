@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from opalg.catalog import FAMILIES
 from opalg.coeffs import TOO_NESTED, MPoly, PolyRing, ResourceLimit
 from opalg.groebner import buchberger, nf_mod_ideal
-from opalg.gsb import U_WORD, V_WORD, W_WORD, associativity_defect
+from opalg.gsb import associativity_defect
 from opalg.opoly import (DIFFERENTIAL, ROTA_BAXTER, OpIdentity, OPoly, XY,
                          parse_opoly, to_str_opoly)
 from opalg.ordering import OrderConfig, order_key
@@ -187,8 +187,8 @@ def test_rota_baxter_defect_matches_product_expansion(name):
         return _collect([(u2, c * c2) for m, c in ident.pattern.terms.items()
                          for u2, c2 in _ref_expand(m, values)], ring)
 
-    for u, v, t in ((U_WORD, V_WORD, W_WORD),
-                    (U_WORD * V_WORD, bracket(W_WORD), bracket(UNIT))):
+    gu, gv, gw = (Word((g,)) for g in "uvw")
+    for u, v, t in ((gu, gv, gw), (gu * gv, bracket(gw), bracket(UNIT))):
         want = (nested({"x": ident.pattern_at(u, v), "y": t})
                 - nested({"x": u, "y": ident.pattern_at(v, t)}))
         got = associativity_defect(ident, u, v, t)

@@ -2,6 +2,7 @@
 
 import collections
 import functools
+import importlib.util
 import itertools
 import json
 import os
@@ -19,10 +20,9 @@ from opalg.catalog import FAMILIES, named_pattern
 from opalg.classify import (_unit_residue, build_ansatz, classify,
                             extract_constraints, match_catalog)
 from opalg.coeffs import MPoly, _add_scaled_into
-from opalg.gsb import (U_WORD, V_WORD, W_WORD, GeneratorSystem,
-                       TruncationBound, associativity_defect,
-                       cdl_direct_sum_check, dt_check, gsb_check_truncated,
-                       irr_enumerate, rbt_check)
+from opalg.gsb import (GeneratorSystem, TruncationBound,
+                       cdl_direct_sum_check, dt_check, generic_defect,
+                       gsb_check_truncated, irr_enumerate, rbt_check)
 from opalg.opoly import (DIFFERENTIAL, ROTA_BAXTER, OPoly, OpIdentity,
                          parse_opoly, to_str_opoly)
 from opalg.ordering import (GREATER, OrderConfig, check_monomial_order,
@@ -268,7 +268,7 @@ def test_normal_form_order_keys_match_comparator_sort(monkeypatch):
     # and redex at each step as sorting through the comparator
     ident = build_ansatz(DIFFERENTIAL, 1).identity()
     schema = RuleSchema(ident, order=OrderConfig(UVW))
-    defect = associativity_defect(ident, U_WORD, V_WORD, W_WORD)
+    defect = generic_defect(ident)
     by_key, key_trace = normal_form(defect, schema)
     calls = []
 
@@ -548,7 +548,7 @@ def test_normal_form_matches_reference_on_defects(mode, degree, step_cap,
     ident = build_ansatz(mode, degree).identity()
     schema = RuleSchema(ident, order=OrderConfig(UVW)
                         if mode == DIFFERENTIAL else None)
-    defect = associativity_defect(ident, U_WORD, V_WORD, W_WORD)
+    defect = generic_defect(ident)
     trace = assert_same_as_reference(defect, schema, "lo", step_cap)
     if steps is not None:
         assert len(trace.steps) == steps
@@ -685,7 +685,7 @@ def test_normal_form_matches_reference_under_constraints():
     ident = FAMILIES["dt1"].identity()
     schema = RuleSchema(ident, order=OrderConfig(UVW))
     assert schema.constraint_gb is not None
-    defect = associativity_defect(ident, U_WORD, V_WORD, W_WORD)
+    defect = generic_defect(ident)
     for strategy in ("lo", "li"):
         for cap in (0, 1, 5, 100000):
             trace = assert_same_as_reference(defect, schema, strategy, cap)
@@ -836,24 +836,27 @@ def test_zero_is_zero():
     assert verdict.is_yes and "0 steps" in verdict.detail
 
 
-def test_step_cap_gives_inconclusive():
+def test_step_cap_gives_inconclusive(monkeypatch):
+    monkeypatch.setattr(opalg.rewrite, "EXPLORE_BUDGET", 0)
     ident = OpIdentity(DIFFERENTIAL, parse_opoly("y [x]", XY))
     schema = RuleSchema(ident, order=OrderConfig(UVW))
     u, v, w = (Word(("u",)), Word(("v",)), Word(("w",)))
     defect = ident.pattern_at(u * v, w) - ident.pattern_at(u, v * w)
-    verdict = reduces_to_zero(defect, schema, step_cap=0, explore_budget=0)
+    verdict = reduces_to_zero(defect, schema, step_cap=0)
     assert verdict.kind == Verdict.INCONCLUSIVE
 
 
-def test_explore_budget_bounds_distinct_polynomials():
+def test_explore_budget_bounds_distinct_polynomials(monkeypatch):
     # the defect reaches exactly 8 distinct polynomials, none of them zero
     ident = OpIdentity(DIFFERENTIAL, parse_opoly("[y] x - x [y] + y [x]", XY))
     schema = RuleSchema(ident, order=OrderConfig(UVW))
-    defect = associativity_defect(ident, U_WORD, V_WORD, W_WORD)
-    full = reduces_to_zero(defect, schema, explore_budget=8)
+    defect = generic_defect(ident)
+    monkeypatch.setattr(opalg.rewrite, "EXPLORE_BUDGET", 8)
+    full = reduces_to_zero(defect, schema)
     assert (full.kind, full.detail) == (
         Verdict.NO, "all 8 reachable polynomials nonzero")
-    short = reduces_to_zero(defect, schema, explore_budget=7)
+    monkeypatch.setattr(opalg.rewrite, "EXPLORE_BUDGET", 7)
+    short = reduces_to_zero(defect, schema)
     assert (short.kind, short.detail) == (
         Verdict.INCONCLUSIVE, "exploration budget 7 exceeded")
     assert short.witness == full.witness
@@ -895,7 +898,7 @@ def test_joinable_no_for_distinct_normal_forms():
     assert verdict.kind == Verdict.NO
 
 
-# Kind, detail and witness of ``joinable`` with ``JOIN_EXPLORE_BUDGET`` at 50
+# Kind, detail and witness of ``joinable`` with ``EXPLORE_BUDGET`` at 50
 # on every pair of one-step reducts of every word with at most 3 leaves and
 # depth at most 2 over u, v, w (no unit brackets), for two differential-shape
 # schemas; recorded before the exhaustive search was rewritten.  The second
@@ -921,7 +924,7 @@ def _peak_verdicts(schema):
 
 @pytest.mark.parametrize("text", ["y [x]", "[y] x - x [y] + y [x]"])
 def test_peak_verdicts_are_frozen(text, monkeypatch):
-    monkeypatch.setattr(opalg.rewrite, "JOIN_EXPLORE_BUDGET", 50)
+    monkeypatch.setattr(opalg.rewrite, "EXPLORE_BUDGET", 50)
     ident = OpIdentity(DIFFERENTIAL, parse_opoly(text, XY))
     rows = _peak_verdicts(RuleSchema(ident, order=OrderConfig(UVW)))
     assert len(rows) == 351
@@ -931,8 +934,9 @@ def test_peak_verdicts_are_frozen(text, monkeypatch):
 # Kind, detail and witness (terms in the witness's own order) of
 # ``dt_check`` / ``rbt_check`` on every 1-, 2- and 3-term support of the
 # degree-1 ansatz of each shape with all coefficients 1; recorded before the
-# search memoised replacements.  A "no" detail states how many polynomials
-# the search reached.
+# search memoised replacements.  A "no" detail states how many steps the
+# strategy took for ``dt_check``, which runs no search, and how many
+# polynomials the search reached for ``rbt_check``.
 with open(os.path.join(os.path.dirname(__file__), "frozen_searches.json"),
           encoding="utf-8") as _f:
     FROZEN_SEARCHES = json.load(_f)
@@ -963,13 +967,57 @@ def test_check_verdicts_are_frozen(mode):
     assert rows == FROZEN_SEARCHES[mode]
 
 
+def _verify_workload():
+    """The benchmark's workload module, loaded from its file."""
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                        "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _dt_requests():
+    """(pattern, constraints) of every differential-type request of the
+    ``verify`` workload at seeds 11 and 201, then of every frozen support."""
+    workloads = _verify_workload()
+    for seed in (11, 201):
+        for op in workloads.Verify(opalg, seed, "full", {}).ops():
+            if op.target == "dt_check":
+                yield op.args
+    for row in FROZEN_SEARCHES[DIFFERENTIAL]:
+        yield parse_opoly(row[0], XY), ()
+
+
+def test_dt_verdicts_agree_with_the_search():
+    # the search is the oracle of ``dt_check``'s normal-form verdicts: no
+    # differential-type defect reaches zero on an explored branch alone
+    checked = searched = 0
+    for pattern, constraints in _dt_requests():
+        report = dt_check(pattern, constraints)
+        if report.verdict is None:
+            continue  # a pattern of the wrong shape
+        ident = OpIdentity(DIFFERENTIAL, pattern, tuple(constraints))
+        search = reduces_to_zero(generic_defect(ident),
+                                 RuleSchema(ident, order=OrderConfig(UVW)))
+        witness = None if search.witness is None else list(
+            search.witness.terms.items())
+        got = None if report.witness is None else list(
+            report.witness.terms.items())
+        assert (search.is_yes, search.kind == Verdict.INCONCLUSIVE,
+                witness) == (report.accepted, report.inconclusive, got)
+        checked += 1
+        searched += search.detail.startswith("all ")
+    assert (checked, searched) == (1052, 727)
+
+
 def _right_twisted_schema():
     ident = OpIdentity(DIFFERENTIAL, parse_opoly("y [x]", XY))
     return RuleSchema(ident, order=OrderConfig(UVW))
 
 
 def _search_defect(schema):
-    defect = associativity_defect(schema.identity, U_WORD, V_WORD, W_WORD)
+    defect = generic_defect(schema.identity)
     return reduces_to_zero(defect, schema).kind
 
 
@@ -1017,10 +1065,11 @@ def test_search_memo_dies_with_its_call(monkeypatch):
             assert not any(in_reduced_form(w, True) for w in asked), job
 
 
-# rejecting certifications that run the exhaustive search
+# rejecting certifications that run the exhaustive search; a
+# differential-type rejection runs none
 SEARCHED_REJECTIONS = (
-    ("dt_check", "[x] y + [x] [y] + [y] [x]"),
-    ("dt_check", "x [y] + [x] [y] + [y] [x]"),
+    ("rbt_check", "[x] y + [x y] + [y] x"),
+    ("rbt_check", "[y x] + x [y] + y [x]"),
     ("rbt_check", "[x y] + x [y] + y [x]"),
     ("rbt_check", "[x] y + [y] x + [y x]"),
 )

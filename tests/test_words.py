@@ -11,7 +11,8 @@ from opalg.catalog import FAMILIES, named_pattern, pattern_names
 from opalg.classify import build_ansatz
 from opalg.coeffs import PolyRing, ResourceLimit, _add_scaled_into
 from opalg.gsb import D_TOO_DEEP, delta_view, free_dt_operator_nf
-from opalg.opoly import DIFFERENTIAL, ROTA_BAXTER, XY, OPoly, OpIdentity
+from opalg.opoly import (DIFFERENTIAL, ROTA_BAXTER, XY, OPoly, OpIdentity,
+                         parse_opoly)
 from opalg.ordering import OrderConfig, order_key, random_context
 from opalg.rewrite import (NotDRF, Redex, RewriteMemo, RuleSchema,
                            find_redexes, job_memo, normal_form,
@@ -311,6 +312,18 @@ def test_a_word_built_before_a_table_clear_equals_its_twin_after():
     assert {before: 1}[after] == 1
     assert bracket(after) == bracket(before) != bracket(x)
     assert to_str(after) == to_str(before)
+
+
+def test_the_library_builds_the_unit_in_the_open_job():
+    # the unit built at import leaves the table when the first job closes;
+    # a word the library parses is the open job's own
+    close_a_job()
+    with job():
+        unit = Word(())
+        assert unit is not UNIT and unit == UNIT
+        assert parse("1", XY) is unit
+        assert next(iter(parse_opoly("1", XY).terms)) is unit
+        assert next(iter(parse_opoly("2 [1]", XY).terms)).atoms[0] is unit
 
 
 def test_generator_set_validation():
