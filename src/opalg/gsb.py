@@ -29,8 +29,9 @@ from .opoly import (DIFFERENTIAL, OPoly, OpIdentity, ROTA_BAXTER,
                     to_str_opoly)
 from .ordering import OrderConfig, random_context
 from .rewrite import (NORMAL_FORM, NotDRF, NotRBRF, NotTotallyLinear, Redex,
-                      ResourceLimit, RuleSchema, Verdict, _strategy_verdict,
-                      find_redexes, job_memo, normal_form, reduces_to_zero)
+                      ResourceLimit, RuleSchema, Verdict, _search_verdict,
+                      _span_certificate, _strategy_verdict, find_redexes,
+                      job_memo, normal_form, reduces_to_zero)
 from .words import (GeneratorSet, Word, bracket, enumerate_words, fill, job,
                     splice, to_str, tower_heights)
 
@@ -540,7 +541,15 @@ def _certify(identity: OpIdentity, order: OrderConfig, strategy: str,
     associativity defect of the identity rewrites to zero, and keep the
     verdict's detail and witness when it does not.  An unconstrained
     differential-shape defect is decided by its strategy normal form alone
-    (see ``dt_check``), any other by ``reduces_to_zero``."""
+    (see ``dt_check``).  A Rota-Baxter-shape defect with rational
+    coefficients and a nonzero strategy normal form is rejected, with that
+    normal form as witness, when it lies outside the span of the rewrite
+    steps at every redex of the closure of its words under every redex,
+    since every reduct lies in the defect plus that span
+    (``rewrite._span_certificate``; see ``rbt_check``); when that is not
+    shown, or the closure passes ``EXPLORE_BUDGET`` words, the search runs
+    on from the strategy verdict.  Any other defect is decided by
+    ``reduces_to_zero``."""
     report = TypeReport(identity.kind)
     try:
         schema = RuleSchema(identity, order=order)
@@ -548,10 +557,22 @@ def _certify(identity: OpIdentity, order: OrderConfig, strategy: str,
         report.reason = _SHAPE_REASONS[type(exc)]
         return report
     defect = generic_defect(identity)
-    if identity.kind == DIFFERENTIAL and not identity.constraints:
+    differential = identity.kind == DIFFERENTIAL
+    if differential and not identity.constraints:
         verdict = _strategy_verdict(defect, schema, strategy, step_cap)
-    else:
+    elif differential or identity.ring is not None:
         verdict = reduces_to_zero(defect, schema, strategy, step_cap)
+    else:  # Rota-Baxter shape with rational coefficients
+        verdict = _strategy_verdict(defect, schema, strategy, step_cap)
+        memo = job_memo(schema, strategy)
+        span = verdict.kind == Verdict.NO and _span_certificate(defect, memo)
+        if span:
+            steps, words = span
+            verdict = Verdict(Verdict.NO, verdict.witness,
+                              f"outside the span of {steps} rewrite steps "
+                              f"on {words} words")
+        else:
+            verdict = _search_verdict(defect, memo, verdict)
     report.verdict = verdict
     report.accepted = verdict.is_yes
     if not report.accepted:
@@ -592,7 +613,20 @@ def rbt_check(pattern: OPoly, constraints=(), strategy: str = "lo",
     """Certificate that [x][y] -> [pattern] defines a Rota-Baxter-shape
     identity: the operated associativity defect M(M(u,v),w) - M(u,M(v,w))
     rewrites to zero within budget (no termination certificate exists, so
-    the verdict may be inconclusive)."""
+    the verdict may be inconclusive).
+
+    A nonzero strategy normal form alone does not reject: another path may
+    reach zero.  With rational coefficients a span certificate rejects with
+    no search.  Each step rewrites a word w of q at a redex r, taking q to
+    q - c (w - repl_r(w)), so every reduct of the defect lies in the defect
+    plus the span of w - repl_r(w) over every word w of W, the closure of
+    the defect's words under every redex (the strategy's alone would miss
+    reducts), and every redex r of w.  Outside that span no path reaches
+    zero, and the rejection is exact.  The elimination divides, so the
+    coefficients must lie in a field: a symbolic pattern keeps
+    ``reduces_to_zero``'s search.  The witness stays the strategy normal
+    form.  When the defect lies in the span, or W passes ``EXPLORE_BUDGET``
+    words, the search decides."""
     return _certify(OpIdentity(ROTA_BAXTER, pattern, tuple(constraints)),
                     None, strategy, step_cap)
 

@@ -5,8 +5,9 @@ split of its content into nonempty a and b, ``[a b] -> N(a, b)``; a pi rule
 fuses adjacent operator factors, ``[a] [b] -> [M(a, b)]``.  Reduction acts
 on one monomial occurrence per step, keeps a full trace, and never assumes
 global termination: strategy reduction stops at ``step_cap`` steps, each
-exhaustive search at ``EXPLORE_BUDGET`` polynomials and the confluence check
-at ``peak_cap`` peaks, and ``normal_form(monitor=True)`` records every step
+exhaustive search at ``EXPLORE_BUDGET`` polynomials, each span certificate
+at ``EXPLORE_BUDGET`` closure words and the confluence check at
+``peak_cap`` peaks, and ``normal_form(monitor=True)`` records every step
 that does not descend in the configured order.
 
 A redex carries its context as a star path (see ``words``), whose hole the
@@ -30,14 +31,19 @@ modulo the constraint ideal.  A trace records each step's monomial, redex
 and coefficient, and builds its ``TraceStep`` records, contexts included,
 only when ``steps`` is read.
 
+A span certificate (``_span_certificate``) shows, with no search, that no
+reduction of a polynomial with rational coefficients reaches zero: the
+polynomial lies outside the span of every rewrite step on the closure of its
+words under every redex, which exact elimination decides.
+
 ``RewriteMemo`` is the one cache of word facts: each reducible word's first
 redex and each word's order key for the strategy path, and the replacements of
-all its redexes for the search, which alone asks for them.  A job keeps one
-memo per schema and strategy, which ``job_memo`` hands out to every
-``normal_form``, ``reduces_to_zero`` and ``joinable`` call and every basis
-check of ``gsb`` in it, and which the job drops when its outermost scope
-closes (see ``words.job``).  ``local_confluence_check`` keeps no peak memo:
-it meets each enumerated word once.
+all its redexes for the search and the span certificate, which alone ask for
+them.  A job keeps one memo per schema and strategy, which ``job_memo`` hands
+out to every ``normal_form``, ``reduces_to_zero`` and ``joinable`` call and
+every basis check of ``gsb`` in it, and which the job drops when its
+outermost scope closes (see ``words.job``).  ``local_confluence_check``
+keeps no peak memo: it meets each enumerated word once.
 
 Within a job, equal words are one object (see ``words``), so the memo's
 dicts, the term dicts and the heap meet them by identity.  A step that
@@ -52,7 +58,7 @@ import heapq
 from collections import namedtuple
 from operator import attrgetter
 
-from .coeffs import ResourceLimit, _add_scaled_into
+from .coeffs import ResourceLimit, _add_scaled_into, reciprocal
 from .groebner import buchberger, nf_mod_ideal
 from .opoly import DIFFERENTIAL, OPoly, OpIdentity, to_str_opoly
 from .ordering import OrderConfig, order_key
@@ -480,8 +486,60 @@ def _explore(p: OPoly, memo: RewriteMemo, budget: int, stop=None):
     return visited, True, False
 
 
-# distinct polynomials one exhaustive search may reach
+# distinct polynomials one exhaustive search may reach, and distinct words
+# one span certificate may close over
 EXPLORE_BUDGET = 2000
+
+
+def _span_certificate(p: OPoly, memo: RewriteMemo):
+    """``(R, W)`` when ``p``, with rational coefficients and no constraint
+    ideal, lies outside the span of the R rewrite steps ``w - repl_r(w)``
+    taken at every redex r of every word w of W, the closure of ``p``'s
+    support under every redex, whatever the strategy; ``None`` when that is
+    not shown, or when the closure passes ``EXPLORE_BUDGET`` words.
+
+    A step rewrites a word w of q at a redex r, taking q to
+    ``q - c (w - repl_r(w))``, so every reduct of ``p`` has its words in W
+    and lies in ``p`` plus that span; outside it, no reduction reaches zero.
+    The steps are eliminated in exact rationals, those of the last closure
+    words first, each led by its earliest closure word, and ``p`` is
+    outside the span when its remainder is nonzero."""
+    index = {w: i for i, w in enumerate(p.terms)}
+    words = list(p.terms)
+    steps = []
+    for w in words:  # grows to the closure
+        for repl in memo.replacements(w):
+            step = {w: 1}
+            _add_scaled_into(step, repl.terms, -1)
+            steps.append(step)
+            for m in repl.terms:
+                if m not in index:
+                    index[m] = len(words)
+                    words.append(m)
+        if len(words) > EXPLORE_BUDGET:
+            return None
+    lead = index.__getitem__
+    pivots = {}
+
+    def reduce(q: dict):
+        """Reduce ``q`` in place by the pivots; its leading word, or None
+        when it vanishes."""
+        while q:
+            first = min(q, key=lead)
+            pivot = pivots.get(first)
+            if pivot is None:
+                return first
+            _add_scaled_into(q, pivot, -q[first])
+        return None
+
+    for step in reversed(steps):
+        first = reduce(step)
+        if first is not None:
+            pivot = pivots[first] = {}
+            _add_scaled_into(pivot, step, reciprocal(step[first]))
+    if reduce(dict(p.terms)) is None:
+        return None
+    return len(steps), len(words)
 
 
 def _strategy_verdict(p: OPoly, schema: RuleSchema, strategy: str,
@@ -515,12 +573,18 @@ def reduces_to_zero(p: OPoly, schema: RuleSchema, strategy: str = "lo",
     constraint ideal.  The job's memo (``job_memo``) serves both.
     """
     p = schema.normalize(schema.lift(p))
-    verdict = _strategy_verdict(p, schema, strategy, step_cap)
+    return _search_verdict(p, job_memo(schema, strategy),
+                           _strategy_verdict(p, schema, strategy, step_cap))
+
+
+def _search_verdict(p: OPoly, memo: RewriteMemo, verdict: Verdict) -> Verdict:
+    """The search half of ``reduces_to_zero``, run from the strategy verdict
+    ``verdict`` of ``p``: a NO is searched, any other verdict kept."""
     if verdict.kind != Verdict.NO:
         return verdict
     nf = verdict.witness
-    visited, complete, hit = _explore(p, job_memo(schema, strategy),
-                                      EXPLORE_BUDGET, stop=lambda r: r.is_zero)
+    visited, complete, hit = _explore(p, memo, EXPLORE_BUDGET,
+                                      stop=lambda r: r.is_zero)
     if hit:
         return Verdict(Verdict.YES, detail="zero on an explored branch")
     if not complete:

@@ -29,8 +29,8 @@ from opalg.ordering import (GREATER, OrderConfig, check_monomial_order,
                             order_key)
 from opalg.rewrite import (NORMAL_FORM, STEP_CAP_EXCEEDED, NotDRF, NotRBRF,
                            NotTotallyLinear, ResourceLimit, RewriteMemo,
-                           RuleSchema, TraceStep, Verdict, find_redexes,
-                           in_reduced_form, is_drf, is_rbrf,
+                           RuleSchema, TraceStep, Verdict, _span_certificate,
+                           find_redexes, in_reduced_form, is_drf, is_rbrf,
                            is_totally_linear, job_memo, joinable,
                            local_confluence_check, normal_form,
                            reduces_to_zero)
@@ -935,8 +935,9 @@ def test_peak_verdicts_are_frozen(text, monkeypatch):
 # ``dt_check`` / ``rbt_check`` on every 1-, 2- and 3-term support of the
 # degree-1 ansatz of each shape with all coefficients 1; recorded before the
 # search memoised replacements.  A "no" detail states how many steps the
-# strategy took for ``dt_check``, which runs no search, and how many
-# polynomials the search reached for ``rbt_check``.
+# strategy took for ``dt_check``, which runs no search, and the rewrite
+# steps and closure words of the span certificate for ``rbt_check``, which
+# decides every such rejection with no search.
 with open(os.path.join(os.path.dirname(__file__), "frozen_searches.json"),
           encoding="utf-8") as _f:
     FROZEN_SEARCHES = json.load(_f)
@@ -977,38 +978,101 @@ def _verify_workload():
     return module
 
 
-def _dt_requests():
-    """(pattern, constraints) of every differential-type request of the
-    ``verify`` workload at seeds 11 and 201, then of every frozen support."""
+def _requests(mode):
+    """(pattern, constraints) of every request of ``mode`` in the ``verify``
+    workload at seeds 11 and 201, then of every frozen support."""
     workloads = _verify_workload()
+    check = "dt_check" if mode == DIFFERENTIAL else "rbt_check"
     for seed in (11, 201):
         for op in workloads.Verify(opalg, seed, "full", {}).ops():
-            if op.target == "dt_check":
+            if op.target == check:
                 yield op.args
-    for row in FROZEN_SEARCHES[DIFFERENTIAL]:
+    for row in FROZEN_SEARCHES[mode]:
         yield parse_opoly(row[0], XY), ()
+
+
+def _agrees_with_the_search(report, ident, order):
+    """``report``'s accept flag, inconclusive flag and witness are those of
+    ``reduces_to_zero`` on the identity's defect; returns the search's
+    verdict."""
+    search = reduces_to_zero(generic_defect(ident), RuleSchema(ident, order))
+    witness = None if search.witness is None else list(
+        search.witness.terms.items())
+    got = None if report.witness is None else list(
+        report.witness.terms.items())
+    assert (search.is_yes, search.kind == Verdict.INCONCLUSIVE,
+            witness) == (report.accepted, report.inconclusive, got)
+    return search
 
 
 def test_dt_verdicts_agree_with_the_search():
     # the search is the oracle of ``dt_check``'s normal-form verdicts: no
     # differential-type defect reaches zero on an explored branch alone
     checked = searched = 0
-    for pattern, constraints in _dt_requests():
+    for pattern, constraints in _requests(DIFFERENTIAL):
         report = dt_check(pattern, constraints)
         if report.verdict is None:
             continue  # a pattern of the wrong shape
         ident = OpIdentity(DIFFERENTIAL, pattern, tuple(constraints))
-        search = reduces_to_zero(generic_defect(ident),
-                                 RuleSchema(ident, order=OrderConfig(UVW)))
-        witness = None if search.witness is None else list(
-            search.witness.terms.items())
-        got = None if report.witness is None else list(
-            report.witness.terms.items())
-        assert (search.is_yes, search.kind == Verdict.INCONCLUSIVE,
-                witness) == (report.accepted, report.inconclusive, got)
+        search = _agrees_with_the_search(report, ident, OrderConfig(UVW))
         checked += 1
         searched += search.detail.startswith("all ")
     assert (checked, searched) == (1052, 727)
+
+
+def test_rbt_verdicts_agree_with_the_search():
+    # the search is the oracle of ``rbt_check``'s span certificates: a
+    # rejection outside the span is one the search finds exhaustively; the
+    # certificates' rewrite steps and closure words are summed, so a closure
+    # that misses a level changes them (no closure word here has a second
+    # redex, so the spanned-defect test below guards the other redexes)
+    checked = span_decided = steps = words = 0
+    for pattern, constraints in _requests(ROTA_BAXTER):
+        report = rbt_check(pattern, constraints)
+        if report.verdict is None:
+            continue  # a pattern of the wrong shape
+        ident = OpIdentity(ROTA_BAXTER, pattern, tuple(constraints))
+        search = _agrees_with_the_search(report, ident, None)
+        checked += 1
+        span = re.fullmatch(r"outside the span of (\d+) rewrite steps on "
+                            r"(\d+) words", report.verdict.detail)
+        if span:
+            assert search.detail.startswith("all ")
+            span_decided += 1
+            steps += int(span[1])
+            words += int(span[2])
+    assert (checked, span_decided, steps, words) == (1168, 693, 1192, 7275)
+
+
+def test_span_certificate_leaves_a_spanned_defect_to_the_search():
+    # 2 [u v w] - v w [u] - w v [u] is the sum of the three rewrite steps
+    # of its closure, yet none of its 4 reachable polynomials is zero
+    schema = _right_twisted_schema()
+    p = parse_opoly("2*[u v w] - v w [u] - w v [u]", UVW)
+    with job():
+        assert _span_certificate(p, job_memo(schema, "lo")) is None
+        verdict = reduces_to_zero(p, schema)
+    assert (verdict.kind, verdict.detail) == (
+        Verdict.NO, "all 4 reachable polynomials nonzero")
+
+
+def test_span_certificate_leaves_a_closure_past_the_budget_to_the_search(
+        monkeypatch):
+    # the Rota-Baxter row of ``test_type_checks_report_exhausted_search``:
+    # its closure has 27 words, so at a budget of 5 the search decides it
+    ident = OpIdentity(ROTA_BAXTER,
+                       parse_opoly("2*[y x] + 2*x [y] + 2*y [x]", XY))
+    schema = RuleSchema(ident)
+    with job():
+        defect = generic_defect(ident)
+        memo = job_memo(schema, "lo")
+        assert _span_certificate(defect, memo) == (6, 27)
+        monkeypatch.setattr(opalg.rewrite, "EXPLORE_BUDGET", 26)
+        assert _span_certificate(defect, memo) is None
+    monkeypatch.setattr(opalg.rewrite, "EXPLORE_BUDGET", 5)
+    verdict = rbt_check(ident.pattern).verdict
+    assert (verdict.kind, verdict.detail) == (
+        Verdict.INCONCLUSIVE, "exploration budget 5 exceeded")
 
 
 def _right_twisted_schema():
@@ -1065,18 +1129,26 @@ def test_search_memo_dies_with_its_call(monkeypatch):
             assert not any(in_reduced_form(w, True) for w in asked), job
 
 
-# rejecting certifications that run the exhaustive search; a
-# differential-type rejection runs none
-SEARCHED_REJECTIONS = (
-    ("rbt_check", "[x] y + [x y] + [y] x"),
-    ("rbt_check", "[y x] + x [y] + y [x]"),
-    ("rbt_check", "[x y] + x [y] + y [x]"),
-    ("rbt_check", "[x] y + [y] x + [y x]"),
+# rejecting certifications, each with its (pattern, parameters, constraints)
+# and its verdict's detail: the span certificate decides the Rota-Baxter
+# ones, and the constrained differential-type one runs the exhaustive search
+REJECTIONS = (
+    ("rbt_check", "[x] y + [x y] + [y] x", "", (),
+     "outside the span of 6 rewrite steps on 27 words"),
+    ("rbt_check", "[y x] + x [y] + y [x]", "", (),
+     "outside the span of 6 rewrite steps on 27 words"),
+    ("rbt_check", "[x y] + x [y] + y [x]", "", (),
+     "outside the span of 6 rewrite steps on 27 words"),
+    ("rbt_check", "[x] y + [y] x + [y x]", "", (),
+     "outside the span of 6 rewrite steps on 27 words"),
+    ("dt_check", "b*x [y] + b*[x] y + c*[x] [y] + e*x y", "b c e",
+     ("b^2 - c*e",), "all 16 reachable polynomials nonzero"),
 )
 
 _HASH_SEED_JOB = """
 import json, sys
 import opalg.rewrite as rewrite
+from opalg.coeffs import PolyRing
 from opalg.gsb import dt_check, rbt_check
 from opalg.opoly import DIFFERENTIAL, OpIdentity, parse_opoly
 from opalg.ordering import OrderConfig
@@ -1102,8 +1174,10 @@ XY = GeneratorSet(("x", "y"))
 UVW = GeneratorSet(("u", "v", "w"))
 checks = {"dt_check": dt_check, "rbt_check": rbt_check}
 details = []
-for check, text in json.loads(sys.argv[1]):
-    report = checks[check](parse_opoly(text, XY))
+for check, text, params, constraints in json.loads(sys.argv[1]):
+    ring = PolyRing(params.split()) if params else None
+    report = checks[check](parse_opoly(text, XY, ring=ring),
+                           [ring.parse(c) for c in constraints])
     details.append([report.accepted, report.verdict.detail])
 ident = OpIdentity(DIFFERENTIAL, parse_opoly("y [x]", XY))
 conf = rewrite.local_confluence_check(
@@ -1117,11 +1191,11 @@ print(json.dumps({"details": details, "summary": conf.summary(),
 
 
 def test_search_work_does_not_depend_on_hash_seed(run_job):
-    first, second = (run_job(_HASH_SEED_JOB, json.dumps(SEARCHED_REJECTIONS),
-                             hash_seed=seed) for seed in (1, 3))
-    assert all(not accepted and detail.startswith("all ")
-               for accepted, detail in first["details"])
-    assert first["details"] == second["details"]
+    rows = [row[:4] for row in REJECTIONS]
+    first, second = (run_job(_HASH_SEED_JOB, json.dumps(rows), hash_seed=seed)
+                     for seed in (1, 3))
+    assert first["details"] == second["details"] == [
+        [False, row[4]] for row in REJECTIONS]
     assert first["counts"] == second["counts"] == [562, 27, 18, 0]
     assert first["work"] == second["work"]
     assert first["work"]["explored_polys"] > 0
