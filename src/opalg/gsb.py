@@ -10,11 +10,12 @@ differential-type / Rota-Baxter-type certificates.
 
 ``is_trivial`` is the one place a composition value is audited against the
 order and reduced: both composition kinds of ``gsb_check_truncated`` go
-through it, reducing word by word through the check's ``NFCache``.  Each
+through it, and the check's ``NFCache`` sums its words' normal forms.  Each
 check is one job (see ``words.job``): its normal forms, order audits and
 irreducibility tests read the job's one ``RewriteMemo`` of the schema
-(each word's first redex and order key, ``rewrite.job_memo``), which is
-dropped when the check returns.
+(each word's first redex, order key and, where every step below it
+descends, normal form; ``rewrite.job_memo``), which is dropped when the
+check returns.
 Every composition value, ideal element and associativity defect is filled
 from the plans its identity compiles once (``OpIdentity.plans``).
 """
@@ -178,12 +179,18 @@ class NFCache:
 
     Rewriting acts monomial by monomial, so the strategy normal form of a
     combination is the matching combination of the per-word normal forms.
-    Each word is reduced by its own ``normal_form`` call, under the step cap,
-    through the job's ``RewriteMemo`` of the schema (``job_memo``), which
-    keeps every word's first redex and order key for the life of the job; a
-    repeated word is reduced again through it.  Each word's trace is
-    audited once, against the memo's order keys, which the normal form's
-    heap already built: no rewritten monomial may exceed the root word.
+    A word's normal form is read from the job's ``RewriteMemo`` of the
+    schema (``job_memo``, ``RewriteMemo.strategy_nf``), which builds each
+    reducible word's once, bottom-up, where every step below the word
+    descends and the memo stays within the step cap.  Any other word is
+    reduced by its own ``normal_form`` call through the same memo, under the
+    step cap: one whose closure holds a step that does not descend, every
+    word under a constraint ideal, and every word of a combination that
+    leaves a nonzero residue, so that the residue's terms keep the per-word
+    path's order.  Each word's steps are audited once, against the memo's
+    order keys, which the normal form's heap already built: no rewritten
+    monomial may exceed the root word, and a word the memo answers has no
+    such step.
     """
 
     __slots__ = ("schema", "step_cap", "memo", "audited", "order_violations")
@@ -195,22 +202,46 @@ class NFCache:
         self.audited = set()
         self.order_violations = 0
 
-    def nf_word(self, w: Word) -> OPoly:
+    def nf_word(self, w: Word) -> dict:
+        """The normal form of ``w`` as a term dict, which callers only read:
+        the memo's when it gives one, else ``normal_form``'s."""
+        nf = None
+        if self.memo.first_redex(w) is None:
+            nf = {w: 1}
+        elif self.schema.constraint_gb is None:
+            try:
+                nf = self.memo.strategy_nf(w, self.step_cap)
+            except ResourceLimit:
+                pass  # a reduction may cancel the over-deep word unbuilt
+        if nf is None:
+            return self._reduced(w)
+        self.audited.add(w)
+        return nf
+
+    def _reduced(self, w: Word) -> dict:
+        """``w``'s normal form by its own ``normal_form`` call, whose steps
+        are audited when ``w`` is new."""
         nf, trace = normal_form(OPoly.from_word(w, ring=self.schema.identity.ring),
                                 self.schema, "lo", self.step_cap)
         if trace.status != NORMAL_FORM:
             raise ResourceLimit(f"step cap {self.step_cap} hit at {to_str(w)}")
-        if self.schema.order is not None and w not in self.audited:
+        if w not in self.audited:
             self.audited.add(w)
-            key = self.memo.key
-            root = key(w)
-            self.order_violations += sum(key(m) > root for m in trace.monomials)
-        return nf
+            if self.schema.order is not None:
+                key = self.memo.key
+                root = key(w)
+                self.order_violations += sum(key(m) > root
+                                             for m in trace.monomials)
+        return nf.terms
 
     def reduce(self, p: OPoly) -> OPoly:
         out: dict = {}
         for w, c in p.terms.items():  # p and nf_word share the schema's ring
-            _add_scaled_into(out, self.nf_word(w).terms, c)
+            _add_scaled_into(out, self.nf_word(w), c)
+        if out and self.schema.constraint_gb is None:
+            out = {}  # a residue's terms in the per-word path's order
+            for w, c in p.terms.items():
+                _add_scaled_into(out, self._reduced(w), c)
         return self.schema.normalize(OPoly._trusted(out, p.ring))
 
 
@@ -220,7 +251,9 @@ def is_trivial(comp: CompositionRecord, cache: NFCache) -> str:
     Every monomial of the value must lie below the ambient word ``comp.w``
     by the order keys of ``cache.memo``; each one that does not adds to
     ``cache.order_violations``, next to the cache's own count of rewrite
-    steps landing above their root word.  A word needing more than the
+    steps landing above their root word.  The value's words are reduced by
+    ``cache.reduce``, each from the memo's normal forms or by its own
+    ``normal_form`` call (see ``NFCache``).  A word needing more than the
     cache's step cap raises ``ResourceLimit``, so an undecided composition
     never gets a verdict.
     """
@@ -513,12 +546,21 @@ def associativity_defect(identity: OpIdentity, u: Word, v: Word,
 
 
 def _nest(identity: OpIdentity, p: OPoly, slot: str, other: Word) -> OPoly:
-    """M with ``p`` in generator slot ``slot`` and ``other`` in the other."""
+    """M with ``p`` in generator slot ``slot`` and ``other`` in the other:
+    each pattern term's plan filled at every term of ``p``, then scaled.  M
+    is totally linear, so one plan fills distinct words, and the terms come
+    in the order of a term-by-term sum."""
     out: dict = {}
     for parts, c in identity.plans:
+        filled: dict = {}
         for word, cp in p.terms.items():
             values = (word, other) if slot == "x" else (other, word)
-            _add_scaled_into(out, {Word(fill(parts, values)): cp}, c)
+            w = Word(fill(parts, values))
+            if w in filled:
+                _add_scaled_into(filled, {w: cp})
+            else:
+                filled[w] = cp
+        _add_scaled_into(out, filled, c)
     return OPoly._trusted(out, identity.ring)
 
 

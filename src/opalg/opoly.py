@@ -172,7 +172,11 @@ def _filled(plans, values: tuple, ring: PolyRing) -> OPoly:
     """The ``(plan, coefficient)`` terms filled with ``values``, in order."""
     out: dict = {}
     for parts, c in plans:
-        _add_scaled_into(out, {Word(fill(parts, values)): c})
+        w = Word(fill(parts, values))
+        if w in out:
+            _add_scaled_into(out, {w: c})
+        else:
+            out[w] = c
     return OPoly._trusted(out, ring)
 
 

@@ -37,13 +37,16 @@ polynomial lies outside the span of every rewrite step on the closure of its
 words under every redex, which exact elimination decides.
 
 ``RewriteMemo`` is the one cache of word facts: each reducible word's first
-redex and each word's order key for the strategy path, and the replacements of
+redex and each word's order key for the strategy path, the replacements of
 all its redexes for the search and the span certificate, which alone ask for
-them.  A job keeps one memo per schema and strategy, which ``job_memo`` hands
-out to every ``normal_form``, ``reduces_to_zero`` and ``joinable`` call and
-every basis check of ``gsb`` in it, and which the job drops when its
-outermost scope closes (see ``words.job``).  ``local_confluence_check``
-keeps no peak memo: it meets each enumerated word once.
+them, and each reducible word's strategy normal form, built bottom-up where
+every step below the word descends, for the basis checks of ``gsb``, which
+alone ask for it (``RewriteMemo.strategy_nf``).  A job keeps one memo per
+schema and strategy, which ``job_memo`` hands out to every ``normal_form``,
+``reduces_to_zero`` and ``joinable`` call and every basis check of ``gsb``
+in it, and which the job drops when its outermost scope closes (see
+``words.job``).  ``local_confluence_check`` keeps no peak memo: it meets
+each enumerated word once.
 
 Within a job, equal words are one object (see ``words``), so the memo's
 dicts, the term dicts and the heap meet them by identity.  A step that
@@ -151,8 +154,11 @@ class RuleSchema:
         out: dict = {}
         for parts, c in self.identity.plans:
             atoms = fill(parts, values)
-            _add_scaled_into(out, {splice(path, atoms if sigma
-                                          else (Word(atoms),)): c})
+            w = splice(path, atoms if sigma else (Word(atoms),))
+            if w in out:
+                _add_scaled_into(out, {w: c})
+            else:
+                out[w] = c
         return OPoly._trusted(out, self.identity.ring)
 
     def normalize(self, p: OPoly) -> OPoly:
@@ -277,14 +283,15 @@ class ReductionTrace:
 
 class RewriteMemo:
     """Each reducible word's strategy-first redex and, when asked, the
-    replacements of all its redexes, for one schema under one strategy, and
-    the order key (``word_sort_key`` when the schema has no order) each word
-    is read by.  They depend on nothing else, so one memo serves a whole
-    job: ``job_memo`` hands it out, and it keeps every reducible word the
-    job met until the job's outermost scope closes.  An irreducible word is
-    answered by its redex flag and kept nowhere."""
+    replacements of all its redexes and its strategy normal form, for one
+    schema under one strategy, and the order key (``word_sort_key`` when
+    the schema has no order) each word is read by.  They depend on nothing
+    else, so one memo serves a whole job: ``job_memo`` hands it out, and it
+    keeps every reducible word the job met until the job's outermost scope
+    closes.  An irreducible word is answered by its redex flag and kept
+    nowhere."""
 
-    __slots__ = ("schema", "strategy", "key", "first", "repl", "_walk",
+    __slots__ = ("schema", "strategy", "key", "first", "repl", "nf", "_walk",
                  "_holds")
 
     def __init__(self, schema: RuleSchema, strategy: str):
@@ -296,6 +303,7 @@ class RewriteMemo:
                     else order_key(schema.order))
         self.first = {}
         self.repl = {}
+        self.nf = {}
         self._walk = (schema.kind == "sigma", strategy == "li")
         self._holds = _HOLDS_REDEX[schema.kind == "sigma"]
 
@@ -318,6 +326,72 @@ class RewriteMemo:
             out = self.repl[w] = [self.schema.replacement(r)
                                   for r in find_redexes(w, self.schema)]
         return out
+
+    def strategy_nf(self, w: Word, cap: int):
+        """The strategy normal form of the reducible word ``w`` as a term
+        dict, which callers only read, or ``None`` where the memo does not
+        give it.
+
+        A normal form is built bottom-up from the word's rewrite step, as
+        the sum of c NF(m) over the terms c m of its replacement (an
+        irreducible m is its own normal form), by a walk on an explicit
+        stack, and kept.  A word gets one only when its step and every step
+        below it descend: each replacement monomial ranks strictly below
+        its word by ``key``.  Then ``normal_form``'s heap rewrites each word
+        of the closure at most once, all of them below ``w``, and reaches
+        the same dict in at most as many steps as the memo has entries.  So
+        the memo is read only while it holds at most ``cap`` entries, and
+        the walk gives up before it would hold more.  It stops at the first
+        step that does not descend, and keeps ``None`` for that word and
+        every word above it on the stack, whose closures hold the step;
+        the words it finished stay kept."""
+        nf = self.nf
+        if len(nf) > cap:
+            return None
+        out = nf.get(w, False)
+        if out is not False:
+            return out
+        key = self.key
+        holds = self._holds
+        replacement = self.schema.replacement
+        stack = []  # (word, its replacement's terms, the terms left to visit)
+        new = w
+        while True:
+            if new is not None:
+                if len(nf) + len(stack) >= cap:
+                    return None
+                if new in nf:  # kept as not descending
+                    break
+                terms = replacement(self.first_redex(new)).terms
+                top = key(new)
+                if not all(key(m) < top for m in terms):
+                    break
+                stack.append((new, terms, iter(terms)))
+                new = None
+            v, terms, rest = stack[-1]
+            for m in rest:
+                if holds(m) and nf.get(m) is None:
+                    new = m
+                    break
+            else:
+                stack.pop()
+                out: dict = {}
+                for m, c in terms.items():
+                    sub = nf.get(m)
+                    if sub is not None:
+                        _add_scaled_into(out, sub, c)
+                    elif m in out:
+                        _add_scaled_into(out, {m: c})
+                    else:
+                        out[m] = c
+                # the copy drops the slots that cancelled terms left
+                out = nf[v] = dict(out)
+                if not stack:
+                    return out
+        nf[new] = None
+        for v, _, _ in stack:
+            nf[v] = None
+        return None
 
 
 def job_memo(schema: RuleSchema, strategy: str) -> RewriteMemo:

@@ -146,10 +146,11 @@ def test_checked_triples_match_the_listed_triples(bound, monkeypatch):
 
 
 def test_nf_cache_stores_packed_dicts(monkeypatch):
-    # rewrite steps delete from a normal form's term dict; the check keeps
-    # no normal form, only its memo's word -> first redex dict, which only
-    # grows, and the words it audited, so nothing it keeps for the life of
-    # the check holds deleted slots
+    # rewrite steps and cancelling sums delete from a term dict; the check
+    # keeps its memo's word -> first redex dict, which only grows, its word
+    # -> normal form dict and each normal form in it, and the words it
+    # audited, so nothing it keeps for the life of the check may hold
+    # deleted slots
     caches = []
     reduced = []
 
@@ -166,16 +167,26 @@ def test_nf_cache_stores_packed_dicts(monkeypatch):
 
     monkeypatch.setattr(gsb, "NFCache", Recording)
     bound = TruncationBound(2, 1, 3)
-    gsb_check_truncated(GeneratorSystem(DER, OrderConfig(bound.generator_set())),
-                        bound)
-    assert caches and reduced
+    # the second pattern's normal forms cancel terms as they are summed
+    for ident in (DER, _oracle_identity("x y - x [y]")):
+        gsb_check_truncated(GeneratorSystem(ident,
+                                            OrderConfig(bound.generator_set())),
+                            bound)
+    assert len(caches) == 2 and reduced
     kept = [getattr(cache, name) for cache in caches
             for name in NFCache.__slots__]
     assert not any(isinstance(v, (OPoly, dict)) for v in kept)
-    entries = [cache.memo.first for cache in caches]
+    memos = [cache.memo for cache in caches]
+    forms = [nf for memo in memos for nf in memo.nf.values()]
+    assert forms and all(isinstance(nf, dict) for nf in forms)
+    entries = ([memo.first for memo in memos] + [memo.nf for memo in memos]
+               + forms)
     assert all(sys.getsizeof(t) == sys.getsizeof(dict(t)) for t in entries)
     assert all(r is None or isinstance(r, Redex)
-               for t in entries for r in t.values())
+               for memo in memos for r in memo.first.values())
+    # only reducible words are kept
+    assert all(memo.first_redex(w) is not None
+               for memo in memos for w in memo.nf)
     assert set().union(*(cache.audited for cache in caches)) == set(reduced)
 
 
@@ -334,6 +345,16 @@ MEMO_ORACLE_CASES = [(spec, size, "purelex")
 # repeats carry violating steps
 MEMO_ORACLE_CASES += [("derivation", size, "deglenlex")
                       for size in ((2, 1, 3), (2, 2, 3))]
+# non-basis patterns: the memo's sums would order 9 residues of
+# ``2*x [y] + 2*[x] y`` otherwise, and normal forms of ``x y - x [y]``
+# cancel terms as they are summed
+NON_BASIS = ("y [x]", "2*x [y] + 2*[x] y", "x y - x [y]")
+MEMO_ORACLE_CASES += [(spec, (2, 1, 3), "purelex") for spec in NON_BASIS[1:]]
+
+
+def _oracle_identity(spec):
+    return (OpIdentity(DIFFERENTIAL, parse_opoly(spec, XY)) if spec in NON_BASIS
+            else named_pattern(spec))
 
 
 @pytest.mark.parametrize("spec, size, mode", MEMO_ORACLE_CASES,
@@ -341,19 +362,107 @@ MEMO_ORACLE_CASES += [("derivation", size, "deglenlex")
                               for spec, size, mode in MEMO_ORACLE_CASES])
 def test_basis_checks_match_the_per_word_reference(spec, size, mode,
                                                    monkeypatch):
-    ident = (OpIdentity(DIFFERENTIAL, parse_opoly(spec, XY)) if spec == "y [x]"
-             else named_pattern(spec))
+    ident = _oracle_identity(spec)
     got = _basis_checks(ident, size, mode, monkeypatch)
     monkeypatch.setattr(gsb, "NFCache", ReferenceNFCache)
     monkeypatch.setattr(gsb, "normal_form", _fresh_normal_form)
     want = _basis_checks(ident, size, mode, monkeypatch)
     assert got == want
     report, cdl, records = got
-    basis = spec != "y [x]"
+    basis = spec not in NON_BASIS
     assert records and (not report["nontrivial"]) == basis
     assert (not cdl["failures"]) == basis
     if mode == "deglenlex" and size == (2, 1, 3):
         assert report["order_violations"] == 948
+
+
+def _memo_normal_forms(ident, size, mode, monkeypatch):
+    """Each word's normal form kept by the memo of one basis check, against
+    a fresh ``normal_form`` of the word, both as dicts."""
+    caches = []
+
+    class Recording(NFCache):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            caches.append(self)
+
+    monkeypatch.setattr(gsb, "NFCache", Recording)
+    bound = TruncationBound(*size)
+    system = GeneratorSystem(ident, OrderConfig(bound.generator_set(), mode))
+    with job():
+        gsb_check_truncated(system, bound, rng=random.Random(4))
+        (cache,) = caches
+        pairs = []
+        for w, nf in cache.memo.nf.items():
+            if nf is not None:
+                want, trace = _fresh_normal_form(
+                    OPoly.from_word(w, ring=ident.ring), cache.schema)
+                assert trace.status == NORMAL_FORM
+                pairs.append((to_str(w), nf, want.terms))
+    return pairs
+
+
+@pytest.mark.parametrize("spec, size, mode", MEMO_ORACLE_CASES,
+                         ids=[f"{spec}@{','.join(map(str, size))}-{mode}"
+                              for spec, size, mode in MEMO_ORACLE_CASES])
+def test_memo_normal_forms_match_fresh_normal_forms(spec, size, mode,
+                                                   monkeypatch):
+    pairs = _memo_normal_forms(_oracle_identity(spec), size, mode,
+                               monkeypatch)
+    for word, got, want in pairs:
+        assert got == want, word
+    # no derivation step descends under deglenlex
+    assert bool(pairs) == (mode == "purelex")
+
+
+def test_basis_check_reads_every_normal_form_from_the_memo(monkeypatch):
+    calls = []
+    real = gsb.normal_form
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gsb, "normal_form", counting)
+    bound = TruncationBound(2, 2, 3)
+    system = GeneratorSystem(DER, OrderConfig(bound.generator_set()))
+    report = gsb_check_truncated(system, bound)
+    assert report.ok and report.intersections_reduced
+    assert calls == []
+
+
+def test_constrained_basis_check_matches_the_per_word_reference(monkeypatch):
+    # a constraint ideal reduces coefficients as it goes, so every word takes
+    # its own normal_form call
+    ident = DT_FAMILIES[0].identity()
+    assert ident.constraints
+    assert _memo_normal_forms(ident, (2, 1, 3), "purelex", monkeypatch) == []
+    got = _basis_checks(ident, (2, 1, 3), "purelex", monkeypatch)
+    monkeypatch.setattr(gsb, "NFCache", ReferenceNFCache)
+    monkeypatch.setattr(gsb, "normal_form", _fresh_normal_form)
+    want = _basis_checks(ident, (2, 1, 3), "purelex", monkeypatch)
+    assert got == want
+    report, cdl, records = got
+    assert records and not report["nontrivial"] and not cdl["failures"]
+
+
+def test_deep_word_reduces_as_normal_form_does():
+    # each step moves the redex one bracket out: a chain of 150 steps, which
+    # the memo's walk keeps on a stack of its own
+    with job():
+        w = Word(("x", "y"))
+        for _ in range(150):
+            w = Word((w,))
+        system = GeneratorSystem(named_pattern("endomorphism"),
+                                 OrderConfig(XY))
+        cache = NFCache(system, 100000)
+        got = dict(cache.nf_word(w))
+        assert len(cache.memo.nf) == 150
+        want, trace = _fresh_normal_form(OPoly.from_word(w), system)
+    assert trace.status == NORMAL_FORM and len(trace) == 150
+    assert got == want.terms and len(got) == 1
 
 
 _WORK_JOB = """
@@ -371,19 +480,37 @@ def counting(*args, **kwargs):
     return result
 
 gsb.normal_form = counting
+caches = []
+
+
+class Recording(gsb.NFCache):
+    __slots__ = ()
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        caches.append(self)
+
+
+gsb.NFCache = Recording
 bound = gsb.TruncationBound(2, 1, 3)
 system = gsb.GeneratorSystem(named_pattern("derivation"),
                              OrderConfig(bound.generator_set(), sys.argv[1]))
 report = gsb.gsb_check_truncated(system, bound, rng=random.Random(1))
+fallbacks = len(steps)
 cdl = gsb.cdl_direct_sum_check(system, bound, rng=random.Random(2))
+(memo,) = [cache.memo.nf for cache in caches]
 print(json.dumps({"gsb": report.to_dict(), "cdl": cdl.describe(),
                   "failures": len(cdl.failures), "calls": len(steps),
-                  "steps": sum(steps)}))
+                  "steps": sum(steps), "fallbacks": fallbacks,
+                  "entries": len(memo),
+                  "normal_forms": sum(nf is not None for nf in memo.values())}))
 """
 
 
 def test_basis_check_work_does_not_depend_on_hash_seed(run_job):
-    # deglenlex is the mode whose order audits count anything here
+    # deglenlex is the mode whose order audits count anything here: no
+    # derivation step descends in it, so the memo keeps no normal form and
+    # every reducible word falls back to its own normal_form call
     for mode, violations in (("purelex", 0), ("deglenlex", 948)):
         first, second = (run_job(_WORK_JOB, mode, hash_seed=seed)
                          for seed in (0, 5))
@@ -391,6 +518,12 @@ def test_basis_check_work_does_not_depend_on_hash_seed(run_job):
         assert first["gsb"]["order_violations"] == violations
         assert not first["gsb"]["nontrivial"]
         assert first["failures"] == 0 and first["steps"]
+        assert first["entries"]
+        if mode == "purelex":
+            assert first["fallbacks"] == 0
+            assert first["normal_forms"] == first["entries"]
+        else:
+            assert first["fallbacks"] and not first["normal_forms"]
 
 
 # ``opalg gsb --format json`` output of five checks, recorded before the

@@ -613,6 +613,51 @@ def test_shared_memo_matches_reference(name):
         assert job_memo(RANDOM_SCHEMAS[name](), "lo") is not memos["lo"]
 
 
+def test_strategy_nf_gives_up_above_a_step_that_does_not_descend():
+    # a key that ranks one word z above every other makes the one step that
+    # yields z ascend; the walk stops there and keeps None for that step's
+    # word and the root above it, keeps the word it finished before, and
+    # later walks finish every other word
+    with job():
+        schema = der_schema(XY)
+        memo = RewriteMemo(schema, "lo")
+        key = memo.key
+        z = parse("[[x] y] x", XY)
+        memo.key = lambda v: (v == z, key(v))
+        root, ascends = parse("[[x y] x]", XY), parse("[[x y]] x", XY)
+        finished = parse("[x y] [x]", XY)
+        assert memo.strategy_nf(root, 100) is None
+        assert {w: nf is None for w, nf in memo.nf.items()} == {
+            finished: False, ascends: True, root: True}
+        assert memo.strategy_nf(root, 100) is None and len(memo.nf) == 3
+        for w in (finished, z):
+            nf, _ = normal_form(OPoly.from_word(w), schema)
+            assert memo.strategy_nf(w, 100) == nf.terms
+        # under the true order the root's closure descends, but a word kept
+        # as None stops every walk that meets it
+        memo.key = key
+        memo.nf.clear()
+        memo.nf[ascends] = None
+        assert memo.strategy_nf(root, 100) is None
+        assert {w: nf is None for w, nf in memo.nf.items()} == {
+            ascends: True, finished: False, root: True}
+
+
+def test_strategy_nf_stays_within_the_cap():
+    # [[x y]] takes three steps, one per word of its closure, so the memo
+    # gives its normal form at a cap of three entries and not at two
+    with job():
+        schema = der_schema(XY)
+        w = parse("[[x y]]", XY)
+        nf, trace = normal_form(OPoly.from_word(w), schema)
+        assert len(trace) == 3
+        memo = RewriteMemo(schema, "lo")
+        assert memo.strategy_nf(w, 0) is None and not memo.nf
+        assert memo.strategy_nf(w, 2) is None and len(memo.nf) == 1
+        assert memo.strategy_nf(w, 3) == nf.terms and len(memo.nf) == 3
+        assert memo.strategy_nf(w, 2) is None
+
+
 BASIS_BOUND = TruncationBound(2, 1, 2)
 BASIS_SYSTEM = GeneratorSystem(DER, OrderConfig(BASIS_BOUND.generator_set()))
 
