@@ -57,6 +57,17 @@ def _add_scaled_into(acc: dict, terms: dict, c=None) -> None:
             acc.pop(m, None)
 
 
+def _add_term(acc: dict, m, c) -> None:
+    """Add ``c * m`` into ``acc`` in place, as ``_add_scaled_into(acc, {m:
+    c})`` would: ``c`` must be a nonzero coefficient in the form of
+    ``rational`` (or an ``MPoly``), so a new monomial takes it as it is and
+    a repeated one is merged by ``_add_scaled_into``."""
+    if m in acc:
+        _add_scaled_into(acc, {m: c})
+    else:
+        acc[m] = c
+
+
 def _mul_terms(t1: dict, t2: dict) -> dict:
     """The term dict of the product of two ``MPoly`` term dicts.
 

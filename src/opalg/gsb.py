@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 import re
 
-from .coeffs import MAX_DEPTH, _add_scaled_into
+from .coeffs import MAX_DEPTH, _add_scaled_into, _add_term
 from .opoly import (DIFFERENTIAL, OPoly, OpIdentity, ROTA_BAXTER,
                     to_str_opoly)
 from .ordering import OrderConfig, random_context
@@ -182,15 +182,17 @@ class NFCache:
     A word's normal form is read from the job's ``RewriteMemo`` of the
     schema (``job_memo``, ``RewriteMemo.strategy_nf``), which builds each
     reducible word's once, bottom-up, where every step below the word
-    descends and the memo stays within the step cap.  Any other word is
-    reduced by its own ``normal_form`` call through the same memo, under the
-    step cap: one whose closure holds a step that does not descend, every
-    word under a constraint ideal, and every word of a combination that
-    leaves a nonzero residue, so that the residue's terms keep the per-word
-    path's order.  Each word's steps are audited once, against the memo's
-    order keys, which the normal form's heap already built: no rewritten
-    monomial may exceed the root word, and a word the memo answers has no
-    such step.
+    descends, and gives it where its bound on the steps is within the step
+    cap.  Any other word is reduced by its own ``normal_form`` call through
+    the same memo, under the step cap, from the rewrite step the memo's walk
+    built when it did: one whose closure holds a step that does not
+    descend, and every word under a constraint ideal.  A combination that
+    leaves a nonzero residue reduces again, by its own ``normal_form``
+    call, each word whose memo normal form may order its terms otherwise,
+    so that the residue's terms keep the per-word path's order.  Each
+    word's steps are audited once, against the memo's order keys, which the
+    normal form's heap already built: no rewritten monomial may exceed the
+    root word, and a word the memo answers has no such step.
     """
 
     __slots__ = ("schema", "step_cap", "memo", "audited", "order_violations")
@@ -202,27 +204,36 @@ class NFCache:
         self.audited = set()
         self.order_violations = 0
 
-    def nf_word(self, w: Word) -> dict:
-        """The normal form of ``w`` as a term dict, which callers only read:
-        the memo's when it gives one, else ``normal_form``'s."""
-        nf = None
+    def nf_word(self, w: Word):
+        """The normal form of ``w`` as a term dict, which callers only read,
+        and whether its terms surely come in ``normal_form``'s order: the
+        memo's when it gives one, summed bottom-up, which does when it has
+        at most one term or its bound is one (it is then the replacement of
+        ``w``'s step, whose terms are irreducible), else ``normal_form``'s."""
         if self.memo.first_redex(w) is None:
-            nf = {w: 1}
-        elif self.schema.constraint_gb is None:
+            self.audited.add(w)
+            return {w: 1}, True
+        step = None
+        if self.schema.constraint_gb is None:
             try:
-                nf = self.memo.strategy_nf(w, self.step_cap)
+                nf, step = self.memo.strategy_nf(w, self.step_cap)
             except ResourceLimit:
-                pass  # a reduction may cancel the over-deep word unbuilt
-        if nf is None:
-            return self._reduced(w)
-        self.audited.add(w)
-        return nf
+                nf = None  # a reduction may cancel the over-deep word unbuilt
+            if nf is not None:
+                self.audited.add(w)
+                return nf, len(nf) < 2 or self.memo.nf[w][1] == 1
+        return self._reduced(w, step), True
 
-    def _reduced(self, w: Word) -> dict:
+    def _reduced(self, w: Word, step: OPoly = None) -> dict:
         """``w``'s normal form by its own ``normal_form`` call, whose steps
-        are audited when ``w`` is new."""
-        nf, trace = normal_form(OPoly.from_word(w, ring=self.schema.identity.ring),
-                                self.schema, "lo", self.step_cap)
+        are audited when ``w`` is new; from ``step``, ``w``'s one-step
+        reduct, when given, with one step fewer left under the cap."""
+        if step is None:
+            p = OPoly.from_word(w, ring=self.schema.identity.ring)
+            cap = self.step_cap
+        else:
+            p, cap = step, self.step_cap - 1
+        nf, trace = normal_form(p, self.schema, "lo", cap)
         if trace.status != NORMAL_FORM:
             raise ResourceLimit(f"step cap {self.step_cap} hit at {to_str(w)}")
         if w not in self.audited:
@@ -235,13 +246,14 @@ class NFCache:
         return nf.terms
 
     def reduce(self, p: OPoly) -> OPoly:
+        forms = [self.nf_word(w) for w in p.terms]
         out: dict = {}
-        for w, c in p.terms.items():  # p and nf_word share the schema's ring
-            _add_scaled_into(out, self.nf_word(w), c)
-        if out and self.schema.constraint_gb is None:
+        for (nf, _), c in zip(forms, p.terms.values()):
+            _add_scaled_into(out, nf, c)  # p and nf share the schema's ring
+        if out and not all(ordered for _, ordered in forms):
             out = {}  # a residue's terms in the per-word path's order
-            for w, c in p.terms.items():
-                _add_scaled_into(out, self._reduced(w), c)
+            for (w, c), (nf, ordered) in zip(p.terms.items(), forms):
+                _add_scaled_into(out, nf if ordered else self._reduced(w), c)
         return self.schema.normalize(OPoly._trusted(out, p.ring))
 
 
@@ -555,11 +567,7 @@ def _nest(identity: OpIdentity, p: OPoly, slot: str, other: Word) -> OPoly:
         filled: dict = {}
         for word, cp in p.terms.items():
             values = (word, other) if slot == "x" else (other, word)
-            w = Word(fill(parts, values))
-            if w in filled:
-                _add_scaled_into(filled, {w: cp})
-            else:
-                filled[w] = cp
+            _add_term(filled, Word(fill(parts, values)), cp)
         _add_scaled_into(out, filled, c)
     return OPoly._trusted(out, identity.ring)
 

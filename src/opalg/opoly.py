@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .coeffs import (MPoly, ParseError, PolyRing, Tokens, _add_scaled_into,
-                     parse_atomic, rational)
+                     _add_term, parse_atomic, rational)
 from .ordering import OrderConfig, order_key
 from .words import (
     GeneratorSet,
@@ -172,11 +172,7 @@ def _filled(plans, values: tuple, ring: PolyRing) -> OPoly:
     """The ``(plan, coefficient)`` terms filled with ``values``, in order."""
     out: dict = {}
     for parts, c in plans:
-        w = Word(fill(parts, values))
-        if w in out:
-            _add_scaled_into(out, {w: c})
-        else:
-            out[w] = c
+        _add_term(out, Word(fill(parts, values)), c)
     return OPoly._trusted(out, ring)
 
 

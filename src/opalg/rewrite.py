@@ -39,14 +39,14 @@ words under every redex, which exact elimination decides.
 ``RewriteMemo`` is the one cache of word facts: each reducible word's first
 redex and each word's order key for the strategy path, the replacements of
 all its redexes for the search and the span certificate, which alone ask for
-them, and each reducible word's strategy normal form, built bottom-up where
-every step below the word descends, for the basis checks of ``gsb``, which
-alone ask for it (``RewriteMemo.strategy_nf``).  A job keeps one memo per
-schema and strategy, which ``job_memo`` hands out to every ``normal_form``,
-``reduces_to_zero`` and ``joinable`` call and every basis check of ``gsb``
-in it, and which the job drops when its outermost scope closes (see
-``words.job``).  ``local_confluence_check`` keeps no peak memo: it meets
-each enumerated word once.
+them, and each reducible word's strategy normal form with a bound on its
+steps, built bottom-up where every step below the word descends, for the
+basis checks of ``gsb``, which alone ask for it (``RewriteMemo.strategy_nf``).
+A job keeps one memo per schema and strategy, which ``job_memo`` hands out to
+every ``normal_form``, ``reduces_to_zero`` and ``joinable`` call and every
+basis check of ``gsb`` in it, and which the job drops when its outermost
+scope closes (see ``words.job``).  ``local_confluence_check`` keeps no peak
+memo: it meets each enumerated word once.
 
 Within a job, equal words are one object (see ``words``), so the memo's
 dicts, the term dicts and the heap meet them by identity.  A step that
@@ -61,7 +61,7 @@ import heapq
 from collections import namedtuple
 from operator import attrgetter
 
-from .coeffs import ResourceLimit, _add_scaled_into, reciprocal
+from .coeffs import ResourceLimit, _add_scaled_into, _add_term, reciprocal
 from .groebner import buchberger, nf_mod_ideal
 from .opoly import DIFFERENTIAL, OPoly, OpIdentity, to_str_opoly
 from .ordering import OrderConfig, order_key
@@ -154,11 +154,7 @@ class RuleSchema:
         out: dict = {}
         for parts, c in self.identity.plans:
             atoms = fill(parts, values)
-            w = splice(path, atoms if sigma else (Word(atoms),))
-            if w in out:
-                _add_scaled_into(out, {w: c})
-            else:
-                out[w] = c
+            _add_term(out, splice(path, atoms if sigma else (Word(atoms),)), c)
         return OPoly._trusted(out, self.identity.ring)
 
     def normalize(self, p: OPoly) -> OPoly:
@@ -283,9 +279,10 @@ class ReductionTrace:
 
 class RewriteMemo:
     """Each reducible word's strategy-first redex and, when asked, the
-    replacements of all its redexes and its strategy normal form, for one
-    schema under one strategy, and the order key (``word_sort_key`` when
-    the schema has no order) each word is read by.  They depend on nothing
+    replacements of all its redexes and its strategy normal form with a
+    bound on its steps, for one schema under one strategy, and the order
+    key (``word_sort_key`` when the schema has no order) each word is read
+    by.  They depend on nothing
     else, so one memo serves a whole job: ``job_memo`` hands it out, and it
     keeps every reducible word the job met until the job's outermost scope
     closes.  An irreducible word is answered by its redex flag and kept
@@ -330,42 +327,50 @@ class RewriteMemo:
     def strategy_nf(self, w: Word, cap: int):
         """The strategy normal form of the reducible word ``w`` as a term
         dict, which callers only read, or ``None`` where the memo does not
-        give it.
+        give it, with ``w``'s one-step reduct (the ``OPoly`` of its rewrite
+        step) when the walk built it and ``None`` otherwise.
 
         A normal form is built bottom-up from the word's rewrite step, as
         the sum of c NF(m) over the terms c m of its replacement (an
         irreducible m is its own normal form), by a walk on an explicit
-        stack, and kept.  A word gets one only when its step and every step
-        below it descend: each replacement monomial ranks strictly below
-        its word by ``key``.  Then ``normal_form``'s heap rewrites each word
-        of the closure at most once, all of them below ``w``, and reaches
-        the same dict in at most as many steps as the memo has entries.  So
-        the memo is read only while it holds at most ``cap`` entries, and
-        the walk gives up before it would hold more.  It stops at the first
+        stack, and kept with a bound: one more than the sum of the bounds
+        of its replacement's reducible words (a bound of one keeps the
+        replacement itself, in its order).  A word gets one only when
+        its step and every step below it descend: each replacement monomial
+        ranks strictly below its word by ``key``.  Then ``normal_form``'s
+        heap rewrites each reducible word of the closure at most once, all
+        of them counted by the bound, and reaches the same dict.  So a kept
+        normal form is given only where its bound is at most ``cap``, and a
+        walk gives up once it has met ``cap`` words.  It stops at the first
         step that does not descend, and keeps ``None`` for that word and
         every word above it on the stack, whose closures hold the step;
         the words it finished stay kept."""
         nf = self.nf
-        if len(nf) > cap:
-            return None
-        out = nf.get(w, False)
-        if out is not False:
-            return out
+        kept = nf.get(w, False)
+        if kept is not False:
+            return (kept[0] if kept is not None and kept[1] <= cap else None,
+                    None)
         key = self.key
         holds = self._holds
         replacement = self.schema.replacement
+        first = None  # w's one-step reduct
+        met = 0
         stack = []  # (word, its replacement's terms, the terms left to visit)
         new = w
         while True:
             if new is not None:
-                if len(nf) + len(stack) >= cap:
-                    return None
+                if met >= cap:
+                    return None, first
                 if new in nf:  # kept as not descending
                     break
-                terms = replacement(self.first_redex(new)).terms
+                step = replacement(self.first_redex(new))
+                if first is None:
+                    first = step
+                terms = step.terms
                 top = key(new)
                 if not all(key(m) < top for m in terms):
                     break
+                met += 1
                 stack.append((new, terms, iter(terms)))
                 new = None
             v, terms, rest = stack[-1]
@@ -376,22 +381,22 @@ class RewriteMemo:
             else:
                 stack.pop()
                 out: dict = {}
+                bound = 1
                 for m, c in terms.items():
                     sub = nf.get(m)
-                    if sub is not None:
-                        _add_scaled_into(out, sub, c)
-                    elif m in out:
-                        _add_scaled_into(out, {m: c})
+                    if sub is None:
+                        _add_term(out, m, c)
                     else:
-                        out[m] = c
+                        _add_scaled_into(out, sub[0], c)
+                        bound += sub[1]
                 # the copy drops the slots that cancelled terms left
-                out = nf[v] = dict(out)
+                kept = nf[v] = (dict(out), bound)
                 if not stack:
-                    return out
+                    return (kept[0], None) if bound <= cap else (None, first)
         nf[new] = None
         for v, _, _ in stack:
             nf[v] = None
-        return None
+        return None, first
 
 
 def job_memo(schema: RuleSchema, strategy: str) -> RewriteMemo:

@@ -177,8 +177,10 @@ def test_nf_cache_stores_packed_dicts(monkeypatch):
             for name in NFCache.__slots__]
     assert not any(isinstance(v, (OPoly, dict)) for v in kept)
     memos = [cache.memo for cache in caches]
-    forms = [nf for memo in memos for nf in memo.nf.values()]
-    assert forms and all(isinstance(nf, dict) for nf in forms)
+    kept = [entry for memo in memos for entry in memo.nf.values()]
+    assert kept and all(type(entry[1]) is int for entry in kept)
+    forms = [nf for nf, _ in kept]
+    assert all(isinstance(nf, dict) for nf in forms)
     entries = ([memo.first for memo in memos] + [memo.nf for memo in memos]
                + forms)
     assert all(sys.getsizeof(t) == sys.getsizeof(dict(t)) for t in entries)
@@ -378,7 +380,7 @@ def test_basis_checks_match_the_per_word_reference(spec, size, mode,
 
 def _memo_normal_forms(ident, size, mode, monkeypatch):
     """Each word's normal form kept by the memo of one basis check, against
-    a fresh ``normal_form`` of the word, both as dicts."""
+    a fresh ``normal_form`` of the word, both as dicts, with its bound."""
     caches = []
 
     class Recording(NFCache):
@@ -395,12 +397,13 @@ def _memo_normal_forms(ident, size, mode, monkeypatch):
         gsb_check_truncated(system, bound, rng=random.Random(4))
         (cache,) = caches
         pairs = []
-        for w, nf in cache.memo.nf.items():
-            if nf is not None:
+        for w, kept in cache.memo.nf.items():
+            if kept is not None:
+                nf = kept[0]
                 want, trace = _fresh_normal_form(
                     OPoly.from_word(w, ring=ident.ring), cache.schema)
                 assert trace.status == NORMAL_FORM
-                pairs.append((to_str(w), nf, want.terms))
+                pairs.append((to_str(w), nf, want.terms, kept[1]))
     return pairs
 
 
@@ -411,8 +414,11 @@ def test_memo_normal_forms_match_fresh_normal_forms(spec, size, mode,
                                                    monkeypatch):
     pairs = _memo_normal_forms(_oracle_identity(spec), size, mode,
                                monkeypatch)
-    for word, got, want in pairs:
+    for word, got, want, bound in pairs:
         assert got == want, word
+        # where NFCache takes the memo's term order for normal_form's
+        if len(got) < 2 or bound == 1:
+            assert list(got) == list(want), word
     # no derivation step descends under deglenlex
     assert bool(pairs) == (mode == "purelex")
 
@@ -431,6 +437,95 @@ def test_basis_check_reads_every_normal_form_from_the_memo(monkeypatch):
     report = gsb_check_truncated(system, bound)
     assert report.ok and report.intersections_reduced
     assert calls == []
+
+
+def test_step_cap_bounds_each_word_not_the_memo(monkeypatch):
+    # at a step cap of 10 the memo of derivation at (2, 2, 3) grows to more
+    # than 900 words partway through the check, and every word, within
+    # seven steps, is still read from it
+    calls = []
+    caches = []
+    real = gsb.normal_form
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    class Recording(NFCache):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            caches.append(self)
+
+    monkeypatch.setattr(gsb, "normal_form", counting)
+    monkeypatch.setattr(gsb, "NFCache", Recording)
+    bound = TruncationBound(2, 2, 3)
+    system = GeneratorSystem(DER, OrderConfig(bound.generator_set()))
+    with job():
+        report = gsb_check_truncated(system, bound, step_cap=10)
+        (cache,) = caches
+        kept = [entry for entry in cache.memo.nf.values()]
+    assert calls == [] and len(kept) > 10 * 90 and None not in kept
+    assert max(steps for _, steps in kept) <= 10
+    monkeypatch.setattr(gsb, "NFCache", ReferenceNFCache)
+    monkeypatch.setattr(gsb, "normal_form", _fresh_normal_form)
+    want = gsb_check_truncated(system, bound, step_cap=10)
+    assert report.to_dict() == want.to_dict() and report.ok
+
+
+class PerWordNFCache(NFCache):
+    """The per-word path: each word by its own ``normal_form`` call from
+    the word itself, as a check made before the memo's normal forms."""
+
+    __slots__ = ()
+
+    def nf_word(self, w):
+        return self._reduced(w), True
+
+
+def test_fallback_reduces_from_the_walks_step(monkeypatch):
+    # under deglenlex no derivation step descends: each new reducible word's
+    # walk stops at its own step, which its normal_form call starts from, so
+    # the check builds no replacement more than the per-word path
+    calls = []
+    real = opalg.rewrite.RuleSchema.replacement
+
+    def counting(self, redex):
+        calls.append(redex)
+        return real(self, redex)
+
+    monkeypatch.setattr(opalg.rewrite.RuleSchema, "replacement", counting)
+    bound = TruncationBound(2, 1, 3)
+    system = GeneratorSystem(DER, OrderConfig(bound.generator_set(),
+                                              "deglenlex"))
+    counts, reports = [], []
+    for cache in (NFCache, PerWordNFCache):
+        monkeypatch.setattr(gsb, "NFCache", cache)
+        calls.clear()
+        reports.append(gsb_check_truncated(system, bound).to_dict())
+        counts.append(len(calls))
+    assert reports[0] == reports[1] and reports[0]["order_violations"] == 948
+    assert counts[0] == counts[1]
+
+
+def test_fallback_from_the_walks_step_keeps_the_step_cap():
+    # the step the walk built counts against the cap: a word taking s steps
+    # is reduced at a cap of s and raises at s - 1, as normal_form does
+    system = GeneratorSystem(DER, OrderConfig(XY, "deglenlex"))
+    w = parse("[[x y] y]", XY)
+    with job():
+        want, trace = normal_form(OPoly.from_word(w), system)
+    steps = len(trace)
+    assert trace.status == NORMAL_FORM and steps > 1
+    with job():
+        with pytest.raises(ResourceLimit):
+            NFCache(system, steps - 1).nf_word(w)
+    with job():
+        cache = NFCache(system, steps)
+        nf, ordered = cache.nf_word(w)
+        assert cache.memo.nf[w] is None
+    assert nf == want.terms and list(nf) == list(want.terms) and ordered
 
 
 def test_constrained_basis_check_matches_the_per_word_reference(monkeypatch):
@@ -458,8 +553,10 @@ def test_deep_word_reduces_as_normal_form_does():
         system = GeneratorSystem(named_pattern("endomorphism"),
                                  OrderConfig(XY))
         cache = NFCache(system, 100000)
-        got = dict(cache.nf_word(w))
-        assert len(cache.memo.nf) == 150
+        got, _ = cache.nf_word(w)
+        assert got is cache.memo.nf[w][0] and len(cache.memo.nf) == 150
+        # one step per word of the chain
+        assert cache.memo.nf[w][1] == 150
         want, trace = _fresh_normal_form(OPoly.from_word(w), system)
     assert trace.status == NORMAL_FORM and len(trace) == 150
     assert got == want.terms and len(got) == 1

@@ -626,36 +626,55 @@ def test_strategy_nf_gives_up_above_a_step_that_does_not_descend():
         memo.key = lambda v: (v == z, key(v))
         root, ascends = parse("[[x y] x]", XY), parse("[[x y]] x", XY)
         finished = parse("[x y] [x]", XY)
-        assert memo.strategy_nf(root, 100) is None
-        assert {w: nf is None for w, nf in memo.nf.items()} == {
+        # the walk hands back the root's rewrite step it built
+        root_step = schema.replacement(memo.first_redex(root))
+        nf, step = memo.strategy_nf(root, 100)
+        assert nf is None and step.terms == root_step.terms
+        assert {w: kept is None for w, kept in memo.nf.items()} == {
             finished: False, ascends: True, root: True}
-        assert memo.strategy_nf(root, 100) is None and len(memo.nf) == 3
+        assert memo.strategy_nf(root, 100) == (None, None)
+        assert len(memo.nf) == 3
         for w in (finished, z):
             nf, _ = normal_form(OPoly.from_word(w), schema)
-            assert memo.strategy_nf(w, 100) == nf.terms
+            assert memo.strategy_nf(w, 100) == (nf.terms, None)
         # under the true order the root's closure descends, but a word kept
         # as None stops every walk that meets it
         memo.key = key
         memo.nf.clear()
         memo.nf[ascends] = None
-        assert memo.strategy_nf(root, 100) is None
-        assert {w: nf is None for w, nf in memo.nf.items()} == {
+        nf, step = memo.strategy_nf(root, 100)
+        assert nf is None and step.terms == root_step.terms
+        assert {w: kept is None for w, kept in memo.nf.items()} == {
             ascends: True, finished: False, root: True}
 
 
 def test_strategy_nf_stays_within_the_cap():
     # [[x y]] takes three steps, one per word of its closure, so the memo
-    # gives its normal form at a cap of three entries and not at two
+    # gives its normal form at a cap of three steps and not at two
     with job():
         schema = der_schema(XY)
         w = parse("[[x y]]", XY)
         nf, trace = normal_form(OPoly.from_word(w), schema)
         assert len(trace) == 3
         memo = RewriteMemo(schema, "lo")
-        assert memo.strategy_nf(w, 0) is None and not memo.nf
-        assert memo.strategy_nf(w, 2) is None and len(memo.nf) == 1
-        assert memo.strategy_nf(w, 3) == nf.terms and len(memo.nf) == 3
-        assert memo.strategy_nf(w, 2) is None
+        assert memo.strategy_nf(w, 0) == (None, None) and not memo.nf
+        root_step = schema.replacement(memo.first_redex(w)).terms
+        got, step = memo.strategy_nf(w, 2)
+        assert got is None and len(memo.nf) == 1 and step.terms == root_step
+        # with one word kept, a second walk meets two words and keeps the
+        # root, whose bound of three is still above the cap
+        got, step = memo.strategy_nf(w, 2)
+        assert got is None and step.terms == root_step
+        assert len(memo.nf) == 3 and memo.nf[w][1] == 3
+        assert memo.strategy_nf(w, 3) == (nf.terms, None)
+        assert memo.strategy_nf(w, 2) == (None, None)
+        # the cap bounds each answer, not the memo: once the memo holds more
+        # words than the cap, a kept normal form within it is still given
+        other = parse("[[x y] x]", XY)
+        other_nf, _ = normal_form(OPoly.from_word(other), schema)
+        assert memo.strategy_nf(other, 100)[0] == other_nf.terms
+        assert len(memo.nf) > 3
+        assert memo.strategy_nf(w, 3) == (nf.terms, None)
 
 
 BASIS_BOUND = TruncationBound(2, 1, 2)
