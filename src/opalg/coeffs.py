@@ -8,8 +8,8 @@ when it is integral, a ``Fraction`` otherwise.  Both compare and hash equal
 to the ``Fraction`` of the same value.  Two ints meet ``/`` only in
 ``reciprocal``, the one inversion, so no coefficient becomes a float.
 An ``MPoly`` is immutable once built: its hash and string are computed once
-and memoised, a product with a one-term factor is an exponent shift, and
-division by 1 returns the polynomial itself.
+and memoised, a product with a one-term factor is an exponent shift, and a
+product by one and division by 1 return the other polynomial itself.
 ``ResourceLimit``, the exception of every cap, and the nesting cap are
 defined here because each module that can hit a cap imports this one.
 """
@@ -94,7 +94,7 @@ def _mul_terms(t1: dict, t2: dict) -> dict:
 class PolyRing:
     """A polynomial ring QQ[v1, ..., vn] with a fixed variable order."""
 
-    __slots__ = ("vars", "index")
+    __slots__ = ("vars", "index", "_one")
 
     def __init__(self, names):
         names = tuple(names)
@@ -102,6 +102,7 @@ class PolyRing:
             raise ValueError("duplicate variable names")
         self.vars = names
         self.index = {n: i for i, n in enumerate(names)}
+        self._one = {(0,) * len(names): 1}  # the terms of the constant one
 
     @property
     def nvars(self) -> int:
@@ -147,7 +148,8 @@ class MPoly:
     An ``MPoly`` is immutable: its ``terms`` are never changed once it is
     built, so ``__hash__`` and ``__str__`` compute their value once and keep
     it in a memo slot, and an operation that leaves a polynomial as it is
-    (``subs`` of an absent variable, division by 1) returns it."""
+    (``subs`` of an absent variable, a product by one, division by 1)
+    returns it."""
 
     __slots__ = ("ring", "terms", "_hash_memo", "_str_memo")
 
@@ -224,9 +226,18 @@ class MPoly:
         return -(self - other)
 
     def __mul__(self, other):
+        # a product by one is the other factor; the int is tested by type
+        # first, since ``==`` on an MPoly builds a constant
+        if type(other) is int and other == 1:
+            return self
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        one = self.ring._one
+        if other.terms == one:
+            return self
+        if self.terms == one:
+            return other
         return MPoly(self.ring, _mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__

@@ -10,12 +10,12 @@ differential-type / Rota-Baxter-type certificates.
 
 ``is_trivial`` is the one place a composition value is audited against the
 order and reduced: both composition kinds of ``gsb_check_truncated`` go
-through it, and the check's ``NFCache`` sums its words' normal forms.  Each
-check is one job (see ``words.job``): its normal forms, order audits and
-irreducibility tests read the job's one ``RewriteMemo`` of the schema
-(each word's first redex, order key and, where every step below it
-descends, normal form; ``rewrite.job_memo``), which is dropped when the
-check returns.
+through it, and the check's ``NFCache`` sums its words' normal forms, each
+the product of its atoms'.  Each check is one job (see ``words.job``): its
+normal forms, order audits and irreducibility tests read the job's one
+``RewriteMemo`` of the schema (each word's first redex and order key, and,
+where every step below it descends, each reducible bracket atom's normal
+form; ``rewrite.job_memo``), which is dropped when the check returns.
 Every composition value, ideal element and associativity defect is filled
 from the plans its identity compiles once (``OpIdentity.plans``).
 """
@@ -175,24 +175,27 @@ class GsbReport:
 
 
 class NFCache:
-    """Leftmost-outermost normal forms of words for one check.
+    """Leftmost-outermost normal forms of words for one check, as term
+    dicts keyed by atom tuples.
 
     Rewriting acts monomial by monomial, so the strategy normal form of a
-    combination is the matching combination of the per-word normal forms.
-    A word's normal form is read from the job's ``RewriteMemo`` of the
-    schema (``job_memo``, ``RewriteMemo.strategy_nf``), which builds each
-    reducible word's once, bottom-up, where every step below the word
-    descends, and gives it where its bound on the steps is within the step
-    cap.  Any other word is reduced by its own ``normal_form`` call through
-    the same memo, under the step cap, from the rewrite step the memo's walk
-    built when it did: one whose closure holds a step that does not
-    descend, and every word under a constraint ideal.  A combination that
-    leaves a nonzero residue reduces again, by its own ``normal_form``
-    call, each word whose memo normal form may order its terms otherwise,
-    so that the residue's terms keep the per-word path's order.  Each
-    word's steps are audited once, against the memo's order keys, which the
-    normal form's heap already built: no rewritten monomial may exceed the
-    root word, and a word the memo answers has no such step.
+    combination is the matching combination of the per-word normal forms,
+    and a word's is the concatenation product of its atoms' (see
+    ``rewrite.RewriteMemo``).  The job's ``RewriteMemo`` of the schema
+    (``job_memo``, ``RewriteMemo.strategy_nf``) builds each reducible
+    bracket atom's normal form once, bottom-up, where every step below the
+    atom descends, and gives a word's product where its bound on the steps
+    is within the step cap.  Any other word is reduced by its own
+    ``normal_form`` call through the same memo, under the step cap, from
+    the rewrite step the memo's walk built when it did: one whose closure
+    holds a step that does not descend, and every word under a constraint
+    ideal.  ``reduce`` sums on atom tuples and builds words only for a
+    nonzero residue.  A combination that leaves one reduces again, by its
+    own ``normal_form`` call, each word whose product may order its terms
+    otherwise, so that the residue's terms keep the per-word path's order.
+    Each word's steps are audited once, against the memo's order keys,
+    which the normal form's heap already built: no rewritten monomial may
+    exceed the root word, and a word the memo answers has no such step.
     """
 
     __slots__ = ("schema", "step_cap", "memo", "audited", "order_violations")
@@ -205,29 +208,31 @@ class NFCache:
         self.order_violations = 0
 
     def nf_word(self, w: Word):
-        """The normal form of ``w`` as a term dict, which callers only read,
-        and whether its terms surely come in ``normal_form``'s order: the
-        memo's when it gives one, summed bottom-up, which does when it has
-        at most one term or its bound is one (it is then the replacement of
-        ``w``'s step, whose terms are irreducible), else ``normal_form``'s."""
-        if self.memo.first_redex(w) is None:
+        """The normal form of ``w`` as a term dict keyed by atom tuples,
+        which callers only read, and whether its terms surely come in
+        ``normal_form``'s order: the memo's product when it gives one,
+        which does when it has at most one term or its bound is one (it is
+        then the replacement of ``w``'s step, whose terms are irreducible),
+        else ``normal_form``'s."""
+        if not w.has_bracketed_product:  # no sigma redex
             self.audited.add(w)
-            return {w: 1}, True
+            return {w.atoms: 1}, True
         step = None
         if self.schema.constraint_gb is None:
             try:
-                nf, step = self.memo.strategy_nf(w, self.step_cap)
+                nf, bound, step = self.memo.strategy_nf(w, self.step_cap)
             except ResourceLimit:
                 nf = None  # a reduction may cancel the over-deep word unbuilt
             if nf is not None:
                 self.audited.add(w)
-                return nf, len(nf) < 2 or self.memo.nf[w][1] == 1
+                return nf, len(nf) < 2 or bound == 1
         return self._reduced(w, step), True
 
     def _reduced(self, w: Word, step: OPoly = None) -> dict:
-        """``w``'s normal form by its own ``normal_form`` call, whose steps
-        are audited when ``w`` is new; from ``step``, ``w``'s one-step
-        reduct, when given, with one step fewer left under the cap."""
+        """``w``'s normal form, keyed by atom tuples, by its own
+        ``normal_form`` call, whose steps are audited when ``w`` is new;
+        from ``step``, ``w``'s one-step reduct, when given, with one step
+        fewer left under the cap."""
         if step is None:
             p = OPoly.from_word(w, ring=self.schema.identity.ring)
             cap = self.step_cap
@@ -243,7 +248,7 @@ class NFCache:
                 root = key(w)
                 self.order_violations += sum(key(m) > root
                                              for m in trace.monomials)
-        return nf.terms
+        return {m.atoms: c for m, c in nf.terms.items()}
 
     def reduce(self, p: OPoly) -> OPoly:
         forms = [self.nf_word(w) for w in p.terms]
@@ -254,7 +259,8 @@ class NFCache:
             out = {}  # a residue's terms in the per-word path's order
             for (w, c), (nf, ordered) in zip(p.terms.items(), forms):
                 _add_scaled_into(out, nf if ordered else self._reduced(w), c)
-        return self.schema.normalize(OPoly._trusted(out, p.ring))
+        return self.schema.normalize(OPoly._trusted(
+            {Word(atoms): c for atoms, c in out.items()}, p.ring))
 
 
 def is_trivial(comp: CompositionRecord, cache: NFCache) -> str:

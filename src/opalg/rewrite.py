@@ -39,9 +39,13 @@ words under every redex, which exact elimination decides.
 ``RewriteMemo`` is the one cache of word facts: each reducible word's first
 redex and each word's order key for the strategy path, the replacements of
 all its redexes for the search and the span certificate, which alone ask for
-them, and each reducible word's strategy normal form with a bound on its
-steps, built bottom-up where every step below the word descends, for the
-basis checks of ``gsb``, which alone ask for it (``RewriteMemo.strategy_nf``).
+them, and the strategy normal forms of a sigma schema for the basis checks
+of ``gsb``, which alone ask for those (``RewriteMemo.strategy_nf``).  They
+factor over atoms: a sigma redex lies inside one bracket atom, both
+strategies rewrite the leftmost atom that holds one, and a step is linear,
+so a word's normal form is the concatenation product of its atoms'.  The
+memo keeps one normal form per reducible bracket atom, with a bound on its
+steps, built bottom-up where every step below the atom descends.
 A job keeps one memo per schema and strategy, which ``job_memo`` hands out to
 every ``normal_form``, ``reduces_to_zero`` and ``joinable`` call and every
 basis check of ``gsb`` in it, and which the job drops when its outermost
@@ -98,7 +102,8 @@ def in_reduced_form(w: Word, sigma: bool) -> bool:
 
 def is_totally_linear(p: OPoly) -> bool:
     """Every monomial contains each of x and y exactly once."""
-    return all(tokens(w).count(g) == 1 for w in p.terms for g in ("x", "y"))
+    return all(t.count("x") == 1 and t.count("y") == 1
+               for t in map(tokens, p.terms))
 
 
 def is_drf(p: OPoly) -> bool:
@@ -279,14 +284,34 @@ class ReductionTrace:
 
 class RewriteMemo:
     """Each reducible word's strategy-first redex and, when asked, the
-    replacements of all its redexes and its strategy normal form with a
-    bound on its steps, for one schema under one strategy, and the order
-    key (``word_sort_key`` when the schema has no order) each word is read
-    by.  They depend on nothing
-    else, so one memo serves a whole job: ``job_memo`` hands it out, and it
-    keeps every reducible word the job met until the job's outermost scope
-    closes.  An irreducible word is answered by its redex flag and kept
-    nowhere."""
+    replacements of all its redexes, for one schema under one strategy;
+    the order key (``word_sort_key`` when the schema has no order) each
+    word is read by; and, for a sigma schema, each reducible bracket atom's
+    strategy normal form (``strategy_nf``).  They depend on nothing else,
+    so one memo serves a whole job: ``job_memo`` hands it out, and it keeps
+    all it built until the job's outermost scope closes.  An irreducible
+    word is answered by its redex flag and kept nowhere.
+
+    Sigma normal forms factor over atoms.  A sigma redex lies inside one
+    bracket atom, and both strategies take the first redex in a word's
+    leftmost atom that holds one, so the step of ``p A s``, with ``p``
+    irreducible, is ``p step([A]) s``.  The step is linear, so, step by
+    step, a word's normal form is the concatenation product of its atoms'
+    normal forms, NF(A B) = NF(A) NF(B), an irreducible atom its own.  A pi
+    redex spans two adjacent brackets, so pi normal forms would factor over
+    maximal runs of brackets instead; nothing asks for those.
+
+    ``nf`` maps a reducible bracket atom, keyed by the bracket's content as
+    it stands in an atom tuple, to ``(terms, bound, leaves)``, or to
+    ``None`` where a step below it does not descend (``_walk_atom``).
+    ``terms`` is the normal form of the one-atom word ``[A]``, a dict from
+    atom tuples to coefficients; ``bound`` counts the words rewritten in
+    the tree of steps below it, repeats included, and ``leaves`` the
+    irreducible words the tree ends in.  An irreducible atom counts 0 and
+    1, ``bound([A]) = 1 + sum bound(m)`` over the terms m of its step,
+    ``bound(A B) = bound(A) + leaves(A) bound(B)`` and ``leaves(A B) =
+    leaves(A) leaves(B)``, so a word's bound is the step count of its own
+    tree, which bounds ``normal_form``'s steps on it."""
 
     __slots__ = ("schema", "strategy", "key", "first", "repl", "nf", "_walk",
                  "_holds")
@@ -325,78 +350,154 @@ class RewriteMemo:
         return out
 
     def strategy_nf(self, w: Word, cap: int):
-        """The strategy normal form of the reducible word ``w`` as a term
-        dict, which callers only read, or ``None`` where the memo does not
-        give it, with ``w``'s one-step reduct (the ``OPoly`` of its rewrite
-        step) when the walk built it and ``None`` otherwise.
+        """``(terms, bound, None)``: the strategy normal form of the
+        sigma-reducible word ``w``, as a dict from atom tuples to
+        coefficients that callers only read, and its bound; or ``(None,
+        None, step)`` where the memo does not give it, ``step`` being
+        ``w``'s one-step reduct when this call's walk of its first
+        reducible atom built that atom's step, spliced into ``w`` so that
+        no replacement is built twice, and ``None`` otherwise.
 
-        A normal form is built bottom-up from the word's rewrite step, as
-        the sum of c NF(m) over the terms c m of its replacement (an
-        irreducible m is its own normal form), by a walk on an explicit
-        stack, and kept with a bound: one more than the sum of the bounds
-        of its replacement's reducible words (a bound of one keeps the
-        replacement itself, in its order).  A word gets one only when
-        its step and every step below it descend: each replacement monomial
-        ranks strictly below its word by ``key``.  Then ``normal_form``'s
-        heap rewrites each reducible word of the closure at most once, all
-        of them counted by the bound, and reaches the same dict.  So a kept
-        normal form is given only where its bound is at most ``cap``, and a
-        walk gives up once it has met ``cap`` words.  It stops at the first
-        step that does not descend, and keeps ``None`` for that word and
-        every word above it on the stack, whose closures hold the step;
-        the words it finished stay kept."""
+        ``terms`` is the product of the entries of ``w``'s reducible atoms,
+        each built by ``_walk_atom`` on first use, given only where each
+        atom has one and ``bound`` is at most ``cap``: ``normal_form`` then
+        takes at most ``bound`` steps and reaches the same dict."""
         nf = self.nf
-        kept = nf.get(w, False)
-        if kept is not False:
-            return (kept[0] if kept is not None and kept[1] <= cap else None,
-                    None)
+        atoms = w.atoms
+        at = step = None  # the first reducible atom's index, and its step
+        for i, a in enumerate(atoms):
+            if not _reducible_atom(a):
+                continue
+            entry = nf.get(a, False)
+            if entry is False:
+                entry, built = self._walk_atom(a, cap)
+                if at is None:
+                    step = built
+            if at is None:
+                at = i
+            if entry is None:
+                break
+        else:
+            terms, bound, _ = self._product(atoms)
+            if bound <= cap:
+                return terms, bound, None
+        if step is None:
+            return None, None, None
+        left, right = atoms[:at], atoms[at + 1:]
+        return None, None, OPoly._trusted(
+            {Word(left + m.atoms + right): c for m, c in step.terms.items()},
+            step.ring)
+
+    def _walk_atom(self, root, cap: int):
+        """``(entry, step)``: the entry of the reducible bracket atom
+        ``root``, or ``None`` where none is built, and the step of
+        ``[root]`` when the walk built it.  The walk builds the entries of
+        ``root`` and of every atom below it that has none, bottom-up on an
+        explicit stack, the terms of each the sum of c NF(m) over the terms
+        c m of its step (``_product``).
+
+        An atom gets an entry only where its step and every step below it
+        descend: each replacement monomial ranks strictly below the
+        one-atom word by ``key``.  Both orders compare words atom by atom
+        (see ``ordering``), and a replacement monomial is never empty, so
+        the step then descends in every context it is taken in, and
+        ``normal_form``'s heap rewrites each word of a closure at most once.
+        The walk stops at the first step that does not descend, and keeps
+        ``None`` for that atom and every atom above it on the stack, whose
+        closures hold the step; the atoms it finished stay kept.  It gives
+        up, keeping nothing more, once it has met ``cap`` atoms."""
+        nf = self.nf
         key = self.key
-        holds = self._holds
         replacement = self.schema.replacement
-        first = None  # w's one-step reduct
+        first = None  # the root's step
         met = 0
-        stack = []  # (word, its replacement's terms, the terms left to visit)
-        new = w
+        stack = []  # (atom, its step's terms, their reducible atoms left)
+        new = root
         while True:
             if new is not None:
                 if met >= cap:
                     return None, first
                 if new in nf:  # kept as not descending
                     break
-                step = replacement(self.first_redex(new))
+                word = Word((new,))
+                step = replacement(self.first_redex(word))
                 if first is None:
                     first = step
                 terms = step.terms
-                top = key(new)
+                top = key(word)
                 if not all(key(m) < top for m in terms):
                     break
                 met += 1
-                stack.append((new, terms, iter(terms)))
+                stack.append((new, terms, (b for m in terms for b in m.atoms
+                                           if _reducible_atom(b))))
                 new = None
-            v, terms, rest = stack[-1]
-            for m in rest:
-                if holds(m) and nf.get(m) is None:
-                    new = m
+            a, terms, rest = stack[-1]
+            for b in rest:
+                if nf.get(b) is None:
+                    new = b
                     break
             else:
                 stack.pop()
                 out: dict = {}
-                bound = 1
+                bound, leaves = 1, 0
                 for m, c in terms.items():
-                    sub = nf.get(m)
-                    if sub is None:
-                        _add_term(out, m, c)
-                    else:
-                        _add_scaled_into(out, sub[0], c)
-                        bound += sub[1]
+                    sub, b, n = self._product(m.atoms)
+                    _add_scaled_into(out, sub, c)
+                    bound += b
+                    leaves += n
                 # the copy drops the slots that cancelled terms left
-                kept = nf[v] = (dict(out), bound)
+                entry = nf[a] = (dict(out), bound, leaves)
                 if not stack:
-                    return (kept[0], None) if bound <= cap else (None, first)
+                    return entry, first
         nf[new] = None
-        for v, _, _ in stack:
-            nf[v] = None
+        for a, _, _ in stack:
+            nf[a] = None
         return None, first
+
+    def _product(self, atoms: tuple):
+        """``(terms, bound, leaves)`` of the word of ``atoms``, from the
+        entries of its reducible atoms, which the memo holds: the product
+        of their terms, with the runs of irreducible atoms between them.  A
+        word of one reducible atom alone shares that atom's terms."""
+        nf = self.nf
+        out = None  # the product of the atoms before ``start``; None is 1
+        start = 0
+        bound, leaves = 0, 1
+        for i, a in enumerate(atoms):
+            if not _reducible_atom(a):
+                continue
+            terms, b, n = nf[a]
+            bound += leaves * b
+            leaves *= n
+            if start < i:
+                run = atoms[start:i]
+                terms = {run + t: c for t, c in terms.items()}
+            start = i + 1
+            out = terms if out is None else _concat(out, terms)
+        if out is None:
+            return {atoms: 1}, 0, 1
+        if start < len(atoms):
+            run = atoms[start:]
+            out = {t + run: c for t, c in out.items()}
+        return out, bound, leaves
+
+
+def _reducible_atom(a) -> bool:
+    """Does the atom ``a`` hold a sigma redex: is it a bracket around a
+    product, or around a word with one inside?"""
+    return type(a) is not str and (len(a.atoms) > 1 or a.has_bracketed_product)
+
+
+def _concat(left: dict, right: dict) -> dict:
+    """The concatenation product of two term dicts keyed by atom tuples:
+    ``c d (u v)`` summed over the terms ``c u`` of ``left`` and ``d v`` of
+    ``right``.  Different splits can concatenate to one tuple, so equal
+    products merge; the terms come in the order of ``left``'s terms, then
+    ``right``'s."""
+    out: dict = {}
+    for u, c in left.items():
+        _add_scaled_into(out, {u + v: d for v, d in right.items()}, c)
+    return out
 
 
 def job_memo(schema: RuleSchema, strategy: str) -> RewriteMemo:

@@ -305,6 +305,35 @@ def test_division_by_one_returns_the_polynomial():
     assert (p / 2).terms == {(1, 1, 0): Fraction(3, 2), (0, 0, 1): Fraction(-1, 4)}
 
 
+def test_a_product_by_one_is_the_other_factor(monkeypatch):
+    p = 3 * a * b - Fraction(1, 2) * c
+    one = R.one()
+    calls = []
+    original = PolyRing.const
+
+    def counted(ring, value):
+        calls.append(value)
+        return original(ring, value)
+
+    monkeypatch.setattr(PolyRing, "const", counted)
+    assert p * 1 is p and 1 * p is p
+    # the int one is told apart by its type before ``==``, which would
+    # build a constant to compare an MPoly with
+    assert calls == []
+    assert p * one is p and one * p is p and one * one is one
+    assert R.zero() * one == R.zero() and one * R.zero() == R.zero()
+    # other products are the general path's, terms in its order
+    for q in (a + b, R.const(2), R.zero()):
+        for x, y in ((p, q), (q, p)):
+            got = x * y
+            assert list(got.terms.items()) == list(
+                _mul_terms(x.terms, y.terms).items())
+    assert list((p * 2).terms.items()) == [((1, 1, 0), 6), ((0, 0, 1), -1)]
+    assert list((2 * p).terms.items()) == [((1, 1, 0), 6), ((0, 0, 1), -1)]
+    with pytest.raises(ValueError):
+        p * PolyRing(["a", "b"]).one()
+
+
 @pytest.mark.parametrize("duplicate", [
     copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
     ids=["copy", "deepcopy", "pickle"])

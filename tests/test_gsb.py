@@ -14,7 +14,7 @@ import pytest
 import opalg.rewrite
 from opalg import gsb
 from opalg.catalog import DT_FAMILIES, RBT_FAMILIES, named_pattern
-from opalg.coeffs import _add_scaled_into
+from opalg.coeffs import MAX_DEPTH, _add_scaled_into
 from opalg.gsb import (D_TOO_DEEP, CompositionRecord, GeneratorSystem,
                        NFCache, TruncationBound, cdl_direct_sum_check,
                        delta_view, dt_check, free_dt_operator_nf,
@@ -28,7 +28,7 @@ from opalg.rewrite import (NORMAL_FORM, NotDRF, Redex, ResourceLimit,
 from opalg.words import (STAR, GeneratorSet, Word, enumerate_words, job,
                          parse, splice, to_str, word_sort_key)
 from test_ordering import reference_compare
-from test_words import reference_replace_generators
+from test_words import _with_headroom, reference_replace_generators
 
 XY = GeneratorSet(("x", "y"))
 DER = named_pattern("derivation")
@@ -147,7 +147,7 @@ def test_checked_triples_match_the_listed_triples(bound, monkeypatch):
 
 def test_nf_cache_stores_packed_dicts(monkeypatch):
     # rewrite steps and cancelling sums delete from a term dict; the check
-    # keeps its memo's word -> first redex dict, which only grows, its word
+    # keeps its memo's word -> first redex dict, which only grows, its atom
     # -> normal form dict and each normal form in it, and the words it
     # audited, so nothing it keeps for the life of the check may hold
     # deleted slots
@@ -178,17 +178,19 @@ def test_nf_cache_stores_packed_dicts(monkeypatch):
     assert not any(isinstance(v, (OPoly, dict)) for v in kept)
     memos = [cache.memo for cache in caches]
     kept = [entry for memo in memos for entry in memo.nf.values()]
-    assert kept and all(type(entry[1]) is int for entry in kept)
-    forms = [nf for nf, _ in kept]
+    assert kept and all(type(bound) is int and type(leaves) is int
+                        for _, bound, leaves in kept)
+    forms = [nf for nf, _, _ in kept]
     assert all(isinstance(nf, dict) for nf in forms)
+    assert all(type(atoms) is tuple for nf in forms for atoms in nf)
     entries = ([memo.first for memo in memos] + [memo.nf for memo in memos]
                + forms)
     assert all(sys.getsizeof(t) == sys.getsizeof(dict(t)) for t in entries)
     assert all(r is None or isinstance(r, Redex)
                for memo in memos for r in memo.first.values())
-    # only reducible words are kept
-    assert all(memo.first_redex(w) is not None
-               for memo in memos for w in memo.nf)
+    # only reducible bracket atoms are kept
+    assert all(memo.first_redex(Word((a,))) is not None
+               for memo in memos for a in memo.nf)
     assert set().union(*(cache.audited for cache in caches)) == set(reduced)
 
 
@@ -378,10 +380,19 @@ def test_basis_checks_match_the_per_word_reference(spec, size, mode,
         assert report["order_violations"] == 948
 
 
+def _reducible_atoms(w):
+    return sum(1 for a in w.atoms
+               if isinstance(a, Word) and Word((a,)).has_bracketed_product)
+
+
 def _memo_normal_forms(ident, size, mode, monkeypatch):
-    """Each word's normal form kept by the memo of one basis check, against
-    a fresh ``normal_form`` of the word, both as dicts, with its bound."""
+    """The normal form of each one-atom word whose atom the memo of one
+    basis check keeps, and of each word of two or more atoms that the
+    check reduced and the memo gives, expanded to words, against a fresh
+    ``normal_form`` of the word, with the memo's bound, and the number of
+    those words that hold two or more reducible atoms."""
     caches = []
+    reduced = []
 
     class Recording(NFCache):
         __slots__ = ()
@@ -390,30 +401,52 @@ def _memo_normal_forms(ident, size, mode, monkeypatch):
             super().__init__(*args)
             caches.append(self)
 
+        def nf_word(self, w):
+            reduced.append(w)
+            return super().nf_word(w)
+
     monkeypatch.setattr(gsb, "NFCache", Recording)
     bound = TruncationBound(*size)
     system = GeneratorSystem(ident, OrderConfig(bound.generator_set(), mode))
     with job():
         gsb_check_truncated(system, bound, rng=random.Random(4))
         (cache,) = caches
+        memo = cache.memo
+        words = [Word((a,)) for a, kept in memo.nf.items() if kept is not None]
+        # the words of two or more atoms whose reducible atoms all have
+        # entries, so that reading them walks nothing
+        words += [w for w in dict.fromkeys(reduced)
+                  if len(w.atoms) > 1 and _reducible_atoms(w)
+                  and all(memo.nf.get(a) is not None for a in w.atoms
+                          if isinstance(a, Word))]
         pairs = []
-        for w, kept in cache.memo.nf.items():
-            if kept is not None:
-                nf = kept[0]
-                want, trace = _fresh_normal_form(
-                    OPoly.from_word(w, ring=ident.ring), cache.schema)
-                assert trace.status == NORMAL_FORM
-                pairs.append((to_str(w), nf, want.terms, kept[1]))
-    return pairs
+        several = 0
+        for w in words:
+            got, steps, _ = memo.strategy_nf(w, cache.step_cap)
+            if got is None:
+                continue
+            want, trace = _fresh_normal_form(
+                OPoly.from_word(w, ring=ident.ring), cache.schema)
+            assert trace.status == NORMAL_FORM and len(trace) <= steps
+            pairs.append((to_str(w), {Word(atoms): c
+                                      for atoms, c in got.items()},
+                          want.terms, steps))
+            several += _reducible_atoms(w) > 1
+    return pairs, several
 
 
-@pytest.mark.parametrize("spec, size, mode", MEMO_ORACLE_CASES,
+# words holding two or more reducible atoms: 330 of the words endomorphism's
+# check reduces at (3, 1, 3)
+MEMO_NF_CASES = MEMO_ORACLE_CASES + [("endomorphism", (3, 1, 3), "purelex")]
+
+
+@pytest.mark.parametrize("spec, size, mode", MEMO_NF_CASES,
                          ids=[f"{spec}@{','.join(map(str, size))}-{mode}"
-                              for spec, size, mode in MEMO_ORACLE_CASES])
+                              for spec, size, mode in MEMO_NF_CASES])
 def test_memo_normal_forms_match_fresh_normal_forms(spec, size, mode,
                                                    monkeypatch):
-    pairs = _memo_normal_forms(_oracle_identity(spec), size, mode,
-                               monkeypatch)
+    pairs, several = _memo_normal_forms(_oracle_identity(spec), size, mode,
+                                        monkeypatch)
     for word, got, want, bound in pairs:
         assert got == want, word
         # where NFCache takes the memo's term order for normal_form's
@@ -421,6 +454,58 @@ def test_memo_normal_forms_match_fresh_normal_forms(spec, size, mode,
             assert list(got) == list(want), word
     # no derivation step descends under deglenlex
     assert bool(pairs) == (mode == "purelex")
+    if size == (3, 1, 3):
+        assert several == 330
+
+
+def _tree_sum(w, schema, sums):
+    """The per-word walk's bound on ``w``'s steps, as it was summed before
+    normal forms factored over atoms: one more than the sum over the
+    reducible words of ``w``'s leftmost-outermost step, repeats counted."""
+    if w not in sums:
+        step = schema.replacement(find_redexes(w, schema)[0])
+        sums[w] = 1 + sum(_tree_sum(m, schema, sums) for m in step.terms
+                          if find_redexes(m, schema))
+    return sums[w]
+
+
+@pytest.mark.parametrize("spec", ["derivation", "endomorphism"])
+def test_factored_bound_is_the_tree_sum(spec, monkeypatch):
+    # bound(A B) = bound(A) + leaves(A) bound(B) reproduces the per-word
+    # walk's tree sum on every word of the bound, every word the check
+    # reduces and products of them, so the step cap keeps its meaning
+    caches = []
+    reduced = []
+
+    class Recording(NFCache):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            caches.append(self)
+
+        def nf_word(self, w):
+            reduced.append(w)
+            return super().nf_word(w)
+
+    monkeypatch.setattr(gsb, "NFCache", Recording)
+    bound = TruncationBound(2, 2, 3)
+    system = GeneratorSystem(named_pattern(spec),
+                             OrderConfig(bound.generator_set()))
+    with job():
+        gsb_check_truncated(system, bound, rng=random.Random(4))
+        (cache,) = caches
+        words = enumerate_words(bound.generator_set(), 2, 2) + reduced
+        words = [w for w in dict.fromkeys(words) if w.has_bracketed_product]
+        # none of those holds two reducible atoms: products of them do
+        words += [u * v for u in words[:40] for v in words[:40]]
+        sums = {}
+        several = 0
+        for w in words:
+            _, steps, _ = cache.memo.strategy_nf(w, cache.step_cap)
+            assert steps == _tree_sum(w, cache.schema, sums), to_str(w)
+            several += _reducible_atoms(w) > 1
+    assert several == 40 * 40
 
 
 def test_basis_check_reads_every_normal_form_from_the_memo(monkeypatch):
@@ -440,9 +525,9 @@ def test_basis_check_reads_every_normal_form_from_the_memo(monkeypatch):
 
 
 def test_step_cap_bounds_each_word_not_the_memo(monkeypatch):
-    # at a step cap of 10 the memo of derivation at (2, 2, 3) grows to more
-    # than 900 words partway through the check, and every word, within
-    # seven steps, is still read from it
+    # at a step cap of 10 the memo of derivation at (2, 2, 3) grows to 297
+    # atoms partway through the check, and every word, within the cap, is
+    # still read from it
     calls = []
     caches = []
     real = gsb.normal_form
@@ -466,8 +551,8 @@ def test_step_cap_bounds_each_word_not_the_memo(monkeypatch):
         report = gsb_check_truncated(system, bound, step_cap=10)
         (cache,) = caches
         kept = [entry for entry in cache.memo.nf.values()]
-    assert calls == [] and len(kept) > 10 * 90 and None not in kept
-    assert max(steps for _, steps in kept) <= 10
+    assert calls == [] and len(kept) > 10 * 29 and None not in kept
+    assert max(steps for _, steps, _ in kept) <= 10
     monkeypatch.setattr(gsb, "NFCache", ReferenceNFCache)
     monkeypatch.setattr(gsb, "normal_form", _fresh_normal_form)
     want = gsb_check_truncated(system, bound, step_cap=10)
@@ -524,8 +609,9 @@ def test_fallback_from_the_walks_step_keeps_the_step_cap():
     with job():
         cache = NFCache(system, steps)
         nf, ordered = cache.nf_word(w)
-        assert cache.memo.nf[w] is None
-    assert nf == want.terms and list(nf) == list(want.terms) and ordered
+        assert cache.memo.nf[w.atoms[0]] is None
+    want = {m.atoms: c for m, c in want.terms.items()}
+    assert nf == want and list(nf) == list(want) and ordered
 
 
 def test_constrained_basis_check_matches_the_per_word_reference(monkeypatch):
@@ -533,7 +619,8 @@ def test_constrained_basis_check_matches_the_per_word_reference(monkeypatch):
     # its own normal_form call
     ident = DT_FAMILIES[0].identity()
     assert ident.constraints
-    assert _memo_normal_forms(ident, (2, 1, 3), "purelex", monkeypatch) == []
+    assert _memo_normal_forms(ident, (2, 1, 3), "purelex",
+                              monkeypatch) == ([], 0)
     got = _basis_checks(ident, (2, 1, 3), "purelex", monkeypatch)
     monkeypatch.setattr(gsb, "NFCache", ReferenceNFCache)
     monkeypatch.setattr(gsb, "normal_form", _fresh_normal_form)
@@ -543,23 +630,49 @@ def test_constrained_basis_check_matches_the_per_word_reference(monkeypatch):
     assert records and not report["nontrivial"] and not cdl["failures"]
 
 
+def _tower(height):
+    """[[...[x y]...]], ``height`` brackets deep."""
+    w = Word(("x", "y"))
+    for _ in range(height):
+        w = Word((w,))
+    return w
+
+
 def test_deep_word_reduces_as_normal_form_does():
-    # each step moves the redex one bracket out: a chain of 150 steps, which
-    # the memo's walk keeps on a stack of its own
+    # each step moves the redex one bracket out: a chain of 150 steps, one
+    # per atom, which the memo's walk keeps on a stack of its own
     with job():
-        w = Word(("x", "y"))
-        for _ in range(150):
-            w = Word((w,))
+        w = _tower(150)
+        (a,) = w.atoms
         system = GeneratorSystem(named_pattern("endomorphism"),
                                  OrderConfig(XY))
         cache = NFCache(system, 100000)
         got, _ = cache.nf_word(w)
-        assert got is cache.memo.nf[w][0] and len(cache.memo.nf) == 150
-        # one step per word of the chain
-        assert cache.memo.nf[w][1] == 150
+        assert got is cache.memo.nf[a][0] and len(cache.memo.nf) == 150
+        # one step per atom of the chain, and one word at its end
+        assert cache.memo.nf[a][1:] == (150, 1)
         want, trace = _fresh_normal_form(OPoly.from_word(w), system)
     assert trace.status == NORMAL_FORM and len(trace) == 150
-    assert got == want.terms and len(got) == 1
+    assert got == {m.atoms: c for m, c in want.terms.items()} and len(got) == 1
+
+
+def test_word_nested_max_depth_deep_reduces_within_the_recursion_limit():
+    # two MAX_DEPTH-deep towers: the walk keeps its own stack, and the
+    # product and the sum take no frame a level, so the word reduces with
+    # the headroom every entry point has (see test_words)
+    with job():
+        (a,) = _tower(MAX_DEPTH).atoms
+        w = Word((a, "x", a))
+        assert w.depth() == MAX_DEPTH
+        system = GeneratorSystem(named_pattern("endomorphism"),
+                                 OrderConfig(XY))
+        cache = NFCache(system, 100000)
+        got, ordered = _with_headroom(2 * MAX_DEPTH + 50,
+                                      lambda: cache.nf_word(w))
+        assert cache.memo.nf[a][1:] == (MAX_DEPTH, 1)
+        want, trace = _fresh_normal_form(OPoly.from_word(w), system)
+    assert trace.status == NORMAL_FORM and len(trace) == 2 * MAX_DEPTH
+    assert got == {m.atoms: c for m, c in want.terms.items()} and ordered
 
 
 _WORK_JOB = """
@@ -600,14 +713,17 @@ print(json.dumps({"gsb": report.to_dict(), "cdl": cdl.describe(),
                   "failures": len(cdl.failures), "calls": len(steps),
                   "steps": sum(steps), "fallbacks": fallbacks,
                   "entries": len(memo),
-                  "normal_forms": sum(nf is not None for nf in memo.values())}))
+                  "normal_forms": sum(nf is not None for nf in memo.values()),
+                  "counts": sorted(nf[1:] for nf in memo.values() if nf)}))
 """
 
 
 def test_basis_check_work_does_not_depend_on_hash_seed(run_job):
     # deglenlex is the mode whose order audits count anything here: no
-    # derivation step descends in it, so the memo keeps no normal form and
-    # every reducible word falls back to its own normal_form call
+    # derivation step descends in it, so the memo keeps no atom's normal
+    # form and every reducible word falls back to its own normal_form call;
+    # under purelex every atom the check meets has one, with the same
+    # bounds whatever the hash seed
     for mode, violations in (("purelex", 0), ("deglenlex", 948)):
         first, second = (run_job(_WORK_JOB, mode, hash_seed=seed)
                          for seed in (0, 5))
@@ -619,6 +735,7 @@ def test_basis_check_work_does_not_depend_on_hash_seed(run_job):
         if mode == "purelex":
             assert first["fallbacks"] == 0
             assert first["normal_forms"] == first["entries"]
+            assert len(first["counts"]) == first["entries"]
         else:
             assert first["fallbacks"] and not first["normal_forms"]
 

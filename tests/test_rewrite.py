@@ -613,68 +613,136 @@ def test_shared_memo_matches_reference(name):
         assert job_memo(RANDOM_SCHEMAS[name](), "lo") is not memos["lo"]
 
 
+def _words(terms: dict) -> dict:
+    """A term dict keyed by atom tuples, keyed by words."""
+    return {Word(atoms): c for atoms, c in terms.items()}
+
+
+def _atom(text: str):
+    """The bracket atom of a one-atom word, as the memo keys it."""
+    (a,) = parse(text, XY).atoms
+    return a
+
+
 def test_strategy_nf_gives_up_above_a_step_that_does_not_descend():
     # a key that ranks one word z above every other makes the one step that
     # yields z ascend; the walk stops there and keeps None for that step's
-    # word and the root above it, keeps the word it finished before, and
-    # later walks finish every other word
+    # atom and the root above it, keeps the atom it finished before, and
+    # later walks finish every other atom
     with job():
         schema = der_schema(XY)
         memo = RewriteMemo(schema, "lo")
         key = memo.key
-        z = parse("[[x] y] x", XY)
+        z = parse("[x [y]]", XY)
         memo.key = lambda v: (v == z, key(v))
-        root, ascends = parse("[[x y] x]", XY), parse("[[x y]] x", XY)
-        finished = parse("[x y] [x]", XY)
+        # [[x y] x] steps to [x y] [x] + [[x y]] x; the walk meets [x y]
+        # first, which descends, then [[x y]], whose step yields z
+        root = parse("[[x y] x]", XY)
+        finished, ascends = _atom("[x y]"), _atom("[[x y]]")
         # the walk hands back the root's rewrite step it built
         root_step = schema.replacement(memo.first_redex(root))
-        nf, step = memo.strategy_nf(root, 100)
-        assert nf is None and step.terms == root_step.terms
-        assert {w: kept is None for w, kept in memo.nf.items()} == {
-            finished: False, ascends: True, root: True}
-        assert memo.strategy_nf(root, 100) == (None, None)
+        nf, bound, step = memo.strategy_nf(root, 100)
+        assert nf is None and bound is None
+        assert step.terms == root_step.terms
+        assert list(step.terms) == list(root_step.terms)
+        assert {a: kept is None for a, kept in memo.nf.items()} == {
+            finished: False, ascends: True, root.atoms[0]: True}
+        assert memo.strategy_nf(root, 100) == (None, None, None)
         assert len(memo.nf) == 3
-        for w in (finished, z):
-            nf, _ = normal_form(OPoly.from_word(w), schema)
-            assert memo.strategy_nf(w, 100) == (nf.terms, None)
-        # under the true order the root's closure descends, but a word kept
+        # a word whose reducible atoms all have entries is their product
+        for text, steps in (("[x y]", 1), ("[x y] x [x y]", 1 + 2 * 1)):
+            w = parse(text, XY)
+            want, _ = normal_form(OPoly.from_word(w), schema)
+            got, bound, step = memo.strategy_nf(w, 100)
+            assert _words(got) == want.terms and step is None
+            assert bound == steps
+        # in a word, an atom kept as None refuses it, with no step where no
+        # walk built one
+        w = parse("[x y] [[x y]]", XY)
+        assert memo.strategy_nf(w, 100) == (None, None, None)
+        assert memo.strategy_nf(parse("[[x y]] y", XY), 1) == (None, None,
+                                                              None)
+        # under the true order the root's closure descends, but an atom kept
         # as None stops every walk that meets it
         memo.key = key
         memo.nf.clear()
         memo.nf[ascends] = None
-        nf, step = memo.strategy_nf(root, 100)
+        nf, bound, step = memo.strategy_nf(root, 100)
         assert nf is None and step.terms == root_step.terms
-        assert {w: kept is None for w, kept in memo.nf.items()} == {
-            ascends: True, finished: False, root: True}
+        assert {a: kept is None for a, kept in memo.nf.items()} == {
+            ascends: True, finished: False, root.atoms[0]: True}
+
+
+def test_strategy_nf_hands_back_the_step_spliced_into_the_word():
+    # the first reducible atom's step, built by this call's walk, is the
+    # word's own step in its context, terms in order
+    with job():
+        schema = RuleSchema(DER, order=OrderConfig(XYZ, "deglenlex"))
+        memo = RewriteMemo(schema, "lo")
+        w = parse("z [x y] x [[y z]] y", XYZ)
+        want = schema.replacement(memo.first_redex(w))
+        nf, bound, step = memo.strategy_nf(w, 100)
+        assert nf is None and bound is None
+        assert list(step.terms.items()) == list(want.terms.items())
+        # the atom is kept as not descending, so a second call builds none
+        assert memo.strategy_nf(w, 100) == (None, None, None)
 
 
 def test_strategy_nf_stays_within_the_cap():
-    # [[x y]] takes three steps, one per word of its closure, so the memo
+    # [[x y]] takes three steps, one per atom of its closure, so the memo
     # gives its normal form at a cap of three steps and not at two
     with job():
         schema = der_schema(XY)
         w = parse("[[x y]]", XY)
+        (a,) = w.atoms
         nf, trace = normal_form(OPoly.from_word(w), schema)
         assert len(trace) == 3
         memo = RewriteMemo(schema, "lo")
-        assert memo.strategy_nf(w, 0) == (None, None) and not memo.nf
+        assert memo.strategy_nf(w, 0) == (None, None, None) and not memo.nf
         root_step = schema.replacement(memo.first_redex(w)).terms
-        got, step = memo.strategy_nf(w, 2)
+        got, _, step = memo.strategy_nf(w, 2)
         assert got is None and len(memo.nf) == 1 and step.terms == root_step
-        # with one word kept, a second walk meets two words and keeps the
+        # with one atom kept, a second walk meets two atoms and keeps the
         # root, whose bound of three is still above the cap
-        got, step = memo.strategy_nf(w, 2)
+        got, _, step = memo.strategy_nf(w, 2)
         assert got is None and step.terms == root_step
-        assert len(memo.nf) == 3 and memo.nf[w][1] == 3
-        assert memo.strategy_nf(w, 3) == (nf.terms, None)
-        assert memo.strategy_nf(w, 2) == (None, None)
+        assert len(memo.nf) == 3 and memo.nf[a][1:] == (3, 4)
+        got, bound, step = memo.strategy_nf(w, 3)
+        assert _words(got) == nf.terms and (bound, step) == (3, None)
+        assert got is memo.nf[a][0]
+        assert memo.strategy_nf(w, 2) == (None, None, None)
         # the cap bounds each answer, not the memo: once the memo holds more
-        # words than the cap, a kept normal form within it is still given
+        # atoms than the cap, a kept normal form within it is still given
         other = parse("[[x y] x]", XY)
         other_nf, _ = normal_form(OPoly.from_word(other), schema)
-        assert memo.strategy_nf(other, 100)[0] == other_nf.terms
+        assert _words(memo.strategy_nf(other, 100)[0]) == other_nf.terms
         assert len(memo.nf) > 3
-        assert memo.strategy_nf(w, 3) == (nf.terms, None)
+        assert memo.strategy_nf(w, 3)[:2] == (got, 3)
+        # a word's bound sums its atoms' trees: the second [[x y]] is
+        # rewritten once per leaf of the first's tree
+        two = Word((a, a))
+        got, bound, _ = memo.strategy_nf(two, 100)
+        assert bound == 3 + 4 * 3
+        assert _words(got) == normal_form(OPoly.from_word(two), schema)[0].terms
+        assert memo.strategy_nf(two, 14) == (None, None, None)
+
+
+def test_concat_merges_equal_concatenations():
+    # x y z arises from (x) (y z) and from (x y) (z), so its coefficients
+    # add; a pair cancelling there leaves no term, and the terms come in
+    # the order of the left factor's, then the right factor's
+    x, y, z = "x", "y", "z"
+    left = {(x,): 2, (x, y): Fraction(1, 2), (y,): 1}
+    right = {(y, z): 3, (z,): 1}
+    assert list(opalg.rewrite._concat(left, right).items()) == [
+        ((x, y, z), Fraction(13, 2)), ((x, z), 2), ((x, y, y, z), Fraction(3, 2)),
+        ((y, y, z), 3), ((y, z), 1)]
+    assert opalg.rewrite._concat({(x,): 2, (x, y): -1},
+                                 {(y, z): 1, (z,): 2}) == {
+        (x, z): 4, (x, y, y, z): -1}
+    one = {(): 1}
+    assert opalg.rewrite._concat(one, right) == right
+    assert opalg.rewrite._concat(left, one) == left
 
 
 BASIS_BOUND = TruncationBound(2, 1, 2)
