@@ -31,8 +31,9 @@ from .opoly import (DIFFERENTIAL, OPoly, OpIdentity, ROTA_BAXTER,
 from .ordering import OrderConfig, random_context
 from .rewrite import (NORMAL_FORM, NotDRF, NotRBRF, NotTotallyLinear, Redex,
                       ResourceLimit, RuleSchema, Verdict, _search_verdict,
-                      _span_certificate, _strategy_verdict, find_redexes,
-                      job_memo, normal_form, reduces_to_zero)
+                      _span_certificate, _strategy_verdict, atom_terms,
+                      find_redexes, in_reduced_form, job_memo, normal_form,
+                      reduces_to_zero, word_terms)
 from .words import (GeneratorSet, Word, bracket, enumerate_words, fill, job,
                     splice, to_str, tower_heights)
 
@@ -185,12 +186,13 @@ class NFCache:
     (``job_memo``, ``RewriteMemo.strategy_nf``) builds each reducible
     bracket atom's normal form once, bottom-up, where every step below the
     atom descends, and gives a word's product where its bound on the steps
-    is within the step cap.  Any other word is reduced by its own
-    ``normal_form`` call through the same memo, under the step cap, from
-    the rewrite step the memo's walk built when it did: one whose closure
-    holds a step that does not descend, and every word under a constraint
-    ideal.  ``reduce`` sums on atom tuples and builds words only for a
-    nonzero residue.  A combination that leaves one reduces again, by its
+    is within the step cap, and a word with no redex is its own.  Any
+    other word is reduced by its own ``normal_form`` call through the same
+    memo, under the step cap: one whose closure holds a step that does not
+    descend or whose bound passes the cap, from the first rewrite step the
+    memo hands back, and every reducible word under a constraint ideal,
+    from the word itself.  ``reduce`` sums on atom tuples and builds words
+    only for a nonzero residue.  A combination that leaves one reduces again, by its
     own ``normal_form`` call, each word whose product may order its terms
     otherwise, so that the residue's terms keep the per-word path's order.
     Each word's steps are audited once, against the memo's order keys,
@@ -210,15 +212,13 @@ class NFCache:
     def nf_word(self, w: Word):
         """The normal form of ``w`` as a term dict keyed by atom tuples,
         which callers only read, and whether its terms surely come in
-        ``normal_form``'s order: the memo's product when it gives one,
-        which does when it has at most one term or its bound is one (it is
-        then the replacement of ``w``'s step, whose terms are irreducible),
-        else ``normal_form``'s."""
-        if not w.has_bracketed_product:  # no sigma redex
-            self.audited.add(w)
-            return {w.atoms: 1}, True
+        ``normal_form``'s order: the memo's when it gives one, which does
+        when it has at most one term or its bound is one (it is then the
+        replacement of ``w``'s step, whose terms are irreducible), else
+        ``normal_form``'s.  Under a constraint ideal the memo answers only
+        a word with no redex, its own normal form."""
         step = None
-        if self.schema.constraint_gb is None:
+        if self.schema.constraint_gb is None or in_reduced_form(w, True):
             try:
                 nf, bound, step = self.memo.strategy_nf(w, self.step_cap)
             except ResourceLimit:
@@ -248,7 +248,7 @@ class NFCache:
                 root = key(w)
                 self.order_violations += sum(key(m) > root
                                              for m in trace.monomials)
-        return {m.atoms: c for m, c in nf.terms.items()}
+        return atom_terms(nf.terms)
 
     def reduce(self, p: OPoly) -> OPoly:
         forms = [self.nf_word(w) for w in p.terms]
@@ -259,8 +259,7 @@ class NFCache:
             out = {}  # a residue's terms in the per-word path's order
             for (w, c), (nf, ordered) in zip(p.terms.items(), forms):
                 _add_scaled_into(out, nf if ordered else self._reduced(w), c)
-        return self.schema.normalize(OPoly._trusted(
-            {Word(atoms): c for atoms, c in out.items()}, p.ring))
+        return self.schema.normalize(OPoly._trusted(word_terms(out), p.ring))
 
 
 def is_trivial(comp: CompositionRecord, cache: NFCache) -> str:

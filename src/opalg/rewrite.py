@@ -45,7 +45,9 @@ factor over atoms: a sigma redex lies inside one bracket atom, both
 strategies rewrite the leftmost atom that holds one, and a step is linear,
 so a word's normal form is the concatenation product of its atoms'.  The
 memo keeps one normal form per reducible bracket atom, with a bound on its
-steps, built bottom-up where every step below the atom descends.
+steps, built bottom-up where every step below the atom descends, keyed by
+atom tuples; ``atom_terms`` and ``word_terms`` rekey a term dict between
+words and atom tuples.
 A job keeps one memo per schema and strategy, which ``job_memo`` hands out to
 every ``normal_form``, ``reduces_to_zero`` and ``joinable`` call and every
 basis check of ``gsb`` in it, and which the job drops when its outermost
@@ -350,20 +352,24 @@ class RewriteMemo:
         return out
 
     def strategy_nf(self, w: Word, cap: int):
-        """``(terms, bound, None)``: the strategy normal form of the
-        sigma-reducible word ``w``, as a dict from atom tuples to
+        """``(terms, bound, None)``: the strategy normal form of the word
+        ``w`` under a sigma schema, as a dict from atom tuples to
         coefficients that callers only read, and its bound; or ``(None,
         None, step)`` where the memo does not give it, ``step`` being
-        ``w``'s one-step reduct when this call's walk of its first
-        reducible atom built that atom's step, spliced into ``w`` so that
-        no replacement is built twice, and ``None`` otherwise.
+        ``w``'s one-step reduct, its first reducible atom's step spliced
+        into ``w``, or ``None`` where ``cap`` allows no step.
 
-        ``terms`` is the product of the entries of ``w``'s reducible atoms,
-        each built by ``_walk_atom`` on first use, given only where each
-        atom has one and ``bound`` is at most ``cap``: ``normal_form`` then
-        takes at most ``bound`` steps and reaches the same dict."""
-        nf = self.nf
+        A word with no redex is its own normal form, with bound 0.  Any
+        other's ``terms`` is the product of the entries of its reducible
+        atoms, each built by ``_walk_atom`` on first use, given only where
+        each atom has one and ``bound`` is at most ``cap``: ``normal_form``
+        then takes at most ``bound`` steps and reaches the same dict.  The
+        step is the one ``normal_form`` would take first, built once: by
+        this call's walk when it built it, else at ``w``'s first redex."""
         atoms = w.atoms
+        if not self._holds(w):
+            return {atoms: 1}, 0, None
+        nf = self.nf
         at = step = None  # the first reducible atom's index, and its step
         for i, a in enumerate(atoms):
             if not _reducible_atom(a):
@@ -381,8 +387,10 @@ class RewriteMemo:
             terms, bound, _ = self._product(atoms)
             if bound <= cap:
                 return terms, bound, None
-        if step is None:
+        if cap < 1:
             return None, None, None
+        if step is None:
+            return None, None, self.schema.replacement(self.first_redex(w))
         left, right = atoms[:at], atoms[at + 1:]
         return None, None, OPoly._trusted(
             {Word(left + m.atoms + right): c for m, c in step.terms.items()},
@@ -498,6 +506,17 @@ def _concat(left: dict, right: dict) -> dict:
     for u, c in left.items():
         _add_scaled_into(out, {u + v: d for v, d in right.items()}, c)
     return out
+
+
+def atom_terms(terms: dict) -> dict:
+    """A term dict keyed by words, keyed by their atom tuples instead, the
+    keys of ``RewriteMemo.strategy_nf``'s normal forms."""
+    return {w.atoms: c for w, c in terms.items()}
+
+
+def word_terms(terms: dict) -> dict:
+    """A term dict keyed by atom tuples, keyed by their words instead."""
+    return {Word(atoms): c for atoms, c in terms.items()}
 
 
 def job_memo(schema: RuleSchema, strategy: str) -> RewriteMemo:

@@ -570,28 +570,40 @@ class PerWordNFCache(NFCache):
 
 
 def test_fallback_reduces_from_the_walks_step(monkeypatch):
-    # under deglenlex no derivation step descends: each new reducible word's
-    # walk stops at its own step, which its normal_form call starts from, so
-    # the check builds no replacement more than the per-word path
-    calls = []
+    # under deglenlex no derivation step descends: each reducible word's
+    # normal_form call starts from its own step, which the memo's walk built
+    # or, once the word's first reducible atom is kept as None, the memo
+    # builds at the word's first redex, so the check builds no replacement
+    # more than the per-word path and no call starts from a word itself
+    calls, starts = [], []
     real = opalg.rewrite.RuleSchema.replacement
+    real_nf = gsb.normal_form
 
     def counting(self, redex):
         calls.append(redex)
         return real(self, redex)
 
+    def recording(p, *args):
+        starts.append(len(p.terms))
+        return real_nf(p, *args)
+
     monkeypatch.setattr(opalg.rewrite.RuleSchema, "replacement", counting)
+    monkeypatch.setattr(gsb, "normal_form", recording)
     bound = TruncationBound(2, 1, 3)
     system = GeneratorSystem(DER, OrderConfig(bound.generator_set(),
                                               "deglenlex"))
-    counts, reports = [], []
+    counts, reports, single = [], [], []
     for cache in (NFCache, PerWordNFCache):
         monkeypatch.setattr(gsb, "NFCache", cache)
         calls.clear()
+        starts.clear()
         reports.append(gsb_check_truncated(system, bound).to_dict())
         counts.append(len(calls))
+        single.append(starts.count(1))
     assert reports[0] == reports[1] and reports[0]["order_violations"] == 948
     assert counts[0] == counts[1]
+    # a derivation step has two terms, so a one-term start is a word
+    assert single[0] == 0 < single[1]
 
 
 def test_fallback_from_the_walks_step_keeps_the_step_cap():

@@ -624,6 +624,15 @@ def _atom(text: str):
     return a
 
 
+def _assert_refused_with_step(memo, w, cap):
+    """``memo`` gives no normal form of ``w`` under ``cap`` and hands back
+    ``w``'s own first rewrite step, terms in order."""
+    nf, bound, step = memo.strategy_nf(w, cap)
+    assert nf is None and bound is None
+    want = memo.schema.replacement(RewriteMemo(memo.schema, "lo").first_redex(w))
+    assert list(step.terms.items()) == list(want.terms.items())
+
+
 def test_strategy_nf_gives_up_above_a_step_that_does_not_descend():
     # a key that ranks one word z above every other makes the one step that
     # yields z ascend; the walk stops there and keeps None for that step's
@@ -647,21 +656,25 @@ def test_strategy_nf_gives_up_above_a_step_that_does_not_descend():
         assert list(step.terms) == list(root_step.terms)
         assert {a: kept is None for a, kept in memo.nf.items()} == {
             finished: False, ascends: True, root.atoms[0]: True}
-        assert memo.strategy_nf(root, 100) == (None, None, None)
+        # a root whose atom is kept as None is refused at once, and its step
+        # is built again at its first redex
+        _assert_refused_with_step(memo, root, 100)
         assert len(memo.nf) == 3
-        # a word whose reducible atoms all have entries is their product
-        for text, steps in (("[x y]", 1), ("[x y] x [x y]", 1 + 2 * 1)):
+        # a word whose reducible atoms all have entries is their product;
+        # z, which no walk met, descends under the altered key too, and a
+        # later walk finishes it
+        for text, steps in (("[x y]", 1), ("[x [y]]", 1),
+                            ("[x y] x [x y]", 1 + 2 * 1)):
             w = parse(text, XY)
             want, _ = normal_form(OPoly.from_word(w), schema)
             got, bound, step = memo.strategy_nf(w, 100)
             assert _words(got) == want.terms and step is None
             assert bound == steps
-        # in a word, an atom kept as None refuses it, with no step where no
-        # walk built one
-        w = parse("[x y] [[x y]]", XY)
-        assert memo.strategy_nf(w, 100) == (None, None, None)
-        assert memo.strategy_nf(parse("[[x y]] y", XY), 1) == (None, None,
-                                                              None)
+        assert z.atoms[0] in memo.nf and len(memo.nf) == 4
+        # in a word, an atom kept as None refuses it, with the word's step
+        # at its first reducible atom, finished or not
+        _assert_refused_with_step(memo, parse("[x y] [[x y]]", XY), 100)
+        _assert_refused_with_step(memo, parse("[[x y]] y", XY), 1)
         # under the true order the root's closure descends, but an atom kept
         # as None stops every walk that meets it
         memo.key = key
@@ -684,8 +697,10 @@ def test_strategy_nf_hands_back_the_step_spliced_into_the_word():
         nf, bound, step = memo.strategy_nf(w, 100)
         assert nf is None and bound is None
         assert list(step.terms.items()) == list(want.terms.items())
-        # the atom is kept as not descending, so a second call builds none
-        assert memo.strategy_nf(w, 100) == (None, None, None)
+        # the atom is kept as not descending, so a second call walks
+        # nothing and builds the step at the word's first redex
+        _assert_refused_with_step(memo, w, 100)
+        assert len(memo.nf) == 1
 
 
 def test_strategy_nf_stays_within_the_cap():
@@ -710,7 +725,7 @@ def test_strategy_nf_stays_within_the_cap():
         got, bound, step = memo.strategy_nf(w, 3)
         assert _words(got) == nf.terms and (bound, step) == (3, None)
         assert got is memo.nf[a][0]
-        assert memo.strategy_nf(w, 2) == (None, None, None)
+        _assert_refused_with_step(memo, w, 2)
         # the cap bounds each answer, not the memo: once the memo holds more
         # atoms than the cap, a kept normal form within it is still given
         other = parse("[[x y] x]", XY)
@@ -724,7 +739,7 @@ def test_strategy_nf_stays_within_the_cap():
         got, bound, _ = memo.strategy_nf(two, 100)
         assert bound == 3 + 4 * 3
         assert _words(got) == normal_form(OPoly.from_word(two), schema)[0].terms
-        assert memo.strategy_nf(two, 14) == (None, None, None)
+        _assert_refused_with_step(memo, two, 14)
 
 
 def test_concat_merges_equal_concatenations():
