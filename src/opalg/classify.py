@@ -18,7 +18,8 @@ from .coeffs import MPoly, PolyRing, ResourceLimit
 from .gsb import UVW, dt_check, generic_defect, rbt_check
 from .opoly import DIFFERENTIAL, OPoly, OpIdentity, ROTA_BAXTER, XY
 from .ordering import OrderConfig
-from .rewrite import NORMAL_FORM, RuleSchema, in_reduced_form, normal_form
+from .rewrite import (NORMAL_FORM, RuleSchema, factored_normal_form,
+                      in_reduced_form, normal_form)
 from .solve import SolutionComponent, find_representative, sample_points, \
     solve_components
 from .words import (Word, enumerate_words, job, to_str, tokens,
@@ -165,19 +166,28 @@ def _unit_residue(w: Word) -> bool:
 @job()
 def extract_constraints(ansatz: Ansatz, step_cap: int = 4000) -> ConstraintSystem:
     """Reduce the defect with the ansatz's own rules, leftmost-outermost
-    first, and read off one equation per surviving monomial."""
+    first, and read off one equation per surviving monomial.
+
+    A differential defect's normal form is read from the job memo's
+    atom-factorized normal forms (``factored_normal_form``) where it gives
+    one within ``step_cap``; otherwise, and for a Rota-Baxter defect, whose
+    redexes span two atoms, ``normal_form`` reduces it and decides the
+    cap."""
     ident = ansatz.identity()
     order = OrderConfig(UVW) if ansatz.mode == DIFFERENTIAL else None
     schema = RuleSchema(ident, order=order)
     defect = generic_defect(ident)
-    nf, trace = normal_form(defect, schema, "lo", step_cap)
-    if trace.status != NORMAL_FORM:
-        raise ReductionBudgetExceeded(
-            f"defect reduction exceeded {step_cap} steps "
-            f"({len(nf.terms)} monomials pending)")
+    terms = factored_normal_form(defect, schema, step_cap)
+    if terms is None:
+        nf, trace = normal_form(defect, schema, "lo", step_cap)
+        if trace.status != NORMAL_FORM:
+            raise ReductionBudgetExceeded(
+                f"defect reduction exceeded {step_cap} steps "
+                f"({len(nf.terms)} monomials pending)")
+        terms = nf.terms
     equations = []
-    for w in sorted(nf.terms, key=word_sort_key):
-        coeff = nf.terms[w]
+    for w in sorted(terms, key=word_sort_key):
+        coeff = terms[w]
         if not isinstance(coeff, MPoly):
             coeff = ansatz.ring.const(coeff)
         equations.append(Equation(coeff, w, _unit_residue(w)))

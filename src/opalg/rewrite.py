@@ -40,19 +40,21 @@ words under every redex, which exact elimination decides.
 redex and each word's order key for the strategy path, the replacements of
 all its redexes for the search and the span certificate, which alone ask for
 them, and the strategy normal forms of a sigma schema for the basis checks
-of ``gsb``, which alone ask for those (``RewriteMemo.strategy_nf``).  They
-factor over atoms: a sigma redex lies inside one bracket atom, both
-strategies rewrite the leftmost atom that holds one, and a step is linear,
-so a word's normal form is the concatenation product of its atoms'.  The
-memo keeps one normal form per reducible bracket atom, with a bound on its
-steps, built bottom-up where every step below the atom descends, keyed by
-atom tuples; ``atom_terms`` and ``word_terms`` rekey a term dict between
-words and atom tuples.
+of ``gsb`` and the ansatz defects of ``classify``, which alone ask for those
+(``RewriteMemo.strategy_nf``, ``factored_normal_form``).  They factor over
+atoms: a sigma redex lies inside one bracket atom, both strategies rewrite
+the leftmost atom that holds one, and a step is linear, so a word's normal
+form is the concatenation product of its atoms'.  The memo keeps one normal
+form per reducible bracket atom, with a bound on its steps, built bottom-up
+where every step below the atom descends, keyed by atom tuples;
+``atom_terms`` and ``word_terms`` rekey a term dict between words and atom
+tuples.
 A job keeps one memo per schema and strategy, which ``job_memo`` hands out to
-every ``normal_form``, ``reduces_to_zero`` and ``joinable`` call and every
-basis check of ``gsb`` in it, and which the job drops when its outermost
-scope closes (see ``words.job``).  ``local_confluence_check`` keeps no peak
-memo: it meets each enumerated word once.
+every ``normal_form``, ``reduces_to_zero``, ``joinable`` and
+``factored_normal_form`` call and every basis check of ``gsb`` in it, and
+which the job drops when its outermost scope closes (see ``words.job``).
+``local_confluence_check`` keeps no peak memo: it meets each enumerated word
+once.
 
 Within a job, equal words are one object (see ``words``), so the memo's
 dicts, the term dicts and the heap meet them by identity.  A step that
@@ -526,6 +528,35 @@ def job_memo(schema: RuleSchema, strategy: str) -> RewriteMemo:
     if memo is None:
         memo = job.memos[schema, strategy] = RewriteMemo(schema, strategy)
     return memo
+
+
+def factored_normal_form(p: OPoly, schema: RuleSchema, step_cap: int):
+    """The leftmost-outermost normal form of ``p`` as a term dict keyed by
+    words: the sum of c NF(w) over the terms c w of ``p``, each NF(w) from
+    the job memo's atom-factorized normal forms (``RewriteMemo.strategy_nf``).
+    ``None`` for a pi schema or one with a constraint ideal, and where the
+    memo refuses a word or the words' bounds sum past ``step_cap``.
+
+    Rewriting acts monomial by monomial, so ``normal_form`` on ``p`` reaches
+    that sum.  Every step below each word descends, so its heap rewrites
+    each word of the closures at most once, in at most the summed bound of
+    steps; ``normal_form`` under ``step_cap`` would then end at the same
+    dict, and where this gives ``None`` it decides the cap itself."""
+    if schema.kind != "sigma" or schema.constraint_gb is not None:
+        return None
+    memo = job_memo(schema, "lo")
+    left = step_cap
+    out: dict = {}
+    for w, c in p.terms.items():
+        try:
+            nf, bound, _ = memo.strategy_nf(w, left)
+        except ResourceLimit:
+            return None  # a reduction may cancel the over-deep word unbuilt
+        if nf is None:
+            return None
+        left -= bound
+        _add_scaled_into(out, nf, c)
+    return word_terms(out)
 
 
 class _Desc:

@@ -100,7 +100,9 @@ def _strip_normalize(eqs, nonzero, ring):
             if g.constant_value() != 0:
                 return None
             continue
-        g = g / g.terms[max(g.terms)]
+        lead = g.terms[max(g.terms)]
+        if lead != 1:
+            g = g / lead
         if g not in seen:
             seen.add(g)
             out.append(g)

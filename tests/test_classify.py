@@ -1,5 +1,6 @@
 """Ansatz construction, constraint extraction, and catalog matching."""
 
+import importlib
 import itertools
 import json
 import os
@@ -13,11 +14,13 @@ from opalg.catalog import FAMILIES
 from opalg.classify import (Ansatz, ReductionBudgetExceeded, build_ansatz,
                             classify, extract_constraints, match_catalog)
 from opalg.coeffs import PolyRing
-from opalg.gsb import dt_check, generic_defect, rbt_check
+from opalg.gsb import UVW, dt_check, generic_defect, rbt_check
 from opalg.opoly import DIFFERENTIAL, ROTA_BAXTER
-from opalg.rewrite import ResourceLimit
+from opalg.ordering import OrderConfig
+from opalg.rewrite import (NORMAL_FORM, ResourceLimit, RuleSchema,
+                           factored_normal_form, normal_form)
 from opalg.solve import find_representative, sample_points, solve_components
-from opalg.words import TOO_NESTED, GeneratorSet, parse, to_str
+from opalg.words import TOO_NESTED, GeneratorSet, job, parse, to_str
 
 XY = GeneratorSet(("x", "y"))
 
@@ -123,6 +126,62 @@ def test_three_term_defect_before_reduction():
 def test_budget_exhaustion_raises():
     with pytest.raises(ReductionBudgetExceeded):
         extract_constraints(three_term(), step_cap=1)
+
+
+def _defect_schema(ansatz):
+    ident = ansatz.identity()
+    return generic_defect(ident), RuleSchema(ident, order=OrderConfig(UVW))
+
+
+@pytest.mark.parametrize("ansatz", [
+    three_term, lambda: build_ansatz(DIFFERENTIAL, 1),
+    lambda: build_ansatz(DIFFERENTIAL, 1, include_unit_terms=True),
+    lambda: build_ansatz(DIFFERENTIAL, 2)],
+    ids=["three_term", "dt1", "dt1_units", "dt2"])
+def test_factored_defect_normal_form_equals_the_heap(ansatz):
+    with job():
+        defect, schema = _defect_schema(ansatz())
+        heap, trace = normal_form(defect, schema, "lo", 4000)
+    with job():
+        defect, schema = _defect_schema(ansatz())
+        factored = factored_normal_form(defect, schema, 4000)
+    assert trace.status == NORMAL_FORM
+    assert factored == heap.terms
+
+
+@pytest.fixture
+def heap_calls(monkeypatch):
+    """The number of ``normal_form`` calls ``extract_constraints`` makes."""
+    module = importlib.import_module("opalg.classify")
+    calls = [0]
+    original = module.normal_form
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, "normal_form", counted)
+    return calls
+
+
+def test_dt2_extraction_below_the_heap_steps_raises(heap_calls):
+    with pytest.raises(ReductionBudgetExceeded,
+                       match=r"exceeded 227 steps \(510 monomials pending\)"):
+        extract_constraints(build_ansatz(DIFFERENTIAL, 2), step_cap=227)
+    assert heap_calls == [1]
+
+
+# the heap takes 228 steps on the dt2 defect and the memo bounds its words'
+# steps by 240 in sum, so caps in between go to the heap and answer alike
+@pytest.mark.parametrize("cap,heap", [(228, 1), (239, 1), (240, 0)])
+def test_dt2_extraction_takes_the_memo_within_its_summed_bound(heap_calls,
+                                                               cap, heap):
+    system = extract_constraints(build_ansatz(DIFFERENTIAL, 2), step_cap=cap)
+    assert heap_calls == [heap]
+    reference = extract_constraints(build_ansatz(DIFFERENTIAL, 2))
+    assert len(system.equations) == 509
+    assert [eq.describe() for eq in system.equations] == \
+        [eq.describe() for eq in reference.equations]
 
 
 def test_nesting_past_the_recursion_limit_raises():
