@@ -385,10 +385,12 @@ def gsb_check_truncated(sys: GeneratorSystem, bound: TruncationBound,
     for host in words:
         for u1, v1 in ((host, spectator), (spectator, host)):
             lead = bracket(u1 * v1)
-            n_lead = ident.pattern_at(u1, v1)
+            n_lead = None  # built at the lead's first nested redex
             for redex in find_redexes(lead, schema):
                 if len(redex.path) == 1:
                     continue  # top-level splits are the intersection cases
+                if n_lead is None:
+                    n_lead = ident.pattern_at(u1, v1)
                 report.including_configs += 1
                 report.including_instances_certified += len(words)
                 # phi(u1, v1) - q|phi(a, b), whose leading words, both

@@ -14,9 +14,11 @@ hole only where a context is printed.
 
 Words are hash-consed: ``Word(atoms)`` returns the one word of its atom
 tuple in a module table, so a dict lookup that meets an equal word of the
-same job compares identities.  The table belongs to the open ``job`` scope
-and is emptied when the outermost scope closes (see ``job``).  A word kept
-past that still equals, and hashes like, its twin built after.
+table compares identities.  The table outlives small jobs: closing the
+outermost ``job`` scope empties it only when it holds more than
+``TABLE_BOUND`` words, so a stream of small jobs shares its words (see
+``job``).  A word kept past a clear still equals, and hashes like, its twin
+built after.
 A word's shape (its depth, ``deg``, ``leaves``, ``has_unit_bracket`` and the
 two redex flags ``has_bracketed_product`` and ``has_adjacent_brackets``) is
 fixed when it is built, from the shapes of its atoms, so reading it walks
@@ -43,17 +45,23 @@ from .coeffs import MAX_DEPTH, TOO_NESTED, ParseError, ResourceLimit, Tokens
 STAR = "⋆"      # a context's hole, when it is printed
 RESERVED = frozenset({"1", STAR})
 
-_TABLE: dict = {}  # atom tuple -> its one Word, until the outermost job closes
+_TABLE: dict = {}  # atom tuple -> its one Word, until a clear (see ``job``)
 _open_jobs = 0     # job scopes open, nested ones included
+# words the table keeps past a job, about 0.25 MiB at ~240 B a word; a job
+# that leaves more empties the table as it closes
+TABLE_BOUND = 1024
 
 
 class job(ContextDecorator):
-    """The scope of one job, which owns the job's caches: the word table and
-    ``memos``, the job's one ``rewrite.RewriteMemo`` per (schema, strategy),
-    which ``rewrite.job_memo`` fills.  A scope opened inside another shares
-    it, and closing the outermost scope empties both; nothing else empties
-    them.  Each entry point of the library is decorated with ``job()``, so
-    a call made with no scope open leaves both empty when it returns; a
+    """The scope of one job, which owns ``memos``, the job's one
+    ``rewrite.RewriteMemo`` per (schema, strategy), which
+    ``rewrite.job_memo`` fills, and bounds the word table.  A scope opened
+    inside another shares it.  Closing the outermost scope always empties
+    ``memos``, and empties the word table when it holds more than
+    ``TABLE_BOUND`` words; nothing else empties either.  Each entry point
+    of the library is decorated with ``job()``, so a call made with no
+    scope open leaves no memo and at most ``TABLE_BOUND`` words when it
+    returns, and the next small call starts with those words interned; a
     caller that opens ``with job():`` around several calls keeps one word
     per atom tuple, and one memo per schema and strategy, across them.
     Words and memos made with no scope open wait in the table and the dict
@@ -70,12 +78,14 @@ class job(ContextDecorator):
         _open_jobs -= 1
         if not _open_jobs:
             job.memos.clear()
-            _TABLE.clear()
+            if len(_TABLE) > TABLE_BOUND:
+                _TABLE.clear()
 
 
 class Word:
     """An immutable bracketed word (sequence of atoms), one object per atom
-    tuple while the word table holds it (see ``job``)."""
+    tuple while the word table holds it, which is across small jobs and
+    until a job leaves more than ``TABLE_BOUND`` words (see ``job``)."""
 
     __slots__ = ("atoms", "_hash", "_depth", "deg", "leaves",
                  "has_unit_bracket", "has_bracketed_product",
@@ -169,8 +179,9 @@ class Word:
         return to_str(self)
 
 
-# the unit for callers; it leaves the table when the first job closes, so
-# the library builds ``Word(())`` in its job instead
+# the unit for callers; it leaves the table at the first clear, after a job
+# that leaves more than ``TABLE_BOUND`` words, so the library builds
+# ``Word(())`` in its job instead
 UNIT = Word(())
 
 

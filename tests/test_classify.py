@@ -348,6 +348,31 @@ def test_brute_force_agreement_on_small_grid():
         assert direct == system.satisfied_at(point), point
 
 
+@pytest.mark.parametrize("mode,accepted", [(DIFFERENTIAL, 17),
+                                           (ROTA_BAXTER, 12)])
+def test_degree1_point_verdicts_match_the_classification(mode, accepted):
+    """Job 1 against job 3 on every nonzero point of {-1, 0, 1}^8 of a
+    non-unit degree-1 ansatz: the type check of the specialized pattern,
+    the extracted equations and membership in some passed component give
+    one answer at every point."""
+    ans = build_ansatz(mode, 1)
+    check = dt_check if mode == DIFFERENTIAL else rbt_check
+    result = classify(ans)
+    names = [n for n, _ in ans.terms]
+    assert len(names) == 8
+    passed = 0
+    for combo in itertools.product((-1, 0, 1), repeat=len(names)):
+        if not any(combo):
+            continue
+        point = dict(zip(names, combo))
+        verdict = check(ans.specialize(point)).accepted
+        assert verdict == result.system.satisfied_at(point), point
+        assert verdict == any(c.contains_point(point)
+                              for c in result.components), point
+        passed += verdict
+    assert passed == accepted
+
+
 def test_dt_degree1_classification_matches_catalog():
     res = classify(build_ansatz(DIFFERENTIAL, 1))
     assert len(res.components) == 6

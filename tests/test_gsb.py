@@ -12,23 +12,26 @@ from types import SimpleNamespace
 import pytest
 
 import opalg.rewrite
+import opalg.words
 from opalg import gsb
 from opalg.catalog import DT_FAMILIES, RBT_FAMILIES, named_pattern
+from opalg.classify import build_ansatz
 from opalg.coeffs import MAX_DEPTH, _add_scaled_into
-from opalg.gsb import (D_TOO_DEEP, CompositionRecord, GeneratorSystem,
+from opalg.gsb import (D_TOO_DEEP, UVW, CompositionRecord, GeneratorSystem,
                        NFCache, TruncationBound, cdl_direct_sum_check,
                        delta_view, dt_check, free_dt_operator_nf,
                        gsb_check_truncated, INCLUDING, INTERSECTION,
                        irr_enumerate, is_trivial, raise_order, rbt_check)
-from opalg.opoly import (DIFFERENTIAL, OPoly, OpIdentity, parse_opoly,
-                         to_str_opoly)
+from opalg.opoly import (DIFFERENTIAL, ROTA_BAXTER, OPoly, OpIdentity,
+                         parse_opoly, to_str_opoly)
 from opalg.ordering import GREATER, OrderConfig, order_key, random_context
 from opalg.rewrite import (NORMAL_FORM, NotDRF, Redex, ResourceLimit,
-                           Verdict, find_redexes, normal_form)
-from opalg.words import (STAR, GeneratorSet, Word, enumerate_words, job,
-                         parse, splice, to_str, word_sort_key)
+                           RuleSchema, Verdict, find_redexes, normal_form)
+from opalg.words import (STAR, GeneratorSet, Word, bracket, enumerate_words,
+                         job, parse, splice, to_str, word_sort_key)
 from test_ordering import reference_compare
-from test_words import _with_headroom, reference_replace_generators
+from test_words import (_with_headroom, close_a_job,
+                        reference_replace_generators)
 
 XY = GeneratorSet(("x", "y"))
 DER = named_pattern("derivation")
@@ -143,6 +146,37 @@ def test_checked_triples_match_the_listed_triples(bound, monkeypatch):
         master = tuple(Word((g,)) for g in "uvw")
         picks = random.Random(5).sample(triples, gsb.TRANSFER_SAMPLES)
         assert checked == [master] + picks
+
+
+@pytest.mark.parametrize("bound", [(3, 1, 3), (2, 2, 3)])
+def test_including_leads_fill_the_pattern_only_with_a_nested_redex(
+        bound, monkeypatch):
+    # phi(u1, v1) is filled once per (host, side) lead that has a nested
+    # redex, at the first one, and never for a lead whose redexes are all
+    # top-level splits (those are the intersection cases)
+    bound = TruncationBound(*bound)
+    filled = []
+    original = OpIdentity.pattern_at
+
+    def recording(identity, u, v):
+        filled.append((u, v))
+        return original(identity, u, v)
+
+    monkeypatch.setattr(OpIdentity, "pattern_at", recording)
+    system = GeneratorSystem(DER, OrderConfig(bound.generator_set()))
+    report = gsb_check_truncated(system, bound, rng=random.Random(5))
+    spectator = Word(("zspec",))
+    schema = RuleSchema(DER)
+    words = enumerate_words(bound.generator_set(), bound.max_breadth,
+                            bound.max_depth, include_unit_brackets=False,
+                            include_unit=False)
+    leads = [(u, v) for host in words
+             for u, v in ((host, spectator), (spectator, host))
+             if any(len(r.path) > 1
+                    for r in find_redexes(bracket(u * v), schema))]
+    assert 0 < len(leads) < 2 * len(words)
+    assert len(leads) <= report.including_configs
+    assert [pair for pair in filled if spectator in pair] == leads
 
 
 def test_nf_cache_stores_packed_dicts(monkeypatch):
@@ -1023,6 +1057,50 @@ def test_type_report_describe():
     assert ok.describe() == "accepted: differential type"
     bad = rbt_check(parse_opoly("[x] [y]", XY))
     assert bad.describe() == f"rejected: not Rota-Baxter type ({bad.reason})"
+
+
+def _type_requests(count, rng):
+    """``count`` seeded certification requests: one to four monomials of a
+    degree-1 ansatz with coefficients drawn from 1, -1, 2 and 1/2."""
+    supports = {mode: [w for _, w in build_ansatz(mode, 1).terms]
+                for mode in (DIFFERENTIAL, ROTA_BAXTER)}
+    values = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2))
+    requests = []
+    for _ in range(count):
+        mode = rng.choice(sorted(supports))
+        words = rng.sample(supports[mode], rng.randint(1, 4))
+        requests.append((mode, OPoly({w: rng.choice(values) for w in words})))
+    return requests
+
+
+def _type_answer(mode, pattern):
+    """A request's answer as the CLI shows it: the verdict, the reason and
+    the witness, printed and in its term order."""
+    report = (dt_check if mode == DIFFERENTIAL else rbt_check)(pattern)
+    witness = report.witness
+    printed = None if witness is None else (
+        to_str_opoly(witness, OrderConfig(UVW)),
+        [(to_str(w), str(c)) for w, c in witness.terms.items()])
+    return report.accepted, report.inconclusive, report.reason, printed
+
+
+def test_keeping_the_word_table_changes_no_verdict():
+    # each request is its own outermost job; back to back they share the
+    # word table, and after a forced clear each starts from an empty one
+    requests = _type_requests(240, random.Random(11))
+    close_a_job()
+    kept, sizes = [], []
+    for request in requests:
+        kept.append(_type_answer(*request))
+        sizes.append(len(opalg.words._TABLE))
+    assert min(sizes) > 0
+    cleared = []
+    for request in requests:
+        close_a_job()
+        cleared.append(_type_answer(*request))
+    assert cleared == kept
+    assert {answer[0] for answer in kept} == {True, False}
+    assert sum(answer[3] is not None for answer in kept) > 100
 
 
 # -- free operator on derivative markers ---------------------------------------------

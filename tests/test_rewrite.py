@@ -39,7 +39,8 @@ from opalg.words import (MAX_DEPTH, STAR, TOO_NESTED, GeneratorSet, UNIT, Word,
                          tokens, word_sort_key)
 from test_coeffs import is_rational
 from test_ordering import reference_compare
-from test_words import (reference_has_unit_bracket, reference_redex_walk,
+from test_words import (assert_table_within_bound,
+                        reference_has_unit_bracket, reference_redex_walk,
                         reference_replace_generators, reference_subst,
                         word_strategy)
 
@@ -774,7 +775,8 @@ def _dt1_classification():
 
 
 # every entry point, which opens a job scope of its own; a scope closed
-# with no other open empties the word table and the job's memos
+# with no other open empties the job's memos, and the word table when the
+# job leaves more than TABLE_BOUND words
 ENTRY_POINTS = {
     "gsb_check_truncated": _basis_job(gsb_check_truncated),
     "cdl_direct_sum_check": _basis_job(cdl_direct_sum_check),
@@ -803,12 +805,15 @@ ENTRY_POINTS = {
 def test_a_job_leaves_the_word_table_empty(entry):
     # the first call fills first-use caches (an identity's compiled plans,
     # say); a word built with no scope open waits in the table until the
-    # next outermost scope closes
+    # next outermost scope closes, and stays interned unless that clears it
     ENTRY_POINTS[entry]()
     before = parse("[x y] [x]", XY)
     assert opalg.words._TABLE
     ENTRY_POINTS[entry]()
-    assert not opalg.words._TABLE and not job.memos
+    assert not job.memos
+    assert_table_within_bound()
+    if opalg.words._TABLE:
+        assert parse("[x y] [x]", XY) is before
     assert parse("[x y] [x]", XY) == before
 
 
@@ -825,7 +830,8 @@ def test_a_job_the_caller_keeps_keeps_the_word_table():
         with pytest.raises(ValueError, match="unknown strategy"):
             job_memo(schema, "ri")
         assert (schema, "ri") not in job.memos
-    assert not opalg.words._TABLE and not job.memos
+    assert not job.memos
+    assert_table_within_bound()
 
 
 def test_normal_form_matches_reference_under_constraints():

@@ -7,6 +7,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import opalg.words
 from opalg.catalog import FAMILIES, named_pattern, pattern_names
 from opalg.classify import build_ansatz
 from opalg.coeffs import PolyRing, ResourceLimit, _add_scaled_into
@@ -20,6 +21,7 @@ from opalg.rewrite import (NotDRF, Redex, RewriteMemo, RuleSchema,
 from opalg.words import (
     MAX_DEPTH,
     STAR,
+    TABLE_BOUND,
     TOO_NESTED,
     UNIT,
     EmptyBracketWithoutUnit,
@@ -285,10 +287,20 @@ def test_the_coefficient_reader_takes_at_most_four_frames_a_level():
 # -- the word table ---------------------------------------------------------------
 
 def close_a_job():
-    """Open and close a job scope; with no other open, the word table
-    empties."""
+    """Close a job scope that leaves more than ``TABLE_BOUND`` words; with
+    no other scope open, the word table empties."""
     with job():
-        pass
+        for i in range(TABLE_BOUND + 1):
+            Word((f"g{i}",))
+    assert not opalg.words._TABLE
+
+
+def assert_table_within_bound():
+    """What an outermost job leaves: an empty table, or at most
+    ``TABLE_BOUND`` words, each the one word of its atom tuple."""
+    table = list(opalg.words._TABLE.values())
+    assert len(table) <= TABLE_BOUND
+    assert all(Word(w.atoms) is w for w in table)
 
 
 def test_words_of_one_atom_tuple_are_one_object_within_a_job():
@@ -300,6 +312,34 @@ def test_words_of_one_atom_tuple_are_one_object_within_a_job():
         assert word_of(x * bracket(y * z), "x") is w
         assert splice(((("x",), ("z",)),), ("y",)) is parse("x y z", G)
         assert memo.first_redex(w) is not None
+
+
+def test_two_small_jobs_in_a_row_share_their_words():
+    # each call is its own outermost job; the first leaves fewer than
+    # TABLE_BOUND words, so the second finds them interned
+    close_a_job()
+    schema = _derivation()
+    start = OPoly.from_word(parse("[x [y z]] [x y]", G))
+    first, _ = normal_form(start, schema)
+    assert not job.memos and 0 < len(opalg.words._TABLE) <= TABLE_BOUND
+    second, _ = normal_form(start, schema)
+    assert len(first.terms) > 2 and first == second
+    assert all(a is b for a, b in zip(first.terms, second.terms))
+    assert parse("[x [y z]] [x y]", G) is next(iter(start.terms))
+
+
+def test_a_job_that_leaves_more_than_the_bound_empties_the_table():
+    close_a_job()
+    before = parse("[x [y z]] x", G)
+    with job():
+        words = enumerate_words(G, 3, 2)
+        job_memo(_derivation(), "lo")
+        assert len(opalg.words._TABLE) > TABLE_BOUND
+        assert parse("[x [y z]] x", G) is before
+    assert not opalg.words._TABLE and not job.memos
+    after = parse("[x [y z]] x", G)
+    assert after is not before and after == before
+    assert Word(words[-1].atoms) is not words[-1]
 
 
 def test_a_word_built_before_a_table_clear_equals_its_twin_after():
