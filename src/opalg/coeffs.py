@@ -399,8 +399,7 @@ class ResourceLimit(RuntimeError):
 # (``to_str``, ``tokens``, ``plan``, ``fill``, ``find_redexes``,
 # ``order_key``) 1; finding a first redex and reading a word's bracket
 # towers (``tower_heights``) 0; ``delta_view`` and parentheses around words
-# 2; ``==`` of twins built across a word-table clear 3; parentheses around
-# coefficients 4.
+# 2; parentheses around coefficients 4.
 # ``gsb.free_dt_operator_nf`` nests at most ``MAX_DEPTH`` applications of d,
 # one frame each, and takes one a generator on the catalog's patterns.  All
 # stay far inside the default recursion limit of 1 000.

@@ -56,8 +56,8 @@ which the job drops when its outermost scope closes (see ``words.job``).
 ``local_confluence_check`` keeps no peak memo: it meets each enumerated word
 once.
 
-Within a job, equal words are one object (see ``words``), so the memo's
-dicts, the term dicts and the heap meet them by identity.  A step that
+Equal words are one object (see ``words``), so the memo's dicts, the term
+dicts and the heap meet them by identity.  A step that
 builds a word nested past ``coeffs.MAX_DEPTH`` raises
 ``ResourceLimit(TOO_NESTED)``; listing redexes takes one frame a level and
 finding a first redex none, so no rewrite meets the recursion limit.

@@ -12,13 +12,15 @@ hole the occurrence fills.  ``splice`` rebuilds the word from a path and the
 atoms put into its hole; putting in none deletes the hole.  ``STAR`` marks the
 hole only where a context is printed.
 
-Words are hash-consed: ``Word(atoms)`` returns the one word of its atom
-tuple in a module table, so a dict lookup that meets an equal word of the
-table compares identities.  The table outlives small jobs: closing the
-outermost ``job`` scope empties it only when it holds more than
-``TABLE_BOUND`` words, so a stream of small jobs shares its words (see
-``job``).  A word kept past a clear still equals, and hashes like, its twin
-built after.
+Words are hash-consed: ``Word(atoms)`` returns the one live word of its
+atom tuple, kept in a module table, so two words are equal exactly when they
+are one object, and a word hashes by its identity.  The table never lets a
+live word go: closing the outermost ``job`` scope prunes it of the words
+nothing else holds (see ``job``), so a stream of small jobs shares its words
+and a word a caller keeps stays the one word of its atom tuple.  A word's
+hash comes from its address, so a set of words iterates in an order that may
+differ between processes under one hash seed: the library only tests
+membership in such a set, or sorts it.
 A word's shape (its depth, ``deg``, ``leaves``, ``has_unit_bracket`` and the
 two redex flags ``has_bracketed_product`` and ``has_adjacent_brackets``) is
 fixed when it is built, from the shapes of its atoms, so reading it walks
@@ -38,6 +40,7 @@ term in the mapping's names.
 from __future__ import annotations
 
 import random
+import sys
 from contextlib import ContextDecorator
 
 from .coeffs import MAX_DEPTH, TOO_NESTED, ParseError, ResourceLimit, Tokens
@@ -45,10 +48,11 @@ from .coeffs import MAX_DEPTH, TOO_NESTED, ParseError, ResourceLimit, Tokens
 STAR = "⋆"      # a context's hole, when it is printed
 RESERVED = frozenset({"1", STAR})
 
-_TABLE: dict = {}  # atom tuple -> its one Word, until a clear (see ``job``)
+_TABLE: dict = {}  # atom tuple -> its one live Word (see ``job``)
 _open_jobs = 0     # job scopes open, nested ones included
-# words the table keeps past a job, about 0.25 MiB at ~240 B a word; a job
-# that leaves more empties the table as it closes
+_kept = 0          # words the last prune kept
+# words the table holds past a job before it is pruned, about 0.25 MiB at
+# ~240 B a word
 TABLE_BOUND = 1024
 
 
@@ -57,15 +61,20 @@ class job(ContextDecorator):
     ``rewrite.RewriteMemo`` per (schema, strategy), which
     ``rewrite.job_memo`` fills, and bounds the word table.  A scope opened
     inside another shares it.  Closing the outermost scope always empties
-    ``memos``, and empties the word table when it holds more than
-    ``TABLE_BOUND`` words; nothing else empties either.  Each entry point
-    of the library is decorated with ``job()``, so a call made with no
-    scope open leaves no memo and at most ``TABLE_BOUND`` words when it
-    returns, and the next small call starts with those words interned; a
-    caller that opens ``with job():`` around several calls keeps one word
-    per atom tuple, and one memo per schema and strategy, across them.
-    Words and memos made with no scope open wait in the table and the dict
-    until the next outermost scope closes."""
+    ``memos``, and prunes the word table (``_prune``) when it holds more
+    than ``TABLE_BOUND`` words and more than twice the words the last prune
+    kept; nothing else empties either.  A prune drops only the words that
+    nothing outside the table references, so a word a caller holds (a
+    system's pattern, ``UNIT``, a returned residue) and its atoms stay the
+    one word of their atom tuples, while the words a finished job alone
+    built go; the doubling spares a caller that holds many words a rescan
+    of them at every close.  Each entry point of the library is decorated
+    with ``job()``, so a call made with no scope open leaves no memo when
+    it returns, and the next small call starts with the earlier words
+    interned; a caller that opens ``with job():`` around several calls
+    keeps one memo per schema and strategy across them.  Words and memos
+    made with no scope open wait in the table and the dict until the next
+    outermost scope closes."""
 
     memos: dict = {}  # (schema, strategy) -> RewriteMemo of the open job
 
@@ -78,16 +87,32 @@ class job(ContextDecorator):
         _open_jobs -= 1
         if not _open_jobs:
             job.memos.clear()
-            if len(_TABLE) > TABLE_BOUND:
-                _TABLE.clear()
+            if len(_TABLE) > max(TABLE_BOUND, 2 * _kept):
+                _prune()
+
+
+def _prune():
+    """Drop from the word table every word that nothing else references.
+    A word's bracket atoms are built, and entered, before the word, so a
+    walk from the last word entered to the first frees a dropped word
+    before it meets the word's atoms, and an atom only dropped words held
+    is dropped too.  Reads CPython's reference counts: a word the walk's
+    list alone holds has a count of 2, the list's and the argument's."""
+    global _kept
+    words = list(_TABLE.values())
+    _TABLE.clear()
+    for i in range(len(words) - 1, -1, -1):
+        if sys.getrefcount(words[i]) == 2:
+            words[i] = None
+    _TABLE.update((w.atoms, w) for w in words if w is not None)
+    _kept = len(_TABLE)
 
 
 class Word:
-    """An immutable bracketed word (sequence of atoms), one object per atom
-    tuple while the word table holds it, which is across small jobs and
-    until a job leaves more than ``TABLE_BOUND`` words (see ``job``)."""
+    """An immutable bracketed word (sequence of atoms), the one live object
+    of its atom tuple (see ``job``): equality and hashing are identity."""
 
-    __slots__ = ("atoms", "_hash", "_depth", "deg", "leaves",
+    __slots__ = ("atoms", "_depth", "deg", "leaves",
                  "has_unit_bracket", "has_bracketed_product",
                  "has_adjacent_brackets")
 
@@ -117,7 +142,6 @@ class Word:
                 raise ResourceLimit(TOO_NESTED)
             w = _TABLE[atoms] = object.__new__(cls)
             w.atoms = atoms
-            w._hash = hash(atoms)
             w._depth = depth
             # generator occurrences, with multiplicity
             w.deg = deg
@@ -164,14 +188,6 @@ class Word:
             return self
         return Word(self.atoms + other.atoms)
 
-    def __eq__(self, other) -> bool:
-        return self is other or (isinstance(other, Word)
-                                 and self._hash == other._hash
-                                 and self.atoms == other.atoms)
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def __repr__(self) -> str:
         return f"Word({to_str(self)!r})"
 
@@ -179,9 +195,8 @@ class Word:
         return to_str(self)
 
 
-# the unit for callers; it leaves the table at the first clear, after a job
-# that leaves more than ``TABLE_BOUND`` words, so the library builds
-# ``Word(())`` in its job instead
+# the unit; this module holds it, so no prune drops it and ``Word(())`` is
+# always ``UNIT``
 UNIT = Word(())
 
 
@@ -404,7 +419,7 @@ def enumerate_words(gens, max_leaves: int, max_depth: int,
     """All words with the given leaf and depth bounds, deterministically ordered."""
     names = tuple(gens.names if isinstance(gens, GeneratorSet) else gens)
     atom_pool = _atom_pool(names, max_leaves, max_depth, include_unit_brackets)
-    out = [Word(())] if include_unit else []  # the open job's unit
+    out = [UNIT] if include_unit else []
     out.extend(_sequences(atom_pool, max_leaves))
     return out
 

@@ -786,6 +786,86 @@ def test_basis_check_work_does_not_depend_on_hash_seed(run_job):
             assert first["fallbacks"] and not first["normal_forms"]
 
 
+_SHIFTED_JOB = """
+import json, random, sys
+from opalg import gsb, rewrite
+from opalg.catalog import named_pattern
+from opalg.classify import build_ansatz, classify
+from opalg.coeffs import PolyRing
+from opalg.opoly import DIFFERENTIAL, ROTA_BAXTER, XY, OpIdentity, parse_opoly
+from opalg.ordering import OrderConfig
+from opalg.words import Word
+
+# unrelated objects and words, allocated and kept before the job, so that
+# the job's words sit at other addresses, and hash otherwise, than in a
+# run without them
+shift = int(sys.argv[1])
+kept = [object() for _ in range(shift)]
+kept += [Word((f"pad{i}",) * (1 + i % 3)) for i in range(shift)]
+kept += [[None] * (i % 7) for i in range(shift)]
+
+explored = []
+real = rewrite._one_step_reducts
+
+
+def counting(p, memo):
+    explored.append(None)
+    return real(p, memo)
+
+
+rewrite._one_step_reducts = counting
+bound = gsb.TruncationBound(2, 1, 3)
+basis = []
+# the last identity is no basis: its nontrivial records print residues
+for ident, mode in ((named_pattern("derivation"), "purelex"),
+                    (named_pattern("derivation"), "deglenlex"),
+                    (OpIdentity(DIFFERENTIAL, parse_opoly("y [x]", XY)),
+                     "purelex")):
+    system = gsb.GeneratorSystem(ident,
+                                 OrderConfig(bound.generator_set(), mode))
+    report = gsb.gsb_check_truncated(system, bound, rng=random.Random(1))
+    cdl = gsb.cdl_direct_sum_check(system, bound, rng=random.Random(2))
+    irr = gsb.irr_enumerate(system, bound)
+    basis.append([report.to_dict(), cdl.describe(), len(irr),
+                  [(str(w), reason) for w, reason in cdl.failures]])
+classes = []
+for mode in (DIFFERENTIAL, ROTA_BAXTER):
+    result = classify(build_ansatz(mode, 1))
+    equations = result.system.equations
+    classes.append([len(equations), sum(e.unresolved for e in equations),
+                    len(result.components), len(result.audit_failures)])
+ring = PolyRing(("b", "c", "e"))
+searches = []
+for check, text, constraints in (
+        (gsb.dt_check, "b*x [y] + b*[x] y + c*[x] [y] + e*x y",
+         [ring.parse("b^2 - c*e")]),
+        (gsb.rbt_check, "[x] y + [x y] + [y] x", [])):
+    report = check(parse_opoly(text, XY, ring=ring), constraints)
+    searches.append([report.accepted, report.verdict.detail, len(explored)])
+print(json.dumps({"basis": basis, "classes": classes,
+                  "searches": searches, "explored": len(explored)}))
+"""
+
+
+def test_work_does_not_depend_on_where_words_sit_in_memory(run_job):
+    # a word hashes by its address: under one hash seed, a heap shifted by
+    # objects and words kept before the job moves every address, and no
+    # report count, classification count or search count may move with it
+    runs = [run_job(_SHIFTED_JOB, str(shift), hash_seed=0)
+            for shift in (0, 1000, 20011)]
+    assert runs[0] == runs[1] == runs[2]
+    first = runs[0]
+    assert [row[0]["order_violations"] for row in first["basis"]] == [
+        0, 948, 0]
+    assert [bool(row[0]["nontrivial"]) for row in first["basis"]] == [
+        False, False, True]
+    assert [len(row[3]) for row in first["basis"]] == [0, 0, 74]
+    assert all(count[2] for count in first["classes"])
+    assert first["searches"][0][:2] == [
+        False, "all 16 reachable polynomials nonzero"]
+    assert first["explored"] > 0
+
+
 # ``opalg gsb --format json`` output of five checks, recorded before the
 # composition checks were routed through ``is_trivial``: nontrivial records,
 # order-violation counts and both certification modes
@@ -1086,7 +1166,8 @@ def _type_answer(mode, pattern):
 
 def test_keeping_the_word_table_changes_no_verdict():
     # each request is its own outermost job; back to back they share the
-    # word table, and after a forced clear each starts from an empty one
+    # word table, and after a forced prune each starts from a table that
+    # holds only the words something outside it references
     requests = _type_requests(240, random.Random(11))
     close_a_job()
     kept, sizes = [], []
@@ -1094,11 +1175,11 @@ def test_keeping_the_word_table_changes_no_verdict():
         kept.append(_type_answer(*request))
         sizes.append(len(opalg.words._TABLE))
     assert min(sizes) > 0
-    cleared = []
+    pruned = []
     for request in requests:
         close_a_job()
-        cleared.append(_type_answer(*request))
-    assert cleared == kept
+        pruned.append(_type_answer(*request))
+    assert pruned == kept
     assert {answer[0] for answer in kept} == {True, False}
     assert sum(answer[3] is not None for answer in kept) > 100
 

@@ -521,7 +521,7 @@ def slot_writes(library):
 def test_a_word_is_fixed_once_built():
     # ``Word.__new__`` sets a word's shape from its atoms' shapes, once; a
     # later write, such as a lazily filled cache, could leave a word whose
-    # facts disagree with its twin built across a table clear
+    # facts disagree with those of its atoms
     library, _ = load()
     assert slot_writes(library) == []
 
@@ -532,7 +532,7 @@ def test_slot_writes_are_found_outside_the_constructor():
         "    def __new__(cls):\n        w.deg = 1\n"
         "    @property\n    def leaves(self):\n        self.leaves = 2\n"),
         "gsb": ast.parse("setattr(w, 'atoms', ())\nw.name = 1\n"
-                         "del w._hash\n")}
+                         "del w._depth\n")}
     assert slot_writes(library) == ["gsb:1", "gsb:3", "words:6"]
 
 
@@ -663,10 +663,11 @@ def finalizers_and_globals(library):
 
 
 def test_only_the_job_scope_owns_module_state():
-    # the word table and the job's memos live exactly as long as the
-    # outermost ``words.job`` scope: a finalizer would tie a cache's life to
-    # garbage collection again, and a global rebound from another module
-    # would be a second owner of module state
+    # the job's memos live exactly as long as the outermost ``words.job``
+    # scope, and the word table keeps, past its close, the words something
+    # outside it references and, under its threshold, the rest: a finalizer
+    # would tie a cache's life to garbage collection again, and a global
+    # rebound from another module would be a second owner of module state
     library, _ = load()
     assert finalizers_and_globals(library) == []
 

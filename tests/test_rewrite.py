@@ -39,7 +39,7 @@ from opalg.words import (MAX_DEPTH, STAR, TOO_NESTED, GeneratorSet, UNIT, Word,
                          tokens, word_sort_key)
 from test_coeffs import is_rational
 from test_ordering import reference_compare
-from test_words import (assert_table_within_bound,
+from test_words import (assert_table_within_bound, close_a_job,
                         reference_has_unit_bracket, reference_redex_walk,
                         reference_replace_generators, reference_subst,
                         word_strategy)
@@ -775,8 +775,8 @@ def _dt1_classification():
 
 
 # every entry point, which opens a job scope of its own; a scope closed
-# with no other open empties the job's memos, and the word table when the
-# job leaves more than TABLE_BOUND words
+# with no other open empties the job's memos, and prunes the word table of
+# the words nothing else holds when it is over its threshold
 ENTRY_POINTS = {
     "gsb_check_truncated": _basis_job(gsb_check_truncated),
     "cdl_direct_sum_check": _basis_job(cdl_direct_sum_check),
@@ -805,16 +805,19 @@ ENTRY_POINTS = {
 def test_a_job_leaves_the_word_table_empty(entry):
     # the first call fills first-use caches (an identity's compiled plans,
     # say); a word built with no scope open waits in the table until the
-    # next outermost scope closes, and stays interned unless that clears it
+    # next outermost scope closes, and a word the caller holds stays the one
+    # word of its atom tuple whatever the close does; a forced prune leaves
+    # no word of the job but those its result holds
     ENTRY_POINTS[entry]()
     before = parse("[x y] [x]", XY)
     assert opalg.words._TABLE
-    ENTRY_POINTS[entry]()
+    result = ENTRY_POINTS[entry]()
     assert not job.memos
     assert_table_within_bound()
-    if opalg.words._TABLE:
-        assert parse("[x y] [x]", XY) is before
-    assert parse("[x y] [x]", XY) == before
+    assert parse("[x y] [x]", XY) is before
+    close_a_job()
+    assert parse("[x y] [x]", XY) is before
+    del result
 
 
 def test_a_job_the_caller_keeps_keeps_the_word_table():
@@ -832,6 +835,9 @@ def test_a_job_the_caller_keeps_keeps_the_word_table():
         assert (schema, "ri") not in job.memos
     assert not job.memos
     assert_table_within_bound()
+    close_a_job()
+    assert all(Word(w.atoms) is w for w in words)
+    assert [parse(to_str(m), XY) is m for m in nf.terms] == [True, True]
 
 
 def test_normal_form_matches_reference_under_constraints():

@@ -286,25 +286,49 @@ def test_the_coefficient_reader_takes_at_most_four_frames_a_level():
 
 # -- the word table ---------------------------------------------------------------
 
+def fill_past_the_threshold():
+    """Build words that nothing holds until the word table is over the
+    threshold at which closing the outermost job prunes it."""
+    limit = max(TABLE_BOUND, 2 * opalg.words._kept)
+    i = 0
+    while len(opalg.words._TABLE) <= limit:
+        Word((f"g{i}",))
+        i += 1
+
+
 def close_a_job():
-    """Close a job scope that leaves more than ``TABLE_BOUND`` words; with
-    no other scope open, the word table empties."""
+    """Close a job scope that leaves the word table over its threshold, so
+    that closing it prunes the table; with no other scope open, only words
+    referenced outside the table remain.  The last prune's count is
+    forgotten first, so that the threshold is ``TABLE_BOUND`` and the words
+    this session holds need not be doubled by fillers at every call."""
     with job():
-        for i in range(TABLE_BOUND + 1):
-            Word((f"g{i}",))
-    assert not opalg.words._TABLE
+        opalg.words._kept = 0
+        fill_past_the_threshold()
+    assert ("g0",) not in opalg.words._TABLE
+    assert_only_held_words_remain()
+
+
+def assert_only_held_words_remain():
+    """What a prune leaves: each word of the table is the one word of its
+    atom tuple, and something outside the table holds it (a count above
+    the table's, the loop's and the argument's)."""
+    table = opalg.words._TABLE
+    assert opalg.words._kept == len(table)
+    assert all(Word(w.atoms) is w for w in table.values())
+    assert all(sys.getrefcount(w) > 3 for w in table.values())
 
 
 def assert_table_within_bound():
-    """What an outermost job leaves: an empty table, or at most
-    ``TABLE_BOUND`` words, each the one word of its atom tuple."""
+    """What an outermost job leaves: a table at most over its threshold by
+    the last prune's count, each word the one word of its atom tuple."""
     table = list(opalg.words._TABLE.values())
-    assert len(table) <= TABLE_BOUND
+    assert len(table) <= max(TABLE_BOUND, 2 * opalg.words._kept)
     assert all(Word(w.atoms) is w for w in table)
 
 
 def test_words_of_one_atom_tuple_are_one_object_within_a_job():
-    # an open job: no table clear comes between the builds
+    # an open job: no prune comes between the builds
     with job():
         memo = job_memo(RuleSchema(named_pattern("derivation")), "lo")
         w = parse("[x [y z]] x", G)
@@ -315,38 +339,101 @@ def test_words_of_one_atom_tuple_are_one_object_within_a_job():
 
 
 def test_two_small_jobs_in_a_row_share_their_words():
-    # each call is its own outermost job; the first leaves fewer than
-    # TABLE_BOUND words, so the second finds them interned
+    # each call is its own outermost job; the first leaves the table under
+    # its threshold, so the second finds the first's words interned, those
+    # the caller does not hold included
     close_a_job()
+    kept = len(opalg.words._TABLE)
     schema = _derivation()
     start = OPoly.from_word(parse("[x [y z]] [x y]", G))
     first, _ = normal_form(start, schema)
-    assert not job.memos and 0 < len(opalg.words._TABLE) <= TABLE_BOUND
+    assert not job.memos and len(opalg.words._TABLE) > kept
+    assert opalg.words._kept == kept  # no prune ran
     second, _ = normal_form(start, schema)
     assert len(first.terms) > 2 and first == second
     assert all(a is b for a, b in zip(first.terms, second.terms))
     assert parse("[x [y z]] [x y]", G) is next(iter(start.terms))
 
 
-def test_a_job_that_leaves_more_than_the_bound_empties_the_table():
+def test_a_job_that_leaves_more_than_the_bound_prunes_the_table():
+    # the caller keeps the enumerated words of depth 0 and 1; no kept word
+    # holds one of depth 2, so those over p and q leave the table (the
+    # words over the unit alone are in WORD_POOL too)
     close_a_job()
     before = parse("[x [y z]] x", G)
     with job():
-        words = enumerate_words(G, 3, 2)
+        words = enumerate_words(("p", "q"), 3, 2)
         job_memo(_derivation(), "lo")
+        fill_past_the_threshold()
         assert len(opalg.words._TABLE) > TABLE_BOUND
         assert parse("[x [y z]] x", G) is before
-    assert not opalg.words._TABLE and not job.memos
-    after = parse("[x [y z]] x", G)
-    assert after is not before and after == before
-    assert Word(words[-1].atoms) is not words[-1]
+        kept = [w for w in words if w.depth() < 2]
+        dropped = [w.atoms for w in words if w.depth() == 2 and w.deg]
+        del words
+    assert not job.memos
+    assert_only_held_words_remain()
+    assert parse("[x [y z]] x", G) is before
+    assert all(Word(w.atoms) is w for w in kept)
+    assert dropped and not any(atoms in opalg.words._TABLE
+                               for atoms in dropped)
+
+
+def test_a_prune_keeps_a_word_held_only_through_a_held_words_atoms():
+    # a bracket atom is its content word: ``y [z [1]]`` and ``z [1]`` are
+    # held by the atoms of the word above them alone, and the unit in
+    # ``[1]`` by this module
+    close_a_job()
+    outer = parse("x [y [z [1]]]", G)
+    close_a_job()
+    inner = parse("y [z [1]]", G)
+    assert inner is outer.atoms[1]
+    assert parse("z [1]", G) is inner.atoms[1]
+    assert inner.atoms[1].atoms[1] is UNIT
+    # a word only a dropped word held goes with it
+    with job():
+        parse("z [[z y x y] y]", G)
+    close_a_job()
+    assert ("z", "y", "x", "y") not in opalg.words._TABLE
+
+
+def test_a_caller_holding_many_words_is_not_rescanned_at_every_close(
+        monkeypatch):
+    # the caller's 5 000 words keep the table over TABLE_BOUND; a prune
+    # comes only when the table doubles what the last prune kept
+    close_a_job()
+    prunes = []
+    prune = opalg.words._prune
+
+    def counting():
+        prunes.append(len(opalg.words._TABLE))
+        prune()
+
+    monkeypatch.setattr(opalg.words, "_prune", counting)
+    held = [Word((f"h{i}", bracket(x))) for i in range(5000)]
+    for i in range(300):
+        with job():
+            for k in range(10):
+                Word((f"s{i}", bracket(Word((f"t{k}",)))))
+    assert 1 <= len(prunes) <= 3
+    assert all(Word(w.atoms) is w for w in held)
+
+
+def test_a_word_equals_no_other_object():
+    assert "__eq__" not in vars(Word) and "__hash__" not in vars(Word)
+    w = parse("x [y]", G)
+    assert w == w and not w != w and hash(w) == hash(parse("x [y]", G))
+    twin = object.__new__(Word)  # built around the table, as nothing else is
+    twin.atoms = w.atoms
+    for other in (twin, "x [y]", w.atoms, OPoly.from_word(w), 1, None):
+        assert w != other and not w == other and not other == w
+    assert {w: 1}.get(twin) is None and twin not in {w}
 
 
 def test_a_word_built_before_a_table_clear_equals_its_twin_after():
     before = parse("[x [y z]] x [1]", G)
     close_a_job()
     after = parse("[x [y z]] x [1]", G)
-    assert after is not before
+    assert after is before
     assert after == before and before == after
     assert hash(after) == hash(before)
     assert {before: 1}[after] == 1
@@ -355,15 +442,17 @@ def test_a_word_built_before_a_table_clear_equals_its_twin_after():
 
 
 def test_the_library_builds_the_unit_in_the_open_job():
-    # the unit built at import leaves the table when the first job closes;
-    # a word the library parses is the open job's own
+    # this module holds the unit built at import, so no prune drops it: a
+    # unit the library builds or parses is ``UNIT``
     close_a_job()
     with job():
         unit = Word(())
-        assert unit is not UNIT and unit == UNIT
+        assert unit is UNIT and enumerate_words(G, 1, 1)[0] is UNIT
         assert parse("1", XY) is unit
         assert next(iter(parse_opoly("1", XY).terms)) is unit
         assert next(iter(parse_opoly("2 [1]", XY).terms)).atoms[0] is unit
+    close_a_job()
+    assert Word(()) is UNIT and () in opalg.words._TABLE
 
 
 def test_generator_set_validation():
@@ -802,7 +891,7 @@ def test_twins_across_a_table_clear_carry_equal_facts():
     close_a_job()
     after = [parse(t, G) for t in texts]
     for b, a in zip(before, after):
-        assert a is not b and a == b
+        assert a is b
         assert facts(a) == facts(b) == reference_facts(a)
 
 
@@ -815,12 +904,12 @@ def test_twins_across_a_table_clear_carry_equal_facts():
                                   "[x y] [1]", "[x [1] [y]]"])
 def test_a_copied_word_equals_the_original_and_leaves_the_unit_alone(
         copier, text):
-    # after a table clear the copy is built afresh, its shape facts and
-    # redex flags included
+    # after a prune the copy goes back through the table, which kept the
+    # word it copies
     w = parse(text, XY)
     close_a_job()
     got = copier(w)
-    assert got == w and facts(got) == facts(w) == reference_facts(w)
+    assert got is w and facts(got) == facts(w) == reference_facts(w)
     assert UNIT.atoms == () and Word(()).atoms == ()
     assert UNIT.deg == UNIT.leaves == 0 and not UNIT.has_unit_bracket
 
