@@ -19,7 +19,7 @@ from .gsb import UVW, dt_check, generic_defect, rbt_check
 from .opoly import DIFFERENTIAL, OPoly, OpIdentity, ROTA_BAXTER, XY
 from .ordering import OrderConfig
 from .rewrite import (NORMAL_FORM, RuleSchema, factored_normal_form,
-                      in_reduced_form, normal_form)
+                      in_reduced_form, job_memo, normal_form)
 from .solve import SolutionComponent, find_representative, sample_points, \
     solve_components
 from .words import (Word, enumerate_words, job, to_str, tokens,
@@ -169,16 +169,20 @@ def extract_constraints(ansatz: Ansatz, step_cap: int = 4000) -> ConstraintSyste
     first, and read off one equation per surviving monomial.
 
     A differential defect's normal form is read from the job memo's
-    atom-factorized normal forms (``factored_normal_form``) where it gives
-    one within ``step_cap``; otherwise, and for a Rota-Baxter defect, whose
-    redexes span two atoms, ``normal_form`` reduces it and decides the
-    cap."""
+    atom-factorized normal forms (``factored_normal_form``, with no
+    per-word reduction) where the memo gives every word and their bounds
+    sum to at most ``step_cap``; otherwise, and for a Rota-Baxter defect,
+    whose redexes span two atoms, ``normal_form`` reduces the whole defect
+    and decides the cap."""
     ident = ansatz.identity()
     order = OrderConfig(UVW) if ansatz.mode == DIFFERENTIAL else None
     schema = RuleSchema(ident, order=order)
     defect = generic_defect(ident)
-    terms = factored_normal_form(defect, schema, step_cap)
-    if terms is None:
+    found = schema.kind == "sigma" and factored_normal_form(
+        defect, job_memo(schema, "lo"), step_cap, None)
+    if found and found[1] <= step_cap:
+        terms = found[0]
+    else:
         nf, trace = normal_form(defect, schema, "lo", step_cap)
         if trace.status != NORMAL_FORM:
             raise ReductionBudgetExceeded(

@@ -11,11 +11,14 @@ differential-type / Rota-Baxter-type certificates.
 ``is_trivial`` is the one place a composition value is audited against the
 order and reduced: both composition kinds of ``gsb_check_truncated`` go
 through it, and the check's ``NFCache`` sums its words' normal forms, each
-the product of its atoms'.  Each check is one job (see ``words.job``): its
-normal forms, order audits and irreducibility tests read the job's one
-``RewriteMemo`` of the schema (each word's first redex and order key, and,
-where every step below it descends, each reducible bracket atom's normal
-form; ``rewrite.job_memo``), which is dropped when the check returns.
+the product of its atoms' or the word's own heap reduction, by the one sum
+the ansatz extraction of ``classify`` reads too
+(``rewrite.factored_normal_form``).  Each check is one job (see
+``words.job``): its normal forms, order audits and irreducibility tests read
+the job's one ``RewriteMemo`` of the schema (each word's first redex and
+order key, and, where every step below it descends, each reducible bracket
+atom's normal form; ``rewrite.job_memo``), which is dropped when the check
+returns.
 Every composition value, ideal element and associativity defect is filled
 from the plans its identity compiles once (``OpIdentity.plans``).
 """
@@ -31,9 +34,9 @@ from .opoly import (DIFFERENTIAL, OPoly, OpIdentity, ROTA_BAXTER,
 from .ordering import OrderConfig, random_context
 from .rewrite import (NORMAL_FORM, NotDRF, NotRBRF, NotTotallyLinear, Redex,
                       ResourceLimit, RuleSchema, Verdict, _search_verdict,
-                      _span_certificate, _strategy_verdict, atom_terms,
-                      find_redexes, in_reduced_form, job_memo, normal_form,
-                      reduces_to_zero, word_terms)
+                      _span_certificate, _strategy_verdict,
+                      factored_normal_form, find_redexes, job_memo,
+                      normal_form, reduces_to_zero)
 from .words import (GeneratorSet, Word, bracket, enumerate_words, fill, job,
                     splice, to_str, tower_heights)
 
@@ -176,28 +179,19 @@ class GsbReport:
 
 
 class NFCache:
-    """Leftmost-outermost normal forms of words for one check, as term
-    dicts keyed by atom tuples.
+    """The basis check's reduction of composition values, and the audit of
+    the words it reduces on the heap.
 
-    Rewriting acts monomial by monomial, so the strategy normal form of a
-    combination is the matching combination of the per-word normal forms,
-    and a word's is the concatenation product of its atoms' (see
-    ``rewrite.RewriteMemo``).  The job's ``RewriteMemo`` of the schema
-    (``job_memo``, ``RewriteMemo.strategy_nf``) builds each reducible
-    bracket atom's normal form once, bottom-up, where every step below the
-    atom descends, and gives a word's product where its bound on the steps
-    is within the step cap, and a word with no redex is its own.  Any
-    other word is reduced by its own ``normal_form`` call through the same
-    memo, under the step cap: one whose closure holds a step that does not
-    descend or whose bound passes the cap, from the first rewrite step the
-    memo hands back, and every reducible word under a constraint ideal,
-    from the word itself.  ``reduce`` sums on atom tuples and builds words
-    only for a nonzero residue.  A combination that leaves one reduces again, by its
-    own ``normal_form`` call, each word whose product may order its terms
-    otherwise, so that the residue's terms keep the per-word path's order.
-    Each word's steps are audited once, against the memo's order keys,
-    which the normal form's heap already built: no rewritten monomial may
-    exceed the root word, and a word the memo answers has no such step.
+    ``reduce`` sums a value's normal form over its words
+    (``rewrite.factored_normal_form``), each the product of its atoms' from
+    the job's ``RewriteMemo`` of the schema (``job_memo``) where the memo
+    gives it.  Any other word is reduced by ``_reduced``'s own
+    ``normal_form`` call through the same memo, under the step cap: from the
+    step the memo hands back, or, under a constraint ideal, from the word
+    itself.  Each word reduced on the heap has its steps audited once,
+    against the memo's order keys, which the heap already built: no
+    rewritten monomial may exceed the root word.  A word the memo answers
+    has no such step.
     """
 
     __slots__ = ("schema", "step_cap", "memo", "audited", "order_violations")
@@ -209,27 +203,8 @@ class NFCache:
         self.audited = set()
         self.order_violations = 0
 
-    def nf_word(self, w: Word):
-        """The normal form of ``w`` as a term dict keyed by atom tuples,
-        which callers only read, and whether its terms surely come in
-        ``normal_form``'s order: the memo's when it gives one, which does
-        when it has at most one term or its bound is one (it is then the
-        replacement of ``w``'s step, whose terms are irreducible), else
-        ``normal_form``'s.  Under a constraint ideal the memo answers only
-        a word with no redex, its own normal form."""
-        step = None
-        if self.schema.constraint_gb is None or in_reduced_form(w, True):
-            try:
-                nf, bound, step = self.memo.strategy_nf(w, self.step_cap)
-            except ResourceLimit:
-                nf = None  # a reduction may cancel the over-deep word unbuilt
-            if nf is not None:
-                self.audited.add(w)
-                return nf, len(nf) < 2 or bound == 1
-        return self._reduced(w, step), True
-
-    def _reduced(self, w: Word, step: OPoly = None) -> dict:
-        """``w``'s normal form, keyed by atom tuples, by its own
+    def _reduced(self, w: Word, step: OPoly) -> dict:
+        """``w``'s normal form as a term dict keyed by words, by its own
         ``normal_form`` call, whose steps are audited when ``w`` is new;
         from ``step``, ``w``'s one-step reduct, when given, with one step
         fewer left under the cap."""
@@ -248,18 +223,12 @@ class NFCache:
                 root = key(w)
                 self.order_violations += sum(key(m) > root
                                              for m in trace.monomials)
-        return atom_terms(nf.terms)
+        return nf.terms
 
     def reduce(self, p: OPoly) -> OPoly:
-        forms = [self.nf_word(w) for w in p.terms]
-        out: dict = {}
-        for (nf, _), c in zip(forms, p.terms.values()):
-            _add_scaled_into(out, nf, c)  # p and nf share the schema's ring
-        if out and not all(ordered for _, ordered in forms):
-            out = {}  # a residue's terms in the per-word path's order
-            for (w, c), (nf, ordered) in zip(p.terms.items(), forms):
-                _add_scaled_into(out, nf if ordered else self._reduced(w), c)
-        return self.schema.normalize(OPoly._trusted(word_terms(out), p.ring))
+        terms, _ = factored_normal_form(p, self.memo, self.step_cap,
+                                        self._reduced)
+        return self.schema.normalize(OPoly._trusted(terms, p.ring))
 
 
 def is_trivial(comp: CompositionRecord, cache: NFCache) -> str:
@@ -272,7 +241,9 @@ def is_trivial(comp: CompositionRecord, cache: NFCache) -> str:
     ``cache.reduce``, each from the memo's normal forms or by its own
     ``normal_form`` call (see ``NFCache``).  A word needing more than the
     cache's step cap raises ``ResourceLimit``, so an undecided composition
-    never gets a verdict.
+    never gets a verdict.  A nonzero residue is kept as a value: its terms
+    come in the order the sum leaves them, and every output prints it
+    sorted (``to_str_opoly``).
     """
     key = cache.memo.key
     ambient = key(comp.w)

@@ -39,19 +39,20 @@ words under every redex, which exact elimination decides.
 ``RewriteMemo`` is the one cache of word facts: each reducible word's first
 redex and each word's order key for the strategy path, the replacements of
 all its redexes for the search and the span certificate, which alone ask for
-them, and the strategy normal forms of a sigma schema for the basis checks
-of ``gsb`` and the ansatz defects of ``classify``, which alone ask for those
-(``RewriteMemo.strategy_nf``, ``factored_normal_form``).  They factor over
-atoms: a sigma redex lies inside one bracket atom, both strategies rewrite
-the leftmost atom that holds one, and a step is linear, so a word's normal
-form is the concatenation product of its atoms'.  The memo keeps one normal
-form per reducible bracket atom, with a bound on its steps, built bottom-up
-where every step below the atom descends, keyed by atom tuples;
-``atom_terms`` and ``word_terms`` rekey a term dict between words and atom
-tuples.
+them, and the strategy normal forms of a sigma schema
+(``RewriteMemo.strategy_nf``).  They factor over atoms: a sigma redex lies
+inside one bracket atom, both strategies rewrite the leftmost atom that
+holds one, and a step is linear, so a word's normal form is the
+concatenation product of its atoms'.  The memo keeps one normal form per
+reducible bracket atom, with a bound on its steps, built bottom-up where
+every step below the atom descends, keyed by atom tuples.
+``factored_normal_form`` is their one reader: it sums a polynomial's normal
+form over its words, each the memo's product or, where the memo gives none,
+the caller's reduction from the step the memo hands back, for the basis
+checks of ``gsb`` (``NFCache``) and the ansatz defects of ``classify``.
 A job keeps one memo per schema and strategy, which ``job_memo`` hands out to
-every ``normal_form``, ``reduces_to_zero``, ``joinable`` and
-``factored_normal_form`` call and every basis check of ``gsb`` in it, and
+every ``normal_form``, ``reduces_to_zero`` and ``joinable`` call, every basis
+check of ``gsb`` and every defect extraction of ``classify`` in it, and
 which the job drops when its outermost scope closes (see ``words.job``).
 ``local_confluence_check`` keeps no peak memo: it meets each enumerated word
 once.
@@ -510,17 +511,6 @@ def _concat(left: dict, right: dict) -> dict:
     return out
 
 
-def atom_terms(terms: dict) -> dict:
-    """A term dict keyed by words, keyed by their atom tuples instead, the
-    keys of ``RewriteMemo.strategy_nf``'s normal forms."""
-    return {w.atoms: c for w, c in terms.items()}
-
-
-def word_terms(terms: dict) -> dict:
-    """A term dict keyed by atom tuples, keyed by their words instead."""
-    return {Word(atoms): c for atoms, c in terms.items()}
-
-
 def job_memo(schema: RuleSchema, strategy: str) -> RewriteMemo:
     """The open job's memo of ``schema`` under ``strategy``, built on first
     use (see ``words.job``)."""
@@ -530,33 +520,40 @@ def job_memo(schema: RuleSchema, strategy: str) -> RewriteMemo:
     return memo
 
 
-def factored_normal_form(p: OPoly, schema: RuleSchema, step_cap: int):
-    """The leftmost-outermost normal form of ``p`` as a term dict keyed by
-    words: the sum of c NF(w) over the terms c w of ``p``, each NF(w) from
-    the job memo's atom-factorized normal forms (``RewriteMemo.strategy_nf``).
-    ``None`` for a pi schema or one with a constraint ideal, and where the
-    memo refuses a word or the words' bounds sum past ``step_cap``.
+def factored_normal_form(p: OPoly, memo: RewriteMemo, cap: int,
+                         reduce_word):
+    """``(terms, bound)``: the leftmost-outermost normal form of ``p`` under
+    the sigma schema of ``memo``, the sum of c NF(w) over its terms c w as a
+    dict keyed by words, and the sum of the memo's bounds; or ``None`` where
+    a word needs ``reduce_word`` and that is ``None``.
 
+    NF(w) is the memo's atom product where it gives one under ``cap``
+    (``RewriteMemo.strategy_nf``).  Any other word, and every reducible word
+    under a constraint ideal, is ``reduce_word(w, step)``, a dict keyed by
+    words, from the step the memo hands back (``None``: from ``w`` itself).
     Rewriting acts monomial by monomial, so ``normal_form`` on ``p`` reaches
-    that sum.  Every step below each word descends, so its heap rewrites
-    each word of the closures at most once, in at most the summed bound of
-    steps; ``normal_form`` under ``step_cap`` would then end at the same
-    dict, and where this gives ``None`` it decides the cap itself."""
-    if schema.kind != "sigma" or schema.constraint_gb is not None:
-        return None
-    memo = job_memo(schema, "lo")
-    left = step_cap
+    the sum.  Where the memo gives every word, every step below them
+    descends, so the heap rewrites each word of the closures at most once,
+    and ``normal_form`` under a cap of at least ``bound`` ends at the same
+    dict.  The sum runs on atom tuples, the memo's keys."""
+    constrained = memo.schema.constraint_gb is not None
     out: dict = {}
+    total = 0
     for w, c in p.terms.items():
-        try:
-            nf, bound, _ = memo.strategy_nf(w, left)
-        except ResourceLimit:
-            return None  # a reduction may cancel the over-deep word unbuilt
-        if nf is None:
+        nf = step = None
+        if not (constrained and memo._holds(w)):
+            try:
+                nf, bound, step = memo.strategy_nf(w, cap)
+            except ResourceLimit:
+                pass  # a reduction may cancel the over-deep word unbuilt
+        if nf is not None:
+            total += bound
+        elif reduce_word is None:
             return None
-        left -= bound
+        else:
+            nf = {m.atoms: d for m, d in reduce_word(w, step).items()}
         _add_scaled_into(out, nf, c)
-    return word_terms(out)
+    return {Word(atoms): c for atoms, c in out.items()}, total
 
 
 class _Desc:

@@ -18,7 +18,7 @@ from opalg.gsb import UVW, dt_check, generic_defect, rbt_check
 from opalg.opoly import DIFFERENTIAL, ROTA_BAXTER
 from opalg.ordering import OrderConfig
 from opalg.rewrite import (NORMAL_FORM, ResourceLimit, RuleSchema,
-                           factored_normal_form, normal_form)
+                           factored_normal_form, job_memo, normal_form)
 from opalg.solve import find_representative, sample_points, solve_components
 from opalg.words import TOO_NESTED, GeneratorSet, job, parse, to_str
 
@@ -144,9 +144,10 @@ def test_factored_defect_normal_form_equals_the_heap(ansatz):
         heap, trace = normal_form(defect, schema, "lo", 4000)
     with job():
         defect, schema = _defect_schema(ansatz())
-        factored = factored_normal_form(defect, schema, 4000)
+        factored, bound = factored_normal_form(
+            defect, job_memo(schema, "lo"), 4000, None)
     assert trace.status == NORMAL_FORM
-    assert factored == heap.terms
+    assert factored == heap.terms and len(trace) <= bound <= 4000
 
 
 @pytest.fixture

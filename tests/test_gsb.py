@@ -187,6 +187,7 @@ def test_nf_cache_stores_packed_dicts(monkeypatch):
     # deleted slots
     caches = []
     reduced = []
+    heap = []
 
     class Recording(NFCache):
         __slots__ = ()
@@ -195,23 +196,31 @@ def test_nf_cache_stores_packed_dicts(monkeypatch):
             super().__init__(*args)
             caches.append(self)
 
-        def nf_word(self, w):
-            reduced.append(w)
-            return super().nf_word(w)
+        def reduce(self, p):
+            reduced.extend(p.terms)
+            return super().reduce(p)
+
+        def _reduced(self, w, step):
+            heap.append(w)
+            return super()._reduced(w, step)
 
     monkeypatch.setattr(gsb, "NFCache", Recording)
     bound = TruncationBound(2, 1, 3)
-    # the second pattern's normal forms cancel terms as they are summed
-    for ident in (DER, _oracle_identity("x y - x [y]")):
-        gsb_check_truncated(GeneratorSystem(ident,
-                                            OrderConfig(bound.generator_set())),
-                            bound)
-    assert len(caches) == 2 and reduced
+    # the second pattern's normal forms cancel terms as they are summed, and
+    # no derivation step descends under deglenlex, so every reducible word
+    # of the third check is reduced on the heap
+    for ident, mode in ((DER, "purelex"),
+                        (_oracle_identity("x y - x [y]"), "purelex"),
+                        (DER, "deglenlex")):
+        gsb_check_truncated(GeneratorSystem(
+            ident, OrderConfig(bound.generator_set(), mode)), bound)
+    assert len(caches) == 3 and reduced and heap
     kept = [getattr(cache, name) for cache in caches
             for name in NFCache.__slots__]
     assert not any(isinstance(v, (OPoly, dict)) for v in kept)
     memos = [cache.memo for cache in caches]
-    kept = [entry for memo in memos for entry in memo.nf.values()]
+    kept = [entry for memo in memos for entry in memo.nf.values()
+            if entry is not None]
     assert kept and all(type(bound) is int and type(leaves) is int
                         for _, bound, leaves in kept)
     forms = [nf for nf, _, _ in kept]
@@ -225,7 +234,8 @@ def test_nf_cache_stores_packed_dicts(monkeypatch):
     # only reducible bracket atoms are kept
     assert all(memo.first_redex(Word((a,))) is not None
                for memo in memos for a in memo.nf)
-    assert set().union(*(cache.audited for cache in caches)) == set(reduced)
+    # only the words reduced on the heap are audited
+    assert set().union(*(cache.audited for cache in caches)) == set(heap)
 
 
 def test_gsb_report_serialization():
@@ -354,7 +364,7 @@ def _fresh_normal_form(p, schema, strategy="lo", step_cap=100000,
 
 def _basis_checks(ident, size, mode, monkeypatch):
     """The report of both checks and every composition's verdict and
-    residue, terms in order with their coefficients printed."""
+    residue, a dict from its words to their coefficients printed."""
     records = []
 
     def recording(comp, cache):
@@ -362,7 +372,7 @@ def _basis_checks(ident, size, mode, monkeypatch):
         residue = comp.residue
         records.append((comp.kind, comp.w, comp.context, verdict, None
                         if residue is None else
-                        [(w, str(c)) for w, c in residue.terms.items()]))
+                        {w: str(c) for w, c in residue.terms.items()}))
         return verdict
 
     monkeypatch.setattr(gsb, "is_trivial", recording)
@@ -435,9 +445,9 @@ def _memo_normal_forms(ident, size, mode, monkeypatch):
             super().__init__(*args)
             caches.append(self)
 
-        def nf_word(self, w):
-            reduced.append(w)
-            return super().nf_word(w)
+        def reduce(self, p):
+            reduced.extend(p.terms)
+            return super().reduce(p)
 
     monkeypatch.setattr(gsb, "NFCache", Recording)
     bound = TruncationBound(*size)
@@ -483,7 +493,8 @@ def test_memo_normal_forms_match_fresh_normal_forms(spec, size, mode,
                                         monkeypatch)
     for word, got, want, bound in pairs:
         assert got == want, word
-        # where NFCache takes the memo's term order for normal_form's
+        # one term, or the replacement of one step, whose terms are
+        # irreducible, comes in normal_form's order
         if len(got) < 2 or bound == 1:
             assert list(got) == list(want), word
     # no derivation step descends under deglenlex
@@ -518,9 +529,9 @@ def test_factored_bound_is_the_tree_sum(spec, monkeypatch):
             super().__init__(*args)
             caches.append(self)
 
-        def nf_word(self, w):
-            reduced.append(w)
-            return super().nf_word(w)
+        def reduce(self, p):
+            reduced.extend(p.terms)
+            return super().reduce(p)
 
     monkeypatch.setattr(gsb, "NFCache", Recording)
     bound = TruncationBound(2, 2, 3)
@@ -543,6 +554,8 @@ def test_factored_bound_is_the_tree_sum(spec, monkeypatch):
 
 
 def test_basis_check_reads_every_normal_form_from_the_memo(monkeypatch):
+    # a non-basis pattern's nonzero residues take no heap reduction of their
+    # words either
     calls = []
     real = gsb.normal_form
 
@@ -552,10 +565,12 @@ def test_basis_check_reads_every_normal_form_from_the_memo(monkeypatch):
 
     monkeypatch.setattr(gsb, "normal_form", counting)
     bound = TruncationBound(2, 2, 3)
-    system = GeneratorSystem(DER, OrderConfig(bound.generator_set()))
-    report = gsb_check_truncated(system, bound)
-    assert report.ok and report.intersections_reduced
-    assert calls == []
+    for spec in ("derivation", "2*x [y] + 2*[x] y"):
+        system = GeneratorSystem(_oracle_identity(spec),
+                                 OrderConfig(bound.generator_set()))
+        report = gsb_check_truncated(system, bound)
+        assert report.ok == (spec not in NON_BASIS), spec
+        assert report.intersections_reduced and calls == [], spec
 
 
 def test_step_cap_bounds_each_word_not_the_memo(monkeypatch):
@@ -599,8 +614,11 @@ class PerWordNFCache(NFCache):
 
     __slots__ = ()
 
-    def nf_word(self, w):
-        return self._reduced(w), True
+    def reduce(self, p):
+        out = {}
+        for w, c in p.terms.items():
+            _add_scaled_into(out, self._reduced(w, None), c)
+        return self.schema.normalize(OPoly._trusted(out, p.ring))
 
 
 def test_fallback_reduces_from_the_walks_step(monkeypatch):
@@ -651,13 +669,12 @@ def test_fallback_from_the_walks_step_keeps_the_step_cap():
     assert trace.status == NORMAL_FORM and steps > 1
     with job():
         with pytest.raises(ResourceLimit):
-            NFCache(system, steps - 1).nf_word(w)
+            NFCache(system, steps - 1).reduce(OPoly.from_word(w))
     with job():
         cache = NFCache(system, steps)
-        nf, ordered = cache.nf_word(w)
+        nf = cache.reduce(OPoly.from_word(w)).terms
         assert cache.memo.nf[w.atoms[0]] is None
-    want = {m.atoms: c for m, c in want.terms.items()}
-    assert nf == want and list(nf) == list(want) and ordered
+    assert nf == want.terms and list(nf) == list(want.terms)
 
 
 def test_constrained_basis_check_matches_the_per_word_reference(monkeypatch):
@@ -693,13 +710,17 @@ def test_deep_word_reduces_as_normal_form_does():
         system = GeneratorSystem(named_pattern("endomorphism"),
                                  OrderConfig(XY))
         cache = NFCache(system, 100000)
-        got, _ = cache.nf_word(w)
-        assert got is cache.memo.nf[a][0] and len(cache.memo.nf) == 150
+        got = cache.reduce(OPoly.from_word(w)).terms
+        assert len(cache.memo.nf) == 150
         # one step per atom of the chain, and one word at its end
         assert cache.memo.nf[a][1:] == (150, 1)
+        # a one-atom word shares its atom's normal form, uncopied
+        nf, bound, _ = cache.memo.strategy_nf(w, cache.step_cap)
+        assert nf is cache.memo.nf[a][0] and bound == 150
         want, trace = _fresh_normal_form(OPoly.from_word(w), system)
     assert trace.status == NORMAL_FORM and len(trace) == 150
-    assert got == {m.atoms: c for m, c in want.terms.items()} and len(got) == 1
+    assert got == want.terms and len(got) == 1
+    assert nf == {m.atoms: c for m, c in want.terms.items()}
 
 
 def test_word_nested_max_depth_deep_reduces_within_the_recursion_limit():
@@ -713,12 +734,12 @@ def test_word_nested_max_depth_deep_reduces_within_the_recursion_limit():
         system = GeneratorSystem(named_pattern("endomorphism"),
                                  OrderConfig(XY))
         cache = NFCache(system, 100000)
-        got, ordered = _with_headroom(2 * MAX_DEPTH + 50,
-                                      lambda: cache.nf_word(w))
+        got = _with_headroom(2 * MAX_DEPTH + 50,
+                             lambda: cache.reduce(OPoly.from_word(w))).terms
         assert cache.memo.nf[a][1:] == (MAX_DEPTH, 1)
         want, trace = _fresh_normal_form(OPoly.from_word(w), system)
     assert trace.status == NORMAL_FORM and len(trace) == 2 * MAX_DEPTH
-    assert got == {m.atoms: c for m, c in want.terms.items()} and ordered
+    assert got == want.terms and list(got) == list(want.terms)
 
 
 _WORK_JOB = """
@@ -866,9 +887,11 @@ def test_work_does_not_depend_on_where_words_sit_in_memory(run_job):
     assert first["explored"] > 0
 
 
-# ``opalg gsb --format json`` output of five checks, recorded before the
-# composition checks were routed through ``is_trivial``: nontrivial records,
-# order-violation counts and both certification modes
+# ``opalg gsb --format json`` output of seven checks: the first five recorded
+# before the composition checks were routed through ``is_trivial``, with
+# nontrivial records, order-violation counts and both certification modes;
+# the two of ``2*x [y] + 2*[x] y`` recorded before a residue's terms stopped
+# following the per-word path's order
 with open(os.path.join(os.path.dirname(__file__), "frozen_gsb.json"),
           encoding="utf-8") as _f:
     FROZEN_GSB = json.load(_f)

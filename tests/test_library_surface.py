@@ -421,6 +421,15 @@ def test_only_ordering_compares_words_pairwise():
     assert calls_of(library, "compare", set(library) - {"ordering"}) == []
 
 
+def test_only_factored_normal_form_reads_the_memos_normal_forms():
+    # the basis check and the ansatz extraction sum a polynomial's normal
+    # form over its words by one helper: a second caller of ``strategy_nf``
+    # is how a second sum, with its own rekeying, would start
+    library, _ = load()
+    assert callers_of(library, "strategy_nf") == [
+        "rewrite.factored_normal_form"]
+
+
 def test_patterns_are_compiled_only_by_their_identity():
     # an identity compiles its pattern once (``OpIdentity.plans``) and every
     # instance of it fills those plans; ``subst_generators`` plans each term
