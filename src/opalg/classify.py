@@ -170,19 +170,17 @@ def extract_constraints(ansatz: Ansatz, step_cap: int = 4000) -> ConstraintSyste
 
     A differential defect's normal form is read from the job memo's
     atom-factorized normal forms (``factored_normal_form``, with no
-    per-word reduction) where the memo gives every word and their bounds
-    sum to at most ``step_cap``; otherwise, and for a Rota-Baxter defect,
+    per-word reduction) where the memo gives every word, its walks keeping
+    at most ``step_cap`` atoms; otherwise, and for a Rota-Baxter defect,
     whose redexes span two atoms, ``normal_form`` reduces the whole defect
-    and decides the cap."""
+    within ``step_cap`` steps."""
     ident = ansatz.identity()
     order = OrderConfig(UVW) if ansatz.mode == DIFFERENTIAL else None
     schema = RuleSchema(ident, order=order)
     defect = generic_defect(ident)
-    found = schema.kind == "sigma" and factored_normal_form(
-        defect, job_memo(schema, "lo"), step_cap, None)
-    if found and found[1] <= step_cap:
-        terms = found[0]
-    else:
+    terms = (factored_normal_form(defect, job_memo(schema, "lo"), step_cap,
+                                  None) if schema.kind == "sigma" else None)
+    if terms is None:
         nf, trace = normal_form(defect, schema, "lo", step_cap)
         if trace.status != NORMAL_FORM:
             raise ReductionBudgetExceeded(

@@ -247,7 +247,11 @@ def _add_common(sub, order=True, strategy=True, step_cap=None):
         sub.add_argument("--strategy", choices=("lo", "li"), default="lo")
     if step_cap is not None:
         sub.add_argument("--step-cap", type=int, default=step_cap,
-                         dest="step_cap")
+                         dest="step_cap",
+                         help="most rewrite steps one reduction may take; a "
+                              "step rewrites one redex of one monomial, or, "
+                              "in a gsb check's memo, builds the normal form "
+                              "of one bracket atom (default: %(default)s)")
 
 
 def _add_identity_flags(sub):

@@ -185,13 +185,13 @@ class NFCache:
     ``reduce`` sums a value's normal form over its words
     (``rewrite.factored_normal_form``), each the product of its atoms' from
     the job's ``RewriteMemo`` of the schema (``job_memo``) where the memo
-    gives it.  Any other word is reduced by ``_reduced``'s own
-    ``normal_form`` call through the same memo, under the step cap: from the
-    step the memo hands back, or, under a constraint ideal, from the word
-    itself.  Each word reduced on the heap has its steps audited once,
-    against the memo's order keys, which the heap already built: no
-    rewritten monomial may exceed the root word.  A word the memo answers
-    has no such step.
+    gives it, its walks over the value keeping at most ``step_cap`` atoms.
+    Any other word is reduced by ``_reduced``'s own ``normal_form`` call
+    through the same memo, in at most ``step_cap`` steps: from the step the
+    memo hands back, or, under a constraint ideal, from the word itself.
+    Each word reduced on the heap has its steps audited once, against the
+    memo's order keys, which the heap already built: no rewritten monomial
+    may exceed the root word.  A word the memo answers has no such step.
     """
 
     __slots__ = ("schema", "step_cap", "memo", "audited", "order_violations")
@@ -226,9 +226,8 @@ class NFCache:
         return nf.terms
 
     def reduce(self, p: OPoly) -> OPoly:
-        terms, _ = factored_normal_form(p, self.memo, self.step_cap,
-                                        self._reduced)
-        return self.schema.normalize(OPoly._trusted(terms, p.ring))
+        return self.schema.normalize(OPoly._trusted(factored_normal_form(
+            p, self.memo, self.step_cap, self._reduced), p.ring))
 
 
 def is_trivial(comp: CompositionRecord, cache: NFCache) -> str:
@@ -239,11 +238,11 @@ def is_trivial(comp: CompositionRecord, cache: NFCache) -> str:
     ``cache.order_violations``, next to the cache's own count of rewrite
     steps landing above their root word.  The value's words are reduced by
     ``cache.reduce``, each from the memo's normal forms or by its own
-    ``normal_form`` call (see ``NFCache``).  A word needing more than the
-    cache's step cap raises ``ResourceLimit``, so an undecided composition
-    never gets a verdict.  A nonzero residue is kept as a value: its terms
-    come in the order the sum leaves them, and every output prints it
-    sorted (``to_str_opoly``).
+    ``normal_form`` call (see ``NFCache``).  A word whose own call needs
+    more than the cache's step cap raises ``ResourceLimit``, so an undecided
+    composition never gets a verdict.  A nonzero residue is kept as a value:
+    its terms come in the order the sum leaves them, and every output prints
+    it sorted (``to_str_opoly``).
     """
     key = cache.memo.key
     ambient = key(comp.w)

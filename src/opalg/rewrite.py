@@ -44,12 +44,13 @@ them, and the strategy normal forms of a sigma schema
 inside one bracket atom, both strategies rewrite the leftmost atom that
 holds one, and a step is linear, so a word's normal form is the
 concatenation product of its atoms'.  The memo keeps one normal form per
-reducible bracket atom, with a bound on its steps, built bottom-up where
-every step below the atom descends, keyed by atom tuples.
+reducible bracket atom, keyed by atom tuples, built bottom-up where every
+step below the atom descends, one rewrite step an atom.
 ``factored_normal_form`` is their one reader: it sums a polynomial's normal
-form over its words, each the memo's product or, where the memo gives none,
-the caller's reduction from the step the memo hands back, for the basis
-checks of ``gsb`` (``NFCache``) and the ansatz defects of ``classify``.
+form over its words, each the memo's product or, where the memo gives none
+within the step cap its walks share, the caller's reduction from the step
+the memo hands back, for the basis checks of ``gsb`` (``NFCache``) and the
+ansatz defects of ``classify``.
 A job keeps one memo per schema and strategy, which ``job_memo`` hands out to
 every ``normal_form``, ``reduces_to_zero`` and ``joinable`` call, every basis
 check of ``gsb`` and every defect extraction of ``classify`` in it, and
@@ -307,16 +308,10 @@ class RewriteMemo:
     maximal runs of brackets instead; nothing asks for those.
 
     ``nf`` maps a reducible bracket atom, keyed by the bracket's content as
-    it stands in an atom tuple, to ``(terms, bound, leaves)``, or to
-    ``None`` where a step below it does not descend (``_walk_atom``).
-    ``terms`` is the normal form of the one-atom word ``[A]``, a dict from
-    atom tuples to coefficients; ``bound`` counts the words rewritten in
-    the tree of steps below it, repeats included, and ``leaves`` the
-    irreducible words the tree ends in.  An irreducible atom counts 0 and
-    1, ``bound([A]) = 1 + sum bound(m)`` over the terms m of its step,
-    ``bound(A B) = bound(A) + leaves(A) bound(B)`` and ``leaves(A B) =
-    leaves(A) leaves(B)``, so a word's bound is the step count of its own
-    tree, which bounds ``normal_form``'s steps on it."""
+    it stands in an atom tuple, to the normal form of the one-atom word
+    ``[A]``, a dict from atom tuples to coefficients, or to ``None`` where a
+    step below it does not descend (``_walk_atom``).  Each atom kept is one
+    rewrite step the memo took, so a walk counts the atoms it keeps."""
 
     __slots__ = ("schema", "strategy", "key", "first", "repl", "nf", "_walk",
                  "_holds")
@@ -355,31 +350,34 @@ class RewriteMemo:
         return out
 
     def strategy_nf(self, w: Word, cap: int):
-        """``(terms, bound, None)``: the strategy normal form of the word
+        """``(terms, steps, None)``: the strategy normal form of the word
         ``w`` under a sigma schema, as a dict from atom tuples to
-        coefficients that callers only read, and its bound; or ``(None,
-        None, step)`` where the memo does not give it, ``step`` being
-        ``w``'s one-step reduct, its first reducible atom's step spliced
-        into ``w``, or ``None`` where ``cap`` allows no step.
+        coefficients that callers only read, and the number of atoms this
+        call's walks kept for it; or ``(None, None, step)`` where the memo
+        does not give it, ``step`` being ``w``'s one-step reduct, its first
+        reducible atom's step spliced into ``w``, or ``None`` where ``cap``
+        allows no step.
 
-        A word with no redex is its own normal form, with bound 0.  Any
-        other's ``terms`` is the product of the entries of its reducible
-        atoms, each built by ``_walk_atom`` on first use, given only where
-        each atom has one and ``bound`` is at most ``cap``: ``normal_form``
-        then takes at most ``bound`` steps and reaches the same dict.  The
-        step is the one ``normal_form`` would take first, built once: by
-        this call's walk when it built it, else at ``w``'s first redex."""
+        A word with no redex is its own normal form.  Any other's ``terms``
+        is the product of the entries of its reducible atoms, given only
+        where each atom has one; the atoms without one are walked
+        (``_walk_atom``), and the walks share ``cap`` steps, one an atom.
+        The step is the one ``normal_form`` would take first, built once:
+        by this call's walk when it built it, else at ``w``'s first
+        redex."""
         atoms = w.atoms
         if not self._holds(w):
             return {atoms: 1}, 0, None
         nf = self.nf
+        steps = 0
         at = step = None  # the first reducible atom's index, and its step
         for i, a in enumerate(atoms):
             if not _reducible_atom(a):
                 continue
             entry = nf.get(a, False)
             if entry is False:
-                entry, built = self._walk_atom(a, cap)
+                entry, built, met = self._walk_atom(a, cap - steps)
+                steps += met
                 if at is None:
                     step = built
             if at is None:
@@ -387,9 +385,7 @@ class RewriteMemo:
             if entry is None:
                 break
         else:
-            terms, bound, _ = self._product(atoms)
-            if bound <= cap:
-                return terms, bound, None
+            return self._product(atoms), steps, None
         if cap < 1:
             return None, None, None
         if step is None:
@@ -400,12 +396,12 @@ class RewriteMemo:
             step.ring)
 
     def _walk_atom(self, root, cap: int):
-        """``(entry, step)``: the entry of the reducible bracket atom
-        ``root``, or ``None`` where none is built, and the step of
-        ``[root]`` when the walk built it.  The walk builds the entries of
-        ``root`` and of every atom below it that has none, bottom-up on an
-        explicit stack, the terms of each the sum of c NF(m) over the terms
-        c m of its step (``_product``).
+        """``(entry, step, met)``: the entry of the reducible bracket atom
+        ``root``, or ``None`` where none is built, the step of ``[root]``
+        when the walk built it, and the number of atoms the walk stepped.
+        The walk builds the entries of ``root`` and of every atom below it
+        that has none, bottom-up on an explicit stack, the terms of each the
+        sum of c NF(m) over the terms c m of its step (``_product``).
 
         An atom gets an entry only where its step and every step below it
         descend: each replacement monomial ranks strictly below the
@@ -427,7 +423,7 @@ class RewriteMemo:
         while True:
             if new is not None:
                 if met >= cap:
-                    return None, first
+                    return None, first, met
                 if new in nf:  # kept as not descending
                     break
                 word = Word((new,))
@@ -450,47 +446,40 @@ class RewriteMemo:
             else:
                 stack.pop()
                 out: dict = {}
-                bound, leaves = 1, 0
                 for m, c in terms.items():
-                    sub, b, n = self._product(m.atoms)
-                    _add_scaled_into(out, sub, c)
-                    bound += b
-                    leaves += n
+                    _add_scaled_into(out, self._product(m.atoms), c)
                 # the copy drops the slots that cancelled terms left
-                entry = nf[a] = (dict(out), bound, leaves)
+                entry = nf[a] = dict(out)
                 if not stack:
-                    return entry, first
+                    return entry, first, met
         nf[new] = None
         for a, _, _ in stack:
             nf[a] = None
-        return None, first
+        return None, first, met
 
-    def _product(self, atoms: tuple):
-        """``(terms, bound, leaves)`` of the word of ``atoms``, from the
-        entries of its reducible atoms, which the memo holds: the product
-        of their terms, with the runs of irreducible atoms between them.  A
-        word of one reducible atom alone shares that atom's terms."""
+    def _product(self, atoms: tuple) -> dict:
+        """The normal form of the word of ``atoms``, from the entries of its
+        reducible atoms, which the memo holds: the product of their terms,
+        with the runs of irreducible atoms between them.  A word of one
+        reducible atom alone shares that atom's terms."""
         nf = self.nf
         out = None  # the product of the atoms before ``start``; None is 1
         start = 0
-        bound, leaves = 0, 1
         for i, a in enumerate(atoms):
             if not _reducible_atom(a):
                 continue
-            terms, b, n = nf[a]
-            bound += leaves * b
-            leaves *= n
+            terms = nf[a]
             if start < i:
                 run = atoms[start:i]
                 terms = {run + t: c for t, c in terms.items()}
             start = i + 1
             out = terms if out is None else _concat(out, terms)
         if out is None:
-            return {atoms: 1}, 0, 1
+            return {atoms: 1}
         if start < len(atoms):
             run = atoms[start:]
             out = {t + run: c for t, c in out.items()}
-        return out, bound, leaves
+        return out
 
 
 def _reducible_atom(a) -> bool:
@@ -522,38 +511,38 @@ def job_memo(schema: RuleSchema, strategy: str) -> RewriteMemo:
 
 def factored_normal_form(p: OPoly, memo: RewriteMemo, cap: int,
                          reduce_word):
-    """``(terms, bound)``: the leftmost-outermost normal form of ``p`` under
-    the sigma schema of ``memo``, the sum of c NF(w) over its terms c w as a
-    dict keyed by words, and the sum of the memo's bounds; or ``None`` where
-    a word needs ``reduce_word`` and that is ``None``.
+    """The leftmost-outermost normal form of ``p`` under the sigma schema of
+    ``memo``, the sum of c NF(w) over its terms c w as a dict keyed by
+    words; or ``None`` where a word needs ``reduce_word`` and that is
+    ``None``.
 
-    NF(w) is the memo's atom product where it gives one under ``cap``
-    (``RewriteMemo.strategy_nf``).  Any other word, and every reducible word
-    under a constraint ideal, is ``reduce_word(w, step)``, a dict keyed by
-    words, from the step the memo hands back (``None``: from ``w`` itself).
-    Rewriting acts monomial by monomial, so ``normal_form`` on ``p`` reaches
-    the sum.  Where the memo gives every word, every step below them
-    descends, so the heap rewrites each word of the closures at most once,
-    and ``normal_form`` under a cap of at least ``bound`` ends at the same
-    dict.  The sum runs on atom tuples, the memo's keys."""
+    NF(w) is the memo's atom product where it gives one
+    (``RewriteMemo.strategy_nf``); the walks that build those products for
+    ``p``'s words share ``cap`` steps, one an atom kept, so once they have
+    spent it a word is given only where its atoms are all kept already.
+    Any other word, and every reducible word under a constraint ideal, is
+    ``reduce_word(w, step)``, a dict keyed by words, from the step the memo
+    hands back (``None``: from ``w`` itself).  Rewriting acts monomial by
+    monomial, so ``normal_form`` on ``p`` reaches the sum.  The sum runs on
+    atom tuples, the memo's keys."""
     constrained = memo.schema.constraint_gb is not None
     out: dict = {}
-    total = 0
+    left = cap
     for w, c in p.terms.items():
         nf = step = None
         if not (constrained and memo._holds(w)):
             try:
-                nf, bound, step = memo.strategy_nf(w, cap)
+                nf, steps, step = memo.strategy_nf(w, left)
             except ResourceLimit:
                 pass  # a reduction may cancel the over-deep word unbuilt
         if nf is not None:
-            total += bound
+            left -= steps
         elif reduce_word is None:
             return None
         else:
             nf = {m.atoms: d for m, d in reduce_word(w, step).items()}
         _add_scaled_into(out, nf, c)
-    return {Word(atoms): c for atoms, c in out.items()}, total
+    return {Word(atoms): c for atoms, c in out.items()}
 
 
 class _Desc:

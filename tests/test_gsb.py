@@ -26,7 +26,8 @@ from opalg.opoly import (DIFFERENTIAL, ROTA_BAXTER, OPoly, OpIdentity,
                          parse_opoly, to_str_opoly)
 from opalg.ordering import GREATER, OrderConfig, order_key, random_context
 from opalg.rewrite import (NORMAL_FORM, NotDRF, Redex, ResourceLimit,
-                           RuleSchema, Verdict, find_redexes, normal_form)
+                           RewriteMemo, RuleSchema, Verdict, find_redexes,
+                           normal_form)
 from opalg.words import (STAR, GeneratorSet, Word, bracket, enumerate_words,
                          job, parse, splice, to_str, word_sort_key)
 from test_ordering import reference_compare
@@ -219,12 +220,9 @@ def test_nf_cache_stores_packed_dicts(monkeypatch):
             for name in NFCache.__slots__]
     assert not any(isinstance(v, (OPoly, dict)) for v in kept)
     memos = [cache.memo for cache in caches]
-    kept = [entry for memo in memos for entry in memo.nf.values()
-            if entry is not None]
-    assert kept and all(type(bound) is int and type(leaves) is int
-                        for _, bound, leaves in kept)
-    forms = [nf for nf, _, _ in kept]
-    assert all(isinstance(nf, dict) for nf in forms)
+    forms = [entry for memo in memos for entry in memo.nf.values()
+             if entry is not None]
+    assert forms and all(type(nf) is dict for nf in forms)
     assert all(type(atoms) is tuple for nf in forms for atoms in nf)
     entries = ([memo.first for memo in memos] + [memo.nf for memo in memos]
                + forms)
@@ -433,8 +431,8 @@ def _memo_normal_forms(ident, size, mode, monkeypatch):
     """The normal form of each one-atom word whose atom the memo of one
     basis check keeps, and of each word of two or more atoms that the
     check reduced and the memo gives, expanded to words, against a fresh
-    ``normal_form`` of the word, with the memo's bound, and the number of
-    those words that hold two or more reducible atoms."""
+    ``normal_form`` of the word, with that call's step count, and the
+    number of those words that hold two or more reducible atoms."""
     caches = []
     reduced = []
 
@@ -469,12 +467,14 @@ def _memo_normal_forms(ident, size, mode, monkeypatch):
             got, steps, _ = memo.strategy_nf(w, cache.step_cap)
             if got is None:
                 continue
+            # every atom is kept, so no walk runs
+            assert steps == 0
             want, trace = _fresh_normal_form(
                 OPoly.from_word(w, ring=ident.ring), cache.schema)
-            assert trace.status == NORMAL_FORM and len(trace) <= steps
+            assert trace.status == NORMAL_FORM
             pairs.append((to_str(w), {Word(atoms): c
                                       for atoms, c in got.items()},
-                          want.terms, steps))
+                          want.terms, len(trace)))
             several += _reducible_atoms(w) > 1
     return pairs, several
 
@@ -491,11 +491,11 @@ def test_memo_normal_forms_match_fresh_normal_forms(spec, size, mode,
                                                    monkeypatch):
     pairs, several = _memo_normal_forms(_oracle_identity(spec), size, mode,
                                         monkeypatch)
-    for word, got, want, bound in pairs:
+    for word, got, want, steps in pairs:
         assert got == want, word
         # one term, or the replacement of one step, whose terms are
         # irreducible, comes in normal_form's order
-        if len(got) < 2 or bound == 1:
+        if len(got) < 2 or steps == 1:
             assert list(got) == list(want), word
     # no derivation step descends under deglenlex
     assert bool(pairs) == (mode == "purelex")
@@ -503,54 +503,47 @@ def test_memo_normal_forms_match_fresh_normal_forms(spec, size, mode,
         assert several == 330
 
 
-def _tree_sum(w, schema, sums):
-    """The per-word walk's bound on ``w``'s steps, as it was summed before
-    normal forms factored over atoms: one more than the sum over the
-    reducible words of ``w``'s leftmost-outermost step, repeats counted."""
-    if w not in sums:
-        step = schema.replacement(find_redexes(w, schema)[0])
-        sums[w] = 1 + sum(_tree_sum(m, schema, sums) for m in step.terms
-                          if find_redexes(m, schema))
-    return sums[w]
+def _closure_atoms(w, schema):
+    """The reducible bracket atoms of ``w`` and of every word that
+    leftmost-outermost steps reach from it, each met once."""
+    seen = set()
+    todo = [w]
+    while todo:
+        for a in todo.pop().atoms:
+            if not isinstance(a, Word) or a in seen:
+                continue
+            redexes = find_redexes(Word((a,)), schema)
+            if redexes:
+                seen.add(a)
+                todo.extend(schema.replacement(redexes[0]).terms)
+    return seen
 
 
 @pytest.mark.parametrize("spec", ["derivation", "endomorphism"])
-def test_factored_bound_is_the_tree_sum(spec, monkeypatch):
-    # bound(A B) = bound(A) + leaves(A) bound(B) reproduces the per-word
-    # walk's tree sum on every word of the bound, every word the check
-    # reduces and products of them, so the step cap keeps its meaning
-    caches = []
-    reduced = []
-
-    class Recording(NFCache):
-        __slots__ = ()
-
-        def __init__(self, *args):
-            super().__init__(*args)
-            caches.append(self)
-
-        def reduce(self, p):
-            reduced.extend(p.terms)
-            return super().reduce(p)
-
-    monkeypatch.setattr(gsb, "NFCache", Recording)
+def test_factored_steps_count_the_atoms_kept(spec):
+    # a word's step count is the atoms its walks newly keep, one rewrite
+    # step each: the atoms of its closure the memo did not hold, on every
+    # reducible word of the bound and products of them; a second word whose
+    # atoms are all kept counts none
     bound = TruncationBound(2, 2, 3)
     system = GeneratorSystem(named_pattern(spec),
                              OrderConfig(bound.generator_set()))
     with job():
-        gsb_check_truncated(system, bound, rng=random.Random(4))
-        (cache,) = caches
-        words = enumerate_words(bound.generator_set(), 2, 2) + reduced
-        words = [w for w in dict.fromkeys(words) if w.has_bracketed_product]
+        memo = RewriteMemo(system, "lo")
+        words = enumerate_words(bound.generator_set(), 2, 2)
+        words = [w for w in words if w.has_bracketed_product]
         # none of those holds two reducible atoms: products of them do
         words += [u * v for u in words[:40] for v in words[:40]]
-        sums = {}
-        several = 0
+        walked = 0
         for w in words:
-            _, steps, _ = cache.memo.strategy_nf(w, cache.step_cap)
-            assert steps == _tree_sum(w, cache.schema, sums), to_str(w)
-            several += _reducible_atoms(w) > 1
-    assert several == 40 * 40
+            new = _closure_atoms(w, system) - memo.nf.keys()
+            nf, steps, _ = memo.strategy_nf(w, 100000)
+            assert nf is not None and steps == len(new), to_str(w)
+            assert memo.nf.keys() >= new and None not in memo.nf.values()
+            assert memo.strategy_nf(w, 100000)[1:] == (0, None)
+            walked += steps > 0
+        assert walked and memo.nf.keys() == set().union(
+            *(_closure_atoms(w, system) for w in words))
 
 
 def test_basis_check_reads_every_normal_form_from_the_memo(monkeypatch):
@@ -575,8 +568,8 @@ def test_basis_check_reads_every_normal_form_from_the_memo(monkeypatch):
 
 def test_step_cap_bounds_each_word_not_the_memo(monkeypatch):
     # at a step cap of 10 the memo of derivation at (2, 2, 3) grows to 297
-    # atoms partway through the check, and every word, within the cap, is
-    # still read from it
+    # atoms partway through the check: the cap bounds the walks of each
+    # composition value, not the memo, and every word is still read from it
     calls = []
     caches = []
     real = gsb.normal_form
@@ -601,11 +594,57 @@ def test_step_cap_bounds_each_word_not_the_memo(monkeypatch):
         (cache,) = caches
         kept = [entry for entry in cache.memo.nf.values()]
     assert calls == [] and len(kept) > 10 * 29 and None not in kept
-    assert max(steps for _, steps, _ in kept) <= 10
     monkeypatch.setattr(gsb, "NFCache", ReferenceNFCache)
     monkeypatch.setattr(gsb, "normal_form", _fresh_normal_form)
     want = gsb_check_truncated(system, bound, step_cap=10)
     assert report.to_dict() == want.to_dict() and report.ok
+
+
+# the step-cap table: each system under both orders at caps 0-11, 20 and
+# 50, with the first cap that gives a report; every lower cap raises
+CAP_TABLE = {("derivation", (2, 2, 3)): {"purelex": 3, "deglenlex": 7},
+             ("endomorphism", (2, 3, 3)): {"purelex": 3, "deglenlex": 4},
+             ("weight:lam", (2, 2, 3)): {"purelex": 4, "deglenlex": 20}}
+TABLE_CAPS = list(range(12)) + [20, 50]
+
+
+def _report_or_none(system, bound, cap):
+    """The basis check's report at ``cap`` as a dict, or ``None`` where it
+    raises ``ResourceLimit``."""
+    try:
+        return gsb_check_truncated(system, bound, step_cap=cap,
+                                   rng=random.Random(4)).to_dict()
+    except ResourceLimit:
+        return None
+
+
+@pytest.mark.parametrize("spec, size", sorted(CAP_TABLE),
+                         ids=[f"{spec}@{','.join(map(str, size))}"
+                              for spec, size in sorted(CAP_TABLE)])
+def test_step_cap_gives_the_unbounded_report_or_raises(spec, size,
+                                                        monkeypatch):
+    # a cap gives the report of no cap, or raises where the per-word
+    # reference raises too; the memo counts only the atoms it keeps, so
+    # derivation under purelex is answered at caps 3-5, where the
+    # reference's heap runs out
+    bound = TruncationBound(*size)
+    for mode, first in CAP_TABLE[spec, size].items():
+        system = GeneratorSystem(named_pattern(spec),
+                                 OrderConfig(bound.generator_set(), mode))
+        got = {cap: _report_or_none(system, bound, cap) for cap in TABLE_CAPS}
+        with monkeypatch.context() as patched:
+            patched.setattr(gsb, "NFCache", ReferenceNFCache)
+            patched.setattr(gsb, "normal_form", _fresh_normal_form)
+            unbounded = _report_or_none(system, bound, 100000)
+            assert unbounded is not None
+            for cap, report in got.items():
+                if report is None:
+                    assert _report_or_none(system, bound, cap) is None, \
+                        (mode, cap)
+                else:
+                    assert report == unbounded, (mode, cap)
+        assert [cap for cap, report in got.items() if report is not None] \
+            == [cap for cap in TABLE_CAPS if cap >= first], mode
 
 
 class PerWordNFCache(NFCache):
@@ -703,20 +742,23 @@ def _tower(height):
 
 def test_deep_word_reduces_as_normal_form_does():
     # each step moves the redex one bracket out: a chain of 150 steps, one
-    # per atom, which the memo's walk keeps on a stack of its own
+    # per atom, which the memo's walk keeps on a stack of its own, within a
+    # step cap of 150 and not of 149
+    system = GeneratorSystem(named_pattern("endomorphism"), OrderConfig(XY))
+    with job():
+        with pytest.raises(ResourceLimit):
+            NFCache(system, 149).reduce(OPoly.from_word(_tower(150)))
     with job():
         w = _tower(150)
         (a,) = w.atoms
-        system = GeneratorSystem(named_pattern("endomorphism"),
-                                 OrderConfig(XY))
-        cache = NFCache(system, 100000)
+        cache = NFCache(system, 150)
         got = cache.reduce(OPoly.from_word(w)).terms
-        assert len(cache.memo.nf) == 150
-        # one step per atom of the chain, and one word at its end
-        assert cache.memo.nf[a][1:] == (150, 1)
-        # a one-atom word shares its atom's normal form, uncopied
-        nf, bound, _ = cache.memo.strategy_nf(w, cache.step_cap)
-        assert nf is cache.memo.nf[a][0] and bound == 150
+        # one step per atom of the chain, each atom kept
+        assert len(cache.memo.nf) == 150 and None not in cache.memo.nf.values()
+        # a one-atom word shares its atom's normal form, uncopied, and a
+        # second reading walks nothing
+        nf, steps, _ = cache.memo.strategy_nf(w, cache.step_cap)
+        assert nf is cache.memo.nf[a] and steps == 0
         want, trace = _fresh_normal_form(OPoly.from_word(w), system)
     assert trace.status == NORMAL_FORM and len(trace) == 150
     assert got == want.terms and len(got) == 1
@@ -736,7 +778,7 @@ def test_word_nested_max_depth_deep_reduces_within_the_recursion_limit():
         cache = NFCache(system, 100000)
         got = _with_headroom(2 * MAX_DEPTH + 50,
                              lambda: cache.reduce(OPoly.from_word(w))).terms
-        assert cache.memo.nf[a][1:] == (MAX_DEPTH, 1)
+        assert len(cache.memo.nf) == MAX_DEPTH and cache.memo.nf[a]
         want, trace = _fresh_normal_form(OPoly.from_word(w), system)
     assert trace.status == NORMAL_FORM and len(trace) == 2 * MAX_DEPTH
     assert got == want.terms and list(got) == list(want.terms)
@@ -781,7 +823,8 @@ print(json.dumps({"gsb": report.to_dict(), "cdl": cdl.describe(),
                   "steps": sum(steps), "fallbacks": fallbacks,
                   "entries": len(memo),
                   "normal_forms": sum(nf is not None for nf in memo.values()),
-                  "counts": sorted(nf[1:] for nf in memo.values() if nf)}))
+                  "sizes": sorted(len(nf) for nf in memo.values()
+                                  if nf is not None)}))
 """
 
 
@@ -790,7 +833,7 @@ def test_basis_check_work_does_not_depend_on_hash_seed(run_job):
     # derivation step descends in it, so the memo keeps no atom's normal
     # form and every reducible word falls back to its own normal_form call;
     # under purelex every atom the check meets has one, with the same
-    # bounds whatever the hash seed
+    # terms whatever the hash seed
     for mode, violations in (("purelex", 0), ("deglenlex", 948)):
         first, second = (run_job(_WORK_JOB, mode, hash_seed=seed)
                          for seed in (0, 5))
@@ -802,7 +845,7 @@ def test_basis_check_work_does_not_depend_on_hash_seed(run_job):
         if mode == "purelex":
             assert first["fallbacks"] == 0
             assert first["normal_forms"] == first["entries"]
-            assert len(first["counts"]) == first["entries"]
+            assert len(first["sizes"]) == first["entries"]
         else:
             assert first["fallbacks"] and not first["normal_forms"]
 

@@ -628,8 +628,8 @@ def _atom(text: str):
 def _assert_refused_with_step(memo, w, cap):
     """``memo`` gives no normal form of ``w`` under ``cap`` and hands back
     ``w``'s own first rewrite step, terms in order."""
-    nf, bound, step = memo.strategy_nf(w, cap)
-    assert nf is None and bound is None
+    nf, steps, step = memo.strategy_nf(w, cap)
+    assert nf is None and steps is None
     want = memo.schema.replacement(RewriteMemo(memo.schema, "lo").first_redex(w))
     assert list(step.terms.items()) == list(want.terms.items())
 
@@ -651,8 +651,8 @@ def test_strategy_nf_gives_up_above_a_step_that_does_not_descend():
         finished, ascends = _atom("[x y]"), _atom("[[x y]]")
         # the walk hands back the root's rewrite step it built
         root_step = schema.replacement(memo.first_redex(root))
-        nf, bound, step = memo.strategy_nf(root, 100)
-        assert nf is None and bound is None
+        nf, steps, step = memo.strategy_nf(root, 100)
+        assert nf is None and steps is None
         assert step.terms == root_step.terms
         assert list(step.terms) == list(root_step.terms)
         assert {a: kept is None for a, kept in memo.nf.items()} == {
@@ -661,16 +661,16 @@ def test_strategy_nf_gives_up_above_a_step_that_does_not_descend():
         # is built again at its first redex
         _assert_refused_with_step(memo, root, 100)
         assert len(memo.nf) == 3
-        # a word whose reducible atoms all have entries is their product;
-        # z, which no walk met, descends under the altered key too, and a
-        # later walk finishes it
-        for text, steps in (("[x y]", 1), ("[x [y]]", 1),
-                            ("[x y] x [x y]", 1 + 2 * 1)):
+        # a word whose reducible atoms all have entries is their product,
+        # built by no step; z, which no walk met, descends under the altered
+        # key too, and a later walk finishes it in one step
+        for text, kept in (("[x y]", 0), ("[x [y]]", 1),
+                           ("[x y] x [x y]", 0)):
             w = parse(text, XY)
             want, _ = normal_form(OPoly.from_word(w), schema)
-            got, bound, step = memo.strategy_nf(w, 100)
+            got, steps, step = memo.strategy_nf(w, 100)
             assert _words(got) == want.terms and step is None
-            assert bound == steps
+            assert steps == kept
         assert z.atoms[0] in memo.nf and len(memo.nf) == 4
         # in a word, an atom kept as None refuses it, with the word's step
         # at its first reducible atom, finished or not
@@ -681,7 +681,7 @@ def test_strategy_nf_gives_up_above_a_step_that_does_not_descend():
         memo.key = key
         memo.nf.clear()
         memo.nf[ascends] = None
-        nf, bound, step = memo.strategy_nf(root, 100)
+        nf, _, step = memo.strategy_nf(root, 100)
         assert nf is None and step.terms == root_step.terms
         assert {a: kept is None for a, kept in memo.nf.items()} == {
             ascends: True, finished: False, root.atoms[0]: True}
@@ -695,8 +695,8 @@ def test_strategy_nf_hands_back_the_step_spliced_into_the_word():
         memo = RewriteMemo(schema, "lo")
         w = parse("z [x y] x [[y z]] y", XYZ)
         want = schema.replacement(memo.first_redex(w))
-        nf, bound, step = memo.strategy_nf(w, 100)
-        assert nf is None and bound is None
+        nf, steps, step = memo.strategy_nf(w, 100)
+        assert nf is None and steps is None
         assert list(step.terms.items()) == list(want.terms.items())
         # the atom is kept as not descending, so a second call walks
         # nothing and builds the step at the word's first redex
@@ -705,8 +705,9 @@ def test_strategy_nf_hands_back_the_step_spliced_into_the_word():
 
 
 def test_strategy_nf_stays_within_the_cap():
-    # [[x y]] takes three steps, one per atom of its closure, so the memo
-    # gives its normal form at a cap of three steps and not at two
+    # [[x y]] takes three steps, one per atom of its closure; a call's walks
+    # keep at most ``cap`` atoms and count only the atoms they keep, so
+    # what earlier calls kept costs nothing
     with job():
         schema = der_schema(XY)
         w = parse("[[x y]]", XY)
@@ -718,29 +719,29 @@ def test_strategy_nf_stays_within_the_cap():
         root_step = schema.replacement(memo.first_redex(w)).terms
         got, _, step = memo.strategy_nf(w, 2)
         assert got is None and len(memo.nf) == 1 and step.terms == root_step
-        # with one atom kept, a second walk meets two atoms and keeps the
-        # root, whose bound of three is still above the cap
-        got, _, step = memo.strategy_nf(w, 2)
-        assert got is None and step.terms == root_step
-        assert len(memo.nf) == 3 and memo.nf[a][1:] == (3, 4)
-        got, bound, step = memo.strategy_nf(w, 3)
-        assert _words(got) == nf.terms and (bound, step) == (3, None)
-        assert got is memo.nf[a][0]
-        _assert_refused_with_step(memo, w, 2)
-        # the cap bounds each answer, not the memo: once the memo holds more
-        # atoms than the cap, a kept normal form within it is still given
+        # with one atom kept, a second walk meets the two others and keeps
+        # them, within the cap of two
+        got, steps, step = memo.strategy_nf(w, 2)
+        assert _words(got) == nf.terms and (steps, step) == (2, None)
+        assert len(memo.nf) == 3 and got is memo.nf[a]
+        # every atom kept, the word is given at any cap, a cap of 0 too
+        assert memo.strategy_nf(w, 0) == (got, 0, None)
+        # the cap bounds each call's walks, not the memo: once the memo
+        # holds more atoms than the cap, a kept normal form is still given
         other = parse("[[x y] x]", XY)
         other_nf, _ = normal_form(OPoly.from_word(other), schema)
         assert _words(memo.strategy_nf(other, 100)[0]) == other_nf.terms
         assert len(memo.nf) > 3
-        assert memo.strategy_nf(w, 3)[:2] == (got, 3)
-        # a word's bound sums its atoms' trees: the second [[x y]] is
-        # rewritten once per leaf of the first's tree
+        assert memo.strategy_nf(w, 3)[:2] == (got, 0)
+        # the walks of a word share the cap: the second [[x y]] of a fresh
+        # memo finds its atom kept by the first's walk, so the word takes
+        # three steps
         two = Word((a, a))
-        got, bound, _ = memo.strategy_nf(two, 100)
-        assert bound == 3 + 4 * 3
+        fresh = RewriteMemo(schema, "lo")
+        got, steps, _ = fresh.strategy_nf(two, 100)
+        assert steps == 3 and len(fresh.nf) == 3
         assert _words(got) == normal_form(OPoly.from_word(two), schema)[0].terms
-        _assert_refused_with_step(memo, two, 14)
+        _assert_refused_with_step(RewriteMemo(schema, "lo"), two, 2)
 
 
 def test_concat_merges_equal_concatenations():
