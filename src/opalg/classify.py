@@ -178,7 +178,7 @@ def extract_constraints(ansatz: Ansatz, step_cap: int = 4000) -> ConstraintSyste
     order = OrderConfig(UVW) if ansatz.mode == DIFFERENTIAL else None
     schema = RuleSchema(ident, order=order)
     defect = generic_defect(ident)
-    terms = (factored_normal_form(defect, job_memo(schema, "lo"), step_cap,
+    terms = (factored_normal_form(defect, job_memo(schema), step_cap,
                                   None) if schema.kind == "sigma" else None)
     if terms is None:
         nf, trace = normal_form(defect, schema, "lo", step_cap)

@@ -244,7 +244,9 @@ def _add_common(sub, order=True, strategy=True, step_cap=None):
         sub.add_argument("--order", choices=("purelex", "deglenlex"),
                          default="purelex")
     if strategy:
-        sub.add_argument("--strategy", choices=("lo", "li"), default="lo")
+        sub.add_argument("--strategy", choices=("lo", "li"), default="lo",
+                         help="lo: leftmost-outermost redex first; li: "
+                              "leftmost-innermost")
     if step_cap is not None:
         sub.add_argument("--step-cap", type=int, default=step_cap,
                          dest="step_cap",

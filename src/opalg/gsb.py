@@ -14,11 +14,9 @@ through it, and the check's ``NFCache`` sums its words' normal forms, each
 the product of its atoms' or the word's own heap reduction, by the one sum
 the ansatz extraction of ``classify`` reads too
 (``rewrite.factored_normal_form``).  Each check is one job (see
-``words.job``): its normal forms, order audits and irreducibility tests read
-the job's one ``RewriteMemo`` of the schema (each word's first redex and
-order key, and, where every step below it descends, each reducible bracket
-atom's normal form; ``rewrite.job_memo``), which is dropped when the check
-returns.
+``words.job``): its normal forms and order audits read the job's one
+``RewriteMemo`` of the schema (``rewrite.job_memo``), which is dropped when
+the check returns, and its irreducibility tests read each word's redex flag.
 Every composition value, ideal element and associativity defect is filled
 from the plans its identity compiles once (``OpIdentity.plans``).
 """
@@ -35,8 +33,8 @@ from .ordering import OrderConfig, random_context
 from .rewrite import (NORMAL_FORM, NotDRF, NotRBRF, NotTotallyLinear, Redex,
                       ResourceLimit, RuleSchema, Verdict, _search_verdict,
                       _span_certificate, _strategy_verdict,
-                      factored_normal_form, find_redexes, job_memo,
-                      normal_form, reduces_to_zero)
+                      factored_normal_form, find_redexes, in_reduced_form,
+                      job_memo, normal_form, reduces_to_zero)
 from .words import (GeneratorSet, Word, bracket, enumerate_words, fill, job,
                     splice, to_str, tower_heights)
 
@@ -199,7 +197,7 @@ class NFCache:
     def __init__(self, schema: RuleSchema, step_cap: int):
         self.schema = schema
         self.step_cap = step_cap
-        self.memo = job_memo(schema, "lo")
+        self.memo = job_memo(schema)
         self.audited = set()
         self.order_violations = 0
 
@@ -397,10 +395,9 @@ def irr_enumerate(sys: GeneratorSystem, bound: TruncationBound,
                   gens: GeneratorSet = None) -> set:
     """All bound words carrying no redex of the system's schema."""
     gens = gens or bound.generator_set()
-    memo = job_memo(sys, "lo")
     words = enumerate_words(gens, bound.max_breadth, bound.max_depth,
                             include_unit_brackets=True, include_unit=True)
-    return {w for w in words if memo.first_redex(w) is None}
+    return {w for w in words if in_reduced_form(w, True)}
 
 
 class CdlReport:
@@ -438,15 +435,15 @@ def cdl_direct_sum_check(sys: GeneratorSystem, bound: TruncationBound,
     words must be fixed, and random elements of the rule ideal must vanish.
     A reduction stopped by the step cap raises ``ResourceLimit``.  The
     job's ``RewriteMemo`` of the system (``job_memo``) serves every
-    reduction of the check and decides which words are irreducible.
+    reduction of the check; a word's redex flag decides whether it is
+    irreducible.
     """
     rng = rng or random.Random(0)
     gens = bound.generator_set()
     report = CdlReport()
     all_words = enumerate_words(gens, bound.max_breadth, bound.max_depth,
                                 include_unit_brackets=True, include_unit=True)
-    memo = job_memo(sys, "lo")
-    irr = {w for w in all_words if memo.first_redex(w) is None}
+    irr = {w for w in all_words if in_reduced_form(w, True)}
     report.irr_size = len(irr)
     report.irr_unit_surplus = sum(1 for w in irr if w.has_unit_bracket)
     for w in all_words:
@@ -458,7 +455,7 @@ def cdl_direct_sum_check(sys: GeneratorSystem, bound: TruncationBound,
             report.failures.append((w, "irreducible word moved"))
             continue
         for m in nf.terms:
-            if memo.first_redex(m) is not None:
+            if not in_reduced_form(m, True):
                 report.failures.append((w, f"reducible support word {to_str(m)}"))
                 break
     # ideal elements q|phi(u, v) = q|[u v] - q|N(u, v); rejection-sample the
@@ -591,7 +588,7 @@ def _certify(identity: OpIdentity, order: OrderConfig, strategy: str,
         verdict = reduces_to_zero(defect, schema, strategy, step_cap)
     else:  # Rota-Baxter shape with rational coefficients
         verdict = _strategy_verdict(defect, schema, strategy, step_cap)
-        memo = job_memo(schema, strategy)
+        memo = job_memo(schema)
         span = verdict.kind == Verdict.NO and _span_certificate(defect, memo)
         if span:
             steps, words = span

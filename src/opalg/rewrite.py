@@ -36,23 +36,23 @@ reduction of a polynomial with rational coefficients reaches zero: the
 polynomial lies outside the span of every rewrite step on the closure of its
 words under every redex, which exact elimination decides.
 
-``RewriteMemo`` is the one cache of word facts: each reducible word's first
-redex and each word's order key for the strategy path, the replacements of
-all its redexes for the search and the span certificate, which alone ask for
-them, and the strategy normal forms of a sigma schema
-(``RewriteMemo.strategy_nf``).  They factor over atoms: a sigma redex lies
-inside one bracket atom, both strategies rewrite the leftmost atom that
-holds one, and a step is linear, so a word's normal form is the
-concatenation product of its atoms'.  The memo keeps one normal form per
-reducible bracket atom, keyed by atom tuples, built bottom-up where every
-step below the atom descends, one rewrite step an atom.
-``factored_normal_form`` is their one reader: it sums a polynomial's normal
-form over its words, each the memo's product or, where the memo gives none
-within the step cap its walks share, the caller's reduction from the step
-the memo hands back, for the basis checks of ``gsb`` (``NFCache``) and the
-ansatz defects of ``classify``.
-A job keeps one memo per schema and strategy, which ``job_memo`` hands out to
-every ``normal_form``, ``reduces_to_zero`` and ``joinable`` call, every basis
+``RewriteMemo`` is the one cache of word facts of a schema: each word's
+order key, the replacements of all its redexes for the search and the span
+certificate, which alone ask for them, and the leftmost-outermost normal
+forms of a sigma schema (``RewriteMemo.strategy_nf``).  No first redex is
+kept: each rewrite step walks to its own (``_first_redex``).  Normal forms
+factor over atoms: a sigma redex lies inside one bracket atom, the strategy
+rewrites the leftmost atom that holds one, and a step is linear, so a word's
+normal form is the concatenation product of its atoms'.  The memo keeps one
+normal form per reducible bracket atom, keyed by atom tuples, built
+bottom-up where every step below the atom descends, one rewrite step an
+atom.  ``factored_normal_form`` is their one reader: it sums a polynomial's
+normal form over its words, each the memo's product or, where the memo gives
+none within the step cap its walks share, the caller's reduction from the
+step the memo hands back, for the basis checks of ``gsb`` (``NFCache``) and
+the ansatz defects of ``classify``.
+A job keeps one memo per schema, which ``job_memo`` hands out to every
+``normal_form``, ``reduces_to_zero`` and ``joinable`` call, every basis
 check of ``gsb`` and every defect extraction of ``classify`` in it, and
 which the job drops when its outermost scope closes (see ``words.job``).
 ``local_confluence_check`` keeps no peak memo: it meets each enumerated word
@@ -289,17 +289,15 @@ class ReductionTrace:
 
 
 class RewriteMemo:
-    """Each reducible word's strategy-first redex and, when asked, the
-    replacements of all its redexes, for one schema under one strategy;
-    the order key (``word_sort_key`` when the schema has no order) each
-    word is read by; and, for a sigma schema, each reducible bracket atom's
-    strategy normal form (``strategy_nf``).  They depend on nothing else,
-    so one memo serves a whole job: ``job_memo`` hands it out, and it keeps
-    all it built until the job's outermost scope closes.  An irreducible
-    word is answered by its redex flag and kept nowhere.
+    """For one schema: the order key (``word_sort_key`` when the schema has
+    no order) each word is read by; when asked, the replacements of all a
+    word's redexes; and, for a sigma schema, each reducible bracket atom's
+    leftmost-outermost normal form (``strategy_nf``).  They depend on
+    nothing else, so one memo serves a whole job: ``job_memo`` hands it out,
+    and it keeps all it built until the job's outermost scope closes.
 
     Sigma normal forms factor over atoms.  A sigma redex lies inside one
-    bracket atom, and both strategies take the first redex in a word's
+    bracket atom, and the strategy takes the first redex in a word's
     leftmost atom that holds one, so the step of ``p A s``, with ``p``
     irreducible, is ``p step([A]) s``.  The step is linear, so, step by
     step, a word's normal form is the concatenation product of its atoms'
@@ -313,34 +311,19 @@ class RewriteMemo:
     step below it does not descend (``_walk_atom``).  Each atom kept is one
     rewrite step the memo took, so a walk counts the atoms it keeps."""
 
-    __slots__ = ("schema", "strategy", "key", "first", "repl", "nf", "_walk",
-                 "_holds")
+    __slots__ = ("schema", "key", "repl", "nf", "_holds")
 
-    def __init__(self, schema: RuleSchema, strategy: str):
-        if strategy not in ("lo", "li"):
-            raise ValueError(f"unknown strategy {strategy!r}")
+    def __init__(self, schema: RuleSchema):
         self.schema = schema
-        self.strategy = strategy
         self.key = (word_sort_key if schema.order is None
                     else order_key(schema.order))
-        self.first = {}
         self.repl = {}
         self.nf = {}
-        self._walk = (schema.kind == "sigma", strategy == "li")
         self._holds = _HOLDS_REDEX[schema.kind == "sigma"]
-
-    def first_redex(self, w: Word):
-        """The strategy-first redex of ``w``, or ``None`` when it has none."""
-        if not self._holds(w):
-            return None
-        r = self.first.get(w)
-        if r is None:
-            r = self.first[w] = _first_redex(w, *self._walk)
-        return r
 
     def replacements(self, w: Word) -> list:
         """The replacements of every redex of ``w``, in ``find_redexes``
-        order whatever the strategy; callers only read them."""
+        order; callers only read them."""
         if not self._holds(w):
             return []
         out = self.repl.get(w)
@@ -350,8 +333,8 @@ class RewriteMemo:
         return out
 
     def strategy_nf(self, w: Word, cap: int):
-        """``(terms, steps, None)``: the strategy normal form of the word
-        ``w`` under a sigma schema, as a dict from atom tuples to
+        """``(terms, steps, None)``: the leftmost-outermost normal form of
+        the word ``w`` under a sigma schema, as a dict from atom tuples to
         coefficients that callers only read, and the number of atoms this
         call's walks kept for it; or ``(None, None, step)`` where the memo
         does not give it, ``step`` being ``w``'s one-step reduct, its first
@@ -389,7 +372,8 @@ class RewriteMemo:
         if cap < 1:
             return None, None, None
         if step is None:
-            return None, None, self.schema.replacement(self.first_redex(w))
+            return None, None, self.schema.replacement(
+                _first_redex(w, True, False))
         left, right = atoms[:at], atoms[at + 1:]
         return None, None, OPoly._trusted(
             {Word(left + m.atoms + right): c for m, c in step.terms.items()},
@@ -427,7 +411,7 @@ class RewriteMemo:
                 if new in nf:  # kept as not descending
                     break
                 word = Word((new,))
-                step = replacement(self.first_redex(word))
+                step = replacement(_first_redex(word, True, False))
                 if first is None:
                     first = step
                 terms = step.terms
@@ -500,12 +484,12 @@ def _concat(left: dict, right: dict) -> dict:
     return out
 
 
-def job_memo(schema: RuleSchema, strategy: str) -> RewriteMemo:
-    """The open job's memo of ``schema`` under ``strategy``, built on first
-    use (see ``words.job``)."""
-    memo = job.memos.get((schema, strategy))
+def job_memo(schema: RuleSchema) -> RewriteMemo:
+    """The open job's memo of ``schema``, built on first use (see
+    ``words.job``)."""
+    memo = job.memos.get(schema)
     if memo is None:
-        memo = job.memos[schema, strategy] = RewriteMemo(schema, strategy)
+        memo = job.memos[schema] = RewriteMemo(schema)
     return memo
 
 
@@ -545,6 +529,11 @@ def factored_normal_form(p: OPoly, memo: RewriteMemo, cap: int,
     return {Word(atoms): c for atoms, c in out.items()}
 
 
+def _check_strategy(strategy: str) -> None:
+    if strategy not in ("lo", "li"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+
+
 class _Desc:
     """A heap entry ordered by descending key, so that ``heapq``'s min-heap
     pops the order-maximal word first."""
@@ -576,11 +565,13 @@ def normal_form(p: OPoly, schema: RuleSchema, strategy: str = "lo",
     configured; violations are recorded on the trace, never silently
     dropped.
 
-    First redexes and order keys come from the job's memo of ``schema``
-    under ``strategy`` (``job_memo``).  A step that nests a word past
-    ``coeffs.MAX_DEPTH`` raises ``ResourceLimit(TOO_NESTED)``.
+    Order keys come from the job's memo of ``schema`` (``job_memo``).  A
+    step that nests a word past ``coeffs.MAX_DEPTH`` raises
+    ``ResourceLimit(TOO_NESTED)``.
     """
-    memo = job_memo(schema, strategy)
+    _check_strategy(strategy)
+    walk = (schema.kind == "sigma", strategy == "li")
+    memo = job_memo(schema)
     trace = ReductionTrace()
     key = memo.key
     holds = memo._holds
@@ -599,7 +590,7 @@ def normal_form(p: OPoly, schema: RuleSchema, strategy: str = "lo",
             break
         top = heapq.heappop(heap)
         w = top.word
-        redex = memo.first_redex(w)
+        redex = _first_redex(w, *walk)
         repl = schema.replacement(redex)
         if monitor and schema.order is not None:
             for m in repl.terms:
@@ -765,6 +756,7 @@ def _strategy_verdict(p: OPoly, schema: RuleSchema, strategy: str,
     form, INCONCLUSIVE at the step cap, and NO otherwise, with the normal
     form as witness.  The NO is final only where normal forms are unique
     (see ``gsb.dt_check``)."""
+    _check_strategy(strategy)
     if p.is_zero:
         return Verdict(Verdict.YES, detail="zero in 0 steps")
     nf, trace = normal_form(p, schema, strategy, step_cap)
@@ -789,7 +781,7 @@ def reduces_to_zero(p: OPoly, schema: RuleSchema, strategy: str = "lo",
     constraint ideal.  The job's memo (``job_memo``) serves both.
     """
     p = schema.normalize(schema.lift(p))
-    return _search_verdict(p, job_memo(schema, strategy),
+    return _search_verdict(p, job_memo(schema),
                            _strategy_verdict(p, schema, strategy, step_cap))
 
 
@@ -825,7 +817,7 @@ def joinable(f: OPoly, g: OPoly, schema: RuleSchema) -> Verdict:
     diff = reduces_to_zero(f - g, schema)
     if diff.is_yes:
         return Verdict(Verdict.YES, detail=f"difference vanishes ({diff.detail})")
-    memo = job_memo(schema, "lo")
+    memo = job_memo(schema)
     reach_f, complete_f, _ = _explore(f, memo, EXPLORE_BUDGET)
     reach_g, complete_g, _ = _explore(g, memo, EXPLORE_BUDGET)
     if reach_f & reach_g:

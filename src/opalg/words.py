@@ -58,7 +58,7 @@ TABLE_BOUND = 1024
 
 class job(ContextDecorator):
     """The scope of one job, which owns ``memos``, the job's one
-    ``rewrite.RewriteMemo`` per (schema, strategy), which
+    ``rewrite.RewriteMemo`` per schema, which
     ``rewrite.job_memo`` fills, and bounds the word table.  A scope opened
     inside another shares it.  Closing the outermost scope always empties
     ``memos``, and prunes the word table (``_prune``) when it holds more
@@ -72,11 +72,11 @@ class job(ContextDecorator):
     with ``job()``, so a call made with no scope open leaves no memo when
     it returns, and the next small call starts with the earlier words
     interned; a caller that opens ``with job():`` around several calls
-    keeps one memo per schema and strategy across them.  Words and memos
+    keeps one memo per schema across them.  Words and memos
     made with no scope open wait in the table and the dict until the next
     outermost scope closes."""
 
-    memos: dict = {}  # (schema, strategy) -> RewriteMemo of the open job
+    memos: dict = {}  # schema -> RewriteMemo of the open job
 
     def __enter__(self):
         global _open_jobs

@@ -144,7 +144,7 @@ def test_factored_defect_normal_form_equals_the_heap(ansatz):
         heap, trace = normal_form(defect, schema, "lo", 4000)
     with job():
         defect, schema = _defect_schema(ansatz())
-        memo = job_memo(schema, "lo")
+        memo = job_memo(schema)
         factored = factored_normal_form(defect, memo, 4000, None)
         kept = len(memo.nf)
         assert None not in memo.nf.values()
@@ -154,11 +154,11 @@ def test_factored_defect_normal_form_equals_the_heap(ansatz):
     # kept, so one step fewer refuses a word
     with job():
         defect, schema = _defect_schema(ansatz())
-        memo = job_memo(schema, "lo")
+        memo = job_memo(schema)
         assert factored_normal_form(defect, memo, kept, None) == factored
     with job():
         defect, schema = _defect_schema(ansatz())
-        memo = job_memo(schema, "lo")
+        memo = job_memo(schema)
         assert factored_normal_form(defect, memo, kept - 1, None) is None
 
 

@@ -25,8 +25,8 @@ from opalg.gsb import (D_TOO_DEEP, UVW, CompositionRecord, GeneratorSystem,
 from opalg.opoly import (DIFFERENTIAL, ROTA_BAXTER, OPoly, OpIdentity,
                          parse_opoly, to_str_opoly)
 from opalg.ordering import GREATER, OrderConfig, order_key, random_context
-from opalg.rewrite import (NORMAL_FORM, NotDRF, Redex, ResourceLimit,
-                           RewriteMemo, RuleSchema, Verdict, find_redexes,
+from opalg.rewrite import (NORMAL_FORM, NotDRF, ResourceLimit, RewriteMemo,
+                           RuleSchema, Verdict, find_redexes, in_reduced_form,
                            normal_form)
 from opalg.words import (STAR, GeneratorSet, Word, bracket, enumerate_words,
                          job, parse, splice, to_str, word_sort_key)
@@ -224,13 +224,10 @@ def test_nf_cache_stores_packed_dicts(monkeypatch):
              if entry is not None]
     assert forms and all(type(nf) is dict for nf in forms)
     assert all(type(atoms) is tuple for nf in forms for atoms in nf)
-    entries = ([memo.first for memo in memos] + [memo.nf for memo in memos]
-               + forms)
+    entries = [memo.nf for memo in memos] + forms
     assert all(sys.getsizeof(t) == sys.getsizeof(dict(t)) for t in entries)
-    assert all(r is None or isinstance(r, Redex)
-               for memo in memos for r in memo.first.values())
     # only reducible bracket atoms are kept
-    assert all(memo.first_redex(Word((a,))) is not None
+    assert all(not in_reduced_form(Word((a,)), True)
                for memo in memos for a in memo.nf)
     # only the words reduced on the heap are audited
     assert set().union(*(cache.audited for cache in caches)) == set(heap)
@@ -355,8 +352,8 @@ class ReferenceNFCache:
 def _fresh_normal_form(p, schema, strategy="lo", step_cap=100000,
                        monitor=False):
     """``normal_form`` with a memo of its own, as each call had before: the
-    job's memo of the schema and strategy is dropped first."""
-    job.memos.pop((schema, strategy), None)
+    job's memo of the schema is dropped first."""
+    job.memos.pop(schema, None)
     return normal_form(p, schema, strategy, step_cap, monitor)
 
 
@@ -529,7 +526,7 @@ def test_factored_steps_count_the_atoms_kept(spec):
     system = GeneratorSystem(named_pattern(spec),
                              OrderConfig(bound.generator_set()))
     with job():
-        memo = RewriteMemo(system, "lo")
+        memo = RewriteMemo(system)
         words = enumerate_words(bound.generator_set(), 2, 2)
         words = [w for w in words if w.has_bracketed_product]
         # none of those holds two reducible atoms: products of them do

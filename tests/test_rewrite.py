@@ -19,7 +19,7 @@ import opalg.words
 from opalg.catalog import FAMILIES, named_pattern
 from opalg.classify import (_unit_residue, build_ansatz, classify,
                             extract_constraints, match_catalog)
-from opalg.coeffs import MPoly, _add_scaled_into
+from opalg.coeffs import MPoly, PolyRing, _add_scaled_into
 from opalg.gsb import (GeneratorSystem, TruncationBound,
                        cdl_direct_sum_check, dt_check, generic_defect,
                        gsb_check_truncated, irr_enumerate, rbt_check)
@@ -29,10 +29,10 @@ from opalg.ordering import (GREATER, OrderConfig, check_monomial_order,
                             order_key)
 from opalg.rewrite import (NORMAL_FORM, STEP_CAP_EXCEEDED, NotDRF, NotRBRF,
                            NotTotallyLinear, ResourceLimit, RewriteMemo,
-                           RuleSchema, TraceStep, Verdict, _span_certificate,
-                           find_redexes, in_reduced_form, is_drf, is_rbrf,
-                           is_totally_linear, job_memo, joinable,
-                           local_confluence_check, normal_form,
+                           RuleSchema, TraceStep, Verdict, _first_redex,
+                           _span_certificate, find_redexes, in_reduced_form,
+                           is_drf, is_rbrf, is_totally_linear, job_memo,
+                           joinable, local_confluence_check, normal_form,
                            reduces_to_zero)
 from opalg.words import (MAX_DEPTH, STAR, TOO_NESTED, GeneratorSet, UNIT, Word,
                          enumerate_words, job, parse, sample_word, to_str,
@@ -399,27 +399,27 @@ FIRST_REDEX_SCHEMAS = {"sigma": lambda: RuleSchema(DER),
                        "pi": lambda: RuleSchema(AVG)}
 
 
-def assert_first_redexes_match_the_walk(memo, words):
-    """``memo.first_redex`` against the first redex of the recursive walk;
-    the memo keeps the reducible words alone."""
-    sigma = memo.schema.kind == "sigma"
+def assert_first_redexes_match_the_walk(schema, strategy, words):
+    """``_first_redex`` against the first redex of the recursive walk; the
+    redex flag is clear exactly where the walk finds none."""
+    sigma = schema.kind == "sigma"
+    inner_first = strategy == "li"
     reducible = set()
     for w in words:
-        want = next(reference_redex_walk(w, sigma, memo.strategy == "li"),
-                    None)
-        assert memo.first_redex(w) == want, to_str(w)
+        want = next(reference_redex_walk(w, sigma, inner_first), None)
+        assert _first_redex(w, sigma, inner_first) == want, to_str(w)
+        assert in_reduced_form(w, sigma) == (want is None), to_str(w)
         if want is not None:
             reducible.add(w)
-    assert set(memo.first) == reducible
     return reducible
 
 
 @pytest.mark.parametrize("strategy", ["lo", "li"])
 @pytest.mark.parametrize("family", sorted(FIRST_REDEX_SCHEMAS))
 def test_first_redex_matches_the_walk_on_enumerated_words(family, strategy):
-    memo = RewriteMemo(FIRST_REDEX_SCHEMAS[family](), strategy)
     words = enumerate_words(UVW, 4, 2, include_unit_brackets=True)
-    reducible = assert_first_redexes_match_the_walk(memo, words)
+    reducible = assert_first_redexes_match_the_walk(
+        FIRST_REDEX_SCHEMAS[family](), strategy, words)
     assert 0 < len(reducible) < len(words)
 
 
@@ -428,8 +428,7 @@ def test_first_redex_matches_the_walk_on_enumerated_words(family, strategy):
 def test_first_redex_matches_the_walk_on_sampled_words(w):
     for make in FIRST_REDEX_SCHEMAS.values():
         for strategy in ("lo", "li"):
-            assert_first_redexes_match_the_walk(
-                RewriteMemo(make(), strategy), [w])
+            assert_first_redexes_match_the_walk(make(), strategy, [w])
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_SCHEMAS))
@@ -587,16 +586,14 @@ def test_normal_form_matches_reference_on_random_polynomials(name, strategy):
 
 @pytest.mark.parametrize("name", sorted(RANDOM_SCHEMAS))
 def test_shared_memo_matches_reference(name):
-    # one job's memo per strategy serves a whole sequence of reductions, as
-    # in a basis check; the two strategies' reductions interleave, each
-    # through its own memo, and every one must match a fresh reference
-    # reduction
+    # one job's memo of the schema serves a whole sequence of reductions, as
+    # in a basis check; the two strategies' reductions interleave through
+    # that one memo, and every one must match a fresh reference reduction
     schema = RANDOM_SCHEMAS[name]()
     rng = random.Random(f"shared:{name}")
     differ = 0
     with job():
-        memos = {strategy: job_memo(schema, strategy)
-                 for strategy in ("lo", "li")}
+        memo = job_memo(schema)
         for _ in range(40):
             p = OPoly({sample_word(rng, XY, 5, 3):
                        rng.choice((1, -1, 2, Fraction(1, 2)))
@@ -604,14 +601,11 @@ def test_shared_memo_matches_reference(name):
             traces = [assert_same_as_reference(p, schema, strategy, cap)
                       for strategy in ("lo", "li") for cap in (5, 40)]
             differ += traces[1].steps != traces[3].steps
-        # the strategies part on this sequence, so a memo that served both
-        # would hand one of them the other's redexes
+        # the strategies part on this sequence, so a memo that kept either
+        # one's redexes would hand the other a wrong one
         assert differ > 0
-        assert memos["lo"].first and memos["li"].first
-        assert [job_memo(schema, s) for s in ("lo", "li")] == [
-            memos["lo"], memos["li"]]
-        assert memos["lo"] is not memos["li"]
-        assert job_memo(RANDOM_SCHEMAS[name](), "lo") is not memos["lo"]
+        assert job.memos[schema] is memo and job_memo(schema) is memo
+        assert job_memo(RANDOM_SCHEMAS[name]()) is not memo
 
 
 def _words(terms: dict) -> dict:
@@ -630,7 +624,7 @@ def _assert_refused_with_step(memo, w, cap):
     ``w``'s own first rewrite step, terms in order."""
     nf, steps, step = memo.strategy_nf(w, cap)
     assert nf is None and steps is None
-    want = memo.schema.replacement(RewriteMemo(memo.schema, "lo").first_redex(w))
+    want = memo.schema.replacement(_first_redex(w, True, False))
     assert list(step.terms.items()) == list(want.terms.items())
 
 
@@ -641,7 +635,7 @@ def test_strategy_nf_gives_up_above_a_step_that_does_not_descend():
     # later walks finish every other atom
     with job():
         schema = der_schema(XY)
-        memo = RewriteMemo(schema, "lo")
+        memo = RewriteMemo(schema)
         key = memo.key
         z = parse("[x [y]]", XY)
         memo.key = lambda v: (v == z, key(v))
@@ -650,7 +644,7 @@ def test_strategy_nf_gives_up_above_a_step_that_does_not_descend():
         root = parse("[[x y] x]", XY)
         finished, ascends = _atom("[x y]"), _atom("[[x y]]")
         # the walk hands back the root's rewrite step it built
-        root_step = schema.replacement(memo.first_redex(root))
+        root_step = schema.replacement(_first_redex(root, True, False))
         nf, steps, step = memo.strategy_nf(root, 100)
         assert nf is None and steps is None
         assert step.terms == root_step.terms
@@ -692,9 +686,9 @@ def test_strategy_nf_hands_back_the_step_spliced_into_the_word():
     # word's own step in its context, terms in order
     with job():
         schema = RuleSchema(DER, order=OrderConfig(XYZ, "deglenlex"))
-        memo = RewriteMemo(schema, "lo")
+        memo = RewriteMemo(schema)
         w = parse("z [x y] x [[y z]] y", XYZ)
-        want = schema.replacement(memo.first_redex(w))
+        want = schema.replacement(_first_redex(w, True, False))
         nf, steps, step = memo.strategy_nf(w, 100)
         assert nf is None and steps is None
         assert list(step.terms.items()) == list(want.terms.items())
@@ -714,9 +708,9 @@ def test_strategy_nf_stays_within_the_cap():
         (a,) = w.atoms
         nf, trace = normal_form(OPoly.from_word(w), schema)
         assert len(trace) == 3
-        memo = RewriteMemo(schema, "lo")
+        memo = RewriteMemo(schema)
         assert memo.strategy_nf(w, 0) == (None, None, None) and not memo.nf
-        root_step = schema.replacement(memo.first_redex(w)).terms
+        root_step = schema.replacement(_first_redex(w, True, False)).terms
         got, _, step = memo.strategy_nf(w, 2)
         assert got is None and len(memo.nf) == 1 and step.terms == root_step
         # with one atom kept, a second walk meets the two others and keeps
@@ -737,11 +731,11 @@ def test_strategy_nf_stays_within_the_cap():
         # memo finds its atom kept by the first's walk, so the word takes
         # three steps
         two = Word((a, a))
-        fresh = RewriteMemo(schema, "lo")
+        fresh = RewriteMemo(schema)
         got, steps, _ = fresh.strategy_nf(two, 100)
         assert steps == 3 and len(fresh.nf) == 3
         assert _words(got) == normal_form(OPoly.from_word(two), schema)[0].terms
-        _assert_refused_with_step(RewriteMemo(schema, "lo"), two, 2)
+        _assert_refused_with_step(RewriteMemo(schema), two, 2)
 
 
 def test_concat_merges_equal_concatenations():
@@ -830,15 +824,53 @@ def test_a_job_the_caller_keeps_keeps_the_word_table():
         nf, _ = normal_form(OPoly.from_word(parse("[x y]", XY)), schema)
         assert all(Word(w.atoms) is w for w in words)
         assert [parse(to_str(m), XY) is m for m in nf.terms] == [True, True]
-        assert job.memos[schema, "lo"] is job_memo(schema, "lo")
-        with pytest.raises(ValueError, match="unknown strategy"):
-            job_memo(schema, "ri")
-        assert (schema, "ri") not in job.memos
+        assert job.memos[schema] is job_memo(schema)
+        assert all(isinstance(k, RuleSchema) for k in job.memos)
     assert not job.memos
     assert_table_within_bound()
     close_a_job()
     assert all(Word(w.atoms) is w for w in words)
     assert [parse(to_str(m), XY) is m for m in nf.terms] == [True, True]
+
+
+def _unknown_strategy_calls():
+    """Every call of an entry point that takes a strategy, each reaching
+    the strategy by a different path, under the unknown strategy "ri"."""
+    der, avg = RuleSchema(DER), RuleSchema(AVG)
+    x_y = OPoly.from_word(parse("[x y]", XY))
+    ring = PolyRing(("b", "c", "e"))
+    return {
+        "normal_form": lambda: normal_form(x_y, der, "ri"),
+        "normal_form of zero": lambda: normal_form(OPoly.zero(), avg, "ri"),
+        "reduces_to_zero": lambda: reduces_to_zero(x_y, der, "ri"),
+        "reduces_to_zero of sigma zero": lambda: reduces_to_zero(
+            OPoly.zero(), der, "ri"),
+        "reduces_to_zero of pi zero": lambda: reduces_to_zero(
+            OPoly.zero(), avg, "ri"),
+        "dt_check accepting": lambda: dt_check(DER.pattern, strategy="ri"),
+        "dt_check rejecting": lambda: dt_check(parse_opoly("y [x]", XY),
+                                               strategy="ri"),
+        "dt_check constrained": lambda: dt_check(
+            parse_opoly("b*x [y] + b*[x] y + c*[x] [y] + e*x y", XY,
+                        ring=ring), [ring.parse("b^2 - c*e")],
+            strategy="ri"),
+        "dt_check of zero": lambda: dt_check(OPoly.zero(), strategy="ri"),
+        "rbt_check accepting": lambda: rbt_check(AVG.pattern, strategy="ri"),
+        "rbt_check by the span": lambda: rbt_check(
+            parse_opoly("2*[y x] + 2*x [y] + 2*y [x]", XY), strategy="ri"),
+        "rbt_check symbolic": lambda: rbt_check(
+            parse_opoly("[x] y + [x y] + [y] x", XY, ring=ring),
+            strategy="ri"),
+        "rbt_check of zero": lambda: rbt_check(OPoly.zero(), strategy="ri"),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_unknown_strategy_calls()))
+def test_an_unknown_strategy_raises(name):
+    # the strategy is checked before any reduction, so a zero polynomial
+    # or defect, which takes no step, is refused too
+    with pytest.raises(ValueError, match="unknown strategy 'ri'"):
+        _unknown_strategy_calls()[name]()
 
 
 def test_normal_form_matches_reference_under_constraints():
@@ -1220,7 +1252,7 @@ def test_span_certificate_leaves_a_spanned_defect_to_the_search():
     schema = _right_twisted_schema()
     p = parse_opoly("2*[u v w] - v w [u] - w v [u]", UVW)
     with job():
-        assert _span_certificate(p, job_memo(schema, "lo")) is None
+        assert _span_certificate(p, job_memo(schema)) is None
         verdict = reduces_to_zero(p, schema)
     assert (verdict.kind, verdict.detail) == (
         Verdict.NO, "all 4 reachable polynomials nonzero")
@@ -1235,7 +1267,7 @@ def test_span_certificate_leaves_a_closure_past_the_budget_to_the_search(
     schema = RuleSchema(ident)
     with job():
         defect = generic_defect(ident)
-        memo = job_memo(schema, "lo")
+        memo = job_memo(schema)
         assert _span_certificate(defect, memo) == (6, 27)
         monkeypatch.setattr(opalg.rewrite, "EXPLORE_BUDGET", 26)
         assert _span_certificate(defect, memo) is None

@@ -15,7 +15,7 @@ from opalg.gsb import D_TOO_DEEP, delta_view, free_dt_operator_nf
 from opalg.opoly import (DIFFERENTIAL, ROTA_BAXTER, XY, OPoly, OpIdentity,
                          parse_opoly)
 from opalg.ordering import OrderConfig, order_key, random_context
-from opalg.rewrite import (NotDRF, Redex, RewriteMemo, RuleSchema,
+from opalg.rewrite import (NotDRF, Redex, RuleSchema, _first_redex,
                            find_redexes, job_memo, normal_form,
                            reduces_to_zero)
 from opalg.words import (
@@ -246,8 +246,7 @@ ENTRY_POINTS = {
     "order_key": lambda: order_key(OrderConfig(G))(parse(TOWER, G)),
     "find_redexes": lambda: len(find_redexes(parse(TOWER, G),
                                              _derivation())) == 1,
-    "first_redex": lambda: RewriteMemo(_derivation(), "li").first_redex(
-        parse(TOWER, G)).a == x,
+    "first_redex": lambda: _first_redex(parse(TOWER, G), True, True).a == x,
     "RuleSchema": lambda: _schema_of_deep_pattern() is None,
     "normal_form": lambda: len(normal_form(OPoly.from_word(parse(ONE_STEP, G)),
                                            _derivation())[1]) == 1,
@@ -330,12 +329,12 @@ def assert_table_within_bound():
 def test_words_of_one_atom_tuple_are_one_object_within_a_job():
     # an open job: no prune comes between the builds
     with job():
-        memo = job_memo(RuleSchema(named_pattern("derivation")), "lo")
+        job_memo(RuleSchema(named_pattern("derivation")))
         w = parse("[x [y z]] x", G)
         assert parse("[x [y z]] x", G) is w
         assert word_of(x * bracket(y * z), "x") is w
         assert splice(((("x",), ("z",)),), ("y",)) is parse("x y z", G)
-        assert memo.first_redex(w) is not None
+        assert _first_redex(w, True, False) is not None
 
 
 def test_two_small_jobs_in_a_row_share_their_words():
@@ -363,7 +362,7 @@ def test_a_job_that_leaves_more_than_the_bound_prunes_the_table():
     before = parse("[x [y z]] x", G)
     with job():
         words = enumerate_words(("p", "q"), 3, 2)
-        job_memo(_derivation(), "lo")
+        job_memo(_derivation())
         fill_past_the_threshold()
         assert len(opalg.words._TABLE) > TABLE_BOUND
         assert parse("[x [y z]] x", G) is before
@@ -805,7 +804,7 @@ def reference_redex_walk(word, sigma, inner_first, path=()):
     content splits shortest left part first), or leftmost-innermost first
     when ``inner_first``; lazily.  The recursive walk that found every
     redex before words carried redex flags, kept as the oracle of the flags
-    and of ``RewriteMemo.first_redex``."""
+    and of ``rewrite._first_redex``."""
     atoms = word.atoms
     for i, a in enumerate(atoms):
         if not isinstance(a, Word):
