@@ -349,16 +349,18 @@ def gsb_check_truncated(sys: GeneratorSystem, bound: TruncationBound,
         if master_ok and sample_ok:
             report.trivial_count = report.intersections_checked
 
-    # including: nested redexes of [host . spectator], spectator generic
+    # including: nested redexes of [host . spectator], spectator generic;
+    # only hosts that hold a nested redex are walked, each redex inside
+    # u1 v1 entered through the lead's bracket (the lead's top-level splits
+    # are the intersection cases)
     for host in words:
+        if not host.has_bracketed_product:
+            continue
         for u1, v1 in ((host, spectator), (spectator, host)):
             lead = bracket(u1 * v1)
-            n_lead = None  # built at the lead's first nested redex
-            for redex in find_redexes(lead, schema):
-                if len(redex.path) == 1:
-                    continue  # top-level splits are the intersection cases
-                if n_lead is None:
-                    n_lead = ident.pattern_at(u1, v1)
+            n_lead = ident.pattern_at(u1, v1)
+            for nested in find_redexes(u1 * v1, schema):
+                redex = Redex((((), ()),) + nested.path, nested.a, nested.b)
                 report.including_configs += 1
                 report.including_instances_certified += len(words)
                 # phi(u1, v1) - q|phi(a, b), whose leading words, both
@@ -433,6 +435,13 @@ def cdl_direct_sum_check(sys: GeneratorSystem, bound: TruncationBound,
 
     Every bound word must normalize into the irreducible span, irreducible
     words must be fixed, and random elements of the rule ideal must vanish.
+    An ideal element q|[u v] - q|N(u, v) is drawn by rejection: u, v and
+    then a context q, until the host q|[u v] has at most three leaves and
+    one level more than the bound allows, in at most 200 tries, after which
+    the last host is used as it is (``oversize_hosts``).  A pair (u, v)
+    that no context can fit is rejected before its context is drawn; a
+    try's draws are independent, so the accepted elements keep the law of
+    drawing all three every time.
     A reduction stopped by the step cap raises ``ResourceLimit``.  The
     job's ``RewriteMemo`` of the system (``job_memo``) serves every
     reduction of the check; a word's redex flag decides whether it is
@@ -464,9 +473,18 @@ def cdl_direct_sum_check(sys: GeneratorSystem, bound: TruncationBound,
     max_host_leaves = bound.max_breadth + 3
     max_host_depth = bound.max_depth + 1
     for _ in range(ideal_samples):
-        for _attempt in range(200):
+        for attempt in range(200):
             u = rng.choice(pool)
             v = rng.choice(pool)
+            # a context sets [u v] beside a leaf or inside a bracket; when
+            # neither fits, no context does, and only the last try draws
+            # one, for the host used as it is
+            n = u.leaves + v.leaves
+            d = max(u.depth(), v.depth())
+            if (attempt < 199
+                    and (n + 1 > max_host_leaves or d + 1 > max_host_depth)
+                    and (n > max_host_leaves or d + 2 > max_host_depth)):
+                continue
             q = random_context(rng, gens, bound.max_breadth, bound.max_depth)
             host = splice(q, (u * v,))
             if host.leaves <= max_host_leaves and host.depth() <= max_host_depth:

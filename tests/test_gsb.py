@@ -1002,6 +1002,114 @@ def test_cdl_counts_hosts_past_the_sampling_bound():
     assert rep.ok  # the oversize ideal elements still reduce to zero
 
 
+def _fits(host: Word, bound: TruncationBound) -> bool:
+    """The host size the direct-sum check accepts for an ideal element."""
+    return (host.leaves <= bound.max_breadth + 3
+            and host.depth() <= bound.max_depth + 1)
+
+
+def _no_context_fits(u: Word, v: Word, bound: TruncationBound) -> bool:
+    """A context's word is never the unit, so a context sets [u v] beside
+    at least one leaf or inside at least one bracket: no context fits
+    [u v] when neither smallest such host, ``x [u v]`` or ``[[u v]]``,
+    fits."""
+    return not (_fits(Word(("x", u * v)), bound)
+                or _fits(Word((Word((u * v,)),)), bound))
+
+
+def _contexts(atoms: tuple, levels: int, path: tuple = ()):
+    """Every star path ``random_context`` can draw in a word of ``atoms``:
+    every descent into brackets, at most ``levels`` deep, and every cut of
+    the level reached."""
+    for i in range(len(atoms) + 1):
+        yield path + ((atoms[:i], atoms[i:]),)
+    if levels:
+        for i, a in enumerate(atoms):
+            if isinstance(a, Word):
+                yield from _contexts(a.atoms, levels - 1,
+                                     path + ((atoms[:i], atoms[i + 1:]),))
+
+
+@pytest.mark.parametrize("size", [(2, 1, 3), (3, 1, 3), (2, 2, 3), (2, 3, 3),
+                                  (3, 0, 3)])
+def test_no_context_fits_a_pair_the_ideal_draw_skips(size):
+    # the check rejects a pair (u, v) before drawing its context when no
+    # context can fit [u v]; every context the sampler can draw shows that
+    # the rejection is exact.  A host's size depends on the pair only
+    # through its leaf sum and depth, so one pair per class stands for all
+    bound = TruncationBound(*size)
+    gens = bound.generator_set()
+    words = enumerate_words(gens, bound.max_breadth, bound.max_depth,
+                            include_unit_brackets=True, include_unit=False)
+    by_shape = {(w.leaves, w.depth()): w for w in words}
+    pairs = {(a + b, max(d, e)): (by_shape[a, d], by_shape[b, e])
+             for a, d in by_shape for b, e in by_shape}
+    contexts = [path for w in words
+                for path in _contexts(w.atoms, bound.max_depth)]
+    skipped = 0
+    for u, v in pairs.values():
+        some_fits = any(_fits(splice(path, (u * v,)), bound)
+                        for path in contexts)
+        assert some_fits != _no_context_fits(u, v, bound), (size, u, v)
+        skipped += not some_fits
+    assert (skipped > 0) == (size in [(3, 1, 3), (3, 0, 3)])
+
+
+def _counted_contexts(monkeypatch) -> list:
+    """Patches the direct-sum check's ``random_context`` to record each
+    draw in the returned list."""
+    drawn = []
+    real = gsb.random_context
+
+    def counting(*args):
+        drawn.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(gsb, "random_context", counting)
+    return drawn
+
+
+def test_cdl_draws_a_context_for_each_host_when_every_pair_is_skipped(
+        monkeypatch):
+    # the largest pool word at (3,1,3), [w w w], fits no context beside
+    # itself, so every try is skipped and only the last one draws its
+    # context, for the host used as it is
+    bound = TruncationBound(3, 1, 3)
+    drawn = _counted_contexts(monkeypatch)
+    sys = GeneratorSystem(DER, OrderConfig(bound.generator_set()))
+    rep = cdl_direct_sum_check(sys, bound, rng=_LastAndDeepest(0),
+                               ideal_samples=5)
+    assert rep.oversize_hosts == rep.ideal_samples == len(drawn) == 5
+    assert rep.ok
+
+
+class _CountingTries(random.Random):
+    """Counts the tries of the ideal-element draw: each takes two words."""
+
+    def __init__(self, seed):
+        self.word_draws = 0
+        super().__init__(seed)
+
+    def choice(self, seq):
+        self.word_draws += isinstance(seq[0], Word)
+        return super().choice(seq)
+
+
+def test_cdl_draws_contexts_for_fewer_than_a_third_of_the_tries(monkeypatch):
+    bound = TruncationBound(3, 1, 3)
+    sys = GeneratorSystem(DER, OrderConfig(bound.generator_set()))
+    drawn = _counted_contexts(monkeypatch)
+    counts = []
+    for _ in range(2):
+        rng = _CountingTries(201)
+        start = len(drawn)
+        assert cdl_direct_sum_check(sys, bound, rng=rng).ok
+        contexts, tries = len(drawn) - start, rng.word_draws // 2
+        assert 3 * contexts < tries
+        counts.append((contexts, tries))
+    assert counts[0] == counts[1]
+
+
 @pytest.mark.parametrize("capped", ["words", "ideal elements"])
 def test_cdl_step_cap_gives_no_verdict(capped, monkeypatch):
     # a word or an ideal element left unreduced at the cap is undecided:
@@ -1072,13 +1180,15 @@ def test_including_values_match_star_word_construction(name, size,
     assert want and seen == want
 
 
-@pytest.mark.parametrize("size", [(2, 1, 3), (3, 1, 3)])
+@pytest.mark.parametrize("size", [(2, 1, 3), (3, 1, 3), (2, 2, 3)])
 @pytest.mark.parametrize("name", sorted(ORACLE_IDENTITIES))
 def test_ideal_elements_match_star_word_construction(name, size,
                                                      monkeypatch):
     # each sampled ideal element q|phi(u, v), replayed from the same seed;
     # the replay prints each drawn path as its star word, which
-    # test_random_context_matches_star_insertion ties to the old draw
+    # test_random_context_matches_star_insertion ties to the old draw, and
+    # draws no context for a pair that no context fits, except on the last
+    # try, whose host is used as it is
     ident = ORACLE_IDENTITIES[name]
     bound = TruncationBound(*size)
     seen = []
@@ -1097,13 +1207,14 @@ def test_ideal_elements_match_star_word_construction(name, size,
     rng = random.Random(3)
     want = []
     for _ in range(40):
-        for _attempt in range(200):
+        for attempt in range(200):
             u, v = rng.choice(pool), rng.choice(pool)
+            if attempt < 199 and _no_context_fits(u, v, bound):
+                continue
             q = splice(random_context(rng, gens, bound.max_breadth,
                                       bound.max_depth), (STAR,))
             host = reference_replace_generators(q, {STAR: Word((u * v,))})
-            if (host.leaves <= bound.max_breadth + 3
-                    and host.depth() <= bound.max_depth + 1):
+            if _fits(host, bound):
                 break
         want.append(into_context(instance(ident, u, v), q))
     assert seen[rep.words_checked:] == want
