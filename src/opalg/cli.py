@@ -37,6 +37,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _count(text: str) -> int:
+    """A step cap or budget: a whole number, 0 or more."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
+    return int(text)
+
+
 def _identifiers(text: str):
     return sorted({tok for kind, tok, _ in Tokens(text).toks
                    if kind == "ident"})
@@ -248,7 +255,7 @@ def _add_common(sub, order=True, strategy=True, step_cap=None):
                          help="lo: leftmost-outermost redex first; li: "
                               "leftmost-innermost")
     if step_cap is not None:
-        sub.add_argument("--step-cap", type=int, default=step_cap,
+        sub.add_argument("--step-cap", type=_count, default=step_cap,
                          dest="step_cap",
                          help="most rewrite steps one reduction may take; a "
                               "step rewrites one redex of one monomial, or, "
@@ -294,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     cls.add_argument("--units", action="store_true")
     cls.add_argument("--reversed", action=argparse.BooleanOptionalAction,
                      default=True)
-    cls.add_argument("--budget", type=int, default=4000)
+    cls.add_argument("--budget", type=_count, default=4000)
     cls.add_argument("--samples", type=int, default=20)
     _add_common(cls, order=False, strategy=False)
     cls.set_defaults(func=cmd_classify)

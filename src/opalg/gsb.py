@@ -50,7 +50,7 @@ class TruncationBound:
 
     def __init__(self, max_breadth: int, max_depth: int, max_generators: int = 3):
         if max_breadth < 1 or max_depth < 0 or max_generators < 1:
-            raise ValueError("bound components must be positive")
+            raise ValueError("bound breadth and generators must be >= 1, depth >= 0")
         if max_generators > len(BOUND_GEN_NAMES):
             raise ValueError(f"at most {len(BOUND_GEN_NAMES)} generators supported")
         self.max_breadth = max_breadth
@@ -184,12 +184,11 @@ class NFCache:
     (``rewrite.factored_normal_form``), each the product of its atoms' from
     the job's ``RewriteMemo`` of the schema (``job_memo``) where the memo
     gives it, its walks over the value keeping at most ``step_cap`` atoms.
-    Any other word is reduced by ``_reduced``'s own ``normal_form`` call
-    through the same memo, in at most ``step_cap`` steps: from the step the
-    memo hands back, or, under a constraint ideal, from the word itself.
-    Each word reduced on the heap has its steps audited once, against the
-    memo's order keys, which the heap already built: no rewritten monomial
-    may exceed the root word.  A word the memo answers has no such step.
+    Any other word is reduced from itself by ``_reduced``'s own
+    ``normal_form`` call through the same memo, in at most ``step_cap``
+    steps, which are audited once a word against the memo's order keys: no
+    rewritten monomial may exceed the root word.  A word the memo answers
+    has no such step.
     """
 
     __slots__ = ("schema", "step_cap", "memo", "audited", "order_violations")
@@ -201,17 +200,12 @@ class NFCache:
         self.audited = set()
         self.order_violations = 0
 
-    def _reduced(self, w: Word, step: OPoly) -> dict:
+    def _reduced(self, w: Word) -> dict:
         """``w``'s normal form as a term dict keyed by words, by its own
-        ``normal_form`` call, whose steps are audited when ``w`` is new;
-        from ``step``, ``w``'s one-step reduct, when given, with one step
-        fewer left under the cap."""
-        if step is None:
-            p = OPoly.from_word(w, ring=self.schema.identity.ring)
-            cap = self.step_cap
-        else:
-            p, cap = step, self.step_cap - 1
-        nf, trace = normal_form(p, self.schema, "lo", cap)
+        ``normal_form`` call, whose steps are audited when ``w`` is new."""
+        nf, trace = normal_form(
+            OPoly.from_word(w, ring=self.schema.identity.ring), self.schema,
+            "lo", self.step_cap)
         if trace.status != NORMAL_FORM:
             raise ResourceLimit(f"step cap {self.step_cap} hit at {to_str(w)}")
         if w not in self.audited:
@@ -236,11 +230,11 @@ def is_trivial(comp: CompositionRecord, cache: NFCache) -> str:
     ``cache.order_violations``, next to the cache's own count of rewrite
     steps landing above their root word.  The value's words are reduced by
     ``cache.reduce``, each from the memo's normal forms or by its own
-    ``normal_form`` call (see ``NFCache``).  A word whose own call needs
-    more than the cache's step cap raises ``ResourceLimit``, so an undecided
-    composition never gets a verdict.  A nonzero residue is kept as a value:
-    its terms come in the order the sum leaves them, and every output prints
-    it sorted (``to_str_opoly``).
+    ``normal_form`` call from the word (see ``NFCache``).  A word whose own
+    call needs more than the cache's step cap raises ``ResourceLimit``, so
+    an undecided composition never gets a verdict.  A nonzero residue is
+    kept as a value: its terms come in the order the sum leaves them, and
+    every output prints it sorted (``to_str_opoly``).
     """
     key = cache.memo.key
     ambient = key(comp.w)

@@ -48,13 +48,12 @@ normal form per reducible bracket atom, keyed by atom tuples, built
 bottom-up where every step below the atom descends, one rewrite step an
 atom.  ``factored_normal_form`` is their one reader: it sums a polynomial's
 normal form over its words, each the memo's product or, where the memo gives
-none within the step cap its walks share, the caller's reduction from the
-step the memo hands back, for the basis checks of ``gsb`` (``NFCache``) and
-the ansatz defects of ``classify``.
-A job keeps one memo per schema, which ``job_memo`` hands out to every
-``normal_form``, ``reduces_to_zero`` and ``joinable`` call, every basis
-check of ``gsb`` and every defect extraction of ``classify`` in it, and
-which the job drops when its outermost scope closes (see ``words.job``).
+none within the step cap its walks share, the caller's reduction of the
+word, for the basis checks of ``gsb`` (``NFCache``) and the ansatz defects
+of ``classify``.  A job keeps one memo per schema, which ``job_memo`` hands
+out to every ``normal_form``, ``reduces_to_zero`` and ``joinable`` call,
+every basis check of ``gsb`` and every defect extraction of ``classify`` in
+it, and which the job drops when its outermost scope closes (``words.job``).
 ``local_confluence_check`` keeps no peak memo: it meets each enumerated word
 once.
 
@@ -333,59 +332,37 @@ class RewriteMemo:
         return out
 
     def strategy_nf(self, w: Word, cap: int):
-        """``(terms, steps, None)``: the leftmost-outermost normal form of
-        the word ``w`` under a sigma schema, as a dict from atom tuples to
-        coefficients that callers only read, and the number of atoms this
-        call's walks kept for it; or ``(None, None, step)`` where the memo
-        does not give it, ``step`` being ``w``'s one-step reduct, its first
-        reducible atom's step spliced into ``w``, or ``None`` where ``cap``
-        allows no step.
+        """``(terms, steps)``: the leftmost-outermost normal form of the word
+        ``w`` under a sigma schema, a dict from atom tuples to coefficients
+        that callers only read, and the number of atoms this call's walks
+        kept for it; or ``None`` where the memo does not give it.
 
         A word with no redex is its own normal form.  Any other's ``terms``
         is the product of the entries of its reducible atoms, given only
         where each atom has one; the atoms without one are walked
-        (``_walk_atom``), and the walks share ``cap`` steps, one an atom.
-        The step is the one ``normal_form`` would take first, built once:
-        by this call's walk when it built it, else at ``w``'s first
-        redex."""
+        (``_walk_atom``), and the walks share ``cap`` steps, one an atom."""
         atoms = w.atoms
         if not self._holds(w):
-            return {atoms: 1}, 0, None
+            return {atoms: 1}, 0
         nf = self.nf
         steps = 0
-        at = step = None  # the first reducible atom's index, and its step
-        for i, a in enumerate(atoms):
+        for a in atoms:
             if not _reducible_atom(a):
                 continue
             entry = nf.get(a, False)
             if entry is False:
-                entry, built, met = self._walk_atom(a, cap - steps)
+                entry, met = self._walk_atom(a, cap - steps)
                 steps += met
-                if at is None:
-                    step = built
-            if at is None:
-                at = i
             if entry is None:
-                break
-        else:
-            return self._product(atoms), steps, None
-        if cap < 1:
-            return None, None, None
-        if step is None:
-            return None, None, self.schema.replacement(
-                _first_redex(w, True, False))
-        left, right = atoms[:at], atoms[at + 1:]
-        return None, None, OPoly._trusted(
-            {Word(left + m.atoms + right): c for m, c in step.terms.items()},
-            step.ring)
+                return None
+        return self._product(atoms), steps
 
     def _walk_atom(self, root, cap: int):
-        """``(entry, step, met)``: the entry of the reducible bracket atom
-        ``root``, or ``None`` where none is built, the step of ``[root]``
-        when the walk built it, and the number of atoms the walk stepped.
-        The walk builds the entries of ``root`` and of every atom below it
-        that has none, bottom-up on an explicit stack, the terms of each the
-        sum of c NF(m) over the terms c m of its step (``_product``).
+        """``(entry, met)``: the entry of the reducible bracket atom
+        ``root``, or ``None`` where none is built, and the number of atoms
+        the walk stepped.  It builds the entries of ``root`` and of every
+        atom below it that has none, bottom-up on an explicit stack, each
+        the sum of c NF(m) over the terms c m of its step (``_product``).
 
         An atom gets an entry only where its step and every step below it
         descend: each replacement monomial ranks strictly below the
@@ -400,21 +377,17 @@ class RewriteMemo:
         nf = self.nf
         key = self.key
         replacement = self.schema.replacement
-        first = None  # the root's step
         met = 0
         stack = []  # (atom, its step's terms, their reducible atoms left)
         new = root
         while True:
             if new is not None:
                 if met >= cap:
-                    return None, first, met
+                    return None, met
                 if new in nf:  # kept as not descending
                     break
                 word = Word((new,))
-                step = replacement(_first_redex(word, True, False))
-                if first is None:
-                    first = step
-                terms = step.terms
+                terms = replacement(_first_redex(word, True, False)).terms
                 top = key(word)
                 if not all(key(m) < top for m in terms):
                     break
@@ -435,11 +408,11 @@ class RewriteMemo:
                 # the copy drops the slots that cancelled terms left
                 entry = nf[a] = dict(out)
                 if not stack:
-                    return entry, first, met
+                    return entry, met
         nf[new] = None
         for a, _, _ in stack:
             nf[a] = None
-        return None, first, met
+        return None, met
 
     def _product(self, atoms: tuple) -> dict:
         """The normal form of the word of ``atoms``, from the entries of its
@@ -505,26 +478,26 @@ def factored_normal_form(p: OPoly, memo: RewriteMemo, cap: int,
     ``p``'s words share ``cap`` steps, one an atom kept, so once they have
     spent it a word is given only where its atoms are all kept already.
     Any other word, and every reducible word under a constraint ideal, is
-    ``reduce_word(w, step)``, a dict keyed by words, from the step the memo
-    hands back (``None``: from ``w`` itself).  Rewriting acts monomial by
+    ``reduce_word(w)``, a dict keyed by words.  Rewriting acts monomial by
     monomial, so ``normal_form`` on ``p`` reaches the sum.  The sum runs on
     atom tuples, the memo's keys."""
     constrained = memo.schema.constraint_gb is not None
     out: dict = {}
     left = cap
     for w, c in p.terms.items():
-        nf = step = None
+        got = None
         if not (constrained and memo._holds(w)):
             try:
-                nf, steps, step = memo.strategy_nf(w, left)
+                got = memo.strategy_nf(w, left)
             except ResourceLimit:
                 pass  # a reduction may cancel the over-deep word unbuilt
-        if nf is not None:
+        if got is not None:
+            nf, steps = got
             left -= steps
         elif reduce_word is None:
             return None
         else:
-            nf = {m.atoms: d for m, d in reduce_word(w, step).items()}
+            nf = {m.atoms: d for m, d in reduce_word(w).items()}
         _add_scaled_into(out, nf, c)
     return {Word(atoms): c for atoms, c in out.items()}
 

@@ -280,6 +280,36 @@ def test_irr_json_deterministic(capsys):
     assert len(payload["words"]) == 31
 
 
+@pytest.mark.parametrize("argv", [
+    ("nf", "[x]", "--dt", "derivation", "--step-cap", "-1"),
+    ("verify", "derivation", "--type", "dt", "--step-cap", "-3"),
+    ("gsb", "--dt", "derivation", "--bound", "2,1", "--step-cap", "-1"),
+    ("classify", "--type", "dt", "--degree", "2", "--budget", "-5"),
+], ids=["nf", "verify", "gsb", "classify"])
+def test_a_negative_cap_is_a_usage_error(capsys, monkeypatch, argv):
+    # whatever the subcommand, before any work; a cap of 0 keeps its meaning
+    def unreachable(*args, **kwargs):
+        raise AssertionError("ran before the cap was checked")
+
+    for name in ("normal_form", "dt_check", "gsb_check_truncated",
+                 "classify"):
+        monkeypatch.setattr(opalg.cli, name, unreachable)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == (f"usage error: argument {argv[-2]}: must be at least 0, "
+                   f"got {argv[-1]}\n")
+
+
+def test_gsb_bound_of_depth_zero_is_valid_and_below_is_an_error(capsys):
+    code, out, _ = run(capsys, "gsb", "--dt", "derivation", "--bound", "2,0")
+    assert code == 0 and "depth <= 0" in out
+    code, out, err = run(capsys, "gsb", "--dt", "derivation",
+                         "--bound", "2,-1")
+    assert code == 1 and out == ""
+    assert err == ("error: bound breadth and generators must be >= 1, "
+                   "depth >= 0\n")
+
+
 # -- resource limits -----------------------------------------------------------------
 
 

@@ -77,6 +77,10 @@ def test_truncation_bound_validation():
         TruncationBound(0, 2, 3)
     with pytest.raises(ValueError):
         TruncationBound(3, 2, 99)
+    # a depth of 0 is a bound of flat words; only a negative one is refused
+    with pytest.raises(ValueError, match="depth >= 0"):
+        TruncationBound(3, -1, 3)
+    assert TruncationBound(3, 0, 3).max_depth == 0
     assert "breadth <= 3" in TruncationBound(3, 2, 3).describe()
 
 
@@ -182,10 +186,9 @@ def test_including_leads_fill_the_pattern_only_with_a_nested_redex(
 
 def test_nf_cache_stores_packed_dicts(monkeypatch):
     # rewrite steps and cancelling sums delete from a term dict; the check
-    # keeps its memo's word -> first redex dict, which only grows, its atom
-    # -> normal form dict and each normal form in it, and the words it
-    # audited, so nothing it keeps for the life of the check may hold
-    # deleted slots
+    # keeps its memo's atom -> normal form dict, which only grows, each
+    # normal form in it, and the words it audited, so nothing it keeps for
+    # the life of the check may hold deleted slots
     caches = []
     reduced = []
     heap = []
@@ -201,9 +204,9 @@ def test_nf_cache_stores_packed_dicts(monkeypatch):
             reduced.extend(p.terms)
             return super().reduce(p)
 
-        def _reduced(self, w, step):
+        def _reduced(self, w):
             heap.append(w)
-            return super()._reduced(w, step)
+            return super()._reduced(w)
 
     monkeypatch.setattr(gsb, "NFCache", Recording)
     bound = TruncationBound(2, 1, 3)
@@ -461,9 +464,10 @@ def _memo_normal_forms(ident, size, mode, monkeypatch):
         pairs = []
         several = 0
         for w in words:
-            got, steps, _ = memo.strategy_nf(w, cache.step_cap)
-            if got is None:
+            answer = memo.strategy_nf(w, cache.step_cap)
+            if answer is None:
                 continue
+            got, steps = answer
             # every atom is kept, so no walk runs
             assert steps == 0
             want, trace = _fresh_normal_form(
@@ -534,10 +538,11 @@ def test_factored_steps_count_the_atoms_kept(spec):
         walked = 0
         for w in words:
             new = _closure_atoms(w, system) - memo.nf.keys()
-            nf, steps, _ = memo.strategy_nf(w, 100000)
-            assert nf is not None and steps == len(new), to_str(w)
+            answer = memo.strategy_nf(w, 100000)
+            assert answer is not None and answer[1] == len(new), to_str(w)
+            steps = answer[1]
             assert memo.nf.keys() >= new and None not in memo.nf.values()
-            assert memo.strategy_nf(w, 100000)[1:] == (0, None)
+            assert memo.strategy_nf(w, 100000)[1] == 0
             walked += steps > 0
         assert walked and memo.nf.keys() == set().union(
             *(_closure_atoms(w, system) for w in words))
@@ -545,7 +550,8 @@ def test_factored_steps_count_the_atoms_kept(spec):
 
 def test_basis_check_reads_every_normal_form_from_the_memo(monkeypatch):
     # a non-basis pattern's nonzero residues take no heap reduction of their
-    # words either
+    # words either, and neither does any system of the basis benchmark at
+    # its bound
     calls = []
     real = gsb.normal_form
 
@@ -554,13 +560,18 @@ def test_basis_check_reads_every_normal_form_from_the_memo(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(gsb, "normal_form", counting)
-    bound = TruncationBound(2, 2, 3)
-    for spec in ("derivation", "2*x [y] + 2*[x] y"):
+    for spec, size in (("derivation", (2, 2, 3)),
+                       ("2*x [y] + 2*[x] y", (2, 2, 3)),
+                       ("derivation", (3, 1, 3)),
+                       ("endomorphism", (3, 1, 3)),
+                       ("endomorphism", (2, 3, 3)),
+                       ("weight:lam", (2, 2, 3))):
+        bound = TruncationBound(*size)
         system = GeneratorSystem(_oracle_identity(spec),
                                  OrderConfig(bound.generator_set()))
         report = gsb_check_truncated(system, bound)
-        assert report.ok == (spec not in NON_BASIS), spec
-        assert report.intersections_reduced and calls == [], spec
+        assert report.ok == (spec not in NON_BASIS), (spec, size)
+        assert report.intersections_reduced and calls == [], (spec, size)
 
 
 def test_step_cap_bounds_each_word_not_the_memo(monkeypatch):
@@ -653,17 +664,16 @@ class PerWordNFCache(NFCache):
     def reduce(self, p):
         out = {}
         for w, c in p.terms.items():
-            _add_scaled_into(out, self._reduced(w, None), c)
+            _add_scaled_into(out, self._reduced(w), c)
         return self.schema.normalize(OPoly._trusted(out, p.ring))
 
 
-def test_fallback_reduces_from_the_walks_step(monkeypatch):
-    # under deglenlex no derivation step descends: each reducible word's
-    # normal_form call starts from its own step, which the memo's walk built
-    # or, once the word's first reducible atom is kept as None, the memo
-    # builds at the word's first redex, so the check builds no replacement
-    # more than the per-word path and no call starts from a word itself
-    calls, starts = [], []
+def test_fallback_reduces_each_word_from_itself(monkeypatch):
+    # under deglenlex no derivation step descends: each walk builds its
+    # atom's step, finds it ascending and keeps None, and each reducible
+    # word's normal_form call starts from the word itself, so the check
+    # builds one replacement more than the per-word path per atom it walked
+    calls, starts, caches = [], [], []
     real = opalg.rewrite.RuleSchema.replacement
     real_nf = gsb.normal_form
 
@@ -675,28 +685,40 @@ def test_fallback_reduces_from_the_walks_step(monkeypatch):
         starts.append(len(p.terms))
         return real_nf(p, *args)
 
+    class Recording(NFCache):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            caches.append(self)
+
     monkeypatch.setattr(opalg.rewrite.RuleSchema, "replacement", counting)
     monkeypatch.setattr(gsb, "normal_form", recording)
     bound = TruncationBound(2, 1, 3)
     system = GeneratorSystem(DER, OrderConfig(bound.generator_set(),
                                               "deglenlex"))
     counts, reports, single = [], [], []
-    for cache in (NFCache, PerWordNFCache):
+    for cache in (Recording, PerWordNFCache):
         monkeypatch.setattr(gsb, "NFCache", cache)
         calls.clear()
         starts.clear()
-        reports.append(gsb_check_truncated(system, bound).to_dict())
+        with job():
+            reports.append(gsb_check_truncated(system, bound).to_dict())
+            if cache is Recording:
+                walked = list(caches[0].memo.nf.values())
         counts.append(len(calls))
-        single.append(starts.count(1))
+        # a derivation step has two terms, so a one-term start is a word
+        single.append((starts.count(1), len(starts)))
     assert reports[0] == reports[1] and reports[0]["order_violations"] == 948
-    assert counts[0] == counts[1]
-    # a derivation step has two terms, so a one-term start is a word
-    assert single[0] == 0 < single[1]
+    assert walked and set(walked) == {None}
+    assert counts[0] == counts[1] + len(walked)
+    assert single[0][0] == single[0][1] > 0 and single[1][0] == single[1][1]
 
 
-def test_fallback_from_the_walks_step_keeps_the_step_cap():
-    # the step the walk built counts against the cap: a word taking s steps
-    # is reduced at a cap of s and raises at s - 1, as normal_form does
+def test_fallback_keeps_the_step_cap():
+    # a refused word is reduced from itself under the full cap: a word
+    # taking s steps is reduced at a cap of s and raises at s - 1, as
+    # normal_form does
     system = GeneratorSystem(DER, OrderConfig(XY, "deglenlex"))
     w = parse("[[x y] y]", XY)
     with job():
@@ -754,7 +776,7 @@ def test_deep_word_reduces_as_normal_form_does():
         assert len(cache.memo.nf) == 150 and None not in cache.memo.nf.values()
         # a one-atom word shares its atom's normal form, uncopied, and a
         # second reading walks nothing
-        nf, steps, _ = cache.memo.strategy_nf(w, cache.step_cap)
+        nf, steps = cache.memo.strategy_nf(w, cache.step_cap)
         assert nf is cache.memo.nf[a] and steps == 0
         want, trace = _fresh_normal_form(OPoly.from_word(w), system)
     assert trace.status == NORMAL_FORM and len(trace) == 150

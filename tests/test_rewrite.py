@@ -619,15 +619,6 @@ def _atom(text: str):
     return a
 
 
-def _assert_refused_with_step(memo, w, cap):
-    """``memo`` gives no normal form of ``w`` under ``cap`` and hands back
-    ``w``'s own first rewrite step, terms in order."""
-    nf, steps, step = memo.strategy_nf(w, cap)
-    assert nf is None and steps is None
-    want = memo.schema.replacement(_first_redex(w, True, False))
-    assert list(step.terms.items()) == list(want.terms.items())
-
-
 def test_strategy_nf_gives_up_above_a_step_that_does_not_descend():
     # a key that ranks one word z above every other makes the one step that
     # yields z ascend; the walk stops there and keeps None for that step's
@@ -643,17 +634,11 @@ def test_strategy_nf_gives_up_above_a_step_that_does_not_descend():
         # first, which descends, then [[x y]], whose step yields z
         root = parse("[[x y] x]", XY)
         finished, ascends = _atom("[x y]"), _atom("[[x y]]")
-        # the walk hands back the root's rewrite step it built
-        root_step = schema.replacement(_first_redex(root, True, False))
-        nf, steps, step = memo.strategy_nf(root, 100)
-        assert nf is None and steps is None
-        assert step.terms == root_step.terms
-        assert list(step.terms) == list(root_step.terms)
+        assert memo.strategy_nf(root, 100) is None
         assert {a: kept is None for a, kept in memo.nf.items()} == {
             finished: False, ascends: True, root.atoms[0]: True}
-        # a root whose atom is kept as None is refused at once, and its step
-        # is built again at its first redex
-        _assert_refused_with_step(memo, root, 100)
+        # a root whose atom is kept as None is refused at once
+        assert memo.strategy_nf(root, 100) is None
         assert len(memo.nf) == 3
         # a word whose reducible atoms all have entries is their product,
         # built by no step; z, which no walk met, descends under the altered
@@ -662,40 +647,39 @@ def test_strategy_nf_gives_up_above_a_step_that_does_not_descend():
                            ("[x y] x [x y]", 0)):
             w = parse(text, XY)
             want, _ = normal_form(OPoly.from_word(w), schema)
-            got, steps, step = memo.strategy_nf(w, 100)
-            assert _words(got) == want.terms and step is None
-            assert steps == kept
+            got, steps = memo.strategy_nf(w, 100)
+            assert _words(got) == want.terms and steps == kept
         assert z.atoms[0] in memo.nf and len(memo.nf) == 4
-        # in a word, an atom kept as None refuses it, with the word's step
-        # at its first reducible atom, finished or not
-        _assert_refused_with_step(memo, parse("[x y] [[x y]]", XY), 100)
-        _assert_refused_with_step(memo, parse("[[x y]] y", XY), 1)
+        # in a word, an atom kept as None refuses it, behind a finished
+        # atom or not
+        assert memo.strategy_nf(parse("[x y] [[x y]]", XY), 100) is None
+        assert memo.strategy_nf(parse("[[x y]] y", XY), 1) is None
         # under the true order the root's closure descends, but an atom kept
         # as None stops every walk that meets it
         memo.key = key
         memo.nf.clear()
         memo.nf[ascends] = None
-        nf, _, step = memo.strategy_nf(root, 100)
-        assert nf is None and step.terms == root_step.terms
+        assert memo.strategy_nf(root, 100) is None
         assert {a: kept is None for a, kept in memo.nf.items()} == {
             ascends: True, finished: False, root.atoms[0]: True}
 
 
-def test_strategy_nf_hands_back_the_step_spliced_into_the_word():
-    # the first reducible atom's step, built by this call's walk, is the
-    # word's own step in its context, terms in order
+def test_strategy_nf_refuses_a_word_behind_an_atom_kept_as_none(
+        monkeypatch):
+    # the first reducible atom's step ascends, so the walk keeps None for
+    # it; a second call walks nothing, keeps nothing and builds no step
     with job():
         schema = RuleSchema(DER, order=OrderConfig(XYZ, "deglenlex"))
         memo = RewriteMemo(schema)
         w = parse("z [x y] x [[y z]] y", XYZ)
-        want = schema.replacement(_first_redex(w, True, False))
-        nf, steps, step = memo.strategy_nf(w, 100)
-        assert nf is None and steps is None
-        assert list(step.terms.items()) == list(want.terms.items())
-        # the atom is kept as not descending, so a second call walks
-        # nothing and builds the step at the word's first redex
-        _assert_refused_with_step(memo, w, 100)
-        assert len(memo.nf) == 1
+        assert memo.strategy_nf(w, 100) is None
+        assert list(memo.nf.values()) == [None]
+        built = []
+        real = RuleSchema.replacement
+        monkeypatch.setattr(RuleSchema, "replacement", lambda self, redex:
+                            built.append(redex) or real(self, redex))
+        assert memo.strategy_nf(w, 100) is None
+        assert len(memo.nf) == 1 and built == []
 
 
 def test_strategy_nf_stays_within_the_cap():
@@ -709,33 +693,33 @@ def test_strategy_nf_stays_within_the_cap():
         nf, trace = normal_form(OPoly.from_word(w), schema)
         assert len(trace) == 3
         memo = RewriteMemo(schema)
-        assert memo.strategy_nf(w, 0) == (None, None, None) and not memo.nf
-        root_step = schema.replacement(_first_redex(w, True, False)).terms
-        got, _, step = memo.strategy_nf(w, 2)
-        assert got is None and len(memo.nf) == 1 and step.terms == root_step
+        assert memo.strategy_nf(w, 0) is None
+        assert not memo.nf
+        assert memo.strategy_nf(w, 2) is None
+        assert len(memo.nf) == 1
         # with one atom kept, a second walk meets the two others and keeps
         # them, within the cap of two
-        got, steps, step = memo.strategy_nf(w, 2)
-        assert _words(got) == nf.terms and (steps, step) == (2, None)
+        got, steps = memo.strategy_nf(w, 2)
+        assert _words(got) == nf.terms and steps == 2
         assert len(memo.nf) == 3 and got is memo.nf[a]
         # every atom kept, the word is given at any cap, a cap of 0 too
-        assert memo.strategy_nf(w, 0) == (got, 0, None)
+        assert memo.strategy_nf(w, 0) == (got, 0)
         # the cap bounds each call's walks, not the memo: once the memo
         # holds more atoms than the cap, a kept normal form is still given
         other = parse("[[x y] x]", XY)
         other_nf, _ = normal_form(OPoly.from_word(other), schema)
         assert _words(memo.strategy_nf(other, 100)[0]) == other_nf.terms
         assert len(memo.nf) > 3
-        assert memo.strategy_nf(w, 3)[:2] == (got, 0)
+        assert memo.strategy_nf(w, 3) == (got, 0)
         # the walks of a word share the cap: the second [[x y]] of a fresh
         # memo finds its atom kept by the first's walk, so the word takes
         # three steps
         two = Word((a, a))
         fresh = RewriteMemo(schema)
-        got, steps, _ = fresh.strategy_nf(two, 100)
+        got, steps = fresh.strategy_nf(two, 100)
         assert steps == 3 and len(fresh.nf) == 3
         assert _words(got) == normal_form(OPoly.from_word(two), schema)[0].terms
-        _assert_refused_with_step(RewriteMemo(schema), two, 2)
+        assert RewriteMemo(schema).strategy_nf(two, 2) is None
 
 
 def test_concat_merges_equal_concatenations():
