@@ -234,10 +234,12 @@ def classify(ansatz: Ansatz, budget: int = 4000) -> ClassifyResult:
 
 class MatchReport:
     __slots__ = ("component_matches", "unmatched_components", "mismatches",
-                 "family_coverage", "uncovered_families", "samples")
+                 "family_coverage", "uncovered_families", "samples",
+                 "points_checked")
 
     def __init__(self, samples):
         self.samples = samples
+        self.points_checked = []  # distinct points sampled, per component
         self.component_matches = {}
         self.unmatched_components = []
         self.mismatches = []
@@ -288,9 +290,15 @@ def match_catalog(result: ClassifyResult, samples: int = 20,
                   rng: random.Random = None) -> MatchReport:
     """Bidirectional containment between components and catalog families.
 
-    Every component must specialize, at each sampled rational point, into a
-    single catalog family; every family specialization living inside the
-    ansatz space must satisfy some component.  Unmatched items are listed.
+    A component is matched to the first catalog family, in catalog order,
+    whose membership holds at every one of its sampled rational points (up
+    to ``samples`` distinct points; ``points_checked`` records how many).
+    Only when no family holds them all is each point tested against the
+    catalog, and a point that no family holds is a mismatch.  Membership is
+    solved only until a component or a point is decided: a family is
+    dropped at its first failing point, a point accepted at its first
+    holding family.  Every family specialization living inside the ansatz
+    space must satisfy some component.  Unmatched items are listed.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -302,21 +310,17 @@ def match_catalog(result: ClassifyResult, samples: int = 20,
     for idx, comp in enumerate(result.components):
         points = sample_points(comp.basis, comp.nonzero, ansatz.ring,
                                samples, rng, strict=False)
-        hits = {fam.key: 0 for fam in catalog}
-        for point in points:
-            pattern = ansatz.specialize(point)
-            matched = False
-            for fam in catalog:
-                if fam.membership(pattern) is not None:
-                    hits[fam.key] += 1
-                    matched = True
-            if not matched:
-                report.mismatches.append((idx, point))
-        full = [key for key, n in hits.items() if n == len(points)]
-        if full and points:
-            report.component_matches[idx] = full[0]
-        else:
-            report.unmatched_components.append(idx)
+        report.points_checked.append(len(points))
+        patterns = [ansatz.specialize(point) for point in points]
+        key = next((fam.key for fam in catalog if all(
+            fam.membership(p) is not None for p in patterns)), None)
+        if points and key is not None:
+            report.component_matches[idx] = key
+            continue
+        report.unmatched_components.append(idx)
+        report.mismatches.extend(
+            (idx, point) for point, p in zip(points, patterns)
+            if not any(fam.membership(p) is not None for fam in catalog))
 
     for fam in catalog:
         covered = 0

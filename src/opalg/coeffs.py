@@ -24,12 +24,14 @@ from operator import add
 
 def rational(c):
     """``c`` as an exact rational in its one form: an ``int`` when it is
-    integral, else a ``Fraction``."""
-    if type(c) is not int:
+    integral, else a ``Fraction``.  An ``int`` and a non-integral
+    ``Fraction`` pass through as they are; anything else is read by
+    ``Fraction(c)``."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
         c = Fraction(c)
-        if c.denominator == 1:
-            return c.numerator
-    return c
+    return c.numerator if c.denominator == 1 else c
 
 
 def reciprocal(c):
@@ -172,6 +174,8 @@ class MPoly:
 
     @property
     def is_constant(self) -> bool:
+        if len(self.terms) > 1:
+            return False
         z = (0,) * self.ring.nvars
         return all(e == z for e in self.terms)
 

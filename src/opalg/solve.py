@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeffs import (MPoly, PolyRing, ResourceLimit, _add_scaled_into,
-                     reciprocal)
+                     rational, reciprocal)
 from .groebner import _normal_form, _reducers, buchberger
 
 DEFAULT_POOL = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
@@ -82,6 +82,8 @@ def solve_components(eqs, ring: PolyRing):
 def _divide_nonzero_content(g, nonzero, ring):
     """g with every power of an assumed-nonzero variable that divides all of
     its terms divided out; g itself when there is none."""
+    if not nonzero:
+        return g
     strip = tuple(k if ring.vars[i] in nonzero else 0
                   for i, k in enumerate(g.monomial_content()))
     return g.divide_monomial(strip) if any(strip) else g
@@ -249,14 +251,15 @@ def _merge_leaves(leaves, ring):
 
 
 def rational_roots(coeffs) -> list:
-    """All rational roots of sum(coeffs[i] * t^i) with Fraction coefficients.
+    """All rational roots, as Fractions, of sum(coeffs[i] * t^i) with exact
+    ``int`` or ``Fraction`` coefficients, read through ``rational``.
 
     Degrees 1 and 2 (after the roots at zero are divided out) are solved in
     closed form, degree 2 by the integer square root of the discriminant.
     Higher degrees try every candidate of the rational root theorem, so they
     cost trial division up to the square roots of the outer coefficients.
     """
-    coeffs = [Fraction(c) for c in coeffs]
+    coeffs = [rational(c) for c in coeffs]
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     if not coeffs:
@@ -306,7 +309,7 @@ def _divisors(n):
 def _univariate_coeffs(p: MPoly, name: str):
     """Coefficient list of p, whose only variable is name, as a univariate."""
     i = p.ring.index[name]
-    coeffs = [Fraction(0)] * (p.degree_in(name) + 1)
+    coeffs = [0] * (p.degree_in(name) + 1)
     for e, c in p.terms.items():
         coeffs[e[i]] += c
     return coeffs

@@ -82,7 +82,8 @@ def test_criterion_3_degree2_classification():
     _report(3, ok,
             f"{len(result.components)} components all matched "
             f"({sorted(set(report.component_matches.values()))}), "
-            f"0 mismatches, full family coverage, 20 samples/component, "
+            f"0 mismatches, full family coverage, distinct points per "
+            f"component {report.points_checked} of 20 samples, "
             f"{elapsed:.0f}s (limit 600s)")
 
 

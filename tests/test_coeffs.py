@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from opalg.coeffs import (MAX_DEPTH, TOO_NESTED, MPoly, ParseError,
                           PolyParseError, PolyRing, ResourceLimit,
-                          _add_scaled_into, _mul_terms)
+                          _add_scaled_into, _mul_terms, rational)
 from opalg.groebner import leading_exps
 from opalg.opoly import XY, parse_opoly
 
@@ -43,6 +43,31 @@ def test_arithmetic():
     assert (a * b) / 2 == a * b * Fraction(1, 2)
     with pytest.raises(ValueError):
         (a + 1) / b
+
+
+def test_rational_passes_a_fraction_through():
+    q = Fraction(7, 3)
+    assert rational(q) is q
+    whole = rational(Fraction(-12, 4))
+    assert type(whole) is int and whole == -3
+    n = 10**30
+    assert rational(n) is n
+
+
+@pytest.mark.parametrize("value,expected", [
+    (True, 1), (False, 0), (2.0, 2), (0.5, Fraction(1, 2)),
+    (-0.25, Fraction(-1, 4)), ("3/4", Fraction(3, 4)), ("6/3", 2), ("-5", -5),
+])
+def test_rational_reads_other_inputs_through_fraction(value, expected):
+    got = rational(value)
+    assert got == expected and type(got) is type(expected)
+
+
+def test_is_constant_counts_terms_first():
+    assert not (a + 3).is_constant
+    assert not (a * b - 1).is_constant
+    assert R.zero().is_constant
+    assert R.const(Fraction(-2, 5)).is_constant
 
 
 def test_mixed_ring_rejected():

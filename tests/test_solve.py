@@ -281,9 +281,21 @@ def test_enumeration_agrees_with_quotient_dimension(degree1_components):
     ([Fraction(1), Fraction(0), Fraction(1)], []),
     ([Fraction(0), Fraction(0), Fraction(3)], [Fraction(0)]),
     ([Fraction(5)], []),
+    ([-1, 0, 1], [Fraction(-1), Fraction(1)]),
+    ([0, 0, 3], [Fraction(0)]),
+    ([6, -5, 1], [Fraction(2), Fraction(3)]),
+    ([-3, 2], [Fraction(3, 2)]),
+    ([8, 0, 0, -1, 0], [Fraction(2)]),
+    ([Fraction(-1, 2), 0, 2], [Fraction(-1, 2), Fraction(1, 2)]),
+    ([1, Fraction(-5, 6), Fraction(1, 6)], [Fraction(2), Fraction(3)]),
+    ([0, Fraction(1, 3), 1], [Fraction(-1, 3), Fraction(0)]),
+    ([7], []),
 ])
 def test_rational_roots(coeffs, expected):
-    assert rational_roots(coeffs) == expected
+    # exact int or Fraction coefficients, mixed too; the roots are Fractions
+    got = rational_roots(coeffs)
+    assert got == expected
+    assert all(type(r) is Fraction for r in got)
 
 
 def test_membership_of_a_huge_weight_is_solved_in_closed_form(ceiling):

@@ -280,7 +280,9 @@ def test_points_match_the_reference_propagation(key, solve_inputs):
 
 # -- rational roots ---------------------------------------------------------------
 
-_coefficient = st.fractions(min_value=-12, max_value=12, max_denominator=6)
+# exact coefficients in either form, so the lists mix ints and Fractions
+_coefficient = (st.fractions(min_value=-12, max_value=12, max_denominator=6)
+                | st.integers(min_value=-12, max_value=12))
 
 
 @settings(max_examples=200, deadline=None)
