@@ -21,7 +21,7 @@ class Family:
     """One catalog family: a parametric pattern plus constraint ideal."""
 
     __slots__ = ("key", "mode", "params", "pattern_text", "constraint_texts",
-                 "label", "_identity")
+                 "label", "_ring", "_identity")
 
     def __init__(self, key, mode, params, pattern_text, constraints=(), label=None):
         self.key = key
@@ -30,14 +30,15 @@ class Family:
         self.pattern_text = pattern_text
         self.constraint_texts = tuple(constraints)
         self.label = label
+        self._ring = PolyRing(self.params)
         self._identity = None
 
     def ring(self) -> PolyRing:
-        return PolyRing(self.params)
+        return self._ring
 
     def identity(self) -> OpIdentity:
         if self._identity is None:
-            ring = self.ring() if self.params else None
+            ring = self._ring if self.params else None
             pattern = parse_opoly(self.pattern_text, XY, ring=ring)
             constraints = tuple(ring.parse(t) for t in self.constraint_texts)
             self._identity = OpIdentity(self.mode, pattern, constraints,

@@ -13,15 +13,14 @@ equations restored.  ``_split`` pins nothing, since ``buchberger`` returns the
 reduced lex basis, which is unique for its ideal: pinning first could change
 the work done but not a component.
 
-Rational points on a component come from one propagation walk,
-``_try_point``.  Each decision fixes one variable, either to a rational root
-of an equation left univariate in it or, when no equation forces one, to a
-value of ``DEFAULT_POOL``; a policy picks among those options.  At each
-decision the walk substitutes into, and re-tests, only the equations that hold
-the decided variable.  Three policies use the walk: ``enumerate_points`` visits
-every root depth-first and gives up at the first unforced decision,
-``sample_points`` draws each value from a seeded ``random.Random``, and
-``find_representative`` searches the simplest values first.
+Rational points on a component are the leaves of one finite tree, walked
+depth-first by ``_leaves``: each decision fixes one variable to a rational
+root of an equation left univariate in it or, when none is, to a value of
+``DEFAULT_POOL``, and a policy orders the options or ends the walk.
+``enumerate_points`` walks every root and gives up at the first unforced
+decision, ``find_representative`` takes the first point, simplest values
+first, and ``sample_points`` follows one seeded branch per draw and walks a
+small tree whole.
 """
 
 from __future__ import annotations
@@ -315,25 +314,33 @@ def _univariate_coeffs(p: MPoly, name: str):
     return coeffs
 
 
-def _try_point(basis, nonzero, ring, choose):
-    """Build a point by propagation, one decision per variable.
+def _leaves(basis, nonzero, ring, order):
+    """The leaves of the propagation tree, depth-first: a point, or None for
+    a dead end.
 
-    A decision fixes ``name`` to ``choose(name, options, forced)``.  When an
-    equation is left univariate in ``name``, ``forced`` is True and
-    ``options`` are the sorted rational roots of the first such equation, in
-    basis order; otherwise ``name`` is the first unfixed variable, ``forced``
-    is False and ``options`` is ``DEFAULT_POOL``.  Either way zero is dropped
-    for a variable assumed nonzero.  Each live equation keeps its variable
-    set, and the new value is substituted into, and re-tested in, only the
-    equations that hold its variable.  Returns None on a dead end or when
-    ``choose`` returns None.
+    A node fixes one variable ``name``.  When an equation is left univariate
+    in it, ``forced`` is True and the options are the sorted rational roots
+    of the first such equation, in basis order; otherwise ``name`` is the
+    first unfixed variable, ``forced`` is False and the options are
+    ``DEFAULT_POOL``.  Either way zero is dropped for a variable assumed
+    nonzero, and a node with no option left is a dead end.
+    ``order(options, forced)`` gives the values to branch on, in order, or
+    None to end the walk.  Sibling branches copy the point, the live
+    equations and their variable sets; each substitutes its value into, and
+    re-tests, only the equations that hold ``name``.  So at a leaf every
+    equation is zero, and the point lies on the component.
     """
-    point: dict = {}
     eqs = [g for g in basis if not g.is_zero]
     free = [g.variables() for g in eqs]
     if not all(free):
-        return None     # a nonzero constant
-    while True:
+        yield None      # a nonzero constant
+        return
+    stack = [({}, eqs, free, None, None)]
+    while stack:
+        point, eqs, free, name, val = stack.pop()
+        if name is not None and not _fix(point, eqs, free, name, val):
+            yield None
+            continue
         k = next((k for k, names in enumerate(free) if len(names) == 1), None)
         forced = k is not None
         if forced:
@@ -342,69 +349,53 @@ def _try_point(basis, nonzero, ring, choose):
         else:
             name = next((n for n in ring.vars if n not in point), None)
             if name is None:
-                break
+                yield point
+                continue
             options = DEFAULT_POOL
         if name in nonzero:
             options = [r for r in options if r != 0]
         if not options:
-            return None
-        val = choose(name, options, forced)
-        if val is None:
-            return None
-        point[name] = val
-        for k, names in enumerate(free):
-            if name not in names:
-                continue
-            e = eqs[k].subs({name: val})
-            eqs[k] = e
+            yield None
+            continue
+        options = order(options, forced)
+        if options is None:
+            return
+        for val in reversed(options):
+            if len(options) > 1:
+                point, eqs, free = dict(point), eqs[:], free[:]
+            stack.append((point, eqs, free, name, val))
+
+
+def _fix(point, eqs, free, name, val):
+    """Put ``val`` for ``name`` in ``point`` and in the equations that hold
+    it, in place; False when one becomes a nonzero constant."""
+    point[name] = val
+    for k, names in enumerate(free):
+        if name in names:
+            e = eqs[k] = eqs[k].subs({name: val})
             free[k] = e.variables()
             if not free[k] and not e.is_zero:
-                return None
-    if any(g.evaluate(point) != 0 for g in basis):
-        return None
-    return point
+                return False
+    return True
 
 
 def enumerate_points(basis, nonzero, ring):
     """Every rational point of the component, or None when it may be infinite.
 
-    Runs ``_try_point``'s propagation depth-first over every rational root
-    (sorted) at each forced decision; each run follows one branch of that
-    tree.  A free choice means no equation fixes the next variable, and the
-    enumeration gives up with None.  When no branch meets one, every rational
-    point was reached: its coordinates are roots at each forced decision.  A
-    zero-dimensional lex basis never meets a free choice: the lex-smallest
-    unfixed variable has a basis element with a pure power of it as leading
-    term, and every other variable in that element is lex-smaller, so already
-    fixed (Cox, Little and O'Shea, *Ideals, Varieties, and Algorithms*, ch. 3
-    sections 1-2).
+    Walks ``_leaves`` over the sorted roots of each forced decision.  A free
+    choice means no equation fixes the next variable, and the enumeration gives
+    up with None.  When no branch meets one, every rational point was reached:
+    its coordinates are roots at each forced decision.  A zero-dimensional lex
+    basis never meets a free choice: the lex-smallest unfixed variable has a
+    basis element with a pure power of it as leading term, and every other
+    variable in that element is lex-smaller, so already fixed (Cox, Little and
+    O'Shea, *Ideals, Varieties, and Algorithms*, ch. 3 sections 1-2).
     """
-    points: list = []
-    script: list = []   # [index, number of roots] per forced decision
-    while True:
-        depth, free = 0, False
-
-        def choose(name, options, forced):
-            nonlocal depth, free
-            if not forced:
-                free = True
-                return None
-            if depth == len(script):
-                script.append([0, len(options)])
-            idx = script[depth][0]
-            depth += 1
-            return options[idx]
-
-        point = _try_point(basis, nonzero, ring, choose)
-        if free:
-            return None
-        if point is not None:
-            points.append(point)
-        while script and script[-1][0] + 1 == script[-1][1]:
-            script.pop()
-        if not script:
-            return points
-        script[-1][0] += 1
+    free = []   # the options of a free choice; append's None ends the walk
+    leaves = _leaves(basis, nonzero, ring, lambda options, forced:
+                     options if forced else free.append(options))
+    points = [p for p in leaves if p is not None]
+    return None if free else points
 
 
 def sample_points(basis, nonzero, ring, count: int, rng: random.Random,
@@ -414,8 +405,11 @@ def sample_points(basis, nonzero, ring, count: int, rng: random.Random,
     A component whose rational points ``enumerate_points`` lists (every
     zero-dimensional one) gives the first ``count`` of them in that fixed
     order, and ``rng`` is not drawn from.  Otherwise up to ``max_attempts``
-    seeded propagations each draw every value with ``rng.choice`` from the
-    options ``_try_point`` offers.
+    seeded propagations each follow one branch of ``_leaves``, drawing each
+    value with ``rng.choice``.  At the first draw that finds no new point
+    the tree is walked once, over every option and at most ``max_attempts``
+    leaves; if it holds ``count`` points or fewer, those not yet drawn
+    follow in walk order and nothing more is drawn.
 
     Raises when fewer than ``count`` are found, unless ``strict`` is False,
     in which case whatever was found is returned.
@@ -426,41 +420,46 @@ def sample_points(basis, nonzero, ring, count: int, rng: random.Random,
     if found is not None:
         found = found[:count]
     else:
-        found = []
-        seen = set()
+        found, seen, walked = [], set(), False
         for _ in range(max_attempts):
             if len(found) >= count:
                 break
-            point = _try_point(basis, nonzero, ring,
-                               lambda name, options, forced: rng.choice(options))
-            if point is None:
-                continue
-            key = tuple(sorted(point.items()))
-            if key not in seen:
+            point = next(_leaves(basis, nonzero, ring,
+                                 lambda options, forced: (rng.choice(options),)))
+            if point is not None and (
+                    key := tuple(sorted(point.items()))) not in seen:
                 seen.add(key)
                 found.append(point)
+            elif not walked:
+                walked = True
+                tree = _small_tree(basis, nonzero, ring, count, max_attempts)
+                if tree is not None:
+                    found += [p for p in tree if p not in found]
+                    break
     if strict and len(found) < count:
         raise RuntimeError(
             f"found only {len(found)} of {count} requested rational points")
     return found
 
 
+def _small_tree(basis, nonzero, ring, count, max_leaves):
+    """The points of the whole tree, when it holds at most ``count`` within
+    ``max_leaves`` leaves; else None."""
+    points = []
+    leaves = _leaves(basis, nonzero, ring, lambda options, forced: options)
+    for n, point in enumerate(leaves, 1):
+        if point is not None:
+            points.append(point)
+        if len(points) > count or n == max_leaves:
+            return None
+    return points
+
+
 def find_representative(basis, nonzero, ring):
     """Deterministic simple point on the component, or None if the grid misses."""
-    # depth-first over the options of each decision, simplest values first;
-    # a decision with a single option spends no search budget
-    def choose(name, options, forced):
-        if forced:
-            options = sorted(options, key=lambda r: (abs(r), r < 0))
-        if len(options) == 1:
-            return options[0]
-        idx = next(step, 0)
-        return options[idx] if idx < len(options) else None
+    # depth-first, simplest roots first, over at most 1 + 6 + 36 + 216 leaves
+    def simplest(options, forced):
+        return sorted(options, key=lambda r: (abs(r), r < 0)) if forced else options
 
-    for depth in range(4):
-        for script in itertools.product(range(len(DEFAULT_POOL)), repeat=depth):
-            step = iter(script)
-            point = _try_point(basis, nonzero, ring, choose)
-            if point is not None:
-                return point
-    return None
+    leaves = itertools.islice(_leaves(basis, nonzero, ring, simplest), 259)
+    return next((p for p in leaves if p is not None), None)

@@ -29,6 +29,14 @@ def test_family_identities_build():
         assert ident.pattern.terms, fam.key
 
 
+def test_each_family_builds_its_ring_once():
+    for fam in DT_FAMILIES + RBT_FAMILIES:
+        assert fam.ring() is fam.ring()
+        assert fam.ring().vars == fam.params
+        # a family without parameters has numeric coefficients and no ring
+        assert fam.identity().ring is (fam.ring() if fam.params else None)
+
+
 def test_dt1_constraint_attached():
     fam = FAMILIES["dt1"]
     ident = fam.identity()

@@ -279,12 +279,12 @@ def test_match_catalog_rejects_sample_counts_below_one(samples):
 # which nf_mod_ideal, buchberger and the solver all reduce through, counted at
 # every opalg binding so calls that cross modules are seen too.
 _HASH_SEED_JOB = """
-import json, sys
+import json, random, sys
 import opalg.groebner
 from opalg.classify import build_ansatz, classify
 from opalg.opoly import DIFFERENTIAL, ROTA_BAXTER
 from opalg.rewrite import ResourceLimit
-from opalg.solve import enumerate_points
+from opalg.solve import enumerate_points, find_representative, sample_points
 
 original = opalg.groebner._normal_form
 calls = [0]
@@ -299,12 +299,22 @@ for name, module in list(sys.modules.items()):
 results = [classify(build_ansatz(mode, 1)).components
            for mode in (DIFFERENTIAL, ROTA_BAXTER)]
 components = [[c.describe() for c in comps] for comps in results]
-points = [[[[[k, str(v)] for k, v in p.items()] for p in found]
+
+def coordinates(p):
+    return None if p is None else [[k, str(v)] for k, v in p.items()]
+
+points = [[[coordinates(p) for p in found]
            for c in comps
            if (found := enumerate_points(c.basis, c.nonzero, c.ring)) is not None]
           for comps in results]
+representatives = [[coordinates(find_representative(c.basis, c.nonzero, c.ring))
+                    for c in comps] for comps in results]
+samples = [[[coordinates(p) for p in sample_points(
+                c.basis, c.nonzero, c.ring, 3, random.Random(0), strict=False)]
+            for c in comps] for comps in results]
 print(json.dumps({"normal_form": calls[0], "components": components,
-                  "points": points}))
+                  "points": points, "representatives": representatives,
+                  "samples": samples}))
 """
 
 
@@ -321,6 +331,9 @@ def test_classification_work_does_not_depend_on_hash_seed(run_job):
     # the points, their order, and the order their coordinates were fixed in
     assert [len(found) for found in first["points"]] == [2, 5]
     assert first["points"] == second["points"]
+    assert first["representatives"] == second["representatives"]
+    assert first["samples"] == second["samples"]
+    assert all(samples for comps in first["samples"] for samples in comps)
 
 
 # Component descriptions, nonzero assumptions and representatives of the

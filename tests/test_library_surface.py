@@ -414,6 +414,25 @@ def definitions_of(library, name):
                   and node.name == name)
 
 
+def readers_of(library, name):
+    """The library definitions that read ``name``, by a bare name (imported
+    names resolved) or an attribute, named as ``callers_of`` names them."""
+    readers = set()
+    for source in _sources(library, []):
+        owners = {}
+        _owners_into(source.tree, source.module, owners)
+        for node in ast.walk(source.tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read = _resolve(source, "name", node.id)[0]
+            elif isinstance(node, ast.Attribute):
+                read = node.attr
+            else:
+                continue
+            if read == name:
+                readers.add(owners[id(node)])
+    return sorted(readers)
+
+
 def test_only_ordering_compares_words_pairwise():
     # every other module orders words by ``order_key`` keys: a second path
     # through ``compare`` is how a second definition of an order would start
@@ -428,6 +447,30 @@ def test_only_factored_normal_form_reads_the_memos_normal_forms():
     library, _ = load()
     assert callers_of(library, "strategy_nf") == [
         "rewrite.factored_normal_form"]
+
+
+def test_only_the_leaf_walk_builds_a_decisions_options():
+    # the options of a decision are the roots of a univariate equation or
+    # the pool: a second reader of either is how a second propagation walk,
+    # with its own order of decisions, would start
+    library, _ = load()
+    assert readers_of(library, "DEFAULT_POOL") == ["solve._leaves"]
+    assert readers_of(library, "_univariate_coeffs") == ["solve._leaves"]
+
+
+def test_readers_are_found_by_bare_and_attribute_name():
+    library = {
+        "solve": ast.parse("DEFAULT_POOL = (0, 1)\n"
+                           "def _leaves(order):\n"
+                           "    return order(DEFAULT_POOL)\n"),
+        "classify": ast.parse("from .solve import DEFAULT_POOL as pool\n"
+                              "def draw(rng):\n"
+                              "    return rng.choice(pool)\n"
+                              "class Grid:\n"
+                              "    def values(self):\n"
+                              "        return solve.DEFAULT_POOL\n")}
+    assert readers_of(library, "DEFAULT_POOL") == [
+        "classify.Grid.values", "classify.draw", "solve._leaves"]
 
 
 def test_patterns_are_compiled_only_by_their_identity():

@@ -153,28 +153,19 @@ def test_is_member():
         assert is_member(c, e * (a - b))
 
 
-def _count_propagations(monkeypatch):
-    """Count ``_try_point`` runs and the leaves of the tree of forced
-    decisions they walk: one leaf, plus one per extra root at each decision
-    (a decision is keyed by the choices made before it)."""
-    original = opalg.solve._try_point
-    calls, decisions = [0], {}
+def _count_leaves(monkeypatch):
+    """Count the leaves that ``_leaves`` yields, dead ends included: one per
+    seeded draw, and one per leaf that a walk reaches."""
+    original = opalg.solve._leaves
+    leaves = [0]
 
-    def counted(basis, nonzero, ring, choose):
-        calls[0] += 1
-        before = []
+    def counted(*args):
+        for leaf in original(*args):
+            leaves[0] += 1
+            yield leaf
 
-        def watched(name, options, forced):
-            if forced:
-                decisions[tuple(before)] = len(options)
-            value = choose(name, options, forced)
-            before.append((name, value))
-            return value
-
-        return original(basis, nonzero, ring, watched)
-
-    monkeypatch.setattr(opalg.solve, "_try_point", counted)
-    return lambda: (calls[0], 1 + sum(k - 1 for k in decisions.values()))
+    monkeypatch.setattr(opalg.solve, "_leaves", counted)
+    return lambda: leaves[0]
 
 
 def test_single_point_component_is_enumerated_not_sampled(
@@ -182,32 +173,32 @@ def test_single_point_component_is_enumerated_not_sampled(
     # the rejection loop spent all 4000 attempts here to find its one point
     c = degree1_components[DIFFERENTIAL][4]
     assert quotient_monomials(c.basis, c.ring) == [(0,) * c.ring.nvars]
-    counts = _count_propagations(monkeypatch)
+    counts = _count_leaves(monkeypatch)
     rng = random.Random(0)
     state = rng.getstate()
     pts = sample_points(c.basis, c.nonzero, c.ring, 2, rng,
                         max_attempts=4000, strict=False)
     assert len(pts) == 1 and c.contains_point(pts[0])
-    calls, branches = counts()
-    assert calls <= branches
+    assert counts() == 1
     assert rng.getstate() == state
 
 
 def test_degree1_dt_sample_counts_are_pinned(monkeypatch, degree1_components):
     # components 2 and 3 have one free coefficient and every other one
-    # pinned, so DEFAULT_POOL reaches only 5 and 6 of their points: every
-    # attempt after the enumeration gives up repeats a point
-    counts = _count_propagations(monkeypatch)
+    # pinned, so DEFAULT_POOL reaches only 5 and 6 of their points: each
+    # draws 3 points and a repeat, then walks its tree of 5 or 6 leaves once
+    # (the rejection loop spent all 300 attempts on them)
+    counts = _count_leaves(monkeypatch)
     found, runs = [], []
     for c in degree1_components[DIFFERENTIAL]:
-        before = counts()[0]
+        before = counts()
         pts = sample_points(c.basis, c.nonzero, c.ring, 20, random.Random(0),
                             max_attempts=300, strict=False)
         assert all(c.contains_point(p) for p in pts)
         found.append(len(pts))
-        runs.append(counts()[0] - before)
+        runs.append(counts() - before)
     assert found == [20, 20, 5, 6, 1, 1]
-    assert runs[2:4] == [301, 301]
+    assert runs[2:4] == [4 + 5, 4 + 6]
 
 
 # a = 0 or 1, b = 1 or -1, e = a*b, and b != 0: four rational points
@@ -249,11 +240,11 @@ def test_infinite_component_is_not_enumerated():
 
 
 def test_component_without_rational_points_is_empty_at_once(monkeypatch):
-    counts = _count_propagations(monkeypatch)
+    counts = _count_leaves(monkeypatch)
     basis = buchberger([b * b + 1], R)   # a and e are free, b has no root
     assert enumerate_points(basis, (), R) == []
     assert sample_points(basis, (), R, 2, random.Random(0), strict=False) == []
-    assert counts()[0] == 2
+    assert counts() == 2
 
 
 def test_enumeration_agrees_with_quotient_dimension(degree1_components):

@@ -3,8 +3,10 @@
 The oracles below are the earlier ``groebner.buchberger`` (S-pairs last in,
 first out, and an ``_interreduce`` that restarts its scan after each change),
 ``solve._merge_leaves`` (a trial basis for every candidate merge),
-``solve._try_point`` (every decided value substituted into every equation)
-and ``solve.rational_roots`` (every candidate of the rational root theorem).
+``solve._leaves`` (a propagation that substitutes every decided value into
+every equation, replayed from the root once per leaf),
+``solve.rational_roots`` (every candidate of the rational root theorem) and
+``solve.sample_points`` (seeded draws alone, with no walk of the tree).
 The library must give what they give: the same polynomials, term for term
 and in the same order, the same leaves and the same points.  The oracles are
 run only on inputs they finish quickly; the last-in-first-out ``buchberger``
@@ -21,8 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opalg.solve
-from opalg.catalog import FAMILIES
-from opalg.classify import build_ansatz, classify
+from opalg.catalog import FAMILIES, families
+from opalg.classify import _family_inspace_components, build_ansatz, classify
 from opalg.groebner import buchberger, leading_exps, nf_mod_ideal
 from opalg.opoly import DIFFERENTIAL, ROTA_BAXTER
 from opalg.solve import (DEFAULT_POOL, _merge_leaves, _univariate_coeffs,
@@ -143,6 +145,56 @@ def reference_try_point(basis, nonzero, ring, choose):
     if any(g.evaluate(point) != 0 for g in basis):
         return None
     return point
+
+
+def reference_leaves(basis, nonzero, ring, order):
+    """``_leaves`` as one ``reference_try_point`` run per leaf, each run
+    following a script of the options taken so far."""
+    script = []     # [index, ordered options] per decision of the last run
+    stopped = []
+
+    def choose(name, options, forced):
+        depth = len(taken)
+        if depth == len(script):
+            ordered = order(options, forced)
+            if ordered is None:
+                stopped.append(name)
+                return None
+            script.append([0, ordered])
+        index, ordered = script[depth]
+        taken.append(ordered[index])
+        return ordered[index]
+
+    while True:
+        taken = []
+        point = reference_try_point(basis, nonzero, ring, choose)
+        if stopped:
+            return
+        yield point
+        while script and script[-1][0] + 1 == len(script[-1][1]):
+            script.pop()
+        if not script:
+            return
+        script[-1][0] += 1
+
+
+def reference_sample_points(basis, nonzero, ring, count, rng,
+                            max_attempts=4000):
+    """``sample_points`` drawing until it has ``count`` points or has made
+    ``max_attempts`` draws, however small the tree."""
+    found = enumerate_points(basis, nonzero, ring)
+    if found is not None:
+        return found[:count]
+    found = []
+    for _ in range(max_attempts):
+        if len(found) >= count:
+            break
+        point = reference_try_point(
+            basis, nonzero, ring,
+            lambda name, options, forced: rng.choice(options))
+        if point is not None and point not in found:
+            found.append(point)
+    return found
 
 
 def _divisors(n):
@@ -272,10 +324,42 @@ def test_points_match_the_reference_propagation(key, solve_inputs):
     components = solve_inputs[key][0].components
     got = _points_by_every_policy(components)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(opalg.solve, "_try_point", reference_try_point)
+        mp.setattr(opalg.solve, "_leaves", reference_leaves)
         want = _points_by_every_policy(components)
     assert got == want
     assert any(p is not None for p in got)
+
+
+def _point_set(points):
+    return {tuple(sorted(p.items())) for p in points}
+
+
+@pytest.mark.parametrize("key", ANSATZE)
+def test_samples_match_the_rejection_sampler(key, solve_inputs):
+    # a tree of at most 20 points is walked whole, and the draws reach the
+    # same points; the reference stops at as many points as the walk gave,
+    # which it cannot pass in a tree that holds no more.  A larger tree is
+    # drawn from exactly as the reference draws
+    result = solve_inputs[key][0]
+    components = list(result.components + result.audit_failures)
+    for fam in families(result.ansatz.mode):
+        components.extend(_family_inspace_components(fam, result.ansatz))
+    small = 0
+    for c in components:
+        got = sample_points(c.basis, c.nonzero, c.ring, 20, random.Random(0),
+                            strict=False)
+        tree = itertools.islice(
+            (p for p in reference_leaves(c.basis, c.nonzero, c.ring,
+                                         lambda options, forced: options)
+             if p is not None), 21)
+        if len(list(tree)) > 20:
+            assert got == reference_sample_points(
+                c.basis, c.nonzero, c.ring, 20, random.Random(0))
+            continue
+        small += 1
+        assert _point_set(got) == _point_set(reference_sample_points(
+            c.basis, c.nonzero, c.ring, len(got), random.Random(0)))
+    assert small > 0
 
 
 # -- rational roots ---------------------------------------------------------------
