@@ -132,8 +132,7 @@ def cmd_verify(args) -> int:
     else:
         report = rbt_check(ident.pattern, ident.constraints,
                            strategy=args.strategy, step_cap=args.step_cap)
-    witness = report.witness if report.witness is not None and \
-        not report.witness.is_zero else None
+    witness = report.witness
     special = _specialized_witness(witness)
     cfg = OrderConfig(UVW, args.order)
     lines = [report.describe()]

@@ -126,10 +126,6 @@ class PolyRing:
         e[i] = 1
         return MPoly(self, {tuple(e): 1})
 
-    def monomial(self, exps, coeff) -> "MPoly":
-        coeff = rational(coeff)
-        return MPoly(self, {} if coeff == 0 else {tuple(exps): coeff})
-
     def parse(self, text: str) -> "MPoly":
         return _parse_poly(text, self)
 

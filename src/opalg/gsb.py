@@ -34,7 +34,7 @@ from .rewrite import (NORMAL_FORM, NotDRF, NotRBRF, NotTotallyLinear, Redex,
                       ResourceLimit, RuleSchema, Verdict, _search_verdict,
                       _span_certificate, _strategy_verdict,
                       factored_normal_form, find_redexes, in_reduced_form,
-                      job_memo, normal_form, reduces_to_zero)
+                      job_memo, normal_form)
 from .words import (GeneratorSet, Word, bracket, enumerate_words, fill, job,
                     splice, to_str, tower_heights)
 
@@ -575,33 +575,31 @@ def _certify(identity: OpIdentity, order: OrderConfig, strategy: str,
              step_cap: int) -> TypeReport:
     """Reject a pattern of the wrong shape; otherwise accept when the
     associativity defect of the identity rewrites to zero, and keep the
-    verdict's detail and witness when it does not.  An unconstrained
-    differential-shape defect is decided by its strategy normal form alone
-    (see ``dt_check``).  A Rota-Baxter-shape defect with rational
-    coefficients and a nonzero strategy normal form is rejected, with that
-    normal form as witness, when it lies outside the span of the rewrite
-    steps at every redex of the closure of its words under every redex,
-    since every reduct lies in the defect plus that span
-    (``rewrite._span_certificate``; see ``rbt_check``); when that is not
-    shown, or the closure passes ``EXPLORE_BUDGET`` words, the search runs
-    on from the strategy verdict.  Any other defect is decided by
-    ``reduces_to_zero``."""
+    verdict's detail and witness when it does not.  The decision rule of
+    ``dt_check`` and ``rbt_check``: the defect, reduced modulo the
+    constraint ideal, takes one strategy verdict (``_strategy_verdict``):
+    a zero normal form accepts, the step cap is inconclusive, and a nonzero
+    normal form rejects a differential-shape defect with no constraints,
+    since normal forms are unique there (see ``dt_check``).  A Rota-Baxter
+    shape or a constraint ideal goes on from a nonzero normal form: with
+    rational coefficients the span certificate rejects, with that normal
+    form as witness, when the defect lies outside the span of every rewrite
+    step on the closure of its words (``rewrite._span_certificate``; see
+    ``rbt_check``); when that is not shown, the closure passes
+    ``EXPLORE_BUDGET`` words or the coefficients are symbolic, the search
+    runs on from the strategy verdict (``rewrite._search_verdict``)."""
     report = TypeReport(identity.kind)
     try:
         schema = RuleSchema(identity, order=order)
     except (NotTotallyLinear, NotDRF, NotRBRF) as exc:
         report.reason = _SHAPE_REASONS[type(exc)]
         return report
-    defect = generic_defect(identity)
-    differential = identity.kind == DIFFERENTIAL
-    if differential and not identity.constraints:
-        verdict = _strategy_verdict(defect, schema, strategy, step_cap)
-    elif differential or identity.ring is not None:
-        verdict = reduces_to_zero(defect, schema, strategy, step_cap)
-    else:  # Rota-Baxter shape with rational coefficients
-        verdict = _strategy_verdict(defect, schema, strategy, step_cap)
+    defect = schema.normalize(generic_defect(identity))
+    verdict = _strategy_verdict(defect, schema, strategy, step_cap)
+    if verdict.kind == Verdict.NO and (identity.kind == ROTA_BAXTER
+                                       or identity.constraints):
         memo = job_memo(schema)
-        span = verdict.kind == Verdict.NO and _span_certificate(defect, memo)
+        span = identity.ring is None and _span_certificate(defect, memo)
         if span:
             steps, words = span
             verdict = Verdict(Verdict.NO, verdict.witness,
@@ -623,22 +621,22 @@ def dt_check(pattern: OPoly, constraints=(), strategy: str = "lo",
     """Certificate that [x y] -> pattern defines a differential-shape identity
     whose associativity defect rewrites to zero over three fresh generators.
 
-    Without constraints the defect's strategy normal form decides, with no
-    search: zero accepts, the step cap is inconclusive, and a nonzero normal
-    form rejects.  By the source paper (Guo, Sit and Zhang), when some path
-    takes the defect of a DRF, totally linear pattern to zero, its rules form
-    a Groebner-Shirshov basis, so their ideal holds no nonzero irreducible
-    polynomial; the strategy normal form is irreducible and lies in that
-    ideal with the defect, so it is zero too.  The hypotheses: the pattern is
-    DRF and totally linear (``RuleSchema`` checks both); the strategy path
+    ``_certify`` states the decision rule.  Without constraints the
+    defect's strategy normal form decides, with no search.  By the source
+    paper (Guo, Sit and Zhang), when some path takes the defect of a DRF,
+    totally linear pattern to zero, its rules form a Groebner-Shirshov
+    basis, so their ideal holds no nonzero irreducible polynomial; the
+    strategy normal form is irreducible and lies in that ideal with the
+    defect, so it is zero too.  The hypotheses: the pattern is DRF and
+    totally linear (``RuleSchema`` checks both); the strategy path
     terminates (the step cap checks it); and the coefficients lie in a field.
     Reduction never divides, since every rule leads with coefficient 1, so
     Q[params] reduces as its fraction field does.  The schema's order only
     picks the next redex: where u or v holds a unit bracket ``purelex`` does
     not lead every rule instance (CHANGES.md), and the argument rests on the
     paper's order there.  Modulo a constraint ideal the coefficients form
-    no domain when the ideal is not prime, so a constrained pattern keeps
-    ``reduces_to_zero``'s search."""
+    no domain when the ideal is not prime, so a constrained pattern goes on
+    to the search."""
     return _certify(OpIdentity(DIFFERENTIAL, pattern, tuple(constraints)),
                     OrderConfig(UVW, order_mode), strategy, step_cap)
 
@@ -651,18 +649,16 @@ def rbt_check(pattern: OPoly, constraints=(), strategy: str = "lo",
     rewrites to zero within budget (no termination certificate exists, so
     the verdict may be inconclusive).
 
-    A nonzero strategy normal form alone does not reject: another path may
-    reach zero.  With rational coefficients a span certificate rejects with
-    no search.  Each step rewrites a word w of q at a redex r, taking q to
-    q - c (w - repl_r(w)), so every reduct of the defect lies in the defect
-    plus the span of w - repl_r(w) over every word w of W, the closure of
-    the defect's words under every redex (the strategy's alone would miss
-    reducts), and every redex r of w.  Outside that span no path reaches
-    zero, and the rejection is exact.  The elimination divides, so the
-    coefficients must lie in a field: a symbolic pattern keeps
-    ``reduces_to_zero``'s search.  The witness stays the strategy normal
-    form.  When the defect lies in the span, or W passes ``EXPLORE_BUDGET``
-    words, the search decides."""
+    ``_certify`` states the decision rule.  A nonzero strategy normal form
+    alone does not reject: another path may reach zero.  With rational
+    coefficients a span certificate rejects with no search.  Each step
+    rewrites a word w of q at a redex r, taking q to q - c (w - repl_r(w)),
+    so every reduct of the defect lies in the defect plus the span of
+    w - repl_r(w) over every word w of W, the closure of the defect's words
+    under every redex (the strategy's alone would miss reducts), and every
+    redex r of w.  Outside that span no path reaches zero, and the
+    rejection is exact.  The elimination divides, so the coefficients must
+    lie in a field: a symbolic pattern goes on to the search."""
     return _certify(OpIdentity(ROTA_BAXTER, pattern, tuple(constraints)),
                     None, strategy, step_cap)
 

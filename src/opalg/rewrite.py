@@ -128,7 +128,8 @@ class RuleSchema:
     """A sigma or pi rule family derived from one operator identity; its
     pattern must be totally linear and in the family's reduced form.  Its
     replacements are filled from the identity's compiled pattern,
-    ``OpIdentity.plans``."""
+    ``OpIdentity.plans``.  Constraints whose ideal is (1) raise
+    ``ValueError``: every coefficient would reduce to zero."""
 
     __slots__ = ("kind", "identity", "order", "constraint_gb")
 
@@ -149,6 +150,9 @@ class RuleSchema:
         if identity.constraints:
             self.constraint_gb = buchberger(list(identity.constraints),
                                             identity.ring)
+            if any(g.is_constant for g in self.constraint_gb):
+                raise ValueError("inconsistent constraints: " + ", ".join(
+                    map(str, identity.constraints)))
         else:
             self.constraint_gb = None
 
@@ -727,8 +731,7 @@ def _strategy_verdict(p: OPoly, schema: RuleSchema, strategy: str,
     """The strategy half of ``reduces_to_zero`` on ``p``, already reduced
     modulo the schema's constraint ideal if it has one: YES at a zero normal
     form, INCONCLUSIVE at the step cap, and NO otherwise, with the normal
-    form as witness.  The NO is final only where normal forms are unique
-    (see ``gsb.dt_check``)."""
+    form as witness.  ``gsb._certify`` states where the NO is final."""
     _check_strategy(strategy)
     if p.is_zero:
         return Verdict(Verdict.YES, detail="zero in 0 steps")
@@ -743,19 +746,18 @@ def _strategy_verdict(p: OPoly, schema: RuleSchema, strategy: str,
 
 
 @job()
-def reduces_to_zero(p: OPoly, schema: RuleSchema, strategy: str = "lo",
-                    step_cap: int = 10000) -> Verdict:
+def reduces_to_zero(p: OPoly, schema: RuleSchema) -> Verdict:
     """Does some reduction of ``p`` reach zero?
 
-    Strategy reduction first (``_strategy_verdict``); a nonzero normal form
-    triggers exhaustive exploration of rewrite choices up to
-    ``EXPLORE_BUDGET`` distinct polynomials, which keeps that normal form as
-    its witness.  Symbolic coefficients count as zero when they lie in the
-    constraint ideal.  The job's memo (``job_memo``) serves both.
+    The leftmost-outermost strategy verdict within 10 000 steps
+    (``_strategy_verdict``), searched on from a nonzero normal form
+    (``_search_verdict``); ``gsb._certify`` states the type checks' rule.
+    Symbolic coefficients count as zero when they lie in the constraint
+    ideal.  The job's memo (``job_memo``) serves both.
     """
     p = schema.normalize(schema.lift(p))
     return _search_verdict(p, job_memo(schema),
-                           _strategy_verdict(p, schema, strategy, step_cap))
+                           _strategy_verdict(p, schema, "lo", 10000))
 
 
 def _search_verdict(p: OPoly, memo: RewriteMemo, verdict: Verdict) -> Verdict:

@@ -166,10 +166,6 @@ class Word:
     # -- basic shape -------------------------------------------------------
 
     @property
-    def breadth(self) -> int:
-        return len(self.atoms)
-
-    @property
     def is_unit(self) -> bool:
         return not self.atoms
 

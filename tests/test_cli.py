@@ -133,6 +133,16 @@ def test_verify_family_without_constraint_shows_defect(capsys):
     assert "b^2 - b - c*e" in out
 
 
+@pytest.mark.parametrize("kind,pattern", [
+    ("dt", "x [y] + [x] y + lam*[x] [y]"), ("rbt", "x [y] + lam*[x] y")])
+def test_verify_refuses_inconsistent_constraints(capsys, kind, pattern):
+    # their ideal is (1), which would take every coefficient to zero
+    code, out, err = run(capsys, "verify", "--type", kind, pattern,
+                         "--constraint", "lam - 1", "--constraint", "lam - 2")
+    assert (code, out) == (1, "")
+    assert err == "error: inconsistent constraints: lam - 1, lam - 2\n"
+
+
 def test_verify_nijenhuis_expression(capsys):
     code, out, _ = run(capsys, "verify", "--type", "rbt",
                        "x [y] + [x] y - [x y]")

@@ -94,11 +94,18 @@ def test_subs_and_evaluate():
     assert q.evaluate({"a": 1, "b": 2, "c": 9}) == 27
 
 
+def monomial(ring, exps, coeff):
+    """The one-term polynomial coeff * x^exps of ``ring``; zero at a zero
+    coefficient."""
+    coeff = rational(coeff)
+    return MPoly(ring, {tuple(exps): coeff} if coeff else {})
+
+
 def _random_mpoly(rng, nterms, max_exp=3):
     p = R.zero()
     for _ in range(nterms):
         e = tuple(rng.randint(0, max_exp) for _ in R.vars)
-        p = p + R.monomial(e, Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+        p = p + monomial(R, e, Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
     return p
 
 

@@ -16,7 +16,7 @@ import opalg.words
 from opalg import gsb
 from opalg.catalog import DT_FAMILIES, RBT_FAMILIES, named_pattern
 from opalg.classify import build_ansatz
-from opalg.coeffs import MAX_DEPTH, _add_scaled_into
+from opalg.coeffs import MAX_DEPTH, PolyRing, _add_scaled_into
 from opalg.gsb import (D_TOO_DEEP, UVW, CompositionRecord, GeneratorSystem,
                        NFCache, TruncationBound, cdl_direct_sum_check,
                        delta_view, dt_check, free_dt_operator_nf,
@@ -992,6 +992,48 @@ def test_irr_enumeration_single_generator():
     assert len(irr) == 31  # 12 plain + unit + 18 with unit brackets
 
 
+def irr_counts(breadth, depth, gens):
+    """(all, without a unit bracket) irreducible words at a bound, in closed
+    form, with no rewriting: a product of at most ``breadth`` atoms, each a
+    tower of at most ``depth`` brackets over one generator, gens (depth + 1)
+    atoms, or a tower of at least one bracket over the unit, depth more."""
+    plain = gens * (depth + 1)
+    return (sum((plain + depth) ** k for k in range(breadth + 1)),
+            sum(plain ** k for k in range(breadth + 1)))
+
+
+IRR_COUNTS = {(2, 1, 3): (57, 43), (2, 2, 3): (133, 91),
+              (2, 3, 3): (241, 157), (3, 1, 3): (400, 259),
+              (3, 2, 3): (1464, 820), (2, 1, 1): (13, 7), (3, 0, 3): (40, 40)}
+
+
+@pytest.mark.parametrize("dims", sorted(IRR_COUNTS))
+def test_irreducible_words_are_counted_in_closed_form(dims):
+    assert irr_counts(*dims) == IRR_COUNTS[dims]
+    bound = TruncationBound(*dims)
+    irr = irr_enumerate(GeneratorSystem(DER, OrderConfig(
+        bound.generator_set())), bound)
+    assert (len(irr), sum(not w.has_unit_bracket for w in irr)) == \
+        IRR_COUNTS[dims]
+
+
+# the systems and bounds of the benchmark's basis workload
+BASIS_BOUNDS = (("derivation", (3, 1, 3)), ("endomorphism", (3, 1, 3)),
+                ("endomorphism", (2, 3, 3)), ("weight:lam", (2, 2, 3)))
+
+
+@pytest.mark.parametrize("spec,dims", BASIS_BOUNDS)
+def test_direct_sum_report_counts_irreducible_words_in_closed_form(spec,
+                                                                   dims):
+    total, plain = irr_counts(*dims)
+    bound = TruncationBound(*dims)
+    system = GeneratorSystem(named_pattern(spec),
+                             OrderConfig(bound.generator_set()))
+    report = cdl_direct_sum_check(system, bound, rng=random.Random(0))
+    assert (report.irr_size, report.irr_unit_surplus) == (total,
+                                                          total - plain)
+
+
 def test_cdl_direct_sum_small_bound():
     bound = TruncationBound(2, 2, 2)
     sys = GeneratorSystem(DER, OrderConfig(bound.generator_set()))
@@ -1308,6 +1350,62 @@ def test_type_checks_report_exhausted_search(check, text, monkeypatch):
     assert to_str_opoly(rep.witness) == BUDGET_WITNESS[text]
 
 
+# the decision rule of ``gsb._certify``, one row a case: the check, the
+# pattern, its parameters, its constraints, the search budget (None for
+# the default), what the span certificate returns at each call (True for a
+# certificate, None for none) and the number of searches
+DT1 = "b*x [y] + b*[x] y + c*[x] [y] + e*x y"
+DECISIONS = {
+    "dt derivation accepted": (dt_check, "x [y] + [x] y", (), (), None, [], 0),
+    "dt right twist rejected": (dt_check, "y [x]", (), (), None, [], 0),
+    "dt1 accepted": (dt_check, DT1, "bce", ("b^2 - b - c*e",), None, [], 0),
+    "dt1 searched": (dt_check, DT1, "bce", ("b^2 - c*e",), None, [], 1),
+    "rbt symbolic accepted": (rbt_check, "x [y] + [x] y + lam*x y",
+                              ("lam",), (), None, [], 0),
+    "rbt symbolic searched": (rbt_check, "x [y] + lam*[x] y", ("lam",), (),
+                              None, [], 1),
+    "rbt rational by the span": (rbt_check, "y [x]", (), (), None, [True],
+                                 0),
+    "rbt rational past the span": (rbt_check, "2*[y x] + 2*x [y] + 2*y [x]",
+                                   (), (), 26, [None], 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DECISIONS))
+def test_type_checks_go_past_the_normal_form_only_as_the_rule_says(
+        case, monkeypatch):
+    # one strategy verdict a check; a rejection goes on to the span
+    # certificate for a Rota-Baxter shape with rational coefficients, and to
+    # the search for any Rota-Baxter shape or constraint ideal the span does
+    # not decide
+    check, text, params, constraints, budget, spans, searches = \
+        DECISIONS[case]
+    if budget is not None:
+        monkeypatch.setattr(opalg.rewrite, "EXPLORE_BUDGET", budget)
+    strategy_calls, span_calls, search_calls = [], [], []
+
+    def counted(results, f):
+        def wrapper(*args, **kwargs):
+            results.append(f(*args, **kwargs))
+            return results[-1]
+        return wrapper
+
+    strategy = counted(strategy_calls, gsb._strategy_verdict)
+    monkeypatch.setattr(gsb, "_strategy_verdict", strategy)
+    monkeypatch.setattr(opalg.rewrite, "_strategy_verdict", strategy)
+    monkeypatch.setattr(gsb, "_span_certificate",
+                        counted(span_calls, gsb._span_certificate))
+    monkeypatch.setattr(opalg.rewrite, "_explore",
+                        counted(search_calls, opalg.rewrite._explore))
+    ring = PolyRing(tuple(params)) if params else None
+    report = check(parse_opoly(text, XY, ring=ring),
+                   [ring.parse(c) for c in constraints])
+    assert len(strategy_calls) == 1
+    assert [None if c is None else True for c in span_calls] == spans
+    assert len(search_calls) == searches
+    assert report.accepted == case.endswith("accepted")
+
+
 def test_dt_check_structural_rejections():
     assert "totally linear" in dt_check(parse_opoly("x [y] + x x", XY)).reason
     assert "bracketed product" in dt_check(parse_opoly("[x y]", XY)).reason
@@ -1326,6 +1424,25 @@ def test_dt1_constraint_matters():
     without = dt_check(ident.pattern, ())
     assert with_constraint.accepted
     assert not without.accepted
+
+
+def test_inconsistent_constraints_are_refused():
+    # lam - 1 and lam - 2 generate (1): every coefficient would reduce to
+    # zero, and every check would pass with no test
+    ring = PolyRing(("lam",))
+    constraints = [ring.parse("lam - 1"), ring.parse("lam - 2")]
+    message = "inconsistent constraints: lam - 1, lam - 2"
+    weight = parse_opoly("x [y] + [x] y + lam*[x] [y]", XY, ring=ring)
+    bound = TruncationBound(2, 1, 3)
+    checks = [
+        lambda: dt_check(weight, constraints),
+        lambda: rbt_check(parse_opoly("x [y] + lam*[x] y", XY, ring=ring),
+                          constraints),
+        lambda: GeneratorSystem(OpIdentity(DIFFERENTIAL, weight, constraints),
+                                OrderConfig(bound.generator_set()))]
+    for check in checks:
+        with pytest.raises(ValueError, match=message):
+            check()
 
 
 def test_type_report_describe():

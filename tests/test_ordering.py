@@ -33,15 +33,16 @@ def reference_compare(u, v, cfg):
     if cfg.mode == "deglenlex":
         if u.deg != v.deg:
             return GREATER if u.deg > v.deg else LESS
-        if u.breadth != v.breadth:
-            return GREATER if u.breadth > v.breadth else LESS
+        if len(u.atoms) != len(v.atoms):
+            return GREATER if len(u.atoms) > len(v.atoms) else LESS
     for a, b in zip(u.atoms, v.atoms):
         c = _reference_compare_atoms(a, b, cfg)
         if c != EQUAL:
             return c
-    if u.breadth == v.breadth:
+    if len(u.atoms) == len(v.atoms):
         return EQUAL
-    return GREATER if u.breadth > v.breadth else LESS   # proper prefix is smaller
+    # a proper prefix is smaller
+    return GREATER if len(u.atoms) > len(v.atoms) else LESS
 
 
 def _reference_compare_atoms(a, b, cfg):
@@ -217,7 +218,7 @@ def _insert_star(w, rng, depth_left):
         i = rng.choice(brackets)
         inner = _insert_star(w.atoms[i], rng, depth_left - 1)
         return Word(w.atoms[:i] + (inner,) + w.atoms[i + 1:])
-    i = rng.randint(0, w.breadth)
+    i = rng.randint(0, len(w.atoms))
     return Word(w.atoms[:i] + (STAR,) + w.atoms[i:])
 
 

@@ -96,7 +96,7 @@ def ref_count_generator(w: Word, name: str) -> int:
 def ref_word_is_drf(w: Word) -> bool:
     for a in w.atoms:
         if isinstance(a, Word):
-            if a.breadth >= 2 or not ref_word_is_drf(a):
+            if len(a.atoms) >= 2 or not ref_word_is_drf(a):
                 return False
     return True
 
@@ -310,7 +310,7 @@ def _reference_visit(word, wrap, sigma, inner_first, out):
         if isinstance(a, Word):
             if sigma:
                 # every split of the content into two nonempty words
-                for j in range(1, a.breadth):
+                for j in range(1, len(a.atoms)):
                     q = wrap(atoms[:i] + (STAR,) + atoms[i + 1:])
                     here.append(RefRedex(q, Word(a.atoms[:j]),
                                          Word(a.atoms[j:])))
@@ -826,11 +826,6 @@ def _unknown_strategy_calls():
     return {
         "normal_form": lambda: normal_form(x_y, der, "ri"),
         "normal_form of zero": lambda: normal_form(OPoly.zero(), avg, "ri"),
-        "reduces_to_zero": lambda: reduces_to_zero(x_y, der, "ri"),
-        "reduces_to_zero of sigma zero": lambda: reduces_to_zero(
-            OPoly.zero(), der, "ri"),
-        "reduces_to_zero of pi zero": lambda: reduces_to_zero(
-            OPoly.zero(), avg, "ri"),
         "dt_check accepting": lambda: dt_check(DER.pattern, strategy="ri"),
         "dt_check rejecting": lambda: dt_check(parse_opoly("y [x]", XY),
                                                strategy="ri"),
@@ -1022,14 +1017,24 @@ def test_zero_is_zero():
     assert verdict.is_yes and "0 steps" in verdict.detail
 
 
-def test_step_cap_gives_inconclusive(monkeypatch):
-    monkeypatch.setattr(opalg.rewrite, "EXPLORE_BUDGET", 0)
-    ident = OpIdentity(DIFFERENTIAL, parse_opoly("y [x]", XY))
-    schema = RuleSchema(ident, order=OrderConfig(UVW))
-    u, v, w = (Word(("u",)), Word(("v",)), Word(("w",)))
-    defect = ident.pattern_at(u * v, w) - ident.pattern_at(u, v * w)
-    verdict = reduces_to_zero(defect, schema, step_cap=0)
-    assert verdict.kind == Verdict.INCONCLUSIVE
+def test_step_cap_gives_inconclusive():
+    # the normal-form path: an unconstrained differential-shape defect
+    verdict = dt_check(parse_opoly("y [x]", XY), step_cap=0).verdict
+    assert (verdict.kind, verdict.detail) == (
+        Verdict.INCONCLUSIVE, "step cap 0 exceeded")
+
+
+def test_step_cap_gives_inconclusive_before_the_search(monkeypatch):
+    # the search path: a constrained defect; a capped strategy path ends
+    # the check before any search
+    monkeypatch.setattr(opalg.rewrite, "_explore", None)
+    ring = PolyRing(("b", "c", "e"))
+    pattern = parse_opoly("b*x [y] + b*[x] y + c*[x] [y] + e*x y", XY,
+                          ring=ring)
+    verdict = dt_check(pattern, [ring.parse("b^2 - c*e")],
+                       step_cap=0).verdict
+    assert (verdict.kind, verdict.detail) == (
+        Verdict.INCONCLUSIVE, "step cap 0 exceeded")
 
 
 def test_explore_budget_bounds_distinct_polynomials(monkeypatch):

@@ -30,6 +30,7 @@ from opalg.opoly import DIFFERENTIAL, ROTA_BAXTER
 from opalg.solve import (DEFAULT_POOL, _merge_leaves, _univariate_coeffs,
                          enumerate_points, find_representative,
                          rational_roots, sample_points)
+from test_coeffs import monomial
 from test_groebner import R, _int_poly
 
 
@@ -40,9 +41,9 @@ def reference_s_polynomial(f, g):
     ef, eg = leading_exps(f), leading_exps(g)
     lcm = tuple(max(a, b) for a, b in zip(ef, eg))
     ring = f.ring
-    mf = ring.monomial(tuple(a - b for a, b in zip(lcm, ef)),
+    mf = monomial(ring, tuple(a - b for a, b in zip(lcm, ef)),
                        Fraction(1, f.terms[ef]))
-    mg = ring.monomial(tuple(a - b for a, b in zip(lcm, eg)),
+    mg = monomial(ring, tuple(a - b for a, b in zip(lcm, eg)),
                        Fraction(1, g.terms[eg]))
     return f * mf - g * mg
 

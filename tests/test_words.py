@@ -108,14 +108,14 @@ def test_unit_and_products():
 def test_unit_bracket_is_not_simplified():
     b1 = bracket(UNIT)
     assert b1 != UNIT
-    assert b1.breadth == 1
+    assert len(b1.atoms) == 1
     assert to_str(b1) == "[1]"
     assert to_str(bracket(b1)) == "[[1]]"
 
 
 def test_shape_statistics():
     w = parse("[x [1]] y [x y [z]]", G)
-    assert w.breadth == 3
+    assert len(w.atoms) == 3
     assert w.depth() == 2
     assert w.deg == 5
     # leaves: x, [1], y, x, y, z
@@ -635,7 +635,7 @@ def test_enumeration_order_matches_the_recursive_reference(names, leaves,
 def test_enumeration_bounds_cost_no_frames():
     # 1 200 leaves take no frame each; 1 200 depth levels end at the cap
     flat = _with_headroom(100, lambda: enumerate_words(("x",), 1200, 0))
-    assert [w.breadth for w in flat] == list(range(1201))
+    assert [len(w.atoms) for w in flat] == list(range(1201))
     with pytest.raises(ResourceLimit, match=f"^{re.escape(TOO_NESTED)}$"):
         _with_headroom(100, lambda: enumerate_words(("x",), 1, 1200))
 
@@ -712,7 +712,7 @@ def _insert_hole(w, rng, hole):
         i = rng.choice(brackets)
         return Word(w.atoms[:i] + (_insert_hole(w.atoms[i], rng, hole),)
                     + w.atoms[i + 1:])
-    i = rng.randint(0, w.breadth)
+    i = rng.randint(0, len(w.atoms))
     return Word(w.atoms[:i] + (hole,) + w.atoms[i:])
 
 
