@@ -168,18 +168,16 @@ def extract_constraints(ansatz: Ansatz, step_cap: int = 4000) -> ConstraintSyste
     """Reduce the defect with the ansatz's own rules, leftmost-outermost
     first, and read off one equation per surviving monomial.
 
-    A differential defect's normal form is read from the job memo's
-    atom-factorized normal forms (``factored_normal_form``, with no
-    per-word reduction) where the memo gives every word, its walks keeping
-    at most ``step_cap`` atoms; otherwise, and for a Rota-Baxter defect,
-    whose redexes span two atoms, ``normal_form`` reduces the whole defect
-    within ``step_cap`` steps."""
+    The defect's normal form is the job memo's sum (``factored_normal_form``,
+    with no per-word reduction) where the memo answers every word (see
+    ``RewriteMemo.strategy_nf``), its walks keeping at most ``step_cap``
+    atoms; otherwise ``normal_form`` reduces the whole defect within
+    ``step_cap`` steps."""
     ident = ansatz.identity()
     order = OrderConfig(UVW) if ansatz.mode == DIFFERENTIAL else None
     schema = RuleSchema(ident, order=order)
     defect = generic_defect(ident)
-    terms = (factored_normal_form(defect, job_memo(schema), step_cap,
-                                  None) if schema.kind == "sigma" else None)
+    terms = factored_normal_form(defect, job_memo(schema), step_cap, None)
     if terms is None:
         nf, trace = normal_form(defect, schema, "lo", step_cap)
         if trace.status != NORMAL_FORM:

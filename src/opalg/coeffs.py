@@ -70,6 +70,13 @@ def _add_term(acc: dict, m, c) -> None:
         acc[m] = c
 
 
+def _signed_sum(parts) -> str:
+    """Print (negative, text) pairs as the signed sum ``a - b + c``."""
+    out = "".join((" - " if negative else " + ") + text
+                  for negative, text in parts)
+    return ("-" if parts[0][0] else "") + out[3:]
+
+
 def _mul_terms(t1: dict, t2: dict) -> dict:
     """The term dict of the product of two ``MPoly`` term dicts.
 
@@ -373,13 +380,8 @@ class MPoly:
                 body = mono
             else:
                 body = f"{abs(c)}*{mono}"
-            sign = "-" if c < 0 else "+"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        self._str_memo = out
+            parts.append((c < 0, body))
+        self._str_memo = out = _signed_sum(parts)
         return out
 
 

@@ -181,14 +181,14 @@ class NFCache:
     the words it reduces on the heap.
 
     ``reduce`` sums a value's normal form over its words
-    (``rewrite.factored_normal_form``), each the product of its atoms' from
-    the job's ``RewriteMemo`` of the schema (``job_memo``) where the memo
-    gives it, its walks over the value keeping at most ``step_cap`` atoms.
-    Any other word is reduced from itself by ``_reduced``'s own
-    ``normal_form`` call through the same memo, in at most ``step_cap``
-    steps, which are audited once a word against the memo's order keys: no
-    rewritten monomial may exceed the root word.  A word the memo answers
-    has no such step.
+    (``rewrite.factored_normal_form``) and reduces the sum modulo the
+    constraint ideal once.  The job's ``RewriteMemo`` of the schema
+    (``job_memo``) gives each word it answers (``RewriteMemo.strategy_nf``),
+    its walks over the value keeping at most ``step_cap`` atoms.  Any other
+    word is reduced from itself by ``_reduced``'s own ``normal_form`` call
+    through the same memo, in at most ``step_cap`` steps, which are audited
+    once a word against an ordered schema's keys: no rewritten monomial may
+    exceed the root word.  A word the memo answers has no such step.
     """
 
     __slots__ = ("schema", "step_cap", "memo", "audited", "order_violations")
@@ -228,11 +228,11 @@ def is_trivial(comp: CompositionRecord, cache: NFCache) -> str:
     Every monomial of the value must lie below the ambient word ``comp.w``
     by the order keys of ``cache.memo``; each one that does not adds to
     ``cache.order_violations``, next to the cache's own count of rewrite
-    steps landing above their root word.  The value's words are reduced by
-    ``cache.reduce``, each from the memo's normal forms or by its own
-    ``normal_form`` call from the word (see ``NFCache``).  A word whose own
-    call needs more than the cache's step cap raises ``ResourceLimit``, so
-    an undecided composition never gets a verdict.  A nonzero residue is
+    steps landing above their root word.  ``cache.reduce`` reduces the
+    value's words from the memo's normal forms (``RewriteMemo.strategy_nf``)
+    or each by its own ``normal_form`` call (see ``NFCache``); one that
+    needs more than the cache's step cap raises ``ResourceLimit``, so an
+    undecided composition never gets a verdict.  A nonzero residue is
     kept as a value: its terms come in the order the sum leaves them, and
     every output prints it sorted (``to_str_opoly``).
     """

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .coeffs import (MPoly, ParseError, PolyRing, Tokens, _add_scaled_into,
-                     _add_term, parse_atomic, rational)
+                     _add_term, _signed_sum, parse_atomic, rational)
 from .ordering import OrderConfig, order_key
 from .words import (
     GeneratorSet,
@@ -180,16 +180,15 @@ def _filled(plans, values: tuple, ring: PolyRing) -> OPoly:
 
 
 def _coeff_parts(c):
-    """(sign, body) with sign in {+1, -1}; body never starts with '-'."""
+    """(negative, body); body never starts with '-'."""
     if isinstance(c, MPoly):
         if c.is_constant:
             return _coeff_parts(c.constant_value())
         if len(c.terms) == 1:
             ((e, q),) = c.terms.items()
-            body = str(MPoly(c.ring, {e: abs(q)}))
-            return (1 if q > 0 else -1), body
-        return 1, f"({c})"
-    return (1 if c >= 0 else -1), str(abs(c))
+            return q < 0, str(MPoly(c.ring, {e: abs(q)}))
+        return False, f"({c})"
+    return c < 0, str(abs(c))
 
 
 def to_str_opoly(p: OPoly, cfg: OrderConfig = None) -> str:
@@ -201,19 +200,15 @@ def to_str_opoly(p: OPoly, cfg: OrderConfig = None) -> str:
         words = sorted(p.terms, key=word_sort_key)
     parts = []
     for w in words:
-        sign, body = _coeff_parts(p.terms[w])
+        negative, body = _coeff_parts(p.terms[w])
         if w.is_unit:
             term = body
         elif body == "1":
             term = to_str(w)
         else:
             term = f"{body}*{to_str(w)}"
-        parts.append((sign, term))
-    first_sign, first_term = parts[0]
-    out = ("-" if first_sign < 0 else "") + first_term
-    for sign, term in parts[1:]:
-        out += (" - " if sign < 0 else " + ") + term
-    return out
+        parts.append((negative, term))
+    return _signed_sum(parts)
 
 
 # -- parsing ----------------------------------------------------------------------

@@ -306,7 +306,7 @@ class RewriteMemo:
     step, a word's normal form is the concatenation product of its atoms'
     normal forms, NF(A B) = NF(A) NF(B), an irreducible atom its own.  A pi
     redex spans two adjacent brackets, so pi normal forms would factor over
-    maximal runs of brackets instead; nothing asks for those.
+    maximal runs of brackets instead; the memo builds none.
 
     ``nf`` maps a reducible bracket atom, keyed by the bracket's content as
     it stands in an atom tuple, to the normal form of the one-atom word
@@ -337,17 +337,23 @@ class RewriteMemo:
 
     def strategy_nf(self, w: Word, cap: int):
         """``(terms, steps)``: the leftmost-outermost normal form of the word
-        ``w`` under a sigma schema, a dict from atom tuples to coefficients
-        that callers only read, and the number of atoms this call's walks
-        kept for it; or ``None`` where the memo does not give it.
+        ``w``, a dict from atom tuples to coefficients that callers only
+        read, and the number of atoms this call's walks kept for it; or
+        ``None`` where the memo does not give it.
 
-        A word with no redex is its own normal form.  Any other's ``terms``
-        is the product of the entries of its reducible atoms, given only
-        where each atom has one; the atoms without one are walked
-        (``_walk_atom``), and the walks share ``cap`` steps, one an atom."""
+        This alone decides which words the memo answers.  A word with no
+        redex is its own normal form; a pi word with one is refused, its
+        redexes spanning two atoms.  A sigma word's ``terms``, under any
+        constraint ideal, is the product of the entries of its reducible
+        atoms, given only where each atom has one; the atoms without one
+        are walked (``_walk_atom``), and the walks share ``cap`` steps, one
+        an atom.  Entries are exact over the pattern's ring, and reduction
+        modulo a Groebner basis is linear, so their sum is reduced once."""
         atoms = w.atoms
         if not self._holds(w):
             return {atoms: 1}, 0
+        if self.schema.kind != "sigma":
+            return None
         nf = self.nf
         steps = 0
         for a in atoms:
@@ -472,29 +478,26 @@ def job_memo(schema: RuleSchema) -> RewriteMemo:
 
 def factored_normal_form(p: OPoly, memo: RewriteMemo, cap: int,
                          reduce_word):
-    """The leftmost-outermost normal form of ``p`` under the sigma schema of
+    """The leftmost-outermost normal form of ``p`` under the schema of
     ``memo``, the sum of c NF(w) over its terms c w as a dict keyed by
-    words; or ``None`` where a word needs ``reduce_word`` and that is
-    ``None``.
+    words, not yet reduced modulo the constraint ideal; or ``None`` where
+    a word needs ``reduce_word`` and that is ``None``.
 
-    NF(w) is the memo's atom product where it gives one
-    (``RewriteMemo.strategy_nf``); the walks that build those products for
-    ``p``'s words share ``cap`` steps, one an atom kept, so once they have
-    spent it a word is given only where its atoms are all kept already.
-    Any other word, and every reducible word under a constraint ideal, is
-    ``reduce_word(w)``, a dict keyed by words.  Rewriting acts monomial by
-    monomial, so ``normal_form`` on ``p`` reaches the sum.  The sum runs on
-    atom tuples, the memo's keys."""
-    constrained = memo.schema.constraint_gb is not None
+    NF(w) is the memo's answer where it gives one
+    (``RewriteMemo.strategy_nf`` decides which words it answers); the walks
+    that build those products for ``p``'s words share ``cap`` steps, one an
+    atom kept, so once they have spent it a word is given only where its
+    atoms are all kept already.  Any other word is ``reduce_word(w)``, a
+    dict keyed by words.  Rewriting acts monomial by monomial, so
+    ``normal_form`` on ``p`` reaches the sum.  The sum runs on atom tuples,
+    the memo's keys."""
     out: dict = {}
     left = cap
     for w, c in p.terms.items():
-        got = None
-        if not (constrained and memo._holds(w)):
-            try:
-                got = memo.strategy_nf(w, left)
-            except ResourceLimit:
-                pass  # a reduction may cancel the over-deep word unbuilt
+        try:
+            got = memo.strategy_nf(w, left)
+        except ResourceLimit:
+            got = None  # a reduction may cancel the over-deep word unbuilt
         if got is not None:
             nf, steps = got
             left -= steps

@@ -132,15 +132,18 @@ def test_budget_exhaustion_raises():
 
 
 def _defect_schema(ansatz):
+    """The defect and the schema ``extract_constraints`` reduces it by."""
     ident = ansatz.identity()
-    return generic_defect(ident), RuleSchema(ident, order=OrderConfig(UVW))
+    order = OrderConfig(UVW) if ansatz.mode == DIFFERENTIAL else None
+    return generic_defect(ident), RuleSchema(ident, order=order)
 
 
 @pytest.mark.parametrize("ansatz", [
     three_term, lambda: build_ansatz(DIFFERENTIAL, 1),
     lambda: build_ansatz(DIFFERENTIAL, 1, include_unit_terms=True),
-    lambda: build_ansatz(DIFFERENTIAL, 2)],
-    ids=["three_term", "dt1", "dt1_units", "dt2"])
+    lambda: build_ansatz(DIFFERENTIAL, 2),
+    lambda: build_ansatz(ROTA_BAXTER, 1)],
+    ids=["three_term", "dt1", "dt1_units", "dt2", "rbt1"])
 def test_factored_defect_normal_form_equals_the_heap(ansatz):
     with job():
         defect, schema = _defect_schema(ansatz())
@@ -152,6 +155,11 @@ def test_factored_defect_normal_form_equals_the_heap(ansatz):
         kept = len(memo.nf)
         assert None not in memo.nf.values()
     assert trace.status == NORMAL_FORM
+    if schema.kind == "pi":
+        # a pi redex spans two atoms: the memo refuses the defect's
+        # reducible words, walks nothing, and the heap reduces the defect
+        assert factored is None and kept == 0 and len(trace) > 0
+        return
     assert factored == heap.terms and 0 < kept <= 4000
     # the walks over the defect's words share the cap, one step an atom
     # kept, so one step fewer refuses a word

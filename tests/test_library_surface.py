@@ -449,6 +449,16 @@ def test_only_factored_normal_form_reads_the_memos_normal_forms():
         "rewrite.factored_normal_form"]
 
 
+def test_only_the_rule_schema_reads_its_constraint_ideal():
+    # a schema reduces coefficients modulo its ideal by ``normalize`` and by
+    # the rewrite step; a third reader is how a second routing of
+    # constrained words, past the memo's own, would start
+    library, _ = load()
+    assert readers_of(library, "constraint_gb") == [
+        "rewrite.RuleSchema.__init__", "rewrite.RuleSchema.normalize",
+        "rewrite._rewrite_into"]
+
+
 def test_only_the_leaf_walk_builds_a_decisions_options():
     # the options of a decision are the roots of a univariate equation or
     # the pool: a second reader of either is how a second propagation walk,

@@ -30,8 +30,9 @@ from opalg.ordering import (GREATER, OrderConfig, check_monomial_order,
 from opalg.rewrite import (NORMAL_FORM, STEP_CAP_EXCEEDED, NotDRF, NotRBRF,
                            NotTotallyLinear, ResourceLimit, RewriteMemo,
                            RuleSchema, TraceStep, Verdict, _first_redex,
-                           _span_certificate, find_redexes, in_reduced_form,
-                           is_drf, is_rbrf, is_totally_linear, job_memo,
+                           _span_certificate, factored_normal_form,
+                           find_redexes, in_reduced_form, is_drf, is_rbrf,
+                           is_totally_linear, job_memo,
                            joinable, local_confluence_check, normal_form,
                            reduces_to_zero)
 from opalg.words import (MAX_DEPTH, STAR, TOO_NESTED, GeneratorSet, UNIT, Word,
@@ -680,6 +681,31 @@ def test_strategy_nf_refuses_a_word_behind_an_atom_kept_as_none(
                             built.append(redex) or real(self, redex))
         assert memo.strategy_nf(w, 100) is None
         assert len(memo.nf) == 1 and built == []
+
+
+def test_a_pi_word_that_holds_a_redex_goes_to_the_per_word_reducer():
+    # a pi redex spans two adjacent brackets, so no atom product is a pi
+    # normal form: the memo refuses [x] [y] rather than give it as its own,
+    # and the sum takes the word's normal form from the per-word reducer
+    with job():
+        schema = RuleSchema(AVG)
+        p = OPoly.from_word(parse("[x] [y]", XY))
+        want, trace = normal_form(p, schema, "lo", 100)
+        assert trace.status == NORMAL_FORM
+        assert want.terms == {parse("[x [y]]", XY): 1}
+        memo = RewriteMemo(schema)
+        assert factored_normal_form(p, memo, 100, None) is None
+        asked = []
+
+        def reduce_word(w):
+            asked.append(w)
+            return normal_form(OPoly.from_word(w), schema)[0].terms
+
+        assert factored_normal_form(p, memo, 100, reduce_word) == want.terms
+        assert asked == list(p.terms) and not memo.nf
+        # a pi word with no redex is its own normal form, with no reducer
+        q = OPoly.from_word(parse("[x] y [y]", XY))
+        assert factored_normal_form(q, memo, 100, None) == q.terms
 
 
 def test_strategy_nf_stays_within_the_cap():

@@ -113,6 +113,14 @@ def test_content_split_is_found_by_the_groebner_basis():
         for vy in vals:
             on = vx * vx + vy * vy == 0 and vx * vx - vy * vy == 0
             assert comps[0].contains_point({"x": vx, "y": vy}) == on
+    # the presplit pins a := b - 1 and leaves b^2 - 4*b + 3, which has no
+    # content; only the basis {b - a - 1, a^2 - 2*a} shows that a divides a
+    # generator, which is why ``_split`` keeps a case split of its own
+    S = PolyRing(["b", "a"])
+    b, a = S.var("b"), S.var("a")
+    comps = solve_components([b - a - 1, a * a - 2 * a], S)
+    assert [c.describe() for c in comps] == ["a = 0, b - 1 = 0",
+                                             "a - 2 = 0, b - 3 = 0"]
 
 
 def test_sampling_on_component():
