@@ -224,7 +224,9 @@ def cmd_irr(args) -> int:
     if ident.kind != DIFFERENTIAL:
         raise UsageError("irr requires a differential-type identity")
     names = tuple(args.gens.split(",")) if args.gens else ("z",)
-    bound = _parse_bound(args.bound, len(names))
+    # words are enumerated over the names given, not the bound's own
+    # generators, so the bound's cap on their number does not apply
+    bound = _parse_bound(args.bound, 1)
     gset = GeneratorSet(names)
     # irreducibility does not depend on the order: any order will do
     system = GeneratorSystem(ident, OrderConfig(gset))

@@ -393,7 +393,7 @@ def irr_enumerate(sys: GeneratorSystem, bound: TruncationBound,
     gens = gens or bound.generator_set()
     words = enumerate_words(gens, bound.max_breadth, bound.max_depth,
                             include_unit_brackets=True, include_unit=True)
-    return {w for w in words if in_reduced_form(w, True)}
+    return {w for w in words if in_reduced_form(w, sys.kind == "sigma")}
 
 
 class CdlReport:
@@ -411,7 +411,7 @@ class CdlReport:
 
     @property
     def ok(self) -> bool:
-        return not self.failures and self.ideal_zeros == self.ideal_samples
+        return not self.failures
 
     def describe(self) -> str:
         state = "passes" if self.ok else f"FAILS ({len(self.failures)} failures)"
@@ -427,8 +427,12 @@ def cdl_direct_sum_check(sys: GeneratorSystem, bound: TruncationBound,
                          ideal_samples: int = 100) -> CdlReport:
     """Executable direct-sum consequences of the basis property.
 
-    Every bound word must normalize into the irreducible span, irreducible
-    words must be fixed, and random elements of the rule ideal must vanish.
+    The reduction of every reducible bound word must terminate, and random
+    elements of the rule ideal must reduce to zero; a nonzero residue is
+    the one failure.  An irreducible word (by its redex flag) is counted
+    into the span and not reduced: ``normal_form`` pops only flagged words,
+    so it would return the word as it is, and no word of a normal form it
+    returns is flagged.
     An ideal element q|[u v] - q|N(u, v) is drawn by rejection: u, v and
     then a context q, until the host q|[u v] has at most three leaves and
     one level more than the bound allows, in at most 200 tries, after which
@@ -438,29 +442,20 @@ def cdl_direct_sum_check(sys: GeneratorSystem, bound: TruncationBound,
     drawing all three every time.
     A reduction stopped by the step cap raises ``ResourceLimit``.  The
     job's ``RewriteMemo`` of the system (``job_memo``) serves every
-    reduction of the check; a word's redex flag decides whether it is
-    irreducible.
+    reduction of the check.
     """
     rng = rng or random.Random(0)
     gens = bound.generator_set()
     report = CdlReport()
     all_words = enumerate_words(gens, bound.max_breadth, bound.max_depth,
                                 include_unit_brackets=True, include_unit=True)
-    irr = {w for w in all_words if in_reduced_form(w, True)}
-    report.irr_size = len(irr)
-    report.irr_unit_surplus = sum(1 for w in irr if w.has_unit_bracket)
+    report.words_checked = len(all_words)
     for w in all_words:
-        report.words_checked += 1
-        nf, trace = normal_form(OPoly.from_word(w), sys)
-        if trace.status != NORMAL_FORM:
+        if in_reduced_form(w, sys.kind == "sigma"):
+            report.irr_size += 1
+            report.irr_unit_surplus += w.has_unit_bracket
+        elif normal_form(OPoly.from_word(w), sys)[1].status != NORMAL_FORM:
             raise ResourceLimit(f"step cap hit at {to_str(w)}")
-        if w in irr and nf != OPoly.from_word(w, ring=nf.ring):
-            report.failures.append((w, "irreducible word moved"))
-            continue
-        for m in nf.terms:
-            if not in_reduced_form(m, True):
-                report.failures.append((w, f"reducible support word {to_str(m)}"))
-                break
     # ideal elements q|phi(u, v) = q|[u v] - q|N(u, v); rejection-sample the
     # assembled word so the reductions stay tractable a little past the bound
     pool = [w for w in all_words if not w.is_unit]

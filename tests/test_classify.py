@@ -16,8 +16,9 @@ from opalg.classify import (Ansatz, ClassifyResult, MatchReport,
                             _family_inspace_components, build_ansatz,
                             classify, extract_constraints, match_catalog)
 from opalg.coeffs import PolyRing
-from opalg.gsb import UVW, dt_check, generic_defect, rbt_check
-from opalg.opoly import DIFFERENTIAL, ROTA_BAXTER
+from opalg.gsb import (UVW, GeneratorSystem, TruncationBound, dt_check,
+                       generic_defect, gsb_check_truncated, rbt_check)
+from opalg.opoly import DIFFERENTIAL, ROTA_BAXTER, OpIdentity
 from opalg.ordering import OrderConfig
 from opalg.rewrite import (NORMAL_FORM, ResourceLimit, RuleSchema,
                            factored_normal_form, job_memo, normal_form)
@@ -407,6 +408,32 @@ def test_degree1_point_verdicts_match_the_classification(mode, accepted):
                               for c in result.components), point
         passed += verdict
     assert passed == accepted
+
+
+def test_degree1_dt_basis_checks_match_the_type_checks():
+    """Job 2 against jobs 1 and 3 on the degree-1 grid: at each accepted
+    point of {-1, 0, 1}^8 of the non-unit differential ansatz and at 200
+    seeded rejected ones, the truncated basis check of the specialized
+    pattern under ``purelex``, its type check and the extracted equations
+    give one answer (the paper's correspondence, pointwise)."""
+    ans = build_ansatz(DIFFERENTIAL, 1)
+    system = extract_constraints(ans)
+    names = [n for n, _ in ans.terms]
+    assert len(names) == 8
+    points = [dict(zip(names, combo))
+              for combo in itertools.product((-1, 0, 1), repeat=len(names))
+              if any(combo)]
+    accepted = [p for p in points if system.satisfied_at(p)]
+    rejected = [p for p in points if not system.satisfied_at(p)]
+    assert len(accepted) == 17
+    bound = TruncationBound(2, 1, 3)
+    order = OrderConfig(bound.generator_set())
+    for point in accepted + random.Random(23).sample(rejected, 200):
+        pattern = ans.specialize(point)
+        basis = gsb_check_truncated(GeneratorSystem(
+            OpIdentity(DIFFERENTIAL, pattern), order), bound).ok
+        assert basis == dt_check(pattern).accepted, point
+        assert basis == system.satisfied_at(point), point
 
 
 COMPONENT_POINT_CASES = [

@@ -290,6 +290,18 @@ def test_irr_json_deterministic(capsys):
     assert len(payload["words"]) == 31
 
 
+def test_irr_takes_more_generators_than_a_truncation_bound_names(capsys):
+    # the bound's eight generator names are for the basis checks; irr
+    # enumerates over the names it is given
+    names = "a,b,c,d,e,f,g,h,i"
+    code, out, err = run(capsys, "irr", "--dt", "derivation", "--gens",
+                         names, "--bound", "1,0")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == "10 irreducible words"
+    assert [ln.strip() for ln in lines[1:]] == ["1"] + names.split(",")
+
+
 @pytest.mark.parametrize("argv", [
     ("nf", "[x]", "--dt", "derivation", "--step-cap", "-1"),
     ("verify", "derivation", "--type", "dt", "--step-cap", "-3"),

@@ -1257,9 +1257,13 @@ def test_ideal_elements_match_star_word_construction(name, size,
     # the replay prints each drawn path as its star word, which
     # test_random_context_matches_star_insertion ties to the old draw, and
     # draws no context for a pair that no context fits, except on the last
-    # try, whose host is used as it is
+    # try, whose host is used as it is.  Before them, the check reduces
+    # each bound word that holds a redex, in enumeration order, and no
+    # other word
     ident = ORACLE_IDENTITIES[name]
     bound = TruncationBound(*size)
+    gens = bound.generator_set()
+    system = GeneratorSystem(ident, OrderConfig(gens))
     seen = []
     real = gsb.normal_form
 
@@ -1268,9 +1272,12 @@ def test_ideal_elements_match_star_word_construction(name, size,
         return real(p, *args, **kwargs)
 
     monkeypatch.setattr(gsb, "normal_form", recording)
-    rep = cdl_direct_sum_check(GeneratorSystem(ident, OrderConfig(
-        bound.generator_set())), bound, rng=random.Random(3), ideal_samples=40)
-    gens = bound.generator_set()
+    rep = cdl_direct_sum_check(system, bound, rng=random.Random(3),
+                               ideal_samples=40)
+    reducible = [OPoly.from_word(w) for w in enumerate_words(
+        gens, bound.max_breadth, bound.max_depth, include_unit_brackets=True,
+        include_unit=True) if find_redexes(w, system)]
+    assert reducible and seen[:-rep.ideal_samples] == reducible
     pool = enumerate_words(gens, bound.max_breadth, bound.max_depth,
                            include_unit=False)
     rng = random.Random(3)
@@ -1286,7 +1293,7 @@ def test_ideal_elements_match_star_word_construction(name, size,
             if _fits(host, bound):
                 break
         want.append(into_context(instance(ident, u, v), q))
-    assert seen[rep.words_checked:] == want
+    assert seen[-rep.ideal_samples:] == want
 
 
 # -- type certificates ---------------------------------------------------------------

@@ -24,6 +24,11 @@ default's value, a literal argument as the value it spells, and any other
 argument, such as a forwarded variable, as a value of its own.  Calls are
 matched like references.  Private functions are exempt: their defaults are
 recursion state and closure binds.
+
+Every parameter of a library function or method, nested ones included, is
+read in its body; ``self``, ``cls``, ``*args``, ``**kwargs`` and lambdas are
+exempt.  A parameter no path reads is an input the function ignores while
+its callers and its docstring say otherwise.
 """
 
 import ast
@@ -803,6 +808,49 @@ def test_bare_names_are_read_by_module():
     users.append(ast.parse("from opalg.words import classify_pair\n"
                            "classify_pair(1, 2)\n"))
     assert unreferenced(library, users) == []
+
+
+def unread_parameters(library=None):
+    """``module.function(parameter)`` of every parameter that the body of a
+    library function or method, nested ones included, never reads; ``self``,
+    ``cls``, ``*args``, ``**kwargs`` and lambdas are exempt."""
+    if library is None:
+        library, _ = load()
+    unread = []
+    for module, tree in library.items():
+        owners = {}
+        _owners_into(tree, module, owners)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            read = {n.id for statement in node.body
+                    for n in ast.walk(statement)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread.extend(
+                f"{owners[id(node)]}({a.arg})"
+                for a in args.posonlyargs + args.args + args.kwonlyargs
+                if a.arg not in ("self", "cls") and a.arg not in read)
+    return sorted(unread)
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters() == []
+
+
+def test_parameter_rule_on_a_synthetic_module():
+    library = {"m": ast.parse(
+        "def f(a, b, *args, c=1, **kwargs):\n    return a + c\n"
+        "class C:\n"
+        "    def g(self, x, y, /, z):\n"
+        "        def inner(t):\n            return x + z\n"
+        "        return inner\n"
+        "    @classmethod\n"
+        "    def h(cls, w, v=lambda unused: 0):\n"
+        "        w = v\n"
+        "key = lambda ignored: 0\n")}
+    assert unread_parameters(library) == [
+        "m.C.g(y)", "m.C.g.inner(t)", "m.C.h(w)", "m.f(b)"]
 
 
 def test_option_rule_on_a_synthetic_module():

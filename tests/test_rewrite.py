@@ -559,6 +559,34 @@ def test_normal_form_matches_reference_on_defects(mode, degree, step_cap,
         assert_same_as_reference(defect, schema, "li", step_cap)
 
 
+# the systems and bounds of the benchmark's basis workload
+BASIS_SYSTEMS = [("derivation", (3, 1, 3)), ("endomorphism", (3, 1, 3)),
+                 ("endomorphism", (2, 3, 3)), ("weight:lam", (2, 2, 3))]
+
+
+@pytest.mark.parametrize("name, size", BASIS_SYSTEMS)
+def test_normal_form_matches_reference_on_every_bound_word(name, size):
+    # the direct-sum check reduces the bound words whose redex flag is set
+    # and counts the others as irreducible, unreduced; by the reference's
+    # own redex walk, a word with no flag is its own normal form, and every
+    # normal form's support holds no redex
+    bound = TruncationBound(*size)
+    schema = GeneratorSystem(named_pattern(name),
+                             OrderConfig(bound.generator_set()))
+    words = enumerate_words(bound.generator_set(), bound.max_breadth,
+                            bound.max_depth, include_unit_brackets=True,
+                            include_unit=True)
+    with job():
+        for w in words:
+            p = OPoly.from_word(w)
+            assert_same_as_reference(p, schema)
+            nf, _ = reference_normal_form(p, schema)
+            if in_reduced_form(w, True):
+                assert nf == OPoly.from_word(w, ring=nf.ring), to_str(w)
+            assert not any(reference_redexes(m, schema, False)
+                           for m in nf.terms), to_str(w)
+
+
 RANDOM_SCHEMAS = {
     "derivation": lambda: der_schema(XY),
     "average": lambda: RuleSchema(AVG),  # pi rules, no order
