@@ -6,7 +6,7 @@ into irreducible components, and matches each component against the catalog
 of known families.
 
 Run:  python3 demos/classification_run.py [--degree N] [--samples K]
-(degree 2 reproduces the full classification and takes about a minute)
+(degree 2 reproduces the full classification and takes a few seconds)
 """
 
 import argparse

@@ -33,7 +33,7 @@ for text in ("[x y]", "[x [x y]]", "[x y y]"):
     p = parse_opoly(text, XY)
     nf, trace = normal_form(p, schema)
     show(f"{text}  ->", f"{to_str_opoly(nf, OrderConfig(XY))}"
-         f"   (steps: {len(trace.steps)})")
+         f"   (steps: {len(trace)})")
 print()
 
 # -- 3. a weighted variant --------------------------------------------------------

@@ -14,8 +14,7 @@ from .opoly import (DIFFERENTIAL, OPoly, OpIdentity, ROTA_BAXTER, parse_opoly,
                     to_str_opoly)
 from .rewrite import (NotDRF, NotRBRF, NotTotallyLinear, ReductionTrace,
                       ResourceLimit, RuleSchema, Verdict, find_redexes, is_drf,
-                      is_rbrf, is_totally_linear, joinable,
-                      local_confluence_check, normal_form, reduces_to_zero)
+                      is_rbrf, is_totally_linear, normal_form, reduces_to_zero)
 from .groebner import buchberger, nf_mod_ideal
 from .solve import (SolutionComponent, find_representative, sample_points,
                     solve_components)
@@ -23,8 +22,7 @@ from .catalog import (DT_FAMILIES, FAMILIES, Family, RBT_FAMILIES,
                       UnknownPattern, families, named_pattern, pattern_names)
 from .gsb import (CdlReport, GeneratorSystem, GsbReport, NFCache,
                   TruncationBound, TypeReport, cdl_direct_sum_check,
-                  delta_view, dt_check, free_dt_operator_nf,
-                  gsb_check_truncated, irr_enumerate, rbt_check)
+                  dt_check, gsb_check_truncated, irr_enumerate, rbt_check)
 from .classify import (Ansatz, ClassifyResult, ConstraintSystem, MatchReport,
                        ReductionBudgetExceeded, build_ansatz, classify,
                        extract_constraints, match_catalog)
@@ -35,17 +33,15 @@ __all__ = [
     "Ansatz", "CdlReport", "ClassifyResult", "ConstraintSystem",
     "DIFFERENTIAL", "DT_FAMILIES", "FAMILIES", "Family", "GeneratorSet",
     "GeneratorSystem", "GsbReport", "MPoly", "MatchReport", "NFCache",
-    "NotDRF", "NotRBRF", "NotTotallyLinear",
-    "OPoly", "OpIdentity", "OrderConfig", "ParseError", "PolyRing",
-    "RBT_FAMILIES", "ROTA_BAXTER", "ReductionBudgetExceeded",
-    "ReductionTrace", "ResourceLimit", "RuleSchema", "SolutionComponent",
-    "TruncationBound", "TypeReport", "UNIT", "UnknownPattern", "Verdict",
-    "Word", "bracket", "buchberger", "build_ansatz", "cdl_direct_sum_check",
-    "classify", "compare", "delta_view", "dt_check", "enumerate_words",
-    "extract_constraints", "families", "find_redexes", "find_representative",
-    "free_dt_operator_nf", "gen_word", "gsb_check_truncated", "irr_enumerate",
-    "is_drf", "is_rbrf", "is_totally_linear", "joinable",
-    "local_confluence_check", "match_catalog", "named_pattern",
+    "NotDRF", "NotRBRF", "NotTotallyLinear", "OPoly", "OpIdentity",
+    "OrderConfig", "ParseError", "PolyRing", "RBT_FAMILIES", "ROTA_BAXTER",
+    "ReductionBudgetExceeded", "ReductionTrace", "ResourceLimit", "RuleSchema",
+    "SolutionComponent", "TruncationBound", "TypeReport", "UNIT",
+    "UnknownPattern", "Verdict", "Word", "bracket", "buchberger",
+    "build_ansatz", "cdl_direct_sum_check", "classify", "compare", "dt_check",
+    "enumerate_words", "extract_constraints", "families", "find_redexes",
+    "find_representative", "gen_word", "gsb_check_truncated", "irr_enumerate",
+    "is_drf", "is_rbrf", "is_totally_linear", "match_catalog", "named_pattern",
     "nf_mod_ideal", "normal_form", "parse", "parse_opoly", "pattern_names",
     "rbt_check", "reduces_to_zero", "sample_points", "solve_components",
     "to_str", "to_str_opoly", "word_sort_key",

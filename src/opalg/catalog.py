@@ -14,7 +14,6 @@ from fractions import Fraction
 from .coeffs import PolyRing, Tokens
 from .opoly import DIFFERENTIAL, ROTA_BAXTER, XY, OpIdentity, OPoly, parse_opoly
 from .solve import find_representative, solve_components
-from .words import Word
 
 
 class Family:

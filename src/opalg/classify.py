@@ -152,10 +152,6 @@ class ConstraintSystem:
     def unresolved(self):
         return [eq for eq in self.equations if eq.unresolved]
 
-    def satisfied_at(self, point: dict) -> bool:
-        return all(eq.poly.evaluate(point) == 0 for eq in self.equations
-                   if not eq.unresolved)
-
 
 def _unit_residue(w: Word) -> bool:
     """A unit bracket nested inside another bracket, the shape the reduction

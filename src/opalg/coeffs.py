@@ -400,11 +400,9 @@ class ResourceLimit(RuntimeError):
 # them walks nothing.  Frames a level: reading a word and walking one
 # (``to_str``, ``tokens``, ``plan``, ``fill``, ``find_redexes``,
 # ``order_key``) 1; finding a first redex and reading a word's bracket
-# towers (``tower_heights``) 0; ``delta_view`` and parentheses around words
-# 2; parentheses around coefficients 4.
-# ``gsb.free_dt_operator_nf`` nests at most ``MAX_DEPTH`` applications of d,
-# one frame each, and takes one a generator on the catalog's patterns.  All
-# stay far inside the default recursion limit of 1 000.
+# towers (``tower_heights``) 0; parentheses around words 2; parentheses
+# around coefficients 4.  All stay far inside the default recursion limit of
+# 1 000.
 MAX_DEPTH = 200
 TOO_NESTED = (f"nested too deep: more than {MAX_DEPTH} levels of brackets "
               "and parentheses")

@@ -24,9 +24,8 @@ from the plans its identity compiles once (``OpIdentity.plans``).
 from __future__ import annotations
 
 import random
-import re
 
-from .coeffs import MAX_DEPTH, _add_scaled_into, _add_term
+from .coeffs import _add_scaled_into, _add_term
 from .opoly import (DIFFERENTIAL, OPoly, OpIdentity, ROTA_BAXTER,
                     to_str_opoly)
 from .ordering import OrderConfig, random_context
@@ -36,7 +35,7 @@ from .rewrite import (NORMAL_FORM, NotDRF, NotRBRF, NotTotallyLinear, Redex,
                       factored_normal_form, find_redexes, in_reduced_form,
                       job_memo, normal_form)
 from .words import (GeneratorSet, Word, bracket, enumerate_words, fill, job,
-                    splice, to_str, tower_heights)
+                    splice, to_str)
 
 BOUND_GEN_NAMES = ("u", "v", "w", "p", "q", "r", "s", "t")
 
@@ -265,10 +264,10 @@ def gsb_check_truncated(sys: GeneratorSystem, bound: TruncationBound,
     is reduced once, when the bound holds any triple, and certifies every
     other triple, because substituting r, s, t for the generators maps each
     rewrite step of the trace to a rewrite step (or a cancellation) of the
-    instance; a seeded sample of ``TRANSFER_SAMPLES`` triples is reduced
-    concretely on top of that.  With fewer generators there are no three
-    independent slots, and every triple is reduced (``concrete`` mode).
-    ``report.certify`` names the mode.
+    instance; a seeded sample of ``TRANSFER_SAMPLES`` other triples (all of
+    them on a smaller bound) is reduced concretely on top of that.  With
+    fewer generators there are no three independent slots, and every triple
+    is reduced (``concrete`` mode).  ``report.certify`` names the mode.
 
     Including compositions are enumerated per structural configuration (host
     word, nested redex, side), with the host's other argument kept generic;
@@ -336,9 +335,12 @@ def gsb_check_truncated(sys: GeneratorSystem, bound: TruncationBound,
         master = (Word((names[0],)), Word((names[1],)), Word((names[2],)))
         master_ok = check_triple(*master)
         # ``sample`` only indexes its population, so sampling the indices
-        # picks the triples that sampling a list of all triples would
-        picks = [_triple_at(blocks, j)
-                 for j in rng.sample(range(n), min(TRANSFER_SAMPLES, n))]
+        # picks the triples that sampling a list of all triples would; its
+        # first picks do not depend on how many it draws, so one pick more
+        # stands in for the master's, when drawn
+        drawn = (_triple_at(blocks, j)
+                 for j in rng.sample(range(n), min(TRANSFER_SAMPLES + 1, n)))
+        picks = [t for t in drawn if t != master][:TRANSFER_SAMPLES]
         sample_ok = all([check_triple(r, s, t) for (r, s, t) in picks])
         if master_ok and sample_ok:
             report.trivial_count = report.intersections_checked
@@ -656,101 +658,3 @@ def rbt_check(pattern: OPoly, constraints=(), strategy: str = "lo",
     lie in a field: a symbolic pattern goes on to the search."""
     return _certify(OpIdentity(ROTA_BAXTER, pattern, tuple(constraints)),
                     None, strategy, step_cap)
-
-
-# -- the free operator on differential words ----------------------------------------
-
-_ORDER_SUFFIX = re.compile(r"^(.*)_([0-9]+)$")
-
-
-def raise_order(name: str) -> str:
-    """z -> z_1 -> z_2 -> ...: the next derivative marker of a generator."""
-    m = _ORDER_SUFFIX.match(name)
-    if m:
-        return f"{m.group(1)}_{int(m.group(2)) + 1}"
-    return name + "_1"
-
-
-def free_dt_operator_nf(u: Word, identity: OpIdentity) -> OPoly:
-    """The induced operator d on bracket-free words over derivative markers.
-
-    d(z_i) raises the marker; on longer words d(u1 u2...uk) expands the
-    replacement pattern at (u1, u2...uk), a tower of n brackets over x or y
-    read as n applications of d.  The result is always bracket-free.  Each
-    application of d inside another takes one frame; past ``MAX_DEPTH``
-    of them, one a generator for the catalog's patterns, it raises
-    ``ResourceLimit(D_TOO_DEEP)``.
-    """
-    if u.is_unit:
-        raise ValueError("the recursion does not define d at the unit")
-    if any(isinstance(a, Word) for a in u.atoms):
-        raise ValueError("d acts on bracket-free words over derivative markers")
-    pattern = []  # (coefficient, [(x or y as 0 or 1, tower height), ...])
-    for mono, coeff in identity.pattern.terms.items():
-        if mono.has_unit_bracket:
-            raise ValueError(
-                "patterns with unit-bracket terms induce no operator on "
-                f"bracket-free words (offending monomial {to_str(mono)})")
-        towers = tower_heights(mono)
-        if towers is None:
-            raise NotDRF("d is defined by patterns in reduced form "
-                         f"only (offending monomial {to_str(mono)})")
-        pattern.append((coeff, [(("x", "y").index(g), height)
-                                for g, height in towers]))
-    return _d(OPoly.from_word(u, ring=identity.ring), pattern, 1)
-
-
-D_TOO_DEEP = (f"the free operator nests more than {MAX_DEPTH} applications "
-              "of d: one a generator of the word, or more where the pattern "
-              "lengthens words")
-
-
-# The recursions of ``free_dt_operator_nf`` and ``delta_view`` are
-# module-level: a recursive closure would leave a reference cycle per call.
-
-
-def _d(p: OPoly, pattern: list, level: int) -> OPoly:
-    """d extended linearly, as the ``level``-th application inside one
-    another."""
-    if level > MAX_DEPTH:
-        raise ResourceLimit(D_TOO_DEEP)
-    ring = p.ring
-    out: dict = {}
-    for w, c in p.terms.items():
-        atoms = w.atoms
-        if len(atoms) == 1:
-            _add_scaled_into(out, {Word((raise_order(atoms[0]),)): c})
-            continue
-        ab = (OPoly.from_word(Word(atoms[:1]), ring=ring),
-              OPoly.from_word(Word(atoms[1:]), ring=ring))
-        dw: dict = {}
-        for coeff, factors in pattern:
-            term = OPoly.from_word(Word(()), ring=ring)
-            for i, height in factors:
-                factor = ab[i]
-                for _ in range(height):
-                    factor = _d(factor, pattern, level + 1)
-                term = term * factor
-            _add_scaled_into(dw, term.terms, coeff)
-        _add_scaled_into(out, dw, c)
-    return OPoly._trusted(out, ring)
-
-
-def delta_view(p: OPoly) -> OPoly:
-    """Collapse pure derivative towers: a bracket around a single generator
-    becomes the raised generator, recursively.  Words in reduced form over
-    derivative markers become bracket-free under this view."""
-    out: dict = {}
-    for w, c in p.terms.items():
-        _add_scaled_into(out, {Word(tuple(_atom_view(a) for a in w.atoms)): c})
-    return OPoly._trusted(out, p.ring)
-
-
-def _atom_view(a):
-    """One atom under ``delta_view``."""
-    if isinstance(a, str):
-        return a
-    inner = tuple(_atom_view(x) for x in a.atoms)
-    if len(inner) == 1 and isinstance(inner[0], str):
-        return raise_order(inner[0])
-    return Word(inner)

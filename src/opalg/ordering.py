@@ -13,9 +13,9 @@ comparison):
   covers only words without unit brackets: at u = ``[1]``, dt2's
   replacement ``[v] [[1]]`` lies above its redex ``[[1] v]``.
   Independently of unit brackets, ``purelex`` is also *not* context
-  monotone on prefix-comparable pairs, and not well-founded; both defects
-  are observable through ``check_monomial_order`` and are guarded
-  operationally in the rewrite engine.
+  monotone on prefix-comparable pairs (x < x x, yet x y > x x y), and not
+  well-founded; the tests sample both defects, and the rewrite engine
+  guards them operationally.
 
 * ``deglenlex`` — total generator degree, then breadth, then the same
   lexicographic comparison.  Context monotone and unit minimal on all inputs
@@ -24,8 +24,9 @@ comparison):
 ``_word_key`` is the one definition of both modes.  ``order_key`` returns a
 key function whose tuples compare, under Python's tuple order, as the words
 do, so ``sorted`` and ``max`` run their comparisons in C; ``compare``
-decides one pair by comparing two such keys.  A generator atom's key is
-``(1, 0, rank)``, a bracket's is ``(deg, 1, key(content))``; a ``purelex``
+decides one pair by comparing two such keys, and no library code calls it.
+A generator atom's key is ``(1, 0, rank)``, a bracket's is
+``(deg, 1, key(content))``; a ``purelex``
 word key is the tuple of its atom keys and a ``deglenlex`` one is
 ``(deg, breadth, atom keys)``, with bracket contents keyed in the same mode.
 Each key function memoises the keys it built in a dict that lives exactly as
@@ -38,11 +39,8 @@ keep every word any caller ever sorted.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
-from .words import STAR, Word, job, sample_word, splice, to_str
-
-LESS, EQUAL, GREATER = -1, 0, 1
+from .words import Word, sample_word
 
 MODES = ("purelex", "deglenlex")
 
@@ -64,8 +62,8 @@ class OrderConfig:
 
 
 def compare(u: Word, v: Word, cfg: OrderConfig) -> int:
-    """``LESS``, ``EQUAL`` or ``GREATER`` as ``u`` lies below, at or above
-    ``v``: the comparison of their ``order_key`` keys."""
+    """-1, 0 or 1 as ``u`` lies below, at or above ``v``: the comparison of
+    their ``order_key`` keys."""
     key = order_key(cfg)
     ku, kv = key(u), key(v)
     return (ku > kv) - (ku < kv)
@@ -104,30 +102,7 @@ def _word_key(w: Word, memo: dict, atom_keys: dict, graded: bool):
     return k
 
 
-# -- randomized law checking -----------------------------------------------------
-
-
-@dataclass
-class PropertyReport:
-    """Outcome of randomized order-law verification."""
-
-    checked: int = 0
-    monotonicity_violations: list = field(default_factory=list)
-    unit_violations: list = field(default_factory=list)
-    totality_failures: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not (self.monotonicity_violations or self.unit_violations
-                    or self.totality_failures)
-
-    def summary(self) -> str:
-        if self.ok:
-            return f"order laws hold on {self.checked} sampled triples"
-        return (f"{len(self.monotonicity_violations)} monotonicity, "
-                f"{len(self.unit_violations)} unit-minimality, "
-                f"{len(self.totality_failures)} totality failures "
-                f"on {self.checked} sampled triples")
+# -- random contexts ---------------------------------------------------------------
 
 
 def random_context(rng: random.Random, gens, max_leaves: int,
@@ -147,37 +122,3 @@ def random_context(rng: random.Random, gens, max_leaves: int,
     i = rng.randint(0, len(atoms))
     path.append((atoms[:i], atoms[i:]))
     return tuple(path)
-
-
-@job()
-def check_monomial_order(cfg: OrderConfig, sample_budget: int = 10000,
-                         rng: random.Random = None, max_leaves: int = 4,
-                         max_depth: int = 3) -> PropertyReport:
-    """Randomized verification of the monomial-order laws for ``cfg``.
-
-    Checks, on sampled (q, u, v): unit minimality 1 < u, totality and
-    antisymmetry of the comparison, and context monotonicity
-    u < v  =>  q|_u < q|_v.  Counterexample triples are collected verbatim.
-    """
-    rng = rng or random.Random(0)
-    gens = cfg.gens
-    report = PropertyReport()
-    for _ in range(sample_budget):
-        u = sample_word(rng, gens, max_leaves, max_depth)
-        v = sample_word(rng, gens, max_leaves, max_depth)
-        q = random_context(rng, gens, max_leaves, max_depth)
-        report.checked += 1
-        for w in (u, v):
-            if not w.is_unit and compare(Word(()), w, cfg) != LESS:
-                report.unit_violations.append(to_str(w))
-        cuv, cvu = compare(u, v, cfg), compare(v, u, cfg)
-        if cuv != -cvu or (cuv == EQUAL) != (u == v):
-            report.totality_failures.append((to_str(u), to_str(v)))
-            continue
-        if cuv == EQUAL:
-            continue
-        small, big = (u, v) if cuv == LESS else (v, u)
-        if compare(splice(q, small.atoms), splice(q, big.atoms), cfg) != LESS:
-            report.monotonicity_violations.append(
-                (to_str(splice(q, (STAR,))), to_str(small), to_str(big)))
-    return report

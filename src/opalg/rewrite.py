@@ -5,10 +5,10 @@ split of its content into nonempty a and b, ``[a b] -> N(a, b)``; a pi rule
 fuses adjacent operator factors, ``[a] [b] -> [M(a, b)]``.  Reduction acts
 on one monomial occurrence per step, keeps a full trace, and never assumes
 global termination: strategy reduction stops at ``step_cap`` steps, each
-exhaustive search at ``EXPLORE_BUDGET`` polynomials, each span certificate
-at ``EXPLORE_BUDGET`` closure words and the confluence check at
-``peak_cap`` peaks, and ``normal_form(monitor=True)`` records every step
-that does not descend in the configured order.
+exhaustive search at ``EXPLORE_BUDGET`` polynomials and each span
+certificate at ``EXPLORE_BUDGET`` closure words, and
+``normal_form(monitor=True)`` records every step that does not descend in
+the configured order.
 
 A redex carries its context as a star path (see ``words``), whose hole the
 matched atoms fill.  Whether a word holds a redex of either family is one of
@@ -51,11 +51,9 @@ normal form over its words, each the memo's product or, where the memo gives
 none within the step cap its walks share, the caller's reduction of the
 word, for the basis checks of ``gsb`` (``NFCache``) and the ansatz defects
 of ``classify``.  A job keeps one memo per schema, which ``job_memo`` hands
-out to every ``normal_form``, ``reduces_to_zero`` and ``joinable`` call,
-every basis check of ``gsb`` and every defect extraction of ``classify`` in
-it, and which the job drops when its outermost scope closes (``words.job``).
-``local_confluence_check`` keeps no peak memo: it meets each enumerated word
-once.
+out to every ``normal_form`` and ``reduces_to_zero`` call, every basis check
+of ``gsb`` and every defect extraction of ``classify`` in it, and which the
+job drops when its outermost scope closes (``words.job``).
 
 Equal words are one object (see ``words``), so the memo's dicts, the term
 dicts and the heap meet them by identity.  A step that
@@ -74,8 +72,7 @@ from .coeffs import ResourceLimit, _add_scaled_into, _add_term, reciprocal
 from .groebner import buchberger, nf_mod_ideal
 from .opoly import DIFFERENTIAL, OPoly, OpIdentity, to_str_opoly
 from .ordering import OrderConfig, order_key
-from .words import (STAR, Word, enumerate_words, fill, job, splice, to_str,
-                    tokens, word_sort_key)
+from .words import STAR, Word, fill, job, splice, tokens, word_sort_key
 
 
 class NotTotallyLinear(ValueError):
@@ -611,7 +608,7 @@ def _rewrite_into(terms: dict, ring, w: Word, repl: OPoly,
                 del terms[m]
 
 
-# -- verdicts and joinability -------------------------------------------------------
+# -- verdicts and search ------------------------------------------------------------
 
 
 class Verdict:
@@ -778,89 +775,3 @@ def _search_verdict(p: OPoly, memo: RewriteMemo, verdict: Verdict) -> Verdict:
                        detail=f"exploration budget {EXPLORE_BUDGET} exceeded")
     return Verdict(Verdict.NO, witness=nf,
                    detail=f"all {len(visited)} reachable polynomials nonzero")
-
-
-@job()
-def joinable(f: OPoly, g: OPoly, schema: RuleSchema) -> Verdict:
-    """Do ``f`` and ``g`` reach a common reduct?
-
-    Decided through their difference first (reduction of f - g to zero
-    certifies joinability); otherwise the reduct sets are intersected
-    within ``EXPLORE_BUDGET`` each.
-    """
-    f = schema.normalize(schema.lift(f))
-    g = schema.normalize(schema.lift(g))
-    if f == g:
-        return Verdict(Verdict.YES, detail="equal in 0 steps")
-    diff = reduces_to_zero(f - g, schema)
-    if diff.is_yes:
-        return Verdict(Verdict.YES, detail=f"difference vanishes ({diff.detail})")
-    memo = job_memo(schema)
-    reach_f, complete_f, _ = _explore(f, memo, EXPLORE_BUDGET)
-    reach_g, complete_g, _ = _explore(g, memo, EXPLORE_BUDGET)
-    if reach_f & reach_g:
-        return Verdict(Verdict.YES, detail="common reduct found by search")
-    if complete_f and complete_g:
-        return Verdict(Verdict.NO, witness=f - g, detail="reduct sets disjoint")
-    return Verdict(Verdict.INCONCLUSIVE, witness=f - g,
-                   detail="exploration budget exhausted")
-
-
-# -- local confluence ---------------------------------------------------------------
-
-
-class ConfluenceReport:
-    __slots__ = ("words_checked", "peaks_checked", "nonjoinable", "inconclusive",
-                 "bound_note")
-
-    def __init__(self):
-        self.words_checked = 0
-        self.peaks_checked = 0
-        self.nonjoinable = []
-        self.inconclusive = []
-        self.bound_note = ""
-
-    @property
-    def ok(self) -> bool:
-        return not self.nonjoinable and not self.inconclusive
-
-    def summary(self) -> str:
-        verdict = "locally confluent at bound" if self.ok else "NOT confluent"
-        return (f"{verdict}: {self.words_checked} words, "
-                f"{self.peaks_checked} peaks, {len(self.nonjoinable)} non-joinable, "
-                f"{len(self.inconclusive)} undecided ({self.bound_note})")
-
-
-@job()
-def local_confluence_check(schema: RuleSchema, gens, max_leaves: int = 3,
-                           max_depth: int = 2,
-                           peak_cap: int = 200000) -> ConfluenceReport:
-    """Check joinability of every one-step peak on all words within the bound.
-
-    Every pair of distinct redexes of every enumerated word is a peak; the
-    three relative positions (separated, overlapping, nested) all arise from
-    the enumeration itself.  Raises ResourceLimit when the peak count would
-    exceed ``peak_cap``.
-    """
-    report = ConfluenceReport()
-    report.bound_note = f"leaves <= {max_leaves}, depth <= {max_depth}"
-    words = enumerate_words(gens, max_leaves, max_depth,
-                            include_unit_brackets=True, include_unit=True)
-    for w in words:
-        report.words_checked += 1
-        redexes = find_redexes(w, schema)
-        if len(redexes) < 2:
-            continue
-        reducts = [schema.normalize(schema.replacement(r)) for r in redexes]
-        for i in range(len(reducts)):
-            for j in range(i + 1, len(reducts)):
-                report.peaks_checked += 1
-                if report.peaks_checked > peak_cap:
-                    raise ResourceLimit(
-                        f"peak cap {peak_cap} exceeded at {to_str(w)}")
-                verdict = joinable(reducts[i], reducts[j], schema)
-                if verdict.kind == Verdict.NO:
-                    report.nonjoinable.append((w, reducts[i], reducts[j]))
-                elif verdict.kind == Verdict.INCONCLUSIVE:
-                    report.inconclusive.append((w, reducts[i], reducts[j]))
-    return report

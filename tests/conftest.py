@@ -14,10 +14,12 @@ import opalg
 
 def _run_job(code: str, *args: str, hash_seed: int = None):
     """Run ``code`` in a fresh interpreter that imports this checkout's
-    ``opalg``, under ``PYTHONHASHSEED=hash_seed`` when one is given, and
-    return the JSON value it prints."""
+    ``opalg`` and the tests' ``oracles``, under ``PYTHONHASHSEED=hash_seed``
+    when one is given, and return the JSON value it prints."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(opalg.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join(filter(None, [src, tests,
+                                         os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     if hash_seed is not None:
         env["PYTHONHASHSEED"] = str(hash_seed)

@@ -12,7 +12,8 @@ DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
                      "demos")
 
 
-@pytest.mark.parametrize("script", ["rewriting_tour.py", "basis_check.py"])
+@pytest.mark.parametrize("script", ["rewriting_tour.py", "basis_check.py",
+                                    "classification_run.py"])
 def test_demo_exits_cleanly(script):
     src = os.path.dirname(os.path.dirname(os.path.abspath(opalg.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

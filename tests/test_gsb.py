@@ -17,19 +17,20 @@ from opalg import gsb
 from opalg.catalog import DT_FAMILIES, RBT_FAMILIES, named_pattern
 from opalg.classify import build_ansatz
 from opalg.coeffs import MAX_DEPTH, PolyRing, _add_scaled_into
-from opalg.gsb import (D_TOO_DEEP, UVW, CompositionRecord, GeneratorSystem,
-                       NFCache, TruncationBound, cdl_direct_sum_check,
-                       delta_view, dt_check, free_dt_operator_nf,
+from opalg.gsb import (UVW, CompositionRecord, GeneratorSystem, NFCache,
+                       TruncationBound, cdl_direct_sum_check, dt_check,
                        gsb_check_truncated, INCLUDING, INTERSECTION,
-                       irr_enumerate, is_trivial, raise_order, rbt_check)
+                       irr_enumerate, is_trivial, rbt_check)
 from opalg.opoly import (DIFFERENTIAL, ROTA_BAXTER, OPoly, OpIdentity,
                          parse_opoly, to_str_opoly)
-from opalg.ordering import GREATER, OrderConfig, order_key, random_context
+from opalg.ordering import OrderConfig, order_key, random_context
 from opalg.rewrite import (NORMAL_FORM, NotDRF, ResourceLimit, RewriteMemo,
                            RuleSchema, Verdict, find_redexes, in_reduced_form,
                            normal_form)
 from opalg.words import (STAR, GeneratorSet, Word, bracket, enumerate_words,
                          job, parse, splice, to_str, word_sort_key)
+from oracles import (D_TOO_DEEP, GREATER, delta_view, free_dt_operator_nf,
+                     raise_order)
 from test_ordering import reference_compare
 from test_words import (_with_headroom, close_a_job,
                         reference_replace_generators)
@@ -130,8 +131,15 @@ def _listed_triples(bound):
     return triples
 
 
-@pytest.mark.parametrize("bound", [(3, 1, 3), (2, 1, 2)])
+MASTER = tuple(Word((g,)) for g in "uvw")
+# the bounds of the replay, each with whether its seeded sample draws the
+# master's index
+MASTER_DRAWN = {(3, 1, 3): False, (2, 1, 2): False, (2, 1, 3): True}
+
+
+@pytest.mark.parametrize("bound", list(MASTER_DRAWN))
 def test_checked_triples_match_the_listed_triples(bound, monkeypatch):
+    sampled = MASTER_DRAWN[bound]
     bound = TruncationBound(*bound)
     checked = []
     original = gsb.associativity_defect
@@ -148,9 +156,31 @@ def test_checked_triples_match_the_listed_triples(bound, monkeypatch):
     if report.certify == "concrete":
         assert checked == triples
     else:
-        master = tuple(Word((g,)) for g in "uvw")
-        picks = random.Random(5).sample(triples, gsb.TRANSFER_SAMPLES)
-        assert checked == [master] + picks
+        # the master, then the first ``TRANSFER_SAMPLES`` other triples of
+        # a seeded sample one larger, whose first picks are those of a
+        # sample of ``TRANSFER_SAMPLES``
+        k = gsb.TRANSFER_SAMPLES
+        drawn = random.Random(5).sample(triples, min(k + 1, len(triples)))
+        assert (MASTER in drawn[:k]) == sampled
+        assert checked == [MASTER] + [t for t in drawn if t != MASTER][:k]
+
+
+@pytest.mark.parametrize("bound", [(2, 0, 3), (2, 1, 3)])
+def test_transfer_reduces_each_triple_once(bound):
+    # the default sample draws the master's index at both bounds, and the
+    # master is reduced once all the same: no composition is listed twice,
+    # and no more triples are reduced than the bound holds
+    bound = TruncationBound(*bound)
+    triples = _listed_triples(bound)
+    k = min(gsb.TRANSFER_SAMPLES, len(triples))
+    assert triples.index(MASTER) in random.Random(7).sample(
+        range(len(triples)), k)
+    ident = OpIdentity(DIFFERENTIAL, parse_opoly("y [x]", XY))
+    system = GeneratorSystem(ident, OrderConfig(bound.generator_set()))
+    report = gsb_check_truncated(system, bound)
+    described = [c.describe() for c in report.nontrivial]
+    assert described and len(described) == len(set(described))
+    assert report.intersections_reduced <= report.intersections_checked
 
 
 @pytest.mark.parametrize("bound", [(3, 1, 3), (2, 2, 3)])
@@ -958,7 +988,9 @@ def test_work_does_not_depend_on_where_words_sit_in_memory(run_job):
 # before the composition checks were routed through ``is_trivial``, with
 # nontrivial records, order-violation counts and both certification modes;
 # the two of ``2*x [y] + 2*[x] y`` recorded before a residue's terms stopped
-# following the per-word path's order
+# following the per-word path's order; the four with a transfer sample that
+# draws the master's index re-recorded when that pick stopped listing the
+# master's record twice, each with the sample's next pick in its place
 with open(os.path.join(os.path.dirname(__file__), "frozen_gsb.json"),
           encoding="utf-8") as _f:
     FROZEN_GSB = json.load(_f)

@@ -45,40 +45,12 @@ PACKAGE = "opalg"
 # definitions kept without a caller, one reason each
 ALLOWED = {
     "cli._Parser.error": "argparse calls it on a usage error",
-    "classify.ConstraintSystem.satisfied_at":
-        "verification oracle: a point satisfies every extracted equation",
-    "ordering.check_monomial_order":
-        "verification oracle of the monomial-order laws",
-    "gsb.free_dt_operator_nf":
-        "independent construction of differential-type normal forms",
-    "gsb.delta_view":
-        "reads rewriting normal forms in free_dt_operator_nf's words",
-    "rewrite.local_confluence_check":
-        "the peak-joinability certificate of acceptance criterion 6",
-    "ordering.PropertyReport.summary":
-        "reads the report of the monomial-order oracle",
-    "rewrite.ConfluenceReport.summary":
-        "reads the report of acceptance criterion 6's certificate",
 }
 
 # options kept with fewer than two values in use, one reason each
 ALLOWED_PARAMETERS = {
     "rewrite.normal_form(monitor=)":
         "termination monitor of the order, and a test oracle",
-    "ordering.check_monomial_order(sample_budget=)":
-        "size of the monomial-order oracle's sample",
-    "ordering.check_monomial_order(rng=)":
-        "random source of the monomial-order oracle's sample",
-    "ordering.check_monomial_order(max_leaves=)":
-        "word size of the monomial-order oracle's sample",
-    "ordering.check_monomial_order(max_depth=)":
-        "word depth of the monomial-order oracle's sample",
-    "rewrite.local_confluence_check(max_leaves=)":
-        "bound of the peak-joinability certificate of acceptance criterion 6",
-    "rewrite.local_confluence_check(max_depth=)":
-        "bound of the peak-joinability certificate of acceptance criterion 6",
-    "rewrite.local_confluence_check(peak_cap=)":
-        "safety cap of the peak-joinability certificate",
     "solve.sample_points(strict=)":
         "every caller passes False, and the benchmark's classify workload, "
         "one of them, keeps its call as it is",
@@ -438,11 +410,12 @@ def readers_of(library, name):
     return sorted(readers)
 
 
-def test_only_ordering_compares_words_pairwise():
-    # every other module orders words by ``order_key`` keys: a second path
-    # through ``compare`` is how a second definition of an order would start
+def test_no_library_module_compares_words_pairwise():
+    # the library orders words by ``order_key`` keys alone, and ``compare``
+    # is kept for the benchmark's tracer and the tests' oracles: a library
+    # call of it is how a second definition of an order would start
     library, _ = load()
-    assert calls_of(library, "compare", set(library) - {"ordering"}) == []
+    assert calls_of(library, "compare", set(library)) == []
 
 
 def test_only_factored_normal_form_reads_the_memos_normal_forms():

@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opalg.catalog import FAMILIES
-from opalg.ordering import (EQUAL, GREATER, LESS, OrderConfig, check_monomial_order,
-                            compare, order_key, random_context)
+from opalg.ordering import OrderConfig, compare, order_key, random_context
 from opalg.words import (GeneratorSet, STAR, UNIT, Word, enumerate_words, parse,
                          sample_word, splice, to_str)
+from oracles import EQUAL, GREATER, LESS, check_monomial_order
 
 XY = GeneratorSet(("x", "y"))
 PURE = OrderConfig(XY, "purelex")

@@ -16,13 +16,13 @@ from opalg.catalog import named_pattern
 from opalg.classify import build_ansatz, classify, match_catalog
 from opalg.coeffs import PolyRing
 from opalg.gsb import (GeneratorSystem, TruncationBound, cdl_direct_sum_check,
-                       delta_view, dt_check, free_dt_operator_nf,
-                       gsb_check_truncated, rbt_check)
+                       dt_check, gsb_check_truncated, rbt_check)
 from opalg.opoly import DIFFERENTIAL, ROTA_BAXTER, XY, OPoly, parse_opoly
 from opalg.ordering import OrderConfig
 from opalg.rewrite import (RuleSchema, find_redexes, in_reduced_form,
                            normal_form)
 from opalg.words import GeneratorSet, enumerate_words, parse, sample_word
+from oracles import delta_view, free_dt_operator_nf
 
 
 DERIVATION = named_pattern("derivation")

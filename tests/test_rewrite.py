@@ -25,19 +25,19 @@ from opalg.gsb import (GeneratorSystem, TruncationBound,
                        gsb_check_truncated, irr_enumerate, rbt_check)
 from opalg.opoly import (DIFFERENTIAL, ROTA_BAXTER, OPoly, OpIdentity,
                          parse_opoly, to_str_opoly)
-from opalg.ordering import (GREATER, OrderConfig, check_monomial_order,
-                            order_key)
+from opalg.ordering import OrderConfig, order_key
 from opalg.rewrite import (NORMAL_FORM, STEP_CAP_EXCEEDED, NotDRF, NotRBRF,
                            NotTotallyLinear, ResourceLimit, RewriteMemo,
                            RuleSchema, TraceStep, Verdict, _first_redex,
                            _span_certificate, factored_normal_form,
                            find_redexes, in_reduced_form, is_drf, is_rbrf,
-                           is_totally_linear, job_memo,
-                           joinable, local_confluence_check, normal_form,
+                           is_totally_linear, job_memo, normal_form,
                            reduces_to_zero)
 from opalg.words import (MAX_DEPTH, STAR, TOO_NESTED, GeneratorSet, UNIT, Word,
                          enumerate_words, job, parse, sample_word, to_str,
                          tokens, word_sort_key)
+from oracles import (GREATER, check_monomial_order, joinable,
+                     local_confluence_check)
 from test_coeffs import is_rational
 from test_ordering import reference_compare
 from test_words import (assert_table_within_bound, close_a_job,
@@ -1392,6 +1392,7 @@ REJECTIONS = (
 
 _HASH_SEED_JOB = """
 import json, sys
+import oracles
 import opalg.rewrite as rewrite
 from opalg.coeffs import PolyRing
 from opalg.gsb import dt_check, rbt_check
@@ -1425,7 +1426,7 @@ for check, text, params, constraints in json.loads(sys.argv[1]):
                            [ring.parse(c) for c in constraints])
     details.append([report.accepted, report.verdict.detail])
 ident = OpIdentity(DIFFERENTIAL, parse_opoly("y [x]", XY))
-conf = rewrite.local_confluence_check(
+conf = oracles.local_confluence_check(
     rewrite.RuleSchema(ident, order=OrderConfig(UVW)), UVW,
     max_leaves=3, max_depth=1)
 print(json.dumps({"details": details, "summary": conf.summary(),

@@ -11,7 +11,6 @@ import opalg.words
 from opalg.catalog import FAMILIES, named_pattern, pattern_names
 from opalg.classify import build_ansatz
 from opalg.coeffs import PolyRing, ResourceLimit, _add_scaled_into
-from opalg.gsb import D_TOO_DEEP, delta_view, free_dt_operator_nf
 from opalg.opoly import (DIFFERENTIAL, ROTA_BAXTER, XY, OPoly, OpIdentity,
                          parse_opoly)
 from opalg.ordering import OrderConfig, order_key, random_context
@@ -44,6 +43,7 @@ from opalg.words import (
     tower_heights,
     word_sort_key,
 )
+from oracles import D_TOO_DEEP, delta_view, free_dt_operator_nf
 
 # two more hole symbols, filled through ``reference_replace_generators``
 STAR1 = STAR + "1"
