@@ -10,8 +10,8 @@ import sys
 from .catalog import named_pattern, pattern_names
 from .classify import build_ansatz, classify, match_catalog
 from .coeffs import PolyRing, ResourceLimit, Tokens
-from .gsb import UVW, GeneratorSystem, TruncationBound, dt_check, \
-    gsb_check_truncated, irr_enumerate, rbt_check
+from .gsb import BOUND_GEN_NAMES, UVW, GeneratorSystem, TruncationBound, \
+    dt_check, gsb_check_truncated, irr_enumerate, rbt_check
 from .opoly import DIFFERENTIAL, OpIdentity, ROTA_BAXTER, XY, parse_opoly, \
     to_str_opoly
 from .ordering import OrderConfig
@@ -208,8 +208,13 @@ def cmd_gsb(args) -> int:
     ident = _identity_from_args(args)
     if ident.kind != DIFFERENTIAL:
         raise UsageError("gsb requires a differential-type identity")
-    count = len(args.gens.split(",")) if args.gens else 3
-    bound = _parse_bound(args.bound, count)
+    names = tuple(args.gens.split(",")) if args.gens else BOUND_GEN_NAMES[:3]
+    # the check runs over the bound's own generators, so only their names
+    # can be given
+    if names != BOUND_GEN_NAMES[:len(names)]:
+        raise UsageError(f"--gens {args.gens}: the generators must be the "
+                         f"first names of {','.join(BOUND_GEN_NAMES)}")
+    bound = _parse_bound(args.bound, len(names))
     system = GeneratorSystem(ident,
                              OrderConfig(bound.generator_set(), args.order))
     report = gsb_check_truncated(system, bound, step_cap=args.step_cap)
@@ -311,8 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="truncated composition (overlap) check")
     _add_identity_flags(gsb)
     gsb.add_argument("--bound", default="3,2", metavar="BREADTH,DEPTH")
-    gsb.add_argument("--gens", help="generator names; the count sets the "
-                                    "argument-word alphabet size")
+    gsb.add_argument("--gens", help="generator names, the first names of "
+                                    "u,v,w,p,q,r,s,t (default: u,v,w)")
     _add_common(gsb, strategy=False, step_cap=100000)
     gsb.set_defaults(func=cmd_gsb)
 

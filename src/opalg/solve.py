@@ -11,7 +11,19 @@ solution set.
 equation fixes linearly, and hands ``_split`` the residual system with the pin
 equations restored.  ``_split`` pins nothing, since ``buchberger`` returns the
 reduced lex basis, which is unique for its ideal: pinning first could change
-the work done but not a component.
+the work done but not a component.  So the pin sequence alone decides the
+split tree, and it is fixed by one invariant: the system is a set of
+normalised equations (no zeros or repeats, assumed-nonzero variable powers
+divided out, monic), and the pin is its first pinnable equation in
+``(len(terms), str)`` order.  The pass keeps each equation's variables and
+``_find_pin`` answer while the equation lives, within one
+``solve_components`` call.  After a pin, or on the v = 0 branch of a
+content split, only the equations that hold the variable are substituted,
+normalised and scanned for a pin again, and only the pinned values that
+hold it take it up; on the v != 0 branch only the equations whose monomial
+content holds v are normalised again.  Every other equation is already
+normalised and is left as it is, so the pass takes the pins that one
+re-normalising and re-sorting the whole system after each step would.
 
 Rational points on a component are the leaves of one finite tree, walked
 depth-first by ``_leaves``: each decision fixes one variable to a rational
@@ -70,7 +82,7 @@ MAX_SPLIT_DEPTH = 64
 def solve_components(eqs, ring: PolyRing):
     """Decompose {all eqs = 0} into SolutionComponents (possibly empty list)."""
     leaves: list = []
-    _presplit([e for e in eqs if not (isinstance(e, MPoly) and e.is_zero)],
+    _presplit({}, [e for e in eqs if not (isinstance(e, MPoly) and e.is_zero)],
               {}, frozenset(), ring, MAX_SPLIT_DEPTH, leaves)
     out = [SolutionComponent(ring, basis, tuple(sorted(nonzero)))
            for basis, nonzero in _merge_leaves(leaves, ring)]
@@ -114,65 +126,117 @@ def _find_pin(g, ring):
     """A (variable, value) pair when g is linear in the variable with a
     constant coefficient, else None.
 
-    The variable has degree 1, so g = coeff * v + rest splits its terms into
-    two dicts: those with v (v divided out) and those without."""
-    for name in sorted(g.variables()):
-        i = ring.index[name]
-        coeff, rest = {}, {}
-        for e, c in g.terms.items():
-            if e[i] > 1:
-                break
-            if e[i]:
-                coeff[e[:i] + (0,) + e[i + 1:]] = c
-            else:
-                rest[e] = c
-        else:
-            a = coeff.get((0,) * ring.nvars)
-            if a is not None and len(coeff) == 1:
-                value: dict = {}
-                _add_scaled_into(value, rest, -reciprocal(a))
-                return name, MPoly(ring, value)
-    return None
+    Such a variable is one whose first power is a term of g and which no
+    other term holds, so g = a * v + rest; the alphabetically first one is
+    pinned, to -rest / a."""
+    pins = []
+    for e in g.terms:
+        if sum(e) == 1:
+            i = e.index(1)
+            if sum(1 for f in g.terms if f[i]) == 1:
+                pins.append((ring.vars[i], e))
+    if not pins:
+        return None
+    name, e = min(pins)
+    value: dict = {}
+    _add_scaled_into(value, {f: c for f, c in g.terms.items() if f != e},
+                     -reciprocal(g.terms[e]))
+    return name, MPoly(ring, value)
 
 
-def _presplit(eqs, assign, nonzero, ring, depth, leaves) -> None:
+def _presplit(eqs, new, assign, nonzero, ring, depth, leaves) -> None:
     """Cheap substitution-driven case analysis before any Groebner work.
 
-    Variables pinned linearly are substituted away; equations with a common
-    variable factor branch on that variable.  Residual systems too tangled
-    for either move fall through to the Groebner splitter with the pin
-    equations restored, so the ideal is preserved exactly.
+    ``eqs`` maps each normalised equation of the system, in the order it
+    joined, to its variables and its ``_find_pin`` answer; ``new`` holds
+    the equations not yet normalised, which join first.  ``assign`` maps
+    each pinned variable to its value and the value's variables.
+
+    The first pinnable equation in ``_order`` is pinned: its variable is
+    substituted into the equations and values that hold it, and only those
+    equations are normalised and scanned again.  When nothing pins, the
+    first equation in order with a common variable factor branches on the
+    alphabetically first such variable v.  The v = 0 branch substitutes
+    into the equations that hold v, and the v != 0 branch divides v out of
+    those whose monomial content holds v.  A system left with neither move
+    falls through to the Groebner splitter with the pin equations
+    restored, so the ideal is preserved exactly.
     """
     if depth < 0:
         raise SplitDepthExceeded("component splitting exceeded the depth cap")
     while True:
-        eqs = _strip_normalize(eqs, nonzero, ring)
-        if eqs is None:
+        new = _strip_normalize(new, nonzero, ring)
+        if new is None:
             return
-        eqs.sort(key=lambda h: (len(h.terms), str(h)))
-        pin = next(filter(None, (_find_pin(g, ring) for g in eqs)), None)
-        if pin is None:
+        for g in new:
+            if g not in eqs:
+                eqs[g] = (g.variables(), _find_pin(g, ring))
+        pinnable = [g for g, (_, pin) in eqs.items() if pin]
+        if not pinnable:
             break
-        name, value = pin
-        assign = {k: v.subs({name: value}) for k, v in assign.items()}
-        assign[name] = value
-        eqs = [h.subs({name: value}) for h in eqs]
-    for g in eqs:
+        g = min(pinnable, key=_order)
+        names, (name, value) = eqs.pop(g)
+        assign = _put_values(assign, name, value)
+        assign[name] = (value, names - {name})
+        new = [_put(h, name, value) for h in _holders(eqs, name)]
+    order = sorted(eqs, key=_order)
+    for g in order:
         content = g.monomial_content()
         cand = sorted(ring.vars[i] for i, k in enumerate(content) if k)
         if not cand:
             continue
         name = cand[0]
         zero = ring.zero()
-        _presplit([h.subs({name: zero}) for h in eqs],
-                  {k: v.subs({name: zero}) for k, v in assign.items()}
-                  | {name: zero},
+        rest = dict(eqs)
+        _presplit(rest, [_put(h, name, zero) for h in _holders(rest, name)],
+                  _put_values(assign, name, zero) | {name: (zero, set())},
                   nonzero, ring, depth - 1, leaves)
-        _presplit(eqs, assign, nonzero | {name}, ring, depth - 1, leaves)
+        i = ring.index[name]
+        divisible = [h for h, (names, _) in eqs.items()
+                     if name in names and all(e[i] for e in h.terms)]
+        for h in divisible:
+            del eqs[h]
+        _presplit(eqs, divisible, assign, nonzero | {name}, ring, depth - 1,
+                  leaves)
         return
-    residual = list(eqs) + [ring.var(v) - val for v, val in
-                            sorted(assign.items())]
+    residual = order + [ring.var(v) - val for v, (val, _) in
+                        sorted(assign.items())]
     _split(residual, nonzero, ring, depth, leaves)
+
+
+def _order(g):
+    """The key that orders a system's equations: fewest terms first."""
+    return len(g.terms), str(g)
+
+
+def _holders(eqs, name):
+    """Remove and return, in order, the equations of ``eqs`` that hold
+    ``name``."""
+    out = [h for h, (names, _) in eqs.items() if name in names]
+    for h in out:
+        del eqs[h]
+    return out
+
+
+def _put(g, name, value):
+    """g with ``value`` put for ``name``; a zero value drops the terms that
+    hold it."""
+    if value:
+        return g.subs({name: value})
+    i = g.ring.index[name]
+    return MPoly(g.ring, {e: c for e, c in g.terms.items() if not e[i]})
+
+
+def _put_values(assign, name, value):
+    """``assign`` with ``value`` put for ``name`` in the values that hold
+    it."""
+    out = {}
+    for k, (v, names) in assign.items():
+        if name in names:
+            v = _put(v, name, value)
+            names = v.variables()
+        out[k] = (v, names)
+    return out
 
 
 def _split(eqs, nonzero, ring, depth, leaves) -> None:

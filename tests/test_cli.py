@@ -253,6 +253,21 @@ def test_gsb_json_counts(capsys):
     assert payload["schema_version"] == 1
 
 
+def test_gsb_checks_only_the_generators_it_names(capsys):
+    # the check runs over the bound's own generators u, v, w, ...; other
+    # names were once read only for their count, so --gens a,b checked u, v
+    for gens in ("a,b", "v,u", "u,w", "u,v,w,p,q,r,s,t,x"):
+        code, out, err = run(capsys, "gsb", "--dt", "derivation",
+                             "--gens", gens, "--bound", "2,1")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"usage error: --gens {gens}: ")
+        assert "u,v,w,p,q,r,s,t" in err
+    code, out, _ = run(capsys, "gsb", "--dt", "derivation", "--gens", "u,v",
+                       "--bound", "2,1")
+    assert code == 0
+    assert "2 generators" in out
+
+
 def test_bad_bound_is_usage_error(capsys):
     code, _, err = run(capsys, "gsb", "--dt", "derivation", "--bound", "3")
     assert code == 1

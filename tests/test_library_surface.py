@@ -29,6 +29,11 @@ Every parameter of a library function or method, nested ones included, is
 read in its body; ``self``, ``cls``, ``*args``, ``**kwargs`` and lambdas are
 exempt.  A parameter no path reads is an input the function ignores while
 its callers and its docstring say otherwise.
+
+Every name a library module imports is read by its code.  The package's
+``__init__`` re-exports, names listed in a module's ``__all__`` and
+``from __future__`` imports are exempt.  An import that nothing reads is
+left over from code that moved or went.
 """
 
 import ast
@@ -837,3 +842,53 @@ def test_option_rule_on_a_synthetic_module():
         "g(2, True, 3)\n")}
     users = [ast.parse("from opalg.m import h\nh(1, x)\nh(2, 0)\n")]
     assert unset_options(library, users) == ["m.f(unset=)", "m.g(literal=)"]
+
+
+def dead_imports(library=None):
+    """``module.name`` of every name a library module imports and none of
+    its code reads; ``__init__``, ``__all__`` entries and ``from
+    __future__`` imports are exempt."""
+    if library is None:
+        library, _ = load()
+    dead = set()
+    for module, tree in library.items():
+        if module == "__init__":
+            continue
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in tree.body:
+            if _is_all(node):
+                read.update(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.partition(".")[0]
+                         for a in node.names]
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            dead.update(f"{module}.{name}" for name in bound
+                        if name not in read)
+    return sorted(dead)
+
+
+def test_every_import_is_read():
+    assert dead_imports() == []
+
+
+def test_import_rule_on_a_synthetic_module():
+    library = {
+        "m": ast.parse(
+            "from __future__ import annotations\n"
+            "import os, re as regex\n"
+            "import json.decoder\n"
+            "from .coeffs import MPoly, PolyRing as Ring\n"
+            "from .words import Word\n"
+            "__all__ = ['Word']\n"
+            "def f(x: MPoly):\n"
+            "    return regex.sub('', x) + json.dumps(x)\n"
+            "def g(Ring):\n    pass\n"),
+        "__init__": ast.parse("from .coeffs import MPoly\n"),
+    }
+    assert dead_imports(library) == ["m.Ring", "m.os"]

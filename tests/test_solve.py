@@ -123,6 +123,50 @@ def test_content_split_is_found_by_the_groebner_basis():
                                              "a - 2 = 0, b - 3 = 0"]
 
 
+# Solves the degree-1 RBT ansatz and the DT unit ansatz in a fresh
+# interpreter and prints, per solve, its components and its numbers of
+# ``MPoly.subs`` and ``_find_pin`` calls.
+_SOLVE_JOB = """
+import json
+import opalg.solve
+from opalg.classify import build_ansatz, extract_constraints
+from opalg.coeffs import MPoly
+from opalg.opoly import DIFFERENTIAL, ROTA_BAXTER
+
+calls = {"subs": 0, "pin": 0}
+subs, find_pin = MPoly.subs, opalg.solve._find_pin
+
+def counted_subs(self, assignment):
+    calls["subs"] += 1
+    return subs(self, assignment)
+
+def counted_pin(g, ring):
+    calls["pin"] += 1
+    return find_pin(g, ring)
+
+MPoly.subs = counted_subs
+opalg.solve._find_pin = counted_pin
+out = []
+for mode, units in ((ROTA_BAXTER, False), (DIFFERENTIAL, True)):
+    ansatz = build_ansatz(mode, 1, include_unit_terms=units)
+    eqs = extract_constraints(ansatz).polynomials()
+    calls.update(subs=0, pin=0)
+    components = opalg.solve.solve_components(eqs, ansatz.ring)
+    out.append([[c.describe() for c in components], calls["subs"],
+                calls["pin"]])
+print(json.dumps(out))
+"""
+
+
+def test_solve_work_does_not_depend_on_hash_seed(run_job):
+    # the solver keeps its equations in the order they joined and picks
+    # each pin by its key; a pick in the hash order of a set would change
+    # the work from one process to the next, if not the components
+    first, second = (run_job(_SOLVE_JOB, hash_seed=seed) for seed in (0, 1))
+    assert first == second
+    assert all(subs and pins for _, subs, pins in first)
+
+
 def test_sampling_on_component():
     rng = random.Random(3)
     basis = buchberger([b * b - b - a * e], R)

@@ -5,10 +5,14 @@ first out, and an ``_interreduce`` that restarts its scan after each change),
 ``solve._merge_leaves`` (a trial basis for every candidate merge),
 ``solve._leaves`` (a propagation that substitutes every decided value into
 every equation, replayed from the root once per leaf),
-``solve.rational_roots`` (every candidate of the rational root theorem) and
-``solve.sample_points`` (seeded draws alone, with no walk of the tree).
+``solve.rational_roots`` (every candidate of the rational root theorem),
+``solve.sample_points`` (seeded draws alone, with no walk of the tree) and
+``solve._presplit`` with its ``_find_pin`` (a pass that re-normalises,
+re-sorts and re-scans the whole system after every pin, and substitutes
+each pin into every equation and assignment).
 The library must give what they give: the same polynomials, term for term
-and in the same order, the same leaves and the same points.  The oracles are
+and in the same order, the same leaves, the same points and the same
+residual systems handed to ``_split``.  The oracles are
 run only on inputs they finish quickly; the last-in-first-out ``buchberger``
 can run for minutes on some inputs (``test_groebner``'s hang seeds).
 """
@@ -25,11 +29,14 @@ from hypothesis import strategies as st
 import opalg.solve
 from opalg.catalog import FAMILIES, families
 from opalg.classify import _family_inspace_components, build_ansatz, classify
+from opalg.coeffs import MPoly, _add_scaled_into, reciprocal
 from opalg.groebner import buchberger, leading_exps, nf_mod_ideal
 from opalg.opoly import DIFFERENTIAL, ROTA_BAXTER
-from opalg.solve import (DEFAULT_POOL, _merge_leaves, _univariate_coeffs,
-                         enumerate_points, find_representative,
-                         rational_roots, sample_points)
+from opalg.solve import (DEFAULT_POOL, MAX_SPLIT_DEPTH, SplitDepthExceeded,
+                         _find_pin, _merge_leaves, _strip_normalize,
+                         _univariate_coeffs, enumerate_points,
+                         find_representative, rational_roots, sample_points,
+                         solve_components)
 from test_coeffs import monomial
 from test_groebner import R, _int_poly
 
@@ -107,6 +114,75 @@ def reference_merge_leaves(leaves, ring):
                 merged = True
                 break
     return leaves
+
+
+def reference_find_pin(g, ring):
+    """A (variable, value) pair when g is linear in the variable with a
+    constant coefficient, else None.
+
+    The variable has degree 1, so g = coeff * v + rest splits its terms into
+    two dicts: those with v (v divided out) and those without."""
+    for name in sorted(g.variables()):
+        i = ring.index[name]
+        coeff, rest = {}, {}
+        for e, c in g.terms.items():
+            if e[i] > 1:
+                break
+            if e[i]:
+                coeff[e[:i] + (0,) + e[i + 1:]] = c
+            else:
+                rest[e] = c
+        else:
+            a = coeff.get((0,) * ring.nvars)
+            if a is not None and len(coeff) == 1:
+                value: dict = {}
+                _add_scaled_into(value, rest, -reciprocal(a))
+                return name, MPoly(ring, value)
+    return None
+
+
+def reference_presplit(eqs, assign, nonzero, ring, depth, leaves) -> None:
+    """Cheap substitution-driven case analysis before any Groebner work.
+
+    Variables pinned linearly are substituted away; equations with a common
+    variable factor branch on that variable.  Residual systems too tangled
+    for either move fall through to the Groebner splitter with the pin
+    equations restored, so the ideal is preserved exactly.  The splitter is
+    read from ``opalg.solve`` at call time, so a test can record what it is
+    handed.
+    """
+    if depth < 0:
+        raise SplitDepthExceeded("component splitting exceeded the depth cap")
+    while True:
+        eqs = _strip_normalize(eqs, nonzero, ring)
+        if eqs is None:
+            return
+        eqs.sort(key=lambda h: (len(h.terms), str(h)))
+        pin = next(filter(None, (reference_find_pin(g, ring) for g in eqs)),
+                   None)
+        if pin is None:
+            break
+        name, value = pin
+        assign = {k: v.subs({name: value}) for k, v in assign.items()}
+        assign[name] = value
+        eqs = [h.subs({name: value}) for h in eqs]
+    for g in eqs:
+        content = g.monomial_content()
+        cand = sorted(ring.vars[i] for i, k in enumerate(content) if k)
+        if not cand:
+            continue
+        name = cand[0]
+        zero = ring.zero()
+        reference_presplit([h.subs({name: zero}) for h in eqs],
+                           {k: v.subs({name: zero}) for k, v in assign.items()}
+                           | {name: zero},
+                           nonzero, ring, depth - 1, leaves)
+        reference_presplit(eqs, assign, nonzero | {name}, ring, depth - 1,
+                           leaves)
+        return
+    residual = list(eqs) + [ring.var(v) - val for v, val in
+                            sorted(assign.items())]
+    opalg.solve._split(residual, nonzero, ring, depth, leaves)
 
 
 def reference_try_point(basis, nonzero, ring, choose):
@@ -304,6 +380,70 @@ def test_buchberger_matches_the_reference_on_catalog_constraints():
         gens = list(ident.constraints)
         assert_same_polys(buchberger(gens, ident.ring),
                           reference_buchberger(gens, ident.ring))
+
+
+# -- presplit ---------------------------------------------------------------------
+
+
+def _handed_to_split(run):
+    """The (equations, nonzero variables, depth) of every ``_split`` call
+    that ``run()`` makes, in order; no Groebner work is done."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(opalg.solve, "_split",
+                   lambda eqs, nonzero, ring, depth, leaves:
+                   calls.append((eqs, nonzero, depth)))
+        run()
+    return calls
+
+
+def assert_same_residual_systems(eqs, ring):
+    """The solver hands ``_split`` the systems the reference pass does, in
+    the same order; returns how many."""
+    got = _handed_to_split(lambda: solve_components(eqs, ring))
+    want = _handed_to_split(lambda: reference_presplit(
+        [e for e in eqs if not e.is_zero], {}, frozenset(), ring,
+        MAX_SPLIT_DEPTH, []))
+    assert len(got) == len(want)
+    for (g_eqs, g_nonzero, g_depth), (w_eqs, w_nonzero, w_depth) in \
+            zip(got, want):
+        assert (g_nonzero, g_depth) == (w_nonzero, w_depth)
+        assert [str(p) for p in g_eqs] == [str(p) for p in w_eqs]
+        assert g_eqs == w_eqs
+    return len(got)
+
+
+@pytest.mark.parametrize("key", ANSATZE)
+def test_presplit_matches_the_restarting_reference(key, solve_inputs):
+    result = solve_inputs[key][0]
+    assert assert_same_residual_systems(result.system.polynomials(),
+                                        result.ansatz.ring) > 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1))
+def test_presplit_matches_the_reference_on_random_systems(seed):
+    rng = random.Random(seed)
+    eqs = [_int_poly(rng, rng.randint(1, 4))
+           for _ in range(rng.randint(1, 4))]
+    assert_same_residual_systems(eqs, R)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1))
+def test_find_pin_matches_the_reference(seed):
+    # a linear term of each variable in about half the polynomials, so
+    # that pins are common
+    rng = random.Random(seed)
+    g = _int_poly(rng, rng.randint(1, 4))
+    for e in ((1, 0), (0, 1)):
+        if rng.random() < 0.5:
+            g = g + MPoly(R, {e: rng.choice((1, -2, 3))})
+    got, want = _find_pin(g, R), reference_find_pin(g, R)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got[0] == want[0]
+        assert_same_polys([got[1]], [want[1]])
 
 
 # -- points -----------------------------------------------------------------------
